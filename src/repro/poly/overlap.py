@@ -107,9 +107,12 @@ def reuse_carry_dim(geom: GroupGeometry, tile_sizes: Sequence[int]) -> int:
     """The grid dimension the halo-reuse executor carries windows along
     for this group and tile shape, or ``-1`` when reuse cannot engage
     (single-tile grid): the first dimension with more than one tile and a
-    stage halo, falling back to the first dimension with more than one
-    tile — mirroring the executor's choice so model-side discounts price
-    the execution that will actually happen."""
+    stage halo — the dim along which overlapped tiles redundantly
+    recompute each other's points — falling back to the first dimension
+    with more than one tile (a group with no halo anywhere still pays
+    each stage body's fixed per-call cost once per run instead of once
+    per tile).  The executor calls this function, so model-side discounts
+    price the execution that actually happens."""
     radii = geom.expansion_radii()
     extents = geom.grid_extents
     fallback = -1
@@ -137,10 +140,12 @@ def overlap_size_chunked(
     ``run_len * (tile + left + right)``, so the carry-dimension halo is
     paid once per run rather than once per tile.  Overlap along the other
     dimensions is still paid per run (rows do not chain).  ``run_len`` of
-    ``0`` (the default) means a full row — the single-thread chunking the
-    executor produces; ``1`` degenerates to :func:`overlap_size` exactly.
-    Groups where reuse cannot engage also fall back to
-    :func:`overlap_size`.
+    ``0`` (the default) means a full row — what the executor walks at any
+    thread count whose grid has at least ``nthreads`` rows (chunks are
+    whole rows); with fewer rows it cuts each into ``ceil(nthreads /
+    rows)`` runs at most, i.e. ``run_len = ceil(row / ceil(nthreads /
+    rows))``.  ``1`` degenerates to :func:`overlap_size` exactly.  Groups
+    where reuse cannot engage also fall back to :func:`overlap_size`.
     """
     if len(tile_sizes) != geom.ndim:
         raise ValueError(

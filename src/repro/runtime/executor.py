@@ -44,6 +44,7 @@ from ..errors import (
 from ..obs import METRICS, TRACE
 from ..fusion.grouping import Grouping
 from ..poly.alignscale import GroupGeometry, compute_group_geometry
+from ..poly.overlap import reuse_carry_dim
 from ..resilience.faults import maybe_fail
 from .buffers import Buffer, BufferPool, PoolGroup
 from .evalexpr import evaluate_cases, evaluate_expr, make_index_grids
@@ -86,12 +87,12 @@ def halo_reuse_enabled(override: Optional[bool] = None) -> bool:
 #: the temporary index arrays a reduction materialises.
 _REDUCTION_CHUNK = 256
 
-#: Tile chunks handed to the thread pool per worker.  One future per *tile*
-#: costs a submit/dispatch round-trip per tile; one chunk per worker cannot
-#: load-balance the cleanup wave.  A small multiple keeps scheduling
-#: overhead bounded while the chunk-size imbalance (sizes differ by at most
-#: one tile) stays within what :mod:`repro.model.cost` assumes about
-#: cleanup-wave idling.
+#: Chunks handed to the thread pool per worker when the grid has rows to
+#: spare.  One future per *tile* costs a submit/dispatch round-trip per
+#: tile; one chunk per worker cannot load-balance the cleanup wave.  A
+#: small multiple keeps scheduling overhead bounded while the chunk-size
+#: imbalance (at most one row) stays within what :mod:`repro.model.cost`
+#: assumes about cleanup-wave idling.
 _CHUNKS_PER_WORKER = 4
 
 #: process-global persistent thread pools, keyed by worker count.  One
@@ -332,35 +333,44 @@ def _chunk_tiles(
 ) -> List[List]:
     """Partition ``tiles`` into contiguous chunks for the thread pool.
 
-    Chunk count is ``min(len(tiles), _CHUNKS_PER_WORKER * nthreads)`` and
-    chunk sizes differ by at most one tile, so the cleanup-wave imbalance
-    stays within the single-wave bound :mod:`repro.model.cost` assumes.
-    Serial execution gets one chunk (no scheduling at all).
+    The unit of parallel work is a *row*: ``row_len`` consecutive tiles
+    (the tiles along the innermost walked grid dimension — under halo
+    reuse the carry dimension, whose tiles share one seeded window);
+    without ``row_len`` every tile is its own row.  Each chunk start costs
+    the reuse path one seed, so rows are kept whole whenever there are
+    enough of them to occupy every worker:
 
-    ``row_len`` (the number of tiles along the innermost grid dimension)
-    snaps chunk boundaries to row starts when there are at least as many
-    rows as chunks: a boundary mid-row splits a run of adjacent tiles,
-    which costs the halo-reuse path one full-window recompute per split.
-    Row-aligned chunk sizes differ by at most one row, which keeps the
-    imbalance within the same single-wave bound.
+    * ``rows >= nthreads``: ``min(rows, _CHUNKS_PER_WORKER * nthreads)``
+      chunks of whole rows, sizes differing by at most one row — the
+      threaded walk seeds exactly as often as the serial one.
+    * ``rows < nthreads``: rows are cut, ``nthreads`` runs in all, each
+      row into ``nthreads // rows`` runs or one more (never more runs than
+      it has tiles), runs of one row differing by at most one tile — at
+      most ``nthreads - rows`` seeds more than the serial walk.
+
+    Serial execution gets one chunk (no scheduling at all).
     """
     if nthreads <= 1 or len(tiles) <= 1:
         return [tiles]
-    target = min(len(tiles), _CHUNKS_PER_WORKER * nthreads)
+    if not row_len or len(tiles) % row_len:
+        row_len = 1
+    rows = len(tiles) // row_len
+    if rows >= nthreads:
+        target = min(rows, _CHUNKS_PER_WORKER * nthreads)
+        base, extra = divmod(rows, target)
+        sizes = [
+            (base + (1 if i < extra else 0)) * row_len for i in range(target)
+        ]
+    else:
+        sizes = []
+        runs, more = divmod(nthreads, rows)
+        for r in range(rows):
+            pieces = min(row_len, runs + (1 if r < more else 0))
+            base, extra = divmod(row_len, pieces)
+            sizes += [base + (1 if i < extra else 0) for i in range(pieces)]
     chunks: List[List] = []
     start = 0
-    if row_len and row_len > 1 and len(tiles) % row_len == 0:
-        rows = len(tiles) // row_len
-        if rows >= target:
-            base, extra = divmod(rows, target)
-            for i in range(target):
-                size = (base + (1 if i < extra else 0)) * row_len
-                chunks.append(tiles[start:start + size])
-                start += size
-            return chunks
-    base, extra = divmod(len(tiles), target)
-    for i in range(target):
-        size = base + (1 if i < extra else 0)
+    for size in sizes:
         chunks.append(tiles[start:start + size])
         start += size
     return chunks
@@ -451,33 +461,98 @@ def _stage_region(
 
 
 class _CarryState:
-    """Per-chunk rolling halo-reuse state.
+    """Per-chunk rolling halo-reuse state: the one carry step every tier
+    (fused, per-stage, interpreter) drives per carried stage and tile.
 
     ``entries`` maps a carried materialised stage name to a tuple
-    ``(buffer, bounds)``: the stage's *row window* (a :class:`Buffer`
-    computed by the row's seed tile, spanning to the row's last expanded
-    high bound along the carry dimension) and the region it covers.
-    Later adjacent tiles whose expanded region is contained in
-    ``bounds`` reuse the window untouched — a *pure carry*.  ``prev_lo``
-    is the previous tile's grid origin — ``None`` at chunk start and
-    after an invalidation, which forces the next tile to re-seed.
-    ``tiles``/``saved`` accumulate the chunk's reuse metrics, flushed
-    once per chunk.
+    ``(buffer, bounds)``: the stage's *run window* (a :class:`Buffer`
+    computed by the run's seed tile, spanning along the carry dimension
+    to the expanded high bound of the run's last tile) and the region it
+    covers.  ``run_end`` is the carry-dimension grid coordinate one past
+    that last tile — the end of the run of adjacent tiles *this chunk*
+    walks, set by the chunk loop, never past the chunk boundary.
+    ``prev_lo`` is the previous tile's grid origin — ``None`` at chunk
+    start and after an invalidation, which forces the next tile to
+    re-seed.  ``tiles`` / ``saved`` accumulate the chunk's reuse metrics,
+    flushed once per chunk; ``hit`` marks the tile in flight as having
+    reused a window.
     """
 
-    __slots__ = ("prev_lo", "entries", "tiles", "saved")
+    __slots__ = ("prev_lo", "run_end", "entries", "tiles", "saved", "hit")
 
     def __init__(self):
         self.prev_lo: Optional[Tuple[int, ...]] = None
+        self.run_end = 0
         self.entries: Dict[str, Tuple[Buffer, list]] = {}
         self.tiles = 0
         self.saved = 0
+        self.hit = 0
+
+    def covers(self, name, bounds, axis, adjacent) -> Optional[Buffer]:
+        """The carried window of ``name`` when this tile may consume it
+        untouched — a *pure carry*: the tile is ``adjacent`` to the
+        previous one and ``bounds`` lies inside the window along ``axis``
+        (the stage's carry-dimension index; ``None`` when the stage is
+        constant along it) and equals it on every other dimension.
+        ``None`` when the stage must be (re)seeded."""
+        ent = self.entries.get(name)
+        if ent is None or not adjacent:
+            return None
+        held = ent[1]
+        pts = 1
+        for d, (lo, hi) in enumerate(bounds):
+            if d == axis:
+                if lo < held[d][0] or hi > held[d][1]:
+                    return None
+            elif held[d] != (lo, hi):
+                return None
+            pts *= hi - lo + 1
+        self.saved += pts
+        self.hit = 1
+        return ent[0]
+
+    def seed_bounds(self, bounds, plan, axis):
+        """``bounds`` extended along ``axis`` to the expanded high bound
+        (stage coordinates, clamped to the domain) of the run's last
+        tile, so one stage-body call computes the whole run's window."""
+        if axis is None:
+            return bounds
+        _, num, den, _, right, _, dom_hi = plan[axis]
+        hi = -((-(self.run_end + right) * den) // num) - 1
+        if hi > dom_hi:
+            hi = dom_hi
+        if hi <= bounds[axis][1]:
+            return bounds
+        bounds = list(bounds)
+        bounds[axis] = (bounds[axis][0], hi)
+        return bounds
+
+    def store(self, name, buf: Buffer, bounds, pool: BufferPool) -> None:
+        """Adopt a freshly seeded window, reclaiming the one it
+        supersedes."""
+        ent = self.entries.get(name)
+        if ent is not None and ent[0].data is not buf.data:
+            pool.reclaim(ent[0].data)
+        self.entries[name] = (buf, bounds)
+
+    def drop(self, name, pool: BufferPool) -> None:
+        """Forget ``name``'s window (its region is empty at this tile)."""
+        ent = self.entries.pop(name, None)
+        if ent is not None:
+            pool.reclaim(ent[0].data)
+
+    def advance(self, tile_lo) -> None:
+        """The tile at ``tile_lo`` completed."""
+        self.prev_lo = tile_lo
+        self.tiles += self.hit
+        self.hit = 0
 
     def invalidate(self) -> None:
         """Drop every carried window — called on any tile failure, so a
         retry (and every later tile until the chain re-seeds) recomputes
         full windows instead of consuming possibly-poisoned scratch."""
         self.prev_lo = None
+        self.hit = 0
         self.entries.clear()
 
 
@@ -512,19 +587,23 @@ def _execute_group_tiled(
     per chunk.
 
     With halo reuse enabled (``halo_reuse``, default on — see
-    :func:`halo_reuse_enabled`), each chunk walks tiles in rows along a
-    *carry dimension* and computes every materialised stage at *row*
-    granularity: the row's seed tile extends each stage's expanded
-    region along the carry dimension to the row's last expanded high
-    bound and computes that whole window in one stage-body call, so each
-    overlap point is computed once per row (instead of once per tile)
-    and the fixed per-call cost of the stage body is amortised across
-    the row.  Every later *adjacent* tile (same grid origin except the
-    carry dimension, advanced by exactly one tile) whose region is
-    contained in the carried window is a **pure carry** — the window is
-    handed to consumers untouched, no recompute, no copy.  Chunk starts,
+    :func:`halo_reuse_enabled`), each chunk walks its tiles in *runs* of
+    adjacent tiles along a *carry dimension* and computes every
+    materialised stage at run granularity: the run's seed tile extends
+    each stage's expanded region along the carry dimension to the
+    expanded high bound of the run's last tile and computes that whole
+    window in one stage-body call, so each overlap point is computed
+    once per run (instead of once per tile) and the fixed per-call cost
+    of the stage body is amortised across the run.  A run never extends
+    past its chunk: :func:`_chunk_tiles` hands out whole grid rows
+    whenever there are at least as many rows as workers (runs are then
+    rows, at any thread count) and cuts a row only when there are fewer.
+    Every later *adjacent* tile (same grid origin except the carry
+    dimension, advanced by exactly one tile) whose region is contained
+    in the carried window is a **pure carry** — the window is handed to
+    consumers untouched, no recompute, no copy.  Chunk starts,
     non-adjacent steps, and regions that escape the carried window
-    re-seed from the current tile to the row's end; a failed tile
+    re-seed from the current tile to the run's end; a failed tile
     attempt invalidates the whole carry so its retry — and every tile
     until the chain re-seeds — computes fresh windows.  Carried values
     are bit-identical to per-tile recomputation: stage bodies are
@@ -564,83 +643,58 @@ def _execute_group_tiled(
         if METRICS.enabled:
             METRICS.inc("repro_kernel_fused_groups_total")
 
-    # Halo reuse chains windows along the *carry dimension*: the grid dim
-    # consecutive tiles of a chunk advance along.  Under reuse the tile
-    # walk runs grid dim 0 fastest (see the tile enumeration below) so
-    # carried row windows grow along each stage's leading axis — delta
-    # strips are then contiguous row slabs, with the same trailing-dim
-    # widths (hence the same NumPy stride behaviour) as the pre-reuse
-    # exact windows, instead of short strided columns.  Only pure
-    # function stages chain — reductions accumulate across the domain
-    # and have no per-tile window to carry.
-    reuse = (
-        halo_reuse_enabled(halo_reuse)
-        and geom.ndim >= 1
-        and not any(isinstance(s, Reduction) for s in geom.stages)
-    )
-    if reuse:
-        # Pick the carry dimension: the first grid dim with more than one
-        # tile and a real halo on some stage — the dim along which
-        # overlapped tiles redundantly recompute each other's points.
-        # Groups with no halo anywhere still profit from row-granular
-        # seeding (every stage body's fixed per-call cost is paid once
-        # per row instead of once per tile), so fall back to the first
-        # dim with more than one tile; a single-tile grid disables reuse
-        # outright.
-        cdim = fallback = -1
-        for d in range(geom.ndim):
-            if len(dim_ranges[d]) <= 1:
-                continue
-            if fallback < 0:
-                fallback = d
-            if any(
-                ent[0] == d and ent[3] + ent[4] > 0
-                for s in geom.stages
-                for ent in plans[s.name]
-            ):
-                cdim = d
-                break
-        if cdim < 0:
-            cdim = fallback
-        reuse = cdim >= 0
+    # Halo reuse chains windows along the *carry dimension*
+    # (:func:`~repro.poly.overlap.reuse_carry_dim` — the rule the cost
+    # model prices): the grid dim consecutive tiles of a chunk advance
+    # along.  Under reuse the tile walk runs that dim fastest (see the
+    # tile enumeration below), so a chunk is a sequence of runs of
+    # adjacent tiles; a run's seed tile computes each carried stage's
+    # window for the whole run in one call — every overlap point is
+    # computed once and the stage body's fixed cost is amortised across
+    # the run — and every later tile of the run is a pure carry.  Only
+    # pure function stages chain — reductions accumulate across the
+    # domain and have no per-tile window to carry; a single-tile grid has
+    # no carry dimension.
+    cdim = -1
+    if halo_reuse_enabled(halo_reuse) and not any(
+        isinstance(s, Reduction) for s in geom.stages
+    ):
+        cdim = reuse_carry_dim(geom, tile_sizes)
+    reuse = cdim >= 0
     if reuse:
         cstep = tile_sizes[cdim]
-        last_cdim_lo = dim_ranges[cdim][-1]
-        # Each carried stage's rolling row window spans from the current
-        # tile's expanded low bound to ``row_hi``: the expanded
-        # stage-coordinate high bound at the row's *last* tile.  A row's
-        # seed tile computes the whole window in one call — every
-        # overlap point is computed once and the stage body's fixed cost
-        # is amortised across the row — and every later adjacent tile is
-        # then a pure carry.  ``axis`` is the plan index of the carry
-        # dim, ``None`` when the stage is constant along it (adjacent
-        # windows are equal — seed once, carry for the whole row).
-        carry_info: Dict[str, Tuple[Optional[int], Optional[int]]] = {}
-        for s in geom.stages:
-            for j, ent in enumerate(plans[s.name]):
-                if ent[0] == cdim:
-                    _, num, den, _, right, _, dhi = ent
-                    rhi = last_cdim_lo + tile_sizes[cdim] - 1 + right
-                    row_hi = -((-(rhi + 1) * den) // num) - 1
-                    if row_hi > dhi:
-                        row_hi = dhi
-                    carry_info[s.name] = (j, row_hi)
-                    break
-            else:
-                carry_info[s.name] = (None, None)
+        # Plan index of the carry dim per stage, ``None`` when the stage
+        # is constant along it (adjacent windows are equal — seed once,
+        # carry for the whole run).
+        carry_axis: Dict[str, Optional[int]] = {
+            s.name: next(
+                (j for j, ent in enumerate(plans[s.name]) if ent[0] == cdim),
+                None,
+            )
+            for s in geom.stages
+        }
         if group_kernel is not None:
             direct = set(group_kernel.direct_stores)
-            # (region index, name, axis, row_hi) per carried materialised
-            # member.  Direct-store stages write their base tile straight
-            # into out_buffers and stay per-tile (row-extending them
-            # would overlap concurrent chunks' writes); inlined stages
-            # follow their consumers' regions automatically.
+            # (region index, name, axis) per carried materialised member.
+            # Direct-store stages write their base tile straight into
+            # out_buffers and stay per-tile (run-extending them would
+            # overlap concurrent chunks' writes); inlined stages follow
+            # their consumers' regions automatically.
             fused_carry = [
-                (i, n) + carry_info[n]
+                (i, n, carry_axis[n])
                 for i, n in enumerate(group_kernel.region_names)
                 if n not in direct
             ]
             reuse = bool(fused_carry)
+
+    def follows(prev_lo: Tuple[int, ...], tile_lo: Tuple[int, ...]) -> bool:
+        """``tile_lo`` is ``prev_lo`` advanced by exactly one tile along
+        the carry dimension — the two tiles belong to one run."""
+        return (
+            tile_lo[cdim] == prev_lo[cdim] + cstep
+            and tile_lo[:cdim] == prev_lo[:cdim]
+            and tile_lo[cdim + 1:] == prev_lo[cdim + 1:]
+        )
 
     def run_tile(
         tile_index: int,
@@ -655,9 +709,7 @@ def _execute_group_tiled(
         adjacent = (
             carry is not None
             and carry.prev_lo is not None
-            and tile_lo[cdim] == carry.prev_lo[cdim] + cstep
-            and tile_lo[:cdim] == carry.prev_lo[:cdim]
-            and tile_lo[cdim + 1:] == carry.prev_lo[cdim + 1:]
+            and follows(carry.prev_lo, tile_lo)
         )
         if group_kernel is not None:
             regions = [
@@ -676,130 +728,58 @@ def _execute_group_tiled(
                 finally:
                     pool.release_all()
                 return
-            entries = carry.entries
             call_regions = list(regions)
             carries: List[Optional[tuple]] = [None] * len(regions)
-            reused = 0
-            seeds = None
-            for i, name, axis, row_hi in fused_carry:
+            seeds = []
+            for i, name, axis in fused_carry:
                 bounds = regions[i]
-                ent = entries.get(name)
                 if bounds is None:
-                    if ent is not None:
-                        pool.reclaim(ent[0].data)
-                        del entries[name]
+                    carry.drop(name, pool)
                     continue
-                if ent is not None and adjacent:
-                    eb = ent[1]
-                    if axis is None:
-                        ok = eb == bounds
-                    else:
-                        ok = True
-                        for d in range(len(bounds)):
-                            if d == axis:
-                                if (bounds[d][0] < eb[d][0]
-                                        or bounds[d][1] > eb[d][1]):
-                                    ok = False
-                                    break
-                            elif eb[d] != bounds[d]:
-                                ok = False
-                                break
-                    if ok:
-                        # Pure carry: the row window already holds this
-                        # tile's region — hand it to the kernel untouched
-                        # and skip the stage body.
-                        buf = ent[0]
-                        call_regions[i] = None
-                        carries[i] = (buf.data, buf.origin)
-                        reused = 1
-                        pts = 1
-                        for lo, hi in bounds:
-                            pts *= hi - lo + 1
-                        carry.saved += pts
-                        continue
-                # (Re)seed: extend the region to the rest of the row and
-                # let the kernel compute the whole window in this call.
-                if axis is not None and row_hi > bounds[axis][1]:
-                    bounds = list(bounds)
-                    bounds[axis] = (bounds[axis][0], row_hi)
-                    call_regions[i] = bounds
-                if seeds is None:
-                    seeds = []
-                seeds.append((i, name, ent))
+                buf = carry.covers(name, bounds, axis, adjacent)
+                if buf is not None:
+                    # Pure carry: hand the window to the kernel untouched
+                    # and skip the stage body.
+                    call_regions[i] = None
+                    carries[i] = (buf.data, buf.origin)
+                else:
+                    # (Re)seed: the kernel computes the rest of the run's
+                    # window in this call.
+                    call_regions[i] = carry.seed_bounds(
+                        bounds, region_plans[i], axis
+                    )
+                    seeds.append((i, name))
             results = group_kernel.fn(
                 call_regions, bases, buffers, out_buffers, pool, carries
             )
-            if seeds is not None:
-                for i, name, ent in seeds:
-                    buf = results[i]
-                    if ent is not None and ent[0].data is not buf.data:
-                        pool.reclaim(ent[0].data)
-                    entries[name] = (buf, call_regions[i])
-            carry.prev_lo = tile_lo
-            carry.tiles += reused
+            for i, name in seeds:
+                carry.store(name, results[i], call_regions[i], pool)
+            carry.advance(tile_lo)
             return
         scratch: Dict[str, Buffer] = {}
         lookup = _ChainLookup(scratch, buffers)
-        entries = carry.entries if carry is not None else None
-        reused = 0
         try:
             for stage in geom.stages:
                 name = stage.name
                 plan = plans[name]
                 bounds = _region_from_plan(plan, tile_lo, tile_sizes, True)
                 if bounds is None:
-                    if entries is not None:
-                        ent = entries.pop(name, None)
-                        if ent is not None:
-                            pool.reclaim(ent[0].data)
+                    if carry is not None:
+                        carry.drop(name, pool)
                     continue
                 result = None
-                if entries is not None:
-                    axis, row_hi = carry_info[name]
-                    ent = entries.get(name)
-                    if ent is not None and adjacent:
-                        eb = ent[1]
-                        if axis is None:
-                            ok = eb == bounds
-                        else:
-                            ok = True
-                            for d in range(len(bounds)):
-                                if d == axis:
-                                    if (bounds[d][0] < eb[d][0]
-                                            or bounds[d][1] > eb[d][1]):
-                                        ok = False
-                                        break
-                                elif eb[d] != bounds[d]:
-                                    ok = False
-                                    break
-                        if ok:
-                            # Pure carry: the row window already holds
-                            # this tile's region.
-                            result = ent[0]
-                            reused = 1
-                            pts = 1
-                            for lo, hi in bounds:
-                                pts *= hi - lo + 1
-                            carry.saved += pts
+                if carry is not None:
+                    axis = carry_axis[name]
+                    result = carry.covers(name, bounds, axis, adjacent)
                     if result is None:
-                        # (Re)seed: compute the rest of the row's window
-                        # in one call.
-                        if axis is not None and row_hi > bounds[axis][1]:
-                            bounds = list(bounds)
-                            bounds[axis] = (bounds[axis][0], row_hi)
-                        result = _compute_function_region(
-                            pipeline, stage, bounds, lookup,
-                            kernel=kernels.get(name), pool=pool,
-                        )
-                        if (ent is not None
-                                and ent[0].data is not result.data):
-                            pool.reclaim(ent[0].data)
-                        entries[name] = (result, bounds)
-                else:
+                        bounds = carry.seed_bounds(bounds, plan, axis)
+                if result is None:
                     result = _compute_function_region(
                         pipeline, stage, bounds, lookup,
                         kernel=kernels.get(name), pool=pool,
                     )
+                    if carry is not None:
+                        carry.store(name, result, bounds, pool)
                 scratch[name] = result
                 if stage in liveouts:
                     base = _region_from_plan(
@@ -810,8 +790,7 @@ def _execute_group_tiled(
                             base, result.read_region(base)
                         )
             if carry is not None:
-                carry.prev_lo = tile_lo
-                carry.tiles += reused
+                carry.advance(tile_lo)
         finally:
             if carry is None:
                 # Live-out regions were copied into out_buffers above, so
@@ -885,6 +864,14 @@ def _execute_group_tiled(
         # fresh pool per chunk.
         pool = pools.get() if pools is not None else BufferPool()
         carry = _CarryState() if reuse else None
+        if carry is not None:
+            # Where each tile's run of adjacent tiles ends *within this
+            # chunk* (carry-dim coordinate one past the run's last tile):
+            # the far edge of any window seeded at that tile.
+            ends = [tile_lo[cdim] + cstep for _, tile_lo in chunk]
+            for k in range(len(chunk) - 2, -1, -1):
+                if follows(chunk[k][1], chunk[k + 1][1]):
+                    ends[k] = ends[k + 1]
         observing = METRICS.enabled
         if observing:
             # Shared pools carry cumulative counters across chunks and
@@ -896,7 +883,9 @@ def _execute_group_tiled(
             first_tile=chunk[0][0] if chunk else -1,
         ):
             try:
-                for item in chunk:
+                for k, item in enumerate(chunk):
+                    if carry is not None:
+                        carry.run_end = ends[k]
                     run_tile_captured(item, pool, carry)
             finally:
                 if carry is not None:

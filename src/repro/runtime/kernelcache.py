@@ -951,11 +951,11 @@ class GroupKernel:
     ``carries`` is the halo-reuse carry mode: per materialised stage
     either ``None`` (compute the region as usual) or a pure-carry tuple
     ``(window, origin)`` assembled by the executor, paired with
-    ``regions[i] is None`` — a row window computed by a previous
+    ``regions[i] is None`` — a run window computed by a previous
     adjacent tile already covers this tile's region, so it is re-exposed
     untouched and the stage body is skipped (live-outs still store their
-    base tile, which always advances; the executor seeds row windows by
-    passing row-extended regions and harvesting the returned buffers).
+    base tile, which always advances; the executor seeds run windows by
+    passing run-extended regions and harvesting the returned buffers).
     ``carries=None`` (or all-``None``) is exactly the pre-reuse
     behaviour.
     """

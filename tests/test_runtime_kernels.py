@@ -340,6 +340,37 @@ class TestChunking:
         chunks = _chunk_tiles(list(range(3)), 8)
         assert [len(c) for c in chunks] == [1, 1, 1]
 
+    @pytest.mark.parametrize("nthreads", [2, 3, 4, 8])
+    @pytest.mark.parametrize("row_len", [1, 2, 5, 26])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 16, 33])
+    def test_carry_row_is_the_unit_of_work(self, rows, row_len, nthreads):
+        """Chunks partition the tiles in order; with enough rows to
+        occupy every worker each chunk is whole rows (the threaded walk
+        seeds as often as the serial one), otherwise rows are cut into
+        ``nthreads`` runs in all, at most ``ceil(nthreads / rows)`` per
+        row."""
+        tiles = list(range(rows * row_len))
+        chunks = _chunk_tiles(tiles, nthreads, row_len=row_len)
+        assert [t for chunk in chunks for t in chunk] == tiles
+        assert all(chunks)
+        sizes = [len(c) for c in chunks]
+        if rows >= nthreads:
+            assert len(chunks) == min(rows, _CHUNKS_PER_WORKER * nthreads)
+            assert all(c[0] % row_len == 0 for c in chunks)
+            assert all(n % row_len == 0 for n in sizes)
+            assert max(sizes) - min(sizes) <= row_len
+            return
+        assert len(chunks) <= max(nthreads, rows)
+        for r in range(rows):
+            pieces = [
+                len(c) for c in chunks if c[0] // row_len == r
+            ]
+            # no chunk spans two rows, and a row's runs are balanced
+            assert sum(pieces) == row_len
+            assert 1 <= len(pieces) <= -(-nthreads // rows)
+            assert len(pieces) >= min(row_len, nthreads // rows)
+            assert max(pieces) - min(pieces) <= 1
+
 
 class TestBufferPool:
     def test_recycles_released_arrays(self):
