@@ -117,7 +117,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--scale", str(SCALE), "--threads", "2",
          "--warm", PIPELINE, "--workers", str(args.workers),
-         "--heartbeat-s", "0.2", "--batch-window-ms", "1"],
+         "--heartbeat-s", "0.2"],
         env=repro_env(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True,
     )

@@ -1,11 +1,13 @@
 """End-to-end smoke test of ``repro serve`` (the CI ``serve-smoke`` job).
 
 Boots the server as a subprocess, waits for ``/healthz``, fires
-concurrent HTTP requests against two benchmarks, and asserts that every
-served digest is bit-identical to what a one-shot ``repro run --digest``
-subprocess prints for the same seed and scale.  Finally sends SIGTERM
-and asserts the graceful drain: the server exits 0 and reports every
-admitted request completed.
+concurrent HTTP requests against two benchmarks — each client thread
+over one persistent connection — and asserts that every served digest
+is bit-identical to what a one-shot ``repro run --digest`` subprocess
+prints for the same seed and scale, and that the server accepted exactly
+one connection per client.  Finally sends SIGTERM with those connections
+still open and asserts the graceful drain: the server exits 0 and
+reports every admitted request completed.
 
 Usage::
 
@@ -17,6 +19,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import re
@@ -24,12 +27,12 @@ import signal
 import subprocess
 import sys
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 SCALE = 0.05
 SEED = 0
+CLIENTS = 8
 
 
 def repro_env() -> Dict[str, str]:
@@ -57,14 +60,14 @@ def oneshot_digests(key: str) -> Dict[str, str]:
     return digests
 
 
-def serve_request(base: str, key: str) -> Dict[str, str]:
-    req = urllib.request.Request(
-        base + "/run",
-        data=json.dumps({"pipeline": key, "seed": SEED}).encode(),
-        headers={"Content-Type": "application/json"}, method="POST",
-    )
-    with urllib.request.urlopen(req, timeout=300) as resp:
-        body = json.loads(resp.read())
+def serve_request(conn: http.client.HTTPConnection,
+                  key: str) -> Dict[str, str]:
+    conn.request("POST", "/run",
+                 json.dumps({"pipeline": key, "seed": SEED}),
+                 {"Content-Type": "application/json"})
+    resp = conn.getresponse()
+    body = json.loads(resp.read())
+    assert resp.status == 200, body
     return {name: o["sha256"] for name, o in body["outputs"].items()}
 
 
@@ -100,23 +103,33 @@ def main(argv: Optional[List[str]] = None) -> int:
                 break
         assert base, "server never reported its address"
 
+        jobs = [key for key in args.pipelines
+                for _ in range(args.requests)]
+        # every byte of HTTP this script sends goes over these
+        conns = [
+            http.client.HTTPConnection(base[len("http://"):], timeout=300)
+            for _ in range(min(CLIENTS, len(jobs)))
+        ]
         for _ in range(600):
             try:
-                with urllib.request.urlopen(base + "/healthz",
-                                            timeout=5) as resp:
-                    if resp.status == 200:
-                        break
-            except Exception:
-                time.sleep(0.1)
+                conns[0].request("GET", "/healthz")
+                resp = conns[0].getresponse()
+                resp.read()
+                if resp.status == 200:
+                    break
+            except (OSError, http.client.HTTPException):
+                conns[0].close()  # reconnects on the next request
+            time.sleep(0.1)
         else:
             raise AssertionError("healthz never became ready")
         print(f"server ready at {base}")
 
-        jobs = [key for key in args.pipelines
-                for _ in range(args.requests)]
-        with ThreadPoolExecutor(max_workers=8) as tp:
-            digests = list(tp.map(lambda k: (k, serve_request(base, k)),
-                                  jobs))
+        def client(conn, keys):
+            return [(key, serve_request(conn, key)) for key in keys]
+
+        with ThreadPoolExecutor(max_workers=len(conns)) as tp:
+            shares = [jobs[i::len(conns)] for i in range(len(conns))]
+            digests = sum(tp.map(client, conns, shares), [])
         mismatches = [
             (key, got) for key, got in digests if got != expected[key]
         ]
@@ -124,6 +137,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{len(jobs)} served requests bit-identical to one-shot "
               f"runs on {args.pipelines}")
 
+        conns[0].request("GET", "/metrics")
+        accepted = re.search(
+            r"^repro_serve_http_connections_total (\d+)$",
+            conns[0].getresponse().read().decode(), re.MULTILINE,
+        )
+        assert accepted and int(accepted.group(1)) == len(conns), (
+            f"{len(conns)} keep-alive clients, server accepted "
+            f"{accepted and accepted.group(1)} connections")
+        print(f"{len(conns)} clients, {len(conns)} connections accepted")
+
+        # the connections stay open: the drain must not wait for them
         proc.send_signal(signal.SIGTERM)
         tail = proc.stdout.read()
         for line in tail.splitlines():

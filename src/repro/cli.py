@@ -356,7 +356,6 @@ def cmd_serve(args) -> int:
         ),
         max_queue=args.max_queue,
         max_batch_size=args.max_batch,
-        batch_window_s=args.batch_window_ms / 1000.0,
         default_timeout_s=args.timeout_s,
         # one dispatcher per worker keeps every worker busy; the
         # in-process tier keeps its single dispatcher
@@ -396,7 +395,6 @@ def cmd_serve(args) -> int:
     server_thread.start()
     print(f"serving on http://{bound_host}:{bound_port} "
           f"(queue={config.max_queue}, batch={config.max_batch_size}, "
-          f"window={config.batch_window_s * 1e3:.1f}ms, "
           f"threads={config.host.threads})", flush=True)
 
     stop.wait()
@@ -551,10 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission bound: requests beyond this queue "
                         "depth are shed with SERVE_OVERLOADED")
     p.add_argument("--max-batch", type=int, default=8,
-                   help="micro-batch size cap")
-    p.add_argument("--batch-window-ms", type=float, default=2.0,
-                   help="micro-batch flush deadline in milliseconds "
-                        "(0 disables waiting for batch-mates)")
+                   help="cap on same-pipeline requests one dispatch "
+                        "takes from the backlog")
     p.add_argument("--timeout-s", type=float, default=30.0,
                    help="default per-request deadline")
     p.add_argument("--drain-timeout-s", type=float, default=60.0,

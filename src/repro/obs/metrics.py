@@ -112,6 +112,9 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
         "counter", "Backend executor tiers found unavailable at dispatch "
                    "(warned once per backend, then silent fallback)"),
     # -- serve layer (repro.serve) --------------------------------------
+    "repro_serve_http_connections_total": (
+        "counter", "Connections accepted by the HTTP front-end (a "
+                   "keep-alive client is one, whatever it sends)"),
     "repro_serve_requests_total": (
         "counter", "Requests completed by the serve layer "
                    "(status=ok|error|timeout|shed)"),

@@ -3,16 +3,14 @@
 Requests targeting the same warm plan — the same ``(pipeline, extents)``
 ``batch_key`` — are coalesced into one *micro-batch* and executed
 back-to-back by the dispatcher, so the per-batch costs (host lookup,
-batch span, a warm executor already holding the plan) amortize over
-every member.  Two knobs bound the latency cost of waiting for
-batch-mates:
+batch span, one worker round trip) amortize over every member.
 
-* ``max_batch_size`` — a batch dispatches immediately once it has this
-  many members, and
-* ``batch_window_s`` — the flush deadline: a batch never waits longer
-  than this for more same-key arrivals after its first member is
-  claimed.  ``0`` disables waiting entirely (pure FIFO, batches form
-  only from requests already queued).
+Dispatch is work-conserving: a dispatcher never sleeps with a request
+in hand.  A batch is the head of the queue plus whatever same-key
+requests are *already queued*, up to ``max_batch_size`` — members run
+back-to-back, so waiting for batch-mates could only add latency.
+Batches therefore form exactly when they pay: from the backlog that
+accumulates while every dispatcher is busy.
 
 Requests with *different* keys are never reordered relative to each
 other: batch formation removes same-key requests from anywhere in the
@@ -64,23 +62,15 @@ class MicroBatchQueue:
     """Bounded FIFO with same-key coalescing.
 
     One condition variable serves both sides: submitters signal arrivals,
-    the dispatcher waits either for a first request (long poll) or for
-    more batch-mates inside the flush window (short waits).
+    an idle dispatcher waits on it for a first request.
     """
 
-    def __init__(
-        self,
-        admission: AdmissionController,
-        max_batch_size: int = 8,
-        batch_window_s: float = 0.002,
-    ):
+    def __init__(self, admission: AdmissionController,
+                 max_batch_size: int = 8):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
         self.admission = admission
         self.max_batch_size = max_batch_size
-        self.batch_window_s = batch_window_s
         self._items: List[ServeRequest] = []
         self._cond = threading.Condition()
 
@@ -119,38 +109,24 @@ class MicroBatchQueue:
         """The next micro-batch, or ``None`` after ``poll_s`` of empty
         queue (the dispatcher's shutdown-check cadence).
 
-        The first queued request seeds the batch; same-``batch_key``
-        requests are pulled from anywhere in the queue, and the call then
-        waits out the flush window for more arrivals, dispatching early
-        when ``max_batch_size`` is reached.
+        The first queued request seeds the batch and same-``batch_key``
+        requests already queued join it (in queue order, from anywhere
+        in the queue) up to ``max_batch_size``; the call only ever
+        waits while the queue is empty.
         """
         with self._cond:
             if not self._items:
                 self._cond.wait(poll_s)
                 if not self._items:
                     return None
-            first = self._items.pop(0)
-            batch = [first]
-            self._collect_matching(batch)
-            if self.batch_window_s > 0:
-                flush_at = time.perf_counter() + self.batch_window_s
-                while len(batch) < self.max_batch_size:
-                    remaining = flush_at - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-                    self._collect_matching(batch)
+            batch = [self._items.pop(0)]
+            key = batch[0].batch_key
+            i = 0
+            while i < len(self._items) and len(batch) < self.max_batch_size:
+                if self._items[i].batch_key == key:
+                    batch.append(self._items.pop(i))
+                else:
+                    i += 1
             if METRICS.enabled:
                 METRICS.set("repro_serve_queue_depth", len(self._items))
             return batch
-
-    def _collect_matching(self, batch: List[ServeRequest]) -> None:
-        """Move queued requests with the batch's key into it (in queue
-        order), up to ``max_batch_size``.  Caller holds the lock."""
-        key = batch[0].batch_key
-        i = 0
-        while i < len(self._items) and len(batch) < self.max_batch_size:
-            if self._items[i].batch_key == key:
-                batch.append(self._items.pop(i))
-            else:
-                i += 1

@@ -124,9 +124,8 @@ class ServeConfig:
     host: HostConfig = field(default_factory=HostConfig)
     #: admission bound on queued (not yet executing) requests
     max_queue: int = 64
+    #: cap on same-pipeline requests one dispatch takes from the backlog
     max_batch_size: int = 8
-    #: micro-batch flush deadline (seconds; 0 disables waiting)
-    batch_window_s: float = 0.002
     #: default per-request deadline (None: no deadline)
     default_timeout_s: Optional[float] = 30.0
     #: dispatcher threads executing batches
@@ -446,9 +445,7 @@ class PipelineService:
         self.config = config or ServeConfig()
         self.admission = AdmissionController(self.config.max_queue)
         self.queue = MicroBatchQueue(
-            self.admission,
-            max_batch_size=self.config.max_batch_size,
-            batch_window_s=self.config.batch_window_s,
+            self.admission, max_batch_size=self.config.max_batch_size,
         )
         self.hosts: Dict[str, PipelineHost] = {}
         self._hosts_lock = threading.Lock()
@@ -568,18 +565,18 @@ class PipelineService:
         ``_meta`` is a private extension point (the chaos-test harness
         plants its deterministic fault hooks through it).
         """
-        if not self._started:
+        # a service that was shut down still answers SERVE_SHUTDOWN
+        # (admission refuses below), so only "never started" is a bug
+        if not self._started and not self.admission.draining:
             raise RuntimeError("service not started")
-        host = self.host(pipeline)
+        self.host(pipeline)
         meta: Dict[str, Any] = dict(_meta or {})
         if inputs is None:
-            seed = 0 if seed is None else seed
-            meta["seed"] = seed
-            if self.supervisor is None:
-                inputs = make_inputs(host.pipeline, seed)
-            # else: the worker regenerates the same arrays from the
-            # seed (make_inputs is deterministic), so the parent ships
-            # nothing — the cheapest possible request path
+            # deferred: whoever executes the request (a worker, or the
+            # in-process tier) regenerates the arrays from the seed —
+            # make_inputs is deterministic — so nothing is generated for
+            # a request admission refuses and a worker is shipped nothing
+            meta["seed"] = 0 if seed is None else seed
         if timeout_s == -1.0:
             timeout_s = self.config.default_timeout_s
         deadline = (
@@ -721,9 +718,8 @@ class PipelineService:
                     try:
                         inputs = req.inputs
                         if inputs is None:
-                            # deferred seed request that fell back from
-                            # the worker tier — regenerate here, exactly
-                            # as a worker would have
+                            # deferred seed request — regenerate here,
+                            # exactly as a worker would
                             inputs = make_inputs(
                                 host.pipeline, int(req.meta["seed"])
                             )
@@ -785,7 +781,6 @@ class PipelineService:
             "config": {
                 "max_queue": self.config.max_queue,
                 "max_batch_size": self.config.max_batch_size,
-                "batch_window_s": self.config.batch_window_s,
                 "threads": self.config.host.threads,
                 "scale": self.config.host.scale,
             },

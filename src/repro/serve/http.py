@@ -48,6 +48,14 @@ Request bodies are capped: a ``Content-Length`` over the server's
 ``max_body_bytes`` (default 8 MiB, ``repro serve --max-body-mb``) is
 rejected with 413 *before* reading a byte of the body, so one oversized
 or adversarial request cannot exhaust server memory.
+
+Connections are persistent (HTTP/1.1): a client's socket and its handler
+thread serve request after request until the client closes, the socket
+sits idle for :data:`IDLE_TIMEOUT_S`, or a response carries
+``Connection: close`` — which the server sends when it left a request
+body unread (413, an unusable ``Content-Length``, a POST to an unknown
+route) and on everything it answers while draining.  Every response
+leaves as one buffered, flushed write on a ``TCP_NODELAY`` socket.
 """
 
 from __future__ import annotations
@@ -83,6 +91,10 @@ _STATUS_BY_CODE = {
 #: default request-body cap (bytes); ``repro serve --max-body-mb``
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: seconds a connection may sit between requests (or stall mid-request)
+#: before the server closes it and its handler thread exits
+IDLE_TIMEOUT_S = 120.0
+
 
 def _http_status(exc: BaseException) -> Tuple[int, str]:
     code = error_code(exc)
@@ -106,6 +118,24 @@ class ServeHTTPServer(ThreadingHTTPServer):
 
 
 class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    # header and body leave together: buffered here, flushed by _send,
+    # and never held back for an ACK of the previous response
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        if METRICS.enabled:
+            METRICS.inc("repro_serve_http_connections_total")
+
+    def handle_expect_100(self) -> bool:
+        # the client sends no body until it has read this
+        ok = super().handle_expect_100()
+        self.wfile.flush()
+        return ok
+
     # keep the access log out of the CLI's stdout protocol
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
@@ -115,13 +145,20 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     # -- plumbing -------------------------------------------------------
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode()
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        if self.service.admission.draining:
+            self.close_connection = True
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
+
+    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        self._send(status, "application/json", json.dumps(payload).encode())
 
     def _send_error_json(self, exc: BaseException) -> None:
         status, code = _http_status(exc)
@@ -139,14 +176,8 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.path == "/pipelines":
                 self._send_json(200, {"pipelines": registry_json()})
             elif self.path == "/metrics":
-                text = METRICS.to_prometheus().encode()
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type", "text/plain; version=0.0.4"
-                )
-                self.send_header("Content-Length", str(len(text)))
-                self.end_headers()
-                self.wfile.write(text)
+                self._send(200, "text/plain; version=0.0.4",
+                           METRICS.to_prometheus().encode())
             else:
                 self._send_json(404, {"error": {
                     "code": "NOT_FOUND",
@@ -160,6 +191,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- POST -----------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         if self.path != "/run":
+            self.close_connection = True  # its body stays unread
             self._send_json(404, {"error": {
                 "code": "NOT_FOUND",
                 "message": f"no route {self.path!r}",
@@ -171,6 +203,8 @@ class _Handler(BaseHTTPRequestHandler):
             except ValueError:
                 length = -1
             if length < 0:
+                # no telling where the next request starts
+                self.close_connection = True
                 self._send_json(400, {"error": {
                     "code": "BAD_REQUEST",
                     "message": "invalid Content-Length header",

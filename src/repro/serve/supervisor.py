@@ -488,7 +488,9 @@ class WorkerSupervisor:
         while True:
             try:
                 msg = handle.conn.recv()
-            except (EOFError, OSError):
+            except (EOFError, OSError, TypeError):
+                # TypeError: _kill closed the connection between recv's
+                # closed-check and its read (the handle is None by then)
                 break
             handle.last_hb = time.monotonic()
             if msg[0] == "hb":

@@ -392,7 +392,7 @@ def test_serve_host_two_threads_in_process_and_across_workers():
 
     svc = PipelineService(ServeConfig(
         host=host_config, workers=1, heartbeat_s=0.2,
-        worker_timeout_s=60.0, batch_window_s=0.001,
+        worker_timeout_s=60.0,
     )).start()
     try:
         svc.warm(["CP"])

@@ -1,9 +1,8 @@
 """Unit tests for the serve layer's queue and admission control:
-coalescing, flush windows, bounded depth with deterministic shedding,
-and the drain state machine."""
+work-conserving coalescing from the backlog, bounded depth with
+deterministic shedding, and the drain state machine."""
 
 import threading
-import time
 
 import pytest
 
@@ -61,12 +60,19 @@ class TestAdmissionController:
             AdmissionController(max_queue=0)
 
 
-def make_queue(max_queue=16, max_batch_size=8, batch_window_s=0.0):
+def make_queue(max_queue=16, max_batch_size=8):
     return MicroBatchQueue(
-        AdmissionController(max_queue),
-        max_batch_size=max_batch_size,
-        batch_window_s=batch_window_s,
+        AdmissionController(max_queue), max_batch_size=max_batch_size,
     )
+
+
+def forbid_waiting(q):
+    """Make any wait on the queue's condition fail the test: with
+    requests already queued a dispatcher has no reason to sleep."""
+    def wait(timeout=None):
+        raise AssertionError("next_batch waited with a request in hand")
+
+    q._cond.wait = wait
 
 
 class TestMicroBatchQueue:
@@ -98,32 +104,41 @@ class TestMicroBatchQueue:
 
     def test_empty_queue_returns_none(self):
         q = make_queue()
-        t0 = time.perf_counter()
         assert q.next_batch(poll_s=0.01) is None
-        assert time.perf_counter() - t0 < 1.0
 
-    def test_flush_window_collects_late_arrivals(self):
-        q = make_queue(batch_window_s=0.25)
+    def test_lone_request_is_returned_without_waiting(self):
+        """Nothing to coalesce with is no reason to linger: the batch
+        of one comes back without a single wait on the condition."""
+        q = make_queue()
         q.submit(make_request(0))
+        forbid_waiting(q)
+        assert [r.id for r in q.next_batch(poll_s=30.0)] == [0]
 
-        def late_submit():
-            time.sleep(0.05)
-            q.submit(make_request(1))
-
-        t = threading.Thread(target=late_submit)
-        t.start()
-        batch = q.next_batch(poll_s=0.01)
-        t.join()
-        assert [r.id for r in batch] == [0, 1]
-
-    def test_full_batch_skips_the_window(self):
-        q = make_queue(max_batch_size=2, batch_window_s=30.0)
+    def test_idle_dispatcher_wakes_on_arrival(self):
+        """The only wait is the idle one, and an arrival ends it."""
+        q = make_queue()
+        got = []
+        consumer = threading.Thread(
+            target=lambda: got.append(q.next_batch(poll_s=60.0)))
+        consumer.start()
         q.submit(make_request(0))
-        q.submit(make_request(1))
-        t0 = time.perf_counter()
-        batch = q.next_batch(poll_s=0.01)
-        assert len(batch) == 2
-        assert time.perf_counter() - t0 < 5.0
+        consumer.join(timeout=30.0)
+        assert [[r.id for r in batch] for batch in got] == [[0]]
+
+    def test_backlog_behind_a_busy_dispatcher_is_one_capped_batch(self):
+        """What piled up while the dispatcher ran its last batch leaves
+        as one batch per key, capped, other keys in arrival order —
+        and the short batches at the end are not held back for more."""
+        q = make_queue(max_batch_size=4)
+        for i in range(6):
+            q.submit(make_request(i, key="a"))
+            q.submit(make_request(100 + i, key="b"))
+        forbid_waiting(q)
+        assert [r.id for r in q.next_batch()] == [0, 1, 2, 3]
+        assert [r.id for r in q.next_batch()] == [100, 101, 102, 103]
+        assert [r.id for r in q.next_batch()] == [4, 5]
+        assert [r.id for r in q.next_batch()] == [104, 105]
+        assert q.depth() == 0
 
     def test_sheds_when_full(self):
         q = make_queue(max_queue=2)

@@ -29,7 +29,6 @@ def chaos_config(**kwargs):
     kwargs.setdefault("heartbeat_s", 0.2)
     kwargs.setdefault("worker_timeout_s", 60.0)
     kwargs.setdefault("dispatchers", 2)
-    kwargs.setdefault("batch_window_s", 0.001)
     kwargs.setdefault("default_timeout_s", 120.0)
     host = HostConfig(scale=SCALE, threads=THREADS)
     return ServeConfig(host=host, **kwargs)
@@ -170,6 +169,28 @@ class TestWorkerTimeout:
             assert r.worker is not None
         finally:
             svc.shutdown(timeout_s=60.0)
+
+    def test_connection_closed_under_recv_counts_as_death(self, tmp_path):
+        """The timeout kill closes the pipe from the monitor thread; when
+        that lands between ``recv``'s closed-check and its read,
+        multiprocessing raises TypeError (its handle is None), and the
+        receiver must still hand the worker to ``_on_death`` — else its
+        batch sits unresolved until the supervision backstop."""
+        from types import SimpleNamespace
+
+        from repro.serve.supervisor import WorkerSupervisor
+
+        class ClosedUnderRecv:
+            def recv(self):
+                raise TypeError(
+                    "'NoneType' object cannot be interpreted as an integer")
+
+        sup = WorkerSupervisor({}, workers=1, shm_directory=str(tmp_path))
+        died = []
+        sup._on_death = died.append
+        handle = SimpleNamespace(conn=ClosedUnderRecv())
+        sup._receive_loop(handle)
+        assert died == [handle]
 
 
 class TestBreakerFallback:

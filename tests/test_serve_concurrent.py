@@ -133,7 +133,7 @@ class TestConcurrentService:
         admitted request completes and determinism holds per seed."""
         svc = PipelineService(ServeConfig(
             host=HostConfig(scale=0.05, threads=2),
-            max_queue=256, max_batch_size=4, batch_window_s=0.001,
+            max_queue=256, max_batch_size=4,
         )).start()
         try:
             svc.host("UM")

@@ -86,23 +86,6 @@ class TestBitIdentity:
         assert output_digests(a.outputs) == output_digests(b.outputs)
 
 
-class TestBatching:
-    def test_concurrent_requests_coalesce(self):
-        svc = PipelineService(small_config(
-            max_batch_size=8, batch_window_s=0.2,
-        )).start()
-        try:
-            svc.host("UM")  # warm first so submits land close together
-            futures = [svc.submit("UM", seed=0) for _ in range(4)]
-            results = [f.result(timeout=120) for f in futures]
-            assert max(r.batch_size for r in results) > 1
-            digests = {output_digests(r.outputs)["masked"]
-                       for r in results}
-            assert len(digests) == 1
-        finally:
-            svc.shutdown(timeout_s=60.0)
-
-
 class BlockedHost:
     """Wraps a warm host's execute so the dispatcher blocks until
     released — makes overload and drain timing deterministic."""
@@ -119,13 +102,34 @@ class BlockedHost:
         return self._orig(inputs)
 
 
+class TestBatching:
+    def test_concurrent_requests_coalesce(self):
+        """Requests that queue up while the dispatcher executes leave as
+        one batch; the request it was busy with ran alone."""
+        svc = PipelineService(small_config(max_batch_size=8)).start()
+        try:
+            blocked = BlockedHost(svc.host("UM"))
+            first = svc.submit("UM", seed=0)
+            assert blocked.started.wait(timeout=60.0)
+            backlog = [svc.submit("UM", seed=0) for _ in range(4)]
+            blocked.release.set()
+            assert first.result(timeout=120).batch_size == 1
+            results = [f.result(timeout=120) for f in backlog]
+            assert [r.batch_size for r in results] == [4] * 4
+            digests = {output_digests(r.outputs)["masked"]
+                       for r in results}
+            assert len(digests) == 1
+        finally:
+            svc.shutdown(timeout_s=60.0)
+
+
 class TestOverload:
     def test_request_q_plus_1_is_shed(self):
         """With queue bound Q and a blocked executor, requests 1..Q+1
         are: 1 executing, Q queued, and exactly request Q+1 shed."""
         Q = 3
         svc = PipelineService(small_config(
-            max_queue=Q, max_batch_size=1, batch_window_s=0.0,
+            max_queue=Q, max_batch_size=1,
         )).start()
         try:
             blocked = BlockedHost(svc.host("UM"))
@@ -152,7 +156,7 @@ class TestOverload:
         METRICS.reset(enabled=True)
         try:
             svc = PipelineService(small_config(
-                max_queue=1, max_batch_size=1, batch_window_s=0.0,
+                max_queue=1, max_batch_size=1,
             )).start()
             try:
                 blocked = BlockedHost(svc.host("UM"))
@@ -174,9 +178,7 @@ class TestOverload:
 
 class TestTimeouts:
     def test_expired_request_fails_with_serve_timeout(self):
-        svc = PipelineService(small_config(
-            max_batch_size=1, batch_window_s=0.0,
-        )).start()
+        svc = PipelineService(small_config(max_batch_size=1)).start()
         try:
             blocked = BlockedHost(svc.host("UM"))
             first = svc.submit("UM", seed=0)
@@ -197,9 +199,7 @@ class TestTimeouts:
 
 class TestDrain:
     def test_drain_completes_admitted_requests(self):
-        svc = PipelineService(small_config(
-            max_batch_size=1, batch_window_s=0.0,
-        )).start()
+        svc = PipelineService(small_config(max_batch_size=1)).start()
         blocked = BlockedHost(svc.host("UM"))
         first = svc.submit("UM", seed=0)
         assert blocked.started.wait(timeout=60.0)
@@ -223,9 +223,7 @@ class TestDrain:
         assert svc.health()["status"] == "stopped"
 
     def test_drain_timeout_reports_dirty(self):
-        svc = PipelineService(small_config(
-            max_batch_size=1, batch_window_s=0.0,
-        )).start()
+        svc = PipelineService(small_config(max_batch_size=1)).start()
         blocked = BlockedHost(svc.host("UM"))
         fut = svc.submit("UM", seed=0)
         assert blocked.started.wait(timeout=60.0)

@@ -43,7 +43,6 @@ def worker_config(**kwargs):
     kwargs.setdefault("heartbeat_s", 0.2)
     kwargs.setdefault("worker_timeout_s", 60.0)
     kwargs.setdefault("dispatchers", 2)
-    kwargs.setdefault("batch_window_s", 0.001)
     host = HostConfig(scale=SCALE, threads=THREADS,
                       **kwargs.pop("host_kwargs", {}))
     return ServeConfig(host=host, **kwargs)
@@ -171,6 +170,36 @@ class TestWorkerExecution:
         assert pids <= set(
             worker_service.supervisor.worker_pids()
         ) | pids  # every result names a real worker pid
+
+    def test_concurrent_requests_use_both_workers(self, worker_service):
+        """A request that arrives while another is in flight is its own
+        batch on the idle worker — no dispatcher holds the first one
+        back to coalesce the second onto the same worker."""
+        sup = worker_service.supervisor
+        batches = []
+        execute_batch = sup.execute_batch
+
+        def recording(key, requests):
+            batches.append([req.id for req in requests])
+            if len(batches) > 1:
+                # pick a worker only once the first batch sits on its own
+                while not sup.busy_pids():
+                    time.sleep(0.001)
+            return execute_batch(key, requests)
+
+        sup.execute_batch = recording
+        # the hold keeps the first request in flight while the second
+        # is routed; nothing below depends on how long either takes
+        first = worker_service.submit(
+            "UM", seed=5, _meta={"test_sleep_s": 0.3})
+        while worker_service.queue.depth():
+            time.sleep(0)
+        second = worker_service.submit("UM", seed=5)
+        results = [f.result(timeout=120) for f in (first, second)]
+        assert [len(b) for b in batches] == [1, 1]
+        assert [r.batch_size for r in results] == [1, 1]
+        assert results[0].worker != results[1].worker
+        assert {r.worker for r in results} <= set(sup.worker_pids())
 
     def test_explicit_inputs_travel_via_shared_memory(
             self, worker_service):
