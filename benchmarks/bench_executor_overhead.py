@@ -6,10 +6,10 @@ adds per-tile overhead the model knows nothing about — the motivation for
 the compiled-kernel layer in :mod:`repro.runtime.kernelcache`.  This
 benchmark measures that overhead directly: every registered benchmark
 pipeline is executed on its H-manual grouping with tile sizes clamped
-small (so the tile count is high and per-tile dispatch dominates), with
-``compile_kernels=False`` (interpreter), with per-stage kernels
-(``fuse_kernels=False``), with the fused per-group kernels, and with
-fused kernels plus inter-tile halo reuse, on one thread.  Reported per
+small (so the tile count is high and per-tile dispatch dominates), under
+the four ``ExecOptions`` of :data:`MODES` — interpreter, per-stage
+kernels, fused per-group kernels, and fused kernels plus inter-tile halo
+reuse — on one thread.  Reported per
 pipeline: total wall time, tile count, per-tile microseconds for all four
 modes, the compiled-vs-interpreted, fused-vs-per-stage and
 reuse-vs-fused speedups, and the model-predicted
@@ -48,6 +48,7 @@ from repro.fusion.grouping import Grouping
 from repro.pipelines import BENCHMARKS
 from repro.poly.alignscale import compute_group_geometry
 from repro.runtime import (
+    ExecOptions,
     clear_kernel_cache,
     execute_grouping,
     warm_group_kernels,
@@ -58,6 +59,14 @@ from repro.runtime.executor import _CHUNKS_PER_WORKER  # noqa: F401 - doc link
 #: hundreds of tiles — the regime where per-tile overhead, not arithmetic,
 #: dominates and the interpreted/compiled difference is what's measured.
 MAX_TILE = 32
+
+#: The four measured modes, slowest first; each adds one switch.
+MODES = {
+    "interpreted": ExecOptions(compile=False, fuse=False, reuse=False),
+    "compiled": ExecOptions(fuse=False, reuse=False),
+    "fused": ExecOptions(reuse=False),
+    "reuse": ExecOptions(),
+}
 
 DEFAULT_OUTPUT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -102,25 +111,20 @@ def _inputs(pipe, seed: int = 0) -> Dict[str, np.ndarray]:
     return out
 
 
-def _time_mode(pipe, grouping, inputs, compile_kernels: bool,
+def _time_mode(pipe, grouping, inputs, options: ExecOptions,
                repeats: int, nthreads: int = 1,
-               fuse_kernels: bool = False,
                ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Best-of-``repeats`` wall time; one untimed warmup run first (the
     warmup also populates the kernel cache, so compilation cost is
     excluded — it is paid once per pipeline, not per run)."""
     out = execute_grouping(
-        pipe, grouping, inputs, nthreads=nthreads,
-        compile_kernels=compile_kernels, fuse_kernels=fuse_kernels,
-        halo_reuse=False,
+        pipe, grouping, inputs, nthreads=nthreads, options=options
     )
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         out = execute_grouping(
-            pipe, grouping, inputs, nthreads=nthreads,
-            compile_kernels=compile_kernels, fuse_kernels=fuse_kernels,
-            halo_reuse=False,
+            pipe, grouping, inputs, nthreads=nthreads, options=options
         )
         best = min(best, time.perf_counter() - start)
     return best, out
@@ -133,24 +137,19 @@ def _time_reuse_pair(pipe, grouping, inputs, repeats: int,
     equally (sequential best-of-N on a shared CI box routinely shows
     10-20%% phantom deltas between identical code paths).  Returns
     ``(fused_best, reuse_best, reuse_outputs)``."""
+    pair = (MODES["fused"], MODES["reuse"])
     best = [float("inf"), float("inf")]
     out_r: Dict[str, np.ndarray] = {}
-    for reuse in (False, True):  # warmup both modes
-        execute_grouping(
-            pipe, grouping, inputs, nthreads=1,
-            compile_kernels=True, fuse_kernels=True, halo_reuse=reuse,
-        )
+    for options in pair:  # warmup both modes
+        execute_grouping(pipe, grouping, inputs, options=options)
     for _ in range(max(repeats, 3)):
-        for k, reuse in enumerate((False, True)):
+        for k, options in enumerate(pair):
             start = time.perf_counter()
-            out = execute_grouping(
-                pipe, grouping, inputs, nthreads=1,
-                compile_kernels=True, fuse_kernels=True, halo_reuse=reuse,
-            )
+            out = execute_grouping(pipe, grouping, inputs, options=options)
             elapsed = time.perf_counter() - start
             if elapsed < best[k]:
                 best[k] = elapsed
-            if reuse:
+            if options.reuse:
                 out_r = out
     return best[0], best[1], out_r
 
@@ -192,10 +191,10 @@ def run(abbrevs: List[str], repeats: int,
         # code in both compiled modes and its ratio is pure noise.
         n_fused = len(warm_group_kernels(pipe, grouping.groups))
 
-        t_interp, out_i = _time_mode(pipe, grouping, inputs, False, repeats)
-        t_compiled, out_c = _time_mode(pipe, grouping, inputs, True, repeats)
-        t_fused, out_f = _time_mode(pipe, grouping, inputs, True, repeats,
-                                    fuse_kernels=True)
+        (t_interp, out_i), (t_compiled, out_c), (t_fused, out_f) = (
+            _time_mode(pipe, grouping, inputs, MODES[mode], repeats)
+            for mode in ("interpreted", "compiled", "fused")
+        )
         # Fourth mode: fused kernels + inter-tile halo reuse, timed
         # interleaved against a fused re-run so the ratio is drift-free.
         t_fused_ab, t_reuse, out_r = _time_reuse_pair(
@@ -209,7 +208,9 @@ def run(abbrevs: List[str], repeats: int,
         for n in threads:
             t_n = (
                 t_compiled if n == 1
-                else _time_mode(pipe, grouping, inputs, True, repeats, n)[0]
+                else _time_mode(
+                    pipe, grouping, inputs, MODES["compiled"], repeats, n
+                )[0]
             )
             sweep[str(n)] = {
                 "seconds": round(t_n, 6),

@@ -341,9 +341,7 @@ def execute_with_backend(
     *,
     nthreads: int = 1,
     tile_retries: int = 0,
-    compile_kernels: Optional[bool] = None,
-    fuse_kernels: Optional[bool] = None,
-    halo_reuse: Optional[bool] = None,
+    options=None,
     executor=None,
     pools=None,
 ) -> Dict[str, np.ndarray]:
@@ -383,8 +381,7 @@ def execute_with_backend(
                 )
     out = execute_grouping(
         pipeline, grouping, inputs, nthreads=nthreads,
-        tile_retries=tile_retries, compile_kernels=compile_kernels,
-        fuse_kernels=fuse_kernels, halo_reuse=halo_reuse,
+        tile_retries=tile_retries, options=options,
         executor=executor, pools=pools,
     )
     if METRICS.enabled:

@@ -50,7 +50,7 @@ from .perfmodel import estimate_runtime
 from .pipelines import BENCHMARKS, registry_json
 from .reporting import format_table
 from .resilience import GuardPolicy, execute_guarded
-from .runtime import execute_reference
+from .runtime import ExecOptions, execute_reference
 
 __all__ = ["main"]
 
@@ -207,9 +207,9 @@ def cmd_run(args) -> int:
 
     inputs = make_inputs(pipe, args.seed)
 
-    compile_kernels = False if args.no_compile else None
-    fuse_kernels = False if args.no_fuse else None
-    halo_reuse = False if args.no_reuse else None
+    options = ExecOptions.resolve(
+        args.no_compile, args.no_fuse, args.no_reuse
+    )
     start = time.perf_counter()
     if args.strict:
         # Dispatch through the backend seam: a GPU machine tries its
@@ -218,18 +218,13 @@ def cmd_run(args) -> int:
         # the compiled executor exactly as before.
         out = execute_with_backend(
             backend_for_machine(machine), pipe, grouping, inputs,
-            nthreads=args.threads,
-            compile_kernels=compile_kernels, fuse_kernels=fuse_kernels,
-            halo_reuse=halo_reuse,
+            nthreads=args.threads, options=options,
         )
     else:
         exec_report = execute_guarded(
             pipe, grouping, inputs, nthreads=args.threads,
             policy=GuardPolicy(
-                tile_retries=1, degrade=True,
-                compile_kernels=compile_kernels,
-                fuse_kernels=fuse_kernels,
-                halo_reuse=halo_reuse,
+                tile_retries=1, degrade=True, options=options,
             ),
         )
         out = exec_report.outputs

@@ -69,10 +69,10 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
     "repro_group_seconds": (
         "histogram", "Wall time of one fused group's execution"),
     "repro_kernel_compile_total": (
-        "counter", "Stage-kernel lowering outcomes "
-                   "(result=compiled|cached|fallback|disabled)"),
+        "counter", "Stage-kernel lookups: lowering outcomes and memo "
+                   "hits (result=compiled|cached|fallback)"),
     "repro_kernel_fused_groups_total": (
-        "counter", "Group executions that ran on a fused group kernel "
+        "counter", "Group executions that ran on generated fused source "
                    "(one generated kernel per multi-stage group)"),
     "repro_kernel_fuse_fail_total": (
         "counter", "Groups whose fused-kernel compilation failed and "

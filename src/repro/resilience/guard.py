@@ -53,12 +53,12 @@ from ..errors import (
 from ..fusion.grouping import Grouping
 from ..poly.alignscale import GroupGeometry, compute_group_geometry
 from ..runtime.executor import (
+    ExecOptions,
     _compute_stage_full,
     _execute_one_group,
     _input_buffers,
     _stage_region,
 )
-from ..runtime.kernelcache import stage_kernels
 from . import faults
 
 __all__ = [
@@ -88,18 +88,9 @@ class GuardPolicy:
     #: cap on estimated per-tile scratch bytes (all threads combined);
     #: tiles shrink to fit before allocation
     memory_cap_bytes: Optional[int] = None
-    #: use compiled stage kernels (``None``: on unless the
-    #: ``REPRO_NO_COMPILE`` env knob disables them; ``False``: pure
-    #: interpreter, the CLI's ``--no-compile``)
-    compile_kernels: Optional[bool] = None
-    #: use fused per-group kernels on top of stage kernels (``None``: on
-    #: unless the ``REPRO_NO_FUSE`` env knob disables them; ``False``:
-    #: per-stage kernels only, the CLI's ``--no-fuse``)
-    fuse_kernels: Optional[bool] = None
-    #: carry computed stage windows between adjacent tiles of a chunk
-    #: (``None``: on unless the ``REPRO_NO_REUSE`` env knob disables it;
-    #: ``False``: full per-tile recompute, the CLI's ``--no-reuse``)
-    halo_reuse: Optional[bool] = None
+    #: what the tiled executor runs on (default: everything on unless a
+    #: ``REPRO_NO_*`` environment variable says otherwise)
+    options: ExecOptions = field(default_factory=ExecOptions.resolve)
 
 
 @dataclass
@@ -296,7 +287,6 @@ def execute_guarded(
         if policy.validate:
             validate_inputs(pipeline, inputs)
         buffers = _input_buffers(pipeline, inputs)
-        kernels = stage_kernels(pipeline, enabled=policy.compile_kernels)
 
     observing = METRICS.enabled
     t_exec = time.perf_counter() if observing else 0.0
@@ -334,10 +324,9 @@ def execute_guarded(
                                 outcome.tile_sizes = tuple(run_tiles)
                     outcome.mode = _execute_one_group(
                         pipeline, members, run_tiles, buffers, nthreads,
-                        group_index=gi, tile_retries=policy.tile_retries,
-                        kernels=kernels, executor=executor, pools=pools,
-                        fuse_kernels=policy.fuse_kernels,
-                        halo_reuse=policy.halo_reuse,
+                        policy.options, group_index=gi,
+                        tile_retries=policy.tile_retries,
+                        executor=executor, pools=pools,
                     )
                 except Exception as exc:  # noqa: BLE001 - rewrapped below
                     if not policy.degrade:

@@ -5,12 +5,13 @@ C++/OpenMP code generation)."""
 from .buffers import Buffer, BufferPool, PoolGroup
 from .evalexpr import evaluate_cases, evaluate_expr, make_index_grids
 from .executor import (
+    ExecOptions,
     execute_grouping,
     execute_reference,
-    halo_reuse_enabled,
     reset_shared_executors_after_fork,
     shared_executor,
     shutdown_shared_executors,
+    warm_group_kernels,
 )
 from .kernelcache import (
     GroupKernel,
@@ -18,13 +19,10 @@ from .kernelcache import (
     KernelFuseWarning,
     StageKernel,
     clear_kernel_cache,
-    compilation_enabled,
     compile_group_kernel,
     compile_stage_kernel,
-    fusion_enabled,
     get_group_kernel,
     stage_kernels,
-    warm_group_kernels,
 )
 
 __all__ = [
@@ -36,7 +34,7 @@ __all__ = [
     "make_index_grids",
     "execute_reference",
     "execute_grouping",
-    "halo_reuse_enabled",
+    "ExecOptions",
     "shared_executor",
     "shutdown_shared_executors",
     "reset_shared_executors_after_fork",
@@ -50,6 +48,4 @@ __all__ = [
     "stage_kernels",
     "warm_group_kernels",
     "clear_kernel_cache",
-    "compilation_enabled",
-    "fusion_enabled",
 ]

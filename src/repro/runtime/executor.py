@@ -10,14 +10,16 @@ Two entry points:
   (overlapped) region of every member stage into per-tile scratch buffers,
   live-outs write their base tile to full buffers, and tiles are
   independent — optionally run on a thread pool, which is exactly what the
-  broken inter-tile dependences of overlapped tiling permit.  Per-tile
-  stage bodies run as compiled NumPy kernels
-  (:mod:`repro.runtime.kernelcache`) with pooled scratch arrays by
-  default; ``compile_kernels=False`` restores pure interpretation.
+  broken inter-tile dependences of overlapped tiling permit.  Every tile
+  of a group is one call into that group's
+  :class:`~repro.runtime.kernelcache.GroupKernel`; :class:`ExecOptions`
+  selects what stands behind it (generated fused source, compiled stage
+  kernels, or the interpreter) and whether adjacent tiles reuse halos.
 
-Outputs of the two modes agree except for floating-point association
-noise; the integration test suite checks this for every benchmark pipeline
-and scheduling strategy.
+Every combination of :class:`ExecOptions` and thread count produces
+output digests equal to :func:`execute_reference`'s; the test suite pins
+this for every benchmark pipeline, under fault injection and across the
+serve layer's process boundary.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import itertools
 import os
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,39 +53,67 @@ from ..resilience.faults import maybe_fail
 from .buffers import Buffer, BufferPool, PoolGroup
 from .evalexpr import evaluate_cases, evaluate_expr, make_index_grids
 from .kernelcache import (
+    _RESOLVED_CACHE,
     GroupKernel,
     StageKernel,
-    fusion_enabled,
     get_group_kernel,
+    get_kernel,
     stage_kernels,
 )
 
 __all__ = [
+    "ExecOptions",
     "execute_reference",
     "execute_grouping",
-    "halo_reuse_enabled",
+    "warm_group_kernels",
     "shared_executor",
     "shutdown_shared_executors",
     "reset_shared_executors_after_fork",
 ]
 
 
-def halo_reuse_enabled(override: Optional[bool] = None) -> bool:
-    """Whether inter-tile halo reuse is enabled.
+@dataclass(frozen=True)
+class ExecOptions:
+    """How the tiled executor runs a grouping — resolved once per entry
+    point (``repro run``, ``PipelineHost.warm``, a bare
+    :func:`execute_grouping`), plain bools from there down.
 
-    ``override`` (from an API argument or the CLI's ``--no-reuse``) wins;
-    otherwise the ``REPRO_NO_REUSE`` environment variable turns reuse off
-    when set to ``1``/``true``/``yes``/``on``.  With reuse on, each worker
-    chunk carries the computed window of every materialised stage from one
-    tile to the next adjacent tile and recomputes only the strip the
-    previous tile's expanded region did not cover — the redundant-overlap
-    work the cost model charges per tile (``OVERLAPSIZE``) is then paid
-    only once per run of adjacent tiles.
+    Outputs are bit-identical under all eight combinations; the switches
+    exist for A/B timing and as the serve ladder's lower rungs.
     """
-    if override is not None:
-        return bool(override)
-    knob = os.environ.get("REPRO_NO_REUSE", "").strip().lower()
-    return knob not in ("1", "true", "yes", "on")
+
+    #: run stage bodies as compiled NumPy kernels, not the tree-walking
+    #: interpreter
+    compile: bool = True
+    #: run multi-stage groups on one generated fused kernel per tile
+    #: (needs ``compile``; without it the group is interpreted)
+    fuse: bool = True
+    #: carry each stage's computed window across the adjacent tiles of a
+    #: chunk instead of recomputing the halo per tile
+    reuse: bool = True
+
+    @classmethod
+    def resolve(
+        cls, no_compile: bool = False, no_fuse: bool = False,
+        no_reuse: bool = False,
+    ) -> "ExecOptions":
+        """Options from the CLI's ``--no-compile`` / ``--no-fuse`` /
+        ``--no-reuse`` flags and the ``REPRO_NO_COMPILE`` /
+        ``REPRO_NO_FUSE`` / ``REPRO_NO_REUSE`` environment variables
+        (``1``/``true``/``yes``/``on``): a flag turns its switch off, else
+        the variable does, else it is on.  The only place the executor's
+        environment is read."""
+
+        def on(flag: bool, var: str) -> bool:
+            knob = os.environ.get(var, "").strip().lower()
+            return not (flag or knob in ("1", "true", "yes", "on"))
+
+        return cls(
+            compile=on(no_compile, "REPRO_NO_COMPILE"),
+            fuse=on(no_fuse, "REPRO_NO_FUSE"),
+            reuse=on(no_reuse, "REPRO_NO_REUSE"),
+        )
+
 
 #: Rows of the outermost reduction dimension processed per chunk, bounding
 #: the temporary index arrays a reduction materialises.
@@ -461,8 +493,8 @@ def _stage_region(
 
 
 class _CarryState:
-    """Per-chunk rolling halo-reuse state: the one carry step every tier
-    (fused, per-stage, interpreter) drives per carried stage and tile.
+    """Per-chunk rolling halo-reuse state: the carry step ``run_tile``
+    drives per carried stage and tile.
 
     ``entries`` maps a carried materialised stage name to a tuple
     ``(buffer, bounds)``: the stage's *run window* (a :class:`Buffer`
@@ -562,32 +594,27 @@ def _execute_group_tiled(
     tile_sizes: Sequence[int],
     buffers: Dict[str, Buffer],
     nthreads: int,
+    kernel: GroupKernel,
+    options: ExecOptions,
     group_index: int = 0,
     tile_retries: int = 0,
-    kernels: Optional[Mapping[str, StageKernel]] = None,
     executor: Optional[ThreadPoolExecutor] = None,
     pools: Optional[PoolGroup] = None,
-    group_kernel: Optional[GroupKernel] = None,
-    halo_reuse: Optional[bool] = None,
 ) -> None:
     """Execute one fused group with overlapped tiling, updating
     ``buffers`` with its live-out arrays.
 
-    When ``group_kernel`` is given, each tile is one call into the fused
-    kernel (all member stages chained, intermediates inlined or held in
-    pooled scratch — :mod:`repro.runtime.kernelcache`).  Otherwise stages
-    present in ``kernels`` run their compiled kernel per tile (with
-    tile-local scratch arrays recycled through a worker-local
-    :class:`BufferPool`); absent stages are interpreted.  Tiles are batched
-    into contiguous chunks — :func:`_chunk_tiles` — with one future per
-    chunk rather than per tile.  Chunks run on ``executor`` when given
-    (a persistent pool owned by the caller), else on the process-global
-    :func:`shared_executor`; scratch pools come from ``pools`` when given
-    (worker-local pools that stay warm across calls), else one fresh pool
-    per chunk.
+    Each tile is one call into ``kernel`` (:func:`resolve_group_kernel`):
+    all member stages over the tile's expanded regions, intermediates in
+    scratch arrays recycled through a worker-local :class:`BufferPool`.
+    Tiles are batched into contiguous chunks — :func:`_chunk_tiles` —
+    with one future per chunk rather than per tile.  Chunks run on
+    ``executor`` when given (a persistent pool owned by the caller), else
+    on the process-global :func:`shared_executor`; scratch pools come
+    from ``pools`` when given (worker-local pools that stay warm across
+    calls), else one fresh pool per chunk.
 
-    With halo reuse enabled (``halo_reuse``, default on — see
-    :func:`halo_reuse_enabled`), each chunk walks its tiles in *runs* of
+    With ``options.reuse``, each chunk walks its tiles in *runs* of
     adjacent tiles along a *carry dimension* and computes every
     materialised stage at run granularity: the run's seed tile extends
     each stage's expanded region along the carry dimension to the
@@ -609,9 +636,9 @@ def _execute_group_tiled(
     are bit-identical to per-tile recomputation: stage bodies are
     elementwise over their windows, and the out-of-domain clamped reads
     that *could* differ between window extents are masked by their
-    ``Case`` conditions (the same invariant all tiers rely on).
-    Reductions and single-tile grids disable reuse; direct-store
-    live-outs stay per-tile so concurrent chunks never overlap writes.
+    ``Case`` conditions (the same invariant every kernel relies on).
+    Reductions and single-tile grids disable reuse; a generated kernel's
+    direct-store live-outs are written per tile and never carried.
 
     A tile that raises is retried up to ``tile_retries`` times, then the
     failure surfaces as a :class:`TileExecutionError` (code ``TILE_FAIL``)
@@ -622,26 +649,23 @@ def _execute_group_tiled(
     ``buffers`` untouched and a caller can fall back cleanly.
     """
     radii = geom.expansion_radii()
-    liveouts = set(geom.liveouts)
-    kernels = {} if kernels is None else kernels
     plans = {
         s.name: _stage_plan(geom, s, pipeline, radii) for s in geom.stages
     }
+    region_plans = [plans[n] for n in kernel.region_names]
+    base_plans = [plans[n] for n in kernel.liveout_names]
+    no_carries = (None,) * len(region_plans)
     out_buffers = {
         s.name: Buffer.for_region(pipeline.domain(s), s.scalar_type.np_dtype)
         for s in geom.liveouts
     }
+    if kernel.generated and METRICS.enabled:
+        METRICS.inc("repro_kernel_fused_groups_total")
 
     dim_ranges = [
         range(lo, hi + 1, tile_sizes[g])
         for g, (lo, hi) in enumerate(geom.grid_bounds)
     ]
-
-    if group_kernel is not None:
-        region_plans = [plans[n] for n in group_kernel.region_names]
-        base_plans = [plans[n] for n in group_kernel.liveout_names]
-        if METRICS.enabled:
-            METRICS.inc("repro_kernel_fused_groups_total")
 
     # Halo reuse chains windows along the *carry dimension*
     # (:func:`~repro.poly.overlap.reuse_carry_dim` — the rule the cost
@@ -656,36 +680,31 @@ def _execute_group_tiled(
     # domain and have no per-tile window to carry; a single-tile grid has
     # no carry dimension.
     cdim = -1
-    if halo_reuse_enabled(halo_reuse) and not any(
+    if options.reuse and not any(
         isinstance(s, Reduction) for s in geom.stages
     ):
         cdim = reuse_carry_dim(geom, tile_sizes)
-    reuse = cdim >= 0
-    if reuse:
+    #: (region index, name, axis) per carried stage; ``axis`` is the plan
+    #: index of the carry dim, ``None`` when the stage is constant along
+    #: it (adjacent windows are equal — seed once, carry for the whole
+    #: run).  A generated kernel's direct-store stages (radius 0, scale
+    #: 1: expanded region == base tile, so they recompute no halo) write
+    #: each tile's region straight into ``out_buffers`` and are not
+    #: carried — extending that store to the whole run would only
+    #: amortise the per-call cost (ROADMAP follow-up); inlined stages
+    #: follow their consumers' regions automatically.
+    carried: List[Tuple[int, str, Optional[int]]] = []
+    if cdim >= 0:
         cstep = tile_sizes[cdim]
-        # Plan index of the carry dim per stage, ``None`` when the stage
-        # is constant along it (adjacent windows are equal — seed once,
-        # carry for the whole run).
-        carry_axis: Dict[str, Optional[int]] = {
-            s.name: next(
-                (j for j, ent in enumerate(plans[s.name]) if ent[0] == cdim),
+        carried = [
+            (i, n, next(
+                (j for j, ent in enumerate(plans[n]) if ent[0] == cdim),
                 None,
-            )
-            for s in geom.stages
-        }
-        if group_kernel is not None:
-            direct = set(group_kernel.direct_stores)
-            # (region index, name, axis) per carried materialised member.
-            # Direct-store stages write their base tile straight into
-            # out_buffers and stay per-tile (run-extending them would
-            # overlap concurrent chunks' writes); inlined stages follow
-            # their consumers' regions automatically.
-            fused_carry = [
-                (i, n, carry_axis[n])
-                for i, n in enumerate(group_kernel.region_names)
-                if n not in direct
-            ]
-            reuse = bool(fused_carry)
+            ))
+            for i, n in enumerate(kernel.region_names)
+            if n not in kernel.direct_stores
+        ]
+    reuse = bool(carried)
 
     def follows(prev_lo: Tuple[int, ...], tile_lo: Tuple[int, ...]) -> bool:
         """``tile_lo`` is ``prev_lo`` advanced by exactly one tile along
@@ -706,32 +725,22 @@ def _execute_group_tiled(
         maybe_fail(
             "tile", detail=f"g{group_index}t{tile_index}a{attempt}"
         )
-        adjacent = (
-            carry is not None
-            and carry.prev_lo is not None
-            and follows(carry.prev_lo, tile_lo)
-        )
-        if group_kernel is not None:
-            regions = [
-                _region_from_plan(p, tile_lo, tile_sizes, True)
-                for p in region_plans
-            ]
-            bases = [
-                _region_from_plan(p, tile_lo, tile_sizes, False)
-                for p in base_plans
-            ]
-            if carry is None:
-                try:
-                    group_kernel.fn(
-                        regions, bases, buffers, out_buffers, pool
-                    )
-                finally:
-                    pool.release_all()
-                return
-            call_regions = list(regions)
-            carries: List[Optional[tuple]] = [None] * len(regions)
+        regions = [
+            _region_from_plan(p, tile_lo, tile_sizes, True)
+            for p in region_plans
+        ]
+        bases = [
+            _region_from_plan(p, tile_lo, tile_sizes, False)
+            for p in base_plans
+        ]
+        carries: Sequence[Optional[tuple]] = no_carries
+        if carry is not None:
+            adjacent = carry.prev_lo is not None and follows(
+                carry.prev_lo, tile_lo
+            )
+            carries = [None] * len(regions)
             seeds = []
-            for i, name, axis in fused_carry:
+            for i, name, axis in carried:
                 bounds = regions[i]
                 if bounds is None:
                     carry.drop(name, pool)
@@ -740,65 +749,28 @@ def _execute_group_tiled(
                 if buf is not None:
                     # Pure carry: hand the window to the kernel untouched
                     # and skip the stage body.
-                    call_regions[i] = None
+                    regions[i] = None
                     carries[i] = (buf.data, buf.origin)
                 else:
                     # (Re)seed: the kernel computes the rest of the run's
                     # window in this call.
-                    call_regions[i] = carry.seed_bounds(
+                    regions[i] = carry.seed_bounds(
                         bounds, region_plans[i], axis
                     )
                     seeds.append((i, name))
-            results = group_kernel.fn(
-                call_regions, bases, buffers, out_buffers, pool, carries
-            )
-            for i, name in seeds:
-                carry.store(name, results[i], call_regions[i], pool)
-            carry.advance(tile_lo)
+        results = kernel.fn(
+            regions, bases, buffers, out_buffers, pool, carries
+        )
+        if carry is None:
+            # Live-outs are in out_buffers, so the tile's scratch arrays
+            # can all go back for the next tile.  Under reuse the carried
+            # windows must survive — superseded ones are reclaimed
+            # individually, the rest released at chunk end.
+            pool.release_all()
             return
-        scratch: Dict[str, Buffer] = {}
-        lookup = _ChainLookup(scratch, buffers)
-        try:
-            for stage in geom.stages:
-                name = stage.name
-                plan = plans[name]
-                bounds = _region_from_plan(plan, tile_lo, tile_sizes, True)
-                if bounds is None:
-                    if carry is not None:
-                        carry.drop(name, pool)
-                    continue
-                result = None
-                if carry is not None:
-                    axis = carry_axis[name]
-                    result = carry.covers(name, bounds, axis, adjacent)
-                    if result is None:
-                        bounds = carry.seed_bounds(bounds, plan, axis)
-                if result is None:
-                    result = _compute_function_region(
-                        pipeline, stage, bounds, lookup,
-                        kernel=kernels.get(name), pool=pool,
-                    )
-                    if carry is not None:
-                        carry.store(name, result, bounds, pool)
-                scratch[name] = result
-                if stage in liveouts:
-                    base = _region_from_plan(
-                        plan, tile_lo, tile_sizes, False
-                    )
-                    if base is not None:
-                        out_buffers[name].store_region(
-                            base, result.read_region(base)
-                        )
-            if carry is not None:
-                carry.advance(tile_lo)
-        finally:
-            if carry is None:
-                # Live-out regions were copied into out_buffers above, so
-                # the tile's scratch arrays can all go back for the next
-                # tile.  Under reuse the carried windows must survive —
-                # superseded ones were reclaimed individually above, and
-                # the rest are released at chunk end.
-                pool.release_all()
+        for i, name in seeds:
+            carry.store(name, results[i], regions[i], pool)
+        carry.advance(tile_lo)
 
     def run_tile_captured(
         item: Tuple[int, Tuple[int, ...]],
@@ -816,13 +788,14 @@ def _execute_group_tiled(
                 return
             except Exception as exc:  # noqa: BLE001 - rewrapped below
                 last = exc
+                # Whatever the failed attempt borrowed goes back; under
+                # reuse that includes the carried windows, which it may
+                # have poisoned (reclaimed scratch a window still
+                # aliases): drop the whole carry so the retry — and every
+                # tile until the chain re-seeds — recomputes full windows.
+                pool.release_all()
                 if carry is not None:
-                    # The failed attempt may have poisoned carried
-                    # windows (partial strip copies, reclaimed scratch):
-                    # drop the whole carry so the retry — and every tile
-                    # until the chain re-seeds — recomputes full windows.
                     carry.invalidate()
-                    pool.release_all()
                     if METRICS.enabled:
                         METRICS.inc("repro_halo_reuse_invalidations_total")
                 if not is_retryable(exc):
@@ -856,7 +829,7 @@ def _execute_group_tiled(
     # is empty — capture the group span here so they parent correctly.
     parent_span = TRACE.current() if TRACE.enabled else None
     if parent_span is not None:
-        parent_span.set(fused=group_kernel is not None, halo_reuse=reuse)
+        parent_span.set(fused=kernel.generated, halo_reuse=reuse)
 
     def run_chunk(chunk: List[Tuple[int, Tuple[int, ...]]]) -> None:
         # Worker-local scratch pool, so lock-free: the group's shared
@@ -971,33 +944,145 @@ class _ChainLookup:
         return buf
 
 
+def _stagewise_kernel(
+    pipeline: Pipeline,
+    geom: GroupGeometry,
+    kernels: Mapping[str, StageKernel],
+) -> GroupKernel:
+    """The :class:`GroupKernel` that walks a group's members one stage
+    body at a time through :func:`_compute_function_region` — the stage's
+    compiled kernel where ``kernels`` has one, the interpreter where not.
+    Every member is a region slot; none is inlined or stored direct."""
+    # The kernel is memoised in a cache weakly keyed by the pipeline:
+    # holding the pipeline strongly here would keep it alive forever.
+    pipeline_ref = weakref.ref(pipeline)
+    names = tuple(s.name for s in geom.stages)
+    liveout_pos = {s.name: j for j, s in enumerate(geom.liveouts)}
+    steps = [
+        (i, s, kernels.get(s.name), liveout_pos.get(s.name))
+        for i, s in enumerate(geom.stages)
+    ]
+
+    def fn(regions, bases, buffers, out_buffers, pool, carries):
+        pipeline = pipeline_ref()
+        scratch: Dict[str, Buffer] = {}
+        # A member whose producer's region was empty finds no scratch
+        # entry and no full buffer: KeyError, non-retryable.
+        lookup = _ChainLookup(scratch, buffers)
+        results: List[Optional[Buffer]] = [None] * len(steps)
+        for i, stage, kernel, liveout in steps:
+            bounds = regions[i]
+            if bounds is not None:
+                result = _compute_function_region(
+                    pipeline, stage, bounds, lookup,
+                    kernel=kernel, pool=pool,
+                )
+            elif carries[i] is not None:
+                result = Buffer(*carries[i])
+            else:
+                continue
+            scratch[stage.name] = results[i] = result
+            if liveout is not None:
+                base = bases[liveout]
+                if base is not None:
+                    out_buffers[stage.name].store_region(
+                        base, result.read_region(base)
+                    )
+        return results
+
+    return GroupKernel(
+        group_names=names,
+        region_names=names,
+        liveout_names=tuple(s.name for s in geom.liveouts),
+        inlined=(),
+        direct_stores=(),
+        source="",
+        fn=fn,
+    )
+
+
+def resolve_group_kernel(
+    pipeline: Pipeline, geom: GroupGeometry, options: ExecOptions
+) -> GroupKernel:
+    """The kernel a tiled group runs on under ``options``, memoised per
+    ``(pipeline, member set, compile, fuse)`` so a warm request resolves
+    nothing: generated fused source for a multi-stage group when both
+    switches are on and the group fuses (one ``KERNEL_FUSE_FAIL`` warning
+    when it does not), else the stage-walking adapter — over compiled
+    stage kernels under ``compile`` (a stage that fails to compile is
+    interpreted after one ``KERNEL_COMPILE_FAIL`` warning), over the
+    interpreter without."""
+    fuse = options.compile and options.fuse and len(geom.stages) > 1
+    per = _RESOLVED_CACHE.get(pipeline)
+    if per is None:
+        per = _RESOLVED_CACHE.setdefault(pipeline, {})
+    key = (frozenset(s.name for s in geom.stages), options.compile, fuse)
+    kernel = per.get(key)
+    if kernel is None:
+        if fuse:
+            kernel = get_group_kernel(pipeline, geom)
+        if kernel is None:
+            kernel = _stagewise_kernel(
+                pipeline, geom,
+                stage_kernels(pipeline, geom.stages)
+                if options.compile else {},
+            )
+        per[key] = kernel
+    return kernel
+
+
+def _tiled_geometry(pipeline: Pipeline, members) -> Optional[GroupGeometry]:
+    """The overlap-tiling geometry ``members`` execute under; ``None``
+    for groups that run untiled, stage by stage over full domains (no
+    geometry, or a singleton reduction)."""
+    if len(members) == 1 and isinstance(next(iter(members)), Reduction):
+        return None
+    return compute_group_geometry(pipeline, members)
+
+
+def warm_group_kernels(
+    pipeline: Pipeline,
+    groups: Sequence[Sequence[Function]],
+    options: ExecOptions = ExecOptions(),
+) -> Mapping[frozenset, GroupKernel]:
+    """Resolve — compiling whatever it stands on — the kernel of every
+    tiled group, so the first execution pays nothing.  Serve warm-up
+    calls this before forking workers, which then inherit every kernel
+    compiled.  Returns the generated fused kernels, keyed by member-name
+    frozenset."""
+    out: Dict[frozenset, GroupKernel] = {}
+    for members in groups:
+        geom = _tiled_geometry(pipeline, members)
+        if geom is not None:
+            kernel = resolve_group_kernel(pipeline, geom, options)
+            if kernel.generated:
+                out[frozenset(kernel.group_names)] = kernel
+    return out
+
+
 def _execute_one_group(
     pipeline: Pipeline,
     members,
     tiles: Sequence[int],
     buffers: Dict[str, Buffer],
     nthreads: int,
+    options: ExecOptions,
     group_index: int = 0,
     tile_retries: int = 0,
-    kernels: Optional[Mapping[str, StageKernel]] = None,
     executor: Optional[ThreadPoolExecutor] = None,
     pools: Optional[PoolGroup] = None,
-    fuse_kernels: Optional[bool] = None,
-    halo_reuse: Optional[bool] = None,
 ) -> str:
     """Execute a single group of a grouping, returning the mode used:
-    ``"tiled"`` or ``"untiled"`` (groups without an overlap-tiling
-    geometry run stage-by-stage over full domains)."""
-    geom = compute_group_geometry(pipeline, members)
-    if geom is None or len(members) == 1 and isinstance(
-        next(iter(members)), Reduction
-    ):
+    ``"tiled"`` or ``"untiled"``."""
+    geom = _tiled_geometry(pipeline, members)
+    if geom is None:
         for stage in pipeline.stages:
             if stage in members:
+                kernel = None
+                if options.compile and not isinstance(stage, Reduction):
+                    kernel = get_kernel(pipeline, stage)
                 buffers[stage.name] = _compute_stage_full(
-                    pipeline, stage, buffers,
-                    kernel=None if kernels is None
-                    else kernels.get(stage.name),
+                    pipeline, stage, buffers, kernel=kernel
                 )
         return "untiled"
     if len(tiles) != geom.ndim:
@@ -1005,17 +1090,11 @@ def _execute_one_group(
             f"group {[s.name for s in members]} needs {geom.ndim} tile "
             f"sizes, got {len(tiles)}"
         )
-    # The fused tier rides on compilation being active (an empty kernel
-    # map means --no-compile / REPRO_NO_COMPILE): fused-group kernel →
-    # per-stage kernels → interpreter, degrading per group.
-    group_kernel = None
-    if kernels and len(geom.stages) > 1 and fusion_enabled(fuse_kernels):
-        group_kernel = get_group_kernel(pipeline, geom)
     _execute_group_tiled(
         pipeline, geom, tiles, buffers, nthreads,
+        resolve_group_kernel(pipeline, geom, options), options,
         group_index=group_index, tile_retries=tile_retries,
-        kernels=kernels, executor=executor, pools=pools,
-        group_kernel=group_kernel, halo_reuse=halo_reuse,
+        executor=executor, pools=pools,
     )
     return "tiled"
 
@@ -1026,11 +1105,9 @@ def execute_grouping(
     inputs: Mapping[str, np.ndarray],
     nthreads: int = 1,
     tile_retries: int = 0,
-    compile_kernels: Optional[bool] = None,
+    options: Optional[ExecOptions] = None,
     executor: Optional[ThreadPoolExecutor] = None,
     pools: Optional[PoolGroup] = None,
-    fuse_kernels: Optional[bool] = None,
-    halo_reuse: Optional[bool] = None,
 ) -> Dict[str, np.ndarray]:
     """Execute a grouping with overlapped tiling.
 
@@ -1039,26 +1116,11 @@ def execute_grouping(
     reduction) are executed stage-by-stage untiled — PolyMage likewise
     leaves reductions unoptimised (Sec. 6.2).
 
-    By default every non-reduction stage is lowered once to a compiled
-    NumPy kernel (:mod:`repro.runtime.kernelcache`) and each tile runs the
-    kernel instead of re-walking the expression tree; a stage that fails
-    to compile is interpreted after a ``KERNEL_COMPILE_FAIL`` warning.
-    ``compile_kernels=False`` (the CLI's ``--no-compile``, or the
-    ``REPRO_NO_COMPILE`` env knob) forces the pure-interpreter path for
-    A/B timing.
-
-    On top of per-stage kernels, each multi-stage group compiles to a
-    single *fused* kernel so a tile makes one call for the whole group; a
-    group that fails to fuse runs on per-stage kernels after one
-    ``KERNEL_FUSE_FAIL`` warning.  ``fuse_kernels=False`` (the CLI's
-    ``--no-fuse``, or ``REPRO_NO_FUSE``) disables only this fused tier,
-    keeping per-stage kernels — the third arm of the A/B ladder.
-
-    Within each worker chunk, adjacent tiles reuse the previous tile's
-    computed halo instead of recomputing it (:func:`halo_reuse_enabled`;
-    bit-identical by construction, all tiers).  ``halo_reuse=False`` (the
-    CLI's ``--no-reuse``, or ``REPRO_NO_REUSE``) restores the full-halo
-    per-tile path for A/B timing.
+    ``options`` (default: :meth:`ExecOptions.resolve` — everything on
+    unless a ``REPRO_NO_*`` variable says otherwise) selects the kernel
+    each tiled group runs on (:func:`resolve_group_kernel`) and whether
+    adjacent tiles of a chunk reuse halos; outputs are bit-identical
+    under all of them.
 
     Multi-threaded groups run their tile chunks on ``executor`` when the
     caller owns a persistent pool (the serve layer does), else on the
@@ -1078,13 +1140,10 @@ def execute_grouping(
         raise ValueError("grouping was built for a different pipeline")
     if nthreads < 1:
         raise ValueError("nthreads must be positive")
-    with TRACE.span(
-        "prepare", pipeline=pipeline.name,
-        compile_kernels=bool(compile_kernels)
-        if compile_kernels is not None else "default",
-    ):
+    if options is None:
+        options = ExecOptions.resolve()
+    with TRACE.span("prepare", pipeline=pipeline.name):
         buffers = _input_buffers(pipeline, inputs)
-        kernels = stage_kernels(pipeline, enabled=compile_kernels)
 
     observing = METRICS.enabled
     t_exec = time.perf_counter() if observing else 0.0
@@ -1102,10 +1161,9 @@ def execute_grouping(
                 tiles=list(tiles),
             ) as gspan:
                 mode = _execute_one_group(
-                    pipeline, members, tiles, buffers, nthreads,
+                    pipeline, members, tiles, buffers, nthreads, options,
                     group_index=gi, tile_retries=tile_retries,
-                    kernels=kernels, executor=executor, pools=pools,
-                    fuse_kernels=fuse_kernels, halo_reuse=halo_reuse,
+                    executor=executor, pools=pools,
                 )
                 gspan.set(mode=mode)
             if observing:

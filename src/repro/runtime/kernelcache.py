@@ -37,34 +37,33 @@ arrays.
 Kernels are memoized per ``(pipeline, stage)`` in a weak-keyed cache.  A
 stage that cannot be compiled is *not* an error: :func:`get_kernel` emits
 a single :class:`KernelCompileWarning` (``KERNEL_COMPILE_FAIL``) and the
-executor falls back to the interpreter for that stage.  The global escape
-hatch is the ``REPRO_NO_COMPILE`` environment variable (or the CLI's
-``--no-compile``), which restores the pure-interpreter path for A/B
-timing experiments.
+stage is interpreted.
 
-On top of the per-stage tier, :func:`compile_group_kernel` builds **one
-fused kernel per fusion group**: the member stages' bodies are chained
-inside a single generated function, so a tile makes one call instead of
-one per stage.  Producer values flow to in-group consumers either by
-*inlining* (cheap producers read few times are substituted into consumer
-bodies as ``Cast``-wrapped expressions — Exo's ``inline_assign``; dead
+:func:`compile_group_kernel` builds **one fused kernel per multi-stage
+fusion group**: the member stages' bodies are chained inside a single
+generated function, so a tile makes one call instead of one per stage.
+Producer values flow to in-group consumers either by *inlining* (cheap
+producers read few times are substituted into consumer bodies as
+``Cast``-wrapped expressions — Exo's ``inline_assign``; dead
 intermediates disappear entirely, ``delete_buffer``) or through pooled
 scratch arrays sized to the consumer's stencil footprint over the tile
 (``compute_at`` + ``store_at``).  A live-out stage whose expanded tile
 region equals its base tile writes straight into the full output buffer
-(the ``store_at``-root fast path).  The executor's tiering is therefore
-fused-group kernel → per-stage kernels → interpreter, degrading per
-group/stage; a group that cannot be fused emits a single
-:class:`KernelFuseWarning` (``KERNEL_FUSE_FAIL``) and runs on per-stage
-kernels.  The escape hatch is ``REPRO_NO_FUSE`` (or the CLI's
-``--no-fuse``).  All tiers are bit-identical by construction: the fused
+(the ``store_at``-root fast path).  A group that cannot be fused emits a
+single :class:`KernelFuseWarning` (``KERNEL_FUSE_FAIL``).
+
+:class:`GroupKernel` is the one protocol the tiled executor calls.  Its
+other source is the executor's adapter, which walks a group's members
+through their stage kernels (or the interpreter) behind the same
+signature — singleton groups, groups that failed to fuse, and the
+``fuse`` / ``compile`` switches of :class:`repro.runtime.ExecOptions`
+all select it.  Both sources are bit-identical by construction: the fused
 kernel performs exactly the NumPy operations the per-stage kernels
 would, minus the scratch stores/gathers the rewrites eliminate.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -103,10 +102,7 @@ __all__ = [
     "get_kernel",
     "get_group_kernel",
     "stage_kernels",
-    "warm_group_kernels",
     "clear_kernel_cache",
-    "compilation_enabled",
-    "fusion_enabled",
 ]
 
 
@@ -116,34 +112,6 @@ class KernelCompileWarning(UserWarning):
 
 class KernelFuseWarning(UserWarning):
     """A group fell back to per-stage kernels (``KERNEL_FUSE_FAIL``)."""
-
-
-def compilation_enabled(override: Optional[bool] = None) -> bool:
-    """Whether stage-kernel compilation is enabled.
-
-    ``override`` (from an API argument or the CLI's ``--no-compile``)
-    wins; otherwise the ``REPRO_NO_COMPILE`` environment variable turns
-    compilation off when set to ``1``/``true``/``yes``/``on``.
-    """
-    if override is not None:
-        return bool(override)
-    knob = os.environ.get("REPRO_NO_COMPILE", "").strip().lower()
-    return knob not in ("1", "true", "yes", "on")
-
-
-def fusion_enabled(override: Optional[bool] = None) -> bool:
-    """Whether fused group-kernel compilation is enabled.
-
-    ``override`` (from an API argument or the CLI's ``--no-fuse``) wins;
-    otherwise the ``REPRO_NO_FUSE`` environment variable turns fusion off
-    when set to ``1``/``true``/``yes``/``on``.  Fusion also requires
-    per-stage compilation to be on — the executor only consults this
-    when it already holds compiled kernels.
-    """
-    if override is not None:
-        return bool(override)
-    knob = os.environ.get("REPRO_NO_FUSE", "").strip().lower()
-    return knob not in ("1", "true", "yes", "on")
 
 
 @dataclass
@@ -761,46 +729,84 @@ class _Lowerer:
             default = self.lower(entry)
         return conds, vals, default, fused_entry
 
+    def emit_store(
+        self, body, out_dt: str,
+        view: Optional[str] = None, pooled: bool = False,
+    ) -> bool:
+        """Emit the store epilogue for a lowered ``body`` (the tuple
+        :meth:`lower_body` returned): ``np.select`` over ``Case``
+        branches, else the root ufunc writing ``out=`` the destination
+        when the operand broadcast fills it (the ufunc refuses an ``out``
+        larger than the broadcast — a body like ``x + 1`` in a 2-d
+        stage), else a ``broadcast_to`` of the lowered value.
+
+        The destination is one of: the stage kernel's optional caller
+        ``out`` (default; the epilogue returns the result), ``view``
+        (a local naming a window of the full output buffer, assigned in
+        place), or ``pooled`` scratch acquired from ``pool`` (the result
+        is bound to ``{prefix}_res``).  Returns whether the body stores
+        through a ufunc ``out=``.
+        """
+        conds, vals, default, fused_entry = body
+        shape = self.shape_name
+        res = f"{self.pfx}_res"
+
+        def put(value: str, contiguous: bool) -> None:
+            if view is not None:
+                self.emit(f"{view}[...] = {value}")
+            elif pooled:
+                if contiguous:
+                    value = f"np.ascontiguousarray({value})"
+                self.emit(f"{res} = {value}.astype({out_dt}, copy=False)")
+            else:
+                self.emit(f"{res} = {value}")
+                got = f"np.ascontiguousarray({res})" if contiguous else res
+                self.emit(f"return {got}.astype({out_dt}, copy=False)")
+
+        if conds:
+            clist = ", ".join(
+                f"np.broadcast_to({c}, {shape})" for c in conds
+            )
+            vlist = ", ".join(
+                f"np.broadcast_to(np.asarray({v}), {shape})" for v in vals
+            )
+            put(f"np.select([{clist}], [{vlist}], default={default})",
+                False)
+            return False
+        if fused_entry is None:
+            put(f"np.broadcast_to(np.asarray({default}), {shape})", True)
+            return False
+        fn, args, entry = fused_entry
+        operands = ", ".join(f"({a})" for a in args)
+        dest, guard = view, ""
+        if pooled:
+            dest = f"{self.pfx}_sc"
+            self.emit(f"{dest} = pool.acquire({shape}, {out_dt})")
+        elif view is None:
+            dest, guard = "out", "out is not None and "
+        self.emit(
+            f"if {guard}np.broadcast({operands}).shape == {dest}.shape:"
+        )
+        self.emit(f"    {fn}({operands}, out={dest}, casting='unsafe')")
+        saved = self.indent
+        if dest == "out":
+            self.emit("    return out")
+        else:
+            if pooled:
+                self.emit(f"    {res} = {dest}")
+            self.emit("else:")
+            self.indent += "    "
+            if pooled:
+                self.emit(f"pool.reclaim({dest})")
+        tail = self.lower(entry)
+        put(f"np.broadcast_to(np.asarray({tail}), {shape})", True)
+        self.indent = saved
+        return True
+
     def build(self) -> Tuple[str, bool]:
         """Generate the kernel source; returns ``(source, uses_out)``."""
         out_dt = self.emit_prologue("grids")
-        conds, vals, default, fused_entry = self.lower_body()
-        uses_out = False
-        if fused_entry is not None:
-            fn, args, entry = fused_entry
-            operands = ", ".join(f"({a})" for a in args)
-            # The ufunc refuses an ``out`` larger than the operand
-            # broadcast (a body like ``x + 1`` in a 2-d stage), so
-            # fall through to the broadcast path in that case.
-            self.emit(
-                f"if out is not None and "
-                f"np.broadcast({operands}).shape == out.shape:"
-            )
-            self.emit(
-                f"    {fn}({operands}, out=out, casting='unsafe')"
-            )
-            self.emit("    return out")
-            default = self.lower(entry)
-            uses_out = True
-
-        res = f"{self.pfx}_res"
-        if conds:
-            clist = ", ".join(
-                f"np.broadcast_to({c}, {self.shape_name})" for c in conds
-            )
-            vlist = ", ".join(
-                f"np.broadcast_to(np.asarray({v}), {self.shape_name})"
-                for v in vals
-            )
-            self.emit(f"{res} = np.select([{clist}], [{vlist}], "
-                      f"default={default})")
-            self.emit(f"return {res}.astype({out_dt}, copy=False)")
-        else:
-            self.emit(f"{res} = np.broadcast_to(np.asarray({default}), "
-                      f"{self.shape_name})")
-            self.emit(f"return np.ascontiguousarray({res})"
-                      f".astype({out_dt}, copy=False)")
-
+        uses_out = self.emit_store(self.lower_body(), out_dt)
         header = "def _stage_kernel(grids, env, buffers, out=None):"
         source = "\n".join([header] + self.lines) + "\n"
         return source, uses_out
@@ -936,19 +942,20 @@ def _rewrite_cond(c: Condition, var_map, inline_expr, inline_stage):
 
 @dataclass
 class GroupKernel:
-    """One compiled kernel for a whole fusion group.
+    """What the tiled executor runs one tile of a fusion group on.
 
-    ``fn(regions, bases, buffers, out_buffers, pool, carries=None)``
-    executes every member stage over one tile.  ``regions`` holds the
-    expanded (overlapped) per-stage bounds for ``region_names`` in order
-    (``None`` for an empty region), ``bases`` the base-tile bounds for
+    ``fn(regions, bases, buffers, out_buffers, pool, carries)`` executes
+    every member stage over one tile.  ``regions`` holds the expanded
+    (overlapped) per-stage bounds for ``region_names`` in order (``None``
+    for an empty region), ``bases`` the base-tile bounds for
     ``liveout_names``; live-out values land in ``out_buffers`` (name →
     full-domain :class:`Buffer`), out-of-group producers are read from
     ``buffers``, and scratch arrays cycle through ``pool`` (the caller
-    releases them after the tile).  Returns the per-stage window
-    :class:`Buffer`\\ s in ``region_names`` order.
+    releases them after the tile).  A member whose in-group producer had
+    an empty region raises ``KeyError`` (non-retryable).  Returns the
+    per-stage window :class:`Buffer`\\ s in ``region_names`` order.
 
-    ``carries`` is the halo-reuse carry mode: per materialised stage
+    ``carries`` is the halo-reuse carry mode: per ``region_names`` slot
     either ``None`` (compute the region as usual) or a pure-carry tuple
     ``(window, origin)`` assembled by the executor, paired with
     ``regions[i] is None`` — a run window computed by a previous
@@ -956,8 +963,13 @@ class GroupKernel:
     untouched and the stage body is skipped (live-outs still store their
     base tile, which always advances; the executor seeds run windows by
     passing run-extended regions and harvesting the returned buffers).
-    ``carries=None`` (or all-``None``) is exactly the pre-reuse
-    behaviour.
+    Stages in ``direct_stores`` write their base tile straight into
+    ``out_buffers`` and are never carried; ``inlined`` members have no
+    region slot.
+
+    There are two sources: :func:`compile_group_kernel` (generated fused
+    ``source``) and the executor's stage-walking adapter (empty
+    ``source``, ``region_names`` = every member).
     """
 
     group_names: Tuple[str, ...]
@@ -967,6 +979,11 @@ class GroupKernel:
     direct_stores: Tuple[str, ...]
     source: str
     fn: Callable
+
+    @property
+    def generated(self) -> bool:
+        """Whether tiles run on generated fused source."""
+        return bool(self.source)
 
 
 class _GroupLowerer:
@@ -1143,8 +1160,7 @@ class _GroupLowerer:
                 lw.emit(f"if {buffer_refs[dep]} is None:")
                 lw.emit(f"    raise KeyError({dep!r})")
             dt = lw.emit_prologue()
-            conds, vals, default, fused_entry = lw.lower_body()
-            res = f"{pfx}_res"
+            body = lw.lower_body()
             if direct:
                 # store_at root: expanded region == base tile for every
                 # tile, so write straight into the full output buffer
@@ -1154,81 +1170,13 @@ class _GroupLowerer:
                 )
                 dst = f"{pfx}_dst"
                 lw.emit(f"{dst} = {bv}.data")
-                if conds:
-                    clist = ", ".join(
-                        f"np.broadcast_to({c}, {lw.shape_name})"
-                        for c in conds
-                    )
-                    vlist = ", ".join(
-                        f"np.broadcast_to(np.asarray({v}), {lw.shape_name})"
-                        for v in vals
-                    )
-                    lw.emit(
-                        f"{dst}[...] = np.select([{clist}], [{vlist}], "
-                        f"default={default})"
-                    )
-                elif fused_entry is not None:
-                    fn, args, entry = fused_entry
-                    operands = ", ".join(f"({a})" for a in args)
-                    lw.emit(
-                        f"if np.broadcast({operands}).shape == {dst}.shape:"
-                    )
-                    lw.emit(
-                        f"    {fn}({operands}, out={dst}, casting='unsafe')"
-                    )
-                    lw.emit("else:")
-                    lw.indent += "    "
-                    tail = lw.lower(entry)
-                    lw.emit(f"{dst}[...] = np.broadcast_to("
-                            f"np.asarray({tail}), {lw.shape_name})")
-                    lw.indent = lw.indent[:-4]
-                else:
-                    lw.emit(f"{dst}[...] = np.broadcast_to("
-                            f"np.asarray({default}), {lw.shape_name})")
+                lw.emit_store(body, dt, view=dst)
                 direct_stores.append(name)
             else:
-                if conds:
-                    clist = ", ".join(
-                        f"np.broadcast_to({c}, {lw.shape_name})"
-                        for c in conds
-                    )
-                    vlist = ", ".join(
-                        f"np.broadcast_to(np.asarray({v}), {lw.shape_name})"
-                        for v in vals
-                    )
-                    lw.emit(
-                        f"{res} = np.select([{clist}], [{vlist}], "
-                        f"default={default}).astype({dt}, copy=False)"
-                    )
-                elif fused_entry is not None:
-                    fn, args, entry = fused_entry
-                    operands = ", ".join(f"({a})" for a in args)
-                    sc = f"{pfx}_sc"
-                    lw.emit(f"{sc} = pool.acquire({lw.shape_name}, {dt})")
-                    lw.emit(
-                        f"if np.broadcast({operands}).shape == {sc}.shape:"
-                    )
-                    lw.emit(
-                        f"    {fn}({operands}, out={sc}, casting='unsafe')"
-                    )
-                    lw.emit(f"    {res} = {sc}")
-                    lw.emit("else:")
-                    lw.indent += "    "
-                    lw.emit(f"pool.reclaim({sc})")
-                    tail = lw.lower(entry)
-                    lw.emit(
-                        f"{res} = np.ascontiguousarray(np.broadcast_to("
-                        f"np.asarray({tail}), {lw.shape_name}))"
-                        f".astype({dt}, copy=False)"
-                    )
-                    lw.indent = lw.indent[:-4]
-                else:
-                    lw.emit(
-                        f"{res} = np.ascontiguousarray(np.broadcast_to("
-                        f"np.asarray({default}), {lw.shape_name}))"
-                        f".astype({dt}, copy=False)"
-                    )
-                lw.emit(f"{bv} = Buffer({res}, tuple(b[0] for b in {rv}))")
+                lw.emit_store(body, dt, pooled=True)
+                lw.emit(
+                    f"{bv} = Buffer({pfx}_res, tuple(b[0] for b in {rv}))"
+                )
             lines.extend(lw.lines)
             if not direct and name in liveout_pos:
                 # The base-region store runs at function level, keyed on
@@ -1377,16 +1325,9 @@ def get_kernel(pipeline: Pipeline, stage: Function) -> Optional[StageKernel]:
 def stage_kernels(
     pipeline: Pipeline,
     stages: Optional[Sequence[Function]] = None,
-    enabled: Optional[bool] = None,
 ) -> Mapping[str, StageKernel]:
-    """Kernels for every compilable stage, keyed by stage name.
-
-    Returns an empty mapping when compilation is disabled (``enabled``
-    override, else the ``REPRO_NO_COMPILE`` knob) so callers can treat the
-    result uniformly: a stage absent from the mapping is interpreted.
-    """
-    if not compilation_enabled(enabled):
-        return {}
+    """Kernels for every compilable stage, keyed by stage name; a stage
+    absent from the mapping is interpreted."""
     out: Dict[str, StageKernel] = {}
     for stage in (pipeline.stages if stages is None else stages):
         kernel = get_kernel(pipeline, stage)
@@ -1405,7 +1346,7 @@ def get_group_kernel(pipeline: Pipeline, geom) -> Optional[GroupKernel]:
 
     Returns ``None`` (after one :class:`KernelFuseWarning` and a
     ``repro_kernel_fuse_fail_total{reason}`` increment) for groups that
-    fail to fuse; the executor runs those on per-stage kernels.
+    fail to fuse; the executor walks those stage by stage.
     """
     per = _GROUP_CACHE.get(pipeline)
     if per is None:
@@ -1433,36 +1374,17 @@ def get_group_kernel(pipeline: Pipeline, geom) -> Optional[GroupKernel]:
     return kernel
 
 
-def warm_group_kernels(
-    pipeline: Pipeline,
-    groups: Sequence[Sequence[Function]],
-    enabled: Optional[bool] = None,
-    fuse: Optional[bool] = None,
-) -> Mapping[frozenset, GroupKernel]:
-    """Precompile the fused kernel of every multi-stage group.
-
-    Serve warm-up calls this before forking workers so fused kernels are
-    inherited compiled.  Returns the kernels that compiled, keyed by
-    member-name frozenset; empty when compilation or fusion is disabled.
-    """
-    if not (compilation_enabled(enabled) and fusion_enabled(fuse)):
-        return {}
-    from ..poly.alignscale import compute_group_geometry
-
-    out: Dict[frozenset, GroupKernel] = {}
-    for members in groups:
-        if len(members) < 2:
-            continue
-        geom = compute_group_geometry(pipeline, members)
-        if geom is None or len(geom.stages) < 2:
-            continue
-        kernel = get_group_kernel(pipeline, geom)
-        if kernel is not None:
-            out[frozenset(kernel.group_names)] = kernel
-    return out
+#: The kernel each tiled group runs on, per ``(member set, compile,
+#: fuse)`` — filled by :func:`repro.runtime.executor.resolve_group_kernel`,
+#: kept here so :func:`clear_kernel_cache` drops it with the kernels it
+#: was resolved from.
+_RESOLVED_CACHE: "weakref.WeakKeyDictionary[Pipeline, Dict[tuple, GroupKernel]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def clear_kernel_cache() -> None:
     """Drop every memoized kernel (tests and benchmarks)."""
     _CACHE.clear()
     _GROUP_CACHE.clear()
+    _RESOLVED_CACHE.clear()

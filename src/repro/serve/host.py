@@ -65,7 +65,11 @@ from ..obs.metrics import BATCH_SIZE_BUCKETS
 from ..pipelines import BENCHMARKS
 from ..planner import build_benchmark, make_inputs, plan_schedule
 from ..resilience import GuardPolicy, execute_guarded
-from ..runtime import shared_executor, stage_kernels, warm_group_kernels
+from ..runtime import (
+    ExecOptions,
+    shared_executor,
+    warm_group_kernels,
+)
 from ..runtime.buffers import PoolGroup
 from .admission import AdmissionController
 from .batching import MicroBatchQueue, ServeRequest
@@ -82,6 +86,9 @@ __all__ = [
 #: base degradation-ladder tiers, healthiest first; a host whose backend
 #: contributes an extra executor tier (``cupy``) prepends it at warm-up
 LADDER = ("compiled", "interpreter", "no-fusion")
+
+#: what every rung below ``compiled`` executes with
+_INTERPRETED = ExecOptions(compile=False, fuse=False, reuse=False)
 
 
 @dataclass(frozen=True)
@@ -103,12 +110,6 @@ class HostConfig:
     schedule_budget_s: Optional[float] = None
     #: persistent schedule-cache directory (None: schedule per warm)
     schedule_cache: Optional[str] = None
-    #: compiled kernels at tier 0 (None: on unless REPRO_NO_COMPILE)
-    compile_kernels: Optional[bool] = None
-    #: fused per-group kernels at tier 0 (None: on unless REPRO_NO_FUSE)
-    fuse_kernels: Optional[bool] = None
-    #: inter-tile halo reuse at tier 0 (None: on unless REPRO_NO_REUSE)
-    halo_reuse: Optional[bool] = None
     #: consecutive degraded/failed requests before stepping down a tier
     degrade_after: int = 3
     #: consecutive clean requests before stepping back up a tier
@@ -188,6 +189,9 @@ class PipelineHost:
         self.grouping = None
         self.no_fusion_grouping = None
         self.backend = None
+        #: what the ``compiled`` rung executes with, resolved from the
+        #: environment at warm-up
+        self.options = ExecOptions()
         #: this host's degradation ladder (may gain a backend rung on warm)
         self.ladder: Tuple[str, ...] = LADDER
         self.schedule_tier: Optional[str] = None
@@ -255,16 +259,11 @@ class PipelineHost:
                     strict=False,
                     schedule_cache=self.config.schedule_cache,
                 )
-                # Pre-compile every stage kernel now (memoized per
-                # (pipeline, stage)), so the first request pays nothing.
-                stage_kernels(pipe, enabled=self.config.compile_kernels)
-                # Fused group kernels too, so forked workers inherit
-                # them compiled rather than each paying the exec().
-                warm_group_kernels(
-                    pipe, grouping.groups,
-                    enabled=self.config.compile_kernels,
-                    fuse=self.config.fuse_kernels,
-                )
+                self.options = ExecOptions.resolve()
+                # Resolve and compile every group's kernel now, so the
+                # first request pays nothing and forked workers inherit
+                # them rather than each paying the exec().
+                warm_group_kernels(pipe, grouping.groups, self.options)
                 self.no_fusion_grouping = singleton_grouping(pipe)
                 self.pools = PoolGroup(self.config.pool_cap_bytes)
                 self.executor = shared_executor(self.config.threads)
@@ -324,19 +323,10 @@ class PipelineHost:
             self.no_fusion_grouping if tname == "no-fusion"
             else self.grouping
         )
-        compile_kernels = (
-            self.config.compile_kernels if tname == "compiled" else False
-        )
         policy = GuardPolicy(
             tile_retries=self.config.tile_retries,
             degrade=True,
-            compile_kernels=compile_kernels,
-            fuse_kernels=(
-                self.config.fuse_kernels if tname == "compiled" else False
-            ),
-            halo_reuse=(
-                self.config.halo_reuse if tname == "compiled" else False
-            ),
+            options=self.options if tname == "compiled" else _INTERPRETED,
         )
         try:
             report = execute_guarded(

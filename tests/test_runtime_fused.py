@@ -1,28 +1,40 @@
-"""Fused-group kernel tests: the fused tier (one generated kernel per
-group) must be bit-identical to the per-stage kernels and the reference
-interpreter for every benchmark pipeline, at awkward extents, and under
-100% fault injection; fusion failure must degrade to per-stage kernels
-with exactly one ``KERNEL_FUSE_FAIL`` warning."""
+"""Fused-group kernel tests: generated fused source (one kernel per
+group) must be bit-identical to the stage-walking adapter over compiled
+stage kernels and over the interpreter for every benchmark pipeline, at
+awkward extents, and under 100% fault injection; fusion failure must
+degrade to per-stage kernels with exactly one ``KERNEL_FUSE_FAIL``
+warning; and all three kernel sources obey one protocol."""
 
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.errors import is_retryable
 from repro.fusion import manual_grouping
 from repro.pipelines import BENCHMARKS
 from repro.poly.alignscale import compute_group_geometry
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.runtime import (
+    Buffer,
+    BufferPool,
+    ExecOptions,
     KernelFuseWarning,
     clear_kernel_cache,
     execute_grouping,
     execute_reference,
-    fusion_enabled,
     get_group_kernel,
     warm_group_kernels,
 )
 from repro.runtime import kernelcache as kc_mod
+from repro.runtime.executor import (
+    _region_from_plan,
+    _stage_plan,
+    resolve_group_kernel,
+)
+
+NO_FUSE = ExecOptions(fuse=False)
+INTERPRETED = ExecOptions(compile=False)
 
 from conftest import build_blur, build_updown, random_inputs
 
@@ -38,9 +50,9 @@ def three_way(pipeline, grouping, inputs, nthreads=1):
     """(fused, per-stage, interpreter) outputs of one grouping."""
     fused = execute_grouping(pipeline, grouping, inputs, nthreads=nthreads)
     staged = execute_grouping(pipeline, grouping, inputs,
-                              nthreads=nthreads, fuse_kernels=False)
+                              nthreads=nthreads, options=NO_FUSE)
     interp = execute_grouping(pipeline, grouping, inputs,
-                              nthreads=nthreads, compile_kernels=False)
+                              nthreads=nthreads, options=INTERPRETED)
     return fused, staged, interp
 
 
@@ -117,12 +129,12 @@ def test_full_tile_faults_still_bit_identical(abbrev):
     inputs = random_inputs(pipe, np.random.default_rng(12))
     grouping = bench.h_manual(pipe)
     ref = execute_reference(pipe, inputs)
-    for fuse in (None, False):
+    for options in (ExecOptions(), NO_FUSE):
         with inject_faults(seed=9, tile=1.0):
             report = execute_guarded(
                 pipe, grouping, inputs, nthreads=2,
                 policy=GuardPolicy(tile_retries=1, degrade=True,
-                                   fuse_kernels=fuse),
+                                   options=options),
             )
         assert not any(o.mode == "tiled" for o in report.outcomes)
         assert_bit_identical(ref, report.outputs)
@@ -134,7 +146,7 @@ def test_retry_after_partial_faults_bit_identical():
     pipe = build_blur(rows=46, cols=62)
     inputs = random_inputs(pipe, np.random.default_rng(13))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    ref = execute_grouping(pipe, g, inputs, compile_kernels=False)
+    ref = execute_grouping(pipe, g, inputs, options=INTERPRETED)
     with inject_faults(seed=21, tile=0.5):
         out = execute_grouping(pipe, g, inputs, tile_retries=4)
     assert_bit_identical(ref, out)
@@ -153,7 +165,7 @@ def test_fuse_failure_degrades_to_per_stage_kernels(monkeypatch):
     pipe = build_blur(rows=46, cols=62)
     inputs = random_inputs(pipe, np.random.default_rng(6))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    ref = execute_grouping(pipe, g, inputs, compile_kernels=False)
+    ref = execute_grouping(pipe, g, inputs, options=INTERPRETED)
 
     def boom(pipeline, geom):
         raise kc_mod.KernelFuseError("synthetic failure", reason="error")
@@ -178,22 +190,128 @@ def test_fuse_failure_degrades_to_per_stage_kernels(monkeypatch):
     clear_kernel_cache()
 
 
-def test_no_fuse_knobs(monkeypatch):
-    """The three-way A/B: GuardPolicy/argument override beats the
-    REPRO_NO_FUSE env knob, which beats the on-by-default."""
-    monkeypatch.delenv("REPRO_NO_FUSE", raising=False)
-    assert fusion_enabled() is True
-    assert fusion_enabled(False) is False
-    monkeypatch.setenv("REPRO_NO_FUSE", "1")
-    assert fusion_enabled() is False
-    assert fusion_enabled(True) is True
+# ---------------------------------------------------------------------------
+# one kernel protocol
+# ---------------------------------------------------------------------------
 
-    pipe = build_blur(rows=46, cols=62)
-    inputs = random_inputs(pipe, np.random.default_rng(7))
-    g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    ref = execute_grouping(pipe, g, inputs, compile_kernels=False)
-    out = execute_grouping(pipe, g, inputs)  # env-disabled fusion
-    assert_bit_identical(ref, out)
+#: the three sources of a ``GroupKernel``
+SOURCES = {
+    "generated": ExecOptions(),
+    "stage-kernels": NO_FUSE,
+    "interpreted": INTERPRETED,
+}
+
+
+class _Tile:
+    """One group's kernel plus what the executor hands it per tile."""
+
+    def __init__(self, pipe, options, tiles):
+        self.pipe = pipe
+        self.tiles = tiles
+        self.geom = compute_group_geometry(pipe, pipe.stages)
+        self.kernel = resolve_group_kernel(pipe, self.geom, options)
+        radii = self.geom.expansion_radii()
+        self.plans = {
+            s.name: _stage_plan(self.geom, s, pipe, radii)
+            for s in self.geom.stages
+        }
+        self.inputs = random_inputs(pipe, np.random.default_rng(8))
+        self.reference = execute_reference(pipe, self.inputs, keep_all=True)
+
+    def buffers(self):
+        buffers = {
+            img.name: Buffer(
+                self.inputs[img.name],
+                (0,) * self.inputs[img.name].ndim,
+            )
+            for img in self.pipe.images
+        }
+        out_buffers = {
+            s.name: Buffer.for_region(
+                self.pipe.domain(s), s.scalar_type.np_dtype
+            )
+            for s in self.geom.liveouts
+        }
+        for buf in out_buffers.values():
+            buf.data.fill(-1)
+        return buffers, out_buffers
+
+    def bounds(self, names, tile_lo, expand):
+        return [
+            _region_from_plan(self.plans[n], tile_lo, self.tiles, expand)
+            for n in names
+        ]
+
+    def window(self, name, bounds):
+        """The reference values of ``name`` over ``bounds``."""
+        dom = self.pipe.domain(self.pipe.stage_by_name(name))
+        index = tuple(
+            slice(lo - d[0], hi - d[0] + 1)
+            for (lo, hi), d in zip(bounds, dom)
+        )
+        return self.reference[name][index]
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_group_kernel_protocol(source):
+    """Generated fused source, the adapter over stage kernels and the
+    adapter over the interpreter answer one call the same way: returned
+    buffers follow ``region_names``; a pure-carry slot (``regions[i] is
+    None`` + ``carries[i]``) skips the stage body and re-exposes the
+    window; live-outs still publish their base tile; a member whose
+    producer's region was empty raises the non-retryable ``KeyError``."""
+    clear_kernel_cache()
+    tile = _Tile(build_blur(rows=46, cols=62), SOURCES[source], (3, 16, 16))
+    kernel = tile.kernel
+    assert kernel.generated == (source == "generated")
+    assert kernel.liveout_names == ("blury",)
+    assert set(kernel.region_names) | set(kernel.inlined) == {
+        "blurx", "blury"
+    }
+    if not kernel.generated:
+        assert kernel.region_names == kernel.group_names
+        assert kernel.inlined == kernel.direct_stores == ()
+    x = kernel.region_names.index("blurx")
+    tile_lo = (0, 16, 16)
+    regions = tile.bounds(kernel.region_names, tile_lo, True)
+    bases = tile.bounds(kernel.liveout_names, tile_lo, False)
+    no_carries = (None,) * len(regions)
+    pool = BufferPool()
+
+    # a plain tile: one buffer per region slot, in region_names order,
+    # each holding the reference values of its window
+    buffers, out = tile.buffers()
+    results = kernel.fn(regions, bases, buffers, out, pool, no_carries)
+    assert len(results) == len(kernel.region_names)
+    for name, bounds, buf in zip(kernel.region_names, regions, results):
+        assert buf.origin == tuple(lo for lo, _ in bounds)
+        np.testing.assert_array_equal(buf.data, tile.window(name, bounds))
+    np.testing.assert_array_equal(
+        out["blury"].read_region(bases[0]), tile.window("blury", bases[0])
+    )
+    blurx_window = results[x].data.copy()
+
+    # pure carry of blurx: its body is skipped (the marked window comes
+    # back untouched and is what blury reads), the live-out still lands
+    marked = blurx_window + 1
+    called = list(regions)
+    called[x] = None
+    carries = list(no_carries)
+    carries[x] = (marked, results[x].origin)
+    buffers, out = tile.buffers()
+    carried = kernel.fn(called, bases, buffers, out, pool, carries)
+    assert carried[x].data is marked
+    np.testing.assert_array_equal(marked, blurx_window + 1)
+    published = out["blury"].read_region(bases[0])
+    assert not (published == -1).any()
+    assert not np.array_equal(published, tile.window("blury", bases[0]))
+
+    # an empty slot with no carry: the consumer finds no producer
+    buffers, out = tile.buffers()
+    with pytest.raises(KeyError) as exc_info:
+        kernel.fn(called, bases, buffers, out, pool, no_carries)
+    assert not is_retryable(exc_info.value)
+    assert (out["blury"].data == -1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +342,44 @@ def test_updown_inlines_fine():
     assert "fine" not in gk.region_names
 
 
+#: sha256[:16] over the generated source of every stage kernel, then of
+#: every fused kernel of the DP grouping, per benchmark at scale 0.1 —
+#: recorded before the three store epilogues became one emitter.
+SOURCE_HASHES = {
+    "BG": "d9e8ec3026471448",
+    "CP": "18bb4b6706280ed7",
+    "HC": "7ff764347b6eda0a",
+    "MI": "cd113c093899368a",
+    "PB": "90d3e7c8f2e3e6fb",
+    "UM": "f4bc653e57dee3ca",
+}
+
+
+@pytest.mark.parametrize("abbrev", sorted(SOURCE_HASHES))
+def test_generated_source_is_byte_identical(abbrev):
+    """The store epilogue has one emitter; what it emits for each
+    destination (caller ``out``, output-buffer view, pooled scratch) is
+    byte for byte what the three hand-written copies emitted."""
+    import hashlib
+
+    from repro.model.machine import XEON_HASWELL
+    from repro.planner import build_benchmark, plan_schedule
+    from repro.runtime import stage_kernels
+
+    bench, pipe = build_benchmark(abbrev, 0.1)
+    grouping, _ = plan_schedule(
+        pipe, bench, XEON_HASWELL, "dp", 1_200_000, strict=False
+    )
+    digest = hashlib.sha256()
+    kernels = stage_kernels(pipe)
+    for name in sorted(kernels):
+        digest.update(kernels[name].source.encode())
+    fused = warm_group_kernels(pipe, grouping.groups)
+    for key in sorted(fused, key=sorted):
+        digest.update(fused[key].source.encode())
+    assert digest.hexdigest()[:16] == SOURCE_HASHES[abbrev]
+
+
 def test_generated_source_is_inspectable():
     pipe = build_blur(rows=46, cols=62)
     gk = group_kernel_for(pipe, [s for s in pipe.stages])
@@ -243,26 +399,26 @@ def test_warm_group_kernels_compiles_multistage_groups():
     assert frozenset({"blurx", "blury"}) in {
         frozenset(k) for k in warmed
     }
-    assert warm_group_kernels(pipe, g.groups, fuse=False) == {}
-    assert warm_group_kernels(pipe, g.groups, enabled=False) == {}
+    assert warm_group_kernels(pipe, g.groups, NO_FUSE) == {}
+    assert warm_group_kernels(pipe, g.groups, INTERPRETED) == {}
 
 
-def test_host_fused_vs_unfused_bit_identical():
-    """A warm host with fusion on serves the same bits as one with
-    fusion off (per-stage kernels only)."""
+def test_host_fused_vs_unfused_bit_identical(monkeypatch):
+    """A warm host with fusion on serves the same bits as one warmed
+    under ``REPRO_NO_FUSE`` (per-stage kernels only)."""
     from repro.planner import make_inputs
     from repro.serve import HostConfig
     from repro.serve.host import PipelineHost
 
     inputs = None
     outs = {}
-    for fuse in (None, False):
-        host = PipelineHost("UM", HostConfig(
-            scale=0.05, threads=2, fuse_kernels=fuse,
-        )).warm()
+    for fuse in (True, False):
+        monkeypatch.setenv("REPRO_NO_FUSE", "0" if fuse else "1")
+        host = PipelineHost("UM", HostConfig(scale=0.05, threads=2)).warm()
+        assert host.options == ExecOptions(fuse=fuse)
         if inputs is None:
             inputs = make_inputs(host.pipeline, 123)
         outputs, report, tier = host.execute(inputs)
         assert tier == "compiled"
         outs[fuse] = outputs
-    assert_bit_identical(outs[False], outs[None])
+    assert_bit_identical(outs[False], outs[True])

@@ -9,7 +9,9 @@ reference executor the usual float tolerance applies (tiling reorders
 float reductions).
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -31,9 +33,9 @@ from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.runtime import (
     Buffer,
     BufferPool,
+    ExecOptions,
     KernelCompileWarning,
     clear_kernel_cache,
-    compilation_enabled,
     execute_grouping,
     execute_reference,
     stage_kernels,
@@ -44,14 +46,17 @@ from repro.runtime.kernelcache import get_kernel
 
 from conftest import build_blur, build_updown, build_histogram, random_inputs
 
+COMPILED = ExecOptions()
+INTERPRETED = ExecOptions(compile=False)
+
 
 def _both_modes(pipeline, grouping, inputs, nthreads=1):
     clear_kernel_cache()
     compiled = execute_grouping(
-        pipeline, grouping, inputs, nthreads=nthreads, compile_kernels=True
+        pipeline, grouping, inputs, nthreads=nthreads, options=COMPILED
     )
     interpreted = execute_grouping(
-        pipeline, grouping, inputs, nthreads=nthreads, compile_kernels=False
+        pipeline, grouping, inputs, nthreads=nthreads, options=INTERPRETED
     )
     return compiled, interpreted
 
@@ -83,7 +88,7 @@ class TestKernelEquivalence:
         inputs = random_inputs(pipe, rng)
         clear_kernel_cache()
         compiled = execute_grouping(
-            pipe, grouping, inputs, compile_kernels=True
+            pipe, grouping, inputs, options=COMPILED
         )
         ref = execute_reference(pipe, inputs)
         for name in compiled:
@@ -191,7 +196,7 @@ class TestResilienceComposition:
             report = execute_guarded(
                 pipe, g, inputs,
                 policy=GuardPolicy(
-                    tile_retries=1, degrade=True, compile_kernels=True
+                    tile_retries=1, degrade=True, options=COMPILED
                 ),
             )
         assert report.degraded
@@ -210,7 +215,7 @@ class TestResilienceComposition:
             report = execute_guarded(
                 pipe, g, inputs,
                 policy=GuardPolicy(
-                    tile_retries=0, degrade=True, compile_kernels=True
+                    tile_retries=0, degrade=True, options=COMPILED
                 ),
             )
         for name in ref:
@@ -224,34 +229,92 @@ class TestResilienceComposition:
         clear_kernel_cache()
         with inject_faults(seed=5, tile=0.3):
             compiled = execute_grouping(
-                pipe, g, inputs, tile_retries=4, compile_kernels=True
+                pipe, g, inputs, tile_retries=4, options=COMPILED
             )
         with inject_faults(seed=5, tile=0.3):
             interpreted = execute_grouping(
-                pipe, g, inputs, tile_retries=4, compile_kernels=False
+                pipe, g, inputs, tile_retries=4, options=INTERPRETED
             )
         _assert_bit_identical(compiled, interpreted)
 
 
 class TestKnobsAndCache:
-    def test_env_knob_disables_compilation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_COMPILE", raising=False)
-        assert compilation_enabled() is True
-        for val in ("1", "true", "YES", "on"):
-            monkeypatch.setenv("REPRO_NO_COMPILE", val)
-            assert compilation_enabled() is False
-        monkeypatch.setenv("REPRO_NO_COMPILE", "0")
-        assert compilation_enabled() is True
-        # Explicit override beats the environment.
-        monkeypatch.setenv("REPRO_NO_COMPILE", "1")
-        assert compilation_enabled(True) is True
-        assert compilation_enabled(False) is False
+    @pytest.mark.parametrize("reuse", [True, False])
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("compile_", [True, False])
+    def test_exec_options_resolution(
+        self, compile_, fuse, reuse, blur_pipeline, rng, monkeypatch
+    ):
+        """A ``--no-*`` flag beats its ``REPRO_NO_*`` variable beats the
+        on-by-default, independently per switch, for all eight outcomes;
+        whatever is resolved runs to the reference bits."""
+        want = ExecOptions(compile=compile_, fuse=fuse, reuse=reuse)
+        variables = {
+            "REPRO_NO_COMPILE": compile_, "REPRO_NO_FUSE": fuse,
+            "REPRO_NO_REUSE": reuse,
+        }
+        flags = [not on for on in variables.values()]
+        for var in variables:
+            monkeypatch.delenv(var, raising=False)
+        assert ExecOptions.resolve() == ExecOptions(True, True, True)
+        assert ExecOptions.resolve(*flags) == want
+        # a falsy spelling leaves the switch on; flags still decide
+        for var in variables:
+            monkeypatch.setenv(var, "0")
+        assert ExecOptions.resolve(*flags) == want
+        for spelling in ("1", "true", "YES", " on "):
+            for var, on in variables.items():
+                if on:
+                    monkeypatch.delenv(var, raising=False)
+                else:
+                    monkeypatch.setenv(var, spelling)
+            assert ExecOptions.resolve() == want
+            assert GuardPolicy().options == want
+        # the flag turns a switch off whatever the variable says, and no
+        # flag can turn back on what the variable turned off
+        for var in variables:
+            monkeypatch.setenv(var, "1")
+        assert ExecOptions.resolve() == ExecOptions(False, False, False)
+        for var in variables:
+            monkeypatch.setenv(var, "0")
+        assert ExecOptions.resolve(True, True, True) == ExecOptions(
+            False, False, False
+        )
 
-    def test_stage_kernels_empty_when_disabled(self, blur_pipeline):
+        # a bare execute_grouping resolves the same way, and the result
+        # (fuse without compile included) runs interpreted-or-better to
+        # the same bits
+        for var, on in variables.items():
+            monkeypatch.setenv(var, "0" if on else "1")
+        g = manual_grouping(
+            blur_pipeline, [["blurx", "blury"]], [[3, 16, 16]]
+        )
+        inputs = random_inputs(blur_pipeline, rng)
+        ref = execute_reference(blur_pipeline, inputs)
         clear_kernel_cache()
-        assert stage_kernels(blur_pipeline, enabled=False) == {}
-        kernels = stage_kernels(blur_pipeline, enabled=True)
-        assert set(kernels) == {"blurx", "blury"}
+        seen = []
+        real = kernelcache.get_kernel
+        monkeypatch.setattr(
+            kernelcache, "get_kernel",
+            lambda *a: seen.append(a) or real(*a),
+        )
+        bare = execute_grouping(blur_pipeline, g, inputs, nthreads=2)
+        explicit = execute_grouping(
+            blur_pipeline, g, inputs, nthreads=2, options=want
+        )
+        _assert_bit_identical(bare, explicit)
+        _assert_bit_identical(bare, ref)
+        # without ``compile`` nothing is compiled, whatever ``fuse`` says
+        assert bool(seen) == (compile_ and not fuse)
+
+    def test_stage_kernels_compiles_every_function_stage(
+        self, blur_pipeline, histogram_pipeline
+    ):
+        clear_kernel_cache()
+        assert set(stage_kernels(blur_pipeline)) == {"blurx", "blury"}
+        norm = histogram_pipeline.stage_by_name("norm")
+        assert set(stage_kernels(histogram_pipeline)) == {"norm"}
+        assert set(stage_kernels(histogram_pipeline, [norm])) == {"norm"}
 
     def test_env_knob_flows_through_executor(
         self, blur_pipeline, rng, monkeypatch
@@ -262,9 +325,14 @@ class TestKnobsAndCache:
         inputs = random_inputs(blur_pipeline, rng)
         monkeypatch.setenv("REPRO_NO_COMPILE", "1")
         clear_kernel_cache()
+        seen = []
+        monkeypatch.setattr(
+            kernelcache, "get_kernel", lambda *a: seen.append(a)
+        )
         out = execute_grouping(blur_pipeline, g, inputs)
+        assert not seen
         ref = execute_grouping(
-            blur_pipeline, g, inputs, compile_kernels=False
+            blur_pipeline, g, inputs, options=INTERPRETED
         )
         _assert_bit_identical(out, ref)
 
@@ -276,6 +344,21 @@ class TestKnobsAndCache:
         clear_kernel_cache()
         k3 = get_kernel(blur_pipeline, blur_pipeline.stages[0])
         assert k3 is not k1
+
+    @pytest.mark.parametrize("options", [
+        COMPILED, ExecOptions(fuse=False), INTERPRETED,
+    ])
+    def test_memoised_kernels_do_not_pin_the_pipeline(self, options, rng):
+        """Every kernel memo is weakly keyed by the pipeline, and nothing
+        it holds — the stage-walking adapter included — keeps the key
+        alive: dropping the pipeline frees it."""
+        pipe = build_blur(rows=30, cols=30)
+        g = manual_grouping(pipe, [["blurx", "blury"]], [[2, 12, 12]])
+        execute_grouping(pipe, g, random_inputs(pipe, rng), options=options)
+        alive = weakref.ref(pipe)
+        del pipe, g
+        gc.collect()
+        assert alive() is None
 
     def test_reductions_skip_silently(self, histogram_pipeline):
         clear_kernel_cache()
@@ -307,10 +390,10 @@ class TestKnobsAndCache:
             # blury's (also-failing) first compile warns here; expected.
             warnings.simplefilter("ignore", KernelCompileWarning)
             out = execute_grouping(
-                blur_pipeline, g, inputs, compile_kernels=True
+                blur_pipeline, g, inputs, options=COMPILED
             )
         ref = execute_grouping(
-            blur_pipeline, g, inputs, compile_kernels=False
+            blur_pipeline, g, inputs, options=INTERPRETED
         )
         _assert_bit_identical(out, ref)
         clear_kernel_cache()

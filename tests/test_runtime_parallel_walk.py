@@ -8,8 +8,8 @@ at least as many rows as workers.  Pinned here without clocks:
   computes does not grow with the number of chunks, and grows by at most
   one tile's worth per extra run when rows have to be cut;
 * **bit identity where the change bites** — six benchmarks x threads x
-  reuse x tier on grids of one, two and three carry rows, against
-  ``execute_reference``; a tile failing in the middle of a run re-seeds
+  all eight ``ExecOptions`` on grids of one, two and three carry rows,
+  against ``execute_reference``; a tile failing in the middle of a run re-seeds
   to that run's end, not the grid row's; the serve host at ``threads=2``
   in-process and across the worker boundary.
 """
@@ -31,7 +31,7 @@ from repro.planner import build_benchmark, make_inputs, output_digests, plan_sch
 from repro.poly import compute_group_geometry, reuse_carry_dim
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.resilience.faults import FaultInjector
-from repro.runtime import execute_grouping, execute_reference
+from repro.runtime import ExecOptions, execute_grouping, execute_reference
 from repro.runtime import executor as executor_mod
 from repro.runtime.executor import _stage_plan, _stage_region
 from repro.serve import HostConfig, PipelineHost, PipelineService, ServeConfig
@@ -39,12 +39,15 @@ from repro.serve import HostConfig, PipelineHost, PipelineService, ServeConfig
 from conftest import build_blur, random_inputs
 
 THREADS = (1, 2, 4)
-#: (compile_kernels, fuse_kernels) per execution tier
+#: one ``ExecOptions`` per source of group kernels
 TIERS = {
-    "fused": (None, None),
-    "no-fuse": (None, False),
-    "no-compile": (False, None),
+    "fused": ExecOptions(),
+    "no-fuse": ExecOptions(fuse=False),
+    "no-compile": ExecOptions(compile=False),
 }
+ALL_OPTIONS = [
+    ExecOptions(*bits) for bits in itertools.product((True, False), repeat=3)
+]
 
 
 def shaped(pipe, grouping, rows, step=7):
@@ -113,38 +116,38 @@ def _volume(bounds):
 
 class ComputedRegions:
     """Records every region the executor hands to a stage body — the
-    per-stage / interpreter tiers through ``_compute_function_region``,
-    the fused tier through the group kernel's ``regions`` argument
-    (``None`` entries are pure carries: nothing computed)."""
+    stage-walking adapter's through ``_compute_function_region``, a
+    generated fused kernel's through its ``regions`` argument (``None``
+    entries are pure carries: nothing computed)."""
 
     def __init__(self, monkeypatch):
         self.regions = []  # appended from worker threads; append is atomic
         real_region = executor_mod._compute_function_region
-        real_get = executor_mod.get_group_kernel
+        real_resolve = executor_mod.resolve_group_kernel
 
         def region(pipeline, stage, bounds, *args, **kwargs):
             self.regions.append((stage.name, [tuple(b) for b in bounds]))
             return real_region(pipeline, stage, bounds, *args, **kwargs)
 
-        def get(pipeline, geom):
-            kernel = real_get(pipeline, geom)
-            if kernel is None:
-                return None
+        def resolve(pipeline, geom, options):
+            kernel = real_resolve(pipeline, geom, options)
+            if not kernel.generated:
+                return kernel
 
-            def fn(regions, *args, **kwargs):
+            def fn(regions, *args):
                 for name, bounds in zip(kernel.region_names, regions):
                     if bounds is not None:
                         self.regions.append(
                             (name, [tuple(b) for b in bounds])
                         )
-                return kernel.fn(regions, *args, **kwargs)
+                return kernel.fn(regions, *args)
 
             return dataclasses.replace(kernel, fn=fn)
 
         monkeypatch.setattr(
             executor_mod, "_compute_function_region", region
         )
-        monkeypatch.setattr(executor_mod, "get_group_kernel", get)
+        monkeypatch.setattr(executor_mod, "resolve_group_kernel", resolve)
 
     def take(self):
         regions, self.regions = self.regions, []
@@ -168,7 +171,6 @@ def test_work_is_conserved_across_thread_counts(abbrev, tier, monkeypatch):
     bench = BENCHMARKS[abbrev]
     pipe = bench.build(**bench.small_kwargs)
     inputs = random_inputs(pipe, np.random.default_rng(41))
-    compile_kernels, fuse = TIERS[tier]
     work = ComputedRegions(monkeypatch)
     seen_rows = set()
     for rows in (1, 2, 3):
@@ -178,8 +180,7 @@ def test_work_is_conserved_across_thread_counts(abbrev, tier, monkeypatch):
         volumes = {}
         for n in THREADS:
             execute_grouping(
-                pipe, grouping, inputs, nthreads=n,
-                compile_kernels=compile_kernels, fuse_kernels=fuse,
+                pipe, grouping, inputs, nthreads=n, options=TIERS[tier],
             )
             volumes[n] = work.volume()
         for n in THREADS[1:]:
@@ -275,22 +276,20 @@ def test_carry_dim_rule_matches_region_plans_on_synth_dags(seed):
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_benchmarks_match_reference_on_few_row_grids(abbrev, rows):
-    """Every tier, with and without reuse, at 1, 2 and 4 threads, on
-    awkward tiles whose grids have ``rows`` carry rows — the grids where
-    rows are cut (``rows < nthreads``) and where they are not."""
+    """All eight ``ExecOptions`` at 1, 2 and 4 threads, on awkward tiles
+    whose grids have ``rows`` carry rows — the grids where rows are cut
+    (``rows < nthreads``) and where they are not."""
     bench = BENCHMARKS[abbrev]
     pipe = bench.build(**bench.small_kwargs)
     inputs = random_inputs(pipe, np.random.default_rng(43))
     grouping = shaped(pipe, bench.h_manual(pipe), rows, step=11)
     expected = output_digests(execute_reference(pipe, inputs))
     for n in THREADS:
-        for reuse in (True, False):
-            for tier, (compile_kernels, fuse) in TIERS.items():
-                out = execute_grouping(
-                    pipe, grouping, inputs, nthreads=n, halo_reuse=reuse,
-                    compile_kernels=compile_kernels, fuse_kernels=fuse,
-                )
-                assert output_digests(out) == expected, (n, reuse, tier)
+        for options in ALL_OPTIONS:
+            out = execute_grouping(
+                pipe, grouping, inputs, nthreads=n, options=options,
+            )
+            assert output_digests(out) == expected, (n, options)
 
 
 @pytest.mark.parametrize("abbrev", ["CP", "HC"])
@@ -353,12 +352,11 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
         )
         return region[cdim]
 
-    compile_kernels, fuse = TIERS[tier]
     work = ComputedRegions(monkeypatch)
     with inject_faults(_FailFirstAttempt({"g0t3a0"})):
         out = execute_grouping(
             pipe, g, inputs, nthreads=2, tile_retries=1,
-            compile_kernels=compile_kernels, fuse_kernels=fuse,
+            options=TIERS[tier],
         )
     windows = sorted(
         b[cdim] for name, b in work.take() if name == "blurx"

@@ -1,8 +1,7 @@
 """Inter-tile halo reuse tests: carrying a stage's computed row window
 across adjacent tiles must be bit-identical to the full per-tile
-recompute on every tier (fused kernels, per-stage kernels, interpreter),
-survive fault injection without ever consuming poisoned scratch, and obey
-the knob ladder."""
+recompute on generated fused kernels and on the stage-walking adapter,
+and survive fault injection without ever consuming poisoned scratch."""
 
 import dataclasses
 
@@ -15,7 +14,7 @@ from repro.obs import METRICS
 from repro.pipelines import BENCHMARKS
 from repro.planner import build_benchmark, make_inputs, output_digests, plan_schedule
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
-from repro.runtime import execute_grouping, halo_reuse_enabled
+from repro.runtime import ExecOptions, execute_grouping
 from repro.serve import HostConfig, PipelineHost
 
 from conftest import build_blur, build_updown, random_inputs
@@ -24,6 +23,9 @@ from conftest import build_blur, build_updown, random_inputs
 #: regime where carried windows actually engage (mirrors the benchmark
 #: harness's MAX_TILE).
 MAX_TILE = 32
+
+REUSE = ExecOptions()
+NO_REUSE = ExecOptions(reuse=False)
 
 
 def clamped(bench, pipe):
@@ -54,11 +56,14 @@ def test_benchmarks_bit_identical_reuse(abbrev):
     pipe = bench.build(**bench.small_kwargs)
     inputs = random_inputs(pipe, np.random.default_rng(31))
     grouping = clamped(bench, pipe)
-    for fuse in (None, False):
-        off = execute_grouping(pipe, grouping, inputs,
-                               fuse_kernels=fuse, halo_reuse=False)
-        on = execute_grouping(pipe, grouping, inputs,
-                              fuse_kernels=fuse, halo_reuse=True)
+    for fuse in (True, False):
+        off = execute_grouping(
+            pipe, grouping, inputs,
+            options=ExecOptions(fuse=fuse, reuse=False),
+        )
+        on = execute_grouping(
+            pipe, grouping, inputs, options=ExecOptions(fuse=fuse),
+        )
         assert_bit_identical(off, on)
 
 
@@ -75,7 +80,7 @@ def test_reuse_engages_and_counts(monkeypatch):
         assert METRICS.value("repro_halo_reuse_tiles_total") > 0
         assert METRICS.value("repro_halo_reuse_saved_points_total") > 0
         METRICS.reset(enabled=True)
-        execute_grouping(pipe, g, inputs, halo_reuse=False)
+        execute_grouping(pipe, g, inputs, options=NO_REUSE)
         assert METRICS.value("repro_halo_reuse_tiles_total") is None
     finally:
         METRICS.reset(enabled=False)
@@ -87,8 +92,8 @@ def test_parallel_reuse_bit_identical():
     pipe = build_blur(rows=96, cols=96)
     inputs = random_inputs(pipe, np.random.default_rng(33))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[2, 13, 17]])
-    off = execute_grouping(pipe, g, inputs, halo_reuse=False)
-    on = execute_grouping(pipe, g, inputs, halo_reuse=True, nthreads=4)
+    off = execute_grouping(pipe, g, inputs, options=NO_REUSE)
+    on = execute_grouping(pipe, g, inputs, options=REUSE, nthreads=4)
     assert_bit_identical(off, on)
 
 
@@ -100,8 +105,8 @@ def test_awkward_tiles_bit_identical(tiles):
     pipe = build_blur(rows=46, cols=62)
     inputs = random_inputs(pipe, np.random.default_rng(34))
     g = manual_grouping(pipe, [["blurx", "blury"]], [tiles])
-    off = execute_grouping(pipe, g, inputs, halo_reuse=False)
-    on = execute_grouping(pipe, g, inputs, halo_reuse=True)
+    off = execute_grouping(pipe, g, inputs, options=NO_REUSE)
+    on = execute_grouping(pipe, g, inputs, options=REUSE)
     assert_bit_identical(off, on)
 
 
@@ -112,8 +117,8 @@ def test_scaled_chain_bit_identical(t):
     pipe = build_updown(n=120)
     inputs = random_inputs(pipe, np.random.default_rng(35))
     g = manual_grouping(pipe, [["fine", "down", "up"]], [[t]])
-    off = execute_grouping(pipe, g, inputs, halo_reuse=False)
-    on = execute_grouping(pipe, g, inputs, halo_reuse=True)
+    off = execute_grouping(pipe, g, inputs, options=NO_REUSE)
+    on = execute_grouping(pipe, g, inputs, options=REUSE)
     assert_bit_identical(off, on)
 
 
@@ -136,7 +141,7 @@ def test_full_tile_faults_bit_identical(abbrev):
             report = execute_guarded(
                 pipe, grouping, inputs, nthreads=2,
                 policy=GuardPolicy(tile_retries=1, degrade=True,
-                                   halo_reuse=reuse),
+                                   options=ExecOptions(reuse=reuse)),
             )
         assert not any(o.mode == "tiled" for o in report.outcomes)
         outs[reuse] = report.outputs
@@ -150,12 +155,12 @@ def test_retry_never_consumes_poisoned_carry():
     pipe = build_blur(rows=96, cols=96)
     inputs = random_inputs(pipe, np.random.default_rng(37))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    ref = execute_grouping(pipe, g, inputs, halo_reuse=False)
+    ref = execute_grouping(pipe, g, inputs, options=NO_REUSE)
     METRICS.reset(enabled=True)
     try:
         with inject_faults(seed=21, tile=0.5):
             out = execute_grouping(pipe, g, inputs, tile_retries=6,
-                                   halo_reuse=True)
+                                   options=REUSE)
         invalidations = METRICS.value(
             "repro_halo_reuse_invalidations_total"
         )
@@ -168,41 +173,13 @@ def test_retry_never_consumes_poisoned_carry():
 
 
 # ---------------------------------------------------------------------------
-# knob ladder
-# ---------------------------------------------------------------------------
-
-
-def test_reuse_knobs(monkeypatch):
-    """Argument/GuardPolicy override beats the REPRO_NO_REUSE env knob,
-    which beats the on-by-default."""
-    monkeypatch.delenv("REPRO_NO_REUSE", raising=False)
-    assert halo_reuse_enabled() is True
-    assert halo_reuse_enabled(False) is False
-    monkeypatch.setenv("REPRO_NO_REUSE", "1")
-    assert halo_reuse_enabled() is False
-    assert halo_reuse_enabled(True) is True
-    monkeypatch.setenv("REPRO_NO_REUSE", "off")
-    assert halo_reuse_enabled() is True
-
-    # env-disabled reuse still executes correctly
-    monkeypatch.setenv("REPRO_NO_REUSE", "1")
-    pipe = build_blur(rows=46, cols=62)
-    inputs = random_inputs(pipe, np.random.default_rng(38))
-    g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    out = execute_grouping(pipe, g, inputs)
-    monkeypatch.delenv("REPRO_NO_REUSE")
-    ref = execute_grouping(pipe, g, inputs, halo_reuse=False)
-    assert_bit_identical(ref, out)
-
-
-# ---------------------------------------------------------------------------
 # serve-layer parity
 # ---------------------------------------------------------------------------
 
 
-def test_serve_host_reuse_parity():
+def test_serve_host_reuse_parity(monkeypatch):
     """A warm host serving with halo reuse produces the same digests as
-    one serving without it and as the one-shot CLI path."""
+    one warmed under ``REPRO_NO_REUSE`` and as the one-shot CLI path."""
     scale, threads = 0.05, 2
     bench, pipe = build_benchmark("UM", scale)
     grouping, _ = plan_schedule(pipe, bench, XEON_HASWELL, "dp",
@@ -212,12 +189,11 @@ def test_serve_host_reuse_parity():
         policy=GuardPolicy(tile_retries=1, degrade=True),
     )
     expected = output_digests(report.outputs)
-    for reuse in (None, False):
-        host = PipelineHost(
-            "UM", HostConfig(scale=scale, threads=threads,
-                             halo_reuse=reuse),
-        )
+    for reuse in (True, False):
+        monkeypatch.setenv("REPRO_NO_REUSE", "0" if reuse else "1")
+        host = PipelineHost("UM", HostConfig(scale=scale, threads=threads))
         host.warm()
+        assert host.options == ExecOptions(reuse=reuse)
         outputs, _, tier = host.execute(make_inputs(host.pipeline, 0))
         assert tier == "compiled"
         assert output_digests(outputs) == expected

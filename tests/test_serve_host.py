@@ -2,6 +2,7 @@
 one-shot execution, micro-batch coalescing, the deterministic overload
 contract, graceful drain, and the degradation ladder."""
 
+import os
 import threading
 import time
 
@@ -22,6 +23,8 @@ from repro.planner import (
     plan_schedule,
 )
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
+from repro.runtime import execute_reference, kernelcache
+from repro.runtime import executor as executor_mod
 from repro.serve import (
     HostConfig,
     PipelineHost,
@@ -308,3 +311,69 @@ class TestHostLifecycle:
         assert health["hosts"]["UM"]["tier"] == "compiled"
         assert health["hosts"]["UM"]["requests"] == 1
         assert health["hosts"]["UM"]["pool"]["pools"] >= 1
+
+
+class _NoReproEnviron:
+    """``os.environ`` stand-in: any ``REPRO_*`` read raises."""
+
+    def __init__(self, real):
+        self._real = real
+
+    def _check(self, key):
+        if str(key).startswith("REPRO_"):
+            raise AssertionError(f"os.environ[{key!r}] read on a warm path")
+
+    def get(self, key, default=None):
+        self._check(key)
+        return self._real.get(key, default)
+
+    def __getitem__(self, key):
+        self._check(key)
+        return self._real[key]
+
+    def __contains__(self, key):
+        self._check(key)
+        return key in self._real
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+class TestWarmPath:
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("key", ["BG", "CP"])
+    def test_warm_request_resolves_nothing(self, key, workers, monkeypatch):
+        """After warm-up a request compiles nothing, looks no kernel up
+        (``get_kernel`` / ``get_group_kernel`` raise) and reads no
+        ``REPRO_*`` variable (``os.environ`` raises) — in process, and in
+        a worker forked with the traps armed.  A trap that fired would
+        degrade the request or fail it."""
+        seed = 2
+        _, pipe = build_benchmark(key, SCALE)
+        expected = output_digests(
+            execute_reference(pipe, make_inputs(pipe, seed))
+        )
+        svc = PipelineService(small_config(
+            workers=workers, heartbeat_s=0.2, worker_timeout_s=60.0,
+        )).start()
+        try:
+            svc.warm([key])
+
+            def trap(*args, **kwargs):
+                raise AssertionError("kernel lookup on a warm path")
+
+            monkeypatch.setattr(kernelcache, "get_kernel", trap)
+            monkeypatch.setattr(executor_mod, "get_kernel", trap)
+            monkeypatch.setattr(executor_mod, "get_group_kernel", trap)
+            monkeypatch.setattr(os, "environ", _NoReproEnviron(os.environ))
+            if workers:
+                svc.start_workers()
+            for _ in range(3):
+                result = svc.submit(key, seed=seed).result(timeout=120)
+                assert (result.worker is not None) == bool(workers)
+                assert result.tier == "compiled"
+                assert not result.degraded
+                assert output_digests(result.outputs) == expected
+        finally:
+            monkeypatch.undo()
+            svc.shutdown(timeout_s=60.0)
