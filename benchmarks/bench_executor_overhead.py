@@ -12,9 +12,11 @@ kernels, fused per-group kernels, and fused kernels plus inter-tile halo
 reuse — on one thread.  Reported per
 pipeline: total wall time, tile count, per-tile microseconds for all four
 modes, the compiled-vs-interpreted, fused-vs-per-stage and
-reuse-vs-fused speedups, and the model-predicted
+reuse-vs-fused speedups, the model-predicted
 ``overlap_recompute_fraction`` (the redundant-work share reuse can
-claim).  The per-stage compiled path is then re-run at each ``--threads``
+claim), and — for the ``reuse`` mode, which walks *steps* of several
+adjacent tiles per kernel call — ``steps`` and ``reuse_us_per_step``
+beside ``tiles`` and ``reuse_us_per_tile``.  The per-stage compiled path is then re-run at each ``--threads``
 count (default 1/2/4) to record the chunked tile scheduler's parallel
 scaling and efficiency.
 
@@ -22,8 +24,10 @@ Results land in ``BENCH_executor.json`` (see ``--output``) — the repo's
 executor-performance trajectory, stamped with the machine's
 ``cpu_count``.  ``--check`` exits nonzero when compiled execution is
 slower than interpreted, fused is slower than per-stage, halo reuse is
-slower than fused (per pipeline or by geomean), or any output
-mismatches — which is how CI smoke-tests the fast path.
+slower than fused (per pipeline or by geomean), any output
+mismatches, the ``reuse`` mode ran more steps than tiles, or the
+``fused`` (no-reuse) mode did not run exactly one step per tile — which
+is how CI smoke-tests the fast path.
 
 Usage::
 
@@ -45,6 +49,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.fusion.grouping import Grouping
+from repro.obs import METRICS
 from repro.pipelines import BENCHMARKS
 from repro.poly.alignscale import compute_group_geometry
 from repro.runtime import (
@@ -95,6 +100,22 @@ def _count_tiles(pipe, grouping: Grouping) -> int:
             n *= -(-(hi - lo + 1) // t)
         total += n
     return total
+
+
+def _count_steps(pipe, grouping: Grouping, inputs, options: ExecOptions,
+                 n_tiles: int) -> int:
+    """Kernel calls of one execution under ``options``: ``n_tiles`` with
+    the tiled groups' tiles replaced by the steps the executor says it
+    ran (``repro_tile_steps_total`` — the counter operators read)."""
+    METRICS.reset(enabled=True)
+    try:
+        execute_grouping(pipe, grouping, inputs, options=options)
+        return n_tiles - int(
+            (METRICS.value("repro_tiles_total") or 0)
+            - (METRICS.value("repro_tile_steps_total") or 0)
+        )
+    finally:
+        METRICS.reset(enabled=False)
 
 
 def _inputs(pipe, seed: int = 0) -> Dict[str, np.ndarray]:
@@ -232,11 +253,18 @@ def run(abbrevs: List[str], repeats: int,
             np.array_equal(out_f[k], out_r[k]) for k in out_f
         )
         reuse_speedup = t_fused_ab / t_reuse
+        n_steps = _count_steps(
+            pipe, grouping, inputs, MODES["reuse"], n_tiles
+        )
         rec = {
             "pipeline": ab,
             "name": bench.name,
             "stages": len(pipe.stages),
             "tiles": n_tiles,
+            "steps": n_steps,
+            "no_reuse_steps": _count_steps(
+                pipe, grouping, inputs, MODES["fused"], n_tiles
+            ),
             "fused_groups": n_fused,
             "interpreted_s": round(t_interp, 6),
             "compiled_s": round(t_compiled, 6),
@@ -246,6 +274,7 @@ def run(abbrevs: List[str], repeats: int,
             "compiled_us_per_tile": round(t_compiled / n_tiles * 1e6, 2),
             "fused_us_per_tile": round(t_fused / n_tiles * 1e6, 2),
             "reuse_us_per_tile": round(t_reuse / n_tiles * 1e6, 2),
+            "reuse_us_per_step": round(t_reuse / n_steps * 1e6, 2),
             "speedup": round(t_interp / t_compiled, 3),
             "fused_speedup": round(t_compiled / t_fused, 3),
             "reuse_speedup": round(reuse_speedup, 3),
@@ -264,7 +293,8 @@ def run(abbrevs: List[str], repeats: int,
             f"interp {rec['interpreted_us_per_tile']:>8.1f} us/tile  "
             f"compiled {rec['compiled_us_per_tile']:>8.1f} us/tile  "
             f"fused {rec['fused_us_per_tile']:>8.1f} us/tile  "
-            f"reuse {rec['reuse_us_per_tile']:>8.1f} us/tile  "
+            f"reuse {rec['reuse_us_per_tile']:>8.1f} us/tile "
+            f"({n_steps} steps, {rec['reuse_us_per_step']:.1f} us/step)  "
             f"speedup {rec['speedup']:>6.2f}x  "
             f"fused {rec['fused_speedup']:>5.2f}x  "
             f"reuse {rec['reuse_speedup']:>5.2f}x  "
@@ -289,7 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="exit 1 if compiled is slower than interpreted anywhere, "
-             "or any output mismatches",
+             "any output mismatches, or the step counts are off",
     )
     args = parser.parse_args(argv)
 
@@ -304,7 +334,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     payload = {
         "benchmark": "executor_overhead",
         "description": "interpreted vs per-stage vs fused vs fused+halo-"
-                       "reuse per-tile cost (1 thread) plus a "
+                       "reuse per-tile (and, for reuse, per-step) cost "
+                       "(1 thread) plus a "
                        "compiled-path thread-scaling sweep, H-manual "
                        f"grouping with tiles clamped to {MAX_TILE}",
         "max_tile": MAX_TILE,
@@ -331,16 +362,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             or (r["fused_groups"] and r["fused_speedup"] < 1.0)
             or r["reuse_speedup"] < 1.0
             or not r["outputs_match"]
+            or r["steps"] > r["tiles"]
+            or r["no_reuse_steps"] != r["tiles"]
         ]
         if bad or reuse_geomean <= 1.0:
             print(f"FAIL: compiled slower than interpreted, fused slower "
                   f"than per-stage, reuse slower than fused "
-                  f"(geomean {reuse_geomean:.3f}x), or outputs "
-                  f"mismatched on {bad}")
+                  f"(geomean {reuse_geomean:.3f}x), outputs mismatched, "
+                  f"or steps > tiles / no-reuse steps != tiles on {bad}")
             return 1
-        print("PASS: compiled >= interpreted, fused >= per-stage and "
-              "reuse >= fused on all measured pipelines "
-              f"(reuse geomean {reuse_geomean:.2f}x)")
+        print("PASS: compiled >= interpreted, fused >= per-stage, "
+              "reuse >= fused, steps <= tiles (== without reuse) on all "
+              f"measured pipelines (reuse geomean {reuse_geomean:.2f}x)")
     return 0
 
 

@@ -55,9 +55,14 @@ DEFAULT_BUCKETS = (
 #: metric name -> (type, help) for every site this package instruments
 METRIC_HELP: Dict[str, Tuple[str, str]] = {
     "repro_tiles_total": (
-        "counter", "Tiles executed by the overlapped-tiling executor"),
+        "counter", "Schedule tiles covered by completed steps of the "
+                   "overlapped-tiling executor"),
+    "repro_tile_steps_total": (
+        "counter", "Steps completed: one group-kernel call over a span "
+                   "of adjacent schedule tiles (== tiles without halo "
+                   "reuse)"),
     "repro_tile_retries_total": (
-        "counter", "Tile attempts retried after a transient failure"),
+        "counter", "Step attempts retried after a transient failure"),
     "repro_tile_failures_total": (
         "counter", "Tiles that failed for good (TILE_FAIL raised), "
                    "labelled by the causing error code"),
@@ -78,13 +83,14 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
         "counter", "Groups whose fused-kernel compilation failed and "
                    "fell back to per-stage kernels, labelled by reason"),
     "repro_halo_reuse_tiles_total": (
-        "counter", "Tiles that reused a carried row window instead of "
-                   "recomputing their expanded region"),
+        "counter", "Tiles that reused a carried run window instead of "
+                   "recomputing their expanded region (a step's tiles, "
+                   "less one if the step seeded)"),
     "repro_halo_reuse_saved_points_total": (
         "counter", "Iteration points halo reuse skipped recomputing "
-                   "(carried-window points served to adjacent tiles)"),
+                   "(carried-window points served to adjacent steps)"),
     "repro_halo_reuse_invalidations_total": (
-        "counter", "Carried windows dropped after a failed tile attempt "
+        "counter", "Carried windows dropped after a failed step attempt "
                    "(the retry recomputes fresh windows)"),
     "repro_pool_acquires_total": (
         "counter", "Scratch-array acquisitions from a BufferPool "

@@ -14,9 +14,11 @@ Instrumented sites
     :meth:`repro.model.cost.CostModel.cost` — each *uncached* group
     evaluation (what the DP and incremental tiers run on).
 ``"tile"``
-    each tile attempt of :func:`repro.runtime.executor.execute_grouping`'s
-    fused-group loop (keyed by group, tile, and retry attempt, so bounded
-    retries observe fresh draws).
+    each step attempt of :func:`repro.runtime.executor.execute_grouping`'s
+    fused-group loop — a step is one kernel call over one or more
+    adjacent tiles — keyed by group, the step's first tile, and retry
+    attempt, so bounded retries observe fresh draws (with one tile per
+    step, ``--no-reuse``, that is every tile attempt).
 ``"alloc"``
     :meth:`repro.runtime.buffers.Buffer.for_region` — scratch and output
     buffer allocation.

@@ -127,6 +127,21 @@ _REDUCTION_CHUNK = 256
 #: assumes about cleanup-wave idling.
 _CHUNKS_PER_WORKER = 4
 
+#: Points the largest member region of one *step* — a span of adjacent
+#: tiles executed by one kernel call, see :func:`_step_tiles` — may hold:
+#: 2**16 float32 points = 256 KB, the ``xeon`` preset's L2, which the
+#: schedule's tiles were sized against.  The schedule's cost model has no
+#: per-call dispatch term; this is the executor compensating below it.
+#: Load-bearing, not decoration.  Sweep (docs/runtime.md, "Steps"; ms per
+#: warm request at scale 0.1 on one thread, per-tile walk / 16 K / 32 K /
+#: 64 K / 128 K / 256 K / no budget): CP 18.2 / 15.3 / 13.6 / 13.7 /
+#: 14.0 / 15.5 / 15.2, BG 13.2 / 12.7 / 12.6 / 13.0 / 12.8 / 12.7 / 12.8,
+#: PB 16.5 / 16.0 / 15.8 / 15.1 / 16.4 / 18.3 / 19.6 — PB's 20-stage
+#: group (direct-store live-out with seven stages inlined, 26 K points
+#: per tile) is best at two tiles per step and *slower than the per-tile
+#: walk* from 256 K up.  Keep the value only while PB does not lose.
+_STEP_POINT_BUDGET = 1 << 16
+
 #: process-global persistent thread pools, keyed by worker count.  One
 #: ``ThreadPoolExecutor`` per distinct ``nthreads`` ever requested — a
 #: handful of sizes at most — created lazily and kept for the process
@@ -408,6 +423,27 @@ def _chunk_tiles(
     return chunks
 
 
+def _walk_tiles(
+    dim_ranges: Sequence[range], cdim: int
+) -> Tuple[List[Tuple[int, Tuple[int, ...]]], Optional[int]]:
+    """The grid's ``(tile index, tile origin)`` pairs in walk order, and
+    the tiles per row.  With a carry dimension that dimension runs
+    fastest, so chunks run rows of tiles adjacent along it (tile values
+    are order-free for function groups: every tile writes a disjoint
+    base region); without, the last dimension does."""
+    if cdim >= 0:
+        others = [r for d, r in enumerate(dim_ranges) if d != cdim]
+        origins: Iterable[Tuple[int, ...]] = (
+            c[:cdim] + (c[-1],) + c[cdim:-1]
+            for c in itertools.product(*others, dim_ranges[cdim])
+        )
+        row_len = len(dim_ranges[cdim])
+    else:
+        origins = itertools.product(*dim_ranges)
+        row_len = len(dim_ranges[-1]) if dim_ranges else None
+    return list(enumerate(origins)), row_len
+
+
 def _stage_plan(
     geom: GroupGeometry, stage: Function, pipeline: Pipeline, radii
 ) -> List[Tuple[int, int, int, int, int, int, int]]:
@@ -492,37 +528,98 @@ def _stage_region(
     return _region_from_plan(plan, tile_lo, tile_sizes, expand)
 
 
+def _advanced(
+    tile_lo: Tuple[int, ...], cdim: int, by: int
+) -> Tuple[int, ...]:
+    """``tile_lo`` moved ``by`` grid points along ``cdim``: the origin of
+    the tile (or step) adjacent to one that starts at ``tile_lo`` and
+    spans ``by`` points."""
+    return tile_lo[:cdim] + (tile_lo[cdim] + by,) + tile_lo[cdim + 1:]
+
+
+def _step_tiles(
+    region_plans, tile_sizes: Sequence[int], cdim: int,
+    row_len: Optional[int],
+) -> int:
+    """How many adjacent schedule tiles one kernel call covers: the
+    largest ``k`` for which the biggest member's region of a step stays
+    under :data:`_STEP_POINT_BUDGET`, taking a step's region as ``k``
+    times the expanded region of one interior tile — and never more than
+    the ``row_len`` tiles a carry row has.  ``1`` without a carry
+    dimension (``cdim < 0``: halo reuse off, a reduction in the group, a
+    single-tile grid) — tiles are then never merged."""
+    if cdim < 0:
+        return 1
+    points = 1
+    for plan in region_plans:
+        pts = 1
+        for g, num, den, left, right, dlo, dhi in plan:
+            span = -((-(tile_sizes[g] + left + right) * den) // num)
+            pts *= min(span, dhi - dlo + 1)
+        points = max(points, pts)
+    return max(1, min(row_len, _STEP_POINT_BUDGET // points))
+
+
+def _plan_steps(
+    chunk: List[Tuple[int, Tuple[int, ...]]], k: int, cdim: int, cstep: int
+) -> List[Tuple[int, Tuple[int, ...], int, int]]:
+    """Cut a chunk's ``(tile index, tile origin)`` walk into *steps*
+    ``(first tile index, first tile origin, tiles, run end)``.
+
+    A *run* is a maximal sequence of tiles each adjacent to the previous
+    along ``cdim`` (``cstep`` grid points apart, equal elsewhere); every
+    run is cut into ``ceil(len / k)`` steps whose lengths differ by at
+    most one tile, so no step crosses a run — or, the chunk being what is
+    walked, a chunk — boundary.  ``run end`` is the carry-dimension
+    coordinate one past the run's last tile: the far edge of any window
+    seeded inside the run.  Without a carry dimension every tile is its
+    own run and its own step."""
+    steps = []
+    start, n = 0, len(chunk)
+    while start < n:
+        end = start + 1
+        run_end = 0
+        if cdim >= 0:
+            while end < n and chunk[end][1] == _advanced(
+                chunk[end - 1][1], cdim, cstep
+            ):
+                end += 1
+            run_end = chunk[end - 1][1][cdim] + cstep
+        pieces = -(-(end - start) // k)
+        base, extra = divmod(end - start, pieces)
+        for i in range(pieces):
+            ntiles = base + (1 if i < extra else 0)
+            steps.append((*chunk[start], ntiles, run_end))
+            start += ntiles
+    return steps
+
+
 class _CarryState:
-    """Per-chunk rolling halo-reuse state: the carry step ``run_tile``
-    drives per carried stage and tile.
+    """Per-chunk rolling halo-reuse state: the carry bookkeeping
+    ``run_tile`` drives per carried stage and step.
 
     ``entries`` maps a carried materialised stage name to a tuple
     ``(buffer, bounds)``: the stage's *run window* (a :class:`Buffer`
-    computed by the run's seed tile, spanning along the carry dimension
-    to the expanded high bound of the run's last tile) and the region it
-    covers.  ``run_end`` is the carry-dimension grid coordinate one past
-    that last tile — the end of the run of adjacent tiles *this chunk*
-    walks, set by the chunk loop, never past the chunk boundary.
-    ``prev_lo`` is the previous tile's grid origin — ``None`` at chunk
-    start and after an invalidation, which forces the next tile to
-    re-seed.  ``tiles`` / ``saved`` accumulate the chunk's reuse metrics,
-    flushed once per chunk; ``hit`` marks the tile in flight as having
-    reused a window.
+    computed by the run's seeding step, spanning along the carry
+    dimension to the expanded high bound of the run's last tile) and the
+    region it covers.  ``next_lo`` is the grid origin of the step that
+    would be adjacent to the one just completed — ``None`` at chunk start
+    and after an invalidation, which forces the next step to re-seed.
+    ``tiles`` / ``saved`` accumulate the chunk's reuse metrics, flushed
+    once per chunk.
     """
 
-    __slots__ = ("prev_lo", "run_end", "entries", "tiles", "saved", "hit")
+    __slots__ = ("next_lo", "entries", "tiles", "saved")
 
     def __init__(self):
-        self.prev_lo: Optional[Tuple[int, ...]] = None
-        self.run_end = 0
+        self.next_lo: Optional[Tuple[int, ...]] = None
         self.entries: Dict[str, Tuple[Buffer, list]] = {}
         self.tiles = 0
         self.saved = 0
-        self.hit = 0
 
     def covers(self, name, bounds, axis, adjacent) -> Optional[Buffer]:
-        """The carried window of ``name`` when this tile may consume it
-        untouched — a *pure carry*: the tile is ``adjacent`` to the
+        """The carried window of ``name`` when this step may consume it
+        untouched — a *pure carry*: the step is ``adjacent`` to the
         previous one and ``bounds`` lies inside the window along ``axis``
         (the stage's carry-dimension index; ``None`` when the stage is
         constant along it) and equals it on every other dimension.
@@ -540,17 +637,19 @@ class _CarryState:
                 return None
             pts *= hi - lo + 1
         self.saved += pts
-        self.hit = 1
         return ent[0]
 
-    def seed_bounds(self, bounds, plan, axis):
+    @staticmethod
+    def seed_bounds(bounds, plan, axis, run_end):
         """``bounds`` extended along ``axis`` to the expanded high bound
         (stage coordinates, clamped to the domain) of the run's last
-        tile, so one stage-body call computes the whole run's window."""
+        tile — ``run_end`` is the carry-dimension grid coordinate one
+        past it — so one stage-body call computes the whole run's
+        window."""
         if axis is None:
             return bounds
         _, num, den, _, right, _, dom_hi = plan[axis]
-        hi = -((-(self.run_end + right) * den) // num) - 1
+        hi = -((-(run_end + right) * den) // num) - 1
         if hi > dom_hi:
             hi = dom_hi
         if hi <= bounds[axis][1]:
@@ -573,18 +672,19 @@ class _CarryState:
         if ent is not None:
             pool.reclaim(ent[0].data)
 
-    def advance(self, tile_lo) -> None:
-        """The tile at ``tile_lo`` completed."""
-        self.prev_lo = tile_lo
-        self.tiles += self.hit
-        self.hit = 0
+    def advance(self, next_lo, ntiles: int, seeded: bool) -> None:
+        """A step of ``ntiles`` tiles completed; the step adjacent to it
+        starts at ``next_lo``.  Every tile but a seeding step's first
+        consumed carried windows only."""
+        self.next_lo = next_lo
+        self.tiles += ntiles - (1 if seeded else 0)
 
     def invalidate(self) -> None:
-        """Drop every carried window — called on any tile failure, so a
-        retry (and every later tile until the chain re-seeds) recomputes
-        full windows instead of consuming possibly-poisoned scratch."""
-        self.prev_lo = None
-        self.hit = 0
+        """Drop every carried window — called on any failed step attempt,
+        so a retry (and every later step until the chain re-seeds)
+        recomputes full windows instead of consuming possibly-poisoned
+        scratch."""
+        self.next_lo = None
         self.entries.clear()
 
 
@@ -604,19 +704,34 @@ def _execute_group_tiled(
     """Execute one fused group with overlapped tiling, updating
     ``buffers`` with its live-out arrays.
 
-    Each tile is one call into ``kernel`` (:func:`resolve_group_kernel`):
-    all member stages over the tile's expanded regions, intermediates in
-    scratch arrays recycled through a worker-local :class:`BufferPool`.
-    Tiles are batched into contiguous chunks — :func:`_chunk_tiles` —
-    with one future per chunk rather than per tile.  Chunks run on
-    ``executor`` when given (a persistent pool owned by the caller), else
-    on the process-global :func:`shared_executor`; scratch pools come
-    from ``pools`` when given (worker-local pools that stay warm across
+    The unit walked is a **step**: ``k >= 1`` schedule tiles adjacent
+    along the carry dimension, executed by *one* call into ``kernel``
+    (:func:`resolve_group_kernel`) over the union of their regions — the
+    expanded region of a tile ``k`` times as long, whose base is exactly
+    the union of the ``k`` tiles' bases (:func:`_region_from_plan`'s
+    partition property).  The schedule sized its tiles for generated
+    C++, where entering a tile is free; here every kernel call pays
+    Python and tens of NumPy dispatches, so :func:`_step_tiles` derives
+    ``k`` once per group from its geometry and
+    :data:`_STEP_POINT_BUDGET`: region arithmetic, carry bookkeeping,
+    the kernel entry and a generated kernel's direct-store live-outs
+    are paid once per step instead of once per tile.  A tile is a step
+    of length one, which is all there is without ``options.reuse``, with
+    a reduction in the group or on a grid without a carry dimension.
+
+    All member stages run over the step's expanded regions,
+    intermediates in scratch arrays recycled through a worker-local
+    :class:`BufferPool`.  Tiles are batched into contiguous chunks —
+    :func:`_chunk_tiles` — with one future per chunk, and each chunk is
+    cut into steps by :func:`_plan_steps`.  Chunks run on ``executor``
+    when given (a persistent pool owned by the caller), else on the
+    process-global :func:`shared_executor`; scratch pools come from
+    ``pools`` when given (worker-local pools that stay warm across
     calls), else one fresh pool per chunk.
 
     With ``options.reuse``, each chunk walks its tiles in *runs* of
     adjacent tiles along a *carry dimension* and computes every
-    materialised stage at run granularity: the run's seed tile extends
+    materialised stage at run granularity: the run's first step extends
     each stage's expanded region along the carry dimension to the
     expanded high bound of the run's last tile and computes that whole
     window in one stage-body call, so each overlap point is computed
@@ -624,29 +739,34 @@ def _execute_group_tiled(
     of the stage body is amortised across the run.  A run never extends
     past its chunk: :func:`_chunk_tiles` hands out whole grid rows
     whenever there are at least as many rows as workers (runs are then
-    rows, at any thread count) and cuts a row only when there are fewer.
-    Every later *adjacent* tile (same grid origin except the carry
-    dimension, advanced by exactly one tile) whose region is contained
-    in the carried window is a **pure carry** — the window is handed to
-    consumers untouched, no recompute, no copy.  Chunk starts,
-    non-adjacent steps, and regions that escape the carried window
-    re-seed from the current tile to the run's end; a failed tile
-    attempt invalidates the whole carry so its retry — and every tile
-    until the chain re-seeds — computes fresh windows.  Carried values
-    are bit-identical to per-tile recomputation: stage bodies are
-    elementwise over their windows, and the out-of-domain clamped reads
-    that *could* differ between window extents are masked by their
-    ``Case`` conditions (the same invariant every kernel relies on).
-    Reductions and single-tile grids disable reuse; a generated kernel's
-    direct-store live-outs are written per tile and never carried.
+    rows, at any thread count) and cuts a row only when there are fewer;
+    a step never extends past its run.  Every later *adjacent* step
+    (same grid origin except the carry dimension, advanced by exactly
+    the previous step's length) whose region is contained in the carried
+    window is a **pure carry** — the window is handed to consumers
+    untouched, no recompute, no copy.  Chunk starts, non-adjacent steps,
+    and regions that escape the carried window re-seed from the current
+    step to the run's end; a failed step attempt invalidates the whole
+    carry so its retry — and every step until the chain re-seeds —
+    computes fresh windows.  Carried and merged values are bit-identical
+    to per-tile recomputation: stage bodies are elementwise over their
+    windows, and the out-of-domain clamped reads that *could* differ
+    between window extents are masked by their ``Case`` conditions (the
+    same invariant every kernel relies on).  A generated kernel's
+    direct-store live-outs are never carried: each step evaluates them
+    over its own base region, which is why a step is bounded by a point
+    budget instead of running to the run's end.
 
-    A tile that raises is retried up to ``tile_retries`` times, then the
-    failure surfaces as a :class:`TileExecutionError` (code ``TILE_FAIL``)
-    naming the group, the tile, and the original cause — also from inside
-    the thread-pool path, where a bare exception would otherwise emerge as
-    an opaque traceback out of a future.  Live-outs are published to
-    ``buffers`` only after every tile succeeded, so a failed group leaves
-    ``buffers`` untouched and a caller can fall back cleanly.
+    The step is also the unit of retry and of the ``"tile"`` fault site
+    (one check per step attempt, keyed by the step's first tile): a step
+    that raises is retried up to ``tile_retries`` times, then the failure
+    surfaces as a :class:`TileExecutionError` (code ``TILE_FAIL``) naming
+    the group, the step's first tile and tile count, and the original
+    cause — also from inside the thread-pool path, where a bare exception
+    would otherwise emerge as an opaque traceback out of a future.
+    Live-outs are published to ``buffers`` only after every step
+    succeeded, so a failed group leaves ``buffers`` untouched and a
+    caller can fall back cleanly.
     """
     radii = geom.expansion_radii()
     plans = {
@@ -667,35 +787,44 @@ def _execute_group_tiled(
         for g, (lo, hi) in enumerate(geom.grid_bounds)
     ]
 
-    # Halo reuse chains windows along the *carry dimension*
-    # (:func:`~repro.poly.overlap.reuse_carry_dim` — the rule the cost
-    # model prices): the grid dim consecutive tiles of a chunk advance
-    # along.  Under reuse the tile walk runs that dim fastest (see the
-    # tile enumeration below), so a chunk is a sequence of runs of
-    # adjacent tiles; a run's seed tile computes each carried stage's
-    # window for the whole run in one call — every overlap point is
-    # computed once and the stage body's fixed cost is amortised across
-    # the run — and every later tile of the run is a pure carry.  Only
-    # pure function stages chain — reductions accumulate across the
-    # domain and have no per-tile window to carry; a single-tile grid has
-    # no carry dimension.
+    # Steps merge tiles, and halo reuse chains windows, along the *carry
+    # dimension* (:func:`~repro.poly.overlap.reuse_carry_dim` — the rule
+    # the cost model prices): the grid dim consecutive tiles of a chunk
+    # advance along.  The tile walk runs that dim fastest
+    # (:func:`_walk_tiles`), so a chunk is a sequence of runs of adjacent
+    # tiles; a run's first step computes each carried stage's window for
+    # the whole run in one call — every overlap point is computed once
+    # and the stage body's fixed cost is amortised across the run — and
+    # every later step of the run is a pure carry.  Only pure function
+    # stages chain — reductions accumulate across the domain and have no
+    # per-tile window to carry; a single-tile grid has no carry dimension.
     cdim = -1
     if options.reuse and not any(
         isinstance(s, Reduction) for s in geom.stages
     ):
         cdim = reuse_carry_dim(geom, tile_sizes)
+    cstep = tile_sizes[cdim] if cdim >= 0 else 0
+    tiles, row_len = _walk_tiles(dim_ranges, cdim)
+    step_tiles = _step_tiles(region_plans, tile_sizes, cdim, row_len)
+    #: grid sizes of a step of n tiles, n <= step_tiles
+    step_sizes = [
+        tuple(n * t if g == cdim else t for g, t in enumerate(tile_sizes))
+        for n in range(step_tiles + 1)
+    ]
     #: (region index, name, axis) per carried stage; ``axis`` is the plan
     #: index of the carry dim, ``None`` when the stage is constant along
     #: it (adjacent windows are equal — seed once, carry for the whole
     #: run).  A generated kernel's direct-store stages (radius 0, scale
     #: 1: expanded region == base tile, so they recompute no halo) write
-    #: each tile's region straight into ``out_buffers`` and are not
-    #: carried — extending that store to the whole run would only
-    #: amortise the per-call cost (ROADMAP follow-up); inlined stages
-    #: follow their consumers' regions automatically.
+    #: each step's region straight into ``out_buffers`` and are not
+    #: carried: the step is their whole evaluation granule, and the
+    #: reason it is capped by :data:`_STEP_POINT_BUDGET` rather than
+    #: extended to the run (PB's 20-stage group is slower than it was
+    #: per tile when its live-out, seven stages inlined, runs over a
+    #: whole row);
+    #: inlined stages follow their consumers' regions automatically.
     carried: List[Tuple[int, str, Optional[int]]] = []
     if cdim >= 0:
-        cstep = tile_sizes[cdim]
         carried = [
             (i, n, next(
                 (j for j, ent in enumerate(plans[n]) if ent[0] == cdim),
@@ -706,38 +835,26 @@ def _execute_group_tiled(
         ]
     reuse = bool(carried)
 
-    def follows(prev_lo: Tuple[int, ...], tile_lo: Tuple[int, ...]) -> bool:
-        """``tile_lo`` is ``prev_lo`` advanced by exactly one tile along
-        the carry dimension — the two tiles belong to one run."""
-        return (
-            tile_lo[cdim] == prev_lo[cdim] + cstep
-            and tile_lo[:cdim] == prev_lo[:cdim]
-            and tile_lo[cdim + 1:] == prev_lo[cdim + 1:]
-        )
-
     def run_tile(
-        tile_index: int,
-        tile_lo: Tuple[int, ...],
+        step: Tuple[int, Tuple[int, ...], int, int],
         attempt: int,
         pool: BufferPool,
         carry: Optional[_CarryState],
     ) -> None:
+        tile_index, tile_lo, ntiles, run_end = step
         maybe_fail(
             "tile", detail=f"g{group_index}t{tile_index}a{attempt}"
         )
+        sizes = step_sizes[ntiles]
         regions = [
-            _region_from_plan(p, tile_lo, tile_sizes, True)
-            for p in region_plans
+            _region_from_plan(p, tile_lo, sizes, True) for p in region_plans
         ]
         bases = [
-            _region_from_plan(p, tile_lo, tile_sizes, False)
-            for p in base_plans
+            _region_from_plan(p, tile_lo, sizes, False) for p in base_plans
         ]
         carries: Sequence[Optional[tuple]] = no_carries
         if carry is not None:
-            adjacent = carry.prev_lo is not None and follows(
-                carry.prev_lo, tile_lo
-            )
+            adjacent = tile_lo == carry.next_lo
             carries = [None] * len(regions)
             seeds = []
             for i, name, axis in carried:
@@ -755,36 +872,38 @@ def _execute_group_tiled(
                     # (Re)seed: the kernel computes the rest of the run's
                     # window in this call.
                     regions[i] = carry.seed_bounds(
-                        bounds, region_plans[i], axis
+                        bounds, region_plans[i], axis, run_end
                     )
                     seeds.append((i, name))
         results = kernel.fn(
             regions, bases, buffers, out_buffers, pool, carries
         )
         if carry is None:
-            # Live-outs are in out_buffers, so the tile's scratch arrays
-            # can all go back for the next tile.  Under reuse the carried
+            # Live-outs are in out_buffers, so the step's scratch arrays
+            # can all go back for the next step.  Under reuse the carried
             # windows must survive — superseded ones are reclaimed
             # individually, the rest released at chunk end.
             pool.release_all()
             return
         for i, name in seeds:
             carry.store(name, results[i], regions[i], pool)
-        carry.advance(tile_lo)
+        carry.advance(
+            _advanced(tile_lo, cdim, ntiles * cstep), ntiles, bool(seeds)
+        )
 
     def run_tile_captured(
-        item: Tuple[int, Tuple[int, ...]],
+        step: Tuple[int, Tuple[int, ...], int, int],
         pool: BufferPool,
         carry: Optional[_CarryState],
     ) -> None:
-        tile_index, tile_lo = item
+        tile_index, tile_lo, ntiles, _ = step
         max_attempts = tile_retries + 1
         attempts = 0
         retryable = True
         for attempt in range(max_attempts):
             attempts = attempt + 1
             try:
-                run_tile(tile_index, tile_lo, attempt, pool, carry)
+                run_tile(step, attempt, pool, carry)
                 return
             except Exception as exc:  # noqa: BLE001 - rewrapped below
                 last = exc
@@ -792,7 +911,7 @@ def _execute_group_tiled(
                 # reuse that includes the carried windows, which it may
                 # have poisoned (reclaimed scratch a window still
                 # aliases): drop the whole carry so the retry — and every
-                # tile until the chain re-seeds — recomputes full windows.
+                # step until the chain re-seeds — recomputes full windows.
                 pool.release_all()
                 if carry is not None:
                     carry.invalidate()
@@ -814,12 +933,13 @@ def _execute_group_tiled(
                 "repro_tile_failures_total", code=error_code(last)
             )
         raise TileExecutionError(
-            f"tile {tile_index} of group {group_index} failed after "
-            f"{attempts} attempt(s)"
+            f"tile {tile_index} of group {group_index} (a step of "
+            f"{ntiles} tile(s)) failed after {attempts} attempt(s)"
             f"{'' if retryable else ' (non-retryable)'}: {last}",
             group_index=group_index,
             tile_index=tile_index,
             tile_origin=tuple(tile_lo),
+            step_tiles=ntiles,
             cause=last,
             attempts=attempts,
             retryable=retryable,
@@ -829,7 +949,9 @@ def _execute_group_tiled(
     # is empty — capture the group span here so they parent correctly.
     parent_span = TRACE.current() if TRACE.enabled else None
     if parent_span is not None:
-        parent_span.set(fused=kernel.generated, halo_reuse=reuse)
+        parent_span.set(
+            fused=kernel.generated, halo_reuse=reuse, step_tiles=step_tiles
+        )
 
     def run_chunk(chunk: List[Tuple[int, Tuple[int, ...]]]) -> None:
         # Worker-local scratch pool, so lock-free: the group's shared
@@ -837,68 +959,56 @@ def _execute_group_tiled(
         # fresh pool per chunk.
         pool = pools.get() if pools is not None else BufferPool()
         carry = _CarryState() if reuse else None
-        if carry is not None:
-            # Where each tile's run of adjacent tiles ends *within this
-            # chunk* (carry-dim coordinate one past the run's last tile):
-            # the far edge of any window seeded at that tile.
-            ends = [tile_lo[cdim] + cstep for _, tile_lo in chunk]
-            for k in range(len(chunk) - 2, -1, -1):
-                if follows(chunk[k][1], chunk[k + 1][1]):
-                    ends[k] = ends[k + 1]
+        steps = _plan_steps(chunk, step_tiles, cdim, cstep)
         observing = METRICS.enabled
         if observing:
             # Shared pools carry cumulative counters across chunks and
             # requests — flush only this chunk's delta.
             base = (pool.stat_reused, pool.stat_allocated,
                     pool.stat_reclaimed, pool.stat_evicted)
+        done = 0
         with TRACE.span(
             "chunk", parent=parent_span, tiles=len(chunk),
-            first_tile=chunk[0][0] if chunk else -1,
+            steps=len(steps), first_tile=chunk[0][0] if chunk else -1,
         ):
             try:
-                for k, item in enumerate(chunk):
-                    if carry is not None:
-                        carry.run_end = ends[k]
-                    run_tile_captured(item, pool, carry)
+                for step in steps:
+                    run_tile_captured(step, pool, carry)
+                    done += 1
             finally:
                 if carry is not None:
                     # Carried windows held the pool's arrays across
-                    # tiles — hand them all back now the chunk is done.
+                    # steps — hand them all back now the chunk is done.
                     carry.invalidate()
                     pool.release_all()
-        if observing:
-            METRICS.inc("repro_tiles_total", len(chunk))
-            if carry is not None:
-                if carry.tiles:
+                if observing:
+                    # Also when a step failed for good: the steps before
+                    # it did run, and a chunk that ends in TILE_FAIL is
+                    # exactly the one an operator wants counted.
                     METRICS.inc(
-                        "repro_halo_reuse_tiles_total", carry.tiles
+                        "repro_tiles_total", sum(s[2] for s in steps[:done])
                     )
-                if carry.saved:
-                    METRICS.inc(
-                        "repro_halo_reuse_saved_points_total", carry.saved
-                    )
-            METRICS.inc("repro_pool_acquires_total",
-                        pool.stat_reused - base[0], result="reused")
-            METRICS.inc("repro_pool_acquires_total",
-                        pool.stat_allocated - base[1], result="allocated")
-            METRICS.inc("repro_pool_reclaims_total",
-                        pool.stat_reclaimed - base[2])
-            METRICS.inc("repro_pool_evictions_total",
-                        pool.stat_evicted - base[3])
+                    METRICS.inc("repro_tile_steps_total", done)
+                    if carry is not None:
+                        if carry.tiles:
+                            METRICS.inc(
+                                "repro_halo_reuse_tiles_total", carry.tiles
+                            )
+                        if carry.saved:
+                            METRICS.inc(
+                                "repro_halo_reuse_saved_points_total",
+                                carry.saved,
+                            )
+                    METRICS.inc("repro_pool_acquires_total",
+                                pool.stat_reused - base[0], result="reused")
+                    METRICS.inc("repro_pool_acquires_total",
+                                pool.stat_allocated - base[1],
+                                result="allocated")
+                    METRICS.inc("repro_pool_reclaims_total",
+                                pool.stat_reclaimed - base[2])
+                    METRICS.inc("repro_pool_evictions_total",
+                                pool.stat_evicted - base[3])
 
-    if reuse and geom.ndim > 1:
-        # Walk tiles with the carry dimension fastest so chunks run rows
-        # of tiles adjacent along it (tile values are order-free for
-        # function groups: every tile writes a disjoint base region).
-        others = [r for d, r in enumerate(dim_ranges) if d != cdim]
-        tiles = list(enumerate(
-            c[:cdim] + (c[-1],) + c[cdim:-1]
-            for c in itertools.product(*others, dim_ranges[cdim])
-        ))
-        row_len = len(dim_ranges[cdim])
-    else:
-        tiles = list(enumerate(itertools.product(*dim_ranges)))
-        row_len = len(dim_ranges[-1]) if dim_ranges else None
     chunks = _chunk_tiles(tiles, nthreads, row_len=row_len)
     if nthreads > 1 and len(chunks) > 1:
         tpool = executor if executor is not None else shared_executor(

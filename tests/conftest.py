@@ -107,3 +107,17 @@ def random_inputs(pipeline, rng):
         else:
             inputs[img.name] = rng.random(shape, dtype=np.float32)
     return inputs
+
+
+def force_step_tiles(monkeypatch, k):
+    """Make every group with a carry dimension walk steps of ``k`` tiles
+    (the carry row's length at most), whatever the point budget says —
+    for tests that need a known step layout."""
+    from repro.runtime import executor
+
+    monkeypatch.setattr(
+        executor, "_step_tiles",
+        lambda plans, sizes, cdim, row_len: (
+            min(k, row_len) if cdim >= 0 else 1
+        ),
+    )

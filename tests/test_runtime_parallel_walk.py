@@ -11,32 +11,49 @@ at least as many rows as workers.  Pinned here without clocks:
   all eight ``ExecOptions`` on grids of one, two and three carry rows,
   against ``execute_reference``; a tile failing in the middle of a run re-seeds
   to that run's end, not the grid row's; the serve host at ``threads=2``
-  in-process and across the worker boundary.
+  in-process and across the worker boundary;
+* **steps** — what a chunk actually walks: spans of adjacent tiles that
+  partition every run, whose regions are exactly the union of their
+  tiles' regions, which compute the per-tile walk's volume in fewer
+  kernel calls, and which are the unit of retry and of the ``tile``
+  fault site.
 """
 
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dsl.function import Reduction
-from repro.errors import InjectedFault
+from repro.errors import InjectedFault, TileExecutionError
 from repro.fusion import manual_grouping, schedule_pipeline
 from repro.model.machine import XEON_HASWELL
 from repro.pipelines import BENCHMARKS
 from repro.pipelines.synth import random_pipeline
 from repro.planner import build_benchmark, make_inputs, output_digests, plan_schedule
+from repro.obs import METRICS, TRACE
 from repro.poly import compute_group_geometry, reuse_carry_dim
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
-from repro.resilience.faults import FaultInjector
+from repro.resilience.faults import FaultInjector, FaultSpec
 from repro.runtime import ExecOptions, execute_grouping, execute_reference
 from repro.runtime import executor as executor_mod
-from repro.runtime.executor import _stage_plan, _stage_region
+from repro.runtime.executor import (
+    _chunk_tiles,
+    _plan_steps,
+    _region_from_plan,
+    _stage_plan,
+    _stage_region,
+    _step_tiles,
+    _walk_tiles,
+)
 from repro.serve import HostConfig, PipelineHost, PipelineService, ServeConfig
 
-from conftest import build_blur, random_inputs
+from conftest import build_blur, build_updown, force_step_tiles, random_inputs
 
 THREADS = (1, 2, 4)
 #: one ``ExecOptions`` per source of group kernels
@@ -122,6 +139,7 @@ class ComputedRegions:
 
     def __init__(self, monkeypatch):
         self.regions = []  # appended from worker threads; append is atomic
+        self.calls = []    # one entry per group-kernel call, likewise
         real_region = executor_mod._compute_function_region
         real_resolve = executor_mod.resolve_group_kernel
 
@@ -131,15 +149,15 @@ class ComputedRegions:
 
         def resolve(pipeline, geom, options):
             kernel = real_resolve(pipeline, geom, options)
-            if not kernel.generated:
-                return kernel
 
             def fn(regions, *args):
-                for name, bounds in zip(kernel.region_names, regions):
-                    if bounds is not None:
-                        self.regions.append(
-                            (name, [tuple(b) for b in bounds])
-                        )
+                self.calls.append(kernel.group_names)
+                if kernel.generated:
+                    for name, bounds in zip(kernel.region_names, regions):
+                        if bounds is not None:
+                            self.regions.append(
+                                (name, [tuple(b) for b in bounds])
+                            )
                 return kernel.fn(regions, *args)
 
             return dataclasses.replace(kernel, fn=fn)
@@ -155,6 +173,10 @@ class ComputedRegions:
 
     def volume(self):
         return sum(_volume(b) for _, b in self.take())
+
+    def take_calls(self):
+        calls, self.calls = self.calls, []
+        return len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +350,12 @@ class _FailFirstAttempt(FaultInjector):
 
 @pytest.mark.parametrize("tier", sorted(TIERS))
 def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
-    """One row of 12 tiles on 2 threads is two runs of 6.  Tile 3 fails
-    once: its retry re-seeds ``blurx`` from tile 3 to the end of the
-    *first run*; no window of the first chunk reaches into the second
-    chunk's tiles, and the output is still the fault-free one."""
+    """One row of 12 tiles on 2 threads is two runs of 6, walked as three
+    steps of 2 tiles each.  The middle step of the first run (tiles 2-3,
+    keyed by its first tile) fails once: its retry re-seeds ``blurx``
+    from tile 2 to the end of the *first run*; no window of the first
+    chunk reaches into the second chunk's tiles, and the output is still
+    the fault-free one."""
     pipe = build_blur(rows=46, cols=94)
     inputs = random_inputs(pipe, np.random.default_rng(45))
     tiles = (3, 4096, 8)
@@ -352,12 +376,26 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
         )
         return region[cdim]
 
+    force_step_tiles(monkeypatch, 2)
     work = ComputedRegions(monkeypatch)
-    with inject_faults(_FailFirstAttempt({"g0t3a0"})):
-        out = execute_grouping(
-            pipe, g, inputs, nthreads=2, tile_retries=1,
-            options=TIERS[tier],
-        )
+    METRICS.reset(enabled=True)
+    try:
+        # "g0t3a0" is armed too: tile 3 is inside a step, not the start
+        # of one, so no check is ever keyed by it.
+        with inject_faults(_FailFirstAttempt({"g0t2a0", "g0t3a0"})):
+            out = execute_grouping(
+                pipe, g, inputs, nthreads=2, tile_retries=1,
+                options=TIERS[tier],
+            )
+        assert METRICS.value("repro_tile_retries_total") == 1
+        assert METRICS.value("repro_halo_reuse_invalidations_total") == 1
+        assert METRICS.value("repro_tiles_total") == 12
+        assert METRICS.value("repro_tile_steps_total") == 6
+    finally:
+        METRICS.reset(enabled=False)
+    # six steps; the failed attempt died at the fault site, before its
+    # kernel call
+    assert work.take_calls() == 6
     windows = sorted(
         b[cdim] for name, b in work.take() if name == "blurx"
     )
@@ -365,12 +403,430 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
     assert run1_end < run2_end
     assert windows == sorted([
         (expanded(0)[0], run1_end),   # first chunk's seed
-        (expanded(3)[0], run1_end),   # re-seed after the failure
+        (expanded(2)[0], run1_end),   # re-seed after the failure
         (expanded(6)[0], run2_end),   # second chunk's seed
     ])
     assert output_digests(out) == output_digests(
         execute_reference(pipe, inputs)
     )
+
+
+# ---------------------------------------------------------------------------
+# steps: what a chunk actually walks
+# ---------------------------------------------------------------------------
+
+
+def _runs(chunk, cdim, cstep):
+    """The chunk's maximal runs of tiles adjacent along ``cdim`` (each
+    ``cstep`` past the previous, equal elsewhere) — derived here from the
+    origins alone, not from the planner."""
+    runs = []
+    for item in chunk:
+        lo = item[1]
+        prev = runs[-1][-1][1] if runs else None
+        if (
+            cdim >= 0 and prev is not None
+            and lo[cdim] == prev[cdim] + cstep
+            and all(a == b for d, (a, b) in enumerate(zip(lo, prev))
+                    if d != cdim)
+        ):
+            runs[-1].append(item)
+        else:
+            runs.append([item])
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=st.lists(
+        st.tuples(st.integers(-3, 5), st.integers(1, 45), st.integers(1, 50)),
+        min_size=1, max_size=3,
+    ),
+    cdim=st.integers(-1, 2),
+    nthreads=st.integers(1, 6),
+    k=st.integers(1, 9),
+)
+def test_steps_partition_every_chunks_runs(grid, cdim, nthreads, k):
+    """Random grids (tiles that do not divide the extent, tiles larger
+    than it, single-tile rows), thread counts and step lengths: the steps
+    of a chunk are its runs, in order, each run cut into ``ceil(len/k)``
+    pieces no longer than ``k`` that differ by at most one tile — so no
+    step crosses a run or a chunk boundary — and each carries its run's
+    end; without a carry dimension every tile is its own step."""
+    cdim = min(cdim, len(grid) - 1)
+    dim_ranges = [range(lo, lo + ext, tile) for lo, ext, tile in grid]
+    cstep = grid[cdim][2] if cdim >= 0 else 0
+    tiles, row_len = _walk_tiles(dim_ranges, cdim)
+    assert sorted(lo for _, lo in tiles) == sorted(
+        itertools.product(*dim_ranges)
+    )
+    chunks = _chunk_tiles(tiles, nthreads, row_len=row_len)
+    assert [t for chunk in chunks for t in chunk] == tiles
+    for chunk in chunks:
+        steps = _plan_steps(chunk, k, cdim, cstep)
+        at = 0
+        for run in _runs(chunk, cdim, cstep):
+            pieces = -(-len(run) // k)
+            lengths = []
+            for index, lo, ntiles, run_end in steps[at:at + pieces]:
+                assert (index, lo) == run[sum(lengths)]
+                assert 1 <= ntiles <= k
+                if cdim >= 0:
+                    assert run_end == run[-1][1][cdim] + cstep
+                lengths.append(ntiles)
+            assert sum(lengths) == len(run)
+            assert max(lengths) - min(lengths) <= 1
+            at += pieces
+        assert at == len(steps)
+        if cdim < 0 or k == 1:
+            assert [(i, lo) for i, lo, _, _ in steps] == chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=st.lists(
+        st.tuples(
+            st.integers(1, 64),                       # tile size
+            st.integers(1, 4), st.integers(1, 4),     # scale num / den
+            st.integers(0, 5), st.integers(0, 5),     # left / right
+            st.integers(1, 600),                      # domain extent
+        ),
+        min_size=1, max_size=3,
+    ),
+    budget=st.integers(1, 1 << 20),
+    row_len=st.integers(1, 40),
+)
+def test_step_length_is_the_budget_over_one_tiles_points(
+    dims, budget, row_len
+):
+    """``k = max(1, min(row, budget // points))`` where ``points`` is the
+    expanded region of one interior tile of the biggest member, and
+    ``k == 1`` without a carry dimension whatever the budget."""
+    tile_sizes = [d[0] for d in dims]
+    plan = [
+        (g, num, den, left, right, 0, ext - 1)
+        for g, (_, num, den, left, right, ext) in enumerate(dims)
+    ]
+    small = [(0, 1, 1, 0, 0, 0, 0)]
+    points = math.prod(
+        min(ext, math.ceil((t + left + right) * den / num))
+        for t, num, den, left, right, ext in dims
+    )
+    with mock.patch.object(executor_mod, "_STEP_POINT_BUDGET", budget):
+        k = _step_tiles([small, plan], tile_sizes, 0, row_len)
+        assert k == max(1, min(row_len, budget // points))
+        assert _step_tiles([small, plan], tile_sizes, -1, row_len) == 1
+
+
+def _group_spans(node, out=None):
+    out = [] if out is None else out
+    if node["name"] == "group":
+        out.append(node)
+    for child in node["children"]:
+        _group_spans(child, out)
+    return out
+
+
+def _traced_groups(pipe, grouping, inputs, **kwargs):
+    TRACE.reset(enabled=True)
+    try:
+        execute_grouping(pipe, grouping, inputs, **kwargs)
+        return _group_spans(TRACE.to_dict()["root"])
+    finally:
+        TRACE.reset(enabled=False)
+
+
+@pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
+def test_no_reuse_is_one_kernel_call_per_schedule_tile(abbrev, monkeypatch):
+    """``ExecOptions(reuse=False)`` stays the paper's overlapped
+    execution for A/B: every group's ``step_tiles`` is 1, every chunk has
+    as many steps as tiles and there are exactly as many kernel calls as
+    the grouping has tiles.  Groups on a one-tile grid (no carry
+    dimension) are ``step_tiles == 1`` under reuse too."""
+    bench = BENCHMARKS[abbrev]
+    pipe = bench.build(**bench.small_kwargs)
+    inputs = random_inputs(pipe, np.random.default_rng(46))
+    grouping = shaped(pipe, bench.h_manual(pipe), 2)
+    work = ComputedRegions(monkeypatch)
+    for n in THREADS:
+        groups = _traced_groups(
+            pipe, grouping, inputs, nthreads=n,
+            options=ExecOptions(reuse=False),
+        )
+        tiled = [g for g in groups if g["attrs"]["mode"] == "tiled"]
+        assert tiled
+        tiles = 0
+        for span in tiled:
+            assert span["attrs"]["step_tiles"] == 1
+            for chunk in span["children"]:
+                assert chunk["attrs"]["steps"] == chunk["attrs"]["tiles"]
+                tiles += chunk["attrs"]["tiles"]
+        assert work.take_calls() == tiles
+    whole = dataclasses.replace(grouping, tile_sizes=tuple(
+        tuple(1 << 20 for _ in ts) for ts in grouping.tile_sizes
+    ))
+    for span in _traced_groups(pipe, whole, inputs):
+        if span["attrs"]["mode"] == "tiled":
+            assert span["attrs"]["step_tiles"] == 1
+            assert span["attrs"]["halo_reuse"] is False
+
+
+def _dp_grouping(abbrev, scale=0.1):
+    bench, pipe = build_benchmark(abbrev, scale)
+    grouping, _ = plan_schedule(
+        pipe, bench, XEON_HASWELL, "dp", 2000, strict=False
+    )
+    return bench, pipe, grouping
+
+
+def _assert_steps_are_unions(pipe, grouping):
+    """For every stage of every group with a carry dimension and every
+    span of 2, 3 or 5 adjacent tiles (and the whole row): the step's
+    expanded region is the hull of the tiles' expanded regions and its
+    base is their exact union — the bases tile it without gap or
+    overlap."""
+    checked = 0
+    for members, tiles in zip(grouping.groups, grouping.tile_sizes):
+        geom = compute_group_geometry(pipe, members)
+        if geom is None:
+            continue
+        cdim = reuse_carry_dim(geom, tiles)
+        if cdim < 0:
+            continue
+        radii = geom.expansion_radii()
+        lo0, hi0 = geom.grid_bounds[cdim]
+        origins = list(range(lo0, hi0 + 1, tiles[cdim]))
+        corners = [
+            (lo, range(lo, hi + 1, tiles[g])[-1])
+            for g, (lo, hi) in enumerate(geom.grid_bounds)
+        ]
+        for stage in geom.stages:
+            plan = _stage_plan(geom, stage, pipe, radii)
+            axis = next(
+                (j for j, ent in enumerate(plan) if ent[0] == cdim), None
+            )
+            for corner in (0, 1):
+                tile_lo = [c[corner] for c in corners]
+                for n in {2, 3, 5, len(origins)}:
+                    sizes = list(tiles)
+                    sizes[cdim] = n * tiles[cdim]
+                    for first in range(0, len(origins) - n + 1):
+                        tile_lo[cdim] = origins[first]
+                        for expand in (True, False):
+                            whole = _region_from_plan(
+                                plan, tile_lo, sizes, expand
+                            )
+                            parts = []
+                            for o in origins[first:first + n]:
+                                lo = list(tile_lo)
+                                lo[cdim] = o
+                                part = _region_from_plan(
+                                    plan, lo, tiles, expand
+                                )
+                                if part is not None:
+                                    parts.append(part)
+                            context = (stage.name, tile_lo, n, expand)
+                            if not parts:
+                                assert whole is None, context
+                                continue
+                            hull = [
+                                (min(p[d][0] for p in parts),
+                                 max(p[d][1] for p in parts))
+                                for d in range(len(plan))
+                            ]
+                            assert whole == hull, context
+                            if not expand and axis is not None:
+                                # bases partition the step's base
+                                for a, b in zip(parts, parts[1:]):
+                                    assert b[axis][0] == a[axis][1] + 1
+                                assert sum(map(_volume, parts)) == _volume(
+                                    whole
+                                ), context
+                            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
+def test_step_regions_are_the_union_of_their_tiles(abbrev):
+    """The integer arithmetic that makes consecutive tiles' bases
+    partition a stage's domain makes a step's regions the union of its
+    tiles' — on the DP schedule and on awkward 7- and 11-wide tiles,
+    rational scales (UM / PB / MI / CP pyramids) included."""
+    bench, pipe, grouping = _dp_grouping(abbrev)
+    assert _assert_steps_are_unions(pipe, grouping) > 0
+    for step in (7, 11):
+        assert _assert_steps_are_unions(
+            pipe, shaped(pipe, bench.h_manual(pipe), 2, step=step)
+        ) > 0
+
+
+@pytest.mark.parametrize("t", [1, 7, 17])
+def test_step_regions_are_unions_on_a_rational_chain(t):
+    pipe = build_updown(n=120)
+    g = manual_grouping(pipe, [["fine", "down", "up"]], [[t]])
+    assert _assert_steps_are_unions(pipe, g) > 0
+
+
+def _grid_tiles(pipe, grouping):
+    """Schedule tiles of the grouping's tiled groups, from the grid
+    alone."""
+    total = 0
+    for members, tiles in zip(grouping.groups, grouping.tile_sizes):
+        geom = compute_group_geometry(pipe, members)
+        if geom is None or (
+            len(members) == 1 and isinstance(next(iter(members)), Reduction)
+        ):
+            continue
+        total += math.prod(
+            -(-e // t) for e, t in zip(geom.grid_extents, tiles)
+        )
+    return total
+
+
+@pytest.mark.parametrize("abbrev", ["BG", "CP"])
+def test_steps_conserve_work_in_fewer_kernel_calls(abbrev, monkeypatch):
+    """On the DP schedule at the benchmark's scale, at 1, 2 and 4
+    threads: the budget's steps compute exactly the per-tile walk's
+    region volume (``k = 1`` — what ran before steps), in as many kernel
+    calls as ``repro_tile_steps_total`` says, which is fewer than the
+    schedule has tiles; ``repro_tiles_total`` still counts schedule
+    tiles; without reuse kernel calls == tiles."""
+    _, pipe, grouping = _dp_grouping(abbrev)
+    inputs = make_inputs(pipe, 1)
+    tiles = _grid_tiles(pipe, grouping)
+    work = ComputedRegions(monkeypatch)
+
+    def run(n, options=ExecOptions()):
+        METRICS.reset(enabled=True)
+        try:
+            execute_grouping(pipe, grouping, inputs, nthreads=n,
+                             options=options)
+            assert METRICS.value("repro_tiles_total") == tiles
+            steps = METRICS.value("repro_tile_steps_total")
+            reused = METRICS.value("repro_halo_reuse_tiles_total")
+        finally:
+            METRICS.reset(enabled=False)
+        assert work.take_calls() == steps
+        return steps, reused, work.volume()
+
+    for n in THREADS:
+        with mock.patch.object(executor_mod, "_STEP_POINT_BUDGET", 1):
+            per_tile = run(n)
+        assert per_tile[0] == tiles
+        steps, reused, volume = run(n)
+        assert steps < tiles
+        assert (reused, volume) == per_tile[1:]
+        assert run(n, ExecOptions(reuse=False))[:2] == (tiles, None)
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.3])
+def test_tile_faults_on_steps_match_reference(rate):
+    """100 % and 30 % ``tile`` faults on CP's DP schedule, where the
+    budget merges tiles: the guard degrades what fails and the digests
+    are the reference's; the fault site fires once per step attempt."""
+    _, pipe, grouping = _dp_grouping("CP")
+    inputs = make_inputs(pipe, 1)
+    expected = output_digests(execute_reference(pipe, inputs))
+    tiles = _grid_tiles(pipe, grouping)
+    METRICS.reset(enabled=True)
+    try:
+        # armed but never firing: one check per step of a clean run
+        with inject_faults(
+            seed=5, tile=FaultSpec(rate=1.0, max_failures=0)
+        ) as clean:
+            execute_grouping(pipe, grouping, inputs, nthreads=2)
+        steps = METRICS.value("repro_tile_steps_total")
+    finally:
+        METRICS.reset(enabled=False)
+    assert clean.counts["tile"].checks == steps < tiles
+    for n in (1, 2):
+        with inject_faults(seed=5, tile=rate) as injector:
+            report = execute_guarded(
+                pipe, grouping, inputs, nthreads=n,
+                policy=GuardPolicy(tile_retries=1, degrade=True),
+            )
+        assert output_digests(report.outputs) == expected
+        stats = injector.counts["tile"]
+        if rate == 1.0:
+            assert not any(o.mode == "tiled" for o in report.outcomes)
+            assert stats.checks == stats.failures
+        else:
+            assert 0 < stats.failures < stats.checks
+        if n == 1:
+            # serial: retries never exceed one per step, and a group
+            # stops at the first step that fails twice
+            assert stats.checks <= 2 * steps
+
+
+def test_nonretryable_error_inside_a_step_fails_on_first_attempt(monkeypatch):
+    """A deterministic failure in the second step of a run of 2-tile
+    steps surfaces ``TILE_FAIL`` naming the step's first tile, its origin
+    and tile count, with ``attempts == 1``."""
+    pipe = build_blur(rows=46, cols=94)
+    inputs = random_inputs(pipe, np.random.default_rng(47))
+    g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 4096, 8]])
+    force_step_tiles(monkeypatch, 2)
+    real_resolve = executor_mod.resolve_group_kernel
+    calls = []
+
+    def resolve(pipeline, geom, options):
+        kernel = real_resolve(pipeline, geom, options)
+
+        def fn(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyError("buffer 'gone' not found")
+            return kernel.fn(*args)
+
+        return dataclasses.replace(kernel, fn=fn)
+
+    monkeypatch.setattr(executor_mod, "resolve_group_kernel", resolve)
+    with pytest.raises(TileExecutionError) as exc_info:
+        execute_grouping(pipe, g, inputs, tile_retries=5)
+    exc = exc_info.value
+    assert len(calls) == 2
+    assert exc.tile_index == 2
+    assert exc.tile_origin[reuse_carry_dim(
+        compute_group_geometry(pipe, pipe.stages), (3, 4096, 8)
+    )] > 0
+    assert exc.context["step_tiles"] == 2
+    assert exc.context["attempts"] == 1
+    assert exc.context["retryable"] is False
+
+
+def test_failed_chunk_still_reports_its_completed_steps(monkeypatch):
+    """A chunk that ends in ``TILE_FAIL`` flushes what it did: the tiles
+    and steps completed before the failing step, their halo reuse and
+    their pool traffic (all dropped before, when the flush sat after the
+    chunk's ``with`` block)."""
+    pipe = build_blur(rows=96, cols=94)
+    inputs = random_inputs(pipe, np.random.default_rng(48))
+    g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
+    force_step_tiles(monkeypatch, 2)   # 6 rows x 3 steps of 2 tiles
+    METRICS.reset(enabled=True)
+    try:
+        with inject_faults(_FailFirstAttempt({"g0t34a0"})):
+            with pytest.raises(TileExecutionError) as exc_info:
+                execute_grouping(pipe, g, inputs)
+        assert exc_info.value.tile_index == 34
+        assert exc_info.value.context["step_tiles"] == 2
+        assert METRICS.value("repro_tiles_total") == 34
+        assert METRICS.value("repro_tile_steps_total") == 17
+        # five whole rows (5 each) + the last row's seed step (1) and
+        # middle step (2)
+        assert METRICS.value("repro_halo_reuse_tiles_total") == 28
+        acquired = (
+            (METRICS.value("repro_pool_acquires_total", result="reused")
+             or 0)
+            + METRICS.value("repro_pool_acquires_total", result="allocated")
+        )
+        assert acquired > 0
+        assert METRICS.value("repro_pool_reclaims_total") == acquired
+        assert METRICS.value(
+            "repro_tile_failures_total", code="FAULT_INJECTED"
+        ) == 1
+    finally:
+        METRICS.reset(enabled=False)
 
 
 def test_serve_host_two_threads_in_process_and_across_workers():

@@ -17,7 +17,7 @@ from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.runtime import ExecOptions, execute_grouping
 from repro.serve import HostConfig, PipelineHost
 
-from conftest import build_blur, build_updown, random_inputs
+from conftest import build_blur, build_updown, force_step_tiles, random_inputs
 
 #: Clamp benchmark tiles so every pipeline runs many-tile rows — the
 #: regime where carried windows actually engage (mirrors the benchmark
@@ -69,19 +69,30 @@ def test_benchmarks_bit_identical_reuse(abbrev):
 
 def test_reuse_engages_and_counts(monkeypatch):
     """A many-tile stencil group actually reuses carried windows, and the
-    metrics record both the tile count and the recompute points saved."""
+    metrics record the tiles that did and the points served from carried
+    windows — counted per step, with the per-tile walk's tile count: in
+    every run, each tile but the seeding step's first."""
     monkeypatch.delenv("REPRO_NO_REUSE", raising=False)
-    pipe = build_blur(rows=96, cols=96)
+    pipe = build_blur(rows=96, cols=94)
     inputs = random_inputs(pipe, np.random.default_rng(32))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    METRICS.reset(enabled=True)
+    counts = {}
     try:
-        execute_grouping(pipe, g, inputs)
-        assert METRICS.value("repro_halo_reuse_tiles_total") > 0
-        assert METRICS.value("repro_halo_reuse_saved_points_total") > 0
+        for k in (1, 2, 6):
+            # 6 rows of 6 tiles: 6 / 3 / 1 steps per row
+            force_step_tiles(monkeypatch, k)
+            METRICS.reset(enabled=True)
+            execute_grouping(pipe, g, inputs)
+            assert METRICS.value("repro_tiles_total") == 36
+            assert METRICS.value("repro_tile_steps_total") == 36 // k
+            assert METRICS.value("repro_halo_reuse_tiles_total") == 30
+            counts[k] = METRICS.value("repro_halo_reuse_saved_points_total")
+        # a run that is one step hands its windows to nobody
+        assert counts[1] > counts[2] > 0 and counts[6] is None
         METRICS.reset(enabled=True)
         execute_grouping(pipe, g, inputs, options=NO_REUSE)
         assert METRICS.value("repro_halo_reuse_tiles_total") is None
+        assert METRICS.value("repro_tile_steps_total") == 36
     finally:
         METRICS.reset(enabled=False)
 
@@ -148,10 +159,7 @@ def test_full_tile_faults_bit_identical(abbrev):
     assert_bit_identical(outs[False], outs[True])
 
 
-def test_retry_never_consumes_poisoned_carry():
-    """A failed tile attempt invalidates the whole carry — pinned by the
-    invalidation counter — and its retry recomputes fresh windows, so
-    partial-fault runs converge to the exact fault-free bits."""
+def _assert_partial_faults_converge():
     pipe = build_blur(rows=96, cols=96)
     inputs = random_inputs(pipe, np.random.default_rng(37))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
@@ -170,6 +178,22 @@ def test_retry_never_consumes_poisoned_carry():
     assert retries > 0
     assert invalidations is not None and invalidations > 0
     assert_bit_identical(ref, out)
+
+
+def test_retry_never_consumes_poisoned_carry():
+    """A failed step attempt invalidates the whole carry — pinned by the
+    invalidation counter — and its retry recomputes fresh windows, so
+    partial-fault runs converge to the exact fault-free bits."""
+    _assert_partial_faults_converge()
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_retry_never_consumes_poisoned_carry_on_short_steps(k, monkeypatch):
+    """The same with a row of six tiles cut into six, three and two steps
+    (the budget alone makes it one), so failures land on steps in the
+    middle of a run."""
+    force_step_tiles(monkeypatch, k)
+    _assert_partial_faults_converge()
 
 
 # ---------------------------------------------------------------------------
