@@ -1,4 +1,5 @@
-"""Per-tile executor overhead: interpreted vs per-stage vs fused vs reuse.
+"""Per-tile executor overhead: interpreted vs per-stage vs fused vs reuse
+vs native.
 
 The paper's cost model reasons about locality and parallelism, but a
 Python interpreter that re-walks each stage's expression tree per tile
@@ -7,12 +8,13 @@ the compiled-kernel layer in :mod:`repro.runtime.kernelcache`.  This
 benchmark measures that overhead directly: every registered benchmark
 pipeline is executed on its H-manual grouping with tile sizes clamped
 small (so the tile count is high and per-tile dispatch dominates), under
-the four ``ExecOptions`` of :data:`MODES` — interpreter, per-stage
-kernels, fused per-group kernels, and fused kernels plus inter-tile halo
-reuse — on one thread.  Reported per
-pipeline: total wall time, tile count, per-tile microseconds for all four
-modes, the compiled-vs-interpreted, fused-vs-per-stage and
-reuse-vs-fused speedups, the model-predicted
+the five ``ExecOptions`` of :data:`MODES` — interpreter, per-stage
+kernels, fused per-group kernels, fused kernels plus inter-tile halo
+reuse, and native (C) group kernels on the same walk — on one thread.
+Reported per
+pipeline: total wall time, tile count, per-tile microseconds for all five
+modes, the compiled-vs-interpreted, fused-vs-per-stage,
+reuse-vs-fused and native-vs-reuse speedups, the model-predicted
 ``overlap_recompute_fraction`` (the redundant-work share reuse can
 claim), and — for the ``reuse`` mode, which walks *steps* of several
 adjacent tiles per kernel call — ``steps`` and ``reuse_us_per_step``
@@ -22,10 +24,13 @@ scaling and efficiency.
 
 Results land in ``BENCH_executor.json`` (see ``--output``) — the repo's
 executor-performance trajectory, stamped with the machine's
-``cpu_count``.  ``--check`` exits nonzero when compiled execution is
+``cpu_count`` and the compiler's version.  ``--check`` exits nonzero when
+compiled execution is
 slower than interpreted, fused is slower than per-stage, halo reuse is
 slower than fused (per pipeline or by geomean), any output
-mismatches, the ``reuse`` mode ran more steps than tiles, or the
+mismatches — the ``native`` mode's digests must equal ``fused``'s (no
+timing floor: without a compiler it runs the ``reuse`` mode's kernels) —
+the ``reuse`` mode ran more steps than tiles, or the
 ``fused`` (no-reuse) mode did not run exactly one step per tile — which
 is how CI smoke-tests the fast path.
 
@@ -42,6 +47,8 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
+import subprocess
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
@@ -51,11 +58,13 @@ import numpy as np
 from repro.fusion.grouping import Grouping
 from repro.obs import METRICS
 from repro.pipelines import BENCHMARKS
+from repro.planner import output_digests
 from repro.poly.alignscale import compute_group_geometry
 from repro.runtime import (
     ExecOptions,
     clear_kernel_cache,
     execute_grouping,
+    grouping_kernels,
     warm_group_kernels,
 )
 from repro.runtime.executor import _CHUNKS_PER_WORKER  # noqa: F401 - doc link
@@ -65,12 +74,15 @@ from repro.runtime.executor import _CHUNKS_PER_WORKER  # noqa: F401 - doc link
 #: dominates and the interpreted/compiled difference is what's measured.
 MAX_TILE = 32
 
-#: The four measured modes, slowest first; each adds one switch.
+#: The five measured modes, slowest first; each adds one switch.
 MODES = {
-    "interpreted": ExecOptions(compile=False, fuse=False, reuse=False),
-    "compiled": ExecOptions(fuse=False, reuse=False),
-    "fused": ExecOptions(reuse=False),
-    "reuse": ExecOptions(),
+    "interpreted": ExecOptions(
+        compile=False, fuse=False, reuse=False, native=False
+    ),
+    "compiled": ExecOptions(fuse=False, reuse=False, native=False),
+    "fused": ExecOptions(reuse=False, native=False),
+    "reuse": ExecOptions(native=False),
+    "native": ExecOptions(),
 }
 
 DEFAULT_OUTPUT = os.path.join(
@@ -210,7 +222,9 @@ def run(abbrevs: List[str], repeats: int,
         # Groups the fused tier actually covers; a pipeline whose
         # grouping is all singletons (or nothing fuses) runs the same
         # code in both compiled modes and its ratio is pure noise.
-        n_fused = len(warm_group_kernels(pipe, grouping.groups))
+        n_fused = len(
+            warm_group_kernels(pipe, grouping.groups, MODES["fused"])
+        )
 
         (t_interp, out_i), (t_compiled, out_c), (t_fused, out_f) = (
             _time_mode(pipe, grouping, inputs, MODES[mode], repeats)
@@ -220,6 +234,15 @@ def run(abbrevs: List[str], repeats: int,
         # interleaved against a fused re-run so the ratio is drift-free.
         t_fused_ab, t_reuse, out_r = _time_reuse_pair(
             pipe, grouping, inputs, repeats
+        )
+        # Fifth: the same walk on native kernels (built, or found in the
+        # artifact store, by the warm-up run inside _time_mode).
+        t_native, out_n = _time_mode(
+            pipe, grouping, inputs, MODES["native"], repeats
+        )
+        native_groups = sum(
+            k.native
+            for k in grouping_kernels(pipe, grouping.groups, MODES["native"])
         )
 
         # Thread sweep on the per-stage compiled path: parallel
@@ -252,6 +275,7 @@ def run(abbrevs: List[str], repeats: int,
             # halo reuse must be bit-identical to the full-halo path
             np.array_equal(out_f[k], out_r[k]) for k in out_f
         )
+        native_matches = output_digests(out_n) == output_digests(out_f)
         reuse_speedup = t_fused_ab / t_reuse
         n_steps = _count_steps(
             pipe, grouping, inputs, MODES["reuse"], n_tiles
@@ -266,22 +290,28 @@ def run(abbrevs: List[str], repeats: int,
                 pipe, grouping, inputs, MODES["fused"], n_tiles
             ),
             "fused_groups": n_fused,
+            "native_groups": native_groups,
             "interpreted_s": round(t_interp, 6),
             "compiled_s": round(t_compiled, 6),
             "fused_s": round(t_fused, 6),
             "reuse_s": round(t_reuse, 6),
+            "native_s": round(t_native, 6),
             "interpreted_us_per_tile": round(t_interp / n_tiles * 1e6, 2),
             "compiled_us_per_tile": round(t_compiled / n_tiles * 1e6, 2),
             "fused_us_per_tile": round(t_fused / n_tiles * 1e6, 2),
             "reuse_us_per_tile": round(t_reuse / n_tiles * 1e6, 2),
             "reuse_us_per_step": round(t_reuse / n_steps * 1e6, 2),
+            "native_us_per_tile": round(t_native / n_tiles * 1e6, 2),
+            "native_us_per_step": round(t_native / n_steps * 1e6, 2),
             "speedup": round(t_interp / t_compiled, 3),
             "fused_speedup": round(t_compiled / t_fused, 3),
             "reuse_speedup": round(reuse_speedup, 3),
+            "native_speedup": round(t_reuse / t_native, 3),
             "overlap_recompute_fraction": round(
                 _overlap_recompute_fraction(pipe, grouping), 4
             ),
             "outputs_match": bool(matches),
+            "native_digests_match": bool(native_matches),
             "threads": sweep,
         }
         records.append(rec)
@@ -295,13 +325,26 @@ def run(abbrevs: List[str], repeats: int,
             f"fused {rec['fused_us_per_tile']:>8.1f} us/tile  "
             f"reuse {rec['reuse_us_per_tile']:>8.1f} us/tile "
             f"({n_steps} steps, {rec['reuse_us_per_step']:.1f} us/step)  "
+            f"native {rec['native_us_per_tile']:>8.1f} us/tile "
+            f"({native_groups} groups, {rec['native_speedup']:.2f}x)  "
             f"speedup {rec['speedup']:>6.2f}x  "
             f"fused {rec['fused_speedup']:>5.2f}x  "
             f"reuse {rec['reuse_speedup']:>5.2f}x  "
             f"ovl {rec['overlap_recompute_fraction']:.3f}  "
-            f"{'OK' if matches else 'MISMATCH'}  [{scaling}]"
+            f"{'OK' if matches and native_matches else 'MISMATCH'}  "
+            f"[{scaling}]"
         )
     return records
+
+
+def _compiler_version() -> Optional[str]:
+    """First line of ``g++ --version``; ``None`` without a compiler (the
+    ``native`` mode then measured the ``reuse`` mode's kernels)."""
+    cc = shutil.which("g++")
+    if cc is None:
+        return None
+    out = subprocess.run([cc, "--version"], capture_output=True, text=True)
+    return out.stdout.splitlines()[0] if out.stdout else None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -331,19 +374,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     reuse_geomean = float(np.exp(np.mean(
         [np.log(max(r["reuse_speedup"], 1e-9)) for r in records]
     ))) if records else 1.0
+    native_geomean = float(np.exp(np.mean(
+        [np.log(max(r["native_speedup"], 1e-9)) for r in records]
+    ))) if records else 1.0
     payload = {
         "benchmark": "executor_overhead",
         "description": "interpreted vs per-stage vs fused vs fused+halo-"
-                       "reuse per-tile (and, for reuse, per-step) cost "
-                       "(1 thread) plus a "
+                       "reuse vs native per-tile (and, for reuse and "
+                       "native, per-step) cost (1 thread) plus a "
                        "compiled-path thread-scaling sweep, H-manual "
                        f"grouping with tiles clamped to {MAX_TILE}",
         "max_tile": MAX_TILE,
         "repeats": args.repeats,
         "threads": args.threads,
         "cpu_count": os.cpu_count(),
+        "compiler": _compiler_version(),
         "fused_speedup_geomean": round(fused_geomean, 3),
         "reuse_speedup_geomean": round(reuse_geomean, 3),
+        "native_speedup_geomean": round(native_geomean, 3),
         "results": records,
     }
     with open(args.output, "w") as fh:
@@ -354,6 +402,8 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"({len(fusable)}/{len(records)} pipelines with fused groups)")
     print(f"reuse-vs-fused geomean {reuse_geomean:.2f}x "
           f"({len(records)} pipelines)")
+    print(f"native-vs-reuse geomean {native_geomean:.2f}x "
+          f"({payload['compiler']})")
 
     if args.check:
         bad = [
@@ -362,6 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             or (r["fused_groups"] and r["fused_speedup"] < 1.0)
             or r["reuse_speedup"] < 1.0
             or not r["outputs_match"]
+            or not r["native_digests_match"]
             or r["steps"] > r["tiles"]
             or r["no_reuse_steps"] != r["tiles"]
         ]

@@ -50,7 +50,7 @@ from .perfmodel import estimate_runtime
 from .pipelines import BENCHMARKS, registry_json
 from .reporting import format_table
 from .resilience import GuardPolicy, execute_guarded
-from .runtime import ExecOptions, execute_reference
+from .runtime import ExecOptions, execute_reference, warm_group_kernels
 
 __all__ = ["main"]
 
@@ -208,9 +208,14 @@ def cmd_run(args) -> int:
     inputs = make_inputs(pipe, args.seed)
 
     options = ExecOptions.resolve(
-        args.no_compile, args.no_fuse, args.no_reuse
+        args.no_compile, args.no_fuse, args.no_reuse, args.no_native
     )
     start = time.perf_counter()
+    # All of the grouping's kernels at once: its native groups share one
+    # artifact, found under --schedule-cache when that is given.
+    warm_group_kernels(
+        pipe, grouping.groups, options, schedule_cache=args.schedule_cache
+    )
     if args.strict:
         # Dispatch through the backend seam: a GPU machine tries its
         # CuPy tier first (warning once and degrading to the compiled
@@ -453,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schedule-cache", metavar="DIR", default=None,
                        help="persistent schedule cache directory: a hit "
                             "skips the DP search entirely, stale entries "
-                            "are evicted and re-scheduled")
+                            "are evicted and re-scheduled; `run` keeps "
+                            "its native kernel artifacts in DIR/native")
         p.add_argument("--profile-schedule", action="store_true",
                        help="print a per-phase timing breakdown of the "
                             "scheduling run (and embed it in the schedule "
@@ -508,6 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable inter-tile halo reuse, recomputing the "
                         "full expanded region per tile (A/B timing; the "
                         "REPRO_NO_REUSE env var does the same)")
+    p.add_argument("--no-native", action="store_true",
+                   help="disable native (C) group kernels, keeping the "
+                        "generated NumPy kernels (A/B timing; the "
+                        "REPRO_NO_NATIVE env var does the same)")
     p.add_argument("--digest", action="store_true",
                    help="print a 'digest <name> <sha256>' line per output "
                         "(bit-identity checks against the serve layer)")
@@ -539,7 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.1,
                    help="image-size fraction hosts are built at")
     p.add_argument("--threads", type=int, default=4,
-                   help="executor worker threads per request")
+                   help="executor worker threads per request.  Not a "
+                        "speed-up where it was measured (2 vCPUs; 1 -> 2 "
+                        "-> 4 threads: CP 5.0 -> 6.2 -> 6.9 ms on native "
+                        "kernels, 17.6 -> 20.2 -> 25.5 ms on NumPy "
+                        "kernels; table in docs/serving.md); unmeasured "
+                        "on more cores.  Throughput comes from --workers")
     p.add_argument("--max-queue", type=int, default=64,
                    help="admission bound: requests beyond this queue "
                         "depth are shed with SERVE_OVERLOADED")
@@ -570,7 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "of on first request")
     p.add_argument("--schedule-cache", metavar="DIR", default=None,
                    help="persistent schedule cache directory shared "
-                        "with `repro run`")
+                        "with `repro run`; native kernel artifacts go "
+                        "to DIR/native (default: "
+                        "${XDG_CACHE_HOME:-~/.cache}/repro/native)")
 
     p = sub.add_parser("graph", help="emit a Graphviz DAG of a benchmark")
     p.add_argument("benchmark", choices=sorted(BENCHMARKS))

@@ -17,26 +17,43 @@ each trapezoid tile.  This module emits exactly that shape for any
   their full buffers tile by tile,
 * reductions and geometry-less groups as untiled loop nests.
 
+Values are printed by the typed printer (:mod:`repro.codegen.cexpr`,
+the one the native group kernels use): every operation in the dtype NumPy
+computes it in, so — compiled ``-fwrapv -fno-fast-math
+-ffp-contract=off`` — the output is *bit-identical* to the interpreter's
+wherever the pipeline stays inside the printer's exact operator set;
+``exp``/``log``/``pow`` go through libm and agree to the last place or
+two.  Reductions accumulate like ``np.add.at`` does: in the promoted type
+of accumulator and value, chunk by chunk of the outermost reduction
+dimension, rule by rule, point by point.
+
 The generated code is self-contained (no dependency on this package) and
 is validated in the test suite by compiling it with g++ and comparing its
-output against the interpreter bit-for-bit (integers) or to float
-tolerance.
+output against the interpreter.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..dsl.entities import Case
+import numpy as np
+
 from ..dsl.function import Function, Op, Reduction
 from ..dsl.image import Image
 from ..dsl.pipeline import Pipeline
 from ..fusion.grouping import Grouping
 from ..poly.alignscale import GroupGeometry, compute_group_geometry
 from ..runtime.storage import plan_storage
-from .cexpr import CBuffer, ExprPrinter, RUNTIME_HELPERS, ctype_of
+from .cexpr import (
+    C_TYPES,
+    CBuffer,
+    CVal,
+    ExprPrinter,
+    RUNTIME_HELPERS,
+    literal,
+    ctype_of,
+)
 
 __all__ = ["generate_cpp", "generate_main"]
 
@@ -62,7 +79,7 @@ class _Emitter:
 
 
 def _ceildiv(a: str, b: int) -> str:
-    return f"r_floordiv(({a}) + {b - 1}, {b})"
+    return f"r_floordiv_i64(({a}) + {b - 1}, {b})"
 
 
 def _stage_bound_exprs(
@@ -88,14 +105,14 @@ def _stage_bound_exprs(
         # expanding), hi = ceil((rhi+1)/s) - 1
         lo_ceil = _ceildiv(f"({rlo}) * {den}", num)
         if expand:
-            lo = f"r_floordiv(({rlo}) * {den}, {num})"
+            lo = f"r_floordiv_i64(({rlo}) * {den}, {num})"
         else:
             lo = lo_ceil
         hi = f"{_ceildiv(f'({rhi_plus1}) * {den}', num)} - 1"
         out.append(
             (
-                f"r_max({lo}, {dom[j][0]})",
-                f"r_min({hi}, {dom[j][1]})",
+                f"r_max_i64({lo}, {dom[j][0]})",
+                f"r_min_i64({hi}, {dom[j][1]})",
             )
         )
     return out
@@ -134,29 +151,11 @@ def _emit_stage_body(
         pragma = "" if j < stage.ndim - 1 else "#pragma GCC ivdep"
         if pragma:
             em.line(pragma)
-        em.open(f"for (long {v} = {lo}; {v} <= {hi}; ++{v}) {{")
-    value = _defn_expr(printer, stage)
-    ctype = ctype_of(stage.scalar_type)
-    em.line(f"{out_buf.name}[{out_buf.index_expr(loop_vars)}] = ({ctype})({value});")
+        em.open(f"for (int64_t {v} = {lo}; {v} <= {hi}; ++{v}) {{")
+    value = printer.body(stage.defn, stage.scalar_type.np_dtype)
+    em.line(f"{out_buf.name}[{out_buf.index_expr(loop_vars)}] = {value};")
     for _ in loop_vars:
         em.close()
-
-
-def _defn_expr(printer: ExprPrinter, stage: Function) -> str:
-    """The stage body as a single (possibly nested-ternary) expression."""
-    cases = []
-    default = "0.0"
-    for entry in stage.defn:
-        if isinstance(entry, Case):
-            cases.append(
-                (printer.cond(entry.condition), printer.expr(entry.expression))
-            )
-        else:
-            default = printer.expr(entry)
-    expr = default
-    for cond, val in reversed(cases):
-        expr = f"({cond} ? {val} : {expr})"
-    return expr
 
 
 def _emit_reduction(
@@ -166,26 +165,47 @@ def _emit_reduction(
     stage: Reduction,
     out_buf: CBuffer,
 ) -> None:
+    """A reduction in the interpreter's order (``_compute_reduction``):
+    chunks of ``_REDUCTION_CHUNK`` rows of the outermost reduction
+    dimension, each rule over the whole chunk, points row-major; every
+    update computed like ``ufunc.at`` does, in the promoted type of
+    accumulator and value, then stored in the accumulator's."""
+    from ..runtime.executor import _REDUCTION_CHUNK
+
     dom = pipeline.domain(stage)
     size = pipeline.domain_size(stage)
+    dtype = stage.scalar_type.np_dtype
     ctype = ctype_of(stage.scalar_type)
     em.line(f"// reduction {stage.name} (serial, as PolyMage leaves them)")
     em.open("{")
+    fill = literal(dtype.type(stage.default), dtype)
     em.line(
-        f"for (long __i = 0; __i < {size}; ++__i) "
-        f"{out_buf.name}[__i] = ({ctype})({float(stage.default)!r});"
+        f"for (int64_t __i = 0; __i < {size}; ++__i) "
+        f"{out_buf.name}[__i] = {fill};"
     )
     rdom = stage.resolve_reduction_domain(pipeline.env)
-    for v, (lo, hi) in zip(stage.reduction_variables, rdom):
-        em.open(f"for (long {v.name} = {lo}; {v.name} <= {hi}; ++{v.name}) {{")
-    for ri, rule in enumerate(stage.defn):
-        em.open("{")
-        idx = [printer.int_expr(i) for i in rule.indices]
+    rvars = [v.name for v in stage.reduction_variables]
+    (r0_lo, r0_hi) = rdom[0]
+    em.open(
+        f"for (int64_t __c = {r0_lo}; __c <= {r0_hi}; "
+        f"__c += {_REDUCTION_CHUNK}) {{"
+    )
+    em.line(
+        f"const int64_t __ce = r_min_i64(__c + {_REDUCTION_CHUNK - 1}, "
+        f"{r0_hi});"
+    )
+    for rule in stage.defn:
+        em.open(
+            f"for (int64_t {rvars[0]} = __c; {rvars[0]} <= __ce; "
+            f"++{rvars[0]}) {{"
+        )
+        for v, (lo, hi) in zip(rvars[1:], rdom[1:]):
+            em.open(f"for (int64_t {v} = {lo}; {v} <= {hi}; ++{v}) {{")
         guards = []
         names = []
-        for d, ix in enumerate(idx):
+        for d, index in enumerate(rule.indices):
             name = f"__t{d}"
-            em.line(f"long {name} = {ix};")
+            em.line(f"const int64_t {name} = {printer.int_expr(index)};")
             guards.append(
                 f"{name} >= {dom[d][0]} && {name} <= {dom[d][1]}"
             )
@@ -199,24 +219,24 @@ def _emit_reduction(
         flat = " + ".join(
             f"{n} * {s}" if s != 1 else n for n, s in zip(names, strides)
         )
-        value = printer.expr(rule.value)
+        # np.asarray(value): a Python scalar takes NumPy's default dtype
+        value = printer.strong(printer.typed(rule.value))
+        wide = np.result_type(dtype, value.dtype)
+        wtype, sfx = C_TYPES[wide]
+        acc = printer.convert(CVal(f"{out_buf.name}[{flat}]", dtype), wide)
+        val = printer.convert(value, wide)
         em.open(f"if ({' && '.join(guards)}) {{")
         if rule.op == Op.Sum:
-            em.line(f"{out_buf.name}[{flat}] += ({ctype})({value});")
+            update = f"({wtype})({acc} + {val})"
         elif rule.op == Op.Max:
-            em.line(
-                f"{out_buf.name}[{flat}] = std::max({out_buf.name}[{flat}], "
-                f"({ctype})({value}));"
-            )
+            update = f"r_max_{sfx}({acc}, {val})"
         else:
-            em.line(
-                f"{out_buf.name}[{flat}] = std::min({out_buf.name}[{flat}], "
-                f"({ctype})({value}));"
-            )
+            update = f"r_min_{sfx}({acc}, {val})"
+        em.line(f"{out_buf.name}[{flat}] = ({ctype})({update});")
         em.close()  # guard
-        em.close()  # rule scope
-    for _ in rdom:
-        em.close()
+        for _ in rdom:
+            em.close()
+    em.close()  # chunk
     em.close()
 
 
@@ -245,9 +265,7 @@ def generate_cpp(
     em = _Emitter()
     em.line("// Generated by repro.codegen — PolyMage-style fused,")
     em.line(f"// overlap-tiled C++ for pipeline '{pipeline.name}'.")
-    em.line("#include <algorithm>")
-    em.line("#include <cmath>")
-    em.line("#include <cstring>")
+    em.line("// Compile with -fwrapv -fno-fast-math -ffp-contract=off.")
     em.line("#include <vector>")
     em.line("#ifdef _OPENMP")
     em.line("#include <omp.h>")
@@ -305,7 +323,7 @@ def generate_cpp(
             )
     em.line("")
 
-    printer_global = ExprPrinter(buffers, pipeline.env)
+    printer_global = ExprPrinter(buffers, pipeline.env, libm=True)
 
     for gi, (members, tiles) in enumerate(
         zip(grouping.groups, grouping.tile_sizes)
@@ -387,7 +405,7 @@ def _emit_tiled_group(
     for g in range(geom.ndim):
         lo, hi = geom.grid_bounds[g]
         em.open(
-            f"for (long {tile_vars[g]} = {lo}; {tile_vars[g]} <= {hi}; "
+            f"for (int64_t {tile_vars[g]} = {lo}; {tile_vars[g]} <= {hi}; "
             f"{tile_vars[g]} += {tiles[g]}) {{"
         )
 
@@ -424,8 +442,8 @@ def _emit_tiled_group(
         )
         lo_names, hi_names = [], []
         for j, (lo, hi) in enumerate(exprs):
-            em.line(f"long {s.name}_lo{j} = {lo};")
-            em.line(f"long {s.name}_hi{j} = {hi};")
+            em.line(f"int64_t {s.name}_lo{j} = {lo};")
+            em.line(f"int64_t {s.name}_hi{j} = {hi};")
             lo_names.append(f"{s.name}_lo{j}")
             hi_names.append(f"{s.name}_hi{j}")
         empty = " || ".join(
@@ -436,7 +454,7 @@ def _emit_tiled_group(
             lo_names,
             [f"{h} - {l} + 1" for l, h in zip(lo_names, hi_names)],
         )
-        printer = ExprPrinter(local_buffers, pipeline.env)
+        printer = ExprPrinter(local_buffers, pipeline.env, libm=True)
         em.open(f"if (!({empty})) {{")
         em.line(f"// stage {s.name}")
         _emit_stage_body(
@@ -451,15 +469,16 @@ def _emit_tiled_group(
             )
             blo, bhi = [], []
             for j, (lo, hi) in enumerate(base):
-                em.line(f"long {s.name}_blo{j} = {lo};")
-                em.line(f"long {s.name}_bhi{j} = {hi};")
+                em.line(f"int64_t {s.name}_blo{j} = {lo};")
+                em.line(f"int64_t {s.name}_bhi{j} = {hi};")
                 blo.append(f"{s.name}_blo{j}")
                 bhi.append(f"{s.name}_bhi{j}")
             em.line(f"// copy {s.name} base region to its full buffer")
             copy_vars = [f"__c{j}" for j in range(s.ndim)]
             for j, v in enumerate(copy_vars):
                 em.open(
-                    f"for (long {v} = {blo[j]}; {v} <= {bhi[j]}; ++{v}) {{"
+                    f"for (int64_t {v} = {blo[j]}; {v} <= {bhi[j]}; "
+                    f"++{v}) {{"
                 )
             dst = buffers[s.name]
             src = local_buffers[s.name]

@@ -30,6 +30,13 @@ code                      raised when
                           fused kernel; surfaced as a *warning* by the
                           runtime (the group falls back to per-stage
                           kernels)
+``KERNEL_NATIVE_FAIL``    a grouping's native (C) kernels could not be
+                          built or loaded — no compiler, a failed build,
+                          an unusable artifact directory, a ``.so`` that
+                          will not load, a self-check mismatch; surfaced
+                          as a *warning* once per cause while the groups
+                          run on the kernels they would have without
+                          ``native``
 ``BACKEND_UNAVAILABLE``   a requested execution backend's runtime (e.g.
                           CuPy) is absent or unusable; surfaced as a
                           *warning* once per backend while execution falls
@@ -76,6 +83,7 @@ __all__ = [
     "ScheduleStaleError",
     "KernelCompileError",
     "KernelFuseError",
+    "KernelNativeError",
     "BackendUnavailableError",
     "InjectedFault",
     "ServeError",
@@ -269,6 +277,22 @@ class KernelFuseError(KernelCompileError):
         self.reason = reason
 
 
+class KernelNativeError(KernelCompileError):
+    """A grouping's native kernels could not be built, loaded or trusted.
+    Never escapes the runtime: :mod:`repro.runtime.native` converts it
+    into a ``KernelNativeWarning`` (once per ``reason``) and the groups
+    resolve exactly as they would with ``ExecOptions.native`` off.
+    ``reason`` is a short stable slug: ``no-compiler``, ``cache-dir``,
+    ``build``, ``load``, ``self-check``, ``emit``."""
+
+    code = "KERNEL_NATIVE_FAIL"
+
+    def __init__(self, message: str = "", reason: str = "build",
+                 **context):
+        super().__init__(message, reason=reason, **context)
+        self.reason = reason
+
+
 # -- backends ---------------------------------------------------------------
 
 
@@ -399,6 +423,7 @@ NON_RETRYABLE_CODES = frozenset({
     "SCHEDULE_STALE",
     "KERNEL_COMPILE_FAIL",
     "KERNEL_FUSE_FAIL",
+    "KERNEL_NATIVE_FAIL",
     "BACKEND_UNAVAILABLE",
     "SERVE_SHUTDOWN",
     "SERVE_UNKNOWN",

@@ -77,11 +77,20 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
         "counter", "Stage-kernel lookups: lowering outcomes and memo "
                    "hits (result=compiled|cached|fallback)"),
     "repro_kernel_fused_groups_total": (
-        "counter", "Group executions that ran on generated fused source "
-                   "(one generated kernel per multi-stage group)"),
+        "counter", "Group executions that ran on generated fused NumPy "
+                   "source (one generated kernel per multi-stage group; "
+                   "a native group is not counted here)"),
     "repro_kernel_fuse_fail_total": (
         "counter", "Groups whose fused-kernel compilation failed and "
                    "fell back to per-stage kernels, labelled by reason"),
+    "repro_kernel_native_total": (
+        "counter", "Tiled groups offered to the native (C) tier at "
+                   "kernel resolution (result=built|cached|ineligible|"
+                   "failed|demoted)"),
+    "repro_kernel_native_build_seconds": (
+        "histogram", "Wall time of one compiler call building a "
+                     "grouping's native kernels (artifact-store misses "
+                     "only)"),
     "repro_halo_reuse_tiles_total": (
         "counter", "Tiles that reused a carried run window instead of "
                    "recomputing their expanded region (a step's tiles, "

@@ -22,6 +22,11 @@ Instrumented sites
 ``"alloc"``
     :meth:`repro.runtime.buffers.Buffer.for_region` — scratch and output
     buffer allocation.
+``"native_build"``
+    :mod:`repro.runtime.nativestore` — each compiler call building a
+    grouping's native kernels (an artifact-store miss), keyed by the
+    artifact's name; a failure there is a compile error:
+    ``KERNEL_NATIVE_FAIL`` and the NumPy kernels.
 
 Determinism: a check keyed ``(site, detail)`` fails iff
 ``hash(seed, site, detail) < rate`` — independent of thread scheduling, so

@@ -1,6 +1,6 @@
 """Execution substrate: reference interpreter, compiled stage kernels,
-and the overlapped-tiling executor (the stand-in for PolyMage's
-C++/OpenMP code generation)."""
+native (C) group kernels, and the overlapped-tiling executor that drives
+them (PolyMage's C++/OpenMP code generation, one step at a time)."""
 
 from .buffers import Buffer, BufferPool, PoolGroup
 from .evalexpr import evaluate_cases, evaluate_expr, make_index_grids
@@ -8,11 +8,13 @@ from .executor import (
     ExecOptions,
     execute_grouping,
     execute_reference,
+    grouping_kernels,
     reset_shared_executors_after_fork,
     shared_executor,
     shutdown_shared_executors,
     warm_group_kernels,
 )
+from .native import KernelNativeWarning
 from .kernelcache import (
     GroupKernel,
     KernelCompileWarning,
@@ -42,10 +44,12 @@ __all__ = [
     "GroupKernel",
     "KernelCompileWarning",
     "KernelFuseWarning",
+    "KernelNativeWarning",
     "compile_stage_kernel",
     "compile_group_kernel",
     "get_group_kernel",
     "stage_kernels",
+    "grouping_kernels",
     "warm_group_kernels",
     "clear_kernel_cache",
 ]

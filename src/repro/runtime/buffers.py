@@ -156,6 +156,9 @@ class BufferPool:
         default_factory=dict
     )
     _lent: Dict[int, np.ndarray] = field(default_factory=dict)
+    #: address of element 0 of every array the pool owns, by ``id`` —
+    #: see :meth:`address`
+    _address: Dict[int, int] = field(default_factory=dict)
     #: acquisitions served by recycling a previously released array
     stat_reused: int = 0
     #: acquisitions that had to allocate a fresh array
@@ -182,9 +185,19 @@ class BufferPool:
             self.stat_reused += 1
         else:
             arr = np.empty(key[0], dtype=dt)
+            self._address[id(arr)] = arr.ctypes.data
             self.stat_allocated += 1
         self._lent[id(arr)] = arr
         return arr
+
+    def address(self, arr: np.ndarray) -> int:
+        """Address of ``arr``'s element 0.  Native kernels pass every
+        scratch array by address once per step, and ``ndarray.ctypes``
+        costs more than the rest of a slot's bookkeeping together; for
+        the pool's own arrays (alive while it holds them, so their ``id``
+        is theirs) it is looked up instead."""
+        got = self._address.get(id(arr))
+        return arr.ctypes.data if got is None else got
 
     def reclaim(self, arr: np.ndarray) -> None:
         """Return one lent array to the free list immediately (used when a
@@ -222,6 +235,7 @@ class BufferPool:
             if not stack:
                 del self._free[key]
             self.free_bytes -= arr.nbytes
+            self._address.pop(id(arr), None)
             self.stat_evicted += 1
 
 

@@ -13,8 +13,9 @@ Two entry points:
   broken inter-tile dependences of overlapped tiling permit.  Every tile
   of a group is one call into that group's
   :class:`~repro.runtime.kernelcache.GroupKernel`; :class:`ExecOptions`
-  selects what stands behind it (generated fused source, compiled stage
-  kernels, or the interpreter) and whether adjacent tiles reuse halos.
+  selects what stands behind it (native C, generated fused source,
+  compiled stage kernels, or the interpreter) and whether adjacent tiles
+  reuse halos.
 
 Every combination of :class:`ExecOptions` and thread count produces
 output digests equal to :func:`execute_reference`'s; the test suite pins
@@ -49,7 +50,8 @@ from ..obs import METRICS, TRACE
 from ..fusion.grouping import Grouping
 from ..poly.alignscale import GroupGeometry, compute_group_geometry
 from ..poly.overlap import reuse_carry_dim
-from ..resilience.faults import maybe_fail
+from ..resilience.faults import maybe_fail, suspended
+from . import native
 from .buffers import Buffer, BufferPool, PoolGroup
 from .evalexpr import evaluate_cases, evaluate_expr, make_index_grids
 from .kernelcache import (
@@ -65,6 +67,7 @@ __all__ = [
     "ExecOptions",
     "execute_reference",
     "execute_grouping",
+    "grouping_kernels",
     "warm_group_kernels",
     "shared_executor",
     "shutdown_shared_executors",
@@ -78,8 +81,8 @@ class ExecOptions:
     point (``repro run``, ``PipelineHost.warm``, a bare
     :func:`execute_grouping`), plain bools from there down.
 
-    Outputs are bit-identical under all eight combinations; the switches
-    exist for A/B timing and as the serve ladder's lower rungs.
+    Outputs are bit-identical under all sixteen combinations; the
+    switches exist for A/B timing and as the serve ladder's lower rungs.
     """
 
     #: run stage bodies as compiled NumPy kernels, not the tree-walking
@@ -91,15 +94,21 @@ class ExecOptions:
     #: carry each stage's computed window across the adjacent tiles of a
     #: chunk instead of recomputing the halo per tile
     reuse: bool = True
+    #: run every eligible tiled group — singletons too — on a compiled C
+    #: kernel (:mod:`repro.runtime.native`; consulted only under
+    #: ``compile`` and ``fuse``; whatever cannot be built runs on the
+    #: kernels the other switches select)
+    native: bool = True
 
     @classmethod
     def resolve(
         cls, no_compile: bool = False, no_fuse: bool = False,
-        no_reuse: bool = False,
+        no_reuse: bool = False, no_native: bool = False,
     ) -> "ExecOptions":
         """Options from the CLI's ``--no-compile`` / ``--no-fuse`` /
-        ``--no-reuse`` flags and the ``REPRO_NO_COMPILE`` /
-        ``REPRO_NO_FUSE`` / ``REPRO_NO_REUSE`` environment variables
+        ``--no-reuse`` / ``--no-native`` flags and the
+        ``REPRO_NO_COMPILE`` / ``REPRO_NO_FUSE`` / ``REPRO_NO_REUSE`` /
+        ``REPRO_NO_NATIVE`` environment variables
         (``1``/``true``/``yes``/``on``): a flag turns its switch off, else
         the variable does, else it is on.  The only place the executor's
         environment is read."""
@@ -112,6 +121,7 @@ class ExecOptions:
             compile=on(no_compile, "REPRO_NO_COMPILE"),
             fuse=on(no_fuse, "REPRO_NO_FUSE"),
             reuse=on(no_reuse, "REPRO_NO_REUSE"),
+            native=on(no_native, "REPRO_NO_NATIVE"),
         )
 
 
@@ -230,8 +240,10 @@ def _input_buffers(
                 actual=str(arr.dtype),
                 expected=str(img.scalar_type.np_dtype),
             )
+        # C-contiguous in the image's dtype (a no-op for the usual
+        # input): native kernels address buffers by pointer and shape
         buffers[img.name] = Buffer(
-            arr.astype(img.scalar_type.np_dtype, copy=False),
+            np.ascontiguousarray(arr, dtype=img.scalar_type.np_dtype),
             (0,) * len(shape),
         )
     return buffers
@@ -780,6 +792,8 @@ def _execute_group_tiled(
         for s in geom.liveouts
     }
     if kernel.generated and METRICS.enabled:
+        # generated NumPy source only: a native group counts under
+        # repro_kernel_native_total when it is built or loaded
         METRICS.inc("repro_kernel_fused_groups_total")
 
     dim_ranges = [
@@ -950,7 +964,8 @@ def _execute_group_tiled(
     parent_span = TRACE.current() if TRACE.enabled else None
     if parent_span is not None:
         parent_span.set(
-            fused=kernel.generated, halo_reuse=reuse, step_tiles=step_tiles
+            fused=kernel.generated, native=kernel.native,
+            halo_reuse=reuse, step_tiles=step_tiles,
         )
 
     def run_chunk(chunk: List[Tuple[int, Tuple[int, ...]]]) -> None:
@@ -1111,34 +1126,154 @@ def _stagewise_kernel(
     )
 
 
-def resolve_group_kernel(
+def _numpy_kernel(
     pipeline: Pipeline, geom: GroupGeometry, options: ExecOptions
 ) -> GroupKernel:
-    """The kernel a tiled group runs on under ``options``, memoised per
-    ``(pipeline, member set, compile, fuse)`` so a warm request resolves
-    nothing: generated fused source for a multi-stage group when both
-    switches are on and the group fuses (one ``KERNEL_FUSE_FAIL`` warning
-    when it does not), else the stage-walking adapter — over compiled
-    stage kernels under ``compile`` (a stage that fails to compile is
-    interpreted after one ``KERNEL_COMPILE_FAIL`` warning), over the
-    interpreter without."""
-    fuse = options.compile and options.fuse and len(geom.stages) > 1
+    """The kernel a group runs on without ``native``: generated fused
+    source for a multi-stage group when ``compile`` and ``fuse`` are on
+    and the group fuses (one ``KERNEL_FUSE_FAIL`` warning when it does
+    not), else the stage-walking adapter — over compiled stage kernels
+    under ``compile`` (a stage that fails to compile is interpreted after
+    one ``KERNEL_COMPILE_FAIL`` warning), over the interpreter without."""
+    kernel = None
+    if options.compile and options.fuse and len(geom.stages) > 1:
+        kernel = get_group_kernel(pipeline, geom)
+    if kernel is None:
+        kernel = _stagewise_kernel(
+            pipeline, geom,
+            stage_kernels(pipeline, geom.stages) if options.compile else {},
+        )
+    return kernel
+
+
+def _kernels_agree(
+    pipeline: Pipeline, geom: GroupGeometry, a: GroupKernel, b: GroupKernel
+) -> bool:
+    """Whether two kernels of one group compute the same bytes on two
+    seeded steps — one at the grid's low corner (border windows) and one
+    in its middle (interior windows) — the self-check a freshly built
+    native kernel must pass against its NumPy counterpart."""
+    if (a.region_names, a.inlined, a.direct_stores) != (
+        b.region_names, b.inlined, b.direct_stores
+    ):
+        return False
+    rng = np.random.default_rng(0)
+    members = set(geom.stages)
+    buffers: Dict[str, Buffer] = {}
+    for stage in geom.stages:
+        for access in pipeline.accesses(stage):
+            prod = access.producer
+            if prod in members or prod.name in buffers:
+                continue
+            if isinstance(prod, Function):
+                dom = pipeline.domain(prod)
+                origin = tuple(lo for lo, _ in dom)
+                shape = tuple(hi - lo + 1 for lo, hi in dom)
+            else:
+                shape = pipeline.image_shape(prod)
+                origin = (0,) * len(shape)
+            dtype = prod.scalar_type.np_dtype
+            data = (
+                rng.integers(0, 1024, shape).astype(dtype)
+                if dtype.kind in "ui" else rng.random(shape).astype(dtype)
+            )
+            buffers[prod.name] = Buffer(data, origin)
+    radii = geom.expansion_radii()
+    plans = {
+        s.name: _stage_plan(geom, s, pipeline, radii) for s in geom.stages
+    }
+    sizes = tuple(min(16, hi - lo + 1) for lo, hi in geom.grid_bounds)
+    corner = tuple(lo for lo, _ in geom.grid_bounds)
+    middle = tuple(
+        lo + (hi - lo + 1) // 2 // t * t
+        for (lo, hi), t in zip(geom.grid_bounds, sizes)
+    )
+    with suspended():
+        for tile_lo in (corner, middle):
+            got = []
+            for kernel in (a, b):
+                outs = {
+                    s.name: Buffer.for_region(
+                        pipeline.domain(s), s.scalar_type.np_dtype
+                    )
+                    for s in geom.liveouts
+                }
+                windows = kernel.fn(
+                    [_region_from_plan(plans[n], tile_lo, sizes, True)
+                     for n in kernel.region_names],
+                    [_region_from_plan(plans[n], tile_lo, sizes, False)
+                     for n in kernel.liveout_names],
+                    buffers, outs, BufferPool(),
+                    (None,) * len(kernel.region_names),
+                )
+                got.append((
+                    [None if w is None or n in kernel.direct_stores
+                     else (w.origin, w.data.tobytes())
+                     for n, w in zip(kernel.region_names, windows)],
+                    {n: o.data.tobytes() for n, o in outs.items()},
+                ))
+            if got[0] != got[1]:
+                return False
+    return True
+
+
+def resolve_group_kernels(
+    pipeline: Pipeline,
+    geoms: Sequence[GroupGeometry],
+    options: ExecOptions,
+    schedule_cache: Optional[str] = None,
+) -> List[GroupKernel]:
+    """The kernel each of ``geoms`` runs on under ``options``, memoised
+    per ``(pipeline, member set, compile, fuse, native)`` so a warm
+    request resolves nothing.
+
+    With ``native`` (under ``compile`` and ``fuse``) every group not
+    resolved yet goes to :func:`repro.runtime.native.build_group_kernels`
+    *together* — one translation unit, one compiler call, or one
+    artifact-store hit (the store lives under ``schedule_cache`` when
+    given) — and the NumPy kernel of a group that came back native is
+    never generated.  The first time an artifact is used on a machine
+    each native kernel is compared with its NumPy counterpart on seeded
+    steps and demoted on any differing byte.  Whatever is not native
+    resolves as :func:`_numpy_kernel` says."""
     per = _RESOLVED_CACHE.get(pipeline)
     if per is None:
         per = _RESOLVED_CACHE.setdefault(pipeline, {})
-    key = (frozenset(s.name for s in geom.stages), options.compile, fuse)
-    kernel = per.get(key)
-    if kernel is None:
-        if fuse:
-            kernel = get_group_kernel(pipeline, geom)
-        if kernel is None:
-            kernel = _stagewise_kernel(
-                pipeline, geom,
-                stage_kernels(pipeline, geom.stages)
-                if options.compile else {},
-            )
-        per[key] = kernel
-    return kernel
+    use_native = options.compile and options.fuse and options.native
+    keys = [
+        (
+            frozenset(s.name for s in g.stages), options.compile,
+            options.compile and options.fuse and len(g.stages) > 1,
+            use_native,
+        )
+        for g in geoms
+    ]
+    missing = [i for i, k in enumerate(keys) if k not in per]
+    if missing and use_native:
+        built = native.build_group_kernels(
+            pipeline, [geoms[i] for i in missing], schedule_cache
+        )
+        if built.unverified:
+            built.commit([
+                j for j, kernel in list(built.kernels.items())
+                if not _kernels_agree(
+                    pipeline, geoms[missing[j]], kernel,
+                    _numpy_kernel(pipeline, geoms[missing[j]], options),
+                )
+            ])
+        for j, kernel in built.kernels.items():
+            per[keys[missing[j]]] = kernel
+    for i in missing:
+        if keys[i] not in per:
+            per[keys[i]] = _numpy_kernel(pipeline, geoms[i], options)
+    return [per[k] for k in keys]
+
+
+def resolve_group_kernel(
+    pipeline: Pipeline, geom: GroupGeometry, options: ExecOptions
+) -> GroupKernel:
+    """:func:`resolve_group_kernels` on one group."""
+    return resolve_group_kernels(pipeline, [geom], options)[0]
 
 
 def _tiled_geometry(pipeline: Pipeline, members) -> Optional[GroupGeometry]:
@@ -1150,24 +1285,48 @@ def _tiled_geometry(pipeline: Pipeline, members) -> Optional[GroupGeometry]:
     return compute_group_geometry(pipeline, members)
 
 
+def grouping_kernels(
+    pipeline: Pipeline,
+    groups: Sequence[Sequence[Function]],
+    options: Optional[ExecOptions] = None,
+    schedule_cache: Optional[str] = None,
+) -> List[GroupKernel]:
+    """Resolve — compiling whatever it stands on — the kernel of every
+    tiled group in one :func:`resolve_group_kernels` call, so the first
+    execution pays nothing and the native kernels of the whole grouping
+    share one artifact (kept under ``schedule_cache`` when given).
+    Serve warm-up calls this before forking workers, which then inherit
+    every kernel compiled.  ``options`` defaults to
+    :meth:`ExecOptions.resolve`.  Returns the tiled groups' kernels in
+    grouping order."""
+    if options is None:
+        options = ExecOptions.resolve()
+    return resolve_group_kernels(
+        pipeline,
+        [
+            geom for geom in (
+                _tiled_geometry(pipeline, members) for members in groups
+            ) if geom is not None
+        ],
+        options, schedule_cache,
+    )
+
+
 def warm_group_kernels(
     pipeline: Pipeline,
     groups: Sequence[Sequence[Function]],
-    options: ExecOptions = ExecOptions(),
+    options: Optional[ExecOptions] = None,
+    schedule_cache: Optional[str] = None,
 ) -> Mapping[frozenset, GroupKernel]:
-    """Resolve — compiling whatever it stands on — the kernel of every
-    tiled group, so the first execution pays nothing.  Serve warm-up
-    calls this before forking workers, which then inherit every kernel
-    compiled.  Returns the generated fused kernels, keyed by member-name
-    frozenset."""
-    out: Dict[frozenset, GroupKernel] = {}
-    for members in groups:
-        geom = _tiled_geometry(pipeline, members)
-        if geom is not None:
-            kernel = resolve_group_kernel(pipeline, geom, options)
-            if kernel.generated:
-                out[frozenset(kernel.group_names)] = kernel
-    return out
+    """:func:`grouping_kernels`, returning only the kernels that run on
+    generated fused NumPy source, keyed by member-name frozenset."""
+    return {
+        frozenset(kernel.group_names): kernel
+        for kernel in grouping_kernels(
+            pipeline, groups, options, schedule_cache
+        )
+        if kernel.generated
+    }
 
 
 def _execute_one_group(

@@ -209,6 +209,64 @@ def _is_static(e: Expr) -> bool:
     return not any(isinstance(n, (Variable, Access)) for n in walk(e))
 
 
+def _affine_index(e: Expr):
+    """``(var_name, a, c, k)`` for an index of the form
+    ``(a*var + c) // k`` with integers ``a >= 1`` and ``k >= 1``
+    (``k > 1`` only with ``a == 1``), else ``None``.
+
+    Offsets distribute through the floor division exactly
+    (``x//2 + 1 == (x + 2)//2``), nested divisions multiply
+    (``(x//2)//3 == x//6``), and a division whose divisor divides
+    ``a`` folds back to pure affine — so the common stencil,
+    downsample, and upsample index shapes all normalise here.
+    """
+    if isinstance(e, Variable):
+        return (e.name, 1, 0, 1)
+    if isinstance(e, BinOp):
+        if e.op in ("+", "-"):
+            if isinstance(e.rhs, Const) and type(e.rhs.value) is int:
+                base = _affine_index(e.lhs)
+                if base is not None:
+                    name, a, c, k = base
+                    delta = e.rhs.value if e.op == "+" else -e.rhs.value
+                    return (name, a, c + k * delta, k)
+            if (
+                e.op == "+"
+                and isinstance(e.lhs, Const)
+                and type(e.lhs.value) is int
+            ):
+                base = _affine_index(e.rhs)
+                if base is not None:
+                    name, a, c, k = base
+                    return (name, a, c + k * e.lhs.value, k)
+        elif e.op == "*":
+            for const, other in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
+                if (
+                    isinstance(const, Const)
+                    and type(const.value) is int
+                    and const.value >= 1
+                ):
+                    base = _affine_index(other)
+                    if base is not None and base[3] == 1:
+                        name, a, c, _ = base
+                        return (name, a * const.value, c * const.value, 1)
+        elif e.op == "//":
+            if (
+                isinstance(e.rhs, Const)
+                and type(e.rhs.value) is int
+                and e.rhs.value >= 1
+            ):
+                base = _affine_index(e.lhs)
+                if base is not None:
+                    name, a, c, k = base
+                    k *= e.rhs.value
+                    if a % k == 0:
+                        return (name, a // k, c // k, 1)
+                    if a == 1:
+                        return (name, 1, c, k)
+    return None
+
+
 class _Lowerer:
     """Emits the body of one stage kernel as Python source lines.
 
@@ -402,67 +460,6 @@ class _Lowerer:
         )
 
     # -- affine (windowable) accesses -----------------------------------
-    def _affine_index(self, e: Expr):
-        """``(var_name, a, c, k)`` for an index of the form
-        ``(a*var + c) // k`` with integers ``a >= 1`` and ``k >= 1``
-        (``k > 1`` only with ``a == 1``), else ``None``.
-
-        Offsets distribute through the floor division exactly
-        (``x//2 + 1 == (x + 2)//2``), nested divisions multiply
-        (``(x//2)//3 == x//6``), and a division whose divisor divides
-        ``a`` folds back to pure affine — so the common stencil,
-        downsample, and upsample index shapes all normalise here.
-        """
-        if isinstance(e, Variable):
-            return (e.name, 1, 0, 1)
-        if isinstance(e, BinOp):
-            if e.op in ("+", "-"):
-                if isinstance(e.rhs, Const) and type(e.rhs.value) is int:
-                    base = self._affine_index(e.lhs)
-                    if base is not None:
-                        name, a, c, k = base
-                        delta = (
-                            e.rhs.value if e.op == "+" else -e.rhs.value
-                        )
-                        return (name, a, c + k * delta, k)
-                if (
-                    e.op == "+"
-                    and isinstance(e.lhs, Const)
-                    and type(e.lhs.value) is int
-                ):
-                    base = self._affine_index(e.rhs)
-                    if base is not None:
-                        name, a, c, k = base
-                        return (name, a, c + k * e.lhs.value, k)
-            elif e.op == "*":
-                for const, other in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
-                    if (
-                        isinstance(const, Const)
-                        and type(const.value) is int
-                        and const.value >= 1
-                    ):
-                        base = self._affine_index(other)
-                        if base is not None and base[3] == 1:
-                            name, a, c, _ = base
-                            return (
-                                name, a * const.value, c * const.value, 1
-                            )
-            elif e.op == "//":
-                if (
-                    isinstance(e.rhs, Const)
-                    and type(e.rhs.value) is int
-                    and e.rhs.value >= 1
-                ):
-                    base = self._affine_index(e.lhs)
-                    if base is not None:
-                        name, a, c, k = base
-                        k *= e.rhs.value
-                        if a % k == 0:
-                            return (name, a // k, c // k, 1)
-                        if a == 1:
-                            return (name, 1, c, k)
-        return None
-
     def _lower_window_access(self, e: Access, buf: str) -> Optional[str]:
         """Emit a strided-view read for a structured access — the
         stencil/downsample/upsample fast path.
@@ -485,7 +482,7 @@ class _Lowerer:
             if isinstance(i, Const) and type(i.value) is int:
                 plan.append(("const", i.value))
                 continue
-            aff = self._affine_index(i)
+            aff = _affine_index(i)
             if aff is None:
                 return None
             name, a, c, k = aff
@@ -967,9 +964,12 @@ class GroupKernel:
     ``out_buffers`` and are never carried; ``inlined`` members have no
     region slot.
 
-    There are two sources: :func:`compile_group_kernel` (generated fused
-    ``source``) and the executor's stage-walking adapter (empty
-    ``source``, ``region_names`` = every member).
+    There are three sources: :func:`compile_group_kernel` (generated
+    fused ``source``), the executor's stage-walking adapter (empty
+    ``source``, ``region_names`` = every member) and
+    :mod:`repro.runtime.native` (``native``: compiled C behind the same
+    ``fn``, with the slots of whichever of the other two it stands in
+    for).
     """
 
     group_names: Tuple[str, ...]
@@ -979,11 +979,52 @@ class GroupKernel:
     direct_stores: Tuple[str, ...]
     source: str
     fn: Callable
+    native: bool = False
 
     @property
     def generated(self) -> bool:
-        """Whether tiles run on generated fused source."""
+        """Whether tiles run on generated fused NumPy source."""
         return bool(self.source)
+
+
+def body_accesses(defn: Sequence[object]) -> List[Access]:
+    """Every load of a stage body, ``Case`` conditions included."""
+    out: List[Access] = []
+    for entry in defn:
+        roots = (
+            [entry.expression] + list(entry.condition.exprs())
+            if isinstance(entry, Case) else [entry]
+        )
+        for root in roots:
+            out.extend(n for n in walk(root) if isinstance(n, Access))
+    return out
+
+
+@dataclass(frozen=True)
+class GroupPlan:
+    """The structure of one group's kernel, derived once by
+    :meth:`_GroupLowerer.plan` and shared by every emitter (generated
+    NumPy source, native C), so the executor's carry and step machinery
+    cannot tell which one it drives."""
+
+    #: materialised members (one region slot each), topological order
+    mats: Tuple[Function, ...]
+    #: stage name -> body after ``inline_assign`` substitution
+    effective: Mapping[str, List[object]]
+    #: members substituted into their consumers (no region slot)
+    inlined: Tuple[str, ...]
+    #: live-outs that write their base tile straight to the full buffer
+    direct: frozenset
+    #: materialised in-group producers each member reads
+    deps: Mapping[str, Tuple[str, ...]]
+
+    @property
+    def region_names(self) -> Tuple[str, ...]:
+        return tuple(s.name for s in self.mats)
+
+    @property
+    def direct_stores(self) -> Tuple[str, ...]:
+        return tuple(s.name for s in self.mats if s.name in self.direct)
 
 
 class _GroupLowerer:
@@ -1089,25 +1130,56 @@ class _GroupLowerer:
                 inline_stage[stage.name] = stage
         return effective, inline_expr
 
-    def build(self):
-        """Generate the fused kernel source.  Returns
-        ``(source, consts, region_names, direct_stores, inlined)``."""
+    def plan(self, direct_stores: bool = True) -> GroupPlan:
+        """The group's structure, which every kernel emitted for it
+        shares: what is materialised, in what order, from which bodies,
+        and which live-outs store direct.  ``direct_stores=False`` plans
+        every live-out through scratch plus a base-region copy, the
+        protocol of the stage-walking adapter."""
         geom = self.geom
-        pipeline = self.pipeline
         radii = geom.expansion_radii()
-        liveout_pos = {s.name: j for j, s in enumerate(geom.liveouts)}
+        liveouts = {s.name for s in geom.liveouts}
         effective, inline_expr = self._plan_inlining()
-        mats = [s for s in geom.stages if s.name not in inline_expr]
+        mats = tuple(s for s in geom.stages if s.name not in inline_expr)
         if not mats:
             raise KernelFuseError(
                 "every member stage inlined away", reason="degenerate"
             )
+        mat_names = {s.name for s in mats}
+        direct = set()
+        deps: Dict[str, Tuple[str, ...]] = {}
+        for stage in mats:
+            name = stage.name
+            rad = radii[stage]
+            # store_at root: expanded region == base tile for every tile
+            if direct_stores and name in liveouts and all(
+                rad[g] == (0, 0) and geom.scale[stage][j] == 1
+                for j, g in enumerate(geom.align[stage])
+            ):
+                direct.add(name)
+            deps[name] = tuple(sorted({
+                access.producer.name
+                for access in body_accesses(effective[name])
+                if access.producer.name in mat_names
+                and access.producer.name != name
+            }))
+        return GroupPlan(
+            mats=mats, effective=effective,
+            inlined=tuple(sorted(inline_expr)),
+            direct=frozenset(direct), deps=deps,
+        )
+
+    def build(self):
+        """Generate the fused kernel source.  Returns
+        ``(source, consts, plan)``."""
+        geom = self.geom
+        pipeline = self.pipeline
+        liveout_pos = {s.name: j for j, s in enumerate(geom.liveouts)}
+        plan = self.plan()
+        mats = plan.mats
         lines: List[str] = []
         consts: Dict[str, object] = {}
         buffer_refs: Dict[str, str] = {}
-        mat_names = {s.name for s in mats}
-        region_names: List[str] = []
-        direct_stores: List[str] = []
         # Pre-declare every member's buffer slot: a consumer whose
         # producer had an empty (domain-clamped) region raises the same
         # non-retryable KeyError the per-stage scratch lookup would.
@@ -1116,17 +1188,12 @@ class _GroupLowerer:
         lines.append("    if carries is None:")
         lines.append(f"        carries = (None,) * {len(mats)}")
         for i, stage in enumerate(mats):
-            region_names.append(stage.name)
             rv, bv, cv, pfx = f"_r{i}", f"_b{i}", f"_c{i}", f"_f{i}"
             name = stage.name
-            rad = radii[stage]
-            direct = name in liveout_pos and all(
-                rad[g] == (0, 0) and geom.scale[stage][j] == 1
-                for j, g in enumerate(geom.align[stage])
-            )
+            direct = name in plan.direct
             lw = _Lowerer(
                 pipeline, stage, prefix=pfx, indent=" " * 8,
-                buffer_refs=buffer_refs, defn=effective[name],
+                buffer_refs=buffer_refs, defn=plan.effective[name],
                 region_ref=rv,
             )
             lines.append(f"    {rv} = regions[{i}]")
@@ -1141,37 +1208,20 @@ class _GroupLowerer:
                 lines.append(f"    if {rv} is None and {cv} is not None:")
                 lines.append(f"        {bv} = Buffer({cv}[0], {cv}[1])")
             lines.append(f"    if {rv} is not None:")
-            deps = set()
-            for entry in effective[name]:
-                roots = (
-                    [entry.expression] + list(entry.condition.exprs())
-                    if isinstance(entry, Case) else [entry]
-                )
-                for root in roots:
-                    for node in walk(root):
-                        if (
-                            isinstance(node, Access)
-                            and node.producer.name in mat_names
-                            and node.producer.name != name
-                        ):
-                            deps.add(node.producer.name)
-            deps = sorted(deps)
-            for dep in deps:
+            for dep in plan.deps[name]:
                 lw.emit(f"if {buffer_refs[dep]} is None:")
                 lw.emit(f"    raise KeyError({dep!r})")
             dt = lw.emit_prologue()
             body = lw.lower_body()
             if direct:
-                # store_at root: expanded region == base tile for every
-                # tile, so write straight into the full output buffer
-                # (regions of concurrent tiles are disjoint).
+                # store_at root: write straight into the full output
+                # buffer (regions of concurrent tiles are disjoint).
                 lw.emit(
                     f"{bv} = out_buffers[{name!r}].region_buffer({rv})"
                 )
                 dst = f"{pfx}_dst"
                 lw.emit(f"{dst} = {bv}.data")
                 lw.emit_store(body, dt, view=dst)
-                direct_stores.append(name)
             else:
                 lw.emit_store(body, dt, pooled=True)
                 lw.emit(
@@ -1204,10 +1254,7 @@ class _GroupLowerer:
             "pool, carries=None):"
         )
         source = "\n".join([header] + lines) + "\n"
-        return (
-            source, consts, tuple(region_names), tuple(direct_stores),
-            tuple(sorted(inline_expr)),
-        )
+        return source, consts, plan
 
 
 def compile_group_kernel(pipeline: Pipeline, geom) -> GroupKernel:
@@ -1232,9 +1279,7 @@ def compile_group_kernel(pipeline: Pipeline, geom) -> GroupKernel:
             )
     lowerer = _GroupLowerer(pipeline, geom)
     try:
-        source, consts, region_names, direct_stores, inlined = (
-            lowerer.build()
-        )
+        source, consts, plan = lowerer.build()
     except KernelFuseError:
         raise
     except KernelCompileError as exc:
@@ -1266,10 +1311,10 @@ def compile_group_kernel(pipeline: Pipeline, geom) -> GroupKernel:
         ) from exc
     return GroupKernel(
         group_names=names,
-        region_names=region_names,
+        region_names=plan.region_names,
         liveout_names=tuple(s.name for s in geom.liveouts),
-        inlined=inlined,
-        direct_stores=direct_stores,
+        inlined=plan.inlined,
+        direct_stores=plan.direct_stores,
         source=source,
         fn=namespace["_group_kernel"],
     )
@@ -1375,7 +1420,7 @@ def get_group_kernel(pipeline: Pipeline, geom) -> Optional[GroupKernel]:
 
 
 #: The kernel each tiled group runs on, per ``(member set, compile,
-#: fuse)`` — filled by :func:`repro.runtime.executor.resolve_group_kernel`,
+#: fuse, native)`` — filled by :func:`repro.runtime.executor.resolve_group_kernel`,
 #: kept here so :func:`clear_kernel_cache` drops it with the kernels it
 #: was resolved from.
 _RESOLVED_CACHE: "weakref.WeakKeyDictionary[Pipeline, Dict[tuple, GroupKernel]]" = (

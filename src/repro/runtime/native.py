@@ -1,0 +1,603 @@
+"""Native group kernels: one more :class:`GroupKernel`, in C.
+
+The paper measures generated C++; this is the repo executing on it.  For
+every tiled group of a grouping that qualifies, :func:`build_group_kernels`
+emits one C entry point that executes **one step** — every materialised
+member over its region, live-outs published — from the *same*
+:class:`~repro.runtime.kernelcache.GroupPlan` the generated-NumPy kernel
+is built from (same region slots, same inlined members, same direct
+stores), so the executor's carry, seeding and step machinery cannot tell
+which kernel it drives.  All of a grouping's groups go into one
+translation unit, compiled once per machine and found again by content
+(:mod:`repro.runtime.nativestore`).
+
+**The invariant is digest equality with** ``execute_reference``.  Values
+are printed by the typed printer (:mod:`repro.codegen.cexpr`): every
+operation in the dtype NumPy computes it in.  A group is *eligible* only
+if every operation of every member is in the printer's exact set;
+``exp``/``log``/``pow`` and reductions keep their NumPy kernels — by
+rule, without a warning.  Anything that goes wrong after that (no
+compiler, a failed build, an unusable artifact directory, a library that
+will not load) is one ``KERNEL_NATIVE_FAIL`` warning per cause and the
+NumPy kernels.
+
+**Speed** comes from doing per window what the NumPy lowerer does per
+window: the in-bounds test that there chooses ``read_window`` over
+``gather`` is evaluated once per stage and step, before the loops.  A
+stage whose affine accesses all stay inside their producers' stored
+regions runs the *interior* body — plain pointer arithmetic, contiguous
+dimension innermost, ``restrict`` everywhere; one that touches a border
+runs the same body with every index clamped (what ``Buffer.gather``
+does).  Data-dependent indices clamp in both.
+
+A kernel's Python side is a thin ``fn``: it takes scratch from the pool,
+packs one ``int64`` descriptor — per buffer ``pointer, origin…,
+shape…`` (buffers are C-contiguous — the executor makes inputs so when
+they become buffers — so strides follow from the shape), per
+region slot and base ``flag, lo, hi, …`` with flag 0 empty / 1 compute /
+2 carried — and makes one GIL-releasing ``ctypes`` call.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import json
+import os
+import struct
+import tempfile
+import warnings
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..codegen.cexpr import (
+    CBuffer,
+    ExprPrinter,
+    InexactOp,
+    RUNTIME_HELPERS,
+    ctype_for,
+)
+from ..dsl.expr import Access, Const
+from ..dsl.function import Function
+from ..dsl.pipeline import Pipeline
+from ..errors import KernelFuseError, KernelNativeError
+from ..obs import METRICS
+from . import nativestore
+from .buffers import Buffer
+from .kernelcache import (
+    GroupKernel,
+    GroupPlan,
+    _affine_index,
+    _GroupLowerer,
+    body_accesses,
+)
+
+__all__ = ["KernelNativeWarning", "NativeBuild", "build_group_kernels"]
+
+
+class KernelNativeWarning(UserWarning):
+    """Native kernels were not used (``KERNEL_NATIVE_FAIL``)."""
+
+
+#: causes already warned about in this process
+_WARNED: set = set()
+
+
+def _warn_once(exc: KernelNativeError) -> None:
+    if exc.reason not in _WARNED:
+        _WARNED.add(exc.reason)
+        warnings.warn(
+            f"[{exc.code}] native kernels are not used ({exc.reason}), "
+            f"groups run on their NumPy kernels: {exc.message}",
+            KernelNativeWarning,
+            stacklevel=3,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Descriptor layout
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Mat:
+    """One materialised member: a buffer slot and a region slot."""
+
+    name: str
+    ndim: int
+    dtype: np.dtype
+    direct: bool
+    #: indices (into the layout's mats) of in-group producers it reads
+    deps: Tuple[int, ...]
+    #: position in ``liveout_names`` when it publishes through a
+    #: base-region copy (non-direct live-out), else ``None``
+    copy_out: Optional[int]
+    #: position among the layout's mats
+    index: int
+    #: word offsets of its buffer slot, region slot, and (``copy_out``)
+    #: out-buffer slot and base slot
+    buf: int
+    region: int
+    out: int = -1
+    base: int = -1
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Word offsets of everything in a group's descriptor.  Slots are
+    laid out in the order :func:`_make_fn` appends them: externals, then
+    per member its buffer and region, then per copied live-out its out
+    buffer and base."""
+
+    #: out-of-group producers: ``(name, ndim, dtype, word offset)``
+    ext: Tuple[Tuple[str, int, np.dtype, int], ...]
+    mats: Tuple[_Mat, ...]
+    words: int
+
+
+def _plan_layout(plan: GroupPlan, liveout_names: Sequence[str]) -> _Layout:
+    ext: Dict[str, Tuple[str, int, np.dtype, int]] = {}
+    mat_pos = {s.name: i for i, s in enumerate(plan.mats)}
+    at = 0
+    for stage in plan.mats:
+        for access in body_accesses(plan.effective[stage.name]):
+            name = access.producer.name
+            if name not in mat_pos and name not in ext:
+                nd = len(access.indices)
+                ext[name] = (
+                    name, nd, access.producer.scalar_type.np_dtype, at
+                )
+                at += 1 + 2 * nd
+    mats = []
+    for stage in plan.mats:
+        nd = stage.ndim
+        mats.append([stage, at, at + 1 + 2 * nd])
+        at += 2 * (1 + 2 * nd)
+    out: List[_Mat] = []
+    for stage, buf, region in mats:
+        name = stage.name
+        direct = name in plan.direct
+        copy_out = (
+            liveout_names.index(name)
+            if name in liveout_names and not direct else None
+        )
+        slots = {}
+        if copy_out is not None:
+            slots = {"out": at, "base": at + 1 + 2 * stage.ndim}
+            at += 2 * (1 + 2 * stage.ndim)
+        out.append(_Mat(
+            name=name, ndim=stage.ndim, index=len(out),
+            dtype=stage.scalar_type.np_dtype, direct=direct,
+            deps=tuple(mat_pos[d] for d in plan.deps[name]),
+            copy_out=copy_out, buf=buf, region=region, **slots,
+        ))
+    return _Layout(ext=tuple(ext.values()), mats=tuple(out), words=at)
+
+
+# ---------------------------------------------------------------------------
+# C emission
+# ---------------------------------------------------------------------------
+
+
+class _StepPrinter(ExprPrinter):
+    """Prints one member's body with every load as a macro call
+    ``LD<k>_<mask>(i0, …)``; the emitter defines the macros twice —
+    interior (affine dimensions unclamped) and border (all clamped) —
+    around two copies of the same loop nest.  ``mask`` has a ``1`` per
+    dimension whose index is affine in one loop variable (or a literal):
+    the dimensions the hoisted in-bounds test covers."""
+
+    def __init__(self, pipeline: Pipeline, stage: Function, slots):
+        super().__init__(
+            {}, pipeline.env,
+            var_names={v.name: f"v{d}" for d, v in enumerate(stage.variables)},
+        )
+        self.var_dims = {v.name: d for d, v in enumerate(stage.variables)}
+        self.slots = slots
+        #: macro name -> (producer, per-dimension affine flags)
+        self.sites: Dict[str, Tuple[str, Tuple[bool, ...]]] = {}
+        #: (producer, dim, loop dim or None, a, k) -> [min c, max c]
+        self.windows: Dict[tuple, List[int]] = {}
+
+    def load(self, access: Access, indices: List[str]) -> str:
+        name = access.producer.name
+        flags = []
+        for j, idx in enumerate(access.indices):
+            if isinstance(idx, Const) and type(idx.value) is int:
+                key, c = (name, j, None, 0, 1), idx.value
+            else:
+                aff = _affine_index(idx)
+                if aff is None or aff[0] not in self.var_dims:
+                    flags.append(False)
+                    continue
+                var, a, c, k = aff
+                key = (name, j, self.var_dims[var], a, k)
+            flags.append(True)
+            span = self.windows.setdefault(key, [c, c])
+            span[0], span[1] = min(span[0], c), max(span[1], c)
+        macro = f"LD{self.slots[name]}_" + "".join(
+            "1" if f else "0" for f in flags
+        )
+        self.sites[macro] = (name, tuple(flags))
+        return f"{macro}({', '.join(indices)})"
+
+
+#: what a stage's border nest is compiled as: it runs on the few steps
+#: whose windows leave a stored region (3 of 197 stage executions on the
+#: six benchmarks), so it is built for compile time, not speed — half of
+#: a translation unit's ``g++`` seconds otherwise.
+_BORDER = "static void __attribute__((noinline, cold, optimize(\"O1\")))"
+
+
+def _emit_group(
+    pipeline: Pipeline, plan: GroupPlan, layout: _Layout, symbol: str
+) -> str:
+    """The C function executing one step of the group, preceded by its
+    stages' border nests as functions of their own."""
+    borders: List[str] = []
+    main: List[str] = [f"void {symbol}(const int64_t *restrict D) {{"]
+    slot_of = {name: f"e{i}" for i, (name, *_) in enumerate(layout.ext)}
+    slot_of.update({m.name: f"m{i}" for i, m in enumerate(layout.mats)})
+    where = {name: (at, nd, dt) for name, nd, dt, at in layout.ext}
+    where.update({m.name: (m.buf, m.ndim, m.dtype) for m in layout.mats})
+
+    def declare(L, p: str, at: int, nd: int, dt, const=True) -> CBuffer:
+        """Bind the buffer slot at word ``at`` — pointer, origin, shape —
+        to locals named after ``p``."""
+        ct = ("const " if const else "") + ctype_for(dt)
+        L.append(
+            f"    {ct} *restrict const {p} = ({ct} *)(uintptr_t)D[{at}];"
+        )
+        L.append("    const int64_t " + ", ".join(
+            f"{p}o{j} = D[{at + 1 + j}], {p}n{j} = D[{at + 1 + nd + j}]"
+            for j in range(nd)
+        ) + ";")
+        return CBuffer(
+            p, [f"{p}o{j}" for j in range(nd)],
+            [f"{p}n{j}" for j in range(nd)],
+        )
+
+    def bounds(L, at: int, nd: int) -> None:
+        L.append("    const int64_t " + ", ".join(
+            f"lo{d} = D[{at + 1 + 2 * d}], hi{d} = D[{at + 2 + 2 * d}]"
+            for d in range(nd)
+        ) + ";")
+
+    for i, (m, stage) in enumerate(zip(layout.mats, plan.mats)):
+        nd = m.ndim
+        printer = _StepPrinter(pipeline, stage, slot_of)
+        body = printer.body(plan.effective[m.name], m.dtype)
+        binds: List[str] = []
+        bounds(binds, m.region, nd)
+        out = declare(binds, "out", m.buf, nd, m.dtype, const=False)
+        bufs = {
+            name: declare(binds, slot_of[name], *where[name])
+            for name in sorted({n for n, _ in printer.sites.values()})
+        }
+        checks = []
+        for (name, j, d, a, k), (cmin, cmax) in sorted(
+            printer.windows.items(), key=lambda kv: str(kv[0])
+        ):
+            b = bufs[name]
+            if d is None:
+                first, last = str(cmin), str(cmax)
+            else:
+                first, last = (
+                    f"{a} * lo{d} + ({cmin})", f"{a} * hi{d} + ({cmax})"
+                )
+                if k != 1:
+                    first = f"r_floordiv_i64({first}, {k})"
+                    last = f"r_floordiv_i64({last}, {k})"
+            checks.append(f"{first} >= {b.origin[j]}")
+            checks.append(f"{last} < {b.origin[j]} + {b.extents[j]}")
+
+        def nest(L, clamp_all: bool) -> None:
+            for macro, (name, flags) in sorted(printer.sites.items()):
+                args = [f"i{j}" for j in range(len(flags))]
+                clamp = [clamp_all or not f for f in flags]
+                L.append(
+                    f"#define {macro}({', '.join(args)}) "
+                    f"{bufs[name].name}"
+                    f"[{bufs[name].index_expr(args, clamp)}]"
+                )
+            pad = "    "
+            for d in range(nd - 1):
+                L.append(
+                    f"{pad}for (int64_t v{d} = lo{d}; v{d} <= hi{d}; "
+                    f"++v{d}) {{"
+                )
+                pad += "  "
+            last = nd - 1
+            row = out.index_expr(
+                [f"v{d}" for d in range(last)] + [out.origin[last]],
+                clamp=False,
+            )
+            L.append(
+                f"{pad}const int64_t row = ({row}) - {out.origin[last]};"
+            )
+            L.append(
+                f"{pad}for (int64_t v{last} = lo{last}; v{last} <= "
+                f"hi{last}; ++v{last})"
+            )
+            L.append(f"{pad}  out[row + v{last}] = {body};")
+            for d in range(nd - 1):
+                pad = pad[:-2]
+                L.append(f"{pad}}}")
+            for macro in sorted(printer.sites):
+                L.append(f"#undef {macro}")
+
+        main.append(f"  if (D[{m.region}] == 1) {{  /* {m.name} */")
+        main.extend(binds)
+        if checks:
+            borders.append(
+                f"{_BORDER} {symbol}_border{i}(const int64_t *restrict D) {{"
+            )
+            borders.extend(binds)
+            nest(borders, clamp_all=True)
+            borders.append("}")
+            main.append(f"    if ({' && '.join(checks)}) {{")
+            nest(main, clamp_all=False)
+            main.append("    } else {")
+            main.append(f"      {symbol}_border{i}(D);")
+            main.append("    }")
+        else:
+            nest(main, clamp_all=True)
+        main.append("  }")
+        if m.copy_out is not None:
+            # publish the base region from the window (computed now or
+            # carried) into the full output buffer
+            main.append(
+                f"  if (D[{m.region}] != 0 && D[{m.base}] == 1) {{"
+            )
+            bounds(main, m.base, nd)
+            src = declare(main, "src", m.buf, nd, m.dtype)
+            dst = declare(main, "dst", m.out, nd, m.dtype, const=False)
+            pad = "    "
+            for d in range(nd - 1):
+                main.append(
+                    f"{pad}for (int64_t v{d} = lo{d}; v{d} <= hi{d}; "
+                    f"++v{d})"
+                )
+                pad += "  "
+            at = [f"v{d}" for d in range(nd - 1)] + [f"lo{nd - 1}"]
+            main.append(
+                f"{pad}memcpy(dst + ({dst.index_expr(at, clamp=False)}), "
+                f"src + ({src.index_expr(at, clamp=False)}), "
+                f"(size_t)(hi{nd - 1} - lo{nd - 1} + 1) * "
+                f"sizeof({ctype_for(m.dtype)}));"
+            )
+            main.append("  }")
+    main.append("}")
+    return "\n".join(borders + main) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The Python side of a kernel
+# ---------------------------------------------------------------------------
+
+
+def _make_fn(cfunc, layout: _Layout) -> Callable:
+    """The ``GroupKernel.fn`` driving ``cfunc``: see module docstring."""
+    pack = struct.Struct(f"{layout.words}q").pack
+    ext = [(name, dt) for name, _, dt, _ in layout.ext]
+    mats = layout.mats
+    #: per rank: an empty buffer + region (or out buffer + base), and a
+    #: carried slot's region (flag 2, no bounds)
+    empty = {
+        nd: ((0,) * (2 + 4 * nd), (2,) + (0,) * (2 * nd))
+        for nd in {m.ndim for m in mats}
+    }
+    copied = [m for m in mats if m.copy_out is not None]
+    no_carries = (None,) * len(mats)
+
+    def fn(regions, bases, buffers, out_buffers, pool, carries=None):
+        if carries is None:
+            carries = no_carries
+        words: List[int] = []
+        for name, dtype in ext:
+            buf = buffers[name]
+            arr = buf.data
+            if arr.dtype != dtype or not arr.flags.c_contiguous:
+                # never the executor's buffers (inputs are normalised
+                # when they become buffers); refuse, do not reinterpret
+                raise TypeError(
+                    f"buffer {name!r} is {arr.dtype}, C-contiguous="
+                    f"{arr.flags.c_contiguous}; the native kernel needs "
+                    f"C-contiguous {dtype}"
+                )
+            words += (arr.ctypes.data, *buf.origin, *arr.shape)
+        results: List[Optional[Buffer]] = [None] * len(mats)
+        for i, m in enumerate(mats):
+            bounds = regions[i]
+            if bounds is not None:
+                for dep in m.deps:
+                    if results[dep] is None:
+                        # its producer's region was empty: the same
+                        # non-retryable error the NumPy kernels raise
+                        raise KeyError(mats[dep].name)
+                if m.direct:
+                    res = out_buffers[m.name]
+                    arr = res.data
+                    at = arr.ctypes.data
+                else:
+                    arr = pool.acquire(
+                        [hi - lo + 1 for lo, hi in bounds], m.dtype
+                    )
+                    at = pool.address(arr)
+                    res = Buffer(arr, tuple([lo for lo, _ in bounds]))
+                words += (
+                    at, *res.origin, *arr.shape, 1, *chain(*bounds)
+                )
+            elif carries[i] is not None:
+                res = Buffer(*carries[i])
+                arr = res.data
+                words += (
+                    pool.address(arr), *res.origin, *arr.shape,
+                    *empty[m.ndim][1],
+                )
+            else:
+                words += empty[m.ndim][0]
+                continue
+            results[i] = res
+        for m in copied:
+            base = bases[m.copy_out]
+            if base is None or results[m.index] is None:
+                words += empty[m.ndim][0]
+                continue
+            dst = out_buffers[m.name]
+            arr = dst.data
+            words += (
+                arr.ctypes.data, *dst.origin, *arr.shape, 1, *chain(*base)
+            )
+        cfunc(pack(*words))
+        return results
+
+    return fn
+
+
+# ---------------------------------------------------------------------------
+# Building a grouping's kernels
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class NativeBuild:
+    """What :func:`build_group_kernels` made: native kernels by position
+    in the ``geoms`` it was given.  ``unverified`` says the artifact has
+    never been checked against the NumPy kernels on this machine (it was
+    just built, or a previous process died before recording the check);
+    the caller compares and reports through :meth:`commit`."""
+
+    kernels: Dict[int, GroupKernel]
+    unverified: bool = False
+    _sidecar: Optional[str] = None
+    _symbols: Optional[Dict[int, str]] = None
+
+    def commit(self, demoted: Sequence[int]) -> None:
+        """Record the self-check's outcome beside the artifact — the
+        groups in ``demoted`` disagreed with their NumPy kernels — and
+        drop them, here and on every later load."""
+        for i in demoted:
+            self.kernels.pop(i, None)
+            if METRICS.enabled:
+                METRICS.inc("repro_kernel_native_total", result="demoted")
+        if demoted:
+            _warn_once(KernelNativeError(
+                f"{len(demoted)} group(s) differed from their NumPy "
+                f"kernels on the build-time self-check and were demoted",
+                reason="self-check",
+            ))
+        self.unverified = False
+        if self._sidecar is None:
+            return
+        payload = json.dumps(
+            {"demoted": sorted(self._symbols[i] for i in demoted)}
+        )
+        try:
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(self._sidecar), suffix=".tmp"
+            )
+            with os.fdopen(fd, "w") as fh:
+                fh.write(payload)
+            os.replace(tmp, self._sidecar)
+        except OSError:
+            # a read-only store: the check simply runs again next time
+            pass
+
+
+def build_group_kernels(
+    pipeline: Pipeline,
+    geoms: Sequence,
+    schedule_cache: Optional[str] = None,
+) -> NativeBuild:
+    """Native kernels for the eligible groups among ``geoms``, all in
+    one translation unit — built, or found in the artifact store.
+
+    Never raises: an ineligible group is simply absent from the result;
+    a failure to build or load anything is one ``KERNEL_NATIVE_FAIL``
+    warning per cause and an empty result.
+    """
+    observing = METRICS.enabled
+    parts: List[str] = []
+    made: Dict[int, Tuple[str, GroupPlan, _Layout]] = {}
+    for i, geom in enumerate(geoms):
+        symbol = f"repro_step_{len(made)}"
+        try:
+            if any(s.is_reduction for s in geom.stages):
+                raise InexactOp("reductions keep their NumPy kernels")
+            # a singleton mirrors the stage-walking adapter it replaces:
+            # one region slot, published through a base-region copy
+            plan = _GroupLowerer(pipeline, geom).plan(
+                direct_stores=len(geom.stages) > 1
+            )
+            layout = _plan_layout(
+                plan, [s.name for s in geom.liveouts]
+            )
+            parts.append(_emit_group(pipeline, plan, layout, symbol))
+        except (InexactOp, KernelFuseError):
+            if observing:
+                METRICS.inc("repro_kernel_native_total", result="ineligible")
+            continue
+        except Exception as exc:  # noqa: BLE001 - downgraded to a warning
+            _warn_once(KernelNativeError(
+                f"emitting group {[s.name for s in geom.stages]} of "
+                f"{pipeline.name!r} failed: {exc!r}", reason="emit",
+            ))
+            if observing:
+                METRICS.inc("repro_kernel_native_total", result="failed")
+            continue
+        made[i] = (symbol, plan, layout)
+    if not made:
+        return NativeBuild({})
+    source = RUNTIME_HELPERS + "".join(parts)
+    try:
+        lib, path, seconds = nativestore.load(source, schedule_cache)
+    except KernelNativeError as exc:
+        _warn_once(exc)
+        if observing:
+            METRICS.inc(
+                "repro_kernel_native_total", len(made), result="failed"
+            )
+        return NativeBuild({})
+    if observing:
+        METRICS.inc(
+            "repro_kernel_native_total", len(made),
+            result="cached" if seconds is None else "built",
+        )
+        if seconds is not None:
+            METRICS.observe("repro_kernel_native_build_seconds", seconds)
+    sidecar = path[:-len(".so")] + ".json"
+    demoted: Optional[set] = None
+    try:
+        with open(sidecar) as fh:
+            demoted = set(json.load(fh)["demoted"])
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    kernels: Dict[int, GroupKernel] = {}
+    symbols: Dict[int, str] = {}
+    for i, (symbol, plan, layout) in made.items():
+        symbols[i] = symbol
+        if demoted is not None and symbol in demoted:
+            if observing:
+                METRICS.inc("repro_kernel_native_total", result="demoted")
+            continue
+        cfunc = getattr(lib, symbol)
+        cfunc.argtypes = [ctypes.c_char_p]
+        cfunc.restype = None
+        geom = geoms[i]
+        kernels[i] = GroupKernel(
+            group_names=tuple(s.name for s in geom.stages),
+            region_names=plan.region_names,
+            liveout_names=tuple(s.name for s in geom.liveouts),
+            inlined=plan.inlined,
+            direct_stores=plan.direct_stores,
+            source="",
+            fn=_make_fn(cfunc, layout),
+            native=True,
+        )
+    return NativeBuild(
+        kernels, unverified=demoted is None, _sidecar=sidecar,
+        _symbols=symbols,
+    )

@@ -21,7 +21,9 @@ consecutive clean requests raise it back.  The base ladder:
 ====  ====================  ============================================
 tier  name                  what executes
 ====  ====================  ============================================
-0     ``compiled``          fused schedule, compiled stage kernels
+0     ``compiled``          fused schedule, compiled kernels (native C
+                            where a group is eligible and built, else
+                            generated NumPy — no rung of its own)
 1     ``interpreter``       fused schedule, pure interpreter
 2     ``no-fusion``         singleton grouping (the infallible final
                             tier of ``resilience.fallback.TIERS``),
@@ -67,8 +69,8 @@ from ..planner import build_benchmark, make_inputs, plan_schedule
 from ..resilience import GuardPolicy, execute_guarded
 from ..runtime import (
     ExecOptions,
+    grouping_kernels,
     shared_executor,
-    warm_group_kernels,
 )
 from ..runtime.buffers import PoolGroup
 from .admission import AdmissionController
@@ -88,7 +90,9 @@ __all__ = [
 LADDER = ("compiled", "interpreter", "no-fusion")
 
 #: what every rung below ``compiled`` executes with
-_INTERPRETED = ExecOptions(compile=False, fuse=False, reuse=False)
+_INTERPRETED = ExecOptions(
+    compile=False, fuse=False, reuse=False, native=False
+)
 
 
 @dataclass(frozen=True)
@@ -195,6 +199,10 @@ class PipelineHost:
         #: this host's degradation ladder (may gain a backend rung on warm)
         self.ladder: Tuple[str, ...] = LADDER
         self.schedule_tier: Optional[str] = None
+        #: tiled groups whose ``compiled``-rung kernel is native C / is
+        #: not (generated NumPy source, the stage-walking adapter)
+        self.native_groups = 0
+        self.numpy_groups = 0
         self.pools: Optional[PoolGroup] = None
         self.executor = None
         self.warm_s: Optional[float] = None
@@ -263,7 +271,12 @@ class PipelineHost:
                 # Resolve and compile every group's kernel now, so the
                 # first request pays nothing and forked workers inherit
                 # them rather than each paying the exec().
-                warm_group_kernels(pipe, grouping.groups, self.options)
+                kernels = grouping_kernels(
+                    pipe, grouping.groups, self.options,
+                    self.config.schedule_cache,
+                )
+                self.native_groups = sum(k.native for k in kernels)
+                self.numpy_groups = len(kernels) - self.native_groups
                 self.no_fusion_grouping = singleton_grouping(pipe)
                 self.pools = PoolGroup(self.config.pool_cap_bytes)
                 self.executor = shared_executor(self.config.threads)
@@ -414,6 +427,8 @@ class PipelineHost:
                 "ladder": list(self.ladder),
                 "schedule_tier": self.schedule_tier,
                 "groups": self.grouping.num_groups,
+                "native_groups": self.native_groups,
+                "numpy_groups": self.numpy_groups,
                 "warm_s": round(self.warm_s, 4),
                 "pool": self.pools.stats(),
             })

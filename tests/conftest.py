@@ -1,5 +1,9 @@
 """Shared pipeline fixtures for the test suite."""
 
+import dataclasses
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,52 @@ from repro.dsl import (
     Reduction,
     Variable,
 )
+
+
+from repro.errors import InjectedFault
+from repro.poly import compute_group_geometry, reuse_carry_dim
+from repro.resilience.faults import FaultInjector
+from repro.runtime import ExecOptions
+
+# The suite runs with native kernels *off*: a bare ``ExecOptions()`` —
+# module-level constants included, hence at import and not in a fixture —
+# and ``ExecOptions.resolve()`` both mean the NumPy kernels the existing
+# tests were written against, in this process and in every subprocess a
+# test spawns.  ``native``-marked tests ask for ``ExecOptions(native=True)``
+# or take the ``native_on`` fixture.
+os.environ["REPRO_NO_NATIVE"] = "1"
+ExecOptions.__init__.__defaults__ = (True, True, True, False)
+
+HAVE_GXX = shutil.which("g++") is not None
+needs_gxx = pytest.mark.skipif(not HAVE_GXX, reason="g++ not available")
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "native: builds and runs native (C) group kernels; needs g++",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def native_artifact_dir(tmp_path_factory):
+    """One artifact store per session, never ``~/.cache``: each distinct
+    translation unit is compiled once however many tests ask for it."""
+    saved = os.environ.get("XDG_CACHE_HOME")
+    path = tmp_path_factory.mktemp("xdg-cache")
+    os.environ["XDG_CACHE_HOME"] = str(path)
+    yield path
+    if saved is None:
+        os.environ.pop("XDG_CACHE_HOME", None)
+    else:
+        os.environ["XDG_CACHE_HOME"] = saved
+
+
+@pytest.fixture
+def native_on(monkeypatch):
+    """``ExecOptions.resolve()`` — hosts, the CLI, subprocesses — says
+    native again for this test."""
+    monkeypatch.delenv("REPRO_NO_NATIVE")
 
 
 def build_blur(rows=94, cols=130):
@@ -109,6 +159,21 @@ def random_inputs(pipeline, rng):
     return inputs
 
 
+class FailFirstAttempt(FaultInjector):
+    """Fails the named ``tile`` checks (``g<group>t<tile>a<attempt>``),
+    always, and nothing else."""
+
+    def __init__(self, details):
+        super().__init__()
+        self.details = set(details)
+
+    def check(self, site, detail=""):
+        if site == "tile" and detail in self.details:
+            raise InjectedFault(
+                "injected fault", site=site, detail=detail, seed=0
+            )
+
+
 def force_step_tiles(monkeypatch, k):
     """Make every group with a carry dimension walk steps of ``k`` tiles
     (the carry row's length at most), whatever the point budget says —
@@ -121,3 +186,27 @@ def force_step_tiles(monkeypatch, k):
             min(k, row_len) if cdim >= 0 else 1
         ),
     )
+
+
+def shaped(pipe, grouping, rows, step=7):
+    """``grouping`` re-tiled so every group whose grid allows it has
+    ``rows`` carry rows of many awkward (``step``-wide, non-dividing)
+    tiles: the carry dimension gets ``step``, the widest other dimension
+    is cut into ``rows`` pieces, the rest stay whole."""
+    tile_sizes = []
+    for members, tiles in zip(grouping.groups, grouping.tile_sizes):
+        geom = compute_group_geometry(pipe, members)
+        if geom is None or not tiles:
+            tile_sizes.append(tuple(tiles))
+            continue
+        ext = geom.grid_extents
+        new = list(ext)
+        cdim = reuse_carry_dim(geom, [1] * geom.ndim)
+        if cdim >= 0:
+            new[cdim] = step
+            others = [g for g in range(geom.ndim) if g != cdim]
+            if others and rows > 1:
+                widest = max(others, key=lambda g: ext[g])
+                new[widest] = -(-ext[widest] // rows)
+        tile_sizes.append(tuple(new))
+    return dataclasses.replace(grouping, tile_sizes=tuple(tile_sizes))

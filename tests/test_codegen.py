@@ -1,11 +1,10 @@
 """Code generator tests: structural checks on the emitted C++ plus
-compile-and-compare validation against the NumPy interpreter (skipped
-when no g++ is available)."""
+compile-and-compare validation against the NumPy interpreter — bit for
+bit, floats included, wherever the pipeline stays inside the typed
+printer's exact operator set (skipped when no g++ is available)."""
 
 import os
-import shutil
 import subprocess
-import tempfile
 
 import numpy as np
 import pytest
@@ -18,10 +17,7 @@ from repro.model import XEON_HASWELL
 from repro.pipelines import BENCHMARKS
 from repro.runtime import execute_reference
 
-from conftest import build_blur, build_histogram, build_updown, random_inputs
-
-HAVE_GXX = shutil.which("g++") is not None
-needs_gxx = pytest.mark.skipif(not HAVE_GXX, reason="g++ not available")
+from conftest import needs_gxx, random_inputs
 
 
 def compile_and_run(pipeline, grouping, inputs, tmpdir):
@@ -31,7 +27,8 @@ def compile_and_run(pipeline, grouping, inputs, tmpdir):
         fh.write(cpp)
     exe = os.path.join(tmpdir, "pipe")
     subprocess.run(
-        ["g++", "-O2", "-fopenmp", "-o", exe, src],
+        ["g++", "-O2", "-fopenmp", "-fwrapv", "-fno-fast-math",
+         "-ffp-contract=off", "-o", exe, src],
         check=True, capture_output=True,
     )
     in_paths, out_paths = [], []
@@ -138,22 +135,23 @@ class TestCompileAndCompare:
         ref = execute_reference(blur_pipeline, inputs)
         g = manual_grouping(blur_pipeline, [["blurx", "blury"]], [[3, 17, 23]])
         out = compile_and_run(blur_pipeline, g, inputs, str(tmp_path))
-        assert np.allclose(ref["blury"], out["blury"], atol=1e-5)
+        assert np.array_equal(ref["blury"], out["blury"])
 
     def test_scaled_chain(self, updown_pipeline, rng, tmp_path):
         inputs = random_inputs(updown_pipeline, rng)
         ref = execute_reference(updown_pipeline, inputs)
         g = manual_grouping(updown_pipeline, [["fine", "down", "up"]], [[13]])
         out = compile_and_run(updown_pipeline, g, inputs, str(tmp_path))
-        assert np.allclose(ref["up"], out["up"], atol=1e-5)
+        assert np.array_equal(ref["up"], out["up"])
 
     def test_histogram_reduction(self, histogram_pipeline, rng, tmp_path):
         inputs = random_inputs(histogram_pipeline, rng)
         ref = execute_reference(histogram_pipeline, inputs)
         g = manual_grouping(histogram_pipeline, [["hist"], ["norm"]],
                             [[8], [8]])
+        # the reduction accumulates in ufunc.at's order and type: exact
         out = compile_and_run(histogram_pipeline, g, inputs, str(tmp_path))
-        assert np.allclose(ref["norm"], out["norm"], atol=1e-5)
+        assert np.array_equal(ref["norm"], out["norm"])
 
     @pytest.mark.parametrize("abbrev", ["UM", "HC", "BG", "CP"])
     def test_benchmarks_dp_schedule(self, abbrev, rng, tmp_path):
@@ -165,17 +163,32 @@ class TestCompileAndCompare:
                               max_states=500000)
         out = compile_and_run(p, g, inputs, str(tmp_path))
         for k in ref:
-            assert np.allclose(
-                ref[k].astype(np.float64), out[k].astype(np.float64),
-                atol=3e-2, rtol=1e-3,
-            ), (abbrev, k)
+            if abbrev == "CP":
+                # the tone curve is a pow(): libm and NumPy differ in
+                # the last place, and the LUT index it feeds can flip
+                assert np.allclose(
+                    ref[k].astype(np.float64), out[k].astype(np.float64),
+                    atol=3e-2, rtol=1e-3,
+                ), (abbrev, k)
+            else:
+                assert np.array_equal(ref[k], out[k]), (abbrev, k)
 
     def test_harris_bit_exact(self, rng, tmp_path):
-        # All-float arithmetic evaluated in double both sides: exact.
+        # Every operation in the dtype NumPy computes it in: exact.
         b = BENCHMARKS["HC"]
         p = b.build(**b.small_kwargs)
         inputs = random_inputs(p, rng)
         ref = execute_reference(p, inputs)
         g = schedule_pipeline(p, XEON_HASWELL, strategy="dp")
         out = compile_and_run(p, g, inputs, str(tmp_path))
-        assert np.allclose(ref["corners"], out["corners"], atol=1e-5)
+        assert np.array_equal(ref["corners"], out["corners"])
+
+    def test_pyramid_bit_exact(self, rng, tmp_path):
+        b = BENCHMARKS["PB"]
+        p = b.build(**b.small_kwargs)
+        inputs = random_inputs(p, rng)
+        ref = execute_reference(p, inputs)
+        g = schedule_pipeline(p, XEON_HASWELL, strategy="greedy")
+        out = compile_and_run(p, g, inputs, str(tmp_path))
+        for k in ref:
+            assert np.array_equal(ref[k], out[k]), k

@@ -11,6 +11,7 @@ from repro.errors import (
     InputError,
     InputMissingError,
     InputShapeError,
+    KernelNativeError,
     MemoryBudgetError,
     NoValidGroupingError,
     NumericError,
@@ -20,6 +21,7 @@ from repro.errors import (
     SchedulingError,
     TileExecutionError,
     error_code,
+    is_retryable,
 )
 
 
@@ -37,10 +39,18 @@ class TestTaxonomy:
             "SCHEDULE_FORMAT": ScheduleFormatError,
             "SCHEDULE_STALE": ScheduleStaleError,
             "FAULT_INJECTED": InjectedFault,
+            "KERNEL_NATIVE_FAIL": KernelNativeError,
         }
         for code, cls in expected.items():
             assert cls.code == code
             assert ERROR_CODES[code] is cls
+
+    def test_native_failure_is_deterministic_and_carries_a_reason(self):
+        # no compiler now means no compiler on the retry: never retried
+        exc = KernelNativeError("no g++ on PATH", reason="no-compiler")
+        assert exc.reason == "no-compiler"
+        assert "[KERNEL_NATIVE_FAIL]" in str(exc)
+        assert not is_retryable(exc)
 
     def test_builtin_compat_bases(self):
         # Callers written against the old bare exceptions keep working.

@@ -1,0 +1,822 @@
+"""Native group kernels: bit identity, eligibility, degradation.
+
+Clock-free.  What is pinned:
+
+* **bits** — digests equal ``execute_reference`` on the six benchmarks'
+  DP groupings x threads x halo reuse on/off (grids of one, two and
+  three carry rows: the sixteen-``ExecOptions`` matrix of
+  ``test_runtime_parallel_walk.py``), through ``PipelineHost`` in-process
+  and a forked worker, on random DAGs x awkward tiles x step lengths,
+  and under ``tile`` fault injection;
+* **one plan** — a native kernel reports the region slots, inlined
+  members and direct stores of the NumPy kernel it stands in for;
+* **the typed printer** — op by op against NumPy, dtype and bytes;
+* **eligibility** — ``exp``/``log``/``pow`` keep their NumPy kernels
+  without a warning, everything else on the benchmarks is native;
+* **degradation** — no compiler, a failed build, an unusable artifact
+  directory, a truncated artifact, a failed self-check: one
+  ``KERNEL_NATIVE_FAIL`` warning, the NumPy kernels, equal digests.
+"""
+
+import ctypes
+import dataclasses
+import os
+import stat
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.database import DirectoryBasedExampleDatabase
+
+from repro.codegen.cexpr import (
+    C_TYPES,
+    CBuffer,
+    ExprPrinter,
+    InexactOp,
+    RUNTIME_HELPERS,
+    ctype_for,
+)
+from repro.dsl import (
+    Abs,
+    Cast,
+    Condition,
+    Double,
+    Exp,
+    Float,
+    Floor,
+    Image,
+    Int,
+    Long,
+    Max,
+    Min,
+    Select,
+    Short,
+    Sqrt,
+    UChar,
+    UShort,
+    Variable,
+)
+from repro.errors import KernelNativeError
+from repro.fusion import manual_grouping, schedule_pipeline
+from repro.model.machine import XEON_HASWELL
+from repro.obs import METRICS, TRACE
+from repro.pipelines import BENCHMARKS
+from repro.pipelines.synth import random_pipeline
+from repro.planner import (
+    build_benchmark,
+    make_inputs,
+    output_digests,
+    plan_schedule,
+)
+from repro.poly import compute_group_geometry
+from repro.resilience import GuardPolicy, execute_guarded, inject_faults
+from repro.resilience.faults import FaultInjector
+from repro.runtime import (
+    ExecOptions,
+    KernelNativeWarning,
+    clear_kernel_cache,
+    execute_grouping,
+    execute_reference,
+    grouping_kernels,
+)
+from repro.runtime import executor as executor_mod
+from repro.runtime import native as native_mod
+from repro.runtime import nativestore
+from repro.runtime.evalexpr import evaluate_expr
+from repro.serve import HostConfig, PipelineHost, PipelineService, ServeConfig
+
+from conftest import (
+    FailFirstAttempt,
+    build_blur,
+    force_step_tiles,
+    needs_gxx,
+    random_inputs,
+)
+
+pytestmark = [pytest.mark.native, needs_gxx]
+
+NATIVE = ExecOptions(native=True)
+NUMPY = ExecOptions(native=False)
+THREADS = (1, 2, 4)
+REGRESSIONS = os.path.join(os.path.dirname(__file__), "regressions")
+
+
+@pytest.fixture(autouse=True)
+def fresh_process_state(monkeypatch):
+    """Each test sees a process that has warned about nothing and loaded
+    no artifact yet (the session's store on disk stays)."""
+    monkeypatch.setattr(native_mod, "_WARNED", set())
+    monkeypatch.setattr(nativestore, "_LOADED", {})
+
+
+def forget_loaded(monkeypatch):
+    """Forget every resolved kernel and loaded artifact, as a new
+    process would have."""
+    clear_kernel_cache()
+    monkeypatch.setattr(nativestore, "_LOADED", {})
+
+
+def dp_grouping(abbrev):
+    bench = BENCHMARKS[abbrev]
+    pipe = bench.build(**bench.small_kwargs)
+    grouping, _ = plan_schedule(
+        pipe, bench, XEON_HASWELL, "dp", 1_200_000, strict=False
+    )
+    return bench, pipe, grouping
+
+
+def native_warnings(record):
+    return [w for w in record if issubclass(w.category, KernelNativeWarning)]
+
+
+# ---------------------------------------------------------------------------
+# bits
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
+def test_dp_groupings_match_reference_and_share_the_numpy_plan(abbrev):
+    """Threads {1, 2, 4} x reuse on/off on the DP grouping; every group
+    but CP's ``pow`` LUT is native, silently; and each native kernel has
+    exactly the slots of the NumPy kernel it replaces — one plan."""
+    bench, pipe, grouping = dp_grouping(abbrev)
+    inputs = random_inputs(pipe, np.random.default_rng(61))
+    expected = output_digests(execute_reference(pipe, inputs))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        kernels = grouping_kernels(pipe, grouping.groups, NATIVE)
+    assert not native_warnings(record)
+    numpy_only = [k.group_names for k in kernels if not k.native]
+    assert numpy_only == ([("curve",)] if abbrev == "CP" else [])
+    for kernel, plain in zip(
+        kernels, grouping_kernels(pipe, grouping.groups, NUMPY)
+    ):
+        assert not plain.native
+        assert kernel.group_names == plain.group_names
+        assert kernel.region_names == plain.region_names
+        assert kernel.liveout_names == plain.liveout_names
+        assert kernel.inlined == plain.inlined
+        assert kernel.direct_stores == plain.direct_stores
+        assert not (kernel.native and kernel.generated)
+    for n in THREADS:
+        for reuse in (True, False):
+            out = execute_grouping(
+                pipe, grouping, inputs, nthreads=n,
+                options=ExecOptions(reuse=reuse, native=True),
+            )
+            assert output_digests(out) == expected, (n, reuse)
+
+
+def test_host_in_process_and_forked_worker(native_on):
+    """``PipelineHost`` resolves native at warm-up and says so on
+    ``/healthz``; a forked worker inherits the loaded artifact."""
+    scale, seed = 0.05, 3
+    _, pipe = build_benchmark("CP", scale)
+    expected = output_digests(
+        execute_reference(pipe, make_inputs(pipe, seed))
+    )
+    host_config = HostConfig(scale=scale, threads=2)
+    host = PipelineHost("CP", host_config).warm()
+    assert host.options == ExecOptions(native=True)
+    health = host.health()
+    assert health["numpy_groups"] == 1          # the pow() LUT
+    assert health["native_groups"] >= 5
+    outputs, _, tier = host.execute(make_inputs(host.pipeline, seed))
+    assert tier == "compiled"
+    assert output_digests(outputs) == expected
+
+    svc = PipelineService(ServeConfig(
+        host=host_config, workers=1, heartbeat_s=0.2,
+        worker_timeout_s=60.0,
+    )).start()
+    try:
+        svc.warm(["CP"])
+        svc.start_workers()
+        result = svc.submit("CP", seed=seed).result(timeout=120)
+        assert result.worker is not None
+        assert output_digests(result.outputs) == expected
+    finally:
+        svc.shutdown(timeout_s=60.0)
+
+
+def test_strided_and_foreign_typed_inputs_are_normalised():
+    """The C side assumes C-contiguous buffers of the image's dtype; a
+    caller's Fortran-ordered float64 input still gives the same bits."""
+    pipe = build_blur(rows=30, cols=40)
+    inputs = random_inputs(pipe, np.random.default_rng(63))
+    g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 8, 16]])
+    odd = {
+        k: np.asfortranarray(v.astype(np.float64)) for k, v in inputs.items()
+    }
+    expected = execute_reference(pipe, inputs)
+    out = execute_grouping(pipe, g, odd, options=NATIVE)
+    assert np.array_equal(out["blury"], expected["blury"])
+
+
+# ---------------------------------------------------------------------------
+# fuzz: random DAGs x awkward tiles x step lengths
+# ---------------------------------------------------------------------------
+
+
+@settings(
+    max_examples=10, deadline=None,
+    database=DirectoryBasedExampleDatabase(REGRESSIONS),
+)
+@given(
+    seed=st.integers(0, 3),
+    tile_seed=st.integers(0, 2 ** 16),
+    k=st.sampled_from([1, 2, 10 ** 6]),
+    nthreads=st.sampled_from(THREADS),
+)
+def test_random_dags_match_reference(seed, tile_seed, k, nthreads):
+    """Few distinct DAGs (each is one translation unit), many tilings:
+    non-power-of-two tiles, tiles larger than the extent, one-tile rows,
+    steps of one tile, two tiles and the whole row."""
+    pipe = random_pipeline(num_stages=8, seed=seed, size=128)
+    grouping = schedule_pipeline(pipe, XEON_HASWELL, strategy="greedy")
+    rng = np.random.default_rng(tile_seed)
+    tile_sizes = []
+    for members, tiles in zip(grouping.groups, grouping.tile_sizes):
+        geom = compute_group_geometry(pipe, members)
+        tile_sizes.append(tuple(tiles) if geom is None else tuple(
+            int(rng.integers(3, ext + 6)) for ext in geom.grid_extents
+        ))
+    grouping = dataclasses.replace(grouping, tile_sizes=tuple(tile_sizes))
+    inputs = random_inputs(pipe, np.random.default_rng(seed))
+    expected = output_digests(execute_reference(pipe, inputs))
+    with pytest.MonkeyPatch.context() as mp:
+        force_step_tiles(mp, k)
+        out = execute_grouping(
+            pipe, grouping, inputs, nthreads=nthreads, options=NATIVE
+        )
+    assert output_digests(out) == expected
+
+
+# ---------------------------------------------------------------------------
+# fault injection around native steps
+# ---------------------------------------------------------------------------
+
+
+class _RecordingInjector(FaultInjector):
+    """Never fails; remembers every ``tile`` key it was asked about."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def check(self, site, detail=""):
+        if site == "tile":
+            self.keys.append(detail)
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.3])
+def test_tile_faults_on_native_steps_match_reference(rate):
+    """The step stays the unit of retry and of the ``tile`` fault site —
+    one check per step attempt, the same keys the NumPy kernels see —
+    and the guard degrades what fails to the reference's digests."""
+    _, pipe, grouping = dp_grouping("CP")
+    inputs = make_inputs(pipe, 1)
+    expected = output_digests(execute_reference(pipe, inputs))
+    keys = {}
+    for name, options in (("native", NATIVE), ("numpy", NUMPY)):
+        recorder = _RecordingInjector()
+        with inject_faults(recorder):
+            execute_grouping(pipe, grouping, inputs, nthreads=2,
+                             options=options)
+        keys[name] = sorted(recorder.keys)
+    assert keys["native"] == keys["numpy"] and keys["native"]
+    for n in (1, 2):
+        with inject_faults(seed=5, tile=rate) as injector:
+            report = execute_guarded(
+                pipe, grouping, inputs, nthreads=n,
+                policy=GuardPolicy(
+                    tile_retries=1, degrade=True, options=NATIVE
+                ),
+            )
+        assert output_digests(report.outputs) == expected
+        stats = injector.counts["tile"]
+        if rate == 1.0:
+            assert not any(o.mode == "tiled" for o in report.outcomes)
+            assert stats.checks == stats.failures
+        else:
+            assert 0 < stats.failures < stats.checks
+
+
+def test_mid_run_failure_reseeds_the_native_carry(monkeypatch):
+    """A step failing in the middle of a run drops the carried windows;
+    its retry seeds fresh ones and the bits do not change."""
+    pipe = build_blur(rows=96, cols=94)
+    inputs = random_inputs(pipe, np.random.default_rng(64))
+    g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
+    force_step_tiles(monkeypatch, 2)
+    assert all(k.native for k in grouping_kernels(pipe, g.groups, NATIVE))
+    expected = execute_reference(pipe, inputs)
+    METRICS.reset(enabled=True)
+    try:
+        with inject_faults(FailFirstAttempt({"g0t8a0"})):
+            out = execute_grouping(
+                pipe, g, inputs, tile_retries=1, options=NATIVE
+            )
+        assert METRICS.value("repro_halo_reuse_invalidations_total") == 1
+        assert METRICS.value("repro_tile_retries_total") == 1
+    finally:
+        METRICS.reset(enabled=False)
+    assert np.array_equal(out["blury"], expected["blury"])
+
+
+# ---------------------------------------------------------------------------
+# the typed printer, op by op against NumPy
+# ---------------------------------------------------------------------------
+
+_INTS = [-32768, -300, -7, -2, -1, 0, 1, 2, 7, 300, 32767]
+_FLOATS = [
+    np.nan, -np.inf, -1e30, -7.5, -2.5, -1.0, -0.5, 0.5, 1.0, 2.5, 3.75,
+    7.0, 1e30, np.inf,
+]
+
+
+def _printer_cases():
+    """``(label, expression)`` over images ``s`` (int16), ``u`` (uint8),
+    ``w`` (uint16), ``i`` (int32), ``l`` (int64), ``f`` (float32),
+    ``g`` (float32, shifted) and ``d`` (float64), all indexed by ``x``."""
+    x = Variable(Int, "x")
+    n = len(_INTS) * len(_FLOATS)
+    s, u, w, i, l, f, g, d = (
+        Image(t, name, [n])(x) for t, name in (
+            (Short, "s"), (UChar, "u"), (UShort, "w"), (Int, "i"),
+            (Long, "l"), (Float, "f"), (Float, "g"), (Double, "d"),
+        )
+    )
+    cases = [
+        ("int16 * python int stays int16 and wraps", s * 300),
+        ("int16 + int16 wraps", s + s),
+        ("uint8 - python int wraps", u - 7),
+        ("uint16 * uint16 wraps", w * w),
+        ("int32 * int32 wraps", i * i),
+        ("negated uint8", -u),
+        ("float32 * python float stays float32", f * 1.5),
+        ("float32 * third stays float32", f * (1.0 / 3)),
+        ("float32 * int64 grid is float64", f * x),
+        ("float32 + float64", f + d),
+        ("int16 + python float is float64", s + 0.5),
+        ("int / int is float64", s / i),
+        ("int / python int is float64", s / 7),
+        ("float32 / float32", f / g),
+        ("int16 // int16", s // (s - 7)),
+        ("int16 // zero", s // (s - s)),
+        ("int32 // negative", i // -7),
+        ("int16 % int16", s % (s - 7)),
+        ("int16 % zero", s % (s - s)),
+        ("int64 % negative", l % -7),
+        ("uint8 // uint8", u // (u - 7)),
+        ("int16 // -1 (minimum overflows)", s // -1),
+        ("float32 // float32", f // g),
+        ("float32 % float32", f % g),
+        ("float32 // zero", f // (g - g)),
+        ("float64 % negative", d % -2.5),
+        ("min float32 nan", Min(f, g)),
+        ("max float32 nan", Max(f, g)),
+        ("max float32 python float", Max(f, 0.0)),
+        ("min int16 python int", Min(s, 5)),
+        ("max mixed int16 int32", Max(s, i)),
+        ("abs int16 (minimum wraps)", Abs(s)),
+        ("abs float32", Abs(f)),
+        ("floor float32", Floor(f)),
+        ("floor float64", Floor(d)),
+        ("floor of an integer", Floor(i)),
+        ("sqrt float32", Sqrt(Abs(f))),
+        ("sqrt of negative is nan", Sqrt(f)),
+        ("sqrt int16 is float32", Sqrt(Abs(s))),
+        ("cast float32 to int32 truncates", Cast(Int, Min(Max(f, -1e9), 1e9))),
+        ("cast int32 to uint8 wraps", Cast(UChar, i)),
+        ("cast int64 to float32 rounds once", Cast(Float, l * 16777217)),
+        ("cast float64 to float32", Cast(Float, d * (1.0 / 3))),
+        ("select float32 / python float",
+         Select(Condition(f, ">", 0.25), f, 0.5)),
+        ("select int16 / float32",
+         Select(Condition(s, "<=", i), s, f)),
+        ("compare int16 with float32",
+         Select(Condition(s, "<", f) | Condition(f, "!=", f), 1, 0)),
+        ("compare uint8 with negative python int",
+         Select(Condition(u, ">", -1) & Condition(s, ">=", -300), u, 7)),
+        ("compare int64 with float64 (lossy promotion)",
+         Select(Condition(l * 9007199254740993, "==", d), 1, 2)),
+        ("clamp like the benchmarks", Min(Max(f * 1.1 - 0.05, 0.0), 1.0)),
+    ]
+    return x, n, cases
+
+
+def test_typed_printer_matches_numpy_op_by_op(tmp_path):
+    """Every case: the C result has the dtype NumPy gives the expression
+    and exactly its bytes, over a grid of edge values."""
+    x, n, cases = _printer_cases()
+    ints = np.repeat(np.array(_INTS, np.int64), len(_FLOATS))
+    floats = np.tile(np.array(_FLOATS, np.float64), len(_INTS))
+    arrays = {
+        "s": ints.astype(np.int16), "u": ints.astype(np.uint8),
+        "w": (ints * 7).astype(np.uint16), "i": (ints * 65537).astype(np.int32),
+        "l": ints * 4294967311, "f": floats.astype(np.float32),
+        "g": np.roll(floats, 5).astype(np.float32), "d": floats * 1.25,
+    }
+    from repro.runtime.buffers import Buffer
+
+    buffers = {k: Buffer(v, (0,)) for k, v in arrays.items()}
+    printer = ExprPrinter(
+        {k: CBuffer(k, [0], [n]) for k in arrays}, {}
+    )
+    params = ", ".join(
+        f"const {ctype_for(v.dtype)} *{k}" for k, v in arrays.items()
+    )
+    body, outs, expected = [], [], []
+    with np.errstate(all="ignore"):
+        for j, (label, e) in enumerate(cases):
+            want = np.asarray(evaluate_expr(
+                e, {"x": np.arange(n, dtype=np.int64)}, buffers
+            ))
+            val = printer.typed(e)
+            assert val.dtype == want.dtype, label
+            expected.append(want)
+            outs.append(np.empty(n, want.dtype))
+            body.append(
+                f"    (({ctype_for(want.dtype)} *)out[{j}])[x] = {val.text};"
+            )
+    source = (
+        RUNTIME_HELPERS
+        + f"void table({params}, void **out) {{\n"
+        + f"  for (int64_t x = 0; x < {n}; ++x) {{\n"
+        + "\n".join(body) + "\n  }\n}\n"
+    )
+    lib, _, _ = nativestore.load(source, str(tmp_path))
+    out_ptrs = (ctypes.c_void_p * len(outs))(*[o.ctypes.data for o in outs])
+    lib.table.argtypes = [ctypes.c_void_p] * (len(arrays) + 1)
+    lib.table.restype = None
+    lib.table(*[v.ctypes.data for v in arrays.values()], out_ptrs)
+    for (label, _), got, want in zip(cases, outs, expected):
+        assert got.tobytes() == want.tobytes(), (
+            label, got[got != want][:5], want[got != want][:5]
+        )
+
+
+def test_inexact_operations_are_refused_not_approximated():
+    x = Variable(Int, "x")
+    f = Image(Float, "f", [8])
+    printer = ExprPrinter({"f": CBuffer("f", [0], [8])}, {})
+    for e in (Exp(f(x)), f(x) ** 0.45):
+        with pytest.raises(InexactOp):
+            printer.expr(e)
+    # the whole-program generator may go through libm
+    assert "powf(" in ExprPrinter(
+        {"f": CBuffer("f", [0], [8])}, {}, libm=True
+    ).expr(f(x) ** 0.45)
+    assert set(C_TYPES) >= {np.dtype(t) for t in (
+        np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32,
+        np.int64, np.uint64, np.float32, np.float64,
+    )}
+
+
+# ---------------------------------------------------------------------------
+# degradation: warn once, NumPy kernels, equal digests
+# ---------------------------------------------------------------------------
+
+
+def _blur_case(seed=65):
+    pipe = build_blur(rows=30, cols=40)
+    inputs = random_inputs(pipe, np.random.default_rng(seed))
+    g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 8, 16]])
+    return pipe, g, inputs, execute_reference(pipe, inputs)["blury"]
+
+
+def _assert_degrades(reason, build=_blur_case, cache=None):
+    """Two fresh pipelines resolve under the failure: NumPy kernels,
+    equal bits, and exactly one warning naming ``reason``."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        for seed in (65, 66):
+            pipe, g, inputs, expected = build(seed)
+            kernels = grouping_kernels(pipe, g.groups, NATIVE, cache)
+            assert not any(k.native for k in kernels)
+            assert all(k.generated for k in kernels)
+            out = execute_grouping(pipe, g, inputs, options=NATIVE)
+            assert np.array_equal(out["blury"], expected)
+    got = native_warnings(record)
+    assert len(got) == 1, [str(w.message) for w in got]
+    assert "[KERNEL_NATIVE_FAIL]" in str(got[0].message)
+    assert f"({reason})" in str(got[0].message)
+
+
+def test_no_compiler_on_path(monkeypatch, tmp_path):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    METRICS.reset(enabled=True)
+    try:
+        _assert_degrades("no-compiler")
+        assert METRICS.value(
+            "repro_kernel_native_total", result="failed"
+        ) == 2
+        assert not METRICS.value("repro_kernel_native_total", result="built")
+    finally:
+        METRICS.reset(enabled=False)
+
+
+def test_compile_error_through_the_native_build_fault_site(tmp_path):
+    with inject_faults(native_build=1.0) as injector:
+        _assert_degrades("build", cache=str(tmp_path))
+    assert injector.counts["native_build"].failures == 2
+    # nothing half-written stays behind
+    assert os.listdir(tmp_path / "native") == []
+
+
+def test_compiler_that_fails_reports_its_stderr(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        nativestore, "FLAGS", nativestore.FLAGS + ("-fno-such-flag",)
+    )
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        pipe, g, inputs, expected = _blur_case()
+        out = execute_grouping(pipe, g, inputs, options=NATIVE)
+    assert np.array_equal(out["blury"], expected)
+    (w,) = native_warnings(record)
+    assert "fno-such-flag" in str(w.message)
+
+
+@pytest.mark.parametrize("how", ["world-writable", "foreign-owned", "a-file"])
+def test_unusable_artifact_directory(how, monkeypatch, tmp_path):
+    store = tmp_path / "native"
+    if how == "a-file":
+        store.write_text("not a directory")
+    else:
+        store.mkdir(mode=0o700)
+        if how == "world-writable":
+            store.chmod(0o777)
+        else:
+            monkeypatch.setattr(os, "geteuid", lambda: os.getuid() + 1)
+    _assert_degrades("cache-dir", cache=str(tmp_path))
+    if how != "a-file":
+        assert os.listdir(store) == []
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes anywhere")
+def test_read_only_artifact_directory(tmp_path):
+    store = tmp_path / "native"
+    store.mkdir(mode=0o500)
+    try:
+        _assert_degrades("build", cache=str(tmp_path))
+    finally:
+        store.chmod(0o700)
+
+
+def test_store_is_created_private(tmp_path):
+    pipe, g, inputs, expected = _blur_case()
+    kernels = grouping_kernels(pipe, g.groups, NATIVE, str(tmp_path))
+    assert all(k.native for k in kernels)
+    store = tmp_path / "native"
+    assert stat.S_IMODE(store.stat().st_mode) == 0o700
+    names = sorted(os.listdir(store))
+    assert [n.rsplit(".", 1)[1] for n in names] == ["json", "so"]
+    assert len(names[1]) == 64 + 3      # sha256 + ".so"
+
+
+def _artifact_path(pipe, g, cache, monkeypatch):
+    """Where the grouping's artifact would live, without building it."""
+    seen = []
+
+    def probe(source, _):
+        seen.append(source)
+        raise KernelNativeError("probe only", reason="probe")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(nativestore, "load", probe)
+        mp.setattr(native_mod, "_warn_once", lambda exc: None)
+        geoms = [compute_group_geometry(pipe, m) for m in g.groups]
+        native_mod.build_group_kernels(pipe, geoms, cache)
+    key = nativestore.artifact_key(seen[0], nativestore.compiler()[1])
+    return os.path.join(nativestore.store_dir(cache), key + ".so")
+
+
+def test_garbage_artifact_is_rebuilt_once_then_numpy(monkeypatch, tmp_path):
+    """Something that is not a library sits under the final name, and
+    the compiler keeps producing the same: it is removed, rebuilt exactly
+    once, removed again, and the groups run on NumPy."""
+    pipe, g, inputs, expected = _blur_case()
+    so = _artifact_path(pipe, g, str(tmp_path), monkeypatch)
+    os.makedirs(os.path.dirname(so), mode=0o700)
+    builds = []
+
+    def garbage(cc, source, final):
+        builds.append(final)
+        with open(final, "wb") as fh:
+            fh.write(b"\x7fELF garbage")
+
+    garbage(None, None, so)
+    builds.clear()
+    monkeypatch.setattr(nativestore, "_build", garbage)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        kernels = grouping_kernels(pipe, g.groups, NATIVE, str(tmp_path))
+    assert not any(k.native for k in kernels)
+    (w,) = native_warnings(record)
+    assert "(load)" in str(w.message)
+    assert builds == [so]
+    assert not os.path.exists(so)
+    out = execute_grouping(pipe, g, inputs, options=NATIVE)
+    assert np.array_equal(out["blury"], expected)
+
+
+def test_self_check_mismatch_demotes_only_that_group(monkeypatch, tmp_path):
+    """Forced: the first time an artifact is used, one group 'differs'.
+    It alone runs on NumPy — now, and on every later load, without the
+    check running again."""
+    bench, pipe, grouping = dp_grouping("UM")
+    # UM's DP grouping is one group; split it so there are two
+    names = [s.name for s in pipe.stages]
+    g = manual_grouping(
+        pipe, [names[:2], names[2:]], [[3, 16, 64], [3, 16, 64]]
+    )
+    inputs = random_inputs(pipe, np.random.default_rng(67))
+    expected = output_digests(execute_reference(pipe, inputs))
+    victim = tuple(names[:2])
+    real = executor_mod._kernels_agree
+    checked = []
+
+    def disagree_on_victim(pipeline, geom, a, b):
+        checked.append(a.group_names)
+        return a.group_names != victim and real(pipeline, geom, a, b)
+
+    monkeypatch.setattr(executor_mod, "_kernels_agree", disagree_on_victim)
+    METRICS.reset(enabled=True)
+    try:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            kernels = grouping_kernels(pipe, g.groups, NATIVE, str(tmp_path))
+        assert METRICS.value(
+            "repro_kernel_native_total", result="demoted"
+        ) == 1
+    finally:
+        METRICS.reset(enabled=False)
+    assert [k.native for k in kernels] == [False, True]
+    assert kernels[0].generated
+    assert sorted(checked) == sorted([victim, tuple(names[2:])])
+    (w,) = native_warnings(record)
+    assert "(self-check)" in str(w.message)
+    out = execute_grouping(pipe, g, inputs, options=NATIVE)
+    assert output_digests(out) == expected
+
+    # a later process: the artifact and its verdict are both on disk
+    forget_loaded(monkeypatch)
+    monkeypatch.setattr(
+        executor_mod, "_kernels_agree",
+        lambda *a: pytest.fail("self-check ran on an artifact-store hit"),
+    )
+    again = grouping_kernels(pipe, g.groups, NATIVE, str(tmp_path))
+    assert [k.native for k in again] == [False, True]
+
+
+def _cli_env(xdg):
+    """The suite's environment with native back on, a store of its own
+    and ``src`` importable."""
+    env = dict(os.environ)
+    env.pop("REPRO_NO_NATIVE")
+    env["XDG_CACHE_HOME"] = str(xdg)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
+                    env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def _run_cli(args, env):
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "run", *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def _digests(stdout):
+    return sorted(l for l in stdout.splitlines() if l.startswith("digest "))
+
+
+def test_cli_flags_and_concurrent_builders(tmp_path):
+    """``repro run`` end to end: two processes build the same key at the
+    same time and both end with a loadable artifact (no partial file is
+    ever loaded, nothing temporary stays behind); ``--no-native`` and
+    ``REPRO_NO_NATIVE`` print the same digests; a third run finds the
+    artifact and builds nothing; without ``g++`` the run still exits 0
+    with the same digests and exactly one warning; a truncated artifact
+    is rebuilt by the next process that finds it."""
+    env = _cli_env(tmp_path / "xdg")
+    base = ["UM", "--scale", "0.05", "--threads", "2", "--digest"]
+    cmd = [sys.executable, "-m", "repro", "run", *base]
+    procs = [
+        subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    outs = [p.communicate(timeout=300) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], outs
+    want = _digests(outs[0][0])
+    assert want and _digests(outs[1][0]) == want
+    assert not any("KERNEL_NATIVE_FAIL" in err for _, err in outs)
+    store = tmp_path / "xdg" / "repro" / "native"
+    names = sorted(os.listdir(store))
+    assert [n.rsplit(".", 1)[1] for n in names] == ["json", "so"], names
+
+    metrics = tmp_path / "m.txt"
+    third = _run_cli(base + ["--metrics", str(metrics)], env)
+    assert third.returncode == 0 and _digests(third.stdout) == want
+    text = metrics.read_text()
+    assert 'repro_kernel_native_total{result="cached"} 1' in text
+    assert 'result="built"' not in text
+    assert "repro_kernel_fused_groups_total" not in text
+
+    flag = _run_cli(base + ["--no-native", "--metrics", str(metrics)], env)
+    assert flag.returncode == 0 and _digests(flag.stdout) == want
+    text = metrics.read_text()
+    assert "repro_kernel_native_total" not in text
+    assert "repro_kernel_fused_groups_total 1" in text
+    var = _run_cli(base, dict(env, REPRO_NO_NATIVE="1"))
+    assert var.returncode == 0 and _digests(var.stdout) == want
+
+    masked = _run_cli(base, dict(env, PATH=str(tmp_path)))
+    assert masked.returncode == 0 and _digests(masked.stdout) == want
+    assert masked.stderr.count("KERNEL_NATIVE_FAIL") == 1, masked.stderr
+
+    # half a file under the final name: the next process rebuilds it
+    so = store / names[1]
+    so.write_bytes(so.read_bytes()[:1000])
+    fixed = _run_cli(base + ["--metrics", str(metrics)], env)
+    assert fixed.returncode == 0 and _digests(fixed.stdout) == want
+    assert "KERNEL_NATIVE_FAIL" not in fixed.stderr
+    assert 'repro_kernel_native_total{result="built"} 1' in (
+        metrics.read_text()
+    )
+    assert ctypes.CDLL(str(so)) is not None
+
+
+def test_schedule_cache_flag_places_the_store(tmp_path):
+    env = _cli_env(tmp_path / "unused")
+    run = _run_cli(
+        ["UM", "--scale", "0.05", "--digest",
+         "--schedule-cache", str(tmp_path / "sched")], env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert any(
+        n.endswith(".so") for n in os.listdir(tmp_path / "sched" / "native")
+    )
+    assert not (tmp_path / "unused").exists()
+
+
+# ---------------------------------------------------------------------------
+# observability
+# ---------------------------------------------------------------------------
+
+
+def _walk_spans(span):
+    yield span
+    for child in span.children:
+        yield from _walk_spans(child)
+
+
+def test_metrics_and_spans_name_the_native_tier(monkeypatch, tmp_path):
+    bench, pipe, grouping = dp_grouping("CP")
+    inputs = make_inputs(pipe, 1)
+    METRICS.reset(enabled=True)
+    TRACE.reset(enabled=True)
+    try:
+        kernels = grouping_kernels(
+            pipe, grouping.groups, NATIVE, str(tmp_path)
+        )
+        native = sum(k.native for k in kernels)
+        assert METRICS.value(
+            "repro_kernel_native_total", result="built"
+        ) == native == len(kernels) - 1
+        assert METRICS.value(
+            "repro_kernel_native_total", result="ineligible"
+        ) == 1
+        assert METRICS.value(
+            "repro_kernel_native_build_seconds"
+        )[0] == 1
+        execute_grouping(pipe, grouping, inputs, options=NATIVE)
+        # generated NumPy source ran nowhere: CP's one NumPy group is a
+        # singleton on the stage-walking adapter
+        assert not METRICS.value("repro_kernel_fused_groups_total")
+        spans = [
+            s for s in _walk_spans(TRACE.root) if s.name == "group"
+            and s.attrs.get("mode") == "tiled"
+        ]
+        assert sum(bool(s.attrs["native"]) for s in spans) == native
+        assert not any(s.attrs["fused"] for s in spans)
+
+        # another process, same machine: everything is found, not built
+        forget_loaded(monkeypatch)
+        METRICS.reset(enabled=True)
+        grouping_kernels(pipe, grouping.groups, NATIVE, str(tmp_path))
+        assert METRICS.value(
+            "repro_kernel_native_total", result="cached"
+        ) == native
+        assert not METRICS.value("repro_kernel_native_total", result="built")
+    finally:
+        METRICS.reset(enabled=False)
+        TRACE.reset(enabled=False)

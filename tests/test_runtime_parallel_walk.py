@@ -8,7 +8,7 @@ at least as many rows as workers.  Pinned here without clocks:
   computes does not grow with the number of chunks, and grows by at most
   one tile's worth per extra run when rows have to be cut;
 * **bit identity where the change bites** — six benchmarks x threads x
-  all eight ``ExecOptions`` on grids of one, two and three carry rows,
+  all sixteen ``ExecOptions`` on grids of one, two and three carry rows,
   against ``execute_reference``; a tile failing in the middle of a run re-seeds
   to that run's end, not the grid row's; the serve host at ``threads=2``
   in-process and across the worker boundary;
@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsl.function import Reduction
-from repro.errors import InjectedFault, TileExecutionError
+from repro.errors import TileExecutionError
 from repro.fusion import manual_grouping, schedule_pipeline
 from repro.model.machine import XEON_HASWELL
 from repro.pipelines import BENCHMARKS
@@ -39,7 +39,7 @@ from repro.planner import build_benchmark, make_inputs, output_digests, plan_sch
 from repro.obs import METRICS, TRACE
 from repro.poly import compute_group_geometry, reuse_carry_dim
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
-from repro.resilience.faults import FaultInjector, FaultSpec
+from repro.resilience.faults import FaultSpec
 from repro.runtime import ExecOptions, execute_grouping, execute_reference
 from repro.runtime import executor as executor_mod
 from repro.runtime.executor import (
@@ -53,7 +53,14 @@ from repro.runtime.executor import (
 )
 from repro.serve import HostConfig, PipelineHost, PipelineService, ServeConfig
 
-from conftest import build_blur, build_updown, force_step_tiles, random_inputs
+from conftest import (
+    FailFirstAttempt,
+    build_blur,
+    build_updown,
+    force_step_tiles,
+    random_inputs,
+    shaped,
+)
 
 THREADS = (1, 2, 4)
 #: one ``ExecOptions`` per source of group kernels
@@ -63,32 +70,8 @@ TIERS = {
     "no-compile": ExecOptions(compile=False),
 }
 ALL_OPTIONS = [
-    ExecOptions(*bits) for bits in itertools.product((True, False), repeat=3)
+    ExecOptions(*bits) for bits in itertools.product((True, False), repeat=4)
 ]
-
-
-def shaped(pipe, grouping, rows, step=7):
-    """``grouping`` re-tiled so every group whose grid allows it has
-    ``rows`` carry rows of many awkward (``step``-wide, non-dividing)
-    tiles: the carry dimension gets ``step``, the widest other dimension
-    is cut into ``rows`` pieces, the rest stay whole."""
-    tile_sizes = []
-    for members, tiles in zip(grouping.groups, grouping.tile_sizes):
-        geom = compute_group_geometry(pipe, members)
-        if geom is None or not tiles:
-            tile_sizes.append(tuple(tiles))
-            continue
-        ext = geom.grid_extents
-        new = list(ext)
-        cdim = reuse_carry_dim(geom, [1] * geom.ndim)
-        if cdim >= 0:
-            new[cdim] = step
-            others = [g for g in range(geom.ndim) if g != cdim]
-            if others and rows > 1:
-                widest = max(others, key=lambda g: ext[g])
-                new[widest] = -(-ext[widest] // rows)
-        tile_sizes.append(tuple(new))
-    return dataclasses.replace(grouping, tile_sizes=tuple(tile_sizes))
 
 
 def walk_shapes(pipe, grouping):
@@ -295,19 +278,32 @@ def test_carry_dim_rule_matches_region_plans_on_synth_dags(seed):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.native
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_benchmarks_match_reference_on_few_row_grids(abbrev, rows):
-    """All eight ``ExecOptions`` at 1, 2 and 4 threads, on awkward tiles
+    """All sixteen ``ExecOptions`` at 1, 2 and 4 threads, on awkward tiles
     whose grids have ``rows`` carry rows — the grids where rows are cut
-    (``rows < nthreads``) and where they are not."""
+    (``rows < nthreads``) and where they are not.  ``fuse`` is consulted
+    only under ``compile`` and ``native`` only under both: the serial walk
+    of the one-row grid runs all sixteen as spelled, everything else runs
+    each *effective* combination once."""
     bench = BENCHMARKS[abbrev]
     pipe = bench.build(**bench.small_kwargs)
     inputs = random_inputs(pipe, np.random.default_rng(43))
     grouping = shaped(pipe, bench.h_manual(pipe), rows, step=11)
     expected = output_digests(execute_reference(pipe, inputs))
     for n in THREADS:
+        ran = set()
         for options in ALL_OPTIONS:
+            fuse = options.compile and options.fuse
+            effective = (
+                options.compile, fuse, options.reuse,
+                fuse and options.native,
+            )
+            if (n > 1 or rows > 1) and effective in ran:
+                continue
+            ran.add(effective)
             out = execute_grouping(
                 pipe, grouping, inputs, nthreads=n, options=options,
             )
@@ -332,20 +328,6 @@ def test_full_tile_faults_on_cut_rows_match_reference(abbrev):
     assert output_digests(report.outputs) == output_digests(
         execute_reference(pipe, inputs)
     )
-
-
-class _FailFirstAttempt(FaultInjector):
-    """Fails the first attempt of the named tiles, always."""
-
-    def __init__(self, details):
-        super().__init__()
-        self.details = set(details)
-
-    def check(self, site, detail=""):
-        if site == "tile" and detail in self.details:
-            raise InjectedFault(
-                "injected fault", site=site, detail=detail, seed=0
-            )
 
 
 @pytest.mark.parametrize("tier", sorted(TIERS))
@@ -382,7 +364,7 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
     try:
         # "g0t3a0" is armed too: tile 3 is inside a step, not the start
         # of one, so no check is ever keyed by it.
-        with inject_faults(_FailFirstAttempt({"g0t2a0", "g0t3a0"})):
+        with inject_faults(FailFirstAttempt({"g0t2a0", "g0t3a0"})):
             out = execute_grouping(
                 pipe, g, inputs, nthreads=2, tile_retries=1,
                 options=TIERS[tier],
@@ -805,7 +787,7 @@ def test_failed_chunk_still_reports_its_completed_steps(monkeypatch):
     force_step_tiles(monkeypatch, 2)   # 6 rows x 3 steps of 2 tiles
     METRICS.reset(enabled=True)
     try:
-        with inject_faults(_FailFirstAttempt({"g0t34a0"})):
+        with inject_faults(FailFirstAttempt({"g0t34a0"})):
             with pytest.raises(TileExecutionError) as exc_info:
                 execute_grouping(pipe, g, inputs)
         assert exc_info.value.tile_index == 34

@@ -37,6 +37,7 @@ _DELIBERATE_500 = {
     "SCHEDULE_STALE",
     "KERNEL_COMPILE_FAIL",
     "KERNEL_FUSE_FAIL",
+    "KERNEL_NATIVE_FAIL",  # a warning in practice: the groups run on NumPy
     "FAULT_INJECTED",
     "SERVE",  # bare base class: never raised with a specific meaning
 }
