@@ -1,6 +1,6 @@
 """Backend smoke benchmark: CPU bit-identity + GPU two-level model.
 
-Two halves, both runnable on CPU-only CI (no GPU, no CuPy):
+Two halves, both runnable on CPU-only CI (no GPU):
 
 1. **CPU bit-identity** — full-DP schedules on the six paper benchmarks
    through the backend seam must match the frozen seed baseline

@@ -1,4 +1,4 @@
-"""Backend subsystem: machine models, tile search, executor selection.
+"""Backend subsystem: machine models and their group cost models.
 
 See :mod:`repro.backend.base` for the abstraction, ``docs/backends.md``
 for the full story.  Importing this package registers the built-in
@@ -17,18 +17,9 @@ from .base import (
     machine_names,
     machines_json,
     register_backend,
+    resolve_machine,
 )
 from .cpu import CPU_BACKEND, CpuBackend
-from .cupyexec import (
-    BackendUnavailableWarning,
-    cupy_available,
-    cupy_unavailable_reason,
-    execute_grouping_cupy,
-    execute_with_backend,
-    reset_cupy_for_testing,
-    set_cupy_for_testing,
-    warn_backend_unavailable_once,
-)
 from .gpu import GPU_BACKEND, GpuBackend, gpu_group_cost
 
 __all__ = [
@@ -38,14 +29,9 @@ __all__ = [
     "GpuBackend",
     "CPU_BACKEND",
     "GPU_BACKEND",
-    "BackendUnavailableWarning",
     "backend_for_machine",
     "backend_name_for",
     "backends_json",
-    "cupy_available",
-    "cupy_unavailable_reason",
-    "execute_grouping_cupy",
-    "execute_with_backend",
     "get_backend",
     "get_machine",
     "gpu_group_cost",
@@ -53,7 +39,5 @@ __all__ = [
     "machine_names",
     "machines_json",
     "register_backend",
-    "reset_cupy_for_testing",
-    "set_cupy_for_testing",
-    "warn_backend_unavailable_once",
+    "resolve_machine",
 ]

@@ -1,27 +1,22 @@
-"""The backend abstraction: machine descriptions, tile search, executors.
+"""The backend abstraction: machine descriptions and their cost models.
 
-A :class:`Backend` bundles everything that differs between target
-architectures:
+A :class:`Backend` bundles what differs between target architectures
+*for the scheduler*:
 
 * the **machine presets** it can schedule for (``machines()``),
 * the **group cost model** — ``COST(H)`` with the architecture's tile
-  hierarchy baked in (``group_cost``),
-* the **executor tier** it contributes to the degradation ladder and
-  whether that tier's runtime is actually usable here
-  (``executor_tier()`` / ``available()``).
+  hierarchy baked in (``group_cost``).
 
 Two backends ship: :class:`~repro.backend.cpu.CpuBackend` (the paper's
-single-level cache model and the compiled-NumPy executor — always
-available) and :class:`~repro.backend.gpu.GpuBackend` (the two-level
-block/warp tile model of the GPU follow-up paper, executing through CuPy
-when it is importable and degrading to the CPU tiers when not).
+single-level cache model) and :class:`~repro.backend.gpu.GpuBackend`
+(the two-level block/warp tile model of the GPU follow-up paper).
+Execution is not part of the seam: every schedule, whichever model
+produced it, runs on the one executor in :mod:`repro.runtime`.
 
 Machines resolve backends structurally — :func:`backend_for_machine`
 keys on the machine description's type, so a
 :class:`~repro.model.machine.GpuMachine` can never be priced by the CPU
-cost model or vice versa.  Everything here is registry-driven so future
-backends (the ROADMAP's video/dynamic-shape items) plug in with a
-``register_backend`` call.
+cost model or vice versa.
 """
 
 from __future__ import annotations
@@ -39,6 +34,7 @@ __all__ = [
     "register_backend",
     "get_backend",
     "get_machine",
+    "resolve_machine",
     "machine_names",
     "backend_for_machine",
     "backend_name_for",
@@ -81,29 +77,12 @@ class Backend:
         """``COST(H)`` under this backend's tile hierarchy."""
         raise NotImplementedError
 
-    def executor_tier(self) -> str:
-        """Name of the ladder tier this backend's executor adds (the CPU
-        backend's ``compiled`` tier is the ladder's existing top)."""
-        raise NotImplementedError
-
-    def available(self) -> bool:
-        """Whether the executor tier's runtime is usable in this
-        process (the scheduler/cost model is always usable)."""
-        raise NotImplementedError
-
-    def unavailable_reason(self) -> Optional[str]:
-        """Why :meth:`available` is False (None when available)."""
-        return None
-
     def describe(self) -> Dict[str, object]:
         """Registry row for ``repro list --backends``."""
         return {
             "name": self.name,
             "machines": sorted(self.machines()),
             "default_machine": self.default_machine_name(),
-            "executor_tier": self.executor_tier(),
-            "available": self.available(),
-            "unavailable_reason": self.unavailable_reason(),
         }
 
 
@@ -150,6 +129,32 @@ def get_machine(name: str) -> object:
     raise KeyError(
         f"unknown machine {name!r}; registered: {machine_names()}"
     )
+
+
+def resolve_machine(
+    backend: Optional[str] = None, machine: Optional[str] = None
+) -> object:
+    """Resolve ``--backend`` / ``--machine`` to a machine description.
+
+    Either alone implies the other (a machine names its owning backend
+    structurally; a backend has a default machine; neither means
+    ``xeon``); both together are checked for membership, so ``--backend
+    gpu --machine xeon`` is refused instead of pricing a CPU with warp
+    tiles.  Raises ``KeyError`` for an unknown name and ``ValueError``
+    for a mismatched pair.
+    """
+    if backend is None:
+        return get_machine(machine or "xeon")
+    owner = get_backend(backend)
+    presets = owner.machines()
+    if machine is None:
+        machine = owner.default_machine_name()
+    if machine not in presets:
+        raise ValueError(
+            f"machine {machine!r} does not belong to backend {backend!r}; "
+            f"its presets: {sorted(presets)}"
+        )
+    return presets[machine]
 
 
 def machine_names() -> List[str]:

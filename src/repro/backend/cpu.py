@@ -1,4 +1,4 @@
-"""The default CPU backend: the paper's model and executors, unchanged.
+"""The default CPU backend: the paper's cost model, unchanged.
 
 ``CpuBackend.group_cost`` delegates to
 :func:`repro.model.cost.cpu_group_cost` — the exact Algorithm 2
@@ -20,7 +20,7 @@ __all__ = ["CpuBackend", "CPU_BACKEND"]
 
 
 class CpuBackend(Backend):
-    """Single-level cache hierarchy (Sec. 4), compiled-NumPy executor."""
+    """Single-level cache hierarchy (Sec. 4)."""
 
     name = "cpu"
 
@@ -48,12 +48,6 @@ class CpuBackend(Backend):
             pipeline, members, machine, ncores=ncores, weights=weights,
             halo_reuse=halo_reuse,
         )
-
-    def executor_tier(self) -> str:
-        return "compiled"
-
-    def available(self) -> bool:
-        return True
 
 
 CPU_BACKEND = register_backend(CpuBackend())

@@ -50,7 +50,6 @@ from ..poly.footprint import livein_tile_size, liveout_tile_size
 from ..poly.overlap import overlap_size, overlap_size_chunked, tile_volume
 from ..poly.reuse import dimensional_reuse
 from .base import Backend, register_backend
-from .cupyexec import cupy_available, cupy_unavailable_reason
 
 __all__ = ["GpuBackend", "GPU_BACKEND", "gpu_group_cost"]
 
@@ -155,7 +154,8 @@ def gpu_group_cost(
 
 
 class GpuBackend(Backend):
-    """Two-level block/warp tile model, executing through CuPy."""
+    """Two-level block/warp tile model (scheduling only: its schedules
+    run on the one CPU executor, see ``docs/backends.md``)."""
 
     name = "gpu"
 
@@ -183,15 +183,6 @@ class GpuBackend(Backend):
             pipeline, members, machine, ncores=ncores, weights=weights,
             halo_reuse=halo_reuse,
         )
-
-    def executor_tier(self) -> str:
-        return "cupy"
-
-    def available(self) -> bool:
-        return cupy_available()
-
-    def unavailable_reason(self) -> Optional[str]:
-        return cupy_unavailable_reason()
 
 
 GPU_BACKEND = register_backend(GpuBackend())

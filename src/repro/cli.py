@@ -32,13 +32,10 @@ import numpy as np
 
 from .backend import (
     BACKENDS,
-    backend_for_machine,
     backends_json,
-    execute_with_backend,
-    get_backend,
-    get_machine,
     machine_names,
     machines_json,
+    resolve_machine,
 )
 from .fusion.serialize import load_grouping, save_grouping
 from .obs import METRICS, TRACE
@@ -50,39 +47,26 @@ from .perfmodel import estimate_runtime
 from .pipelines import BENCHMARKS, registry_json
 from .reporting import format_table
 from .resilience import GuardPolicy, execute_guarded
-from .runtime import ExecOptions, execute_reference, warm_group_kernels
+from .runtime import (
+    ExecOptions,
+    execute_grouping,
+    execute_reference,
+    warm_group_kernels,
+)
 
 __all__ = ["main"]
 
 
 def _machine(args):
-    """Resolve ``--backend`` / ``--machine`` to a machine description.
-
-    Either flag alone implies the other (a machine names its owning
-    backend structurally; a backend has a default machine); both
-    together are validated for membership so ``--backend gpu --machine
-    xeon`` fails loudly instead of pricing a CPU with warp tiles.
-    """
-    bname = getattr(args, "backend", None)
-    mname = getattr(args, "machine", None)
-    if bname is None:
-        try:
-            return get_machine(mname or "xeon")
-        except KeyError as exc:
-            raise SystemExit(str(exc))
+    """``--backend`` / ``--machine`` as a machine description
+    (:func:`repro.backend.resolve_machine`); a refused pair exits with
+    its message."""
     try:
-        backend = get_backend(bname)
-    except KeyError as exc:
-        raise SystemExit(str(exc))
-    presets = backend.machines()
-    if mname is None:
-        return presets[backend.default_machine_name()]
-    if mname not in presets:
-        raise SystemExit(
-            f"machine {mname!r} does not belong to backend {bname!r}; "
-            f"its presets: {sorted(presets)}"
+        return resolve_machine(
+            getattr(args, "backend", None), getattr(args, "machine", None)
         )
-    return presets[mname]
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(exc.args[0])
 
 
 # The build/schedule logic lives in repro.planner now, shared verbatim
@@ -217,13 +201,8 @@ def cmd_run(args) -> int:
         pipe, grouping.groups, options, schedule_cache=args.schedule_cache
     )
     if args.strict:
-        # Dispatch through the backend seam: a GPU machine tries its
-        # CuPy tier first (warning once and degrading to the compiled
-        # CPU kernels when the runtime is absent); a CPU machine runs
-        # the compiled executor exactly as before.
-        out = execute_with_backend(
-            backend_for_machine(machine), pipe, grouping, inputs,
-            nthreads=args.threads, options=options,
+        out = execute_grouping(
+            pipe, grouping, inputs, nthreads=args.threads, options=options,
         )
     else:
         exec_report = execute_guarded(
@@ -426,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machine-readable machine registry: every "
                         "preset with its backend, capacities, digest")
     p.add_argument("--backends", action="store_true",
-                   help="machine-readable backend registry: machines, "
-                        "executor tier, availability")
+                   help="machine-readable backend registry: each "
+                        "backend's machine presets and default")
 
     def common(p, with_strategy=True):
         p.add_argument("benchmark", choices=sorted(BENCHMARKS),
@@ -438,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "default, xeon without --backend)")
         p.add_argument("--backend", default=None,
                        choices=sorted(BACKENDS),
-                       help="backend whose machine model schedules and "
-                            "whose executor runs (default: inferred "
-                            "from --machine)")
+                       help="backend whose machine model schedules "
+                            "(default: inferred from --machine); every "
+                            "schedule runs on the one CPU executor")
         p.add_argument("--max-states", type=int, default=1_200_000)
         p.add_argument("--schedule-budget-s", type=float, default=None,
                        help="wall-clock budget for the DP scheduling "
@@ -543,9 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", default=None, choices=machine_names(),
                    help="machine preset (default: the backend's default)")
     p.add_argument("--backend", default="cpu", choices=sorted(BACKENDS),
-                   help="backend hosts schedule and execute with; gpu "
-                        "adds a cupy rung atop the degradation ladder "
-                        "when the runtime is importable")
+                   help="backend whose machine model hosts schedule "
+                        "with; every schedule runs on the one CPU "
+                        "executor")
     p.add_argument("--scale", type=float, default=0.1,
                    help="image-size fraction hosts are built at")
     p.add_argument("--threads", type=int, default=4,

@@ -37,10 +37,6 @@ code                      raised when
                           as a *warning* once per cause while the groups
                           run on the kernels they would have without
                           ``native``
-``BACKEND_UNAVAILABLE``   a requested execution backend's runtime (e.g.
-                          CuPy) is absent or unusable; surfaced as a
-                          *warning* once per backend while execution falls
-                          back to the compiled CPU tier
 ``FAULT_INJECTED``        a deliberate failure from the fault-injection
                           harness (:mod:`repro.resilience.faults`)
 ``SERVE_OVERLOADED``      admission control shed a request because the serve
@@ -84,7 +80,6 @@ __all__ = [
     "KernelCompileError",
     "KernelFuseError",
     "KernelNativeError",
-    "BackendUnavailableError",
     "InjectedFault",
     "ServeError",
     "ServeOverloadedError",
@@ -293,19 +288,6 @@ class KernelNativeError(KernelCompileError):
         self.reason = reason
 
 
-# -- backends ---------------------------------------------------------------
-
-
-class BackendUnavailableError(ReproError, RuntimeError):
-    """A requested execution backend's runtime (e.g. CuPy for the GPU
-    backend) is not importable or has no usable device.  Deterministic
-    for the life of the process, hence non-retryable: the degradation
-    ladder falls back to the compiled CPU tier instead, after warning
-    exactly once per backend (:mod:`repro.backend`)."""
-
-    code = "BACKEND_UNAVAILABLE"
-
-
 # -- fault injection --------------------------------------------------------
 
 
@@ -424,7 +406,6 @@ NON_RETRYABLE_CODES = frozenset({
     "KERNEL_COMPILE_FAIL",
     "KERNEL_FUSE_FAIL",
     "KERNEL_NATIVE_FAIL",
-    "BACKEND_UNAVAILABLE",
     "SERVE_SHUTDOWN",
     "SERVE_UNKNOWN",
     "SERVE_BODY_TOO_LARGE",

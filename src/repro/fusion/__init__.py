@@ -20,7 +20,11 @@ from .native_tune import (
     measure_native,
     native_autotune,
 )
-from .schedcache import ScheduleCache, schedule_cache_key
+from .schedcache import (
+    ScheduleCache,
+    schedule_cache_key,
+    schedule_cache_params,
+)
 from .serialize import (
     grouping_from_dict,
     grouping_to_dict,
@@ -40,6 +44,7 @@ __all__ = [
     "load_grouping",
     "ScheduleCache",
     "schedule_cache_key",
+    "schedule_cache_params",
     "schedule_pipeline",
     "dp_group",
     "dp_group_bounded",

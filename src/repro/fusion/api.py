@@ -35,7 +35,11 @@ from .dp import dp_group
 from .greedy import polymage_greedy
 from .grouping import Grouping, singleton_grouping
 from .halide import halide_auto_schedule
-from .schedcache import ScheduleCache, schedule_cache_key
+from .schedcache import (
+    ScheduleCache,
+    schedule_cache_key,
+    schedule_cache_params,
+)
 
 __all__ = ["schedule_pipeline"]
 
@@ -140,17 +144,13 @@ def _schedule_pipeline(
             if isinstance(schedule_cache, ScheduleCache)
             else ScheduleCache(schedule_cache)
         )
-        params = []
-        if strategy in ("dp", "dp-bounded"):
-            params.append(f"group_limit={group_limit}")
-        elif strategy == "dp-incremental":
-            params.append(f"initial_limit={initial_limit}")
-            params.append(f"step={step}")
-        elif strategy == "greedy":
-            params.append(f"tile_size={tile_size}")
-            params.append(f"overlap_tolerance={overlap_tolerance!r}")
         key = schedule_cache_key(
-            pipeline, machine, strategy=strategy, params=params,
+            pipeline, machine, strategy=strategy,
+            params=schedule_cache_params(
+                strategy, group_limit=group_limit,
+                initial_limit=initial_limit, step=step,
+                tile_size=tile_size, overlap_tolerance=overlap_tolerance,
+            ),
         )
         hit = cache.load(pipeline, key, backend=backend_name_for(machine))
         if hit is not None:

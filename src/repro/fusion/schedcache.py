@@ -52,7 +52,7 @@ import itertools
 import json
 import os
 import time
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 from ..dsl.pipeline import Pipeline
 from ..errors import ScheduleFormatError, ScheduleStaleError
@@ -61,7 +61,12 @@ from ..obs import METRICS
 from .grouping import Grouping
 from .serialize import grouping_from_dict, grouping_to_dict
 
-__all__ = ["ScheduleCache", "schedule_cache_key", "extents_digest"]
+__all__ = [
+    "ScheduleCache",
+    "schedule_cache_key",
+    "schedule_cache_params",
+    "extents_digest",
+]
 
 #: process-wide monotonic counter for unique temp-file suffixes
 _TMP_COUNTER = itertools.count()
@@ -130,6 +135,23 @@ def schedule_cache_key(
     for p in params:
         h.update(f"{p}\0".encode())
     return h.hexdigest()[:20]
+
+
+#: per cacheable strategy, the knobs its grouping depends on, in the
+#: order they enter the key
+_STRATEGY_KNOBS = {
+    "dp": ("group_limit",),
+    "dp-bounded": ("group_limit",),
+    "dp-incremental": ("initial_limit", "step"),
+    "greedy": ("tile_size", "overlap_tolerance"),
+}
+
+
+def schedule_cache_params(strategy: str, **knobs) -> List[str]:
+    """The ``params`` of :func:`schedule_cache_key` for ``strategy``,
+    picked out of ``knobs`` (knobs of other strategies are ignored) — the
+    one spelling every path that stores or loads a schedule keys on."""
+    return [f"{name}={knobs[name]!r}" for name in _STRATEGY_KNOBS[strategy]]
 
 
 #: temp files from :meth:`ScheduleCache.store` older than this are

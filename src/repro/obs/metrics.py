@@ -120,12 +120,6 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
                    "(event=hit|miss|eviction|store)"),
     "repro_schedule_seconds": (
         "histogram", "Wall time of scheduling runs, labelled by strategy"),
-    "repro_backend_selected_total": (
-        "counter", "Executions dispatched through the backend seam "
-                   "(backend=..., tier=cupy|compiled)"),
-    "repro_backend_unavailable_total": (
-        "counter", "Backend executor tiers found unavailable at dispatch "
-                   "(warned once per backend, then silent fallback)"),
     # -- serve layer (repro.serve) --------------------------------------
     "repro_serve_http_connections_total": (
         "counter", "Connections accepted by the HTTP front-end (a "
@@ -150,9 +144,8 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
                    "(SERVE_TIMEOUT)"),
     "repro_serve_tier": (
         "gauge", "Current degradation-ladder tier of a pipeline host: "
-                 "an index into the host's ladder, healthiest rung "
-                 "first (a GPU-backend host prepends a cupy rung to "
-                 "compiled/interpreter/no-fusion)"),
+                 "an index into compiled/interpreter/no-fusion, "
+                 "healthiest rung first"),
     "repro_serve_tier_changes_total": (
         "counter", "Degradation-ladder transitions (direction=down|up)"),
     "repro_serve_warm_seconds": (

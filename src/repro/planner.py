@@ -22,7 +22,12 @@ import numpy as np
 
 from .backend import backend_name_for
 from .dsl.pipeline import Pipeline
-from .fusion import ScheduleCache, schedule_cache_key, schedule_pipeline
+from .fusion import (
+    ScheduleCache,
+    schedule_cache_key,
+    schedule_cache_params,
+    schedule_pipeline,
+)
 from .model.machine import Machine
 from .pipelines import get_benchmark
 from .resilience import ScheduleBudget, resilient_schedule
@@ -85,14 +90,12 @@ def plan_schedule(pipe, bench, machine: Machine, strategy: str,
         cache = key = None
         if schedule_cache is not None:
             cache = ScheduleCache(schedule_cache)
-            params = []
-            if strategy == "dp-incremental":
-                params = [f"initial_limit={kwargs['initial_limit']}",
-                          f"step={kwargs['step']}"]
-            else:
-                params = ["group_limit=None"]
-            key = schedule_cache_key(pipe, machine, strategy=strategy,
-                                     params=params)
+            key = schedule_cache_key(
+                pipe, machine, strategy=strategy,
+                params=schedule_cache_params(
+                    strategy, group_limit=None, **kwargs
+                ),
+            )
             hit = cache.load(pipe, key, backend=backend_name_for(machine))
             if hit is not None:
                 return hit, None

@@ -32,7 +32,6 @@ per-group audit trail of what actually ran.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -41,9 +40,6 @@ import numpy as np
 from ..dsl.pipeline import Pipeline
 from ..obs import METRICS, TRACE
 from ..errors import (
-    InputDtypeError,
-    InputMissingError,
-    InputShapeError,
     MemoryBudgetError,
     NumericError,
     ReproError,
@@ -54,10 +50,11 @@ from ..fusion.grouping import Grouping
 from ..poly.alignscale import GroupGeometry, compute_group_geometry
 from ..runtime.executor import (
     ExecOptions,
-    _compute_stage_full,
+    _execute_group_untiled,
     _execute_one_group,
-    _input_buffers,
     _stage_region,
+    _walk_groups,
+    validate_inputs,
 )
 from . import faults
 
@@ -76,8 +73,6 @@ __all__ = [
 class GuardPolicy:
     """Knobs of :func:`execute_guarded`."""
 
-    #: validate input names/shapes/dtypes before executing
-    validate: bool = True
     #: per-tile bounded retries before a tile counts as failed
     tile_retries: int = 1
     #: fall back to reference execution for a failed group instead of
@@ -128,45 +123,6 @@ class ExecutionReport:
                 line += f" ({o.note})"
             lines.append(line)
         return "\n".join(lines)
-
-
-def validate_inputs(
-    pipeline: Pipeline, inputs: Mapping[str, np.ndarray]
-) -> None:
-    """Check input names, shapes, and dtypes without copying any data.
-
-    Raises the structured ``INPUT_*`` errors of :mod:`repro.errors`.
-    Unknown extra keys are tolerated (callers may batch inputs for several
-    pipelines into one mapping).
-    """
-    expected = sorted(img.name for img in pipeline.images)
-    for img in pipeline.images:
-        if img.name not in inputs:
-            raise InputMissingError(
-                f"missing input image {img.name!r}; expected inputs "
-                f"{expected}, got {sorted(inputs)}",
-                missing=img.name,
-                expected=expected,
-                provided=sorted(inputs),
-            )
-        arr = np.asarray(inputs[img.name])
-        shape = pipeline.image_shape(img)
-        if arr.shape != shape:
-            raise InputShapeError(
-                f"input {img.name!r} has shape {arr.shape}, expected {shape}",
-                image=img.name,
-                actual=arr.shape,
-                expected=shape,
-            )
-        if arr.dtype.kind not in "buifc":
-            raise InputDtypeError(
-                f"input {img.name!r} has non-numeric dtype {arr.dtype}, "
-                f"expected something convertible to "
-                f"{img.scalar_type.np_dtype}",
-                image=img.name,
-                actual=str(arr.dtype),
-                expected=str(img.scalar_type.np_dtype),
-            )
 
 
 def estimate_tile_scratch_bytes(
@@ -239,20 +195,6 @@ def _nonfinite_stages(
     return bad
 
 
-def _run_reference_group(
-    pipeline: Pipeline, members, buffers
-) -> None:
-    """Re-run one group's stages untiled over full domains — the reference
-    interpreter's semantics — with fault injection suspended so the
-    degraded path cannot itself be sabotaged."""
-    with faults.suspended():
-        for stage in pipeline.stages:
-            if stage in members:
-                buffers[stage.name] = _compute_stage_full(
-                    pipeline, stage, buffers
-                )
-
-
 def execute_guarded(
     pipeline: Pipeline,
     grouping: Grouping,
@@ -277,128 +219,96 @@ def execute_guarded(
     pools) are passed straight through to the tiled executor — the serve
     layer owns both so steady-state requests pay no pool setup; omitted,
     the executor falls back to its process-global shared pool.
+
+    The walk itself — input validation, group order, spans, timing
+    metrics, output gathering — is :func:`repro.runtime.execute_grouping`'s
+    (``runtime.executor._walk_groups``); what is here is what a guarded
+    run adds to each group.
     """
     policy = policy or GuardPolicy()
-    if grouping.pipeline is not pipeline:
-        raise ValueError("grouping was built for a different pipeline")
-    if nthreads < 1:
-        raise ValueError("nthreads must be positive")
-    with TRACE.span("prepare", pipeline=pipeline.name):
-        if policy.validate:
-            validate_inputs(pipeline, inputs)
-        buffers = _input_buffers(pipeline, inputs)
-
     observing = METRICS.enabled
-    t_exec = time.perf_counter() if observing else 0.0
     outcomes: List[GroupOutcome] = []
-    with TRACE.span(
-        "execute_guarded", pipeline=pipeline.name, nthreads=nthreads,
-        groups=grouping.num_groups,
-    ):
-        for gi, (members, tiles) in enumerate(
-            zip(grouping.groups, grouping.tile_sizes)
-        ):
-            names = sorted(s.name for s in members)
-            outcome = GroupOutcome(
-                group_index=gi, stages=names, mode="tiled",
-                tile_sizes=tuple(tiles),
+
+    def fall_back(outcome: GroupOutcome, members, buffers, code: str):
+        """Re-run the group untiled over full domains — the reference
+        interpreter's semantics — with fault injection suspended so the
+        degraded path cannot itself be sabotaged."""
+        if observing:
+            METRICS.inc("repro_degraded_groups_total", code=code)
+        with TRACE.span(
+            "reference-fallback", index=outcome.group_index, code=code,
+        ), faults.suspended():
+            _execute_group_untiled(
+                pipeline, members, buffers, compile=False
             )
-            t_group = time.perf_counter() if observing else 0.0
-            with TRACE.span(
-                "group", index=gi, stages=names, tiles=list(tiles),
-            ) as gspan:
-                try:
-                    run_tiles: Sequence[int] = tiles
-                    if policy.memory_cap_bytes is not None:
-                        geom = compute_group_geometry(pipeline, members)
-                        if geom is not None and len(tiles) == geom.ndim:
-                            run_tiles = fit_tiles_to_memory_cap(
-                                pipeline, geom, tiles,
-                                policy.memory_cap_bytes, nthreads,
-                            )
-                            if tuple(run_tiles) != tuple(tiles):
-                                outcome.note = (
-                                    f"tiles shrunk {list(tiles)} -> "
-                                    f"{list(run_tiles)} for memory cap"
-                                )
-                                outcome.tile_sizes = tuple(run_tiles)
-                    outcome.mode = _execute_one_group(
-                        pipeline, members, run_tiles, buffers, nthreads,
-                        policy.options, group_index=gi,
-                        tile_retries=policy.tile_retries,
-                        executor=executor, pools=pools,
-                    )
-                except Exception as exc:  # noqa: BLE001 - rewrapped below
-                    if not policy.degrade:
-                        if isinstance(exc, ReproError):
-                            raise
-                        raise TileExecutionError(
-                            f"group {gi} failed: {exc}",
-                            group_index=gi,
-                            tile_index=-1,
-                            cause=exc,
-                        ) from exc
-                    code = error_code(exc)
-                    if observing:
-                        METRICS.inc(
-                            "repro_degraded_groups_total", code=code
-                        )
-                    with TRACE.span(
-                        "reference-fallback", index=gi, code=code,
-                    ):
-                        _run_reference_group(pipeline, members, buffers)
-                    outcome.mode = "reference-fallback"
-                    outcome.error_code = code
-                    if not outcome.note:
-                        outcome.note = str(exc)[:200]
+        outcome.mode = "reference-fallback"
+        outcome.error_code = code
 
-                if policy.scan_nonfinite:
-                    bad = _nonfinite_stages(members, buffers, pipeline)
-                    if bad and outcome.mode != "reference-fallback":
-                        if not policy.degrade:
-                            raise NumericError(
-                                f"non-finite values in stages {bad} of "
-                                f"group {gi}",
-                                group_index=gi,
-                                stages=bad,
-                            )
-                        if observing:
-                            METRICS.inc(
-                                "repro_degraded_groups_total",
-                                code=NumericError.code,
-                            )
-                        with TRACE.span(
-                            "reference-fallback", index=gi,
-                            code=NumericError.code,
-                        ):
-                            _run_reference_group(
-                                pipeline, members, buffers
-                            )
-                        outcome.mode = "reference-fallback"
-                        outcome.error_code = NumericError.code
-                        bad = _nonfinite_stages(members, buffers, pipeline)
-                    if bad:
-                        outcome.note = (
-                            f"non-finite values in {bad} (also in "
-                            f"reference — genuine pipeline output)"
-                            if outcome.mode == "reference-fallback"
-                            else outcome.note
-                        )
-                gspan.set(mode=outcome.mode)
-                if outcome.error_code:
-                    gspan.set(error_code=outcome.error_code)
-            if observing:
-                METRICS.observe(
-                    "repro_group_seconds",
-                    time.perf_counter() - t_group,
-                    pipeline=pipeline.name,
-                )
-            outcomes.append(outcome)
-    if observing:
-        METRICS.observe(
-            "repro_execute_seconds", time.perf_counter() - t_exec,
-            pipeline=pipeline.name, mode="guarded",
+    def run_group(gi, members, tiles, buffers):
+        outcome = GroupOutcome(
+            group_index=gi, stages=sorted(s.name for s in members),
+            mode="tiled", tile_sizes=tuple(tiles),
         )
+        try:
+            run_tiles: Sequence[int] = tiles
+            if policy.memory_cap_bytes is not None:
+                geom = compute_group_geometry(pipeline, members)
+                if geom is not None and len(tiles) == geom.ndim:
+                    run_tiles = fit_tiles_to_memory_cap(
+                        pipeline, geom, tiles,
+                        policy.memory_cap_bytes, nthreads,
+                    )
+                    if tuple(run_tiles) != tuple(tiles):
+                        outcome.note = (
+                            f"tiles shrunk {list(tiles)} -> "
+                            f"{list(run_tiles)} for memory cap"
+                        )
+                        outcome.tile_sizes = tuple(run_tiles)
+            outcome.mode = _execute_one_group(
+                pipeline, members, run_tiles, buffers, nthreads,
+                policy.options, group_index=gi,
+                tile_retries=policy.tile_retries,
+                executor=executor, pools=pools,
+            )
+        except Exception as exc:  # noqa: BLE001 - rewrapped below
+            if not policy.degrade:
+                if isinstance(exc, ReproError):
+                    raise
+                raise TileExecutionError(
+                    f"group {gi} failed: {exc}",
+                    group_index=gi,
+                    tile_index=-1,
+                    cause=exc,
+                ) from exc
+            fall_back(outcome, members, buffers, error_code(exc))
+            if not outcome.note:
+                outcome.note = str(exc)[:200]
 
-    outputs = {o.name: buffers[o.name].data for o in pipeline.outputs}
+        if policy.scan_nonfinite:
+            bad = _nonfinite_stages(members, buffers, pipeline)
+            if bad and outcome.mode != "reference-fallback":
+                if not policy.degrade:
+                    raise NumericError(
+                        f"non-finite values in stages {bad} of "
+                        f"group {gi}",
+                        group_index=gi,
+                        stages=bad,
+                    )
+                fall_back(outcome, members, buffers, NumericError.code)
+                bad = _nonfinite_stages(members, buffers, pipeline)
+            if bad and outcome.mode == "reference-fallback":
+                outcome.note = (
+                    f"non-finite values in {bad} (also in "
+                    f"reference — genuine pipeline output)"
+                )
+        outcomes.append(outcome)
+        attrs = {"mode": outcome.mode}
+        if outcome.error_code:
+            attrs["error_code"] = outcome.error_code
+        return attrs
+
+    outputs = _walk_groups(
+        pipeline, grouping, inputs, nthreads,
+        "execute_guarded", "guarded", run_group,
+    )
     return ExecutionReport(outputs=outputs, outcomes=outcomes)

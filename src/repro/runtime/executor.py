@@ -32,7 +32,16 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -65,6 +74,7 @@ from .kernelcache import (
 
 __all__ = [
     "ExecOptions",
+    "validate_inputs",
     "execute_reference",
     "execute_grouping",
     "grouping_kernels",
@@ -208,11 +218,16 @@ def reset_shared_executors_after_fork() -> None:
     _SHARED_EXECUTORS.clear()
 
 
-def _input_buffers(
+def validate_inputs(
     pipeline: Pipeline, inputs: Mapping[str, np.ndarray]
-) -> Dict[str, Buffer]:
+) -> None:
+    """Check input names, shapes, and dtypes without copying any data.
+
+    Raises the structured ``INPUT_*`` errors of :mod:`repro.errors`.
+    Unknown extra keys are tolerated (callers may batch inputs for several
+    pipelines into one mapping).
+    """
     expected = sorted(img.name for img in pipeline.images)
-    buffers: Dict[str, Buffer] = {}
     for img in pipeline.images:
         if img.name not in inputs:
             raise InputMissingError(
@@ -240,12 +255,21 @@ def _input_buffers(
                 actual=str(arr.dtype),
                 expected=str(img.scalar_type.np_dtype),
             )
-        # C-contiguous in the image's dtype (a no-op for the usual
-        # input): native kernels address buffers by pointer and shape
-        buffers[img.name] = Buffer(
-            np.ascontiguousarray(arr, dtype=img.scalar_type.np_dtype),
-            (0,) * len(shape),
+
+
+def _input_buffers(
+    pipeline: Pipeline, inputs: Mapping[str, np.ndarray]
+) -> Dict[str, Buffer]:
+    """The validated inputs as origin-zero buffers, C-contiguous in each
+    image's dtype (a no-op for the usual input): native kernels address
+    buffers by pointer and shape."""
+    validate_inputs(pipeline, inputs)
+    buffers: Dict[str, Buffer] = {}
+    for img in pipeline.images:
+        data = np.ascontiguousarray(
+            inputs[img.name], dtype=img.scalar_type.np_dtype
         )
+        buffers[img.name] = Buffer(data, (0,) * data.ndim)
     return buffers
 
 
@@ -397,7 +421,7 @@ def _chunk_tiles(
     reuse the carry dimension, whose tiles share one seeded window);
     without ``row_len`` every tile is its own row.  Each chunk start costs
     the reuse path one seed, so rows are kept whole whenever there are
-    enough of them to occupy every worker:
+    enough of them to give every worker one:
 
     * ``rows >= nthreads``: ``min(rows, _CHUNKS_PER_WORKER * nthreads)``
       chunks of whole rows, sizes differing by at most one row — the
@@ -1329,6 +1353,22 @@ def warm_group_kernels(
     }
 
 
+def _execute_group_untiled(
+    pipeline: Pipeline, members, buffers: Dict[str, Buffer], compile: bool
+) -> None:
+    """Run ``members`` stage by stage over their full domains, in
+    pipeline order: on compiled stage kernels, or — ``compile`` off —
+    exactly as :func:`execute_reference` would."""
+    for stage in pipeline.stages:
+        if stage in members:
+            kernel = None
+            if compile and not isinstance(stage, Reduction):
+                kernel = get_kernel(pipeline, stage)
+            buffers[stage.name] = _compute_stage_full(
+                pipeline, stage, buffers, kernel=kernel
+            )
+
+
 def _execute_one_group(
     pipeline: Pipeline,
     members,
@@ -1345,14 +1385,7 @@ def _execute_one_group(
     ``"tiled"`` or ``"untiled"``."""
     geom = _tiled_geometry(pipeline, members)
     if geom is None:
-        for stage in pipeline.stages:
-            if stage in members:
-                kernel = None
-                if options.compile and not isinstance(stage, Reduction):
-                    kernel = get_kernel(pipeline, stage)
-                buffers[stage.name] = _compute_stage_full(
-                    pipeline, stage, buffers, kernel=kernel
-                )
+        _execute_group_untiled(pipeline, members, buffers, options.compile)
         return "untiled"
     if len(tiles) != geom.ndim:
         raise ValueError(
@@ -1366,6 +1399,66 @@ def _execute_one_group(
         executor=executor, pools=pools,
     )
     return "tiled"
+
+
+def _walk_groups(
+    pipeline: Pipeline,
+    grouping: Grouping,
+    inputs: Mapping[str, np.ndarray],
+    nthreads: int,
+    entry: str,
+    mode: str,
+    run_group: Callable[
+        [int, Sequence[Function], Sequence[int], Dict[str, Buffer]],
+        Mapping[str, object],
+    ],
+) -> Dict[str, np.ndarray]:
+    """The group walk :func:`execute_grouping` (``entry`` / ``mode`` =
+    ``"execute_grouping"`` / ``"strict"``) and
+    :func:`repro.resilience.guard.execute_guarded`
+    (``"execute_guarded"`` / ``"guarded"``) share: validate the inputs
+    into buffers, call ``run_group(index, members, tiles, buffers)`` for
+    every group in topological order — it publishes the group's stages
+    into ``buffers`` and returns what to record on the group's span —
+    and gather the outputs.  ``entry`` names the span around the walk,
+    ``mode`` labels ``repro_execute_seconds``.
+    """
+    if grouping.pipeline is not pipeline:
+        raise ValueError("grouping was built for a different pipeline")
+    if nthreads < 1:
+        raise ValueError("nthreads must be positive")
+    with TRACE.span("prepare", pipeline=pipeline.name):
+        buffers = _input_buffers(pipeline, inputs)
+
+    observing = METRICS.enabled
+    t_exec = time.perf_counter() if observing else 0.0
+    with TRACE.span(
+        entry, pipeline=pipeline.name, nthreads=nthreads,
+        groups=grouping.num_groups,
+    ):
+        for gi, (members, tiles) in enumerate(
+            zip(grouping.groups, grouping.tile_sizes)
+        ):
+            t_group = time.perf_counter() if observing else 0.0
+            with TRACE.span(
+                "group", index=gi,
+                stages=sorted(s.name for s in members),
+                tiles=list(tiles),
+            ) as gspan:
+                gspan.set(**run_group(gi, members, tiles, buffers))
+            if observing:
+                METRICS.observe(
+                    "repro_group_seconds",
+                    time.perf_counter() - t_group,
+                    pipeline=pipeline.name,
+                )
+    if observing:
+        METRICS.observe(
+            "repro_execute_seconds", time.perf_counter() - t_exec,
+            pipeline=pipeline.name, mode=mode,
+        )
+
+    return {o.name: buffers[o.name].data for o in pipeline.outputs}
 
 
 def execute_grouping(
@@ -1401,50 +1494,22 @@ def execute_grouping(
     Failures are structured (:mod:`repro.errors`): missing or malformed
     inputs raise ``INPUT_*`` errors up front, and a tile that raises
     surfaces as ``TILE_FAIL`` with its group/tile coordinates after
-    ``tile_retries`` bounded retries.  For validation, retry-then-degrade
-    execution, and per-group fallback to the reference interpreter, see
+    ``tile_retries`` bounded retries.  For retry-then-degrade execution
+    and per-group fallback to the reference interpreter — the same walk,
+    guarded per group — see
     :func:`repro.resilience.guard.execute_guarded`.
     """
-    if grouping.pipeline is not pipeline:
-        raise ValueError("grouping was built for a different pipeline")
-    if nthreads < 1:
-        raise ValueError("nthreads must be positive")
     if options is None:
         options = ExecOptions.resolve()
-    with TRACE.span("prepare", pipeline=pipeline.name):
-        buffers = _input_buffers(pipeline, inputs)
 
-    observing = METRICS.enabled
-    t_exec = time.perf_counter() if observing else 0.0
-    with TRACE.span(
-        "execute_grouping", pipeline=pipeline.name, nthreads=nthreads,
-        groups=grouping.num_groups,
-    ):
-        for gi, (members, tiles) in enumerate(
-            zip(grouping.groups, grouping.tile_sizes)
-        ):
-            t_group = time.perf_counter() if observing else 0.0
-            with TRACE.span(
-                "group", index=gi,
-                stages=sorted(s.name for s in members),
-                tiles=list(tiles),
-            ) as gspan:
-                mode = _execute_one_group(
-                    pipeline, members, tiles, buffers, nthreads, options,
-                    group_index=gi, tile_retries=tile_retries,
-                    executor=executor, pools=pools,
-                )
-                gspan.set(mode=mode)
-            if observing:
-                METRICS.observe(
-                    "repro_group_seconds",
-                    time.perf_counter() - t_group,
-                    pipeline=pipeline.name,
-                )
-    if observing:
-        METRICS.observe(
-            "repro_execute_seconds", time.perf_counter() - t_exec,
-            pipeline=pipeline.name, mode="strict",
-        )
+    def run_group(gi, members, tiles, buffers):
+        return {"mode": _execute_one_group(
+            pipeline, members, tiles, buffers, nthreads, options,
+            group_index=gi, tile_retries=tile_retries,
+            executor=executor, pools=pools,
+        )}
 
-    return {o.name: buffers[o.name].data for o in pipeline.outputs}
+    return _walk_groups(
+        pipeline, grouping, inputs, nthreads,
+        "execute_grouping", "strict", run_group,
+    )

@@ -3,9 +3,10 @@
 A :class:`PipelineHost` holds everything the paper says should be paid
 once and amortized over many executions (Sec. 4–5): the schedule
 (computed through the resilient chain, optionally via the persistent
-:class:`~repro.fusion.schedcache.ScheduleCache`), the compiled stage
-kernels, a shared :class:`~repro.runtime.buffers.PoolGroup` of warm
-scratch pools, and a pinned persistent executor worker pool.  Requests
+:class:`~repro.fusion.schedcache.ScheduleCache`), every group's resolved
+kernel (native C where eligible, else generated NumPy), a shared
+:class:`~repro.runtime.buffers.PoolGroup` of warm scratch pools, and a
+pinned persistent executor worker pool.  Requests
 then execute on the warm plan through
 :func:`repro.resilience.guard.execute_guarded` — the identical code path
 a one-shot ``repro run`` takes, which is what keeps served outputs
@@ -16,7 +17,8 @@ step below the per-request protections ``execute_guarded`` already
 provides.  A request whose execution degraded (any group fell back to
 reference execution) counts as a soft failure; ``degrade_after``
 consecutive failures drop the host one tier, ``recover_after``
-consecutive clean requests raise it back.  The base ladder:
+consecutive clean requests raise it back.  The ladder
+(:data:`LADDER`, the same for every host):
 
 ====  ====================  ============================================
 tier  name                  what executes
@@ -30,12 +32,9 @@ tier  name                  what executes
                             pure interpreter
 ====  ====================  ============================================
 
-A non-CPU backend (``HostConfig.backend``) prepends its executor tier —
-``cupy`` for the GPU backend — when its runtime is importable at
-warm-up, giving that host a four-rung ladder whose failures degrade into
-the standard CPU tiers.  When the runtime is absent the host warns once
-(``BACKEND_UNAVAILABLE``) and serves on the base ladder; see
-``docs/backends.md``.
+``HostConfig.backend`` chooses the machine model the host *schedules*
+with; a GPU-model schedule executes on the same ladder (see
+``docs/backends.md``).
 
 :class:`PipelineService` composes hosts with the micro-batching queue
 (:mod:`repro.serve.batching`) and admission control
@@ -49,10 +48,11 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from ..backend import resolve_machine
 from ..errors import (
     ServeShutdownError,
     ServeTimeoutError,
@@ -85,8 +85,7 @@ __all__ = [
     "LADDER",
 ]
 
-#: base degradation-ladder tiers, healthiest first; a host whose backend
-#: contributes an extra executor tier (``cupy``) prepends it at warm-up
+#: the degradation ladder's tiers, healthiest first
 LADDER = ("compiled", "interpreter", "no-fusion")
 
 #: what every rung below ``compiled`` executes with
@@ -99,8 +98,7 @@ _INTERPRETED = ExecOptions(
 class HostConfig:
     """Per-host knobs (shared by every host of one service)."""
 
-    #: backend whose machine model schedules and whose executor tier
-    #: (if any beyond the CPU tiers) tops the degradation ladder
+    #: backend whose machine model schedules
     backend: str = "cpu"
     #: machine preset name; None resolves to the backend's default
     machine: Optional[str] = None
@@ -169,13 +167,6 @@ class ServeResult:
     retried: bool = False
 
 
-class _CleanReport:
-    """Stand-in execution report for device-tier runs: the CuPy tier has
-    no guard chain, so a completed request is by definition undegraded."""
-
-    degraded = False
-
-
 class PipelineHost:
     """One benchmark's warm serving state (see module docstring)."""
 
@@ -192,12 +183,9 @@ class PipelineHost:
         self.pipeline = None
         self.grouping = None
         self.no_fusion_grouping = None
-        self.backend = None
         #: what the ``compiled`` rung executes with, resolved from the
         #: environment at warm-up
         self.options = ExecOptions()
-        #: this host's degradation ladder (may gain a backend rung on warm)
-        self.ladder: Tuple[str, ...] = LADDER
         self.schedule_tier: Optional[str] = None
         #: tiled groups whose ``compiled``-rung kernel is native C / is
         #: not (generated NumPy source, the stage-walking adapter)
@@ -221,7 +209,7 @@ class PipelineHost:
 
     @property
     def tier_name(self) -> str:
-        return self.ladder[self._tier]
+        return LADDER[self._tier]
 
     # -- warm-up --------------------------------------------------------
     def warm(self) -> "PipelineHost":
@@ -234,31 +222,9 @@ class PipelineHost:
                 "serve_warm", pipeline=self.key,
                 backend=self.config.backend,
             ):
-                from ..backend import (
-                    get_backend,
-                    warn_backend_unavailable_once,
+                machine = resolve_machine(
+                    self.config.backend, self.config.machine
                 )
-
-                backend = get_backend(self.config.backend)
-                presets = backend.machines()
-                mname = self.config.machine or backend.default_machine_name()
-                if mname not in presets:
-                    raise ValueError(
-                        f"machine {mname!r} does not belong to backend "
-                        f"{backend.name!r}; its presets: {sorted(presets)}"
-                    )
-                machine = presets[mname]
-                self.backend = backend
-                extra = backend.executor_tier()
-                if extra not in LADDER:
-                    if backend.available():
-                        # e.g. ("cupy",) + the standard CPU tiers
-                        self.ladder = (extra,) + LADDER
-                    else:
-                        warn_backend_unavailable_once(
-                            backend.name, backend.unavailable_reason(),
-                        )
-                        self.ladder = LADDER
                 bench, pipe = build_benchmark(self.key, self.config.scale)
                 grouping, report = plan_schedule(
                     pipe, bench, machine, self.config.strategy,
@@ -310,11 +276,6 @@ class PipelineHost:
         if self.is_warm:
             self.pools = PoolGroup(self.config.pool_cap_bytes)
             self.executor = shared_executor(self.config.threads)
-            if self.ladder and self.ladder[0] == "cupy":
-                # CUDA contexts do not survive fork: workers serve on
-                # the CPU tiers (the parent keeps its device rung).
-                self.ladder = self.ladder[1:]
-                self._tier = max(0, self._tier - 1)
 
     # -- execution ------------------------------------------------------
     def execute(self, inputs: Mapping[str, np.ndarray]):
@@ -328,10 +289,7 @@ class PipelineHost:
         """
         if not self.is_warm:
             self.warm()
-        tier = self._tier
-        tname = self.ladder[tier]
-        if tname == "cupy":
-            return self._execute_cupy(inputs, tname)
+        tname = self.tier_name
         grouping = (
             self.no_fusion_grouping if tname == "no-fusion"
             else self.grouping
@@ -355,32 +313,6 @@ class PipelineHost:
         self._note_outcome(ok=not report.degraded)
         return report.outputs, report, tname
 
-    def _execute_cupy(self, inputs: Mapping[str, np.ndarray], tname: str):
-        """One request on the backend's device executor tier.
-
-        Failures here move the ladder exactly like CPU-tier failures —
-        ``degrade_after`` consecutive device errors drop the host onto
-        the ``compiled`` rung, and ``recover_after`` clean requests
-        bring the device tier back.
-        """
-        from ..backend import execute_grouping_cupy
-
-        try:
-            outputs = execute_grouping_cupy(
-                self.pipeline, self.grouping, inputs,
-            )
-        except Exception as exc:
-            if error_code(exc).startswith("INPUT"):
-                raise
-            self._note_outcome(ok=False)
-            raise
-        if METRICS.enabled:
-            METRICS.inc("repro_backend_selected_total",
-                        backend=self.backend.name, tier=tname)
-        self._note_outcome(ok=True)
-        report = _CleanReport()
-        return outputs, report, tname
-
     def _note_outcome(self, ok: bool) -> None:
         """Advance the degradation ladder on consecutive outcomes."""
         with self._state_lock:
@@ -394,7 +326,7 @@ class PipelineHost:
             else:
                 self._consecutive_successes = 0
                 self._consecutive_failures += 1
-                if (self._tier < len(self.ladder) - 1
+                if (self._tier < len(LADDER) - 1
                         and self._consecutive_failures
                         >= self.config.degrade_after):
                     self._move_tier(+1)
@@ -424,7 +356,7 @@ class PipelineHost:
             }
         if self.is_warm:
             out.update({
-                "ladder": list(self.ladder),
+                "ladder": list(LADDER),
                 "schedule_tier": self.schedule_tier,
                 "groups": self.grouping.num_groups,
                 "native_groups": self.native_groups,

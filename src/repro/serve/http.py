@@ -81,7 +81,6 @@ _STATUS_BY_CODE = {
     "SERVE_WORKER_LOST": 503,
     "SERVE_UNKNOWN": 404,
     "SERVE_BODY_TOO_LARGE": 413,
-    "BACKEND_UNAVAILABLE": 503,
     "INPUT": 400,
     "INPUT_MISSING": 400,
     "INPUT_SHAPE": 400,

@@ -16,7 +16,9 @@ from repro.backend import (
     machine_digest,
     machine_names,
     machines_json,
+    resolve_machine,
 )
+from repro.cli import main
 from repro.model import (
     AMD_OPTERON,
     GPU_A100,
@@ -25,6 +27,7 @@ from repro.model import (
     Machine,
     XEON_HASWELL,
 )
+from repro.serve import HostConfig, PipelineHost
 
 
 class TestRegistry:
@@ -47,6 +50,29 @@ class TestRegistry:
         assert get_machine("gpu-a100") is GPU_A100
         with pytest.raises(KeyError, match="unknown machine"):
             get_machine("cray")
+
+
+class TestResolveMachine:
+    def test_either_name_implies_the_other(self):
+        assert resolve_machine() is XEON_HASWELL
+        assert resolve_machine(machine="gpu-a100") is GPU_A100
+        assert resolve_machine("gpu") is GPU_V100
+        assert resolve_machine("cpu", "opteron") is AMD_OPTERON
+        with pytest.raises(KeyError, match="unknown backend"):
+            resolve_machine("tpu")
+        with pytest.raises(KeyError, match="unknown machine"):
+            resolve_machine(machine="cray")
+
+    def test_mismatched_pair_is_refused_alike_by_run_and_host(self):
+        with pytest.raises(ValueError, match="does not belong") as direct:
+            resolve_machine("gpu", "xeon")
+        with pytest.raises(SystemExit) as cli:
+            main(["run", "UM", "--backend", "gpu", "--machine", "xeon"])
+        with pytest.raises(ValueError) as host:
+            PipelineHost(
+                "UM", HostConfig(backend="gpu", machine="xeon")
+            ).warm()
+        assert str(cli.value) == str(host.value) == str(direct.value)
 
 
 class TestStructuralResolution:
@@ -92,13 +118,14 @@ class TestMachineDigest:
 class TestJsonSurfaces:
     def test_backends_json_rows(self):
         rows = {r["name"]: r for r in backends_json()}
-        assert rows["cpu"]["available"] is True
-        assert rows["cpu"]["executor_tier"] == "compiled"
-        assert rows["cpu"]["default_machine"] == "xeon"
-        assert rows["gpu"]["executor_tier"] == "cupy"
-        assert rows["gpu"]["machines"] == ["gpu-a100", "gpu-v100"]
-        if not rows["gpu"]["available"]:
-            assert rows["gpu"]["unavailable_reason"]
+        assert rows["cpu"] == {
+            "name": "cpu", "machines": ["opteron", "xeon"],
+            "default_machine": "xeon",
+        }
+        assert rows["gpu"] == {
+            "name": "gpu", "machines": ["gpu-a100", "gpu-v100"],
+            "default_machine": "gpu-v100",
+        }
 
     def test_machines_json_rows_carry_capacities_and_digests(self):
         rows = {r["key"]: r for r in machines_json()}

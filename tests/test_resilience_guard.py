@@ -31,32 +31,48 @@ from repro.runtime import execute_grouping, execute_reference
 from conftest import random_inputs
 
 
+def _raised_everywhere(pipeline, inputs, exc_type):
+    """``inputs`` must be refused alike — same class, code and context —
+    by :func:`validate_inputs` and by both executors, which run it as
+    their first step; returns the error."""
+    grouping = dp_group(pipeline, XEON_HASWELL)
+    raised = []
+    for entry in (
+        validate_inputs,
+        lambda p, i: execute_grouping(p, grouping, i),
+        lambda p, i: execute_guarded(p, grouping, i),
+    ):
+        with pytest.raises(exc_type) as exc_info:
+            entry(pipeline, inputs)
+        raised.append(exc_info.value)
+    for exc in raised[1:]:
+        assert type(exc) is type(raised[0])
+        assert exc.code == raised[0].code
+        assert exc.context == raised[0].context
+    return raised[0]
+
+
 class TestValidateInputs:
     def test_missing_input(self, blur_pipeline):
-        with pytest.raises(InputMissingError) as exc_info:
-            validate_inputs(blur_pipeline, {})
-        exc = exc_info.value
+        exc = _raised_everywhere(blur_pipeline, {}, InputMissingError)
         assert exc.code == "INPUT_MISSING"
         assert exc.context["missing"] == "img"
         assert exc.context["expected"] == ["img"]
 
     def test_missing_is_still_a_keyerror(self, blur_pipeline):
         # Pre-taxonomy callers caught KeyError; they must keep working.
-        with pytest.raises(KeyError):
-            validate_inputs(blur_pipeline, {})
+        _raised_everywhere(blur_pipeline, {}, KeyError)
 
     def test_wrong_shape(self, blur_pipeline, rng):
         inputs = {"img": rng.random((2, 2), dtype=np.float32)}
-        with pytest.raises(InputShapeError) as exc_info:
-            validate_inputs(blur_pipeline, inputs)
-        assert exc_info.value.context["image"] == "img"
-        assert exc_info.value.context["actual"] == (2, 2)
+        exc = _raised_everywhere(blur_pipeline, inputs, InputShapeError)
+        assert exc.context["image"] == "img"
+        assert exc.context["actual"] == (2, 2)
 
     def test_wrong_dtype(self, blur_pipeline):
         shape = blur_pipeline.image_shape(blur_pipeline.images[0])
         inputs = {"img": np.full(shape, "x", dtype=object)}
-        with pytest.raises(InputDtypeError):
-            validate_inputs(blur_pipeline, inputs)
+        _raised_everywhere(blur_pipeline, inputs, InputDtypeError)
 
     def test_extra_keys_tolerated(self, blur_pipeline, rng):
         inputs = random_inputs(blur_pipeline, rng)

@@ -428,7 +428,7 @@ class TestChunking:
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 16, 33])
     def test_carry_row_is_the_unit_of_work(self, rows, row_len, nthreads):
         """Chunks partition the tiles in order; with enough rows to
-        occupy every worker each chunk is whole rows (the threaded walk
+        give every worker one each chunk is whole rows (the threaded walk
         seeds as often as the serial one), otherwise rows are cut into
         ``nthreads`` runs in all, at most ``ceil(nthreads / rows)`` per
         row."""

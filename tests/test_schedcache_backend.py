@@ -127,3 +127,36 @@ class TestPlannerUsesBackendAwareCache:
         assert regrouping.group_names() == grouping.group_names()
         with open(path) as fh:
             assert json.load(fh)["backend"] == "cpu"
+
+    @pytest.mark.parametrize("first_strict", [True, False])
+    @pytest.mark.parametrize("key", ["UM", "PB"])
+    def test_strict_and_degrade_paths_share_entries(
+        self, key, first_strict, tmp_path
+    ):
+        """What ``plan_schedule`` stores through ``schedule_pipeline``
+        (strict) its degrade path loads, and vice versa — ``dp`` on UM,
+        ``dp-incremental`` (what ``dp`` means for PB) on PB: one entry,
+        found by both."""
+        from repro.obs import METRICS
+        from repro.planner import build_benchmark, plan_schedule
+
+        bench, pipe = build_benchmark(key, 0.05)
+
+        def plan(strict):
+            return plan_schedule(
+                pipe, bench, XEON_HASWELL, "dp", 1_500_000,
+                strict=strict, schedule_cache=str(tmp_path),
+            )[0]
+
+        stored = plan(first_strict)
+        METRICS.reset(enabled=True)
+        try:
+            loaded = plan(not first_strict)
+            events = "repro_schedule_cache_events_total"
+            assert METRICS.value(events, event="hit") == 1.0
+            assert not METRICS.value(events, event="store")
+        finally:
+            METRICS.reset(enabled=False)
+        assert loaded.tile_sizes == stored.tile_sizes
+        assert loaded.group_names() == stored.group_names()
+        assert len(os.listdir(str(tmp_path))) == 1

@@ -68,15 +68,6 @@ class TestTaxonomyTotality:
                         "SERVE_SHUTDOWN", "SERVE_WORKER_LOST"):
                 assert 500 <= status < 600, (code, status)
 
-    def test_backend_unavailable_is_pinned_503_and_non_retryable(self):
-        # BACKEND_UNAVAILABLE normally surfaces as a one-shot *warning*
-        # while execution degrades to the CPU tiers; if it ever escapes
-        # as an error (explicitly requested GPU tier with no runtime) it
-        # must map to 503 and must not be retried — the runtime will not
-        # appear between attempts.
-        assert _STATUS_BY_CODE["BACKEND_UNAVAILABLE"] == 503
-        assert not is_retryable(errors.BackendUnavailableError("x"))
-
     def test_worker_codes_statuses(self):
         assert _STATUS_BY_CODE["SERVE_WORKER_LOST"] == 503
         assert _STATUS_BY_CODE["SERVE_WORKER_TIMEOUT"] == 504

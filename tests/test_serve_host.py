@@ -5,6 +5,7 @@ contract, graceful drain, and the degradation ladder."""
 import os
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.errors import (
     ServeTimeoutError,
     ServeUnknownPipelineError,
 )
-from repro.model.machine import XEON_HASWELL
+from repro.model.machine import XEON_HASWELL, GpuMachine
 from repro.obs import METRICS
 from repro.planner import (
     build_benchmark,
@@ -26,6 +27,7 @@ from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.runtime import execute_reference, kernelcache
 from repro.runtime import executor as executor_mod
 from repro.serve import (
+    LADDER,
     HostConfig,
     PipelineHost,
     PipelineService,
@@ -311,6 +313,40 @@ class TestHostLifecycle:
         assert health["hosts"]["UM"]["tier"] == "compiled"
         assert health["hosts"]["UM"]["requests"] == 1
         assert health["hosts"]["UM"]["pool"]["pools"] >= 1
+
+
+class TestGpuModelHost:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_gpu_schedule_runs_on_the_one_executor(self, workers):
+        """``backend="gpu"`` chooses the model that schedules, nothing
+        else: the ladder is :data:`LADDER`, nothing warns, and the
+        GPU-model schedule's outputs are the reference's bits — in
+        process and in a forked worker."""
+        seed = 3
+        _, pipe = build_benchmark("UM", SCALE)
+        expected = output_digests(
+            execute_reference(pipe, make_inputs(pipe, seed))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svc = PipelineService(small_config(
+                workers=workers, heartbeat_s=0.2, worker_timeout_s=60.0,
+                host_kwargs={"backend": "gpu"},
+            )).start()
+            try:
+                svc.warm(["UM"])
+                host = svc.hosts["UM"]
+                assert isinstance(host.machine, GpuMachine)
+                assert host.health()["ladder"] == list(LADDER)
+                if workers:
+                    svc.start_workers()
+                result = svc.submit("UM", seed=seed).result(timeout=120)
+                assert (result.worker is not None) == bool(workers)
+                assert result.tier == "compiled"
+                assert not result.degraded
+                assert output_digests(result.outputs) == expected
+            finally:
+                svc.shutdown(timeout_s=60.0)
 
 
 class _NoReproEnviron:
