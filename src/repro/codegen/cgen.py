@@ -169,22 +169,29 @@ def _emit_reduction(
     chunks of ``_REDUCTION_CHUNK`` rows of the outermost reduction
     dimension, each rule over the whole chunk, points row-major; every
     update computed like ``ufunc.at`` does, in the promoted type of
-    accumulator and value, then stored in the accumulator's."""
+    accumulator and value, then stored in the accumulator's.
+
+    The one printer of reductions: the whole-program generator hands it
+    buffers whose origins and extents are constants, the native emitter
+    (:mod:`repro.runtime.native`) ones bound from its descriptor.
+    ``out_buf`` covers the stage's whole domain; a target outside it is
+    skipped."""
     from ..runtime.executor import _REDUCTION_CHUNK
 
-    dom = pipeline.domain(stage)
-    size = pipeline.domain_size(stage)
     dtype = stage.scalar_type.np_dtype
     ctype = ctype_of(stage.scalar_type)
     em.line(f"// reduction {stage.name} (serial, as PolyMage leaves them)")
     em.open("{")
     fill = literal(dtype.type(stage.default), dtype)
     em.line(
-        f"for (int64_t __i = 0; __i < {size}; ++__i) "
-        f"{out_buf.name}[__i] = {fill};"
+        f"for (int64_t __i = 0; __i < {' * '.join(out_buf.extents)}; "
+        f"++__i) {out_buf.name}[__i] = {fill};"
     )
     rdom = stage.resolve_reduction_domain(pipeline.env)
-    rvars = [v.name for v in stage.reduction_variables]
+    rvars = [
+        printer.var_names.get(v.name, v.name)
+        for v in stage.reduction_variables
+    ]
     (r0_lo, r0_hi) = rdom[0]
     em.open(
         f"for (int64_t __c = {r0_lo}; __c <= {r0_hi}; "
@@ -207,18 +214,11 @@ def _emit_reduction(
             name = f"__t{d}"
             em.line(f"const int64_t {name} = {printer.int_expr(index)};")
             guards.append(
-                f"{name} >= {dom[d][0]} && {name} <= {dom[d][1]}"
+                f"{name} >= {out_buf.origin[d]} && "
+                f"{name} < {out_buf.origin[d]} + {out_buf.extents[d]}"
             )
-            names.append(f"({name} - {dom[d][0]})")
-        strides = []
-        for d in range(len(dom)):
-            stride = 1
-            for k in range(d + 1, len(dom)):
-                stride *= dom[k][1] - dom[k][0] + 1
-            strides.append(stride)
-        flat = " + ".join(
-            f"{n} * {s}" if s != 1 else n for n, s in zip(names, strides)
-        )
+            names.append(name)
+        flat = out_buf.index_expr(names, clamp=False)
         # np.asarray(value): a Python scalar takes NumPy's default dtype
         value = printer.strong(printer.typed(rule.value))
         wide = np.result_type(dtype, value.dtype)

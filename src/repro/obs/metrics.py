@@ -84,9 +84,9 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
         "counter", "Groups whose fused-kernel compilation failed and "
                    "fell back to per-stage kernels, labelled by reason"),
     "repro_kernel_native_total": (
-        "counter", "Tiled groups offered to the native (C) tier at "
-                   "kernel resolution (result=built|cached|ineligible|"
-                   "failed|demoted)"),
+        "counter", "Tiled groups and untiled reductions offered to the "
+                   "native (C) tier at kernel resolution (result=built|"
+                   "cached|ineligible|failed|demoted)"),
     "repro_kernel_native_build_seconds": (
         "histogram", "Wall time of one compiler call building a "
                      "grouping's native kernels (artifact-store misses "

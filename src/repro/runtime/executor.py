@@ -104,10 +104,11 @@ class ExecOptions:
     #: carry each stage's computed window across the adjacent tiles of a
     #: chunk instead of recomputing the halo per tile
     reuse: bool = True
-    #: run every eligible tiled group — singletons too — on a compiled C
-    #: kernel (:mod:`repro.runtime.native`; consulted only under
-    #: ``compile`` and ``fuse``; whatever cannot be built runs on the
-    #: kernels the other switches select)
+    #: run every eligible tiled group — singletons too — and every
+    #: eligible untiled reduction on a compiled C kernel
+    #: (:mod:`repro.runtime.native`; consulted only under ``compile`` and
+    #: ``fuse``; whatever cannot be built runs on the kernels the other
+    #: switches select)
     native: bool = True
 
     @classmethod
@@ -1151,14 +1152,23 @@ def _stagewise_kernel(
 
 
 def _numpy_kernel(
-    pipeline: Pipeline, geom: GroupGeometry, options: ExecOptions
+    pipeline: Pipeline, geom, options: ExecOptions
 ) -> GroupKernel:
     """The kernel a group runs on without ``native``: generated fused
     source for a multi-stage group when ``compile`` and ``fuse`` are on
     and the group fuses (one ``KERNEL_FUSE_FAIL`` warning when it does
     not), else the stage-walking adapter — over compiled stage kernels
     under ``compile`` (a stage that fails to compile is interpreted after
-    one ``KERNEL_COMPILE_FAIL`` warning), over the interpreter without."""
+    one ``KERNEL_COMPILE_FAIL`` warning), over the interpreter without.
+    A reduction's is :func:`_compute_reduction`."""
+    if isinstance(geom, Reduction):
+        # weakly, like the stage-walking adapter: the memo is keyed by
+        # the pipeline
+        pipeline_ref = weakref.ref(pipeline)
+        return GroupKernel.for_reduction(
+            geom.name,
+            lambda buffers: _compute_reduction(pipeline_ref(), geom, buffers),
+        )
     kernel = None
     if options.compile and options.fuse and len(geom.stages) > 1:
         kernel = get_group_kernel(pipeline, geom)
@@ -1170,21 +1180,18 @@ def _numpy_kernel(
     return kernel
 
 
-def _kernels_agree(
-    pipeline: Pipeline, geom: GroupGeometry, a: GroupKernel, b: GroupKernel
-) -> bool:
-    """Whether two kernels of one group compute the same bytes on two
-    seeded steps — one at the grid's low corner (border windows) and one
-    in its middle (interior windows) — the self-check a freshly built
-    native kernel must pass against its NumPy counterpart."""
-    if (a.region_names, a.inlined, a.direct_stores) != (
-        b.region_names, b.inlined, b.direct_stores
-    ):
-        return False
+def _seeded_producers(
+    pipeline: Pipeline, stages: Sequence[Function], spread: bool = False
+) -> Dict[str, Buffer]:
+    """Seeded full-domain buffers for everything ``stages`` read from
+    outside themselves: integers in ``[0, 1024)`` and floats in
+    ``[0, 1)`` — with ``spread``, ``[-512, 1536)`` and ``[-1, 2)``, so
+    that indices computed from them land on both sides of a domain's
+    edges."""
     rng = np.random.default_rng(0)
-    members = set(geom.stages)
+    members = set(stages)
     buffers: Dict[str, Buffer] = {}
-    for stage in geom.stages:
+    for stage in stages:
         for access in pipeline.accesses(stage):
             prod = access.producer
             if prod in members or prod.name in buffers:
@@ -1197,11 +1204,40 @@ def _kernels_agree(
                 shape = pipeline.image_shape(prod)
                 origin = (0,) * len(shape)
             dtype = prod.scalar_type.np_dtype
-            data = (
-                rng.integers(0, 1024, shape).astype(dtype)
-                if dtype.kind in "ui" else rng.random(shape).astype(dtype)
-            )
+            if dtype.kind in "ui":
+                lo, hi = (-512, 1536) if spread else (0, 1024)
+                data = rng.integers(lo, hi, shape).astype(dtype)
+            else:
+                data = rng.random(shape)
+                if spread:
+                    data = data * 3 - 1
+                data = data.astype(dtype)
             buffers[prod.name] = Buffer(data, origin)
+    return buffers
+
+
+def _kernels_agree(
+    pipeline: Pipeline, geom, a: GroupKernel, b: GroupKernel
+) -> bool:
+    """Whether two kernels of one group compute the same bytes on two
+    seeded steps — one at the grid's low corner (border windows) and one
+    in its middle (interior windows) — the self-check a freshly built
+    native kernel must pass against its NumPy counterpart.  Two kernels
+    of one reduction: the same bytes over its whole reduction domain,
+    from producers spread so that targets fall inside and outside the
+    accumulator."""
+    if isinstance(geom, Reduction):
+        buffers = _seeded_producers(pipeline, [geom], spread=True)
+        with suspended():
+            got = [kernel.fn(buffers) for kernel in (a, b)]
+        return got[0].origin == got[1].origin and (
+            got[0].data.tobytes() == got[1].data.tobytes()
+        )
+    if (a.region_names, a.inlined, a.direct_stores) != (
+        b.region_names, b.inlined, b.direct_stores
+    ):
+        return False
+    buffers = _seeded_producers(pipeline, geom.stages)
     radii = geom.expansion_radii()
     plans = {
         s.name: _stage_plan(geom, s, pipeline, radii) for s in geom.stages
@@ -1243,61 +1279,62 @@ def _kernels_agree(
 
 def resolve_group_kernels(
     pipeline: Pipeline,
-    geoms: Sequence[GroupGeometry],
+    units: Sequence,
     options: ExecOptions,
     schedule_cache: Optional[str] = None,
 ) -> List[GroupKernel]:
-    """The kernel each of ``geoms`` runs on under ``options``, memoised
-    per ``(pipeline, member set, compile, fuse, native)`` so a warm
-    request resolves nothing.
+    """The kernel each of ``units`` — a :class:`GroupGeometry` per tiled
+    group, a :class:`Reduction` per reduction stage that runs untiled —
+    runs on under ``options``, memoised per ``(pipeline, member set,
+    compile, fuse, native)`` so a warm request resolves nothing.
 
-    With ``native`` (under ``compile`` and ``fuse``) every group not
+    With ``native`` (under ``compile`` and ``fuse``) every unit not
     resolved yet goes to :func:`repro.runtime.native.build_group_kernels`
     *together* — one translation unit, one compiler call, or one
     artifact-store hit (the store lives under ``schedule_cache`` when
     given) — and the NumPy kernel of a group that came back native is
     never generated.  The first time an artifact is used on a machine
     each native kernel is compared with its NumPy counterpart on seeded
-    steps and demoted on any differing byte.  Whatever is not native
-    resolves as :func:`_numpy_kernel` says."""
+    inputs (:func:`_kernels_agree`) and demoted on any differing byte.
+    Whatever is not native resolves as :func:`_numpy_kernel` says."""
     per = _RESOLVED_CACHE.get(pipeline)
     if per is None:
         per = _RESOLVED_CACHE.setdefault(pipeline, {})
     use_native = options.compile and options.fuse and options.native
     keys = [
-        (
-            frozenset(s.name for s in g.stages), options.compile,
-            options.compile and options.fuse and len(g.stages) > 1,
+        (u.name, use_native) if isinstance(u, Reduction) else (
+            frozenset(s.name for s in u.stages), options.compile,
+            options.compile and options.fuse and len(u.stages) > 1,
             use_native,
         )
-        for g in geoms
+        for u in units
     ]
     missing = [i for i, k in enumerate(keys) if k not in per]
     if missing and use_native:
         built = native.build_group_kernels(
-            pipeline, [geoms[i] for i in missing], schedule_cache
+            pipeline, [units[i] for i in missing], schedule_cache
         )
         if built.unverified:
             built.commit([
                 j for j, kernel in list(built.kernels.items())
                 if not _kernels_agree(
-                    pipeline, geoms[missing[j]], kernel,
-                    _numpy_kernel(pipeline, geoms[missing[j]], options),
+                    pipeline, units[missing[j]], kernel,
+                    _numpy_kernel(pipeline, units[missing[j]], options),
                 )
             ])
         for j, kernel in built.kernels.items():
             per[keys[missing[j]]] = kernel
     for i in missing:
         if keys[i] not in per:
-            per[keys[i]] = _numpy_kernel(pipeline, geoms[i], options)
+            per[keys[i]] = _numpy_kernel(pipeline, units[i], options)
     return [per[k] for k in keys]
 
 
 def resolve_group_kernel(
-    pipeline: Pipeline, geom: GroupGeometry, options: ExecOptions
+    pipeline: Pipeline, unit, options: ExecOptions
 ) -> GroupKernel:
-    """:func:`resolve_group_kernels` on one group."""
-    return resolve_group_kernels(pipeline, [geom], options)[0]
+    """:func:`resolve_group_kernels` on one group or reduction."""
+    return resolve_group_kernels(pipeline, [unit], options)[0]
 
 
 def _tiled_geometry(pipeline: Pipeline, members) -> Optional[GroupGeometry]:
@@ -1309,6 +1346,14 @@ def _tiled_geometry(pipeline: Pipeline, members) -> Optional[GroupGeometry]:
     return compute_group_geometry(pipeline, members)
 
 
+def _reductions_in(pipeline: Pipeline, members) -> List[Reduction]:
+    """The reduction stages of an untiled group, in pipeline order."""
+    return [
+        s for s in pipeline.stages
+        if s in members and isinstance(s, Reduction)
+    ]
+
+
 def grouping_kernels(
     pipeline: Pipeline,
     groups: Sequence[Sequence[Function]],
@@ -1316,24 +1361,23 @@ def grouping_kernels(
     schedule_cache: Optional[str] = None,
 ) -> List[GroupKernel]:
     """Resolve — compiling whatever it stands on — the kernel of every
-    tiled group in one :func:`resolve_group_kernels` call, so the first
-    execution pays nothing and the native kernels of the whole grouping
-    share one artifact (kept under ``schedule_cache`` when given).
-    Serve warm-up calls this before forking workers, which then inherit
-    every kernel compiled.  ``options`` defaults to
-    :meth:`ExecOptions.resolve`.  Returns the tiled groups' kernels in
-    grouping order."""
+    tiled group and of every reduction in an untiled one, in one
+    :func:`resolve_group_kernels` call, so the first execution pays
+    nothing and the native kernels of the whole grouping share one
+    artifact (kept under ``schedule_cache`` when given).  Serve warm-up
+    calls this before forking workers, which then inherit every kernel
+    compiled.  ``options`` defaults to :meth:`ExecOptions.resolve`.
+    Returns those kernels in grouping order."""
     if options is None:
         options = ExecOptions.resolve()
-    return resolve_group_kernels(
-        pipeline,
-        [
-            geom for geom in (
-                _tiled_geometry(pipeline, members) for members in groups
-            ) if geom is not None
-        ],
-        options, schedule_cache,
-    )
+    units: List = []
+    for members in groups:
+        geom = _tiled_geometry(pipeline, members)
+        if geom is not None:
+            units.append(geom)
+        else:
+            units.extend(_reductions_in(pipeline, members))
+    return resolve_group_kernels(pipeline, units, options, schedule_cache)
 
 
 def warm_group_kernels(
@@ -1354,13 +1398,18 @@ def warm_group_kernels(
 
 
 def _execute_group_untiled(
-    pipeline: Pipeline, members, buffers: Dict[str, Buffer], compile: bool
+    pipeline: Pipeline, members, buffers: Dict[str, Buffer], compile: bool,
+    reducers: Optional[Mapping[str, GroupKernel]] = None,
 ) -> None:
     """Run ``members`` stage by stage over their full domains, in
-    pipeline order: on compiled stage kernels, or — ``compile`` off —
-    exactly as :func:`execute_reference` would."""
+    pipeline order: a reduction named in ``reducers`` on that kernel,
+    everything else on compiled stage kernels, or — ``compile`` off and
+    no ``reducers`` — exactly as :func:`execute_reference` would."""
     for stage in pipeline.stages:
         if stage in members:
+            if reducers and stage.name in reducers:
+                buffers[stage.name] = reducers[stage.name].fn(buffers)
+                continue
             kernel = None
             if compile and not isinstance(stage, Reduction):
                 kernel = get_kernel(pipeline, stage)
@@ -1385,7 +1434,21 @@ def _execute_one_group(
     ``"tiled"`` or ``"untiled"``."""
     geom = _tiled_geometry(pipeline, members)
     if geom is None:
-        _execute_group_untiled(pipeline, members, buffers, options.compile)
+        reducers = {}
+        if options.compile and options.fuse and options.native:
+            reductions = _reductions_in(pipeline, members)
+            reducers = {
+                stage.name: kernel for stage, kernel in zip(
+                    reductions,
+                    resolve_group_kernels(pipeline, reductions, options),
+                ) if kernel.native
+            }
+        _execute_group_untiled(
+            pipeline, members, buffers, options.compile, reducers
+        )
+        span = TRACE.current() if TRACE.enabled else None
+        if span is not None:
+            span.set(native=len(reducers))
         return "untiled"
     if len(tiles) != geom.ndim:
         raise ValueError(
@@ -1476,7 +1539,9 @@ def execute_grouping(
     Groups execute in topological order.  Groups without an overlap-tiling
     geometry (singleton reductions, or Halide-style groups that fuse a
     reduction) are executed stage-by-stage untiled — PolyMage likewise
-    leaves reductions unoptimised (Sec. 6.2).
+    leaves reductions unoptimised (Sec. 6.2): a plain serial loop, which
+    is what a reduction runs on here too under the options that put
+    tiled groups on native kernels.
 
     ``options`` (default: :meth:`ExecOptions.resolve` — everything on
     unless a ``REPRO_NO_*`` variable says otherwise) selects the kernel

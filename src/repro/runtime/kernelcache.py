@@ -970,6 +970,13 @@ class GroupKernel:
     :mod:`repro.runtime.native` (``native``: compiled C behind the same
     ``fn``, with the slots of whichever of the other two it stands in
     for).
+
+    A reduction stage runs untiled, whole, and has no tile to hand over:
+    its kernel (:meth:`for_reduction`) has no slots and
+    ``fn(buffers) -> Buffer`` — the stage over its full reduction domain,
+    in C (``native``) or by the interpreter's ``np.add.at`` walk.  It is
+    a :class:`GroupKernel` so that it is resolved, built, self-checked,
+    demoted and counted with the grouping's other kernels.
     """
 
     group_names: Tuple[str, ...]
@@ -985,6 +992,13 @@ class GroupKernel:
     def generated(self) -> bool:
         """Whether tiles run on generated fused NumPy source."""
         return bool(self.source)
+
+    @classmethod
+    def for_reduction(
+        cls, name: str, fn: Callable, native: bool = False
+    ) -> "GroupKernel":
+        """The kernel of reduction stage ``name`` (class docstring)."""
+        return cls((name,), (), (), (), (), "", fn, native)
 
 
 def body_accesses(defn: Sequence[object]) -> List[Access]:
@@ -1419,8 +1433,9 @@ def get_group_kernel(pipeline: Pipeline, geom) -> Optional[GroupKernel]:
     return kernel
 
 
-#: The kernel each tiled group runs on, per ``(member set, compile,
-#: fuse, native)`` — filled by :func:`repro.runtime.executor.resolve_group_kernel`,
+#: The kernel each tiled group (per ``(member set, compile, fuse,
+#: native)``) and each untiled reduction (per ``(name, native)``) runs on
+#: — filled by :func:`repro.runtime.executor.resolve_group_kernel`,
 #: kept here so :func:`clear_kernel_cache` drops it with the kernels it
 #: was resolved from.
 _RESOLVED_CACHE: "weakref.WeakKeyDictionary[Pipeline, Dict[tuple, GroupKernel]]" = (

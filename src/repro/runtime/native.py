@@ -7,16 +7,19 @@ member over its region, live-outs published — from the *same*
 :class:`~repro.runtime.kernelcache.GroupPlan` the generated-NumPy kernel
 is built from (same region slots, same inlined members, same direct
 stores), so the executor's carry, seeding and step machinery cannot tell
-which kernel it drives.  All of a grouping's groups go into one
-translation unit, compiled once per machine and found again by content
-(:mod:`repro.runtime.nativestore`).
+which kernel it drives.  A reduction stage — it runs untiled, whole — gets
+one entry too: the serial loop nest the whole-program generator prints
+(:func:`repro.codegen.cgen._emit_reduction`, ``ufunc.at``'s order and
+types), over buffers bound from a descriptor.  All of a grouping's
+entries go into one translation unit, compiled once per machine and
+found again by content (:mod:`repro.runtime.nativestore`).
 
 **The invariant is digest equality with** ``execute_reference``.  Values
 are printed by the typed printer (:mod:`repro.codegen.cexpr`): every
-operation in the dtype NumPy computes it in.  A group is *eligible* only
-if every operation of every member is in the printer's exact set;
-``exp``/``log``/``pow`` and reductions keep their NumPy kernels — by
-rule, without a warning.  Anything that goes wrong after that (no
+operation in the dtype NumPy computes it in.  A group or reduction is
+*eligible* only if every operation in it is in the printer's exact set;
+``exp``/``log``/``pow`` keep their NumPy kernels — by rule, without a
+warning.  Anything that goes wrong after that (no
 compiler, a failed build, an unusable artifact directory, a library that
 will not load) is one ``KERNEL_NATIVE_FAIL`` warning per cause and the
 NumPy kernels.
@@ -35,7 +38,8 @@ packs one ``int64`` descriptor — per buffer ``pointer, origin…,
 shape…`` (buffers are C-contiguous — the executor makes inputs so when
 they become buffers — so strides follow from the shape), per
 region slot and base ``flag, lo, hi, …`` with flag 0 empty / 1 compute /
-2 carried — and makes one GIL-releasing ``ctypes`` call.
+2 carried — and makes one GIL-releasing ``ctypes`` call.  A reduction's
+descriptor is its producers' buffer slots, then its accumulator's.
 """
 
 from __future__ import annotations
@@ -59,8 +63,9 @@ from ..codegen.cexpr import (
     RUNTIME_HELPERS,
     ctype_for,
 )
+from ..codegen.cgen import _Emitter, _emit_reduction
 from ..dsl.expr import Access, Const
-from ..dsl.function import Function
+from ..dsl.function import Function, Reduction
 from ..dsl.pipeline import Pipeline
 from ..errors import KernelFuseError, KernelNativeError
 from ..obs import METRICS
@@ -231,6 +236,23 @@ class _StepPrinter(ExprPrinter):
 _BORDER = "static void __attribute__((noinline, cold, optimize(\"O1\")))"
 
 
+def _declare(L, p: str, at: int, nd: int, dt, const=True) -> CBuffer:
+    """Bind the buffer slot at word ``at`` — pointer, origin, shape — to
+    locals named after ``p``."""
+    ct = ("const " if const else "") + ctype_for(dt)
+    L.append(
+        f"    {ct} *restrict const {p} = ({ct} *)(uintptr_t)D[{at}];"
+    )
+    L.append("    const int64_t " + ", ".join(
+        f"{p}o{j} = D[{at + 1 + j}], {p}n{j} = D[{at + 1 + nd + j}]"
+        for j in range(nd)
+    ) + ";")
+    return CBuffer(
+        p, [f"{p}o{j}" for j in range(nd)],
+        [f"{p}n{j}" for j in range(nd)],
+    )
+
+
 def _emit_group(
     pipeline: Pipeline, plan: GroupPlan, layout: _Layout, symbol: str
 ) -> str:
@@ -242,22 +264,6 @@ def _emit_group(
     slot_of.update({m.name: f"m{i}" for i, m in enumerate(layout.mats)})
     where = {name: (at, nd, dt) for name, nd, dt, at in layout.ext}
     where.update({m.name: (m.buf, m.ndim, m.dtype) for m in layout.mats})
-
-    def declare(L, p: str, at: int, nd: int, dt, const=True) -> CBuffer:
-        """Bind the buffer slot at word ``at`` — pointer, origin, shape —
-        to locals named after ``p``."""
-        ct = ("const " if const else "") + ctype_for(dt)
-        L.append(
-            f"    {ct} *restrict const {p} = ({ct} *)(uintptr_t)D[{at}];"
-        )
-        L.append("    const int64_t " + ", ".join(
-            f"{p}o{j} = D[{at + 1 + j}], {p}n{j} = D[{at + 1 + nd + j}]"
-            for j in range(nd)
-        ) + ";")
-        return CBuffer(
-            p, [f"{p}o{j}" for j in range(nd)],
-            [f"{p}n{j}" for j in range(nd)],
-        )
 
     def bounds(L, at: int, nd: int) -> None:
         L.append("    const int64_t " + ", ".join(
@@ -271,9 +277,9 @@ def _emit_group(
         body = printer.body(plan.effective[m.name], m.dtype)
         binds: List[str] = []
         bounds(binds, m.region, nd)
-        out = declare(binds, "out", m.buf, nd, m.dtype, const=False)
+        out = _declare(binds, "out", m.buf, nd, m.dtype, const=False)
         bufs = {
-            name: declare(binds, slot_of[name], *where[name])
+            name: _declare(binds, slot_of[name], *where[name])
             for name in sorted({n for n, _ in printer.sites.values()})
         }
         checks = []
@@ -352,8 +358,8 @@ def _emit_group(
                 f"  if (D[{m.region}] != 0 && D[{m.base}] == 1) {{"
             )
             bounds(main, m.base, nd)
-            src = declare(main, "src", m.buf, nd, m.dtype)
-            dst = declare(main, "dst", m.out, nd, m.dtype, const=False)
+            src = _declare(main, "src", m.buf, nd, m.dtype)
+            dst = _declare(main, "dst", m.out, nd, m.dtype, const=False)
             pad = "    "
             for d in range(nd - 1):
                 main.append(
@@ -378,6 +384,25 @@ def _emit_group(
 # ---------------------------------------------------------------------------
 
 
+def _producer_words(buffers, ext) -> List[int]:
+    """The descriptor's leading words: one buffer slot per out-of-kernel
+    producer ``(name, dtype)`` in ``ext``."""
+    words: List[int] = []
+    for name, dtype in ext:
+        buf = buffers[name]
+        arr = buf.data
+        if arr.dtype != dtype or not arr.flags.c_contiguous:
+            # never the executor's buffers (inputs are normalised when
+            # they become buffers); refuse, do not reinterpret
+            raise TypeError(
+                f"buffer {name!r} is {arr.dtype}, C-contiguous="
+                f"{arr.flags.c_contiguous}; the native kernel needs "
+                f"C-contiguous {dtype}"
+            )
+        words += (arr.ctypes.data, *buf.origin, *arr.shape)
+    return words
+
+
 def _make_fn(cfunc, layout: _Layout) -> Callable:
     """The ``GroupKernel.fn`` driving ``cfunc``: see module docstring."""
     pack = struct.Struct(f"{layout.words}q").pack
@@ -395,19 +420,7 @@ def _make_fn(cfunc, layout: _Layout) -> Callable:
     def fn(regions, bases, buffers, out_buffers, pool, carries=None):
         if carries is None:
             carries = no_carries
-        words: List[int] = []
-        for name, dtype in ext:
-            buf = buffers[name]
-            arr = buf.data
-            if arr.dtype != dtype or not arr.flags.c_contiguous:
-                # never the executor's buffers (inputs are normalised
-                # when they become buffers); refuse, do not reinterpret
-                raise TypeError(
-                    f"buffer {name!r} is {arr.dtype}, C-contiguous="
-                    f"{arr.flags.c_contiguous}; the native kernel needs "
-                    f"C-contiguous {dtype}"
-                )
-            words += (arr.ctypes.data, *buf.origin, *arr.shape)
+        words = _producer_words(buffers, ext)
         results: List[Optional[Buffer]] = [None] * len(mats)
         for i, m in enumerate(mats):
             bounds = regions[i]
@@ -465,7 +478,7 @@ def _make_fn(cfunc, layout: _Layout) -> Callable:
 @dataclass
 class NativeBuild:
     """What :func:`build_group_kernels` made: native kernels by position
-    in the ``geoms`` it was given.  ``unverified`` says the artifact has
+    in the ``units`` it was given.  ``unverified`` says the artifact has
     never been checked against the NumPy kernels on this machine (it was
     just built, or a previous process died before recording the check);
     the caller compares and reports through :meth:`commit`."""
@@ -477,16 +490,17 @@ class NativeBuild:
 
     def commit(self, demoted: Sequence[int]) -> None:
         """Record the self-check's outcome beside the artifact — the
-        groups in ``demoted`` disagreed with their NumPy kernels — and
-        drop them, here and on every later load."""
+        kernels in ``demoted`` disagreed with their NumPy counterparts —
+        and drop them, here and on every later load."""
         for i in demoted:
             self.kernels.pop(i, None)
             if METRICS.enabled:
                 METRICS.inc("repro_kernel_native_total", result="demoted")
         if demoted:
             _warn_once(KernelNativeError(
-                f"{len(demoted)} group(s) differed from their NumPy "
-                f"kernels on the build-time self-check and were demoted",
+                f"{len(demoted)} kernel(s) differed from their NumPy "
+                f"counterparts on the build-time self-check and were "
+                f"demoted",
                 reason="self-check",
             ))
         self.unverified = False
@@ -507,48 +521,119 @@ class NativeBuild:
             pass
 
 
+def _native_group(pipeline: Pipeline, geom, symbol: str):
+    """Source of ``geom``'s step entry and what makes a kernel of it."""
+    # a singleton mirrors the stage-walking adapter it replaces: one
+    # region slot, published through a base-region copy
+    plan = _GroupLowerer(pipeline, geom).plan(
+        direct_stores=len(geom.stages) > 1
+    )
+    layout = _plan_layout(plan, [s.name for s in geom.liveouts])
+
+    def make(cfunc) -> GroupKernel:
+        return GroupKernel(
+            group_names=tuple(s.name for s in geom.stages),
+            region_names=plan.region_names,
+            liveout_names=tuple(s.name for s in geom.liveouts),
+            inlined=plan.inlined,
+            direct_stores=plan.direct_stores,
+            source="",
+            fn=_make_fn(cfunc, layout),
+            native=True,
+        )
+
+    return _emit_group(pipeline, plan, layout, symbol), make
+
+
+def _native_reduction(pipeline: Pipeline, stage: Reduction, symbol: str):
+    """Source of the entry running all of reduction ``stage`` — its
+    producers' buffer slots and then its accumulator's bound from the
+    descriptor, around the loop nest
+    :func:`~repro.codegen.cgen._emit_reduction` prints — and what makes
+    a kernel of it."""
+    lines = [f"void {symbol}(const int64_t *restrict D) {{"]
+    bufs: Dict[str, CBuffer] = {}
+    ext: List[Tuple[str, np.dtype]] = []
+    at = 0
+    for access in pipeline.accesses(stage):
+        prod = access.producer
+        if prod.name not in bufs:
+            nd = len(access.indices)
+            dt = prod.scalar_type.np_dtype
+            bufs[prod.name] = _declare(lines, f"e{len(ext)}", at, nd, dt)
+            ext.append((prod.name, dt))
+            at += 1 + 2 * nd
+    dtype = stage.scalar_type.np_dtype
+    out = _declare(lines, "out", at, stage.ndim, dtype, const=False)
+    em = _Emitter()
+    em.depth = 1
+    _emit_reduction(
+        em,
+        ExprPrinter(bufs, pipeline.env, var_names={
+            v.name: f"r{d}" for d, v in enumerate(stage.reduction_variables)
+        }),
+        pipeline, stage, out,
+    )
+    pack = struct.Struct(f"{at + 1 + 2 * stage.ndim}q").pack
+    domain = pipeline.domain(stage)
+
+    def make(cfunc) -> GroupKernel:
+        def fn(buffers):
+            head = _producer_words(buffers, ext)
+            # a fresh accumulator; the C side fills it
+            acc = Buffer.for_region(domain, dtype)
+            arr = acc.data
+            cfunc(pack(*head, arr.ctypes.data, *acc.origin, *arr.shape))
+            return acc
+
+        return GroupKernel.for_reduction(stage.name, fn, native=True)
+
+    return "\n".join(lines) + "\n" + em.text() + "}\n", make
+
+
 def build_group_kernels(
     pipeline: Pipeline,
-    geoms: Sequence,
+    units: Sequence,
     schedule_cache: Optional[str] = None,
 ) -> NativeBuild:
-    """Native kernels for the eligible groups among ``geoms``, all in
-    one translation unit — built, or found in the artifact store.
+    """Native kernels for the eligible among ``units`` — a
+    :class:`~repro.poly.alignscale.GroupGeometry` per tiled group, a
+    :class:`~repro.dsl.function.Reduction` per reduction stage that runs
+    untiled — all in one translation unit, built or found in the
+    artifact store.
 
-    Never raises: an ineligible group is simply absent from the result;
+    Never raises: an ineligible unit is simply absent from the result;
     a failure to build or load anything is one ``KERNEL_NATIVE_FAIL``
     warning per cause and an empty result.
     """
     observing = METRICS.enabled
     parts: List[str] = []
-    made: Dict[int, Tuple[str, GroupPlan, _Layout]] = {}
-    for i, geom in enumerate(geoms):
-        symbol = f"repro_step_{len(made)}"
+    made: Dict[int, Tuple[str, Callable]] = {}
+    entries = {"step": 0, "reduce": 0}
+    for i, unit in enumerate(units):
+        kind, emit = (
+            ("reduce", _native_reduction) if isinstance(unit, Reduction)
+            else ("step", _native_group)
+        )
+        symbol = f"repro_{kind}_{entries[kind]}"
         try:
-            if any(s.is_reduction for s in geom.stages):
-                raise InexactOp("reductions keep their NumPy kernels")
-            # a singleton mirrors the stage-walking adapter it replaces:
-            # one region slot, published through a base-region copy
-            plan = _GroupLowerer(pipeline, geom).plan(
-                direct_stores=len(geom.stages) > 1
-            )
-            layout = _plan_layout(
-                plan, [s.name for s in geom.liveouts]
-            )
-            parts.append(_emit_group(pipeline, plan, layout, symbol))
+            source, make = emit(pipeline, unit, symbol)
         except (InexactOp, KernelFuseError):
             if observing:
                 METRICS.inc("repro_kernel_native_total", result="ineligible")
             continue
         except Exception as exc:  # noqa: BLE001 - downgraded to a warning
+            names = [s.name for s in getattr(unit, "stages", [unit])]
             _warn_once(KernelNativeError(
-                f"emitting group {[s.name for s in geom.stages]} of "
-                f"{pipeline.name!r} failed: {exc!r}", reason="emit",
+                f"emitting {names} of {pipeline.name!r} failed: {exc!r}",
+                reason="emit",
             ))
             if observing:
                 METRICS.inc("repro_kernel_native_total", result="failed")
             continue
-        made[i] = (symbol, plan, layout)
+        entries[kind] += 1
+        parts.append(source)
+        made[i] = (symbol, make)
     if not made:
         return NativeBuild({})
     source = RUNTIME_HELPERS + "".join(parts)
@@ -577,7 +662,7 @@ def build_group_kernels(
         pass
     kernels: Dict[int, GroupKernel] = {}
     symbols: Dict[int, str] = {}
-    for i, (symbol, plan, layout) in made.items():
+    for i, (symbol, make) in made.items():
         symbols[i] = symbol
         if demoted is not None and symbol in demoted:
             if observing:
@@ -586,17 +671,7 @@ def build_group_kernels(
         cfunc = getattr(lib, symbol)
         cfunc.argtypes = [ctypes.c_char_p]
         cfunc.restype = None
-        geom = geoms[i]
-        kernels[i] = GroupKernel(
-            group_names=tuple(s.name for s in geom.stages),
-            region_names=plan.region_names,
-            liveout_names=tuple(s.name for s in geom.liveouts),
-            inlined=plan.inlined,
-            direct_stores=plan.direct_stores,
-            source="",
-            fn=_make_fn(cfunc, layout),
-            native=True,
-        )
+        kernels[i] = make(cfunc)
     return NativeBuild(
         kernels, unverified=demoted is None, _sidecar=sidecar,
         _symbols=symbols,

@@ -15,11 +15,17 @@ Clock-free.  What is pinned:
   without a warning, everything else on the benchmarks is native;
 * **degradation** — no compiler, a failed build, an unusable artifact
   directory, a truncated artifact, a failed self-check: one
-  ``KERNEL_NATIVE_FAIL`` warning, the NumPy kernels, equal digests.
+  ``KERNEL_NATIVE_FAIL`` warning, the NumPy kernels, equal digests;
+* **reductions** — the untiled stages' native entries: bytes equal to
+  ``_compute_reduction`` over ops x accumulator types x value types, the
+  same degradations, and translation units of reduction-free groupings
+  that did not change.
 """
 
 import ctypes
 import dataclasses
+import hashlib
+import itertools
 import os
 import stat
 import subprocess
@@ -50,9 +56,14 @@ from repro.dsl import (
     Floor,
     Image,
     Int,
+    Interval,
     Long,
     Max,
     Min,
+    Op,
+    Pipeline,
+    Reduce,
+    Reduction,
     Select,
     Short,
     Sqrt,
@@ -62,6 +73,7 @@ from repro.dsl import (
 )
 from repro.errors import KernelNativeError
 from repro.fusion import manual_grouping, schedule_pipeline
+from repro.fusion.grouping import singleton_grouping
 from repro.model.machine import XEON_HASWELL
 from repro.obs import METRICS, TRACE
 from repro.pipelines import BENCHMARKS
@@ -86,12 +98,14 @@ from repro.runtime import (
 from repro.runtime import executor as executor_mod
 from repro.runtime import native as native_mod
 from repro.runtime import nativestore
+from repro.runtime.buffers import Buffer
 from repro.runtime.evalexpr import evaluate_expr
 from repro.serve import HostConfig, PipelineHost, PipelineService, ServeConfig
 
 from conftest import (
     FailFirstAttempt,
     build_blur,
+    build_histogram,
     force_step_tiles,
     needs_gxx,
     random_inputs,
@@ -171,36 +185,46 @@ def test_dp_groupings_match_reference_and_share_the_numpy_plan(abbrev):
             assert output_digests(out) == expected, (n, reuse)
 
 
-def test_host_in_process_and_forked_worker(native_on):
+def test_host_in_process_and_forked_worker(native_on, monkeypatch):
     """``PipelineHost`` resolves native at warm-up and says so on
-    ``/healthz``; a forked worker inherits the loaded artifact."""
+    ``/healthz`` — tiled groups and untiled reductions alike; a forked
+    worker inherits the loaded artifact."""
     scale, seed = 0.05, 3
-    _, pipe = build_benchmark("CP", scale)
-    expected = output_digests(
-        execute_reference(pipe, make_inputs(pipe, seed))
-    )
     host_config = HostConfig(scale=scale, threads=2)
-    host = PipelineHost("CP", host_config).warm()
-    assert host.options == ExecOptions(native=True)
-    health = host.health()
-    assert health["numpy_groups"] == 1          # the pow() LUT
-    assert health["native_groups"] >= 5
-    outputs, _, tier = host.execute(make_inputs(host.pipeline, seed))
-    assert tier == "compiled"
-    assert output_digests(outputs) == expected
+    expected = {}
+    # CP: the pow() LUT stays NumPy; BG: three tiled groups + ``grid``
+    for key, native, numpy in (("CP", 7, 1), ("BG", 4, 0)):
+        _, pipe = build_benchmark(key, scale)
+        expected[key] = output_digests(
+            execute_reference(pipe, make_inputs(pipe, seed))
+        )
+        host = PipelineHost(key, host_config).warm()
+        assert host.options == ExecOptions(native=True)
+        health = host.health()
+        assert (health["native_groups"], health["numpy_groups"]) == (
+            native, numpy
+        )
+        outputs, _, tier = host.execute(make_inputs(host.pipeline, seed))
+        assert tier == "compiled"
+        assert output_digests(outputs) == expected[key]
 
     svc = PipelineService(ServeConfig(
         host=host_config, workers=1, heartbeat_s=0.2,
         worker_timeout_s=60.0,
     )).start()
     try:
-        svc.warm(["CP"])
+        svc.warm(["CP", "BG"])
         svc.start_workers()
-        result = svc.submit("CP", seed=seed).result(timeout=120)
-        assert result.worker is not None
-        assert output_digests(result.outputs) == expected
+        for key in ("CP", "BG"):
+            result = svc.submit(key, seed=seed).result(timeout=120)
+            assert result.worker is not None
+            assert output_digests(result.outputs) == expected[key]
     finally:
         svc.shutdown(timeout_s=60.0)
+
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    health = PipelineHost("BG", host_config).warm().health()
+    assert (health["native_groups"], health["numpy_groups"]) == (0, 4)
 
 
 def test_strided_and_foreign_typed_inputs_are_normalised():
@@ -254,6 +278,191 @@ def test_random_dags_match_reference(seed, tile_seed, k, nthreads):
             pipe, grouping, inputs, nthreads=nthreads, options=NATIVE
         )
     assert output_digests(out) == expected
+
+
+# ---------------------------------------------------------------------------
+# reductions: the untiled stages' native entries
+# ---------------------------------------------------------------------------
+
+_RROWS, _RCOLS = 600, 8   # 600 rows: two chunks of 256 and one of 88
+
+
+def _reduction_battery():
+    """One pipeline — one translation unit — of hand-built reductions
+    over a 600 x 8 reduction domain: ``Sum``/``Max``/``Min`` x accumulator
+    ``float32``/``int32``/``uint8`` x a value of the accumulator's type,
+    a Python scalar (NumPy's default dtype: wider) and an ``int64`` /
+    ``float64`` load (wider), every target data-dependent and landing in
+    ``[-1, 12]`` against a domain of ``[2, 11]``; plus one 2-d accumulator
+    whose three rules — ``Sum``, ``Max``, ``Sum`` — hit the same cells,
+    so the chunk -> rule -> point order shows in the result."""
+    rx, ry, x, y = (Variable(Int, n) for n in ("rx", "ry", "x", "y"))
+    f, d, i, l, u = (
+        Image(t, n, [_RROWS, _RCOLS])(rx, ry) for n, t in (
+            ("f", Float), ("d", Double), ("i", Int), ("l", Long),
+            ("u", UChar),
+        )
+    )
+    rdom = ([rx, ry], [
+        Interval(Int, 0, _RROWS - 1), Interval(Int, 0, _RCOLS - 1)
+    ])
+    target = Cast(Int, f * 14.0) - 1
+    values = {
+        Float: {"same": f, "python": 1.0, "float64": d, "int64": l},
+        Int: {"same": i, "python": 1, "int64": l},
+        UChar: {"same": u, "python": 1, "int64": l},
+    }
+    stages = []
+    for acc, vals in values.items():
+        for (label, value), op in itertools.product(
+            vals.items(), (Op.Sum, Op.Max, Op.Min)
+        ):
+            r = Reduction(
+                ([x], [Interval(Int, 2, 11)]), rdom, acc,
+                f"{acc.name}_{label}_{op}", default=3.0,
+            )
+            r.defn = [Reduce((target,), value, op)]
+            stages.append(r)
+    same_cell = Reduction(
+        ([x, y], [Interval(Int, 1, 4), Interval(Int, -2, 3)]), rdom,
+        Float, "same_cell",
+    )
+    cell = (Cast(Int, f * 6.0), ry - 3)
+    same_cell.defn = [
+        Reduce(cell, d, Op.Sum), Reduce(cell, 2.5, Op.Max),
+        Reduce(cell, f, Op.Sum),
+    ]
+    stages.append(same_cell)
+    rng = np.random.default_rng(7)
+    shape = (_RROWS, _RCOLS)
+    inputs = {
+        "f": rng.random(shape, dtype=np.float32),
+        "d": rng.random(shape) * 1e3 - 500,
+        "i": rng.integers(-2 ** 31, 2 ** 31, shape).astype(np.int32),
+        "l": rng.integers(-2 ** 40, 2 ** 40, shape),
+        "u": rng.integers(0, 256, shape).astype(np.uint8),
+    }
+    return Pipeline(stages, {}, name="reductions"), stages, inputs
+
+
+def test_reductions_match_compute_reduction_byte_for_byte():
+    """The battery of :func:`_reduction_battery`: every native reduction
+    returns ``_compute_reduction``'s bytes — wrapping ``uint8`` sums,
+    ``int64`` maxima truncated into ``int32``, ``float32`` accumulators
+    updated in ``float64``, targets outside the domain skipped.
+
+    ``pipelines/synth.py`` generates no reductions, so the random-DAG
+    fuzz above never reaches this path; the battery is hand-built rather
+    than extending the generator here."""
+    pipe, stages, inputs = _reduction_battery()
+    assert _RROWS > executor_mod._REDUCTION_CHUNK
+    assert _RROWS % executor_mod._REDUCTION_CHUNK
+    buffers = executor_mod._input_buffers(pipe, inputs)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        kernels = executor_mod.resolve_group_kernels(pipe, stages, NATIVE)
+    assert not native_warnings(record)
+    for stage, kernel in zip(stages, kernels):
+        assert kernel.native and kernel.group_names == (stage.name,)
+        want = executor_mod._compute_reduction(pipe, stage, buffers)
+        got = kernel.fn(buffers)
+        assert got.origin == want.origin, stage.name
+        assert got.data.dtype == want.data.dtype, stage.name
+        assert got.data.tobytes() == want.data.tobytes(), stage.name
+    # what the battery claims to exercise: a uint8 sum that wrapped,
+    # targets on both sides of the domain
+    assert int(inputs["u"].sum()) > 255 * 10
+    targets = (inputs["f"] * np.float32(14.0)).astype(np.int32) - 1
+    assert targets.min() < 2 and targets.max() > 11
+
+
+@pytest.mark.parametrize("case", [
+    "histogram", "BG-dp", "BG-h-manual", "BG-no-fusion",
+])
+def test_reduction_groupings_match_reference(case):
+    """Through ``execute_grouping``, threads {1, 2, 4}: a singleton
+    reduction group (conftest's histogram, BG's DP and no-fusion
+    groupings) and a reduction inside a geometry-less group (BG
+    h-manual's ``{grid, blurz}``); every reduction ran native."""
+    if case == "histogram":
+        pipe = build_histogram()
+        grouping = singleton_grouping(pipe)
+    else:
+        bench, pipe, grouping = dp_grouping("BG")
+        if case == "BG-h-manual":
+            grouping = bench.h_manual(pipe)
+        elif case == "BG-no-fusion":
+            grouping = singleton_grouping(pipe)
+    inputs = random_inputs(pipe, np.random.default_rng(68))
+    expected = output_digests(execute_reference(pipe, inputs))
+    assert all(
+        k.native for k in grouping_kernels(pipe, grouping.groups, NATIVE)
+    )
+    TRACE.reset(enabled=True)
+    try:
+        for n in THREADS:
+            out = execute_grouping(
+                pipe, grouping, inputs, nthreads=n, options=NATIVE
+            )
+            assert output_digests(out) == expected, n
+        untiled = [
+            s for s in _walk_spans(TRACE.root) if s.name == "group"
+            and s.attrs.get("mode") == "untiled"
+        ]
+        assert [s.attrs["native"] for s in untiled] == [1] * len(THREADS)
+    finally:
+        TRACE.reset(enabled=False)
+
+
+def test_reduction_refuses_a_buffer_it_cannot_address():
+    """A non-contiguous or foreign-typed producer is refused with the
+    group kernels' ``TypeError`` — never reinterpreted."""
+    pipe = build_histogram()
+    hist = pipe.stage_by_name("hist")
+    (kernel,) = executor_mod.resolve_group_kernels(pipe, [hist], NATIVE)
+    assert kernel.native
+    img = random_inputs(pipe, np.random.default_rng(69))["img"]
+    want = executor_mod._compute_reduction(
+        pipe, hist, {"img": Buffer(img, (0, 0))}
+    )
+    got = kernel.fn({"img": Buffer(img, (0, 0))})
+    assert got.data.tobytes() == want.data.tobytes()
+    for odd in (np.asfortranarray(img), img.astype(np.float64), img[:, ::2]):
+        with pytest.raises(TypeError, match="needs C-contiguous float32"):
+            kernel.fn({"img": Buffer(odd, (0, 0))})
+
+
+@pytest.mark.parametrize("options, numpy_calls", [
+    (NATIVE, 0),
+    (ExecOptions.resolve(no_native=True), 1),
+    (ExecOptions.resolve(), 1),          # the suite's REPRO_NO_NATIVE=1
+    (ExecOptions(compile=False, native=True), 1),
+    (ExecOptions(fuse=False, native=True), 1),
+], ids=["native", "--no-native", "REPRO_NO_NATIVE", "--no-compile",
+        "--no-fuse"])
+def test_reduction_follows_the_groups_predicate(
+    options, numpy_calls, monkeypatch
+):
+    """One predicate — ``compile and fuse and native`` — for groups and
+    reductions: every other setting runs ``_compute_reduction``, and the
+    digests do not move."""
+    _, pipe, grouping = dp_grouping("BG")
+    inputs = make_inputs(pipe, 2)
+    expected = output_digests(execute_reference(pipe, inputs))
+    real = executor_mod._compute_reduction
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].name)
+        return real(*args)
+
+    monkeypatch.setattr(executor_mod, "_compute_reduction", counted)
+    grouping_kernels(pipe, grouping.groups, options)    # incl. self-check
+    calls.clear()
+    out = execute_grouping(pipe, grouping, inputs, nthreads=2,
+                           options=options)
+    assert output_digests(out) == expected
+    assert calls == ["grid"] * numpy_calls
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +631,6 @@ def test_typed_printer_matches_numpy_op_by_op(tmp_path):
         "l": ints * 4294967311, "f": floats.astype(np.float32),
         "g": np.roll(floats, 5).astype(np.float32), "d": floats * 1.25,
     }
-    from repro.runtime.buffers import Buffer
-
     buffers = {k: Buffer(v, (0,)) for k, v in arrays.items()}
     printer = ExprPrinter(
         {k: CBuffer(k, [0], [n]) for k in arrays}, {}
@@ -490,6 +697,13 @@ def _blur_case(seed=65):
     return pipe, g, inputs, execute_reference(pipe, inputs)["blury"]
 
 
+def _bg_case(seed=65):
+    """BG's DP grouping: three tiled groups and the untiled ``grid``."""
+    _, pipe, g = dp_grouping("BG")
+    inputs = make_inputs(pipe, seed)
+    return pipe, g, inputs, execute_reference(pipe, inputs)["filtered"]
+
+
 def _assert_degrades(reason, build=_blur_case, cache=None):
     """Two fresh pipelines resolve under the failure: NumPy kernels,
     equal bits, and exactly one warning naming ``reason``."""
@@ -499,9 +713,12 @@ def _assert_degrades(reason, build=_blur_case, cache=None):
             pipe, g, inputs, expected = build(seed)
             kernels = grouping_kernels(pipe, g.groups, NATIVE, cache)
             assert not any(k.native for k in kernels)
-            assert all(k.generated for k in kernels)
+            assert all(
+                k.generated for k in kernels if len(k.group_names) > 1
+            )
             out = execute_grouping(pipe, g, inputs, options=NATIVE)
-            assert np.array_equal(out["blury"], expected)
+            (name,) = out
+            assert out[name].tobytes() == expected.tobytes()
     got = native_warnings(record)
     assert len(got) == 1, [str(w.message) for w in got]
     assert "[KERNEL_NATIVE_FAIL]" in str(got[0].message)
@@ -527,6 +744,19 @@ def test_compile_error_through_the_native_build_fault_site(tmp_path):
     assert injector.counts["native_build"].failures == 2
     # nothing half-written stays behind
     assert os.listdir(tmp_path / "native") == []
+
+
+@pytest.mark.parametrize("reason", ["no-compiler", "build"])
+def test_reduction_degrades_with_its_grouping(reason, monkeypatch, tmp_path):
+    """BG without a compiler, and under the ``native_build`` fault: one
+    ``KERNEL_NATIVE_FAIL`` for groups and reduction together, the
+    reference's bits."""
+    if reason == "no-compiler":
+        monkeypatch.setenv("PATH", str(tmp_path))
+        _assert_degrades(reason, build=_bg_case)
+    else:
+        with inject_faults(native_build=1.0):
+            _assert_degrades(reason, build=_bg_case, cache=str(tmp_path))
 
 
 def test_compiler_that_fails_reports_its_stderr(monkeypatch, tmp_path):
@@ -579,8 +809,9 @@ def test_store_is_created_private(tmp_path):
     assert len(names[1]) == 64 + 3      # sha256 + ".so"
 
 
-def _artifact_path(pipe, g, cache, monkeypatch):
-    """Where the grouping's artifact would live, without building it."""
+def _translation_unit(pipe, g, monkeypatch, cache=None):
+    """The source the grouping's native kernels would be built from,
+    without building it."""
     seen = []
 
     def probe(source, _):
@@ -590,10 +821,44 @@ def _artifact_path(pipe, g, cache, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(nativestore, "load", probe)
         mp.setattr(native_mod, "_warn_once", lambda exc: None)
-        geoms = [compute_group_geometry(pipe, m) for m in g.groups]
-        native_mod.build_group_kernels(pipe, geoms, cache)
-    key = nativestore.artifact_key(seen[0], nativestore.compiler()[1])
+        grouping_kernels(pipe, g.groups, NATIVE, cache)
+    clear_kernel_cache()        # the probe left NumPy kernels memoised
+    (source,) = seen
+    return source
+
+
+def _artifact_path(pipe, g, cache, monkeypatch):
+    """Where the grouping's artifact would live, without building it."""
+    key = nativestore.artifact_key(
+        _translation_unit(pipe, g, monkeypatch, cache),
+        nativestore.compiler()[1],
+    )
     return os.path.join(nativestore.store_dir(cache), key + ".so")
+
+
+#: sha256 of the DP grouping's translation unit at ``small_kwargs``, as
+#: the commit before native reductions emitted it
+_REDUCTION_FREE_UNITS = {
+    "CP": "9f671b84e236356f",
+    "HC": "57b944d9f190935c",
+    "MI": "babd3724e873d8b2",
+    "PB": "aa8ca13463d50935",
+    "UM": "caf3de1a8a41251f",
+}
+
+
+@pytest.mark.parametrize("abbrev", sorted(_REDUCTION_FREE_UNITS))
+def test_reduction_free_translation_units_did_not_change(
+    abbrev, monkeypatch
+):
+    """A grouping without a reduction emits the bytes it emitted before
+    reductions went native: same artifact keys, stores stay valid."""
+    _, pipe, grouping = dp_grouping(abbrev)
+    source = _translation_unit(pipe, grouping, monkeypatch)
+    assert "repro_reduce_" not in source
+    assert hashlib.sha256(source.encode()).hexdigest()[:16] == (
+        _REDUCTION_FREE_UNITS[abbrev]
+    )
 
 
 def test_garbage_artifact_is_rebuilt_once_then_numpy(monkeypatch, tmp_path):
@@ -672,6 +937,50 @@ def test_self_check_mismatch_demotes_only_that_group(monkeypatch, tmp_path):
     )
     again = grouping_kernels(pipe, g.groups, NATIVE, str(tmp_path))
     assert [k.native for k in again] == [False, True]
+
+
+def test_self_check_mismatch_demotes_only_the_reduction(monkeypatch, tmp_path):
+    """Forced: on first use BG's ``grid`` 'differs'.  It alone goes back
+    to ``_compute_reduction`` — the three groups of the same artifact
+    stay native — and a later load reads the verdict and skips both the
+    check and the reduction."""
+    pipe, g, inputs, expected = _bg_case()
+    real = executor_mod._kernels_agree
+    checked = []
+
+    def disagree_on_grid(pipeline, unit, a, b):
+        checked.append(a.group_names)
+        return a.group_names != ("grid",) and real(pipeline, unit, a, b)
+
+    monkeypatch.setattr(executor_mod, "_kernels_agree", disagree_on_grid)
+    METRICS.reset(enabled=True)
+    try:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            kernels = grouping_kernels(pipe, g.groups, NATIVE, str(tmp_path))
+        assert METRICS.value(
+            "repro_kernel_native_total", result="built"
+        ) == 4
+        assert METRICS.value(
+            "repro_kernel_native_total", result="demoted"
+        ) == 1
+    finally:
+        METRICS.reset(enabled=False)
+    demoted = [k.group_names for k in kernels if not k.native]
+    assert demoted == [("grid",)] and len(checked) == len(kernels) == 4
+    (w,) = native_warnings(record)
+    assert "(self-check)" in str(w.message)
+    out = execute_grouping(pipe, g, inputs, options=NATIVE)
+    assert out["filtered"].tobytes() == expected.tobytes()
+
+    # a later process: the artifact and its verdict are both on disk
+    forget_loaded(monkeypatch)
+    monkeypatch.setattr(
+        executor_mod, "_kernels_agree",
+        lambda *a: pytest.fail("self-check ran on an artifact-store hit"),
+    )
+    again = grouping_kernels(pipe, g.groups, NATIVE, str(tmp_path))
+    assert [k.group_names for k in again if not k.native] == [("grid",)]
 
 
 def _cli_env(xdg):
@@ -780,43 +1089,53 @@ def _walk_spans(span):
 
 
 def test_metrics_and_spans_name_the_native_tier(monkeypatch, tmp_path):
-    bench, pipe, grouping = dp_grouping("CP")
-    inputs = make_inputs(pipe, 1)
-    METRICS.reset(enabled=True)
-    TRACE.reset(enabled=True)
-    try:
-        kernels = grouping_kernels(
-            pipe, grouping.groups, NATIVE, str(tmp_path)
-        )
-        native = sum(k.native for k in kernels)
-        assert METRICS.value(
-            "repro_kernel_native_total", result="built"
-        ) == native == len(kernels) - 1
-        assert METRICS.value(
-            "repro_kernel_native_total", result="ineligible"
-        ) == 1
-        assert METRICS.value(
-            "repro_kernel_native_build_seconds"
-        )[0] == 1
-        execute_grouping(pipe, grouping, inputs, options=NATIVE)
-        # generated NumPy source ran nowhere: CP's one NumPy group is a
-        # singleton on the stage-walking adapter
-        assert not METRICS.value("repro_kernel_fused_groups_total")
-        spans = [
-            s for s in _walk_spans(TRACE.root) if s.name == "group"
-            and s.attrs.get("mode") == "tiled"
-        ]
-        assert sum(bool(s.attrs["native"]) for s in spans) == native
-        assert not any(s.attrs["fused"] for s in spans)
-
-        # another process, same machine: everything is found, not built
-        forget_loaded(monkeypatch)
+    """CP (seven native groups and the ineligible ``pow`` LUT) and BG
+    (three native groups and one native reduction, counted alike)."""
+    for abbrev, ineligible in (("CP", 1), ("BG", 0)):
+        bench, pipe, grouping = dp_grouping(abbrev)
+        inputs = make_inputs(pipe, 1)
         METRICS.reset(enabled=True)
-        grouping_kernels(pipe, grouping.groups, NATIVE, str(tmp_path))
-        assert METRICS.value(
-            "repro_kernel_native_total", result="cached"
-        ) == native
-        assert not METRICS.value("repro_kernel_native_total", result="built")
-    finally:
-        METRICS.reset(enabled=False)
-        TRACE.reset(enabled=False)
+        TRACE.reset(enabled=True)
+        try:
+            kernels = grouping_kernels(
+                pipe, grouping.groups, NATIVE, str(tmp_path)
+            )
+            native = sum(k.native for k in kernels)
+            assert METRICS.value(
+                "repro_kernel_native_total", result="built"
+            ) == native == len(kernels) - ineligible
+            assert (METRICS.value(
+                "repro_kernel_native_total", result="ineligible"
+            ) or 0) == ineligible
+            assert METRICS.value(
+                "repro_kernel_native_build_seconds"
+            )[0] == 1
+            execute_grouping(pipe, grouping, inputs, options=NATIVE)
+            # generated NumPy source ran nowhere: CP's one NumPy group is
+            # a singleton on the stage-walking adapter
+            assert not METRICS.value("repro_kernel_fused_groups_total")
+            spans = [
+                s for s in _walk_spans(TRACE.root) if s.name == "group"
+            ]
+            # a tiled group says whether it ran native, an untiled one
+            # how many of its reductions did
+            assert sum(int(s.attrs["native"]) for s in spans) == native
+            assert not any(
+                s.attrs["fused"] for s in spans
+                if s.attrs["mode"] == "tiled"
+            )
+
+            # another process, same machine: everything is found, not
+            # built
+            forget_loaded(monkeypatch)
+            METRICS.reset(enabled=True)
+            grouping_kernels(pipe, grouping.groups, NATIVE, str(tmp_path))
+            assert METRICS.value(
+                "repro_kernel_native_total", result="cached"
+            ) == native
+            assert not METRICS.value(
+                "repro_kernel_native_total", result="built"
+            )
+        finally:
+            METRICS.reset(enabled=False)
+            TRACE.reset(enabled=False)
