@@ -62,6 +62,7 @@ from repro.planner import output_digests
 from repro.poly.alignscale import compute_group_geometry
 from repro.runtime import (
     ExecOptions,
+    KernelTier,
     clear_kernel_cache,
     execute_grouping,
     grouping_kernels,
@@ -74,15 +75,14 @@ from repro.runtime.executor import _CHUNKS_PER_WORKER  # noqa: F401 - doc link
 #: dominates and the interpreted/compiled difference is what's measured.
 MAX_TILE = 32
 
-#: The five measured modes, slowest first; each adds one switch.
+#: The five measured modes, slowest first: five consecutive points of
+#: tier x reuse, each one step up from the last.
 MODES = {
-    "interpreted": ExecOptions(
-        compile=False, fuse=False, reuse=False, native=False
-    ),
-    "compiled": ExecOptions(fuse=False, reuse=False, native=False),
-    "fused": ExecOptions(reuse=False, native=False),
-    "reuse": ExecOptions(native=False),
-    "native": ExecOptions(),
+    "interpreted": ExecOptions(KernelTier.INTERPRET, reuse=False),
+    "compiled": ExecOptions(KernelTier.STAGE, reuse=False),
+    "fused": ExecOptions(KernelTier.FUSED, reuse=False),
+    "reuse": ExecOptions(KernelTier.FUSED, reuse=True),
+    "native": ExecOptions(KernelTier.NATIVE, reuse=True),
 }
 
 DEFAULT_OUTPUT = os.path.join(

@@ -49,6 +49,7 @@ from .reporting import format_table
 from .resilience import GuardPolicy, execute_guarded
 from .runtime import (
     ExecOptions,
+    KernelTier,
     execute_grouping,
     execute_reference,
     warm_group_kernels,
@@ -168,6 +169,10 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_run(args) -> int:
+    try:
+        options = ExecOptions.resolve(args.kernels, args.no_reuse)
+    except ValueError as exc:  # a malformed REPRO_KERNELS
+        raise SystemExit(str(exc))
     bench, pipe = _build(args.benchmark, args.scale)
     machine = _machine(args)
     _obs_begin(args)
@@ -191,9 +196,6 @@ def cmd_run(args) -> int:
 
     inputs = make_inputs(pipe, args.seed)
 
-    options = ExecOptions.resolve(
-        args.no_compile, args.no_fuse, args.no_reuse, args.no_native
-    )
     start = time.perf_counter()
     # All of the grouping's kernels at once: its native groups share one
     # artifact, found under --schedule-cache when that is given.
@@ -481,22 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", help="load a saved schedule instead")
     p.add_argument("--verify", action="store_true",
                    help="compare against the reference interpreter")
-    p.add_argument("--no-compile", action="store_true",
-                   help="execute with the pure interpreter instead of "
-                        "compiled stage kernels (A/B timing; the "
-                        "REPRO_NO_COMPILE env var does the same)")
-    p.add_argument("--no-fuse", action="store_true",
-                   help="disable fused per-group kernels, keeping "
-                        "per-stage compiled kernels (A/B timing; the "
-                        "REPRO_NO_FUSE env var does the same)")
+    p.add_argument("--kernels", default=None,
+                   choices=[t.name.lower() for t in reversed(KernelTier)],
+                   help="the highest rung a group's kernel may stand on; "
+                        "what cannot be built runs one rung down (A/B "
+                        "timing; default: REPRO_KERNELS, else native)")
     p.add_argument("--no-reuse", action="store_true",
                    help="disable inter-tile halo reuse, recomputing the "
                         "full expanded region per tile (A/B timing; the "
                         "REPRO_NO_REUSE env var does the same)")
-    p.add_argument("--no-native", action="store_true",
-                   help="disable native (C) group kernels, keeping the "
-                        "generated NumPy kernels (A/B timing; the "
-                        "REPRO_NO_NATIVE env var does the same)")
     p.add_argument("--digest", action="store_true",
                    help="print a 'digest <name> <sha256>' line per output "
                         "(bit-identity checks against the serve layer)")

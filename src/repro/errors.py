@@ -276,7 +276,7 @@ class KernelNativeError(KernelCompileError):
     """A grouping's native kernels could not be built, loaded or trusted.
     Never escapes the runtime: :mod:`repro.runtime.native` converts it
     into a ``KernelNativeWarning`` (once per ``reason``) and the groups
-    resolve exactly as they would with ``ExecOptions.native`` off.
+    resolve exactly as they would at ``KernelTier.FUSED``.
     ``reason`` is a short stable slug: ``no-compiler``, ``cache-dir``,
     ``build``, ``load``, ``self-check``, ``emit``."""
 

@@ -50,6 +50,7 @@ from ..fusion.grouping import Grouping
 from ..poly.alignscale import GroupGeometry, compute_group_geometry
 from ..runtime.executor import (
     ExecOptions,
+    KernelTier,
     _execute_group_untiled,
     _execute_one_group,
     _stage_region,
@@ -83,8 +84,8 @@ class GuardPolicy:
     #: cap on estimated per-tile scratch bytes (all threads combined);
     #: tiles shrink to fit before allocation
     memory_cap_bytes: Optional[int] = None
-    #: what the tiled executor runs on (default: everything on unless a
-    #: ``REPRO_NO_*`` environment variable says otherwise)
+    #: what the tiled executor runs on (default: ``NATIVE`` with reuse
+    #: unless ``REPRO_KERNELS`` / ``REPRO_NO_REUSE`` say otherwise)
     options: ExecOptions = field(default_factory=ExecOptions.resolve)
 
 
@@ -239,7 +240,7 @@ def execute_guarded(
             "reference-fallback", index=outcome.group_index, code=code,
         ), faults.suspended():
             _execute_group_untiled(
-                pipeline, members, buffers, compile=False
+                pipeline, members, buffers, KernelTier.INTERPRET
             )
         outcome.mode = "reference-fallback"
         outcome.error_code = code

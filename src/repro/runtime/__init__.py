@@ -6,6 +6,7 @@ from .buffers import Buffer, BufferPool, PoolGroup
 from .evalexpr import evaluate_cases, evaluate_expr, make_index_grids
 from .executor import (
     ExecOptions,
+    KernelTier,
     execute_grouping,
     execute_reference,
     grouping_kernels,
@@ -37,6 +38,7 @@ __all__ = [
     "execute_reference",
     "execute_grouping",
     "ExecOptions",
+    "KernelTier",
     "shared_executor",
     "shutdown_shared_executors",
     "reset_shared_executors_after_fork",

@@ -13,9 +13,9 @@ Two entry points:
   broken inter-tile dependences of overlapped tiling permit.  Every tile
   of a group is one call into that group's
   :class:`~repro.runtime.kernelcache.GroupKernel`; :class:`ExecOptions`
-  selects what stands behind it (native C, generated fused source,
-  compiled stage kernels, or the interpreter) and whether adjacent tiles
-  reuse halos.
+  selects what stands behind it (a :class:`KernelTier`: native C,
+  generated fused source, compiled stage kernels, or the interpreter)
+  and whether adjacent tiles reuse halos.
 
 Every combination of :class:`ExecOptions` and thread count produces
 output digests equal to :func:`execute_reference`'s; the test suite pins
@@ -25,6 +25,7 @@ serve layer's process boundary.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import os
 import threading
@@ -73,6 +74,7 @@ from .kernelcache import (
 )
 
 __all__ = [
+    "KernelTier",
     "ExecOptions",
     "validate_inputs",
     "execute_reference",
@@ -85,54 +87,55 @@ __all__ = [
 ]
 
 
+class KernelTier(enum.IntEnum):
+    """What a group's kernel stands on, lowest rung first.  A rung that
+    cannot be built for a group runs that group on the one below."""
+
+    INTERPRET = 0  #: the tree-walking interpreter, stage body by stage body
+    STAGE = 1      #: compiled NumPy stage kernels, stage body by stage body
+    FUSED = 2      #: one generated fused NumPy kernel per multi-stage group
+    NATIVE = 3     #: one C kernel per eligible tiled group, untiled reduction
+
+
 @dataclass(frozen=True)
 class ExecOptions:
     """How the tiled executor runs a grouping — resolved once per entry
     point (``repro run``, ``PipelineHost.warm``, a bare
-    :func:`execute_grouping`), plain bools from there down.
+    :func:`execute_grouping`), plain values from there down.
 
-    Outputs are bit-identical under all sixteen combinations; the
-    switches exist for A/B timing and as the serve ladder's lower rungs.
+    Outputs are bit-identical under all eight combinations; the two
+    choices exist for A/B timing and as the serve ladder's lower rungs.
     """
 
-    #: run stage bodies as compiled NumPy kernels, not the tree-walking
-    #: interpreter
-    compile: bool = True
-    #: run multi-stage groups on one generated fused kernel per tile
-    #: (needs ``compile``; without it the group is interpreted)
-    fuse: bool = True
+    #: the highest rung a group's kernel may stand on
+    tier: KernelTier = KernelTier.NATIVE
     #: carry each stage's computed window across the adjacent tiles of a
     #: chunk instead of recomputing the halo per tile
     reuse: bool = True
-    #: run every eligible tiled group — singletons too — and every
-    #: eligible untiled reduction on a compiled C kernel
-    #: (:mod:`repro.runtime.native`; consulted only under ``compile`` and
-    #: ``fuse``; whatever cannot be built runs on the kernels the other
-    #: switches select)
-    native: bool = True
 
     @classmethod
     def resolve(
-        cls, no_compile: bool = False, no_fuse: bool = False,
-        no_reuse: bool = False, no_native: bool = False,
+        cls, kernels: Optional[str] = None, no_reuse: bool = False
     ) -> "ExecOptions":
-        """Options from the CLI's ``--no-compile`` / ``--no-fuse`` /
-        ``--no-reuse`` / ``--no-native`` flags and the
-        ``REPRO_NO_COMPILE`` / ``REPRO_NO_FUSE`` / ``REPRO_NO_REUSE`` /
-        ``REPRO_NO_NATIVE`` environment variables
-        (``1``/``true``/``yes``/``on``): a flag turns its switch off, else
-        the variable does, else it is on.  The only place the executor's
-        environment is read."""
-
-        def on(flag: bool, var: str) -> bool:
-            knob = os.environ.get(var, "").strip().lower()
-            return not (flag or knob in ("1", "true", "yes", "on"))
-
+        """Options from the CLI's ``--kernels`` / ``--no-reuse`` flags and
+        the ``REPRO_KERNELS`` / ``REPRO_NO_REUSE`` environment variables:
+        the tier is the flag's, else the variable's (a :class:`KernelTier`
+        name in any case, blanks stripped; ``ValueError`` on anything
+        else), else ``NATIVE``; reuse is off under the flag or a
+        ``1``/``true``/``yes``/``on`` variable.  The only place the
+        executor's environment is read."""
+        if kernels is None:
+            kernels = os.environ.get("REPRO_KERNELS", "")
+        name = kernels.strip().upper() or "NATIVE"
+        if name not in KernelTier.__members__:
+            raise ValueError(
+                f"REPRO_KERNELS={kernels!r}: expected one of "
+                + ", ".join(t.name.lower() for t in reversed(KernelTier))
+            )
+        knob = os.environ.get("REPRO_NO_REUSE", "").strip().lower()
         return cls(
-            compile=on(no_compile, "REPRO_NO_COMPILE"),
-            fuse=on(no_fuse, "REPRO_NO_FUSE"),
-            reuse=on(no_reuse, "REPRO_NO_REUSE"),
-            native=on(no_native, "REPRO_NO_NATIVE"),
+            KernelTier[name],
+            not (no_reuse or knob in ("1", "true", "yes", "on")),
         )
 
 
@@ -1154,13 +1157,13 @@ def _stagewise_kernel(
 def _numpy_kernel(
     pipeline: Pipeline, geom, options: ExecOptions
 ) -> GroupKernel:
-    """The kernel a group runs on without ``native``: generated fused
-    source for a multi-stage group when ``compile`` and ``fuse`` are on
-    and the group fuses (one ``KERNEL_FUSE_FAIL`` warning when it does
-    not), else the stage-walking adapter — over compiled stage kernels
-    under ``compile`` (a stage that fails to compile is interpreted after
-    one ``KERNEL_COMPILE_FAIL`` warning), over the interpreter without.
-    A reduction's is :func:`_compute_reduction`."""
+    """The kernel a group runs on below ``NATIVE``: generated fused
+    source for a multi-stage group from ``FUSED`` up when the group fuses
+    (one ``KERNEL_FUSE_FAIL`` warning when it does not), else the
+    stage-walking adapter — over compiled stage kernels from ``STAGE`` up
+    (a stage that fails to compile is interpreted after one
+    ``KERNEL_COMPILE_FAIL`` warning), over the interpreter at
+    ``INTERPRET``.  A reduction's is :func:`_compute_reduction`."""
     if isinstance(geom, Reduction):
         # weakly, like the stage-walking adapter: the memo is keyed by
         # the pipeline
@@ -1170,12 +1173,13 @@ def _numpy_kernel(
             lambda buffers: _compute_reduction(pipeline_ref(), geom, buffers),
         )
     kernel = None
-    if options.compile and options.fuse and len(geom.stages) > 1:
+    if options.tier >= KernelTier.FUSED and len(geom.stages) > 1:
         kernel = get_group_kernel(pipeline, geom)
     if kernel is None:
         kernel = _stagewise_kernel(
             pipeline, geom,
-            stage_kernels(pipeline, geom.stages) if options.compile else {},
+            stage_kernels(pipeline, geom.stages)
+            if options.tier >= KernelTier.STAGE else {},
         )
     return kernel
 
@@ -1286,10 +1290,10 @@ def resolve_group_kernels(
     """The kernel each of ``units`` — a :class:`GroupGeometry` per tiled
     group, a :class:`Reduction` per reduction stage that runs untiled —
     runs on under ``options``, memoised per ``(pipeline, member set,
-    compile, fuse, native)`` so a warm request resolves nothing.
+    tier)`` so a warm request resolves nothing.
 
-    With ``native`` (under ``compile`` and ``fuse``) every unit not
-    resolved yet goes to :func:`repro.runtime.native.build_group_kernels`
+    At ``NATIVE`` every unit not resolved yet goes to
+    :func:`repro.runtime.native.build_group_kernels`
     *together* — one translation unit, one compiler call, or one
     artifact-store hit (the store lives under ``schedule_cache`` when
     given) — and the NumPy kernel of a group that came back native is
@@ -1300,13 +1304,10 @@ def resolve_group_kernels(
     per = _RESOLVED_CACHE.get(pipeline)
     if per is None:
         per = _RESOLVED_CACHE.setdefault(pipeline, {})
-    use_native = options.compile and options.fuse and options.native
+    use_native = options.tier >= KernelTier.NATIVE
     keys = [
-        (u.name, use_native) if isinstance(u, Reduction) else (
-            frozenset(s.name for s in u.stages), options.compile,
-            options.compile and options.fuse and len(u.stages) > 1,
-            use_native,
-        )
+        (u.name, use_native) if isinstance(u, Reduction)
+        else (frozenset(s.name for s in u.stages), options.tier)
         for u in units
     ]
     missing = [i for i, k in enumerate(keys) if k not in per]
@@ -1398,20 +1399,20 @@ def warm_group_kernels(
 
 
 def _execute_group_untiled(
-    pipeline: Pipeline, members, buffers: Dict[str, Buffer], compile: bool,
-    reducers: Optional[Mapping[str, GroupKernel]] = None,
+    pipeline: Pipeline, members, buffers: Dict[str, Buffer],
+    tier: KernelTier, reducers: Optional[Mapping[str, GroupKernel]] = None,
 ) -> None:
     """Run ``members`` stage by stage over their full domains, in
     pipeline order: a reduction named in ``reducers`` on that kernel,
-    everything else on compiled stage kernels, or — ``compile`` off and
-    no ``reducers`` — exactly as :func:`execute_reference` would."""
+    everything else on compiled stage kernels, or — at ``INTERPRET``
+    with no ``reducers`` — exactly as :func:`execute_reference` would."""
     for stage in pipeline.stages:
         if stage in members:
             if reducers and stage.name in reducers:
                 buffers[stage.name] = reducers[stage.name].fn(buffers)
                 continue
             kernel = None
-            if compile and not isinstance(stage, Reduction):
+            if tier >= KernelTier.STAGE and not isinstance(stage, Reduction):
                 kernel = get_kernel(pipeline, stage)
             buffers[stage.name] = _compute_stage_full(
                 pipeline, stage, buffers, kernel=kernel
@@ -1435,7 +1436,7 @@ def _execute_one_group(
     geom = _tiled_geometry(pipeline, members)
     if geom is None:
         reducers = {}
-        if options.compile and options.fuse and options.native:
+        if options.tier >= KernelTier.NATIVE:
             reductions = _reductions_in(pipeline, members)
             reducers = {
                 stage.name: kernel for stage, kernel in zip(
@@ -1444,7 +1445,7 @@ def _execute_one_group(
                 ) if kernel.native
             }
         _execute_group_untiled(
-            pipeline, members, buffers, options.compile, reducers
+            pipeline, members, buffers, options.tier, reducers
         )
         span = TRACE.current() if TRACE.enabled else None
         if span is not None:
@@ -1540,14 +1541,13 @@ def execute_grouping(
     geometry (singleton reductions, or Halide-style groups that fuse a
     reduction) are executed stage-by-stage untiled — PolyMage likewise
     leaves reductions unoptimised (Sec. 6.2): a plain serial loop, which
-    is what a reduction runs on here too under the options that put
-    tiled groups on native kernels.
+    is what a reduction runs on here too at ``KernelTier.NATIVE``.
 
-    ``options`` (default: :meth:`ExecOptions.resolve` — everything on
-    unless a ``REPRO_NO_*`` variable says otherwise) selects the kernel
-    each tiled group runs on (:func:`resolve_group_kernel`) and whether
-    adjacent tiles of a chunk reuse halos; outputs are bit-identical
-    under all of them.
+    ``options`` (default: :meth:`ExecOptions.resolve` — ``NATIVE`` with
+    reuse unless ``REPRO_KERNELS`` / ``REPRO_NO_REUSE`` say otherwise)
+    selects the kernel each tiled group runs on
+    (:func:`resolve_group_kernel`) and whether adjacent tiles of a chunk
+    reuse halos; outputs are bit-identical under all of them.
 
     Multi-threaded groups run their tile chunks on ``executor`` when the
     caller owns a persistent pool (the serve layer does), else on the

@@ -56,7 +56,7 @@ single :class:`KernelFuseWarning` (``KERNEL_FUSE_FAIL``).
 other source is the executor's adapter, which walks a group's members
 through their stage kernels (or the interpreter) behind the same
 signature — singleton groups, groups that failed to fuse, and the
-``fuse`` / ``compile`` switches of :class:`repro.runtime.ExecOptions`
+``STAGE`` / ``INTERPRET`` tiers of :class:`repro.runtime.ExecOptions`
 all select it.  Both sources are bit-identical by construction: the fused
 kernel performs exactly the NumPy operations the per-stage kernels
 would, minus the scratch stores/gathers the rewrites eliminate.

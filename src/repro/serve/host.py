@@ -69,6 +69,7 @@ from ..planner import build_benchmark, make_inputs, plan_schedule
 from ..resilience import GuardPolicy, execute_guarded
 from ..runtime import (
     ExecOptions,
+    KernelTier,
     grouping_kernels,
     shared_executor,
 )
@@ -89,9 +90,7 @@ __all__ = [
 LADDER = ("compiled", "interpreter", "no-fusion")
 
 #: what every rung below ``compiled`` executes with
-_INTERPRETED = ExecOptions(
-    compile=False, fuse=False, reuse=False, native=False
-)
+_INTERPRETED = ExecOptions(KernelTier.INTERPRET, reuse=False)
 
 
 @dataclass(frozen=True)
@@ -182,10 +181,11 @@ class PipelineHost:
         self._state_lock = threading.Lock()
         self.pipeline = None
         self.grouping = None
-        self.no_fusion_grouping = None
         #: what the ``compiled`` rung executes with, resolved from the
         #: environment at warm-up
         self.options = ExecOptions()
+        #: ``(grouping, GuardPolicy)`` per :data:`LADDER` rung, from warm-up
+        self._rungs: tuple = ()
         self.schedule_tier: Optional[str] = None
         #: tiled groups whose ``compiled``-rung kernel is native C / is
         #: not (generated NumPy source, the stage-walking adapter)
@@ -204,10 +204,6 @@ class PipelineHost:
         return self.pipeline is not None
 
     @property
-    def tier(self) -> int:
-        return self._tier
-
-    @property
     def tier_name(self) -> str:
         return LADDER[self._tier]
 
@@ -218,6 +214,8 @@ class PipelineHost:
             if self.is_warm:
                 return self
             t0 = time.perf_counter()
+            # first: a malformed REPRO_KERNELS fails before any work
+            self.options = ExecOptions.resolve()
             with TRACE.span(
                 "serve_warm", pipeline=self.key,
                 backend=self.config.backend,
@@ -233,7 +231,6 @@ class PipelineHost:
                     strict=False,
                     schedule_cache=self.config.schedule_cache,
                 )
-                self.options = ExecOptions.resolve()
                 # Resolve and compile every group's kernel now, so the
                 # first request pays nothing and forked workers inherit
                 # them rather than each paying the exec().
@@ -243,7 +240,17 @@ class PipelineHost:
                 )
                 self.native_groups = sum(k.native for k in kernels)
                 self.numpy_groups = len(kernels) - self.native_groups
-                self.no_fusion_grouping = singleton_grouping(pipe)
+                compiled, interpreted = (
+                    GuardPolicy(
+                        self.config.tile_retries, degrade=True, options=o
+                    )
+                    for o in (self.options, _INTERPRETED)
+                )
+                self._rungs = (
+                    (grouping, compiled),
+                    (grouping, interpreted),
+                    (singleton_grouping(pipe), interpreted),
+                )
                 self.pools = PoolGroup(self.config.pool_cap_bytes)
                 self.executor = shared_executor(self.config.threads)
                 self.grouping = grouping
@@ -289,16 +296,8 @@ class PipelineHost:
         """
         if not self.is_warm:
             self.warm()
-        tname = self.tier_name
-        grouping = (
-            self.no_fusion_grouping if tname == "no-fusion"
-            else self.grouping
-        )
-        policy = GuardPolicy(
-            tile_retries=self.config.tile_retries,
-            degrade=True,
-            options=self.options if tname == "compiled" else _INTERPRETED,
-        )
+        tier = self._tier
+        grouping, policy = self._rungs[tier]
         try:
             report = execute_guarded(
                 self.pipeline, grouping, inputs,
@@ -311,7 +310,7 @@ class PipelineHost:
             self._note_outcome(ok=False)
             raise
         self._note_outcome(ok=not report.degraded)
-        return report.outputs, report, tname
+        return report.outputs, report, LADDER[tier]
 
     def _note_outcome(self, ok: bool) -> None:
         """Advance the degradation ladder on consecutive outcomes."""
@@ -359,6 +358,8 @@ class PipelineHost:
                 "ladder": list(LADDER),
                 "schedule_tier": self.schedule_tier,
                 "groups": self.grouping.num_groups,
+                "kernels": self.options.tier.name.lower(),
+                "reuse": self.options.reuse,
                 "native_groups": self.native_groups,
                 "numpy_groups": self.numpy_groups,
                 "warm_s": round(self.warm_s, 4),

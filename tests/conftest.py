@@ -26,16 +26,16 @@ from repro.dsl import (
 from repro.errors import InjectedFault
 from repro.poly import compute_group_geometry, reuse_carry_dim
 from repro.resilience.faults import FaultInjector
-from repro.runtime import ExecOptions
+from repro.runtime import ExecOptions, KernelTier
 
-# The suite runs with native kernels *off*: a bare ``ExecOptions()`` —
+# The suite runs one rung below native: a bare ``ExecOptions()`` —
 # module-level constants included, hence at import and not in a fixture —
 # and ``ExecOptions.resolve()`` both mean the NumPy kernels the existing
 # tests were written against, in this process and in every subprocess a
-# test spawns.  ``native``-marked tests ask for ``ExecOptions(native=True)``
-# or take the ``native_on`` fixture.
-os.environ["REPRO_NO_NATIVE"] = "1"
-ExecOptions.__init__.__defaults__ = (True, True, True, False)
+# test spawns.  ``native``-marked tests ask for
+# ``ExecOptions(KernelTier.NATIVE)`` or take the ``native_on`` fixture.
+os.environ["REPRO_KERNELS"] = "fused"
+ExecOptions.__init__.__defaults__ = (KernelTier.FUSED, True)
 
 HAVE_GXX = shutil.which("g++") is not None
 needs_gxx = pytest.mark.skipif(not HAVE_GXX, reason="g++ not available")
@@ -66,7 +66,7 @@ def native_artifact_dir(tmp_path_factory):
 def native_on(monkeypatch):
     """``ExecOptions.resolve()`` — hosts, the CLI, subprocesses — says
     native again for this test."""
-    monkeypatch.delenv("REPRO_NO_NATIVE")
+    monkeypatch.delenv("REPRO_KERNELS")
 
 
 def build_blur(rows=94, cols=130):

@@ -35,7 +35,7 @@ from repro.resilience import (
     inject_faults,
     resilient_schedule,
 )
-from repro.runtime import ExecOptions, execute_grouping
+from repro.runtime import ExecOptions, KernelTier, execute_grouping
 
 from conftest import build_blur, random_inputs
 
@@ -157,14 +157,14 @@ class TestRetryClassification:
         )
         grouping = dp_group(blur_pipeline, XEON_HASWELL)
         METRICS.reset(enabled=True)
-        # fuse=False: generated fused source never calls the per-stage
+        # STAGE: generated fused source never calls the per-stage
         # region helper this test breaks.
         with pytest.raises(TileExecutionError) as exc_info:
             execute_grouping(
                 blur_pipeline, grouping,
                 random_inputs(blur_pipeline, rng),
                 nthreads=1, tile_retries=5,
-                options=ExecOptions(fuse=False),
+                options=ExecOptions(KernelTier.STAGE),
             )
         exc = exc_info.value
         assert exc.context["attempts"] == 1

@@ -20,6 +20,7 @@ from repro.runtime import (
     BufferPool,
     ExecOptions,
     KernelFuseWarning,
+    KernelTier,
     clear_kernel_cache,
     execute_grouping,
     execute_reference,
@@ -33,8 +34,8 @@ from repro.runtime.executor import (
     resolve_group_kernel,
 )
 
-NO_FUSE = ExecOptions(fuse=False)
-INTERPRETED = ExecOptions(compile=False)
+NO_FUSE = ExecOptions(KernelTier.STAGE)
+INTERPRETED = ExecOptions(KernelTier.INTERPRET)
 
 from conftest import build_blur, build_updown, random_inputs
 
@@ -405,7 +406,7 @@ def test_warm_group_kernels_compiles_multistage_groups():
 
 def test_host_fused_vs_unfused_bit_identical(monkeypatch):
     """A warm host with fusion on serves the same bits as one warmed
-    under ``REPRO_NO_FUSE`` (per-stage kernels only)."""
+    under ``REPRO_KERNELS=stage`` (per-stage kernels only)."""
     from repro.planner import make_inputs
     from repro.serve import HostConfig
     from repro.serve.host import PipelineHost
@@ -413,9 +414,10 @@ def test_host_fused_vs_unfused_bit_identical(monkeypatch):
     inputs = None
     outs = {}
     for fuse in (True, False):
-        monkeypatch.setenv("REPRO_NO_FUSE", "0" if fuse else "1")
+        tier = KernelTier.FUSED if fuse else KernelTier.STAGE
+        monkeypatch.setenv("REPRO_KERNELS", tier.name.lower())
         host = PipelineHost("UM", HostConfig(scale=0.05, threads=2)).warm()
-        assert host.options == ExecOptions(fuse=fuse)
+        assert host.options == ExecOptions(tier)
         if inputs is None:
             inputs = make_inputs(host.pipeline, 123)
         outputs, report, tier = host.execute(inputs)

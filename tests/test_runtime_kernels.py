@@ -10,12 +10,17 @@ float reductions).
 """
 
 import gc
+import itertools
+import os
+import subprocess
+import sys
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.dsl import (
     Float,
     Function,
@@ -35,6 +40,7 @@ from repro.runtime import (
     BufferPool,
     ExecOptions,
     KernelCompileWarning,
+    KernelTier,
     clear_kernel_cache,
     execute_grouping,
     execute_reference,
@@ -43,11 +49,12 @@ from repro.runtime import (
 from repro.runtime import kernelcache
 from repro.runtime.executor import _CHUNKS_PER_WORKER, _chunk_tiles
 from repro.runtime.kernelcache import get_kernel
+from repro.serve import HostConfig, PipelineHost
 
 from conftest import build_blur, build_updown, build_histogram, random_inputs
 
 COMPILED = ExecOptions()
-INTERPRETED = ExecOptions(compile=False)
+INTERPRETED = ExecOptions(KernelTier.INTERPRET)
 
 
 def _both_modes(pipeline, grouping, inputs, nthreads=1):
@@ -240,72 +247,107 @@ class TestResilienceComposition:
 
 class TestKnobsAndCache:
     @pytest.mark.parametrize("reuse", [True, False])
-    @pytest.mark.parametrize("fuse", [True, False])
-    @pytest.mark.parametrize("compile_", [True, False])
-    def test_exec_options_resolution(
-        self, compile_, fuse, reuse, blur_pipeline, rng, monkeypatch
-    ):
-        """A ``--no-*`` flag beats its ``REPRO_NO_*`` variable beats the
-        on-by-default, independently per switch, for all eight outcomes;
-        whatever is resolved runs to the reference bits."""
-        want = ExecOptions(compile=compile_, fuse=fuse, reuse=reuse)
-        variables = {
-            "REPRO_NO_COMPILE": compile_, "REPRO_NO_FUSE": fuse,
-            "REPRO_NO_REUSE": reuse,
-        }
-        flags = [not on for on in variables.values()]
-        for var in variables:
-            monkeypatch.delenv(var, raising=False)
-        assert ExecOptions.resolve() == ExecOptions(True, True, True)
-        assert ExecOptions.resolve(*flags) == want
-        # a falsy spelling leaves the switch on; flags still decide
-        for var in variables:
-            monkeypatch.setenv(var, "0")
-        assert ExecOptions.resolve(*flags) == want
-        for spelling in ("1", "true", "YES", " on "):
-            for var, on in variables.items():
-                if on:
-                    monkeypatch.delenv(var, raising=False)
-                else:
-                    monkeypatch.setenv(var, spelling)
-            assert ExecOptions.resolve() == want
-            assert GuardPolicy().options == want
-        # the flag turns a switch off whatever the variable says, and no
-        # flag can turn back on what the variable turned off
-        for var in variables:
-            monkeypatch.setenv(var, "1")
-        assert ExecOptions.resolve() == ExecOptions(False, False, False)
-        for var in variables:
-            monkeypatch.setenv(var, "0")
-        assert ExecOptions.resolve(True, True, True) == ExecOptions(
-            False, False, False
-        )
+    @pytest.mark.parametrize("var", [True, False])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_exec_options_resolution(self, flag, var, reuse, monkeypatch):
+        """``--kernels`` (given or not: ``flag``) beats ``REPRO_KERNELS``
+        (set or not: ``var``) beats ``NATIVE``, for every pair of tiers
+        the two can name — so a flag *can* raise the tier above the
+        variable's — and ``--no-reuse`` / ``REPRO_NO_REUSE`` decide
+        ``reuse`` independently of both.  ``GuardPolicy()`` resolves the
+        same way."""
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        monkeypatch.delenv("REPRO_NO_REUSE", raising=False)
+        assert ExecOptions.resolve() == ExecOptions(KernelTier.NATIVE, True)
+        # reuse: the flag turns it off whatever the variable says, a
+        # truthy variable does without the flag, a falsy one does nothing
+        spellings = ("", "0", "off") if reuse else ("1", "true", "YES", " on ")
+        for by_flag, by_var in itertools.product(
+            KernelTier if flag else [None], KernelTier if var else [None]
+        ):
+            kernels = None if by_flag is None else by_flag.name.lower()
+            if by_var is not None:
+                monkeypatch.setenv("REPRO_KERNELS", by_var.name.lower())
+            tier = next(
+                t for t in (by_flag, by_var, KernelTier.NATIVE)
+                if t is not None
+            )
+            for spelling in spellings:
+                monkeypatch.setenv("REPRO_NO_REUSE", spelling)
+                want = ExecOptions(tier, reuse)
+                assert ExecOptions.resolve(kernels) == want
+                assert ExecOptions.resolve(kernels, True) == ExecOptions(
+                    tier, False
+                )
+                if not flag:
+                    assert GuardPolicy().options == want
 
-        # a bare execute_grouping resolves the same way, and the result
-        # (fuse without compile included) runs interpreted-or-better to
-        # the same bits
-        for var, on in variables.items():
-            monkeypatch.setenv(var, "0" if on else "1")
+    @pytest.mark.parametrize("spelling, tier", [
+        ("native", KernelTier.NATIVE), (" FUSED ", KernelTier.FUSED),
+        ("Stage", KernelTier.STAGE), ("interpret\n", KernelTier.INTERPRET),
+        ("", KernelTier.NATIVE), (None, KernelTier.NATIVE),
+    ], ids=["lower", "padded-upper", "mixed", "newline", "empty", "unset"])
+    def test_kernels_variable_spellings(self, spelling, tier, monkeypatch):
+        """Tier names in any case, blanks stripped; empty or unset is the
+        default."""
+        if spelling is None:
+            monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_KERNELS", spelling)
+        assert ExecOptions.resolve().tier is tier
+
+    @pytest.mark.parametrize(
+        "value", ["bogus", "3", "nativ", "fused,stage"],
+        ids=["word", "number", "prefix", "two-names"],
+    )
+    def test_malformed_kernels_variable_is_rejected(
+        self, value, blur_pipeline, rng, monkeypatch, capsys
+    ):
+        """Anything else is an error naming the variable, the value and
+        the four valid names — from every entry point that resolves, none
+        of which runs a tier nobody asked for: ``repro run`` prints that
+        one line and exits non-zero, a host refuses to warm."""
+        monkeypatch.setenv("REPRO_KERNELS", value)
+        message = (
+            f"REPRO_KERNELS={value!r}: expected one of native, fused, "
+            f"stage, interpret"
+        )
         g = manual_grouping(
-            blur_pipeline, [["blurx", "blury"]], [[3, 16, 16]]
+            blur_pipeline, [["blurx", "blury"]], [[3, 32, 32]]
         )
-        inputs = random_inputs(blur_pipeline, rng)
-        ref = execute_reference(blur_pipeline, inputs)
-        clear_kernel_cache()
-        seen = []
-        real = kernelcache.get_kernel
-        monkeypatch.setattr(
-            kernelcache, "get_kernel",
-            lambda *a: seen.append(a) or real(*a),
+        for entry in (
+            ExecOptions.resolve,
+            GuardPolicy,
+            lambda: execute_grouping(
+                blur_pipeline, g, random_inputs(blur_pipeline, rng)
+            ),
+            PipelineHost("UM", HostConfig(scale=0.05)).warm,
+        ):
+            with pytest.raises(ValueError) as exc_info:
+                entry()
+            assert str(exc_info.value) == message
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "UM", "--scale", "0.05"])
+        assert exit_info.value.code == message  # stderr, exit status 1
+        assert capsys.readouterr().out == ""    # before any work
+        # the flag decides alone: the variable is not even read
+        assert ExecOptions.resolve("stage").tier is KernelTier.STAGE
+
+    def test_serve_refuses_to_boot_on_a_malformed_kernels_variable(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--warm", "UM",
+             "--scale", "0.05", "--port", "0"],
+            env=dict(
+                os.environ, REPRO_KERNELS="bogus",
+                PYTHONPATH=os.path.join(
+                    os.path.dirname(__file__), "..", "src"
+                ),
+            ),
+            capture_output=True, text=True, timeout=120,
         )
-        bare = execute_grouping(blur_pipeline, g, inputs, nthreads=2)
-        explicit = execute_grouping(
-            blur_pipeline, g, inputs, nthreads=2, options=want
-        )
-        _assert_bit_identical(bare, explicit)
-        _assert_bit_identical(bare, ref)
-        # without ``compile`` nothing is compiled, whatever ``fuse`` says
-        assert bool(seen) == (compile_ and not fuse)
+        assert proc.returncode != 0
+        assert "REPRO_KERNELS='bogus': expected one of" in proc.stderr
+        assert "serving on" not in proc.stdout
 
     def test_stage_kernels_compiles_every_function_stage(
         self, blur_pipeline, histogram_pipeline
@@ -319,22 +361,40 @@ class TestKnobsAndCache:
     def test_env_knob_flows_through_executor(
         self, blur_pipeline, rng, monkeypatch
     ):
+        """A bare ``execute_grouping`` and a bare ``execute_guarded``
+        run what the environment resolves to, at every NumPy tier with
+        and without reuse — stage kernels are compiled at ``STAGE`` only
+        (the fused source calls none, the interpreter needs none) — to
+        the reference's bits."""
         g = manual_grouping(
             blur_pipeline, [["blurx", "blury"]], [[3, 32, 32]]
         )
         inputs = random_inputs(blur_pipeline, rng)
-        monkeypatch.setenv("REPRO_NO_COMPILE", "1")
-        clear_kernel_cache()
+        ref = execute_reference(blur_pipeline, inputs)
         seen = []
+        real = kernelcache.get_kernel
         monkeypatch.setattr(
-            kernelcache, "get_kernel", lambda *a: seen.append(a)
+            kernelcache, "get_kernel",
+            lambda *a: seen.append(a) or real(*a),
         )
-        out = execute_grouping(blur_pipeline, g, inputs)
-        assert not seen
-        ref = execute_grouping(
-            blur_pipeline, g, inputs, options=INTERPRETED
-        )
-        _assert_bit_identical(out, ref)
+        for tier, reuse in itertools.product(
+            (KernelTier.FUSED, KernelTier.STAGE, KernelTier.INTERPRET),
+            (True, False),
+        ):
+            monkeypatch.setenv("REPRO_KERNELS", tier.name)
+            monkeypatch.setenv("REPRO_NO_REUSE", "0" if reuse else "1")
+            clear_kernel_cache()
+            del seen[:]
+            bare = execute_grouping(blur_pipeline, g, inputs, nthreads=2)
+            assert bool(seen) == (tier is KernelTier.STAGE)
+            guarded = execute_guarded(blur_pipeline, g, inputs, nthreads=2)
+            explicit = execute_grouping(
+                blur_pipeline, g, inputs, nthreads=2,
+                options=ExecOptions(tier, reuse),
+            )
+            for out in (bare, guarded.outputs, explicit):
+                _assert_bit_identical(out, ref)
+            assert not guarded.degraded
 
     def test_kernels_memoized_per_pipeline(self, blur_pipeline):
         clear_kernel_cache()
@@ -346,7 +406,7 @@ class TestKnobsAndCache:
         assert k3 is not k1
 
     @pytest.mark.parametrize("options", [
-        COMPILED, ExecOptions(fuse=False), INTERPRETED,
+        COMPILED, ExecOptions(KernelTier.STAGE), INTERPRETED,
     ])
     def test_memoised_kernels_do_not_pin_the_pipeline(self, options, rng):
         """Every kernel memo is weakly keyed by the pipeline, and nothing

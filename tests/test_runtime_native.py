@@ -4,7 +4,7 @@ Clock-free.  What is pinned:
 
 * **bits** — digests equal ``execute_reference`` on the six benchmarks'
   DP groupings x threads x halo reuse on/off (grids of one, two and
-  three carry rows: the sixteen-``ExecOptions`` matrix of
+  three carry rows: the eight-``ExecOptions`` matrix of
   ``test_runtime_parallel_walk.py``), through ``PipelineHost`` in-process
   and a forked worker, on random DAGs x awkward tiles x step lengths,
   and under ``tile`` fault injection;
@@ -90,6 +90,7 @@ from repro.resilience.faults import FaultInjector
 from repro.runtime import (
     ExecOptions,
     KernelNativeWarning,
+    KernelTier,
     clear_kernel_cache,
     execute_grouping,
     execute_reference,
@@ -113,8 +114,8 @@ from conftest import (
 
 pytestmark = [pytest.mark.native, needs_gxx]
 
-NATIVE = ExecOptions(native=True)
-NUMPY = ExecOptions(native=False)
+NATIVE = ExecOptions(KernelTier.NATIVE)
+NUMPY = ExecOptions(KernelTier.FUSED)
 THREADS = (1, 2, 4)
 REGRESSIONS = os.path.join(os.path.dirname(__file__), "regressions")
 
@@ -180,7 +181,7 @@ def test_dp_groupings_match_reference_and_share_the_numpy_plan(abbrev):
         for reuse in (True, False):
             out = execute_grouping(
                 pipe, grouping, inputs, nthreads=n,
-                options=ExecOptions(reuse=reuse, native=True),
+                options=ExecOptions(KernelTier.NATIVE, reuse),
             )
             assert output_digests(out) == expected, (n, reuse)
 
@@ -199,11 +200,12 @@ def test_host_in_process_and_forked_worker(native_on, monkeypatch):
             execute_reference(pipe, make_inputs(pipe, seed))
         )
         host = PipelineHost(key, host_config).warm()
-        assert host.options == ExecOptions(native=True)
+        assert host.options == NATIVE
         health = host.health()
         assert (health["native_groups"], health["numpy_groups"]) == (
             native, numpy
         )
+        assert (health["kernels"], health["reuse"]) == ("native", True)
         outputs, _, tier = host.execute(make_inputs(host.pipeline, seed))
         assert tier == "compiled"
         assert output_digests(outputs) == expected[key]
@@ -222,9 +224,10 @@ def test_host_in_process_and_forked_worker(native_on, monkeypatch):
     finally:
         svc.shutdown(timeout_s=60.0)
 
-    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    monkeypatch.setenv("REPRO_KERNELS", "fused")
     health = PipelineHost("BG", host_config).warm().health()
     assert (health["native_groups"], health["numpy_groups"]) == (0, 4)
+    assert health["kernels"] == "fused"
 
 
 def test_strided_and_foreign_typed_inputs_are_normalised():
@@ -434,18 +437,18 @@ def test_reduction_refuses_a_buffer_it_cannot_address():
 
 @pytest.mark.parametrize("options, numpy_calls", [
     (NATIVE, 0),
-    (ExecOptions.resolve(no_native=True), 1),
-    (ExecOptions.resolve(), 1),          # the suite's REPRO_NO_NATIVE=1
-    (ExecOptions(compile=False, native=True), 1),
-    (ExecOptions(fuse=False, native=True), 1),
-], ids=["native", "--no-native", "REPRO_NO_NATIVE", "--no-compile",
-        "--no-fuse"])
+    (ExecOptions.resolve("fused"), 1),
+    (ExecOptions.resolve(), 1),          # the suite's REPRO_KERNELS=fused
+    (ExecOptions(KernelTier.INTERPRET), 1),
+    (ExecOptions(KernelTier.STAGE), 1),
+], ids=["native", "--kernels=fused", "REPRO_KERNELS=fused", "interpret",
+        "stage"])
 def test_reduction_follows_the_groups_predicate(
     options, numpy_calls, monkeypatch
 ):
-    """One predicate — ``compile and fuse and native`` — for groups and
-    reductions: every other setting runs ``_compute_reduction``, and the
-    digests do not move."""
+    """One predicate — the ``NATIVE`` tier — for groups and reductions:
+    every tier below runs ``_compute_reduction``, and the digests do not
+    move."""
     _, pipe, grouping = dp_grouping("BG")
     inputs = make_inputs(pipe, 2)
     expected = output_digests(execute_reference(pipe, inputs))
@@ -987,7 +990,7 @@ def _cli_env(xdg):
     """The suite's environment with native back on, a store of its own
     and ``src`` importable."""
     env = dict(os.environ)
-    env.pop("REPRO_NO_NATIVE")
+    env.pop("REPRO_KERNELS")
     env["XDG_CACHE_HOME"] = str(xdg)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
@@ -1010,8 +1013,8 @@ def _digests(stdout):
 def test_cli_flags_and_concurrent_builders(tmp_path):
     """``repro run`` end to end: two processes build the same key at the
     same time and both end with a loadable artifact (no partial file is
-    ever loaded, nothing temporary stays behind); ``--no-native`` and
-    ``REPRO_NO_NATIVE`` print the same digests; a third run finds the
+    ever loaded, nothing temporary stays behind); ``--kernels fused`` and
+    ``REPRO_KERNELS=fused`` print the same digests; a third run finds the
     artifact and builds nothing; without ``g++`` the run still exits 0
     with the same digests and exactly one warning; a truncated artifact
     is rebuilt by the next process that finds it."""
@@ -1040,12 +1043,14 @@ def test_cli_flags_and_concurrent_builders(tmp_path):
     assert 'result="built"' not in text
     assert "repro_kernel_fused_groups_total" not in text
 
-    flag = _run_cli(base + ["--no-native", "--metrics", str(metrics)], env)
+    flag = _run_cli(
+        base + ["--kernels", "fused", "--metrics", str(metrics)], env
+    )
     assert flag.returncode == 0 and _digests(flag.stdout) == want
     text = metrics.read_text()
     assert "repro_kernel_native_total" not in text
     assert "repro_kernel_fused_groups_total 1" in text
-    var = _run_cli(base, dict(env, REPRO_NO_NATIVE="1"))
+    var = _run_cli(base, dict(env, REPRO_KERNELS="fused"))
     assert var.returncode == 0 and _digests(var.stdout) == want
 
     masked = _run_cli(base, dict(env, PATH=str(tmp_path)))

@@ -8,7 +8,7 @@ at least as many rows as workers.  Pinned here without clocks:
   computes does not grow with the number of chunks, and grows by at most
   one tile's worth per extra run when rows have to be cut;
 * **bit identity where the change bites** — six benchmarks x threads x
-  all sixteen ``ExecOptions`` on grids of one, two and three carry rows,
+  all eight ``ExecOptions`` on grids of one, two and three carry rows,
   against ``execute_reference``; a tile failing in the middle of a run re-seeds
   to that run's end, not the grid row's; the serve host at ``threads=2``
   in-process and across the worker boundary;
@@ -40,8 +40,17 @@ from repro.obs import METRICS, TRACE
 from repro.poly import compute_group_geometry, reuse_carry_dim
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.resilience.faults import FaultSpec
-from repro.runtime import ExecOptions, execute_grouping, execute_reference
+from repro.runtime import (
+    ExecOptions,
+    KernelTier,
+    clear_kernel_cache,
+    execute_grouping,
+    execute_reference,
+    grouping_kernels,
+    kernelcache,
+)
 from repro.runtime import executor as executor_mod
+from repro.runtime import native as native_mod
 from repro.runtime.executor import (
     _chunk_tiles,
     _plan_steps,
@@ -54,6 +63,7 @@ from repro.runtime.executor import (
 from repro.serve import HostConfig, PipelineHost, PipelineService, ServeConfig
 
 from conftest import (
+    HAVE_GXX,
     FailFirstAttempt,
     build_blur,
     build_updown,
@@ -63,15 +73,14 @@ from conftest import (
 )
 
 THREADS = (1, 2, 4)
-#: one ``ExecOptions`` per source of group kernels
+#: the sources of NumPy group kernels, by the id their parametrized
+#: tests are known by (test names are pinned)
 TIERS = {
-    "fused": ExecOptions(),
-    "no-fuse": ExecOptions(fuse=False),
-    "no-compile": ExecOptions(compile=False),
+    KernelTier.FUSED: "fused",
+    KernelTier.STAGE: "no-fuse",
+    KernelTier.INTERPRET: "no-compile",
 }
-ALL_OPTIONS = [
-    ExecOptions(*bits) for bits in itertools.product((True, False), repeat=4)
-]
+ALL_OPTIONS = [ExecOptions(t, r) for t in KernelTier for r in (True, False)]
 
 
 def walk_shapes(pipe, grouping):
@@ -167,7 +176,9 @@ class ComputedRegions:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("tier", ["fused", "no-fuse"])
+@pytest.mark.parametrize(
+    "tier", [KernelTier.FUSED, KernelTier.STAGE], ids=TIERS.get
+)
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_work_is_conserved_across_thread_counts(abbrev, tier, monkeypatch):
     """volume(n) <= volume(1) + (runs cut beyond the serial walk's) x
@@ -185,7 +196,7 @@ def test_work_is_conserved_across_thread_counts(abbrev, tier, monkeypatch):
         volumes = {}
         for n in THREADS:
             execute_grouping(
-                pipe, grouping, inputs, nthreads=n, options=TIERS[tier],
+                pipe, grouping, inputs, nthreads=n, options=ExecOptions(tier),
             )
             volumes[n] = work.volume()
         for n in THREADS[1:]:
@@ -282,28 +293,16 @@ def test_carry_dim_rule_matches_region_plans_on_synth_dags(seed):
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_benchmarks_match_reference_on_few_row_grids(abbrev, rows):
-    """All sixteen ``ExecOptions`` at 1, 2 and 4 threads, on awkward tiles
+    """All eight ``ExecOptions`` at 1, 2 and 4 threads, on awkward tiles
     whose grids have ``rows`` carry rows — the grids where rows are cut
-    (``rows < nthreads``) and where they are not.  ``fuse`` is consulted
-    only under ``compile`` and ``native`` only under both: the serial walk
-    of the one-row grid runs all sixteen as spelled, everything else runs
-    each *effective* combination once."""
+    (``rows < nthreads``) and where they are not."""
     bench = BENCHMARKS[abbrev]
     pipe = bench.build(**bench.small_kwargs)
     inputs = random_inputs(pipe, np.random.default_rng(43))
     grouping = shaped(pipe, bench.h_manual(pipe), rows, step=11)
     expected = output_digests(execute_reference(pipe, inputs))
     for n in THREADS:
-        ran = set()
         for options in ALL_OPTIONS:
-            fuse = options.compile and options.fuse
-            effective = (
-                options.compile, fuse, options.reuse,
-                fuse and options.native,
-            )
-            if (n > 1 or rows > 1) and effective in ran:
-                continue
-            ran.add(effective)
             out = execute_grouping(
                 pipe, grouping, inputs, nthreads=n, options=options,
             )
@@ -330,7 +329,7 @@ def test_full_tile_faults_on_cut_rows_match_reference(abbrev):
     )
 
 
-@pytest.mark.parametrize("tier", sorted(TIERS))
+@pytest.mark.parametrize("tier", sorted(TIERS), ids=TIERS.get)
 def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
     """One row of 12 tiles on 2 threads is two runs of 6, walked as three
     steps of 2 tiles each.  The middle step of the first run (tiles 2-3,
@@ -367,7 +366,7 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
         with inject_faults(FailFirstAttempt({"g0t2a0", "g0t3a0"})):
             out = execute_grouping(
                 pipe, g, inputs, nthreads=2, tile_retries=1,
-                options=TIERS[tier],
+                options=ExecOptions(tier),
             )
         assert METRICS.value("repro_tile_retries_total") == 1
         assert METRICS.value("repro_halo_reuse_invalidations_total") == 1
@@ -559,6 +558,54 @@ def _dp_grouping(abbrev, scale=0.1):
         pipe, bench, XEON_HASWELL, "dp", 2000, strict=False
     )
     return bench, pipe, grouping
+
+
+@pytest.mark.native
+@pytest.mark.parametrize("abbrev", ["BG", "CP", "HC"])
+def test_no_kernel_stands_above_the_requested_tier(abbrev, monkeypatch):
+    """The tier is a ceiling.  For every tier, every group and every
+    untiled reduction of the DP grouping: a native kernel only at
+    ``NATIVE`` (whatever cannot be built runs on a lower stand-in),
+    generated fused source only from ``FUSED`` up, stage kernels only
+    from ``STAGE`` up — and at ``INTERPRET`` nothing is compiled, looked
+    up or built, at resolution or at execution.  Same digests under
+    all four."""
+    _, pipe, grouping = _dp_grouping(abbrev)
+    inputs = make_inputs(pipe, 1)
+    expected = output_digests(execute_reference(pipe, inputs))
+    called = set()
+    for mod, name in (
+        (kernelcache, "get_kernel"), (executor_mod, "get_kernel"),
+        (kernelcache, "compile_group_kernel"),
+        (native_mod, "build_group_kernels"),
+    ):
+        def spy(*args, _name=name, _real=getattr(mod, name)):
+            called.add(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(mod, name, spy)
+    allowed = set()
+    for tier, unlocks in zip(KernelTier, (
+        None, "get_kernel", "compile_group_kernel", "build_group_kernels",
+    )):
+        clear_kernel_cache()
+        called.clear()
+        options = ExecOptions(tier)
+        kernels = grouping_kernels(pipe, grouping.groups, options)
+        out = execute_grouping(pipe, grouping, inputs, options=options)
+        assert output_digests(out) == expected, tier
+        for kernel in kernels:
+            assert not (kernel.native and kernel.generated)
+            assert tier >= KernelTier.NATIVE or not kernel.native
+            assert tier >= KernelTier.FUSED or not kernel.generated
+        if unlocks:
+            allowed.add(unlocks)
+            assert unlocks in called, tier
+        assert called <= allowed, tier
+        if tier is KernelTier.FUSED:
+            assert any(k.generated for k in kernels)
+        if tier is KernelTier.NATIVE and HAVE_GXX:
+            assert any(k.native for k in kernels)
 
 
 def _assert_steps_are_unions(pipe, grouping):

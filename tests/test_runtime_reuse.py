@@ -14,7 +14,7 @@ from repro.obs import METRICS
 from repro.pipelines import BENCHMARKS
 from repro.planner import build_benchmark, make_inputs, output_digests, plan_schedule
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
-from repro.runtime import ExecOptions, execute_grouping
+from repro.runtime import ExecOptions, KernelTier, execute_grouping
 from repro.serve import HostConfig, PipelineHost
 
 from conftest import build_blur, build_updown, force_step_tiles, random_inputs
@@ -56,13 +56,12 @@ def test_benchmarks_bit_identical_reuse(abbrev):
     pipe = bench.build(**bench.small_kwargs)
     inputs = random_inputs(pipe, np.random.default_rng(31))
     grouping = clamped(bench, pipe)
-    for fuse in (True, False):
+    for tier in (KernelTier.FUSED, KernelTier.STAGE):
         off = execute_grouping(
-            pipe, grouping, inputs,
-            options=ExecOptions(fuse=fuse, reuse=False),
+            pipe, grouping, inputs, options=ExecOptions(tier, reuse=False),
         )
         on = execute_grouping(
-            pipe, grouping, inputs, options=ExecOptions(fuse=fuse),
+            pipe, grouping, inputs, options=ExecOptions(tier),
         )
         assert_bit_identical(off, on)
 

@@ -24,8 +24,14 @@ from repro.planner import (
     plan_schedule,
 )
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
-from repro.runtime import execute_reference, kernelcache
+from repro.runtime import (
+    ExecOptions,
+    KernelTier,
+    execute_reference,
+    kernelcache,
+)
 from repro.runtime import executor as executor_mod
+from repro.serve import host as host_mod
 from repro.serve import (
     LADDER,
     HostConfig,
@@ -240,7 +246,16 @@ class TestDrain:
 
 
 class TestDegradationLadder:
-    def test_sustained_failure_steps_down_and_recovers(self):
+    def test_sustained_failure_steps_down_and_recovers(self, monkeypatch):
+        """... and every rung executes with the grouping and the one
+        ``GuardPolicy`` the host built for it at warm-up."""
+        ran = []
+
+        def recording(pipeline, grouping, inputs, **kwargs):
+            ran.append((grouping, kwargs["policy"]))
+            return execute_guarded(pipeline, grouping, inputs, **kwargs)
+
+        monkeypatch.setattr(host_mod, "execute_guarded", recording)
         svc = PipelineService(small_config(host_kwargs=dict(
             degrade_after=2, recover_after=2,
         ))).start()
@@ -268,6 +283,24 @@ class TestDegradationLadder:
             assert host.tier_name == "compiled"
         finally:
             svc.shutdown(timeout_s=60.0)
+        # 2 compiled, 2 interpreter, 3 no-fusion, 2 interpreter
+        rungs = [LADDER.index(name) for name in (
+            ["compiled"] * 2 + ["interpreter"] * 2 + ["no-fusion"] * 3
+            + ["interpreter"] * 2
+        )]
+        for (grouping, policy), rung in zip(ran, rungs, strict=True):
+            assert grouping is host._rungs[rung][0]
+            assert policy is host._rungs[rung][1]
+        interpreted = ExecOptions(KernelTier.INTERPRET, reuse=False)
+        for rung, (grouping, policy) in enumerate(host._rungs):
+            assert policy.options == (
+                interpreted if rung else host.options
+            )
+            assert (policy.tile_retries, policy.degrade) == (
+                host.config.tile_retries, True
+            )
+            assert (grouping is host.grouping) == (rung < 2)
+        assert host._rungs[2][0].num_groups == len(host.pipeline.stages)
 
     def test_degraded_tiers_stay_bit_identical(self):
         """The ladder changes *how* a pipeline executes, never what it
@@ -313,6 +346,12 @@ class TestHostLifecycle:
         assert health["hosts"]["UM"]["tier"] == "compiled"
         assert health["hosts"]["UM"]["requests"] == 1
         assert health["hosts"]["UM"]["pool"]["pools"] >= 1
+        # what the process's environment resolved to at warm-up (the
+        # suite's REPRO_KERNELS=fused, reuse on)
+        assert health["hosts"]["UM"]["kernels"] == "fused"
+        assert health["hosts"]["UM"]["reuse"] is True
+        assert health["hosts"]["UM"]["native_groups"] == 0
+        assert health["hosts"]["UM"]["numpy_groups"] > 0
 
 
 class TestGpuModelHost:
