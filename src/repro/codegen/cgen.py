@@ -496,23 +496,17 @@ def _emit_tiled_group(
 def generate_main(
     pipeline: Pipeline,
     function_name: str = "pipeline_run",
-    repeats: int = 1,
 ) -> str:
     """A ``main()`` harness for the generated code: reads each input image
     from a raw binary file given on the command line (in pipeline image
-    order), runs the pipeline, and writes each output to the remaining
-    paths — the hook the compile-and-compare tests use.
-
-    With ``repeats > 1`` the pipeline is run that many times and the
-    minimum wall-clock milliseconds are printed to stdout (the paper's
-    measurement protocol reports minima of averaged samples) — the hook
-    the native-validation benchmark uses.
+    order), runs the pipeline once, and writes each output to the
+    remaining paths — the hook the compile-and-compare tests use.  It
+    times nothing: what the repo measures is the executor
+    (:func:`repro.planner.executor_oracle`).
     """
     em = _Emitter()
     em.line("#include <cstdio>")
     em.line("#include <cstdlib>")
-    if repeats > 1:
-        em.line("#include <chrono>")
     em.line("")
     sig_parts = []
     for img in pipeline.images:
@@ -543,22 +537,7 @@ def generate_main(
         ctype = ctype_of(out.scalar_type)
         em.line(f"{ctype}* out{i} = ({ctype}*)calloc({size}ul, sizeof({ctype}));")
         args.append(f"out{i}")
-    if repeats > 1:
-        em.line(f"{function_name}({', '.join(args)});  // warm-up")
-        em.line("double best_ms = 1e300;")
-        em.open(f"for (int rep = 0; rep < {repeats}; ++rep) {{")
-        em.line("auto t0 = std::chrono::steady_clock::now();")
-        em.line(f"{function_name}({', '.join(args)});")
-        em.line("auto t1 = std::chrono::steady_clock::now();")
-        em.line(
-            "double ms = std::chrono::duration<double, std::milli>"
-            "(t1 - t0).count();"
-        )
-        em.line("if (ms < best_ms) best_ms = ms;")
-        em.close()
-        em.line('printf("%.4f\\n", best_ms);')
-    else:
-        em.line(f"{function_name}({', '.join(args)});")
+    em.line(f"{function_name}({', '.join(args)});")
     for i, out in enumerate(pipeline.outputs):
         size = pipeline.domain_size(out)
         ctype = ctype_of(out.scalar_type)

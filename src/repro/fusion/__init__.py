@@ -2,7 +2,13 @@
 evaluated against."""
 
 from .api import schedule_pipeline
-from .autotune import AutotuneResult, AutotuneTrial, polymage_autotune
+from .autotune import (
+    AutotuneResult,
+    AutotuneTrial,
+    Oracle,
+    model_oracle,
+    polymage_autotune,
+)
 from .bounded import dp_group_bounded, inc_grouping
 from .dp import DPGrouper, GroupingBudgetExceeded, dp_group
 from .greedy import polymage_greedy, uniform_tile_sizes
@@ -13,13 +19,6 @@ from .grouping import (
     singleton_grouping,
 )
 from .halide import halide_auto_schedule, halide_group_cost
-from .native_tune import (
-    NativeTrial,
-    NativeTuneResult,
-    have_compiler,
-    measure_native,
-    native_autotune,
-)
 from .schedcache import (
     ScheduleCache,
     schedule_cache_key,
@@ -33,11 +32,6 @@ from .serialize import (
 )
 
 __all__ = [
-    "native_autotune",
-    "measure_native",
-    "have_compiler",
-    "NativeTrial",
-    "NativeTuneResult",
     "grouping_to_dict",
     "grouping_from_dict",
     "save_grouping",
@@ -56,6 +50,8 @@ __all__ = [
     "polymage_autotune",
     "AutotuneResult",
     "AutotuneTrial",
+    "Oracle",
+    "model_oracle",
     "halide_auto_schedule",
     "halide_group_cost",
     "Grouping",

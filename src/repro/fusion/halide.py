@@ -17,7 +17,7 @@ is profitable.  Two properties the paper contrasts with PolyMageDP:
 Unlike PolyMage, Halide *can* fuse reductions into consumer groups (via
 ``compute_at``), which is why H-auto/H-manual win on Bilateral Grid
 (Sec. 6.2); the fallback path of
-:func:`repro.perfmodel.metrics.group_metrics` prices such groups.
+:func:`repro.perfmodel.groupmetrics.group_metrics` prices such groups.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..dsl.function import Function
 from ..dsl.pipeline import Pipeline
 from ..graph.dag import StageGraph, mask_of
 from ..model.machine import Machine
-from ..perfmodel.metrics import (
+from ..perfmodel.groupmetrics import (
     group_metrics,
     stage_ops_per_point,
     stage_work_points,

@@ -1,7 +1,7 @@
 """Performance substrate: analytic timing model and cache simulator —
 the stand-ins for the paper's Xeon/Opteron testbeds."""
 
-from .metrics import (
+from .groupmetrics import (
     GroupMetrics,
     StageTraits,
     group_metrics,

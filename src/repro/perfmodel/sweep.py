@@ -10,15 +10,14 @@ optimum is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..dsl.function import Function
 from ..dsl.pipeline import Pipeline
-from ..fusion.grouping import Grouping, GroupingStats
 from ..model.machine import Machine
 from ..poly.alignscale import compute_group_geometry
 from ..poly.overlap import overlap_size, tile_volume
-from .metrics import group_metrics
+from .groupmetrics import group_metrics
 from .timing import estimate_group_time
 
 __all__ = ["TilePoint", "sweep_tiles"]
@@ -34,11 +33,8 @@ class TilePoint:
     resident_bytes: float
     n_tiles: int
     estimated_ms: float
-
-    @property
-    def fits_l1(self) -> bool:
-        # filled in relative to the sweeping machine by sweep_tiles
-        return self._fits_l1  # type: ignore[attr-defined]
+    #: resident set within the sweeping machine's L1
+    fits_l1: bool
 
 
 def sweep_tiles(
@@ -85,17 +81,14 @@ def sweep_tiles(
             parts = estimate_group_time(
                 pipeline, metrics, machine, nthreads, codegen
             )
-            point = TilePoint(
+            points.append(TilePoint(
                 tile_sizes=key,
                 overlap_fraction=ovl / vol if vol else 0.0,
                 tile_footprint_bytes=metrics.tile_footprint_bytes,
                 resident_bytes=metrics.resident_bytes,
                 n_tiles=metrics.n_tiles,
                 estimated_ms=parts["total_s"] * 1e3,
-            )
-            object.__setattr__(
-                point, "_fits_l1", metrics.resident_bytes <= machine.l1_cache
-            )
-            points.append(point)
+                fits_l1=metrics.resident_bytes <= machine.l1_cache,
+            ))
     points.sort(key=lambda p: p.estimated_ms)
     return points

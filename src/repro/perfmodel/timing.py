@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..dsl.pipeline import Pipeline
 from ..model.machine import Machine
-from .metrics import GroupMetrics, group_metrics, stage_traits
+from .groupmetrics import GroupMetrics, group_metrics, stage_traits
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fusion.grouping import Grouping

@@ -16,6 +16,7 @@ the argument parser.
 from __future__ import annotations
 
 import hashlib
+import time
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -23,6 +24,8 @@ import numpy as np
 from .backend import backend_name_for
 from .dsl.pipeline import Pipeline
 from .fusion import (
+    Grouping,
+    Oracle,
     ScheduleCache,
     schedule_cache_key,
     schedule_cache_params,
@@ -36,6 +39,7 @@ __all__ = [
     "build_benchmark",
     "plan_schedule",
     "make_inputs",
+    "executor_oracle",
     "array_digest",
     "output_digests",
 ]
@@ -137,6 +141,34 @@ def make_inputs(pipe: Pipeline, seed: int) -> Dict[str, np.ndarray]:
         else:
             inputs[img.name] = rng.random(shape, dtype=np.float32)
     return inputs
+
+
+def executor_oracle(nthreads: int = 1, repeats: int = 3) -> Oracle:
+    """The measured :data:`repro.fusion.Oracle`: wall seconds of
+    :func:`repro.runtime.execute_grouping` — the executor that serves, at
+    the process's resolved ``ExecOptions`` — on ``make_inputs(pipe, 0)``,
+    built once per pipeline.  One untimed run first (artifact build,
+    first-use self-check and any demotion, as on a first request), then
+    the minimum of ``repeats`` timed ones.
+    """
+    from . import runtime
+
+    inputs: Dict[Pipeline, Dict[str, np.ndarray]] = {}
+
+    def oracle(pipe: Pipeline, grouping: Grouping) -> float:
+        if pipe not in inputs:
+            inputs[pipe] = make_inputs(pipe, 0)
+
+        def run() -> float:
+            start = time.perf_counter()
+            runtime.execute_grouping(pipe, grouping, inputs[pipe],
+                                     nthreads=nthreads)
+            return time.perf_counter() - start
+
+        run()
+        return min(run() for _ in range(repeats))
+
+    return oracle
 
 
 def array_digest(arr: np.ndarray) -> str:

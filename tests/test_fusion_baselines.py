@@ -61,12 +61,12 @@ class TestAutotune:
     def test_best_is_minimum(self, blur_pipeline):
         result = polymage_autotune(blur_pipeline, XEON_HASWELL)
         assert result.best.cost == min(
-            t.estimated_seconds for t in result.trials
+            t.seconds for t in result.trials
         )
 
     def test_best_trial_property(self, blur_pipeline):
         result = polymage_autotune(blur_pipeline, XEON_HASWELL)
-        assert result.best_trial.estimated_seconds == result.best.cost
+        assert result.best_trial.seconds == result.best.cost
 
     def test_custom_space(self, blur_pipeline):
         result = polymage_autotune(

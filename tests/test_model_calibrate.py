@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.errors import GroupingBudgetExceeded
 from repro.model import XEON_HASWELL
+from repro.model import calibrate as calibrate_mod
 from repro.model.calibrate import calibrate_weights
 
 from conftest import build_blur, build_updown
@@ -56,6 +58,51 @@ class TestCalibrate:
         )
         assert calls
         assert result.scores[0][1] == 1.0
+
+    def test_oracle_failure_is_the_callers(self):
+        """A bug in the oracle is not a candidate that failed to
+        schedule."""
+        def oracle(pipe, grouping):
+            return 1 / 0
+
+        with pytest.raises(ZeroDivisionError):
+            calibrate_weights(
+                [build_blur(62, 94)], XEON_HASWELL,
+                w1_grid=(1.0,), w2_grid=(0.4,), w3_grid=(1.0,),
+                w4_grid=(1.5,), oracle=oracle,
+            )
+
+    def test_budget_blowout_only_discards_the_candidate(self, monkeypatch):
+        def blows_at_w3_of_3(real):
+            def schedule(pipe, machine, cost_model=None, **kwargs):
+                if cost_model.weights.w3 == 3.0:
+                    raise GroupingBudgetExceeded("state budget exceeded")
+                return real(pipe, machine, cost_model=cost_model, **kwargs)
+            return schedule
+
+        for name in ("dp_group", "inc_grouping"):
+            monkeypatch.setattr(
+                calibrate_mod, name,
+                blows_at_w3_of_3(getattr(calibrate_mod, name)),
+            )
+        scored = []
+        result = calibrate_weights(
+            [build_blur(62, 94), build_updown(120)], XEON_HASWELL,
+            w1_grid=(1.0,), w2_grid=(0.4,), w3_grid=(1.0, 3.0),
+            w4_grid=(1.5,),
+            oracle=lambda pipe, g: scored.append(pipe.name) or 1.0,
+        )
+        assert [w.w3 for w, _ in result.scores] == [1.0]
+        assert scored == ["blur", "updown"]
+        assert set(result.times) == {(0, "blur"), (0, "updown")}
+
+    def test_no_candidate_within_budget(self):
+        with pytest.raises(RuntimeError, match="no weight candidate"):
+            calibrate_weights(
+                [build_blur(62, 94)], XEON_HASWELL,
+                w1_grid=(1.0,), w2_grid=(0.4,), w3_grid=(1.0, 3.0),
+                w4_grid=(1.5,), max_states=1,
+            )
 
     def test_times_recorded_per_pipeline(self):
         pipes = [build_blur(62, 94), build_updown(120)]

@@ -16,7 +16,7 @@ from repro.dsl import (
     Variable,
 )
 from repro.perfmodel import group_metrics
-from repro.perfmodel.metrics import REDUCTION_CHUNKS
+from repro.perfmodel.groupmetrics import REDUCTION_CHUNKS
 from repro.poly import compute_group_geometry
 
 from conftest import build_histogram

@@ -112,6 +112,17 @@ class TestSweep:
         )
         assert points[0].fits_l1
 
+    def test_l1_fit_flag_survives_replace(self, blur_pipeline):
+        import dataclasses
+
+        point = sweep_tiles(
+            blur_pipeline, blur_pipeline.stages, XEON_HASWELL,
+            outer_sizes=(4,), inner_sizes=(32,),
+        )[0]
+        copy = dataclasses.replace(point, estimated_ms=0.0)
+        assert copy.fits_l1 == point.fits_l1
+        assert type(point)(**dataclasses.asdict(point)) == point
+
     def test_reduction_group_rejected(self, histogram_pipeline):
         with pytest.raises(ValueError):
             sweep_tiles(
