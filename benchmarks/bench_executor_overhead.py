@@ -68,7 +68,6 @@ from repro.runtime import (
     grouping_kernels,
     warm_group_kernels,
 )
-from repro.runtime.executor import _CHUNKS_PER_WORKER  # noqa: F401 - doc link
 
 #: Tile sizes are clamped to this per dimension so every pipeline runs
 #: hundreds of tiles — the regime where per-tile overhead, not arithmetic,

@@ -478,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     obs_flags(p)
     p.add_argument("--scale", type=float, default=0.1)
-    p.add_argument("--threads", type=int, default=4)
+    p.add_argument("--threads", type=int, default=1,
+                   help="executor worker threads (default 1; see "
+                        "'serve --help' for what more measured)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schedule", help="load a saved schedule instead")
     p.add_argument("--verify", action="store_true",
@@ -522,12 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "executor")
     p.add_argument("--scale", type=float, default=0.1,
                    help="image-size fraction hosts are built at")
-    p.add_argument("--threads", type=int, default=4,
-                   help="executor worker threads per request.  Not a "
-                        "speed-up where it was measured (2 vCPUs; 1 -> 2 "
-                        "-> 4 threads: CP 5.0 -> 6.2 -> 6.9 ms on native "
-                        "kernels, 17.6 -> 20.2 -> 25.5 ms on NumPy "
-                        "kernels; table in docs/serving.md); unmeasured "
+    p.add_argument("--threads", type=int, default=1,
+                   help="executor worker threads per request (default "
+                        "1).  Not a speed-up where it was measured (2 "
+                        "vCPUs, warm requests at scale 0.1 on native "
+                        "kernels, 1 -> 2 -> 4 threads: CP 2.7 -> 3.2 -> "
+                        "3.6 ms, PB 3.9 -> 4.2 -> 4.6 ms, BG 1.8 -> 1.9 "
+                        "-> 2.1 ms; table in docs/serving.md); unmeasured "
                         "on more cores.  Throughput comes from --workers")
     p.add_argument("--max-queue", type=int, default=64,
                    help="admission bound: requests beyond this queue "

@@ -81,6 +81,7 @@ __all__ = [
     "ctype_for",
     "literal",
     "RUNTIME_HELPERS",
+    "STEP_LOOP",
 ]
 
 
@@ -196,6 +197,17 @@ def _helpers() -> str:
 
 #: Helper functions emitted once per translation unit.
 RUNTIME_HELPERS = _helpers()
+
+#: The native translation unit's one exported helper, printed after
+#: :data:`RUNTIME_HELPERS`: runs a group's step entry once per row of a
+#: chunk's step table (:mod:`repro.runtime.native`), so a chunk of steps
+#: is one call from Python.
+STEP_LOOP = (
+    "void repro_run_steps(void (*step)(const int64_t *), "
+    "const int64_t *rows, int64_t nrows, int64_t words) {\n"
+    "    for (int64_t r = 0; r < nrows; ++r) step(rows + r * words);\n"
+    "}\n"
+)
 
 
 def ctype_of(scalar_type: ScalarType) -> str:

@@ -173,12 +173,13 @@ def executor_oracle(nthreads: int = 1, repeats: int = 3) -> Oracle:
 
 def array_digest(arr: np.ndarray) -> str:
     """SHA-256 of an array's raw bytes (C-order), prefixed with shape and
-    dtype so two arrays agree iff they are bit-identical."""
+    dtype so two arrays agree iff they are bit-identical.  The contiguous
+    buffer is hashed in place, not copied out first."""
     data = np.ascontiguousarray(arr)
     h = hashlib.sha256()
     h.update(str(data.shape).encode())
     h.update(str(data.dtype).encode())
-    h.update(data.tobytes())
+    h.update(data)
     return h.hexdigest()
 
 

@@ -10,12 +10,14 @@ Two entry points:
   (overlapped) region of every member stage into per-tile scratch buffers,
   live-outs write their base tile to full buffers, and tiles are
   independent — optionally run on a thread pool, which is exactly what the
-  broken inter-tile dependences of overlapped tiling permit.  Every tile
-  of a group is one call into that group's
-  :class:`~repro.runtime.kernelcache.GroupKernel`; :class:`ExecOptions`
-  selects what stands behind it (a :class:`KernelTier`: native C,
-  generated fused source, compiled stage kernels, or the interpreter)
-  and whether adjacent tiles reuse halos.
+  broken inter-tile dependences of overlapped tiling permit.  A group's
+  walk is planned once per tiling; every step of it (one or more
+  adjacent tiles) is one call into that group's
+  :class:`~repro.runtime.kernelcache.GroupKernel` — a native kernel's
+  whole chunk of steps is one call; :class:`ExecOptions` selects what
+  stands behind it (a :class:`KernelTier`: native C, generated fused
+  source, compiled stage kernels, or the interpreter) and whether
+  adjacent tiles reuse halos.
 
 Every combination of :class:`ExecOptions` and thread count produces
 output digests equal to :func:`execute_reference`'s; the test suite pins
@@ -39,6 +41,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -143,14 +146,6 @@ class ExecOptions:
 #: the temporary index arrays a reduction materialises.
 _REDUCTION_CHUNK = 256
 
-#: Chunks handed to the thread pool per worker when the grid has rows to
-#: spare.  One future per *tile* costs a submit/dispatch round-trip per
-#: tile; one chunk per worker cannot load-balance the cleanup wave.  A
-#: small multiple keeps scheduling overhead bounded while the chunk-size
-#: imbalance (at most one row) stays within what :mod:`repro.model.cost`
-#: assumes about cleanup-wave idling.
-_CHUNKS_PER_WORKER = 4
-
 #: Points the largest member region of one *step* — a span of adjacent
 #: tiles executed by one kernel call, see :func:`_step_tiles` — may hold:
 #: 2**16 float32 points = 256 KB, the ``xeon`` preset's L2, which the
@@ -164,6 +159,7 @@ _CHUNKS_PER_WORKER = 4
 #: group (direct-store live-out with seven stages inlined, 26 K points
 #: per tile) is best at two tiles per step and *slower than the per-tile
 #: walk* from 256 K up.  Keep the value only while PB does not lose.
+#: Native steps run inside one chunk call and are cut the same way.
 _STEP_POINT_BUDGET = 1 << 16
 
 #: process-global persistent thread pools, keyed by worker count.  One
@@ -418,7 +414,7 @@ def execute_reference(
 def _chunk_tiles(
     tiles: List, nthreads: int, row_len: Optional[int] = None
 ) -> List[List]:
-    """Partition ``tiles`` into contiguous chunks for the thread pool.
+    """Partition ``tiles`` into contiguous chunks, one per worker.
 
     The unit of parallel work is a *row*: ``row_len`` consecutive tiles
     (the tiles along the innermost walked grid dimension — under halo
@@ -427,15 +423,18 @@ def _chunk_tiles(
     the reuse path one seed, so rows are kept whole whenever there are
     enough of them to give every worker one:
 
-    * ``rows >= nthreads``: ``min(rows, _CHUNKS_PER_WORKER * nthreads)``
-      chunks of whole rows, sizes differing by at most one row — the
-      threaded walk seeds exactly as often as the serial one.
+    * ``rows >= nthreads``: ``nthreads`` chunks of whole rows, sizes
+      differing by at most one row — the threaded walk seeds exactly as
+      often as the serial one.
     * ``rows < nthreads``: rows are cut, ``nthreads`` runs in all, each
       row into ``nthreads // rows`` runs or one more (never more runs than
       it has tiles), runs of one row differing by at most one tile — at
       most ``nthreads - rows`` seeds more than the serial walk.
 
-    Serial execution gets one chunk (no scheduling at all).
+    One chunk per worker: a native chunk is one call that holds no GIL,
+    so more chunks would only mean more calls and more seeds, and the
+    thread walking the group runs one of them itself.  Serial execution
+    gets one chunk (no scheduling at all).
     """
     if nthreads <= 1 or len(tiles) <= 1:
         return [tiles]
@@ -443,10 +442,10 @@ def _chunk_tiles(
         row_len = 1
     rows = len(tiles) // row_len
     if rows >= nthreads:
-        target = min(rows, _CHUNKS_PER_WORKER * nthreads)
-        base, extra = divmod(rows, target)
+        base, extra = divmod(rows, nthreads)
         sizes = [
-            (base + (1 if i < extra else 0)) * row_len for i in range(target)
+            (base + (1 if i < extra else 0)) * row_len
+            for i in range(nthreads)
         ]
     else:
         sizes = []
@@ -635,49 +634,45 @@ def _plan_steps(
 
 
 class _CarryState:
-    """Per-chunk rolling halo-reuse state: the carry bookkeeping
-    ``run_tile`` drives per carried stage and step.
+    """The carry bookkeeping of one chunk, driven by the dry run that
+    plans it (:meth:`_WalkPlan.plan_steps`).
 
-    ``entries`` maps a carried materialised stage name to a tuple
-    ``(buffer, bounds)``: the stage's *run window* (a :class:`Buffer`
-    computed by the run's seeding step, spanning along the carry
-    dimension to the expanded high bound of the run's last tile) and the
-    region it covers.  ``next_lo`` is the grid origin of the step that
-    would be adjacent to the one just completed — ``None`` at chunk start
-    and after an invalidation, which forces the next step to re-seed.
-    ``tiles`` / ``saved`` accumulate the chunk's reuse metrics, flushed
-    once per chunk.
+    ``held`` maps a carried materialised stage name to the region of its
+    *run window* — computed by the run's seeding step, spanning along the
+    carry dimension to the expanded high bound of the run's last tile.
+    ``next_lo`` is the grid origin of the step that would be adjacent to
+    the one just planned — ``None`` at chunk start, which forces the
+    first step to seed.  ``saved`` accumulates the carried-window points
+    handed to later steps.
     """
 
-    __slots__ = ("next_lo", "entries", "tiles", "saved")
+    __slots__ = ("next_lo", "held", "saved")
 
     def __init__(self):
         self.next_lo: Optional[Tuple[int, ...]] = None
-        self.entries: Dict[str, Tuple[Buffer, list]] = {}
-        self.tiles = 0
+        self.held: Dict[str, list] = {}
         self.saved = 0
 
-    def covers(self, name, bounds, axis, adjacent) -> Optional[Buffer]:
-        """The carried window of ``name`` when this step may consume it
+    def covers(self, name, bounds, axis, adjacent) -> bool:
+        """Whether this step may consume ``name``'s carried window
         untouched — a *pure carry*: the step is ``adjacent`` to the
         previous one and ``bounds`` lies inside the window along ``axis``
         (the stage's carry-dimension index; ``None`` when the stage is
         constant along it) and equals it on every other dimension.
-        ``None`` when the stage must be (re)seeded."""
-        ent = self.entries.get(name)
-        if ent is None or not adjacent:
-            return None
-        held = ent[1]
+        ``False`` when the stage must be (re)seeded."""
+        held = self.held.get(name)
+        if held is None or not adjacent:
+            return False
         pts = 1
         for d, (lo, hi) in enumerate(bounds):
             if d == axis:
                 if lo < held[d][0] or hi > held[d][1]:
-                    return None
+                    return False
             elif held[d] != (lo, hi):
-                return None
+                return False
             pts *= hi - lo + 1
         self.saved += pts
-        return ent[0]
+        return True
 
     @staticmethod
     def seed_bounds(bounds, plan, axis, run_end):
@@ -698,34 +693,379 @@ class _CarryState:
         bounds[axis] = (bounds[axis][0], hi)
         return bounds
 
-    def store(self, name, buf: Buffer, bounds, pool: BufferPool) -> None:
-        """Adopt a freshly seeded window, reclaiming the one it
-        supersedes."""
-        ent = self.entries.get(name)
-        if ent is not None and ent[0].data is not buf.data:
-            pool.reclaim(ent[0].data)
-        self.entries[name] = (buf, bounds)
+    def store(self, name, bounds) -> None:
+        """Adopt a freshly seeded window, superseding any previous one."""
+        self.held[name] = bounds
 
-    def drop(self, name, pool: BufferPool) -> None:
-        """Forget ``name``'s window (its region is empty at this tile)."""
-        ent = self.entries.pop(name, None)
-        if ent is not None:
-            pool.reclaim(ent[0].data)
+    def drop(self, name) -> bool:
+        """Forget ``name``'s window (its region is empty at this step);
+        whether there was one."""
+        return self.held.pop(name, None) is not None
 
-    def advance(self, next_lo, ntiles: int, seeded: bool) -> None:
-        """A step of ``ntiles`` tiles completed; the step adjacent to it
-        starts at ``next_lo``.  Every tile but a seeding step's first
-        consumed carried windows only."""
-        self.next_lo = next_lo
-        self.tiles += ntiles - (1 if seeded else 0)
 
-    def invalidate(self) -> None:
-        """Drop every carried window — called on any failed step attempt,
-        so a retry (and every later step until the chain re-seeds)
-        recomputes full windows instead of consuming possibly-poisoned
-        scratch."""
-        self.next_lo = None
-        self.entries.clear()
+class _Step(NamedTuple):
+    """One planned kernel call: ``ntiles`` schedule tiles from
+    ``tile_index`` / ``tile_lo`` in a run ending at ``run_end``
+    (:func:`_plan_steps`), and what the dry run decided for it.
+
+    ``regions`` per region slot: the bounds to compute — a seed's
+    extended to the run's end — or ``None`` (an empty region, or a pure
+    carry); ``bases`` per live-out.  ``carried`` are the slots handed
+    their window untouched, ``seeds`` the slots whose result becomes
+    their window, ``drops`` the slots whose window ends here.
+    ``reused`` / ``saved`` are the step's share of the reuse metrics."""
+
+    tile_index: int
+    tile_lo: Tuple[int, ...]
+    ntiles: int
+    run_end: int
+    regions: Tuple[Optional[list], ...]
+    bases: Tuple[Optional[list], ...]
+    carried: Tuple[int, ...] = ()
+    seeds: Tuple[int, ...] = ()
+    drops: Tuple[int, ...] = ()
+    reused: int = 0
+    saved: int = 0
+
+
+class _Chunk(NamedTuple):
+    """One chunk of a walk plan: its planned steps, its schedule tiles
+    and — for a native kernel — the step table that runs it in one
+    call (``GroupKernel.tabulate``)."""
+
+    steps: Tuple[_Step, ...]
+    ntiles: int
+    table: Optional[object] = None
+
+
+class _WalkPlan:
+    """Everything :func:`_execute_group_tiled` derives from a group's
+    geometry for one tiling, thread count, reuse setting and kernel —
+    derived once (:func:`_walk_plan`) and only read after that: the
+    stage plans, the carry dimension, the tile walk and its rows, the
+    step length, the carried slots, the chunks, and each chunk's steps
+    with their regions, bases and seed-or-carry decisions (a dry run of
+    :class:`_CarryState`, :meth:`plan_steps`) — and, for a native
+    kernel, each chunk's step table.
+
+    ``step_tiles`` replaces :func:`_step_tiles`'s length (the self-check
+    walks short steps); ``nthreads`` cuts the walk into chunks
+    (:func:`_chunk_tiles`), without it :meth:`chunk` plans one."""
+
+    def __init__(
+        self,
+        pipeline: Pipeline,
+        geom: GroupGeometry,
+        tile_sizes: Sequence[int],
+        kernel: GroupKernel,
+        reuse: bool,
+        nthreads: int = 0,
+        step_tiles: Optional[int] = None,
+    ):
+        radii = geom.expansion_radii()
+        plans = {
+            s.name: _stage_plan(geom, s, pipeline, radii)
+            for s in geom.stages
+        }
+        self.region_plans = [plans[n] for n in kernel.region_names]
+        self.base_plans = [plans[n] for n in kernel.liveout_names]
+        dim_ranges = [
+            range(lo, hi + 1, tile_sizes[g])
+            for g, (lo, hi) in enumerate(geom.grid_bounds)
+        ]
+        # Steps merge tiles, and halo reuse chains windows, along the
+        # *carry dimension* (:func:`~repro.poly.overlap.reuse_carry_dim`
+        # — the rule the cost model prices): the grid dim consecutive
+        # tiles of a chunk advance along.  The tile walk runs that dim
+        # fastest (:func:`_walk_tiles`), so a chunk is a sequence of runs
+        # of adjacent tiles; a run's first step computes each carried
+        # stage's window for the whole run in one call — every overlap
+        # point is computed once and the stage body's fixed cost is
+        # amortised across the run — and every later step of the run is
+        # a pure carry.  Only pure function stages chain — reductions
+        # accumulate across the domain and have no per-tile window to
+        # carry; a single-tile grid has no carry dimension.
+        cdim = -1
+        if reuse and not any(isinstance(s, Reduction) for s in geom.stages):
+            cdim = reuse_carry_dim(geom, tile_sizes)
+        self.cdim = cdim
+        self.cstep = tile_sizes[cdim] if cdim >= 0 else 0
+        self.tiles, self.row_len = _walk_tiles(dim_ranges, cdim)
+        if step_tiles is None:
+            step_tiles = _step_tiles(
+                self.region_plans, tile_sizes, cdim, self.row_len
+            )
+        self.step_tiles = step_tiles
+        #: grid sizes of a step of n tiles, n <= step_tiles
+        self.step_sizes = [
+            tuple(n * t if g == cdim else t for g, t in enumerate(tile_sizes))
+            for n in range(step_tiles + 1)
+        ]
+        #: (region index, name, axis) per carried stage; ``axis`` is the
+        #: plan index of the carry dim, ``None`` when the stage is
+        #: constant along it (adjacent windows are equal — seed once,
+        #: carry for the whole run).  A kernel's direct-store stages
+        #: (radius 0, scale 1: expanded region == base tile, so they
+        #: recompute no halo) write each step's region straight into the
+        #: live-out buffer and are not carried: the step is their whole
+        #: evaluation granule, and the reason it is capped by
+        #: :data:`_STEP_POINT_BUDGET` rather than extended to the run
+        #: (PB's 20-stage group is slower than it was per tile when its
+        #: live-out, seven stages inlined, runs over a whole row);
+        #: inlined stages follow their consumers' regions automatically.
+        self.carried: List[Tuple[int, str, Optional[int]]] = []
+        if cdim >= 0:
+            self.carried = [
+                (i, n, next(
+                    (j for j, ent in enumerate(plans[n]) if ent[0] == cdim),
+                    None,
+                ))
+                for i, n in enumerate(kernel.region_names)
+                if n not in kernel.direct_stores
+            ]
+        self.reuse = bool(self.carried)
+        self.tabulate = kernel.tabulate
+        self.chunks: Tuple[_Chunk, ...] = tuple(
+            self.chunk(tiles)
+            for tiles in _chunk_tiles(self.tiles, nthreads, self.row_len)
+        ) if nthreads else ()
+
+    def chunk(self, tiles: List[Tuple[int, Tuple[int, ...]]]) -> _Chunk:
+        """The planned chunk walking ``tiles`` (a contiguous piece of
+        the walk)."""
+        steps = self.plan_steps(
+            _plan_steps(tiles, self.step_tiles, self.cdim, self.cstep)
+        )
+        table = None
+        if self.tabulate is not None and steps:
+            table = self.tabulate(steps)
+        return _Chunk(steps, len(tiles), table)
+
+    def plan_steps(
+        self, walk: Iterable[Tuple[int, Tuple[int, ...], int, int]]
+    ) -> Tuple[_Step, ...]:
+        """The dry run: the regions, bases and carry decisions of
+        ``walk``'s ``(first tile index, first tile origin, tiles, run
+        end)`` steps from a fresh carry — a whole chunk's, or, when a
+        step of it failed, the chunk's rest from that step on (which then
+        re-seeds)."""
+        carry = _CarryState() if self.reuse else None
+        steps = []
+        for tile_index, tile_lo, ntiles, run_end in walk:
+            sizes = self.step_sizes[ntiles]
+            regions = [
+                _region_from_plan(p, tile_lo, sizes, True)
+                for p in self.region_plans
+            ]
+            bases = tuple(
+                _region_from_plan(p, tile_lo, sizes, False)
+                for p in self.base_plans
+            )
+            if carry is None:
+                steps.append(_Step(
+                    tile_index, tile_lo, ntiles, run_end, tuple(regions),
+                    bases,
+                ))
+                continue
+            adjacent = tile_lo == carry.next_lo
+            saved = carry.saved
+            carried, seeds, drops = [], [], []
+            for i, name, axis in self.carried:
+                bounds = regions[i]
+                if bounds is None:
+                    if carry.drop(name):
+                        drops.append(i)
+                elif carry.covers(name, bounds, axis, adjacent):
+                    # Pure carry: the window goes to the kernel untouched
+                    # and the stage body is skipped.
+                    regions[i] = None
+                    carried.append(i)
+                else:
+                    # (Re)seed: the kernel computes the rest of the run's
+                    # window in this call.
+                    regions[i] = carry.seed_bounds(
+                        bounds, self.region_plans[i], axis, run_end
+                    )
+                    carry.store(name, regions[i])
+                    seeds.append(i)
+            carry.next_lo = _advanced(tile_lo, self.cdim, ntiles * self.cstep)
+            steps.append(_Step(
+                tile_index, tile_lo, ntiles, run_end, tuple(regions), bases,
+                tuple(carried), tuple(seeds), tuple(drops),
+                # every tile but a seeding step's first consumed carried
+                # windows only
+                ntiles - (1 if seeds else 0), carry.saved - saved,
+            ))
+        return tuple(steps)
+
+
+def _walk_plan(
+    pipeline: Pipeline,
+    geom: GroupGeometry,
+    tile_sizes: Sequence[int],
+    nthreads: int,
+    kernel: GroupKernel,
+    reuse: bool,
+) -> _WalkPlan:
+    """The group's :class:`_WalkPlan`, memoised on the geometry beside
+    its stage plans — geometries are memoised weakly per pipeline, so
+    plans die with their pipeline — keyed by everything the plan is
+    derived from: the tiling, the thread count, reuse, and the kernel's
+    slots and step-table builder."""
+    key = (
+        "walk", tuple(tile_sizes), nthreads, reuse, kernel.region_names,
+        kernel.liveout_names, kernel.direct_stores, kernel.tabulate,
+    )
+    plan = geom._stage_plan_cache.get(key)
+    if plan is None:
+        plan = _WalkPlan(pipeline, geom, tile_sizes, kernel, reuse, nthreads)
+        geom._stage_plan_cache[key] = plan
+    return plan
+
+
+class _Done:
+    """What a chunk completed: schedule tiles, kernel steps, and the
+    steps' share of the reuse metrics."""
+
+    __slots__ = ("tiles", "steps", "reused", "saved")
+
+    def __init__(self):
+        self.tiles = self.steps = self.reused = self.saved = 0
+
+    def add(self, steps: Iterable[_Step]) -> None:
+        for step in steps:
+            self.tiles += step.ntiles
+            self.steps += 1
+            self.reused += step.reused
+            self.saved += step.saved
+
+
+def _retry_or_raise(
+    exc: Exception, attempts: int, tile_retries: int, group_index: int,
+    first: _Step, ntiles: int, unit: str,
+) -> None:
+    """After failed attempt number ``attempts`` of a ``unit`` — a step,
+    or a native chunk — of ``ntiles`` tiles starting at ``first``:
+    return when it may be retried, else raise ``TILE_FAIL``.  A
+    deterministic failure (missing buffer, ``INPUT_*``, memory budget)
+    cannot succeed on an identical retry, so it surfaces at once with
+    the true attempt count instead of burning the budget."""
+    observing = METRICS.enabled
+    retryable = is_retryable(exc)
+    if retryable and attempts <= tile_retries:
+        if observing:
+            METRICS.inc("repro_tile_retries_total")
+        return
+    if observing:
+        if not retryable:
+            METRICS.inc("repro_tile_nonretryable_total")
+        METRICS.inc("repro_tile_failures_total", code=error_code(exc))
+    raise TileExecutionError(
+        f"tile {first.tile_index} of group {group_index} (a {unit} of "
+        f"{ntiles} tile(s)) failed after {attempts} attempt(s)"
+        f"{'' if retryable else ' (non-retryable)'}: {exc}",
+        group_index=group_index,
+        tile_index=first.tile_index,
+        tile_origin=tuple(first.tile_lo),
+        step_tiles=ntiles,
+        cause=exc,
+        attempts=attempts,
+        retryable=retryable,
+    )
+
+
+def _walk_chunk(
+    plan: _WalkPlan,
+    chunk: _Chunk,
+    kernel: GroupKernel,
+    buffers: Mapping[str, Buffer],
+    out_buffers: Dict[str, Buffer],
+    pool: BufferPool,
+    done: _Done,
+    group_index: int = 0,
+    tile_retries: int = 0,
+) -> None:
+    """Run one planned chunk on ``kernel``, adding what completed to
+    ``done``; the caller releases ``pool`` afterwards.
+
+    A native chunk is one call into its step table, and the unit of
+    retry and of the ``"tile"`` fault site — one check per chunk
+    attempt, keyed by its first tile; a retry re-runs the whole chunk.
+    On any other kernel the unit is the step: one ``kernel.fn`` call per
+    planned step, its carried slots handed the windows earlier seeds
+    left in ``windows``.  A failed step attempt drops every window (it
+    may have poisoned them: reclaimed scratch a window still aliases)
+    and the chunk's rest is planned again from a fresh carry, so the
+    retry — and every step until the chain re-seeds — computes fresh
+    windows."""
+    observing = METRICS.enabled
+    attempts = 0
+    if chunk.table is not None:
+        first = chunk.steps[0]
+        while True:
+            try:
+                maybe_fail(
+                    "tile",
+                    detail=f"g{group_index}t{first.tile_index}a{attempts}",
+                )
+                chunk.table.run(buffers, out_buffers, pool)
+                break
+            except Exception as exc:  # noqa: BLE001 - rewrapped below
+                attempts += 1
+                pool.release_all()
+                if plan.reuse and observing:
+                    METRICS.inc("repro_halo_reuse_invalidations_total")
+                _retry_or_raise(
+                    exc, attempts, tile_retries, group_index, first,
+                    chunk.ntiles, "chunk",
+                )
+        done.add(chunk.steps)
+        return
+    steps, at = chunk.steps, 0
+    windows: Dict[int, Buffer] = {}
+    no_carries = (None,) * len(plan.region_plans)
+    while at < len(steps):
+        step = steps[at]
+        try:
+            maybe_fail(
+                "tile", detail=f"g{group_index}t{step.tile_index}a{attempts}"
+            )
+            for i in step.drops:
+                pool.reclaim(windows.pop(i).data)
+            carries: Sequence[Optional[tuple]] = no_carries
+            if step.carried:
+                carries = [None] * len(no_carries)
+                for i in step.carried:
+                    carries[i] = (windows[i].data, windows[i].origin)
+            results = kernel.fn(
+                step.regions, step.bases, buffers, out_buffers, pool, carries
+            )
+        except Exception as exc:  # noqa: BLE001 - rewrapped below
+            attempts += 1
+            pool.release_all()
+            windows.clear()
+            if plan.reuse and observing:
+                METRICS.inc("repro_halo_reuse_invalidations_total")
+            _retry_or_raise(
+                exc, attempts, tile_retries, group_index, step, step.ntiles,
+                "step",
+            )
+            steps, at = plan.plan_steps(s[:4] for s in steps[at:]), 0
+            continue
+        if plan.reuse:
+            # Superseded windows go back now, the rest at chunk end.
+            for i in step.seeds:
+                old = windows.get(i)
+                if old is not None and old.data is not results[i].data:
+                    pool.reclaim(old.data)
+                windows[i] = results[i]
+        else:
+            # Live-outs are in out_buffers, so the step's scratch arrays
+            # can all go back for the next step.
+            pool.release_all()
+        attempts = 0
+        at += 1
+        done.add((step,))
 
 
 def _execute_group_tiled(
@@ -744,30 +1084,36 @@ def _execute_group_tiled(
     """Execute one fused group with overlapped tiling, updating
     ``buffers`` with its live-out arrays.
 
-    The unit walked is a **step**: ``k >= 1`` schedule tiles adjacent
-    along the carry dimension, executed by *one* call into ``kernel``
-    (:func:`resolve_group_kernel`) over the union of their regions — the
-    expanded region of a tile ``k`` times as long, whose base is exactly
-    the union of the ``k`` tiles' bases (:func:`_region_from_plan`'s
-    partition property).  The schedule sized its tiles for generated
-    C++, where entering a tile is free; here every kernel call pays
-    Python and tens of NumPy dispatches, so :func:`_step_tiles` derives
-    ``k`` once per group from its geometry and
-    :data:`_STEP_POINT_BUDGET`: region arithmetic, carry bookkeeping,
-    the kernel entry and a generated kernel's direct-store live-outs
-    are paid once per step instead of once per tile.  A tile is a step
-    of length one, which is all there is without ``options.reuse``, with
-    a reduction in the group or on a grid without a carry dimension.
+    Everything the walk derives from the geometry — regions, bases,
+    seed-or-carry decisions, chunks, a native kernel's step tables — is
+    planned once per ``(tile sizes, nthreads, reuse, kernel)`` and
+    memoised (:func:`_walk_plan`); a warm execution only reads the plan.
+
+    The unit planned is a **step**: ``k >= 1`` schedule tiles adjacent
+    along the carry dimension, executed by *one* kernel step over the
+    union of their regions — the expanded region of a tile ``k`` times
+    as long, whose base is exactly the union of the ``k`` tiles' bases
+    (:func:`_region_from_plan`'s partition property).  The schedule
+    sized its tiles for generated C++, where entering a tile is free;
+    here a NumPy kernel call pays Python and tens of NumPy dispatches,
+    so :func:`_step_tiles` derives ``k`` once per group from its
+    geometry and :data:`_STEP_POINT_BUDGET`.  A tile is a step of length
+    one, which is all there is without ``options.reuse``, with a
+    reduction in the group or on a grid without a carry dimension.
 
     All member stages run over the step's expanded regions,
     intermediates in scratch arrays recycled through a worker-local
-    :class:`BufferPool`.  Tiles are batched into contiguous chunks —
-    :func:`_chunk_tiles` — with one future per chunk, and each chunk is
-    cut into steps by :func:`_plan_steps`.  Chunks run on ``executor``
-    when given (a persistent pool owned by the caller), else on the
-    process-global :func:`shared_executor`; scratch pools come from
-    ``pools`` when given (worker-local pools that stay warm across
-    calls), else one fresh pool per chunk.
+    :class:`BufferPool`.  Tiles are cut into one contiguous chunk per
+    worker (:func:`_chunk_tiles`), each chunk into steps
+    (:func:`_plan_steps`).  The thread walking the group runs the first
+    chunk itself and the rest run on ``executor`` when given (a
+    persistent pool owned by the caller), else on the process-global
+    :func:`shared_executor`; scratch pools come from ``pools`` when
+    given (worker-local pools that stay warm across calls), else one
+    fresh pool per chunk.  A native kernel's chunk is one GIL-free call
+    over its step table, every scratch or carried window at a fixed
+    offset into one arena taken from the pool; any other kernel's is one
+    ``kernel.fn`` call per step (:func:`_walk_chunk`).
 
     With ``options.reuse``, each chunk walks its tiles in *runs* of
     adjacent tiles along a *carry dimension* and computes every
@@ -786,35 +1132,29 @@ def _execute_group_tiled(
     window is a **pure carry** — the window is handed to consumers
     untouched, no recompute, no copy.  Chunk starts, non-adjacent steps,
     and regions that escape the carried window re-seed from the current
-    step to the run's end; a failed step attempt invalidates the whole
-    carry so its retry — and every step until the chain re-seeds —
-    computes fresh windows.  Carried and merged values are bit-identical
+    step to the run's end.  Carried and merged values are bit-identical
     to per-tile recomputation: stage bodies are elementwise over their
     windows, and the out-of-domain clamped reads that *could* differ
     between window extents are masked by their ``Case`` conditions (the
-    same invariant every kernel relies on).  A generated kernel's
-    direct-store live-outs are never carried: each step evaluates them
-    over its own base region, which is why a step is bounded by a point
-    budget instead of running to the run's end.
+    same invariant every kernel relies on).  A kernel's direct-store
+    live-outs are never carried: each step evaluates them over its own
+    base region, which is why a step is bounded by a point budget
+    instead of running to the run's end.
 
-    The step is also the unit of retry and of the ``"tile"`` fault site
-    (one check per step attempt, keyed by the step's first tile): a step
-    that raises is retried up to ``tile_retries`` times, then the failure
+    The unit of retry and of the ``"tile"`` fault site is the step, and
+    a native kernel's whole chunk (:func:`_walk_chunk`): a unit that
+    raises is retried up to ``tile_retries`` times, then the failure
     surfaces as a :class:`TileExecutionError` (code ``TILE_FAIL``) naming
-    the group, the step's first tile and tile count, and the original
+    the group, the unit's first tile and tile count, and the original
     cause — also from inside the thread-pool path, where a bare exception
     would otherwise emerge as an opaque traceback out of a future.
-    Live-outs are published to ``buffers`` only after every step
+    Live-outs are published to ``buffers`` only after every chunk
     succeeded, so a failed group leaves ``buffers`` untouched and a
     caller can fall back cleanly.
     """
-    radii = geom.expansion_radii()
-    plans = {
-        s.name: _stage_plan(geom, s, pipeline, radii) for s in geom.stages
-    }
-    region_plans = [plans[n] for n in kernel.region_names]
-    base_plans = [plans[n] for n in kernel.liveout_names]
-    no_carries = (None,) * len(region_plans)
+    plan = _walk_plan(
+        pipeline, geom, tile_sizes, nthreads, kernel, options.reuse
+    )
     out_buffers = {
         s.name: Buffer.for_region(pipeline.domain(s), s.scalar_type.np_dtype)
         for s in geom.liveouts
@@ -824,224 +1164,56 @@ def _execute_group_tiled(
         # repro_kernel_native_total when it is built or loaded
         METRICS.inc("repro_kernel_fused_groups_total")
 
-    dim_ranges = [
-        range(lo, hi + 1, tile_sizes[g])
-        for g, (lo, hi) in enumerate(geom.grid_bounds)
-    ]
-
-    # Steps merge tiles, and halo reuse chains windows, along the *carry
-    # dimension* (:func:`~repro.poly.overlap.reuse_carry_dim` — the rule
-    # the cost model prices): the grid dim consecutive tiles of a chunk
-    # advance along.  The tile walk runs that dim fastest
-    # (:func:`_walk_tiles`), so a chunk is a sequence of runs of adjacent
-    # tiles; a run's first step computes each carried stage's window for
-    # the whole run in one call — every overlap point is computed once
-    # and the stage body's fixed cost is amortised across the run — and
-    # every later step of the run is a pure carry.  Only pure function
-    # stages chain — reductions accumulate across the domain and have no
-    # per-tile window to carry; a single-tile grid has no carry dimension.
-    cdim = -1
-    if options.reuse and not any(
-        isinstance(s, Reduction) for s in geom.stages
-    ):
-        cdim = reuse_carry_dim(geom, tile_sizes)
-    cstep = tile_sizes[cdim] if cdim >= 0 else 0
-    tiles, row_len = _walk_tiles(dim_ranges, cdim)
-    step_tiles = _step_tiles(region_plans, tile_sizes, cdim, row_len)
-    #: grid sizes of a step of n tiles, n <= step_tiles
-    step_sizes = [
-        tuple(n * t if g == cdim else t for g, t in enumerate(tile_sizes))
-        for n in range(step_tiles + 1)
-    ]
-    #: (region index, name, axis) per carried stage; ``axis`` is the plan
-    #: index of the carry dim, ``None`` when the stage is constant along
-    #: it (adjacent windows are equal — seed once, carry for the whole
-    #: run).  A generated kernel's direct-store stages (radius 0, scale
-    #: 1: expanded region == base tile, so they recompute no halo) write
-    #: each step's region straight into ``out_buffers`` and are not
-    #: carried: the step is their whole evaluation granule, and the
-    #: reason it is capped by :data:`_STEP_POINT_BUDGET` rather than
-    #: extended to the run (PB's 20-stage group is slower than it was
-    #: per tile when its live-out, seven stages inlined, runs over a
-    #: whole row);
-    #: inlined stages follow their consumers' regions automatically.
-    carried: List[Tuple[int, str, Optional[int]]] = []
-    if cdim >= 0:
-        carried = [
-            (i, n, next(
-                (j for j, ent in enumerate(plans[n]) if ent[0] == cdim),
-                None,
-            ))
-            for i, n in enumerate(kernel.region_names)
-            if n not in kernel.direct_stores
-        ]
-    reuse = bool(carried)
-
-    def run_tile(
-        step: Tuple[int, Tuple[int, ...], int, int],
-        attempt: int,
-        pool: BufferPool,
-        carry: Optional[_CarryState],
-    ) -> None:
-        tile_index, tile_lo, ntiles, run_end = step
-        maybe_fail(
-            "tile", detail=f"g{group_index}t{tile_index}a{attempt}"
-        )
-        sizes = step_sizes[ntiles]
-        regions = [
-            _region_from_plan(p, tile_lo, sizes, True) for p in region_plans
-        ]
-        bases = [
-            _region_from_plan(p, tile_lo, sizes, False) for p in base_plans
-        ]
-        carries: Sequence[Optional[tuple]] = no_carries
-        if carry is not None:
-            adjacent = tile_lo == carry.next_lo
-            carries = [None] * len(regions)
-            seeds = []
-            for i, name, axis in carried:
-                bounds = regions[i]
-                if bounds is None:
-                    carry.drop(name, pool)
-                    continue
-                buf = carry.covers(name, bounds, axis, adjacent)
-                if buf is not None:
-                    # Pure carry: hand the window to the kernel untouched
-                    # and skip the stage body.
-                    regions[i] = None
-                    carries[i] = (buf.data, buf.origin)
-                else:
-                    # (Re)seed: the kernel computes the rest of the run's
-                    # window in this call.
-                    regions[i] = carry.seed_bounds(
-                        bounds, region_plans[i], axis, run_end
-                    )
-                    seeds.append((i, name))
-        results = kernel.fn(
-            regions, bases, buffers, out_buffers, pool, carries
-        )
-        if carry is None:
-            # Live-outs are in out_buffers, so the step's scratch arrays
-            # can all go back for the next step.  Under reuse the carried
-            # windows must survive — superseded ones are reclaimed
-            # individually, the rest released at chunk end.
-            pool.release_all()
-            return
-        for i, name in seeds:
-            carry.store(name, results[i], regions[i], pool)
-        carry.advance(
-            _advanced(tile_lo, cdim, ntiles * cstep), ntiles, bool(seeds)
-        )
-
-    def run_tile_captured(
-        step: Tuple[int, Tuple[int, ...], int, int],
-        pool: BufferPool,
-        carry: Optional[_CarryState],
-    ) -> None:
-        tile_index, tile_lo, ntiles, _ = step
-        max_attempts = tile_retries + 1
-        attempts = 0
-        retryable = True
-        for attempt in range(max_attempts):
-            attempts = attempt + 1
-            try:
-                run_tile(step, attempt, pool, carry)
-                return
-            except Exception as exc:  # noqa: BLE001 - rewrapped below
-                last = exc
-                # Whatever the failed attempt borrowed goes back; under
-                # reuse that includes the carried windows, which it may
-                # have poisoned (reclaimed scratch a window still
-                # aliases): drop the whole carry so the retry — and every
-                # step until the chain re-seeds — recomputes full windows.
-                pool.release_all()
-                if carry is not None:
-                    carry.invalidate()
-                    if METRICS.enabled:
-                        METRICS.inc("repro_halo_reuse_invalidations_total")
-                if not is_retryable(exc):
-                    # Deterministic failure (missing buffer, INPUT_*,
-                    # memory budget): identical retries cannot succeed,
-                    # so surface TILE_FAIL immediately with the true
-                    # attempt count instead of burning the budget.
-                    retryable = False
-                    if METRICS.enabled:
-                        METRICS.inc("repro_tile_nonretryable_total")
-                    break
-                if attempts < max_attempts and METRICS.enabled:
-                    METRICS.inc("repro_tile_retries_total")
-        if METRICS.enabled:
-            METRICS.inc(
-                "repro_tile_failures_total", code=error_code(last)
-            )
-        raise TileExecutionError(
-            f"tile {tile_index} of group {group_index} (a step of "
-            f"{ntiles} tile(s)) failed after {attempts} attempt(s)"
-            f"{'' if retryable else ' (non-retryable)'}: {last}",
-            group_index=group_index,
-            tile_index=tile_index,
-            tile_origin=tuple(tile_lo),
-            step_tiles=ntiles,
-            cause=last,
-            attempts=attempts,
-            retryable=retryable,
-        )
-
     # Chunk spans run on worker threads where the thread-local span stack
     # is empty — capture the group span here so they parent correctly.
     parent_span = TRACE.current() if TRACE.enabled else None
     if parent_span is not None:
         parent_span.set(
             fused=kernel.generated, native=kernel.native,
-            halo_reuse=reuse, step_tiles=step_tiles,
+            halo_reuse=plan.reuse, step_tiles=plan.step_tiles,
         )
 
-    def run_chunk(chunk: List[Tuple[int, Tuple[int, ...]]]) -> None:
+    def run_chunk(chunk: _Chunk) -> None:
         # Worker-local scratch pool, so lock-free: the group's shared
         # PoolGroup when one was passed (warm across calls), else one
         # fresh pool per chunk.
         pool = pools.get() if pools is not None else BufferPool()
-        carry = _CarryState() if reuse else None
-        steps = _plan_steps(chunk, step_tiles, cdim, cstep)
         observing = METRICS.enabled
         if observing:
             # Shared pools carry cumulative counters across chunks and
             # requests — flush only this chunk's delta.
             base = (pool.stat_reused, pool.stat_allocated,
                     pool.stat_reclaimed, pool.stat_evicted)
-        done = 0
+        done = _Done()
         with TRACE.span(
-            "chunk", parent=parent_span, tiles=len(chunk),
-            steps=len(steps), first_tile=chunk[0][0] if chunk else -1,
+            "chunk", parent=parent_span, tiles=chunk.ntiles,
+            steps=len(chunk.steps),
+            first_tile=chunk.steps[0].tile_index if chunk.steps else -1,
         ):
             try:
-                for step in steps:
-                    run_tile_captured(step, pool, carry)
-                    done += 1
+                _walk_chunk(
+                    plan, chunk, kernel, buffers, out_buffers, pool, done,
+                    group_index, tile_retries,
+                )
             finally:
-                if carry is not None:
-                    # Carried windows held the pool's arrays across
-                    # steps — hand them all back now the chunk is done.
-                    carry.invalidate()
-                    pool.release_all()
+                # Carried windows and a native chunk's arena held the
+                # pool's arrays across steps — hand them all back now.
+                pool.release_all()
                 if observing:
-                    # Also when a step failed for good: the steps before
+                    # Also when a unit failed for good: the steps before
                     # it did run, and a chunk that ends in TILE_FAIL is
                     # exactly the one an operator wants counted.
-                    METRICS.inc(
-                        "repro_tiles_total", sum(s[2] for s in steps[:done])
-                    )
-                    METRICS.inc("repro_tile_steps_total", done)
-                    if carry is not None:
-                        if carry.tiles:
-                            METRICS.inc(
-                                "repro_halo_reuse_tiles_total", carry.tiles
-                            )
-                        if carry.saved:
-                            METRICS.inc(
-                                "repro_halo_reuse_saved_points_total",
-                                carry.saved,
-                            )
+                    METRICS.inc("repro_tiles_total", done.tiles)
+                    METRICS.inc("repro_tile_steps_total", done.steps)
+                    if done.reused:
+                        METRICS.inc(
+                            "repro_halo_reuse_tiles_total", done.reused
+                        )
+                    if done.saved:
+                        METRICS.inc(
+                            "repro_halo_reuse_saved_points_total",
+                            done.saved,
+                        )
                     METRICS.inc("repro_pool_acquires_total",
                                 pool.stat_reused - base[0], result="reused")
                     METRICS.inc("repro_pool_acquires_total",
@@ -1052,16 +1224,20 @@ def _execute_group_tiled(
                     METRICS.inc("repro_pool_evictions_total",
                                 pool.stat_evicted - base[3])
 
-    chunks = _chunk_tiles(tiles, nthreads, row_len=row_len)
-    if nthreads > 1 and len(chunks) > 1:
+    first, *rest = plan.chunks
+    if rest:
         tpool = executor if executor is not None else shared_executor(
             nthreads
         )
-        futures = [tpool.submit(run_chunk, chunk) for chunk in chunks]
-        # Wait for *every* chunk before raising — matching the old
-        # per-group pool's shutdown-on-exit semantics, and guaranteeing
-        # no stray worker still writes out_buffers after we return.
+        futures = [tpool.submit(run_chunk, chunk) for chunk in rest]
+        # The walking thread runs the first chunk itself, then waits for
+        # *every* other chunk before raising — no stray worker may still
+        # write out_buffers after we return.
         first_exc: Optional[BaseException] = None
+        try:
+            run_chunk(first)
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            first_exc = exc
         for future in futures:
             try:
                 future.result()
@@ -1071,8 +1247,7 @@ def _execute_group_tiled(
         if first_exc is not None:
             raise first_exc
     else:
-        for chunk in chunks:
-            run_chunk(chunk)
+        run_chunk(first)
 
     buffers.update(out_buffers)
 
@@ -1223,13 +1398,18 @@ def _seeded_producers(
 def _kernels_agree(
     pipeline: Pipeline, geom, a: GroupKernel, b: GroupKernel
 ) -> bool:
-    """Whether two kernels of one group compute the same bytes on two
-    seeded steps — one at the grid's low corner (border windows) and one
-    in its middle (interior windows) — the self-check a freshly built
-    native kernel must pass against its NumPy counterpart.  Two kernels
-    of one reduction: the same bytes over its whole reduction domain,
-    from producers spread so that targets fall inside and outside the
-    accumulator."""
+    """Whether two kernels of one group compute the same bytes — the
+    self-check a freshly built native kernel ``a`` must pass against its
+    NumPy counterpart ``b`` — on seeded producers and 16-point tiles, as
+    the live-outs' bytes: two single steps, one at the grid's low corner
+    (border windows) and one in its middle (interior windows), and one
+    whole chunk, the grid's middle row walked in steps of two tiles, so
+    that carried slots, windows seeded to the run's end and copy-outs
+    from carried windows are compared too.  Each is one planned chunk
+    (:class:`_WalkPlan`): ``a`` runs its step table, ``b`` walks the same
+    planned steps.  Two kernels of one reduction: the same bytes over its
+    whole reduction domain, from producers spread so that targets fall
+    inside and outside the accumulator."""
     if isinstance(geom, Reduction):
         buffers = _seeded_producers(pipeline, [geom], spread=True)
         with suspended():
@@ -1242,40 +1422,35 @@ def _kernels_agree(
     ):
         return False
     buffers = _seeded_producers(pipeline, geom.stages)
-    radii = geom.expansion_radii()
-    plans = {
-        s.name: _stage_plan(geom, s, pipeline, radii) for s in geom.stages
-    }
     sizes = tuple(min(16, hi - lo + 1) for lo, hi in geom.grid_bounds)
-    corner = tuple(lo for lo, _ in geom.grid_bounds)
     middle = tuple(
         lo + (hi - lo + 1) // 2 // t * t
         for (lo, hi), t in zip(geom.grid_bounds, sizes)
     )
+    single = _WalkPlan(pipeline, geom, sizes, a, False)
+    walk = _WalkPlan(pipeline, geom, sizes, a, True, step_tiles=2)
+    row = walk.row_len or len(walk.tiles)
+    mid = len(walk.tiles) // row // 2 * row
+    checks = (
+        (single, single.tiles[:1]),
+        (single, [t for t in single.tiles if t[1] == middle]),
+        (walk, walk.tiles[mid:mid + row]),
+    )
     with suspended():
-        for tile_lo in (corner, middle):
+        for plan, tiles in checks:
+            chunk = plan.chunk(tiles)
             got = []
-            for kernel in (a, b):
+            for kernel, run in ((a, chunk), (b, chunk._replace(table=None))):
                 outs = {
                     s.name: Buffer.for_region(
                         pipeline.domain(s), s.scalar_type.np_dtype
                     )
                     for s in geom.liveouts
                 }
-                windows = kernel.fn(
-                    [_region_from_plan(plans[n], tile_lo, sizes, True)
-                     for n in kernel.region_names],
-                    [_region_from_plan(plans[n], tile_lo, sizes, False)
-                     for n in kernel.liveout_names],
-                    buffers, outs, BufferPool(),
-                    (None,) * len(kernel.region_names),
+                _walk_chunk(
+                    plan, run, kernel, buffers, outs, BufferPool(), _Done()
                 )
-                got.append((
-                    [None if w is None or n in kernel.direct_stores
-                     else (w.origin, w.data.tobytes())
-                     for n, w in zip(kernel.region_names, windows)],
-                    {n: o.data.tobytes() for n, o in outs.items()},
-                ))
+                got.append({n: o.data.tobytes() for n, o in outs.items()})
             if got[0] != got[1]:
                 return False
     return True

@@ -967,9 +967,11 @@ class GroupKernel:
     There are three sources: :func:`compile_group_kernel` (generated
     fused ``source``), the executor's stage-walking adapter (empty
     ``source``, ``region_names`` = every member) and
-    :mod:`repro.runtime.native` (``native``: compiled C behind the same
-    ``fn``, with the slots of whichever of the other two it stands in
-    for).
+    :mod:`repro.runtime.native` (``native``: compiled C, with the slots
+    of whichever of the other two it stands in for).  A native kernel
+    has ``tabulate`` instead of ``fn``: the executor hands it a chunk's
+    planned steps once, and what it returns runs the whole chunk in one
+    call.
 
     A reduction stage runs untiled, whole, and has no tile to hand over:
     its kernel (:meth:`for_reduction`) has no slots and
@@ -985,8 +987,12 @@ class GroupKernel:
     inlined: Tuple[str, ...]
     direct_stores: Tuple[str, ...]
     source: str
-    fn: Callable
+    #: ``None`` on a native group kernel, which runs step tables only
+    fn: Optional[Callable]
     native: bool = False
+    #: a native group kernel's step-table builder
+    #: (:func:`repro.runtime.native._make_tabulate`); ``None`` otherwise
+    tabulate: Optional[Callable] = None
 
     @property
     def generated(self) -> bool:

@@ -33,13 +33,23 @@ dimension innermost, ``restrict`` everywhere; one that touches a border
 runs the same body with every index clamped (what ``Buffer.gather``
 does).  Data-dependent indices clamp in both.
 
-A kernel's Python side is a thin ``fn``: it takes scratch from the pool,
-packs one ``int64`` descriptor — per buffer ``pointer, origin…,
-shape…`` (buffers are C-contiguous — the executor makes inputs so when
-they become buffers — so strides follow from the shape), per
+A step's descriptor is one ``int64`` row — per buffer ``pointer,
+origin…, shape…`` (buffers are C-contiguous — the executor makes inputs
+so when they become buffers — so strides follow from the shape), per
 region slot and base ``flag, lo, hi, …`` with flag 0 empty / 1 compute /
-2 carried — and makes one GIL-releasing ``ctypes`` call.  A reduction's
-descriptor is its producers' buffer slots, then its accumulator's.
+2 carried.  The executor plans a group's walk once per tiling
+(:class:`repro.runtime.executor._WalkPlan`) and hands each chunk's
+planned steps to the kernel's ``tabulate``, which packs them into one
+immutable step table: one descriptor row per step, every scratch or
+carried window at a fixed offset into one per-chunk arena.  Running a
+chunk (:class:`_StepTable`) writes only pointer words into a private
+copy — out-of-kernel producers, live-out buffers, the arena taken from
+the worker's pool — and makes **one** GIL-releasing ``ctypes`` call to
+``repro_run_steps`` (:data:`repro.codegen.cexpr.STEP_LOOP`), which runs
+the step entry once per row.  A native group kernel has no per-step
+``fn``: serving and the first-use self-check alike run step tables.  A
+reduction's descriptor is its producers' buffer slots, then its
+accumulator's.
 """
 
 from __future__ import annotations
@@ -61,6 +71,7 @@ from ..codegen.cexpr import (
     ExprPrinter,
     InexactOp,
     RUNTIME_HELPERS,
+    STEP_LOOP,
     ctype_for,
 )
 from ..codegen.cgen import _Emitter, _emit_reduction
@@ -132,7 +143,7 @@ class _Mat:
 @dataclass(frozen=True)
 class _Layout:
     """Word offsets of everything in a group's descriptor.  Slots are
-    laid out in the order :func:`_make_fn` appends them: externals, then
+    laid out in the order :func:`_make_tabulate` packs them: externals, then
     per member its buffer and region, then per copied live-out its out
     buffer and base."""
 
@@ -403,71 +414,146 @@ def _producer_words(buffers, ext) -> List[int]:
     return words
 
 
-def _make_fn(cfunc, layout: _Layout) -> Callable:
-    """The ``GroupKernel.fn`` driving ``cfunc``: see module docstring."""
-    pack = struct.Struct(f"{layout.words}q").pack
-    ext = [(name, dt) for name, _, dt, _ in layout.ext]
+class _StepTable:
+    """One chunk of a native group as one C call.
+
+    ``rows`` is immutable: one descriptor per planned step (module
+    docstring), except that every pointer word holds an arena offset
+    (scratch and carried windows) or nothing (a live-out buffer) and the
+    out-of-kernel producers' slots are empty.
+    :meth:`run` fills those into a private copy — producers into their
+    columns ``ext_cols`` of every row, ``ptrs[src]`` added at the flat
+    positions ``flat`` — and runs the rows."""
+
+    __slots__ = (
+        "rows", "ext", "ext_cols", "flat", "src", "outs", "arena",
+        "missing", "step", "loop",
+    )
+
+    def __init__(
+        self, rows, ext, ext_cols, flat, src, outs, arena, missing, step,
+        loop,
+    ):
+        self.rows = rows
+        #: out-of-kernel producers ``(name, dtype)`` and their columns
+        self.ext, self.ext_cols = ext, ext_cols
+        #: pointer positions in the flattened rows, and what each points
+        #: into: 0 the arena, ``1 + j`` live-out buffer ``outs[j]``
+        self.flat, self.src, self.outs = flat, src, outs
+        #: arena bytes
+        self.arena = arena
+        #: the member whose producer's region was empty, if one was
+        self.missing = missing
+        #: the step entry's address, and the ctypes loop that runs it
+        self.step, self.loop = step, loop
+
+    def run(self, buffers, out_buffers, pool) -> None:
+        if self.missing is not None:
+            # a producer's region was empty: the non-retryable error the
+            # NumPy kernels raise
+            raise KeyError(self.missing)
+        table = self.rows.copy()
+        if self.ext:
+            table[:, self.ext_cols] = _producer_words(buffers, self.ext)
+        ptrs = np.empty(1 + len(self.outs), np.int64)
+        ptrs[0] = (
+            pool.address(pool.acquire((self.arena,), np.uint8))
+            if self.arena else 0
+        )
+        for j, name in enumerate(self.outs):
+            ptrs[1 + j] = out_buffers[name].data.ctypes.data
+        table.reshape(-1)[self.flat] += ptrs[self.src]
+        self.loop(self.step, table.ctypes.data, *table.shape)
+
+
+def _make_tabulate(cfunc, loop, layout: _Layout, domains) -> Callable:
+    """The ``GroupKernel.tabulate`` of a native group: planned steps
+    (:class:`repro.runtime.executor._Step`) to a :class:`_StepTable` run
+    by ``loop`` over ``cfunc``.  ``domains`` holds each live-out's full
+    buffer ``(origin, shape)``."""
     mats = layout.mats
-    #: per rank: an empty buffer + region (or out buffer + base), and a
-    #: carried slot's region (flag 2, no bounds)
-    empty = {
-        nd: ((0,) * (2 + 4 * nd), (2,) + (0,) * (2 * nd))
-        for nd in {m.ndim for m in mats}
-    }
     copied = [m for m in mats if m.copy_out is not None]
-    no_carries = (None,) * len(mats)
+    outs = [m.name for m in mats if m.direct or m.copy_out is not None]
+    out_src = {name: 1 + j for j, name in enumerate(outs)}
+    ext = [(name, dt) for name, _, dt, _ in layout.ext]
+    ext_cols = np.array([
+        c for _, nd, _, at in layout.ext for c in range(at, at + 1 + 2 * nd)
+    ], np.intp)
+    empty = {nd: (0,) * (2 + 4 * nd) for nd in {m.ndim for m in mats}}
+    step_address = ctypes.cast(cfunc, ctypes.c_void_p).value
 
-    def fn(regions, bases, buffers, out_buffers, pool, carries=None):
-        if carries is None:
-            carries = no_carries
-        words = _producer_words(buffers, ext)
-        results: List[Optional[Buffer]] = [None] * len(mats)
-        for i, m in enumerate(mats):
-            bounds = regions[i]
-            if bounds is not None:
-                for dep in m.deps:
-                    if results[dep] is None:
-                        # its producer's region was empty: the same
-                        # non-retryable error the NumPy kernels raise
-                        raise KeyError(mats[dep].name)
-                if m.direct:
-                    res = out_buffers[m.name]
-                    arr = res.data
-                    at = arr.ctypes.data
+    def tabulate(steps) -> _StepTable:
+        # one fixed arena offset per scratch slot, as large as the slot's
+        # largest region in the chunk: a slot computed again (a re-seed)
+        # supersedes its previous window, which nothing reads after that
+        need = [0] * len(mats)
+        for step in steps:
+            for m, bounds in zip(mats, step.regions):
+                if bounds is not None and not m.direct:
+                    size = m.dtype.itemsize
+                    for lo, hi in bounds:
+                        size *= hi - lo + 1
+                    need[m.index] = max(need[m.index], size)
+        offset, arena = [], 0
+        for size in need:
+            offset.append(arena)
+            arena += -(-size // 64) * 64
+        rows = np.zeros((len(steps), layout.words), np.int64)
+        flat: List[int] = []
+        src: List[int] = []
+        held: Dict[int, tuple] = {}
+        missing = None
+        for r, step in enumerate(steps):
+            words = [0] * len(ext_cols)
+
+            def pointer(source: int, value: int) -> None:
+                flat.append(r * layout.words + len(words))
+                src.append(source)
+                words.append(value)
+
+            live = [False] * len(mats)
+            for i, m in enumerate(mats):
+                bounds = step.regions[i]
+                if bounds is not None:
+                    if missing is None:
+                        missing = next(
+                            (mats[d].name for d in m.deps if not live[d]),
+                            None,
+                        )
+                    if m.direct:
+                        pointer(out_src[m.name], 0)
+                        words += chain(*domains[m.name])
+                    else:
+                        held[i] = (
+                            [lo for lo, _ in bounds],
+                            [hi - lo + 1 for lo, hi in bounds],
+                        )
+                        pointer(0, offset[i])
+                        words += chain(*held[i])
+                    words += (1, *chain(*bounds))
+                elif i in step.carried:
+                    pointer(0, offset[i])
+                    words += (*chain(*held[i]), 2, *(0,) * (2 * m.ndim))
                 else:
-                    arr = pool.acquire(
-                        [hi - lo + 1 for lo, hi in bounds], m.dtype
-                    )
-                    at = pool.address(arr)
-                    res = Buffer(arr, tuple([lo for lo, _ in bounds]))
-                words += (
-                    at, *res.origin, *arr.shape, 1, *chain(*bounds)
-                )
-            elif carries[i] is not None:
-                res = Buffer(*carries[i])
-                arr = res.data
-                words += (
-                    pool.address(arr), *res.origin, *arr.shape,
-                    *empty[m.ndim][1],
-                )
-            else:
-                words += empty[m.ndim][0]
-                continue
-            results[i] = res
-        for m in copied:
-            base = bases[m.copy_out]
-            if base is None or results[m.index] is None:
-                words += empty[m.ndim][0]
-                continue
-            dst = out_buffers[m.name]
-            arr = dst.data
-            words += (
-                arr.ctypes.data, *dst.origin, *arr.shape, 1, *chain(*base)
-            )
-        cfunc(pack(*words))
-        return results
+                    words += empty[m.ndim]
+                    continue
+                live[i] = True
+            for m in copied:
+                base = step.bases[m.copy_out]
+                if base is None or not live[m.index]:
+                    words += empty[m.ndim]
+                    continue
+                pointer(out_src[m.name], 0)
+                words += (*chain(*domains[m.name]), 1, *chain(*base))
+            rows[r] = words
+        rows.setflags(write=False)
+        return _StepTable(
+            rows, ext, ext_cols, np.array(flat, np.intp),
+            np.array(src, np.intp), outs, arena, missing, step_address,
+            loop,
+        )
 
-    return fn
+    return tabulate
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +615,14 @@ def _native_group(pipeline: Pipeline, geom, symbol: str):
         direct_stores=len(geom.stages) > 1
     )
     layout = _plan_layout(plan, [s.name for s in geom.liveouts])
+    domains = {}
+    for s in geom.liveouts:
+        dom = pipeline.domain(s)
+        domains[s.name] = (
+            tuple(lo for lo, _ in dom), tuple(hi - lo + 1 for lo, hi in dom)
+        )
 
-    def make(cfunc) -> GroupKernel:
+    def make(cfunc, loop) -> GroupKernel:
         return GroupKernel(
             group_names=tuple(s.name for s in geom.stages),
             region_names=plan.region_names,
@@ -538,8 +630,9 @@ def _native_group(pipeline: Pipeline, geom, symbol: str):
             inlined=plan.inlined,
             direct_stores=plan.direct_stores,
             source="",
-            fn=_make_fn(cfunc, layout),
+            fn=None,
             native=True,
+            tabulate=_make_tabulate(cfunc, loop, layout, domains),
         )
 
     return _emit_group(pipeline, plan, layout, symbol), make
@@ -577,7 +670,7 @@ def _native_reduction(pipeline: Pipeline, stage: Reduction, symbol: str):
     pack = struct.Struct(f"{at + 1 + 2 * stage.ndim}q").pack
     domain = pipeline.domain(stage)
 
-    def make(cfunc) -> GroupKernel:
+    def make(cfunc, _loop) -> GroupKernel:
         def fn(buffers):
             head = _producer_words(buffers, ext)
             # a fresh accumulator; the C side fills it
@@ -636,7 +729,7 @@ def build_group_kernels(
         made[i] = (symbol, make)
     if not made:
         return NativeBuild({})
-    source = RUNTIME_HELPERS + "".join(parts)
+    source = RUNTIME_HELPERS + STEP_LOOP + "".join(parts)
     try:
         lib, path, seconds = nativestore.load(source, schedule_cache)
     except KernelNativeError as exc:
@@ -660,6 +753,11 @@ def build_group_kernels(
             demoted = set(json.load(fh)["demoted"])
     except (OSError, ValueError, KeyError, TypeError):
         pass
+    loop = lib.repro_run_steps
+    loop.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+    ]
+    loop.restype = None
     kernels: Dict[int, GroupKernel] = {}
     symbols: Dict[int, str] = {}
     for i, (symbol, make) in made.items():
@@ -671,7 +769,7 @@ def build_group_kernels(
         cfunc = getattr(lib, symbol)
         cfunc.argtypes = [ctypes.c_char_p]
         cfunc.restype = None
-        kernels[i] = make(cfunc)
+        kernels[i] = make(cfunc, loop)
     return NativeBuild(
         kernels, unverified=demoted is None, _sidecar=sidecar,
         _symbols=symbols,

@@ -1,6 +1,8 @@
 """Content-addressed on-disk store of compiled native kernels.
 
-A translation unit is compiled once per machine: the artifact's name is
+A translation unit is compiled once per machine, ``g++`` with
+:data:`FLAGS` (``-O3``, exact float semantics, no ``-march``): the
+artifact's name is
 ``sha256(source + flags + compiler identity)``, so a later boot, a later
 ``repro run`` or another process asking for the same source ``dlopen``\\ s
 what the first one built.  The store lives in a *user-private*
@@ -42,14 +44,19 @@ from ..resilience.faults import maybe_fail
 
 __all__ = ["FLAGS", "compiler", "store_dir", "artifact_key", "load"]
 
-#: what every artifact is compiled with.  ``-fwrapv`` (integer overflow
-#: wraps, like NumPy), ``-fno-fast-math -ffp-contract=off`` (no
-#: reassociation, no fused multiply-add: every float op rounds once, in
-#: its own type).  No ``-march``: the key does not carry the CPU's
-#: feature set, so the code must run on any CPU of the architecture.
-#: ``-x c``: the source is plain C — no libstdc++ headers to parse.
+#: what every artifact is compiled with.  ``-O3``: the interior nests
+#: vectorise, which is exact for element-wise code under the next two
+#: (C time per warm request at scale 0.1, CP 2.85 -> 1.9 ms, PB 4.1 ->
+#: 2.8 ms against ``-O2``; first builds take about twice as long).
+#: ``-fwrapv`` (integer overflow wraps, like NumPy), ``-fno-fast-math
+#: -ffp-contract=off`` (no reassociation, no fused multiply-add: every
+#: float op rounds once, in its own type, and reductions stay serial).
+#: No ``-march``: the key does not carry the CPU's feature set, so the
+#: code must run on any CPU of the architecture (``-march=native`` read
+#: within noise of plain ``-O3`` end to end).  ``-x c``: the source is
+#: plain C — no libstdc++ headers to parse.
 FLAGS: Tuple[str, ...] = (
-    "-O2", "-fwrapv", "-fno-fast-math", "-ffp-contract=off",
+    "-O3", "-fwrapv", "-fno-fast-math", "-ffp-contract=off",
     "-fPIC", "-shared", "-x", "c",
 )
 

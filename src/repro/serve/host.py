@@ -103,8 +103,9 @@ class HostConfig:
     machine: Optional[str] = None
     #: image-size fraction of the paper configuration hosts are built at
     scale: float = 0.1
-    #: executor worker threads per request
-    threads: int = 4
+    #: executor worker threads per request; 1, because two measured
+    #: slower than one on every pipeline (docs/serving.md)
+    threads: int = 1
     tile_retries: int = 1
     strategy: str = "dp"
     max_states: int = 1_200_000

@@ -1,8 +1,11 @@
 """Shared pipeline fixtures for the test suite."""
 
 import dataclasses
+import hashlib
 import os
 import shutil
+import subprocess
+import types
 
 import numpy as np
 import pytest
@@ -60,6 +63,43 @@ def native_artifact_dir(tmp_path_factory):
         os.environ.pop("XDG_CACHE_HOME", None)
     else:
         os.environ["XDG_CACHE_HOME"] = saved
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_compile_per_unit(tmp_path_factory):
+    """Tests that need a store of their own — to count builds, to find a
+    verdict on disk — still run the compiler once per distinct command
+    and source in this process: a repeat gets a copy of the first
+    library.  Everything around the compiler call (fault site, temporary
+    name, rename, rebuild of a bad file) runs as it does for real;
+    subprocesses a test spawns compile for real.  A test that patches
+    ``subprocess.run`` itself sees every compile: the copy is skipped."""
+    from repro.runtime import nativestore
+
+    cache = tmp_path_factory.mktemp("compiled")
+    real_run = subprocess.run
+    built = {}
+
+    def run(args, input=None, **kwargs):
+        if subprocess.run is not real_run:
+            return subprocess.run(args, input=input, **kwargs)
+        out = args.index("-o") + 1
+        key = hashlib.sha256(
+            "\0".join(args[:out - 1] + args[out + 1:]).encode() + input
+        ).hexdigest()
+        copy = built.get(key)
+        if copy is not None:
+            shutil.copyfile(copy, args[out])
+            return subprocess.CompletedProcess(args, 0, b"", b"")
+        proc = real_run(args, input=input, **kwargs)
+        if proc.returncode == 0:
+            built[key] = str(cache / key)
+            shutil.copyfile(args[out], built[key])
+        return proc
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nativestore, "subprocess", types.SimpleNamespace(run=run))
+        yield
 
 
 @pytest.fixture
@@ -174,12 +214,29 @@ class FailFirstAttempt(FaultInjector):
             )
 
 
+def unmemoised_walks(monkeypatch):
+    """Plan every group's walk afresh, neither reading nor filling the
+    geometry's plan memo — for tests that change the step rule, whose
+    plans must not outlive them or be served from before them."""
+    from repro.runtime import executor
+
+    monkeypatch.setattr(
+        executor, "_walk_plan",
+        lambda pipeline, geom, tile_sizes, nthreads, kernel, reuse: (
+            executor._WalkPlan(
+                pipeline, geom, tile_sizes, kernel, reuse, nthreads
+            )
+        ),
+    )
+
+
 def force_step_tiles(monkeypatch, k):
     """Make every group with a carry dimension walk steps of ``k`` tiles
     (the carry row's length at most), whatever the point budget says —
     for tests that need a known step layout."""
     from repro.runtime import executor
 
+    unmemoised_walks(monkeypatch)
     monkeypatch.setattr(
         executor, "_step_tiles",
         lambda plans, sizes, cdim, row_len: (

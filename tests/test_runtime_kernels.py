@@ -47,7 +47,7 @@ from repro.runtime import (
     stage_kernels,
 )
 from repro.runtime import kernelcache
-from repro.runtime.executor import _CHUNKS_PER_WORKER, _chunk_tiles
+from repro.runtime.executor import _chunk_tiles
 from repro.runtime.kernelcache import get_kernel
 from repro.serve import HostConfig, PipelineHost
 
@@ -468,7 +468,7 @@ class TestChunking:
         tiles = list(range(103))
         chunks = _chunk_tiles(tiles, 4)
         assert [t for chunk in chunks for t in chunk] == tiles
-        assert len(chunks) == min(len(tiles), _CHUNKS_PER_WORKER * 4)
+        assert len(chunks) == 4
 
     def test_chunk_sizes_balanced(self):
         for n in (5, 16, 17, 64, 103, 1000):
@@ -477,7 +477,7 @@ class TestChunking:
                 sizes = [len(c) for c in chunks]
                 assert sum(sizes) == n
                 assert max(sizes) - min(sizes) <= 1
-                assert len(chunks) == min(n, _CHUNKS_PER_WORKER * nthreads)
+                assert len(chunks) == min(n, nthreads)
 
     def test_fewer_tiles_than_chunks(self):
         chunks = _chunk_tiles(list(range(3)), 8)
@@ -487,18 +487,18 @@ class TestChunking:
     @pytest.mark.parametrize("row_len", [1, 2, 5, 26])
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 16, 33])
     def test_carry_row_is_the_unit_of_work(self, rows, row_len, nthreads):
-        """Chunks partition the tiles in order; with enough rows to
-        give every worker one each chunk is whole rows (the threaded walk
-        seeds as often as the serial one), otherwise rows are cut into
-        ``nthreads`` runs in all, at most ``ceil(nthreads / rows)`` per
-        row."""
+        """Chunks partition the tiles in order, one per worker; with
+        enough rows to give every worker one each chunk is whole rows (the
+        threaded walk seeds as often as the serial one), otherwise rows
+        are cut into ``nthreads`` runs in all, at most
+        ``ceil(nthreads / rows)`` per row."""
         tiles = list(range(rows * row_len))
         chunks = _chunk_tiles(tiles, nthreads, row_len=row_len)
         assert [t for chunk in chunks for t in chunk] == tiles
         assert all(chunks)
         sizes = [len(c) for c in chunks]
         if rows >= nthreads:
-            assert len(chunks) == min(rows, _CHUNKS_PER_WORKER * nthreads)
+            assert len(chunks) == nthreads
             assert all(c[0] % row_len == 0 for c in chunks)
             assert all(n % row_len == 0 for n in sizes)
             assert max(sizes) - min(sizes) <= row_len

@@ -44,6 +44,7 @@ from repro.codegen.cexpr import (
     ExprPrinter,
     InexactOp,
     RUNTIME_HELPERS,
+    STEP_LOOP,
     ctype_for,
 )
 from repro.dsl import (
@@ -485,22 +486,61 @@ class _RecordingInjector(FaultInjector):
             self.keys.append(detail)
 
 
+class _FailAndRecord(_RecordingInjector):
+    """Records every ``tile`` key and fails the named ones."""
+
+    def __init__(self, details):
+        super().__init__()
+        self.fail = FailFirstAttempt(details)
+
+    def check(self, site, detail=""):
+        super().check(site, detail)
+        self.fail.check(site, detail)
+
+
+def _keys_by_group(keys):
+    by = {}
+    for key in keys:
+        by.setdefault(int(key[1:key.index("t")]), []).append(key)
+    return by
+
+
 @pytest.mark.parametrize("rate", [1.0, 0.3])
 def test_tile_faults_on_native_steps_match_reference(rate):
-    """The step stays the unit of retry and of the ``tile`` fault site —
-    one check per step attempt, the same keys the NumPy kernels see —
-    and the guard degrades what fails to the reference's digests."""
+    """A native group's chunk is the unit of retry and of the ``tile``
+    fault site — one check per chunk attempt, keyed by the chunk's first
+    tile, which is a step's — while CP's NumPy ``curve`` group keeps one
+    per step; the guard degrades what fails to the reference's
+    digests."""
     _, pipe, grouping = dp_grouping("CP")
     inputs = make_inputs(pipe, 1)
     expected = output_digests(execute_reference(pipe, inputs))
+    grouping_kernels(pipe, grouping.groups, NATIVE)
     keys = {}
-    for name, options in (("native", NATIVE), ("numpy", NUMPY)):
-        recorder = _RecordingInjector()
-        with inject_faults(recorder):
-            execute_grouping(pipe, grouping, inputs, nthreads=2,
-                             options=options)
-        keys[name] = sorted(recorder.keys)
-    assert keys["native"] == keys["numpy"] and keys["native"]
+    try:
+        for name, options in (("numpy", NUMPY), ("native", NATIVE)):
+            TRACE.reset(enabled=True)
+            recorder = _RecordingInjector()
+            with inject_faults(recorder):
+                execute_grouping(pipe, grouping, inputs, nthreads=2,
+                                 options=options)
+            keys[name] = _keys_by_group(recorder.keys)
+        groups = [s for s in _walk_spans(TRACE.root) if s.name == "group"]
+    finally:
+        TRACE.reset(enabled=False)
+    native_groups = 0
+    for span in groups:
+        gi = span.attrs["index"]
+        if span.attrs["native"] is not True:
+            assert keys["native"].get(gi) == keys["numpy"].get(gi)
+            continue
+        native_groups += 1
+        chunks = [c for c in span.children if c.name == "chunk"]
+        assert sorted(keys["native"][gi]) == sorted(
+            f"g{gi}t{c.attrs['first_tile']}a0" for c in chunks
+        )
+        assert set(keys["native"][gi]) <= set(keys["numpy"][gi])
+    assert native_groups == 7
     for n in (1, 2):
         with inject_faults(seed=5, tile=rate) as injector:
             report = execute_guarded(
@@ -519,25 +559,58 @@ def test_tile_faults_on_native_steps_match_reference(rate):
 
 
 def test_mid_run_failure_reseeds_the_native_carry(monkeypatch):
-    """A step failing in the middle of a run drops the carried windows;
-    its retry seeds fresh ones and the bits do not change."""
+    """A native chunk is retried whole: its failed attempt drops the
+    arena — every carried window — and the retry, keyed ``a1``, re-runs
+    every step from the chunk's first seed.  A step inside the chunk is
+    never a fault key, and the bits do not change."""
     pipe = build_blur(rows=96, cols=94)
     inputs = random_inputs(pipe, np.random.default_rng(64))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    force_step_tiles(monkeypatch, 2)
+    force_step_tiles(monkeypatch, 2)   # 6 rows x 3 steps of 2 tiles
     assert all(k.native for k in grouping_kernels(pipe, g.groups, NATIVE))
     expected = execute_reference(pipe, inputs)
+    injector = _FailAndRecord({"g0t0a0", "g0t8a0"})
     METRICS.reset(enabled=True)
     try:
-        with inject_faults(FailFirstAttempt({"g0t8a0"})):
+        with inject_faults(injector):
             out = execute_grouping(
                 pipe, g, inputs, tile_retries=1, options=NATIVE
             )
+        assert injector.keys == ["g0t0a0", "g0t0a1"]
         assert METRICS.value("repro_halo_reuse_invalidations_total") == 1
         assert METRICS.value("repro_tile_retries_total") == 1
+        # the failed attempt ran nothing; the retry ran the whole chunk
+        assert METRICS.value("repro_tiles_total") == 36
+        assert METRICS.value("repro_tile_steps_total") == 18
+        assert METRICS.value("repro_halo_reuse_tiles_total") == 30
     finally:
         METRICS.reset(enabled=False)
     assert np.array_equal(out["blury"], expected["blury"])
+
+
+def test_one_row_cut_across_two_threads():
+    """CP's shape at ``serve_large``'s two threads: one carry row of 12
+    tiles, cut into two chunks — the walking thread runs the first, a
+    worker the second, which seeds at its own start mid-row — gives the
+    reference's bits."""
+    pipe = build_blur(rows=46, cols=94)
+    inputs = random_inputs(pipe, np.random.default_rng(70))
+    g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 4096, 8]])
+    assert all(k.native for k in grouping_kernels(pipe, g.groups, NATIVE))
+    expected = execute_reference(pipe, inputs)
+    METRICS.reset(enabled=True)
+    TRACE.reset(enabled=True)
+    try:
+        out = execute_grouping(pipe, g, inputs, nthreads=2, options=NATIVE)
+        assert METRICS.value("repro_tiles_total") == 12
+        # one seed per chunk
+        assert METRICS.value("repro_halo_reuse_tiles_total") == 10
+        chunks = [s for s in _walk_spans(TRACE.root) if s.name == "chunk"]
+        assert sorted(c.attrs["first_tile"] for c in chunks) == [0, 6]
+    finally:
+        METRICS.reset(enabled=False)
+        TRACE.reset(enabled=False)
+    assert out["blury"].tobytes() == expected["blury"].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -855,13 +928,25 @@ def test_reduction_free_translation_units_did_not_change(
     abbrev, monkeypatch
 ):
     """A grouping without a reduction emits the bytes it emitted before
-    reductions went native: same artifact keys, stores stay valid."""
+    reductions went native, but for the one loop helper chunk calls
+    added since: every step entry is byte-identical."""
     _, pipe, grouping = dp_grouping(abbrev)
     source = _translation_unit(pipe, grouping, monkeypatch)
     assert "repro_reduce_" not in source
-    assert hashlib.sha256(source.encode()).hexdigest()[:16] == (
-        _REDUCTION_FREE_UNITS[abbrev]
-    )
+    assert source.count(STEP_LOOP) == 1
+    assert hashlib.sha256(
+        source.replace(STEP_LOOP, "").encode()
+    ).hexdigest()[:16] == _REDUCTION_FREE_UNITS[abbrev]
+
+
+def test_store_flags_are_exact_and_portable():
+    """``-O3`` with every float op rounded once in its own type and
+    integer overflow wrapping, and no ``-march``: the artifact key does
+    not carry the CPU's feature set."""
+    flags = nativestore.FLAGS
+    for flag in ("-O3", "-fwrapv", "-fno-fast-math", "-ffp-contract=off"):
+        assert flag in flags
+    assert not any(f.startswith("-march") for f in flags)
 
 
 def test_garbage_artifact_is_rebuilt_once_then_numpy(monkeypatch, tmp_path):
@@ -940,6 +1025,52 @@ def test_self_check_mismatch_demotes_only_that_group(monkeypatch, tmp_path):
     )
     again = grouping_kernels(pipe, g.groups, NATIVE, str(tmp_path))
     assert [k.native for k in again] == [False, True]
+
+
+def test_self_check_walks_a_carried_chunk(monkeypatch, tmp_path):
+    """The first-use self-check runs a whole seeded chunk through the
+    step table: a table whose first carried slot's origin is shifted by
+    one — what only a carried window can get wrong, and what the two
+    single steps never exercise — demotes the group with one
+    ``KERNEL_NATIVE_FAIL``, and the outputs stay the reference's."""
+    pipe, g, inputs, expected = _blur_case()
+    real = native_mod._make_tabulate
+    shifted = []
+
+    def make_tabulate(cfunc, loop, layout, domains):
+        tabulate = real(cfunc, loop, layout, domains)
+
+        def shifted_tabulate(steps):
+            table = tabulate(steps)
+            rows = table.rows.copy()
+            for m in layout.mats:
+                (carried,) = np.nonzero(rows[:, m.region] == 2)
+                if len(carried):
+                    rows[carried[0], m.buf + m.ndim] += 1
+                    shifted.append(m.name)
+                    break
+            table.rows = rows
+            return table
+
+        return shifted_tabulate
+
+    monkeypatch.setattr(native_mod, "_make_tabulate", make_tabulate)
+    METRICS.reset(enabled=True)
+    try:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            kernels = grouping_kernels(pipe, g.groups, NATIVE, str(tmp_path))
+        assert METRICS.value(
+            "repro_kernel_native_total", result="demoted"
+        ) == 1
+    finally:
+        METRICS.reset(enabled=False)
+    assert shifted == ["blurx"]
+    assert not any(k.native for k in kernels)
+    (w,) = native_warnings(record)
+    assert "(self-check)" in str(w.message)
+    out = execute_grouping(pipe, g, inputs, options=NATIVE)
+    assert out["blury"].tobytes() == expected.tobytes()
 
 
 def test_self_check_mismatch_demotes_only_the_reduction(monkeypatch, tmp_path):

@@ -20,8 +20,10 @@ at least as many rows as workers.  Pinned here without clocks:
 """
 
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -68,8 +70,10 @@ from conftest import (
     build_blur,
     build_updown,
     force_step_tiles,
+    needs_gxx,
     random_inputs,
     shaped,
+    unmemoised_walks,
 )
 
 THREADS = (1, 2, 4)
@@ -214,7 +218,7 @@ def test_work_is_conserved_across_thread_counts(abbrev, tier, monkeypatch):
 
 
 def test_many_chunks_cost_nothing_when_rows_suffice(monkeypatch):
-    """A 12-row grid at 2, 3 and 4 threads is cut into 8, 12 and 12
+    """A 12-row grid at 2, 3 and 4 threads is cut into 2, 3 and 4
     chunks; every one computes exactly the serial walk's windows."""
     pipe = build_blur(rows=96, cols=96)
     inputs = random_inputs(pipe, np.random.default_rng(42))
@@ -329,14 +333,19 @@ def test_full_tile_faults_on_cut_rows_match_reference(abbrev):
     )
 
 
-@pytest.mark.parametrize("tier", sorted(TIERS), ids=TIERS.get)
+@pytest.mark.parametrize(
+    "tier", sorted(TIERS) + [KernelTier.NATIVE],
+    ids=lambda t: TIERS.get(t, "native"),
+)
 def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
     """One row of 12 tiles on 2 threads is two runs of 6, walked as three
-    steps of 2 tiles each.  The middle step of the first run (tiles 2-3,
-    keyed by its first tile) fails once: its retry re-seeds ``blurx``
-    from tile 2 to the end of the *first run*; no window of the first
-    chunk reaches into the second chunk's tiles, and the output is still
-    the fault-free one."""
+    steps of 2 tiles each.  On NumPy kernels the middle step of the first
+    run (tiles 2-3, keyed by its first tile) fails once: its retry
+    re-seeds ``blurx`` from tile 2 to the end of the *first run*; no
+    window of the first chunk reaches into the second chunk's tiles, and
+    the output is still the fault-free one.  On native kernels the unit
+    is the chunk: no step inside one is a fault key, and the second
+    chunk (from tile 6) fails once and is re-run whole."""
     pipe = build_blur(rows=46, cols=94)
     inputs = random_inputs(pipe, np.random.default_rng(45))
     tiles = (3, 4096, 8)
@@ -357,13 +366,19 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
         )
         return region[cdim]
 
+    native = tier is KernelTier.NATIVE
+    if native and not HAVE_GXX:
+        pytest.skip("g++ not available")
+    expected = output_digests(execute_reference(pipe, inputs))
     force_step_tiles(monkeypatch, 2)
     work = ComputedRegions(monkeypatch)
+    # "g0t3a0" is armed too: tile 3 is inside a step, not the start of
+    # one, so no check is ever keyed by it; tiles 2 and 3 are inside a
+    # native chunk.
+    armed = {"g0t2a0", "g0t3a0"} | ({"g0t6a0"} if native else set())
     METRICS.reset(enabled=True)
     try:
-        # "g0t3a0" is armed too: tile 3 is inside a step, not the start
-        # of one, so no check is ever keyed by it.
-        with inject_faults(FailFirstAttempt({"g0t2a0", "g0t3a0"})):
+        with inject_faults(FailFirstAttempt(armed)):
             out = execute_grouping(
                 pipe, g, inputs, nthreads=2, tile_retries=1,
                 options=ExecOptions(tier),
@@ -374,6 +389,11 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
         assert METRICS.value("repro_tile_steps_total") == 6
     finally:
         METRICS.reset(enabled=False)
+    assert output_digests(out) == expected
+    if native:
+        # no step runs through the per-step fn
+        assert work.take_calls() == 0
+        return
     # six steps; the failed attempt died at the fault site, before its
     # kernel call
     assert work.take_calls() == 6
@@ -387,9 +407,6 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
         (expanded(2)[0], run1_end),   # re-seed after the failure
         (expanded(6)[0], run2_end),   # second chunk's seed
     ])
-    assert output_digests(out) == output_digests(
-        execute_reference(pipe, inputs)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -739,13 +756,94 @@ def test_steps_conserve_work_in_fewer_kernel_calls(abbrev, monkeypatch):
         return steps, reused, work.volume()
 
     for n in THREADS:
-        with mock.patch.object(executor_mod, "_STEP_POINT_BUDGET", 1):
+        with monkeypatch.context() as mp:
+            unmemoised_walks(mp)
+            mp.setattr(executor_mod, "_STEP_POINT_BUDGET", 1)
             per_tile = run(n)
         assert per_tile[0] == tiles
         steps, reused, volume = run(n)
         assert steps < tiles
         assert (reused, volume) == per_tile[1:]
         assert run(n, ExecOptions(reuse=False))[:2] == (tiles, None)
+
+
+@pytest.mark.native
+@needs_gxx
+@pytest.mark.parametrize("abbrev", ["BG", "CP", "PB"])
+def test_one_native_call_per_chunk_when_warm(abbrev, monkeypatch):
+    """``serve_large``'s pipelines at 1, 2 and 4 threads: once a walk
+    is planned, a warm execution makes exactly one native call per chunk
+    of a native group (which has no per-step ``fn``) and plans no region
+    (``_region_from_plan``); the digests are the reference's."""
+    _, pipe, grouping = _dp_grouping(abbrev)
+    inputs = make_inputs(pipe, 1)
+    expected = output_digests(execute_reference(pipe, inputs))
+    options = ExecOptions(KernelTier.NATIVE)
+    kernels = grouping_kernels(pipe, grouping.groups, options)
+    assert all(k.fn is None for k in kernels if k.tabulate is not None)
+    for n in THREADS:
+        execute_grouping(pipe, grouping, inputs, nthreads=n, options=options)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a warm walk re-planned a region")
+
+    calls = []   # appended from worker threads; append is atomic
+    real_run = native_mod._StepTable.run
+
+    def run(self, *args):
+        calls.append(1)
+        return real_run(self, *args)
+
+    monkeypatch.setattr(native_mod._StepTable, "run", run)
+    monkeypatch.setattr(executor_mod, "_region_from_plan", forbidden)
+    for n in THREADS:
+        TRACE.reset(enabled=True)
+        try:
+            out = execute_grouping(
+                pipe, grouping, inputs, nthreads=n, options=options
+            )
+            groups = _group_spans(TRACE.to_dict()["root"])
+        finally:
+            TRACE.reset(enabled=False)
+        assert output_digests(out) == expected
+        chunks = [
+            chunk for span in groups
+            if span["attrs"]["mode"] == "tiled"
+            and span["attrs"]["native"] is True
+            for chunk in span["children"] if chunk["name"] == "chunk"
+        ]
+        assert chunks and len(calls) == len(chunks), (n, len(calls))
+        calls.clear()
+
+
+@pytest.mark.native
+def test_walk_plans_die_with_their_pipeline():
+    """The plan memo keeps nothing alive: once a pipeline and its
+    grouping are gone so are their walk plans, native step tables
+    included, and cold one-shot runs cannot accumulate them."""
+
+    def one_shot():
+        _, pipe, grouping = _dp_grouping("CP")
+        options = ExecOptions(KernelTier.NATIVE)
+        grouping_kernels(pipe, grouping.groups, options)
+        execute_grouping(
+            pipe, grouping, make_inputs(pipe, 1), nthreads=2,
+            options=options,
+        )
+        plans = [
+            plan
+            for members in grouping.groups
+            for plan in compute_group_geometry(
+                pipe, members
+            )._stage_plan_cache.values()
+            if isinstance(plan, executor_mod._WalkPlan)
+        ]
+        assert len(plans) == grouping.num_groups
+        return [weakref.ref(plan) for plan in plans]
+
+    refs = one_shot()
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 @pytest.mark.parametrize("rate", [1.0, 0.3])
