@@ -14,7 +14,7 @@ Commands
 ``estimate <bench>``
     Price all four paper configurations with the timing model.
 ``codegen <bench>``
-    Emit PolyMage-style C++ for a scheduled benchmark.
+    Print the C that serves a scheduled benchmark, as a program.
 ``serve``
     Boot the long-lived batching pipeline service with an HTTP API
     (see :mod:`repro.serve` and ``docs/serving.md``).
@@ -502,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="price the four paper configurations")
     common(p, with_strategy=False)
 
-    p = sub.add_parser("codegen", help="emit C++ for a schedule")
+    p = sub.add_parser("codegen", help="emit C for a schedule")
     common(p)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("-o", "--output")

@@ -1,4 +1,4 @@
-"""C++/OpenMP code generation (the PolyMage backend shape, Fig. 3)."""
+"""C code generation: the served translation unit as a program (Fig. 3)."""
 
 from .cexpr import CBuffer, ExprPrinter, ctype_of
 from .cgen import generate_cpp, generate_main

@@ -1,8 +1,9 @@
 """Typed expression and condition printing for generated C.
 
-One printer serves both C targets — the whole-program generator
-(:mod:`repro.codegen.cgen`) and the per-step native group kernels
-(:mod:`repro.runtime.native`) — and its contract is **bit equality with
+One printer serves the one C emitter — the native group and reduction
+entries (:mod:`repro.runtime.native`), which
+:mod:`repro.codegen.cgen` also prints as a program, together with that
+program's untiled loop nests — and its contract is **bit equality with
 the NumPy interpreter**, not tolerance.  Every sub-expression is given
 the dtype NumPy gives it, by asking NumPy: the same operation the
 generated NumPy source performs at run time is applied, at print time,
@@ -33,8 +34,9 @@ interpreter itself, like :mod:`repro.runtime.kernelcache` does.  The
 *exact* operator set is ``+ - * / // %``, comparisons, ``Select``,
 ``Case`` chains, ``min``/``max``/``abs``/``floor``/``sqrt``, casts and
 loads; ``exp``/``log``/``pow`` go through libm, whose results differ from
-NumPy's in the last place, so they print only with ``libm=True`` (the
-whole-program generator) and raise :class:`InexactOp` otherwise.  The
+NumPy's in the last place, so they print only with ``libm=True``
+(:func:`repro.codegen.generate_cpp`; serving never passes it) and raise
+:class:`InexactOp` otherwise.  The
 generated code must be compiled ``-fwrapv -fno-fast-math
 -ffp-contract=off`` on a target whose ``float`` arithmetic is evaluated
 in ``float`` (x86-64 SSE, AArch64).

@@ -1,56 +1,59 @@
-"""C++/OpenMP code generation for scheduled pipelines.
+"""C code generation: the program that serves a schedule.
 
-PolyMage is, at the end of the day, a C++ code generator: Fig. 3 of the
+PolyMage is, at the end of the day, a code generator: Fig. 3 of the
 paper shows the blur pipeline's generated loop nest — fused tile-space
-loops under ``#pragma omp parallel for``, per-tile scratch buffers for
-intermediates, and the stages' intra-tile loops run back-to-back inside
-each trapezoid tile.  This module emits exactly that shape for any
-:class:`~repro.fusion.grouping.Grouping`:
+loops, per-tile scratch buffers for intermediates, and the stages'
+intra-tile loops run back-to-back inside each trapezoid tile.
+:func:`generate_cpp` prints that program for any
+:class:`~repro.fusion.grouping.Grouping`, and it is the code the repo
+executes, not a second rendering of it:
 
-* one ``extern "C" void pipeline_run(...)`` taking the input images and
-  the pipeline outputs as flat row-major arrays,
-* per fused group, tile loops over the group's scaled grid with the
-  first two dimensions collapsed, per-stage region bounds computed with
-  the same floor/ceil arithmetic the NumPy executor uses, scratch
-  buffers folded into slots by the storage optimizer
-  (:mod:`repro.runtime.storage`), and live-outs copied from scratch to
-  their full buffers tile by tile,
-* reductions and geometry-less groups as untiled loop nests.
+* the native translation unit (:mod:`repro.runtime.native`):
+  ``RUNTIME_HELPERS``, ``repro_run_steps``, one step entry per tiled
+  group and one entry per reduction, printed by the functions that hand
+  the artifact store its units — byte for byte, except that
+  ``exp``/``log``/``pow`` print through libm here (serving keeps a group
+  that uses them on its NumPy kernel),
+* one ``void pipeline_run(...)`` taking the input images and the
+  pipeline outputs as flat row-major arrays: per tiled group one baked
+  step table — the single chunk the executor walks at one thread with
+  halo reuse, what ``repro run`` and ``repro serve`` execute at their
+  default ``--threads 1`` — run by one ``repro_run_steps`` call over a
+  private copy with the buffer pointers filled in; per reduction one
+  descriptor and one call; any other untiled stage as a full-domain
+  loop nest.
 
-Values are printed by the typed printer (:mod:`repro.codegen.cexpr`,
-the one the native group kernels use): every operation in the dtype NumPy
-computes it in, so — compiled ``-fwrapv -fno-fast-math
--ffp-contract=off`` — the output is *bit-identical* to the interpreter's
-wherever the pipeline stays inside the printer's exact operator set;
-``exp``/``log``/``pow`` go through libm and agree to the last place or
-two.  Reductions accumulate like ``np.add.at`` does: in the promoted type
-of accumulator and value, chunk by chunk of the outermost reduction
-dimension, rule by rule, point by point.
+Values are printed by the typed printer (:mod:`repro.codegen.cexpr`):
+every operation in the dtype NumPy computes it in, so — compiled
+``-fwrapv -fno-fast-math -ffp-contract=off`` — the output is
+*bit-identical* to the interpreter's wherever the pipeline stays inside
+the printer's exact operator set; ``exp``/``log``/``pow`` go through libm
+and agree to the last place or two.  Reductions accumulate like
+``np.add.at`` does: in the promoted type of accumulator and value, chunk
+by chunk of the outermost reduction dimension, rule by rule, point by
+point.
 
-The generated code is self-contained (no dependency on this package) and
-is validated in the test suite by compiling it with g++ and comparing its
-output against the interpreter.
+The output is plain C, self-contained (no dependency on this package),
+compiled like the store's units (``-x c -O3``, the flags above) and
+validated in the test suite against the interpreter.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..dsl.function import Function, Op, Reduction
-from ..dsl.image import Image
 from ..dsl.pipeline import Pipeline
 from ..fusion.grouping import Grouping
-from ..poly.alignscale import GroupGeometry, compute_group_geometry
-from ..runtime.storage import plan_storage
 from .cexpr import (
     C_TYPES,
     CBuffer,
     CVal,
     ExprPrinter,
     RUNTIME_HELPERS,
+    STEP_LOOP,
     literal,
     ctype_of,
 )
@@ -76,65 +79,6 @@ class _Emitter:
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
-
-
-def _ceildiv(a: str, b: int) -> str:
-    return f"r_floordiv_i64(({a}) + {b - 1}, {b})"
-
-
-def _stage_bound_exprs(
-    geom: GroupGeometry,
-    stage: Function,
-    pipeline: Pipeline,
-    tile_vars: Sequence[str],
-    tile_sizes: Sequence[int],
-    radii,
-    expand: bool,
-) -> List[Tuple[str, str]]:
-    """C expressions for the stage's per-dimension (lo, hi) in one tile —
-    mirrors ``repro.runtime.executor._stage_region``."""
-    dom = pipeline.domain(stage)
-    out = []
-    for j, g in enumerate(geom.align[stage]):
-        left, right = radii[stage][g] if expand else (0, 0)
-        rlo = f"({tile_vars[g]} - {left})"
-        rhi_plus1 = f"({tile_vars[g]} + {tile_sizes[g] + right})"
-        s = geom.scale[stage][j]
-        num, den = s.numerator, s.denominator
-        # points p with p*s in [rlo, rhi+1): lo = ceil(rlo/s) (floor when
-        # expanding), hi = ceil((rhi+1)/s) - 1
-        lo_ceil = _ceildiv(f"({rlo}) * {den}", num)
-        if expand:
-            lo = f"r_floordiv_i64(({rlo}) * {den}, {num})"
-        else:
-            lo = lo_ceil
-        hi = f"{_ceildiv(f'({rhi_plus1}) * {den}', num)} - 1"
-        out.append(
-            (
-                f"r_max_i64({lo}, {dom[j][0]})",
-                f"r_min_i64({hi}, {dom[j][1]})",
-            )
-        )
-    return out
-
-
-def _max_scratch_extents(
-    geom: GroupGeometry,
-    stage: Function,
-    pipeline: Pipeline,
-    tile_sizes: Sequence[int],
-    radii,
-) -> List[int]:
-    """Safe upper bound on a stage's per-tile region extents."""
-    dom_ext = pipeline.domain_extents(stage)
-    out = []
-    for j, g in enumerate(geom.align[stage]):
-        left, right = radii[stage][g]
-        s = geom.scale[stage][j]
-        span = tile_sizes[g] + left + right + 1
-        ext = int(math.ceil(span * s.denominator / s.numerator)) + 2
-        out.append(min(dom_ext[j], ext))
-    return out
 
 
 def _emit_stage_body(
@@ -171,11 +115,10 @@ def _emit_reduction(
     update computed like ``ufunc.at`` does, in the promoted type of
     accumulator and value, then stored in the accumulator's.
 
-    The one printer of reductions: the whole-program generator hands it
-    buffers whose origins and extents are constants, the native emitter
-    (:mod:`repro.runtime.native`) ones bound from its descriptor.
-    ``out_buf`` covers the stage's whole domain; a target outside it is
-    skipped."""
+    The one printer of reductions: the native emitter
+    (:mod:`repro.runtime.native`) hands it buffers bound from its
+    descriptor.  ``out_buf`` covers the stage's whole domain; a target
+    outside it is skipped."""
     from ..runtime.executor import _REDUCTION_CHUNK
 
     dtype = stage.scalar_type.np_dtype
@@ -240,257 +183,179 @@ def _emit_reduction(
     em.close()
 
 
+def _domain_buffer(
+    pipeline: Pipeline, stage: Function, name: str
+) -> CBuffer:
+    """``stage``'s full-domain buffer, held in C variable ``name``."""
+    dom = pipeline.domain(stage)
+    return CBuffer(
+        name, [lo for lo, _ in dom], [hi - lo + 1 for lo, hi in dom]
+    )
+
+
+def _slot(buf: CBuffer) -> List[str]:
+    """A descriptor's buffer slot for ``buf``: pointer, origin…, shape…"""
+    return [f"(int64_t)(uintptr_t){buf.name}", *buf.origin, *buf.extents]
+
+
 def generate_cpp(
     pipeline: Pipeline,
     grouping: Grouping,
-    fold_storage: bool = True,
     function_name: str = "pipeline_run",
 ) -> str:
-    """Generate a self-contained C++ translation unit for ``grouping``.
+    """The C translation unit that serves ``grouping``, as a program.
 
-    The emitted entry point is::
+    The entry point is::
 
-        extern "C" void <function_name>(const T0* <image0>, ...,
-                                        T* out_<liveout0>, ...);
+        void <function_name>(const T0 *restrict <image0>, ...,
+                             T *restrict out_<liveout0>, ...);
 
     taking every input image and every pipeline output as flat row-major
     arrays at the sizes baked in from the pipeline's parameter binding.
-    With ``fold_storage`` the per-tile scratch buffers of each group are
-    folded into slots by liveness (only applied when the group's stages
-    share one element type).
+    Everything it runs is in the module docstring; nothing is compiled
+    and the artifact store is not touched.
     """
+    from ..runtime import executor, native
+
     if grouping.pipeline is not pipeline:
         raise ValueError("grouping was built for a different pipeline")
 
-    em = _Emitter()
-    em.line("// Generated by repro.codegen — PolyMage-style fused,")
-    em.line(f"// overlap-tiled C++ for pipeline '{pipeline.name}'.")
-    em.line("// Compile with -fwrapv -fno-fast-math -ffp-contract=off.")
-    em.line("#include <vector>")
-    em.line("#ifdef _OPENMP")
-    em.line("#include <omp.h>")
-    em.line("#endif")
-    em.line("")
-    for helper in RUNTIME_HELPERS.splitlines():
-        em.line(helper)
-    em.line("")
-
-    # --- global buffers: images + pipeline outputs are parameters;
-    # cross-group intermediates are locals.
+    # images and pipeline outputs are parameters; every other buffer a
+    # group hands on is allocated at its first use
     buffers: Dict[str, CBuffer] = {}
     params: List[str] = []
     for img in pipeline.images:
         shape = pipeline.image_shape(img)
         buffers[img.name] = CBuffer(img.name, [0] * len(shape), list(shape))
-        params.append(f"const {ctype_of(img.scalar_type)}* {img.name}")
-    out_names = []
-    for out in pipeline.outputs:
-        dom = pipeline.domain(out)
-        name = f"out_{out.name}"
-        buffers[out.name] = CBuffer(
-            name, [lo for lo, _ in dom], [hi - lo + 1 for lo, hi in dom]
+        params.append(
+            f"const {ctype_of(img.scalar_type)} *restrict {img.name}"
         )
-        params.append(f"{ctype_of(out.scalar_type)}* {name}")
-        out_names.append(out.name)
+    for out in pipeline.outputs:
+        name = f"out_{out.name}"
+        buffers[out.name] = _domain_buffer(pipeline, out, name)
+        params.append(f"{ctype_of(out.scalar_type)} *restrict {name}")
 
-    em.line(f'extern "C" void {function_name}({", ".join(params)})')
-    em.open("{")
+    em = _Emitter()
+    em.depth = 1
+    temps: List[str] = []
 
-    # Local full buffers for group live-outs that are not pipeline outputs.
-    for members in grouping.groups:
-        geom = compute_group_geometry(pipeline, members)
-        liveouts = geom.liveouts if geom is not None else [
-            s for s in members
-            if pipeline.is_output(s)
-            or any(c not in members for c in pipeline.consumers(s))
-        ]
-        for s in members:
-            needs_full = s in liveouts or geom is None or (
-                len(members) == 1 and isinstance(s, Reduction)
-            )
-            if not needs_full or s.name in buffers:
-                continue
-            dom = pipeline.domain(s)
-            size = pipeline.domain_size(s)
-            ctype = ctype_of(s.scalar_type)
+    def full(stage: Function) -> CBuffer:
+        """``stage``'s full buffer, allocated at its first use."""
+        if stage.name not in buffers:
+            name = f"__full_{stage.name}"
+            ct = ctype_of(stage.scalar_type)
             em.line(
-                f"std::vector<{ctype}> __full_{s.name}({size});"
+                f"{ct} *{name} = calloc({pipeline.domain_size(stage)}, "
+                f"sizeof({ct}));"
             )
-            buffers[s.name] = CBuffer(
-                f"__full_{s.name}.data()",
-                [lo for lo, _ in dom],
-                [hi - lo + 1 for lo, hi in dom],
-            )
-    em.line("")
+            temps.append(name)
+            buffers[stage.name] = _domain_buffer(pipeline, stage, name)
+        return buffers[stage.name]
 
-    printer_global = ExprPrinter(buffers, pipeline.env, libm=True)
+    entries: List[str] = []
+    tables: List[str] = []
+    count = {"step": 0, "reduce": 0}
 
+    def entry(kind: str, emit, unit):
+        symbol = f"repro_{kind}_{count[kind]}"
+        count[kind] += 1
+        source, make = emit(pipeline, unit, symbol, libm=True)
+        entries.append(source)
+        return symbol, make
+
+    printer = ExprPrinter(buffers, pipeline.env, libm=True)
     for gi, (members, tiles) in enumerate(
         zip(grouping.groups, grouping.tile_sizes)
     ):
         names = "+".join(sorted(s.name for s in members))
-        geom = compute_group_geometry(pipeline, members)
-        singleton_reduction = len(members) == 1 and isinstance(
-            next(iter(members)), Reduction
-        )
-        em.line(f"// ---- group {gi}: {names}")
-        if geom is None or singleton_reduction:
-            _emit_untiled_group(em, pipeline, members, buffers, printer_global)
+        geom = executor._tiled_geometry(pipeline, members)
+        if geom is None:
+            em.line(f"// group {gi}: {names} (untiled)")
+            for s in pipeline.stages:
+                if s not in members:
+                    continue
+                out = full(s)
+                if isinstance(s, Reduction):
+                    symbol, _ = entry("reduce", native._native_reduction, s)
+                    words = [
+                        w for name in native._reduction_producers(pipeline, s)
+                        for w in _slot(buffers[name])
+                    ]
+                    em.line(
+                        f"{{ const int64_t __d[] = "
+                        f"{{{', '.join(words + _slot(out))}}}; "
+                        f"{symbol}(__d); }}"
+                    )
+                else:
+                    _emit_stage_body(
+                        em, printer, s,
+                        [(str(lo), str(hi)) for lo, hi in pipeline.domain(s)],
+                        out,
+                    )
             continue
-        _emit_tiled_group(
-            em, pipeline, geom, tiles, buffers, fold_storage
+        symbol, make = entry("step", native._native_group, geom)
+        plan = executor._WalkPlan(
+            pipeline, geom, tiles, make(None, None), True, 1
         )
-        em.line("")
-
-    em.close("}")
-    return em.text()
-
-
-def _emit_untiled_group(em, pipeline, members, buffers, printer) -> None:
-    """Geometry-less groups and lone reductions: full-domain loop nests in
-    topological order (intermediates get local full buffers)."""
-    member_list = [s for s in pipeline.stages if s in members]
-    for s in member_list:
-        if s.name not in buffers:
-            dom = pipeline.domain(s)
-            ctype = ctype_of(s.scalar_type)
-            em.line(
-                f"std::vector<{ctype}> __full_{s.name}({pipeline.domain_size(s)});"
+        (chunk,) = plan.chunks
+        table = chunk.table
+        if table.missing is not None:
+            # what running the table raises too
+            raise KeyError(table.missing)
+        nrows, words = table.rows.shape
+        em.line(
+            f"// group {gi}: {names}, {chunk.ntiles} tiles in {nrows} "
+            f"steps of {symbol}"
+        )
+        for s in geom.liveouts:
+            full(s)
+        baked = f"repro_table_{count['step'] - 1}"
+        values = [str(v) for v in table.rows.reshape(-1).tolist()]
+        tables.append(
+            f"static const int64_t {baked}[{len(values)}] = {{\n"
+            + "".join(
+                f"    {', '.join(values[i:i + 16])},\n"
+                for i in range(0, len(values), 16)
             )
-            buffers[s.name] = CBuffer(
-                f"__full_{s.name}.data()",
-                [lo for lo, _ in dom],
-                [hi - lo + 1 for lo, hi in dom],
-            )
-    for s in member_list:
-        if isinstance(s, Reduction):
-            _emit_reduction(em, printer, pipeline, s, buffers[s.name])
-            continue
-        dom = pipeline.domain(s)
-        em.line(f"// stage {s.name} (untiled)")
+            + "};\n"
+        )
         em.open("{")
-        if dom[0][1] - dom[0][0] > 0:
-            em.line("#ifdef _OPENMP")
-            em.line("#pragma omp parallel for schedule(static)")
-            em.line("#endif")
-        bounds = [(str(lo), str(hi)) for lo, hi in dom]
-        _emit_stage_body(em, printer, s, bounds, buffers[s.name])
+        em.line(f"int64_t *__tab = malloc(sizeof {baked});")
+        em.line(f"unsigned char *__arena = malloc({table.arena});")
+        em.line(f"memcpy(__tab, {baked}, sizeof {baked});")
+        em.open(f"for (int64_t __r = 0; __r < {nrows}; ++__r) {{")
+        em.line(f"int64_t *__d = __tab + __r * {words};")
+        ext = [w for name, _ in table.ext for w in _slot(buffers[name])]
+        for col, word in zip(table.ext_cols.tolist(), ext):
+            em.line(f"__d[{col}] = {word};")
+        # every row's pointer words, as offsets into what they point into;
+        # a slot a row leaves unused is never read
+        into = ["__arena"] + [buffers[name].name for name in table.outs]
+        for col, src in sorted(set(zip(
+            (table.flat % words).tolist(), table.src.tolist()
+        ))):
+            em.line(f"__d[{col}] += (int64_t)(uintptr_t){into[src]};")
         em.close()
-    em.line("")
+        em.line(f"repro_run_steps({symbol}, __tab, {nrows}, {words});")
+        em.line("free(__arena);")
+        em.line("free(__tab);")
+        em.close()
+    for name in temps:
+        em.line(f"free({name});")
 
-
-def _emit_tiled_group(
-    em, pipeline, geom: GroupGeometry, tiles, buffers, fold_storage
-) -> None:
-    radii = geom.expansion_radii()
-    tile_vars = [f"__t{g}" for g in range(geom.ndim)]
-
-    # Storage plan: fold scratch into slots when element types agree.
-    dtypes = {s.scalar_type.name for s in geom.stages}
-    plan = None
-    if fold_storage and len(dtypes) == 1:
-        plan = plan_storage(pipeline, geom, tiles)
-
-    max_ext = {
-        s: _max_scratch_extents(geom, s, pipeline, tiles, radii)
-        for s in geom.stages
-    }
-
-    collapse = min(2, geom.ndim)
-    em.line("#ifdef _OPENMP")
-    em.line(
-        f"#pragma omp parallel for schedule(static) collapse({collapse})"
+    return (
+        f"// Generated by repro.codegen for pipeline '{pipeline.name}': "
+        f"the native\n"
+        f"// translation unit that serves this grouping, and a "
+        f"{function_name} that\n"
+        f"// runs each tiled group's baked step table in one call.\n"
+        f"// Compile as C: -O3 -fwrapv -fno-fast-math -ffp-contract=off.\n"
+        f"#include <stdlib.h>\n"
+        + RUNTIME_HELPERS + STEP_LOOP + "".join(entries) + "\n"
+        + "".join(tables) + "\n"
+        + f"void {function_name}({', '.join(params)})\n{{\n"
+        + em.text() + "}\n"
     )
-    em.line("#endif")
-    for g in range(geom.ndim):
-        lo, hi = geom.grid_bounds[g]
-        em.open(
-            f"for (int64_t {tile_vars[g]} = {lo}; {tile_vars[g]} <= {hi}; "
-            f"{tile_vars[g]} += {tiles[g]}) {{"
-        )
-
-    # Scratch declarations.
-    if plan is not None:
-        elem = ctype_of(next(iter(geom.stages)).scalar_type)
-        slot_elems = [0] * plan.num_slots
-        for s in geom.stages:
-            size = 1
-            for e in max_ext[s]:
-                size *= e
-            slot = plan.slot_of[s]
-            slot_elems[slot] = max(slot_elems[slot], size)
-        for i, size in enumerate(slot_elems):
-            em.line(f"std::vector<{elem}> __slot{i}({size});")
-        scratch_name = {
-            s: f"__slot{plan.slot_of[s]}.data()" for s in geom.stages
-        }
-    else:
-        for s in geom.stages:
-            size = 1
-            for e in max_ext[s]:
-                size *= e
-            em.line(
-                f"std::vector<{ctype_of(s.scalar_type)}> __buf_{s.name}({size});"
-            )
-        scratch_name = {s: f"__buf_{s.name}.data()" for s in geom.stages}
-
-    # Per-stage regions, bodies, live-out copies.
-    local_buffers = dict(buffers)
-    for s in geom.stages:
-        exprs = _stage_bound_exprs(
-            geom, s, pipeline, tile_vars, tiles, radii, expand=True
-        )
-        lo_names, hi_names = [], []
-        for j, (lo, hi) in enumerate(exprs):
-            em.line(f"int64_t {s.name}_lo{j} = {lo};")
-            em.line(f"int64_t {s.name}_hi{j} = {hi};")
-            lo_names.append(f"{s.name}_lo{j}")
-            hi_names.append(f"{s.name}_hi{j}")
-        empty = " || ".join(
-            f"{l} > {h}" for l, h in zip(lo_names, hi_names)
-        )
-        local_buffers[s.name] = CBuffer(
-            scratch_name[s],
-            lo_names,
-            [f"{h} - {l} + 1" for l, h in zip(lo_names, hi_names)],
-        )
-        printer = ExprPrinter(local_buffers, pipeline.env, libm=True)
-        em.open(f"if (!({empty})) {{")
-        em.line(f"// stage {s.name}")
-        _emit_stage_body(
-            em, printer, s, list(zip(lo_names, hi_names)),
-            local_buffers[s.name],
-        )
-        em.close()
-
-        if s in geom.liveouts:
-            base = _stage_bound_exprs(
-                geom, s, pipeline, tile_vars, tiles, radii, expand=False
-            )
-            blo, bhi = [], []
-            for j, (lo, hi) in enumerate(base):
-                em.line(f"int64_t {s.name}_blo{j} = {lo};")
-                em.line(f"int64_t {s.name}_bhi{j} = {hi};")
-                blo.append(f"{s.name}_blo{j}")
-                bhi.append(f"{s.name}_bhi{j}")
-            em.line(f"// copy {s.name} base region to its full buffer")
-            copy_vars = [f"__c{j}" for j in range(s.ndim)]
-            for j, v in enumerate(copy_vars):
-                em.open(
-                    f"for (int64_t {v} = {blo[j]}; {v} <= {bhi[j]}; "
-                    f"++{v}) {{"
-                )
-            dst = buffers[s.name]
-            src = local_buffers[s.name]
-            em.line(
-                f"{dst.name}[{dst.index_expr(copy_vars)}] = "
-                f"{src.name}[{src.index_expr(copy_vars)}];"
-            )
-            for _ in copy_vars:
-                em.close()
-
-    for _ in range(geom.ndim):
-        em.close()
 
 
 def generate_main(
@@ -505,15 +370,15 @@ def generate_main(
     (:func:`repro.planner.executor_oracle`).
     """
     em = _Emitter()
-    em.line("#include <cstdio>")
-    em.line("#include <cstdlib>")
+    em.line("#include <stdio.h>")
+    em.line("#include <stdlib.h>")
     em.line("")
     sig_parts = []
     for img in pipeline.images:
         sig_parts.append(f"const {ctype_of(img.scalar_type)}*")
     for out in pipeline.outputs:
         sig_parts.append(f"{ctype_of(out.scalar_type)}*")
-    em.line(f'extern "C" void {function_name}({", ".join(sig_parts)});')
+    em.line(f"void {function_name}({', '.join(sig_parts)});")
     em.line("")
     em.open("int main(int argc, char** argv) {")
     n_in = len(pipeline.images)

@@ -8,11 +8,13 @@ member over its region, live-outs published — from the *same*
 is built from (same region slots, same inlined members, same direct
 stores), so the executor's carry, seeding and step machinery cannot tell
 which kernel it drives.  A reduction stage — it runs untiled, whole — gets
-one entry too: the serial loop nest the whole-program generator prints
-(:func:`repro.codegen.cgen._emit_reduction`, ``ufunc.at``'s order and
+one entry too: the serial loop nest of
+:func:`repro.codegen.cgen._emit_reduction` (``ufunc.at``'s order and
 types), over buffers bound from a descriptor.  All of a grouping's
 entries go into one translation unit, compiled once per machine and
-found again by content (:mod:`repro.runtime.nativestore`).
+found again by content (:mod:`repro.runtime.nativestore`).  This is the
+one C emitter: :func:`repro.codegen.generate_cpp` prints the same
+entries, with a ``pipeline_run`` over baked step tables around them.
 
 **The invariant is digest equality with** ``execute_reference``.  Values
 are printed by the typed printer (:mod:`repro.codegen.cexpr`): every
@@ -205,10 +207,13 @@ class _StepPrinter(ExprPrinter):
     dimension whose index is affine in one loop variable (or a literal):
     the dimensions the hoisted in-bounds test covers."""
 
-    def __init__(self, pipeline: Pipeline, stage: Function, slots):
+    def __init__(
+        self, pipeline: Pipeline, stage: Function, slots, libm: bool
+    ):
         super().__init__(
             {}, pipeline.env,
             var_names={v.name: f"v{d}" for d, v in enumerate(stage.variables)},
+            libm=libm,
         )
         self.var_dims = {v.name: d for d, v in enumerate(stage.variables)}
         self.slots = slots
@@ -265,7 +270,8 @@ def _declare(L, p: str, at: int, nd: int, dt, const=True) -> CBuffer:
 
 
 def _emit_group(
-    pipeline: Pipeline, plan: GroupPlan, layout: _Layout, symbol: str
+    pipeline: Pipeline, plan: GroupPlan, layout: _Layout, symbol: str,
+    libm: bool,
 ) -> str:
     """The C function executing one step of the group, preceded by its
     stages' border nests as functions of their own."""
@@ -284,7 +290,7 @@ def _emit_group(
 
     for i, (m, stage) in enumerate(zip(layout.mats, plan.mats)):
         nd = m.ndim
-        printer = _StepPrinter(pipeline, stage, slot_of)
+        printer = _StepPrinter(pipeline, stage, slot_of, libm)
         body = printer.body(plan.effective[m.name], m.dtype)
         binds: List[str] = []
         bounds(binds, m.region, nd)
@@ -470,7 +476,9 @@ def _make_tabulate(cfunc, loop, layout: _Layout, domains) -> Callable:
     """The ``GroupKernel.tabulate`` of a native group: planned steps
     (:class:`repro.runtime.executor._Step`) to a :class:`_StepTable` run
     by ``loop`` over ``cfunc``.  ``domains`` holds each live-out's full
-    buffer ``(origin, shape)``."""
+    buffer ``(origin, shape)``.  Packing touches no library: with
+    ``cfunc`` and ``loop`` ``None`` the tables are for printing
+    (:func:`repro.codegen.generate_cpp`), not for running."""
     mats = layout.mats
     copied = [m for m in mats if m.copy_out is not None]
     outs = [m.name for m in mats if m.direct or m.copy_out is not None]
@@ -607,8 +615,10 @@ class NativeBuild:
             pass
 
 
-def _native_group(pipeline: Pipeline, geom, symbol: str):
-    """Source of ``geom``'s step entry and what makes a kernel of it."""
+def _native_group(pipeline: Pipeline, geom, symbol: str, libm: bool):
+    """Source of ``geom``'s step entry and what makes a kernel of it.
+    ``libm`` admits ``exp``/``log``/``pow`` (:class:`ExprPrinter`): the
+    printed program takes them, serving does not."""
     # a singleton mirrors the stage-walking adapter it replaces: one
     # region slot, published through a base-region copy
     plan = _GroupLowerer(pipeline, geom).plan(
@@ -635,27 +645,39 @@ def _native_group(pipeline: Pipeline, geom, symbol: str):
             tabulate=_make_tabulate(cfunc, loop, layout, domains),
         )
 
-    return _emit_group(pipeline, plan, layout, symbol), make
+    return _emit_group(pipeline, plan, layout, symbol, libm), make
 
 
-def _native_reduction(pipeline: Pipeline, stage: Reduction, symbol: str):
+def _reduction_producers(
+    pipeline: Pipeline, stage: Reduction
+) -> Dict[str, Access]:
+    """The producers a reduction entry's descriptor holds a buffer slot
+    for, in slot order (before its accumulator's): each one's first
+    access, by name."""
+    first: Dict[str, Access] = {}
+    for access in pipeline.accesses(stage):
+        first.setdefault(access.producer.name, access)
+    return first
+
+
+def _native_reduction(
+    pipeline: Pipeline, stage: Reduction, symbol: str, libm: bool
+):
     """Source of the entry running all of reduction ``stage`` — its
     producers' buffer slots and then its accumulator's bound from the
     descriptor, around the loop nest
     :func:`~repro.codegen.cgen._emit_reduction` prints — and what makes
-    a kernel of it."""
+    a kernel of it.  ``libm`` as for :func:`_native_group`."""
     lines = [f"void {symbol}(const int64_t *restrict D) {{"]
     bufs: Dict[str, CBuffer] = {}
     ext: List[Tuple[str, np.dtype]] = []
     at = 0
-    for access in pipeline.accesses(stage):
-        prod = access.producer
-        if prod.name not in bufs:
-            nd = len(access.indices)
-            dt = prod.scalar_type.np_dtype
-            bufs[prod.name] = _declare(lines, f"e{len(ext)}", at, nd, dt)
-            ext.append((prod.name, dt))
-            at += 1 + 2 * nd
+    for name, access in _reduction_producers(pipeline, stage).items():
+        nd = len(access.indices)
+        dt = access.producer.scalar_type.np_dtype
+        bufs[name] = _declare(lines, f"e{len(ext)}", at, nd, dt)
+        ext.append((name, dt))
+        at += 1 + 2 * nd
     dtype = stage.scalar_type.np_dtype
     out = _declare(lines, "out", at, stage.ndim, dtype, const=False)
     em = _Emitter()
@@ -664,7 +686,7 @@ def _native_reduction(pipeline: Pipeline, stage: Reduction, symbol: str):
         em,
         ExprPrinter(bufs, pipeline.env, var_names={
             v.name: f"r{d}" for d, v in enumerate(stage.reduction_variables)
-        }),
+        }, libm=libm),
         pipeline, stage, out,
     )
     pack = struct.Struct(f"{at + 1 + 2 * stage.ndim}q").pack
@@ -710,7 +732,7 @@ def build_group_kernels(
         )
         symbol = f"repro_{kind}_{entries[kind]}"
         try:
-            source, make = emit(pipeline, unit, symbol)
+            source, make = emit(pipeline, unit, symbol, libm=False)
         except (InexactOp, KernelFuseError):
             if observing:
                 METRICS.inc("repro_kernel_native_total", result="ineligible")

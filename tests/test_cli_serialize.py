@@ -138,12 +138,12 @@ class TestCli:
         assert rc == 0
 
     def test_codegen_to_file(self, capsys, tmp_path):
-        path = str(tmp_path / "um.cpp")
+        path = str(tmp_path / "um.c")
         rc = main(["codegen", "UM", "--scale", "0.05", "-o", path,
                    "--with-main"])
         assert rc == 0
         text = open(path).read()
-        assert 'extern "C" void pipeline_run' in text
+        assert "\nvoid pipeline_run(" in text
         assert "int main" in text
 
     def test_unknown_benchmark_rejected(self):

@@ -1,10 +1,14 @@
-"""Code generator tests: structural checks on the emitted C++ plus
-compile-and-compare validation against the NumPy interpreter — bit for
-bit, floats included, wherever the pipeline stays inside the typed
-printer's exact operator set (skipped when no g++ is available)."""
+"""Code generator tests: structural checks on the emitted C, proof that
+it is the translation unit that serves, plus compile-and-compare
+validation against the NumPy interpreter — bit for bit, floats included,
+wherever the pipeline stays inside the typed printer's exact operator set
+(skipped when no g++ is available)."""
 
 import os
+import re
 import subprocess
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,21 +19,40 @@ from repro.dsl import Condition, Const, Float, Image, Int, Min, Variable
 from repro.fusion import manual_grouping, schedule_pipeline
 from repro.model import XEON_HASWELL
 from repro.pipelines import BENCHMARKS
-from repro.runtime import execute_reference
+from repro.runtime import ExecOptions, KernelTier, execute_reference
+from repro.runtime import nativestore
+from repro.runtime.executor import (
+    _tiled_geometry,
+    _walk_plan,
+    grouping_kernels,
+    resolve_group_kernel,
+)
 
 from conftest import needs_gxx, random_inputs
 
+#: how the artifact store compiles a unit, less ``-fPIC -shared``
+C_FLAGS = ["-x", "c", "-O3", "-fwrapv", "-fno-fast-math", "-ffp-contract=off"]
+
+
+@lru_cache(maxsize=None)
+def dp_case(abbrev):
+    """A benchmark at ``small_kwargs`` and its DP grouping, scheduled once
+    per session (PB's DP takes seconds)."""
+    b = BENCHMARKS[abbrev]
+    p = b.build(**b.small_kwargs)
+    return p, schedule_pipeline(p, XEON_HASWELL, strategy="dp",
+                                max_states=500000)
+
 
 def compile_and_run(pipeline, grouping, inputs, tmpdir):
-    cpp = generate_cpp(pipeline, grouping) + generate_main(pipeline)
-    src = os.path.join(tmpdir, "pipe.cpp")
+    code = generate_cpp(pipeline, grouping) + generate_main(pipeline)
+    src = os.path.join(tmpdir, "pipe.c")
     with open(src, "w") as fh:
-        fh.write(cpp)
+        fh.write(code)
     exe = os.path.join(tmpdir, "pipe")
     subprocess.run(
-        ["g++", "-O2", "-fopenmp", "-fwrapv", "-fno-fast-math",
-         "-ffp-contract=off", "-o", exe, src],
-        check=True, capture_output=True,
+        ["g++", *C_FLAGS, "-o", exe, src, "-lm"], check=True,
+        capture_output=True,
     )
     in_paths, out_paths = [], []
     for img in pipeline.images:
@@ -79,25 +102,29 @@ class TestExprPrinter:
 
 class TestStructure:
     def test_blur_code_shape_matches_fig3(self, blur_pipeline):
-        """The generated blur must have the Fig. 3 structure: parallel
-        collapsed tile loops, a scratch buffer, both stages inside."""
+        """The generated blur has the Fig. 3 structure in the form that
+        serves: one step entry running both stages over a step's regions,
+        the group's tile walk baked into one step table, and
+        ``pipeline_run`` walking it in one call — plain C."""
         g = manual_grouping(blur_pipeline, [["blurx", "blury"]], [[3, 64, 64]])
-        cpp = generate_cpp(blur_pipeline, g)
-        assert "#pragma omp parallel for schedule(static) collapse(2)" in cpp
-        assert "// stage blurx" in cpp and "// stage blury" in cpp
-        assert "__slot0" in cpp or "__buf_blurx" in cpp
-        assert 'extern "C" void pipeline_run' in cpp
-        assert "#pragma GCC ivdep" in cpp
+        code = generate_cpp(blur_pipeline, g)
+        assert "/* blurx */" in code and "/* blury */" in code
+        assert "static const int64_t repro_table_0[" in code
+        assert code.count("repro_run_steps(repro_step_0, __tab, ") == 1
+        assert ("void pipeline_run(const float *restrict img, "
+                "float *restrict out_blury)") in code
+        for cxx in ("#pragma omp", "std::vector", 'extern "C"'):
+            assert cxx not in code
 
     def test_unfused_has_two_tile_nests(self, blur_pipeline):
         g = manual_grouping(
             blur_pipeline, [["blurx"], ["blury"]],
             [[3, 32, 32], [3, 32, 32]],
         )
-        cpp = generate_cpp(blur_pipeline, g)
-        assert cpp.count("collapse(2)") == 2
+        code = generate_cpp(blur_pipeline, g)
+        assert code.count("repro_run_steps(repro_step_") == 2
         # blurx is a cross-group intermediate: full local buffer
-        assert "__full_blurx" in cpp
+        assert "__full_blurx" in code
 
     def test_reduction_emitted_serially(self, histogram_pipeline):
         g = manual_grouping(histogram_pipeline, [["hist"], ["norm"]],
@@ -105,18 +132,6 @@ class TestStructure:
         cpp = generate_cpp(histogram_pipeline, g)
         assert "// reduction hist" in cpp
         assert "+=" in cpp
-
-    def test_storage_folding_reduces_buffers(self):
-        # a 4-stage chain: with folding, dead buffers share slots.
-        p = BENCHMARKS["UM"].build(**BENCHMARKS["UM"].small_kwargs)
-        g = manual_grouping(
-            p, [["blurx", "blury", "sharpen", "masked"]], [[3, 16, 128]]
-        )
-        folded = generate_cpp(p, g, fold_storage=True)
-        unfolded = generate_cpp(p, g, fold_storage=False)
-        assert folded.count("std::vector<float> __slot") < unfolded.count(
-            "std::vector<float> __buf_"
-        )
 
     def test_mismatched_grouping_rejected(self, blur_pipeline, updown_pipeline):
         g = manual_grouping(blur_pipeline, [["blurx", "blury"]], [[3, 8, 8]])
@@ -153,14 +168,11 @@ class TestCompileAndCompare:
         out = compile_and_run(histogram_pipeline, g, inputs, str(tmp_path))
         assert np.array_equal(ref["norm"], out["norm"])
 
-    @pytest.mark.parametrize("abbrev", ["UM", "HC", "BG", "CP"])
+    @pytest.mark.parametrize("abbrev", ["UM", "HC", "BG", "CP", "PB", "MI"])
     def test_benchmarks_dp_schedule(self, abbrev, rng, tmp_path):
-        b = BENCHMARKS[abbrev]
-        p = b.build(**b.small_kwargs)
+        p, g = dp_case(abbrev)
         inputs = random_inputs(p, rng)
         ref = execute_reference(p, inputs)
-        g = schedule_pipeline(p, XEON_HASWELL, strategy="dp",
-                              max_states=500000)
         out = compile_and_run(p, g, inputs, str(tmp_path))
         for k in ref:
             if abbrev == "CP":
@@ -192,3 +204,66 @@ class TestCompileAndCompare:
         out = compile_and_run(p, g, inputs, str(tmp_path))
         for k in ref:
             assert np.array_equal(ref[k], out[k]), k
+
+
+#: a step or reduction entry of a unit, border functions included
+_ENTRY = re.compile(
+    r"^(?:static void __attribute__\(\(.*?\)\) |void )"
+    r"repro_(?:step|reduce)_\d+\w*\(.*?^\}\n",
+    re.M | re.S,
+)
+_TABLE = re.compile(
+    r"static const int64_t repro_table_\d+\[\d+\] = \{(.*?)\};", re.S
+)
+
+
+def _entries(source):
+    """``source``'s step and reduction functions, entry numbers erased."""
+    return Counter(
+        re.sub(r"repro_(step|reduce)_\d+", r"repro_\1_N", f)
+        for f in _ENTRY.findall(source)
+    )
+
+
+@needs_gxx
+@pytest.mark.native
+@pytest.mark.parametrize("abbrev", ["UM", "HC", "CP", "PB", "BG", "MI"])
+def test_codegen_prints_the_served_unit(abbrev, monkeypatch):
+    """Every entry of the unit the executor compiles for a DP grouping is
+    in ``generate_cpp``'s output byte for byte (up to its number), and
+    every tiled group's baked table is the step table that serves it at
+    one thread: the executor's own plan, packed by the served kernel."""
+    p, g = dp_case(abbrev)
+    native = ExecOptions(KernelTier.NATIVE)
+    units = []
+    real_load = nativestore.load
+
+    def load(source, schedule_cache=None):
+        units.append(source)
+        return real_load(source, schedule_cache)
+
+    monkeypatch.setattr(nativestore, "load", load)
+    grouping_kernels(p, g.groups, native)
+    (unit,) = units
+    code = generate_cpp(p, g)
+    served = _entries(unit)
+    assert served and not served - _entries(code)
+
+    baked = [
+        np.array(body.replace(",", " ").split(), np.int64)
+        for body in _TABLE.findall(code)
+    ]
+    tiled = []
+    for members, tiles in zip(g.groups, g.tile_sizes):
+        geom = _tiled_geometry(p, members)
+        if geom is not None:
+            tiled.append((geom, tiles))
+    assert len(baked) == len(tiled)
+    for (geom, tiles), table in zip(tiled, baked):
+        kernel = resolve_group_kernel(p, geom, native)
+        if not kernel.native:
+            # CP's tone curve is a pow(): it serves on its NumPy kernel
+            assert abbrev == "CP"
+            continue
+        (chunk,) = _walk_plan(p, geom, tiles, 1, kernel, True).chunks
+        assert np.array_equal(table, chunk.table.rows.reshape(-1))

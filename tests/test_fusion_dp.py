@@ -58,43 +58,51 @@ class TestLinearChains:
         assert sorted(result.groups) == sorted(target)
 
 
+def assert_optimal_on_random_dag(n, seed):
+    """The DP's grouping of a random ``n``-node DAG under an irregular
+    hash cost is valid, and costs exactly the brute-force optimum."""
+    import random
+
+    rnd = random.Random(seed)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rnd.random() < 0.4:
+                edges.append((u, v))
+    # ensure connectivity to a single sink-ish structure
+    for u in range(n - 1):
+        if not any(e[0] == u for e in edges):
+            edges.append((u, u + 1))
+    g = StageGraph(n, edges)
+
+    def cost_fn(mask):
+        if not g.is_connected(mask):
+            return float("inf")
+        # a deterministic, irregular cost landscape
+        return ((mask * 2654435761) % 1000) / 7.0 + bin(mask).count("1")
+
+    dp = DPGrouper(g, cost_fn).solve()
+    best, _ = brute_force_best(g, cost_fn)
+    # The ready-wavefront DP explores a subset of all valid groupings,
+    # and on these DAGs that subset always holds an optimal one.
+    assert dp.cost == pytest.approx(best)
+    # Its result must itself be a valid grouping with the right cost.
+    assert sum(cost_fn(m) for m in dp.groups) == pytest.approx(dp.cost)
+    assert g.condensation_is_acyclic(list(dp.groups))
+    covered = 0
+    for m in dp.groups:
+        covered |= m
+    assert covered == g.all_mask
+
+
 class TestBruteForceEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_dags_match_brute_force(self, seed):
-        import random
+        assert_optimal_on_random_dag(6, seed)
 
-        rnd = random.Random(seed)
-        n = 6
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rnd.random() < 0.4:
-                    edges.append((u, v))
-        # ensure connectivity to a single sink-ish structure
-        for u in range(n - 1):
-            if not any(e[0] == u for e in edges):
-                edges.append((u, u + 1))
-        g = StageGraph(n, edges)
-
-        def cost_fn(mask):
-            if not g.is_connected(mask):
-                return float("inf")
-            # a deterministic, irregular cost landscape
-            return ((mask * 2654435761) % 1000) / 7.0 + bin(mask).count("1")
-
-        dp = DPGrouper(g, cost_fn).solve()
-        best, _ = brute_force_best(g, cost_fn)
-        # The ready-wavefront DP explores a (large) subset of all valid
-        # groupings; it can never beat the brute-force optimum, and on
-        # these small DAGs it should usually attain it.
-        assert dp.cost >= best - 1e-9
-        # Its result must itself be a valid grouping with the right cost.
-        assert sum(cost_fn(m) for m in dp.groups) == pytest.approx(dp.cost)
-        assert g.condensation_is_acyclic(list(dp.groups))
-        covered = 0
-        for m in dp.groups:
-            covered |= m
-        assert covered == g.all_mask
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_eight_node_dags_match_brute_force(self, seed):
+        assert_optimal_on_random_dag(8, seed)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_chain_exactly_optimal(self, n):
