@@ -1,5 +1,5 @@
-"""Per-tile executor overhead: interpreted vs per-stage vs fused vs reuse
-vs native.
+"""Per-tile executor overhead: interpreted vs per-stage vs fused vs
+native.
 
 The paper's cost model reasons about locality and parallelism, but a
 Python interpreter that re-walks each stage's expression tree per tile
@@ -7,31 +7,27 @@ adds per-tile overhead the model knows nothing about — the motivation for
 the compiled-kernel layer in :mod:`repro.runtime.kernelcache`.  This
 benchmark measures that overhead directly: every registered benchmark
 pipeline is executed on its H-manual grouping with tile sizes clamped
-small (so the tile count is high and per-tile dispatch dominates), under
-the five ``ExecOptions`` of :data:`MODES` — interpreter, per-stage
-kernels, fused per-group kernels, fused kernels plus inter-tile halo
-reuse, and native (C) group kernels on the same walk — on one thread.
-Reported per
-pipeline: total wall time, tile count, per-tile microseconds for all five
-modes, the compiled-vs-interpreted, fused-vs-per-stage,
-reuse-vs-fused and native-vs-reuse speedups, the model-predicted
-``overlap_recompute_fraction`` (the redundant-work share reuse can
-claim), and — for the ``reuse`` mode, which walks *steps* of several
-adjacent tiles per kernel call — ``steps`` and ``reuse_us_per_step``
-beside ``tiles`` and ``reuse_us_per_tile``.  The per-stage compiled path is then re-run at each ``--threads``
-count (default 1/2/4) to record the chunked tile scheduler's parallel
-scaling and efficiency.
+small (so the tile count is high and per-tile dispatch dominates), at
+the four tiers of :data:`MODES` — interpreter, per-stage
+kernels, fused per-group kernels and native (C) group kernels, every one
+on the same carrying walk — on one thread.  Reported per pipeline: total
+wall time, tile count, per-tile microseconds for all four modes, the
+compiled-vs-interpreted, fused-vs-per-stage and native-vs-fused
+speedups, the model-predicted ``overlap_recompute_fraction`` (the
+redundant-work share halo reuse claims), and — since the walk runs
+*steps* of several adjacent tiles per kernel call — ``steps`` and the
+fused and native modes' microseconds per step beside ``tiles``.  The
+per-stage compiled path is then re-run at each ``--threads`` count
+(default 1/2/4) to record the chunked tile scheduler's parallel scaling
+and efficiency.
 
 Results land in ``BENCH_executor.json`` (see ``--output``) — the repo's
 executor-performance trajectory, stamped with the machine's
 ``cpu_count`` and the compiler's version.  ``--check`` exits nonzero when
-compiled execution is
-slower than interpreted, fused is slower than per-stage, halo reuse is
-slower than fused (per pipeline or by geomean), any output
-mismatches — the ``native`` mode's digests must equal ``fused``'s (no
-timing floor: without a compiler it runs the ``reuse`` mode's kernels) —
-the ``reuse`` mode ran more steps than tiles, or the
-``fused`` (no-reuse) mode did not run exactly one step per tile — which
+compiled execution is slower than interpreted, fused is slower than
+per-stage, any output mismatches — the ``native`` mode's digests must
+equal ``fused``'s (no timing floor: without a compiler it runs the
+``fused`` mode's kernels) — or the walk ran more steps than tiles, which
 is how CI smoke-tests the fast path.
 
 Usage::
@@ -61,7 +57,6 @@ from repro.pipelines import BENCHMARKS
 from repro.planner import output_digests
 from repro.poly.alignscale import compute_group_geometry
 from repro.runtime import (
-    ExecOptions,
     KernelTier,
     clear_kernel_cache,
     execute_grouping,
@@ -74,14 +69,13 @@ from repro.runtime import (
 #: dominates and the interpreted/compiled difference is what's measured.
 MAX_TILE = 32
 
-#: The five measured modes, slowest first: five consecutive points of
-#: tier x reuse, each one step up from the last.
+#: The four measured modes, slowest first: the four tiers, each one rung
+#: up from the last.
 MODES = {
-    "interpreted": ExecOptions(KernelTier.INTERPRET, reuse=False),
-    "compiled": ExecOptions(KernelTier.STAGE, reuse=False),
-    "fused": ExecOptions(KernelTier.FUSED, reuse=False),
-    "reuse": ExecOptions(KernelTier.FUSED, reuse=True),
-    "native": ExecOptions(KernelTier.NATIVE, reuse=True),
+    "interpreted": KernelTier.INTERPRET,
+    "compiled": KernelTier.STAGE,
+    "fused": KernelTier.FUSED,
+    "native": KernelTier.NATIVE,
 }
 
 DEFAULT_OUTPUT = os.path.join(
@@ -113,14 +107,14 @@ def _count_tiles(pipe, grouping: Grouping) -> int:
     return total
 
 
-def _count_steps(pipe, grouping: Grouping, inputs, options: ExecOptions,
+def _count_steps(pipe, grouping: Grouping, inputs, kernels: KernelTier,
                  n_tiles: int) -> int:
-    """Kernel calls of one execution under ``options``: ``n_tiles`` with
-    the tiled groups' tiles replaced by the steps the executor says it
-    ran (``repro_tile_steps_total`` — the counter operators read)."""
+    """Kernel steps of one execution at ``kernels``: ``n_tiles`` with the
+    tiled groups' tiles replaced by the steps the executor says it ran
+    (``repro_tile_steps_total`` — the counter operators read)."""
     METRICS.reset(enabled=True)
     try:
-        execute_grouping(pipe, grouping, inputs, options=options)
+        execute_grouping(pipe, grouping, inputs, kernels=kernels)
         return n_tiles - int(
             (METRICS.value("repro_tiles_total") or 0)
             - (METRICS.value("repro_tile_steps_total") or 0)
@@ -143,54 +137,30 @@ def _inputs(pipe, seed: int = 0) -> Dict[str, np.ndarray]:
     return out
 
 
-def _time_mode(pipe, grouping, inputs, options: ExecOptions,
+def _time_mode(pipe, grouping, inputs, kernels: KernelTier,
                repeats: int, nthreads: int = 1,
                ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Best-of-``repeats`` wall time; one untimed warmup run first (the
     warmup also populates the kernel cache, so compilation cost is
     excluded — it is paid once per pipeline, not per run)."""
     out = execute_grouping(
-        pipe, grouping, inputs, nthreads=nthreads, options=options
+        pipe, grouping, inputs, nthreads=nthreads, kernels=kernels
     )
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         out = execute_grouping(
-            pipe, grouping, inputs, nthreads=nthreads, options=options
+            pipe, grouping, inputs, nthreads=nthreads, kernels=kernels
         )
         best = min(best, time.perf_counter() - start)
     return best, out
 
 
-def _time_reuse_pair(pipe, grouping, inputs, repeats: int,
-                     ) -> Tuple[float, float, Dict[str, np.ndarray]]:
-    """Interleaved fused-vs-reuse timing: the two modes alternate
-    round-robin within each repeat so machine-load drift hits both
-    equally (sequential best-of-N on a shared CI box routinely shows
-    10-20%% phantom deltas between identical code paths).  Returns
-    ``(fused_best, reuse_best, reuse_outputs)``."""
-    pair = (MODES["fused"], MODES["reuse"])
-    best = [float("inf"), float("inf")]
-    out_r: Dict[str, np.ndarray] = {}
-    for options in pair:  # warmup both modes
-        execute_grouping(pipe, grouping, inputs, options=options)
-    for _ in range(max(repeats, 3)):
-        for k, options in enumerate(pair):
-            start = time.perf_counter()
-            out = execute_grouping(pipe, grouping, inputs, options=options)
-            elapsed = time.perf_counter() - start
-            if elapsed < best[k]:
-                best[k] = elapsed
-            if options.reuse:
-                out_r = out
-    return best[0], best[1], out_r
-
-
 def _overlap_recompute_fraction(pipe, grouping: Grouping) -> float:
     """Model-predicted redundant-work share of the grouping: overlap
     points over total computed points, summed over every tiled group at
-    its (clamped) tile shape — the share of execution halo reuse can
-    claim back, recorded next to what it actually delivered."""
+    its (clamped) tile shape — the share of execution halo reuse
+    claims back."""
     from repro.poly.overlap import overlap_size, tile_volume
 
     ovl_total = 0.0
@@ -229,12 +199,7 @@ def run(abbrevs: List[str], repeats: int,
             _time_mode(pipe, grouping, inputs, MODES[mode], repeats)
             for mode in ("interpreted", "compiled", "fused")
         )
-        # Fourth mode: fused kernels + inter-tile halo reuse, timed
-        # interleaved against a fused re-run so the ratio is drift-free.
-        t_fused_ab, t_reuse, out_r = _time_reuse_pair(
-            pipe, grouping, inputs, repeats
-        )
-        # Fifth: the same walk on native kernels (built, or found in the
+        # Fourth: the same walk on native kernels (built, or found in the
         # artifact store, by the warm-up run inside _time_mode).
         t_native, out_n = _time_mode(
             pipe, grouping, inputs, MODES["native"], repeats
@@ -270,14 +235,10 @@ def run(abbrevs: List[str], repeats: int,
         ) and all(
             # the fused tier must be bit-identical to the per-stage tier
             np.array_equal(out_c[k], out_f[k]) for k in out_c
-        ) and all(
-            # halo reuse must be bit-identical to the full-halo path
-            np.array_equal(out_f[k], out_r[k]) for k in out_f
         )
         native_matches = output_digests(out_n) == output_digests(out_f)
-        reuse_speedup = t_fused_ab / t_reuse
         n_steps = _count_steps(
-            pipe, grouping, inputs, MODES["reuse"], n_tiles
+            pipe, grouping, inputs, MODES["fused"], n_tiles
         )
         rec = {
             "pipeline": ab,
@@ -285,27 +246,21 @@ def run(abbrevs: List[str], repeats: int,
             "stages": len(pipe.stages),
             "tiles": n_tiles,
             "steps": n_steps,
-            "no_reuse_steps": _count_steps(
-                pipe, grouping, inputs, MODES["fused"], n_tiles
-            ),
             "fused_groups": n_fused,
             "native_groups": native_groups,
             "interpreted_s": round(t_interp, 6),
             "compiled_s": round(t_compiled, 6),
             "fused_s": round(t_fused, 6),
-            "reuse_s": round(t_reuse, 6),
             "native_s": round(t_native, 6),
             "interpreted_us_per_tile": round(t_interp / n_tiles * 1e6, 2),
             "compiled_us_per_tile": round(t_compiled / n_tiles * 1e6, 2),
             "fused_us_per_tile": round(t_fused / n_tiles * 1e6, 2),
-            "reuse_us_per_tile": round(t_reuse / n_tiles * 1e6, 2),
-            "reuse_us_per_step": round(t_reuse / n_steps * 1e6, 2),
+            "fused_us_per_step": round(t_fused / n_steps * 1e6, 2),
             "native_us_per_tile": round(t_native / n_tiles * 1e6, 2),
             "native_us_per_step": round(t_native / n_steps * 1e6, 2),
             "speedup": round(t_interp / t_compiled, 3),
             "fused_speedup": round(t_compiled / t_fused, 3),
-            "reuse_speedup": round(reuse_speedup, 3),
-            "native_speedup": round(t_reuse / t_native, 3),
+            "native_speedup": round(t_fused / t_native, 3),
             "overlap_recompute_fraction": round(
                 _overlap_recompute_fraction(pipe, grouping), 4
             ),
@@ -321,14 +276,12 @@ def run(abbrevs: List[str], repeats: int,
             f"{ab:>3}  {n_tiles:>5} tiles  "
             f"interp {rec['interpreted_us_per_tile']:>8.1f} us/tile  "
             f"compiled {rec['compiled_us_per_tile']:>8.1f} us/tile  "
-            f"fused {rec['fused_us_per_tile']:>8.1f} us/tile  "
-            f"reuse {rec['reuse_us_per_tile']:>8.1f} us/tile "
-            f"({n_steps} steps, {rec['reuse_us_per_step']:.1f} us/step)  "
+            f"fused {rec['fused_us_per_tile']:>8.1f} us/tile "
+            f"({n_steps} steps, {rec['fused_us_per_step']:.1f} us/step)  "
             f"native {rec['native_us_per_tile']:>8.1f} us/tile "
             f"({native_groups} groups, {rec['native_speedup']:.2f}x)  "
             f"speedup {rec['speedup']:>6.2f}x  "
             f"fused {rec['fused_speedup']:>5.2f}x  "
-            f"reuse {rec['reuse_speedup']:>5.2f}x  "
             f"ovl {rec['overlap_recompute_fraction']:.3f}  "
             f"{'OK' if matches and native_matches else 'MISMATCH'}  "
             f"[{scaling}]"
@@ -338,7 +291,7 @@ def run(abbrevs: List[str], repeats: int,
 
 def _compiler_version() -> Optional[str]:
     """First line of ``g++ --version``; ``None`` without a compiler (the
-    ``native`` mode then measured the ``reuse`` mode's kernels)."""
+    ``native`` mode then measured the ``fused`` mode's kernels)."""
     cc = shutil.which("g++")
     if cc is None:
         return None
@@ -370,17 +323,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     fused_geomean = float(np.exp(np.mean(
         [np.log(max(r["fused_speedup"], 1e-9)) for r in fusable]
     ))) if fusable else 1.0
-    reuse_geomean = float(np.exp(np.mean(
-        [np.log(max(r["reuse_speedup"], 1e-9)) for r in records]
-    ))) if records else 1.0
     native_geomean = float(np.exp(np.mean(
         [np.log(max(r["native_speedup"], 1e-9)) for r in records]
     ))) if records else 1.0
     payload = {
         "benchmark": "executor_overhead",
-        "description": "interpreted vs per-stage vs fused vs fused+halo-"
-                       "reuse vs native per-tile (and, for reuse and "
-                       "native, per-step) cost (1 thread) plus a "
+        "description": "interpreted vs per-stage vs fused vs native "
+                       "per-tile (and, for fused and native, per-step) "
+                       "cost (1 thread, every tier carrying halos) plus a "
                        "compiled-path thread-scaling sweep, H-manual "
                        f"grouping with tiles clamped to {MAX_TILE}",
         "max_tile": MAX_TILE,
@@ -389,7 +339,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cpu_count": os.cpu_count(),
         "compiler": _compiler_version(),
         "fused_speedup_geomean": round(fused_geomean, 3),
-        "reuse_speedup_geomean": round(reuse_geomean, 3),
         "native_speedup_geomean": round(native_geomean, 3),
         "results": records,
     }
@@ -399,9 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {args.output}")
     print(f"fused-vs-per-stage geomean {fused_geomean:.2f}x "
           f"({len(fusable)}/{len(records)} pipelines with fused groups)")
-    print(f"reuse-vs-fused geomean {reuse_geomean:.2f}x "
-          f"({len(records)} pipelines)")
-    print(f"native-vs-reuse geomean {native_geomean:.2f}x "
+    print(f"native-vs-fused geomean {native_geomean:.2f}x "
           f"({payload['compiler']})")
 
     if args.check:
@@ -409,21 +356,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             r["pipeline"] for r in records
             if r["speedup"] < 1.0
             or (r["fused_groups"] and r["fused_speedup"] < 1.0)
-            or r["reuse_speedup"] < 1.0
             or not r["outputs_match"]
             or not r["native_digests_match"]
             or r["steps"] > r["tiles"]
-            or r["no_reuse_steps"] != r["tiles"]
         ]
-        if bad or reuse_geomean <= 1.0:
+        if bad:
             print(f"FAIL: compiled slower than interpreted, fused slower "
-                  f"than per-stage, reuse slower than fused "
-                  f"(geomean {reuse_geomean:.3f}x), outputs mismatched, "
-                  f"or steps > tiles / no-reuse steps != tiles on {bad}")
+                  f"than per-stage, outputs mismatched, or steps > tiles "
+                  f"on {bad}")
             return 1
-        print("PASS: compiled >= interpreted, fused >= per-stage, "
-              "reuse >= fused, steps <= tiles (== without reuse) on all "
-              f"measured pipelines (reuse geomean {reuse_geomean:.2f}x)")
+        print("PASS: compiled >= interpreted, fused >= per-stage, native "
+              "digests == fused, steps <= tiles on all measured pipelines")
     return 0
 
 

@@ -3,7 +3,7 @@
 The rest of the harness prices schedules with the analytic timing model.
 This bench closes the loop on real hardware: every configuration is
 timed by :func:`repro.planner.executor_oracle` — wall time of
-``execute_grouping`` at the process's resolved ``ExecOptions`` (the
+``execute_grouping`` at the process's resolved ``KernelTier`` (the
 native kernels when ``g++`` is on ``PATH``, the generated-NumPy kernels
 otherwise), one thread — for Unsharp Mask at the paper's image size,
 comparing
@@ -37,7 +37,7 @@ from repro.model import XEON_HASWELL
 from repro.pipelines import unsharp
 from repro.planner import executor_oracle
 from repro.reporting import format_table
-from repro.runtime import ExecOptions
+from repro.runtime import KernelTier
 
 REPEATS = 5
 
@@ -48,11 +48,9 @@ def _host_note() -> str:
         subprocess.run([gxx, "--version"], capture_output=True, text=True)
         .stdout.splitlines()[0] if gxx else "no g++ (generated-NumPy kernels)"
     )
-    options = ExecOptions.resolve()
     return (
         f"{platform.machine()}, {os.cpu_count()} cpus, threads = 1, "
-        f"{compiler}, kernels = {options.tier.name.lower()}, "
-        f"reuse = {options.reuse}"
+        f"{compiler}, kernels = {KernelTier.resolve().name.lower()}"
     )
 
 

@@ -48,7 +48,6 @@ from .pipelines import BENCHMARKS, registry_json
 from .reporting import format_table
 from .resilience import GuardPolicy, execute_guarded
 from .runtime import (
-    ExecOptions,
     KernelTier,
     execute_grouping,
     execute_reference,
@@ -170,7 +169,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        options = ExecOptions.resolve(args.kernels, args.no_reuse)
+        kernels = KernelTier.resolve(args.kernels)
     except ValueError as exc:  # a malformed REPRO_KERNELS
         raise SystemExit(str(exc))
     bench, pipe = _build(args.benchmark, args.scale)
@@ -200,17 +199,17 @@ def cmd_run(args) -> int:
     # All of the grouping's kernels at once: its native groups share one
     # artifact, found under --schedule-cache when that is given.
     warm_group_kernels(
-        pipe, grouping.groups, options, schedule_cache=args.schedule_cache
+        pipe, grouping.groups, kernels, schedule_cache=args.schedule_cache
     )
     if args.strict:
         out = execute_grouping(
-            pipe, grouping, inputs, nthreads=args.threads, options=options,
+            pipe, grouping, inputs, nthreads=args.threads, kernels=kernels,
         )
     else:
         exec_report = execute_guarded(
             pipe, grouping, inputs, nthreads=args.threads,
             policy=GuardPolicy(
-                tile_retries=1, degrade=True, options=options,
+                tile_retries=1, degrade=True, kernels=kernels,
             ),
         )
         out = exec_report.outputs
@@ -490,10 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the highest rung a group's kernel may stand on; "
                         "what cannot be built runs one rung down (A/B "
                         "timing; default: REPRO_KERNELS, else native)")
-    p.add_argument("--no-reuse", action="store_true",
-                   help="disable inter-tile halo reuse, recomputing the "
-                        "full expanded region per tile (A/B timing; the "
-                        "REPRO_NO_REUSE env var does the same)")
     p.add_argument("--digest", action="store_true",
                    help="print a 'digest <name> <sha256>' line per output "
                         "(bit-identity checks against the serve layer)")

@@ -16,8 +16,8 @@ executes, not a second rendering of it:
   that uses them on its NumPy kernel),
 * one ``void pipeline_run(...)`` taking the input images and the
   pipeline outputs as flat row-major arrays: per tiled group one baked
-  step table — the single chunk the executor walks at one thread with
-  halo reuse, what ``repro run`` and ``repro serve`` execute at their
+  step table — the single chunk the executor walks at one thread, what
+  ``repro run`` and ``repro serve`` execute at their
   default ``--threads 1`` — run by one ``repro_run_steps`` call over a
   private copy with the buffer pointers filled in; per reduction one
   descriptor and one call; any other untiled stage as a full-domain
@@ -294,9 +294,7 @@ def generate_cpp(
                     )
             continue
         symbol, make = entry("step", native._native_group, geom)
-        plan = executor._WalkPlan(
-            pipeline, geom, tiles, make(None, None), True, 1
-        )
+        plan = executor._WalkPlan(pipeline, geom, tiles, make(None, None), 1)
         (chunk,) = plan.chunks
         table = chunk.table
         if table.missing is not None:

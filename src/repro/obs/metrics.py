@@ -59,8 +59,8 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
                    "overlapped-tiling executor"),
     "repro_tile_steps_total": (
         "counter", "Steps completed: one group-kernel call over a span "
-                   "of adjacent schedule tiles (== tiles without halo "
-                   "reuse)"),
+                   "of adjacent schedule tiles (== tiles on a group "
+                   "without a carry dimension)"),
     "repro_tile_retries_total": (
         "counter", "Step attempts retried after a transient failure"),
     "repro_tile_failures_total": (

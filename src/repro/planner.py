@@ -146,7 +146,7 @@ def make_inputs(pipe: Pipeline, seed: int) -> Dict[str, np.ndarray]:
 def executor_oracle(nthreads: int = 1, repeats: int = 3) -> Oracle:
     """The measured :data:`repro.fusion.Oracle`: wall seconds of
     :func:`repro.runtime.execute_grouping` — the executor that serves, at
-    the process's resolved ``ExecOptions`` — on ``make_inputs(pipe, 0)``,
+    the process's resolved ``KernelTier`` — on ``make_inputs(pipe, 0)``,
     built once per pipeline.  One untimed run first (artifact build,
     first-use self-check and any demotion, as on a first request), then
     the minimum of ``repeats`` timed ones.

@@ -14,11 +14,14 @@ Instrumented sites
     :meth:`repro.model.cost.CostModel.cost` — each *uncached* group
     evaluation (what the DP and incremental tiers run on).
 ``"tile"``
-    each step attempt of :func:`repro.runtime.executor.execute_grouping`'s
-    fused-group loop — a step is one kernel call over one or more
-    adjacent tiles — keyed by group, the step's first tile, and retry
-    attempt, so bounded retries observe fresh draws (with one tile per
-    step, ``--no-reuse``, that is every tile attempt).
+    each unit attempt of the tiled-group walk of
+    :func:`repro.runtime.executor.execute_grouping`, keyed by group, the
+    unit's first tile, and retry attempt, so bounded retries observe
+    fresh draws.  On a native kernel the unit is the chunk — one C call
+    over a thread's whole share of the group's steps — so there is one
+    check per chunk attempt and a retry re-runs the whole chunk; on any
+    other kernel it is the step, one kernel call over one or more
+    adjacent tiles.
 ``"alloc"``
     :meth:`repro.runtime.buffers.Buffer.for_region` — scratch and output
     buffer allocation.

@@ -49,7 +49,6 @@ from ..errors import (
 from ..fusion.grouping import Grouping
 from ..poly.alignscale import GroupGeometry, compute_group_geometry
 from ..runtime.executor import (
-    ExecOptions,
     KernelTier,
     _execute_group_untiled,
     _execute_one_group,
@@ -84,9 +83,9 @@ class GuardPolicy:
     #: cap on estimated per-tile scratch bytes (all threads combined);
     #: tiles shrink to fit before allocation
     memory_cap_bytes: Optional[int] = None
-    #: what the tiled executor runs on (default: ``NATIVE`` with reuse
-    #: unless ``REPRO_KERNELS`` / ``REPRO_NO_REUSE`` say otherwise)
-    options: ExecOptions = field(default_factory=ExecOptions.resolve)
+    #: the highest rung a group's kernel may stand on (default:
+    #: ``NATIVE`` unless ``REPRO_KERNELS`` says otherwise)
+    kernels: KernelTier = field(default_factory=KernelTier.resolve)
 
 
 @dataclass
@@ -267,7 +266,7 @@ def execute_guarded(
                         outcome.tile_sizes = tuple(run_tiles)
             outcome.mode = _execute_one_group(
                 pipeline, members, run_tiles, buffers, nthreads,
-                policy.options, group_index=gi,
+                policy.kernels, group_index=gi,
                 tile_retries=policy.tile_retries,
                 executor=executor, pools=pools,
             )

@@ -5,7 +5,6 @@ them (PolyMage's C++/OpenMP code generation, one step at a time)."""
 from .buffers import Buffer, BufferPool, PoolGroup
 from .evalexpr import evaluate_cases, evaluate_expr, make_index_grids
 from .executor import (
-    ExecOptions,
     KernelTier,
     execute_grouping,
     execute_reference,
@@ -37,7 +36,6 @@ __all__ = [
     "make_index_grids",
     "execute_reference",
     "execute_grouping",
-    "ExecOptions",
     "KernelTier",
     "shared_executor",
     "shutdown_shared_executors",

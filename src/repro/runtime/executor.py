@@ -14,15 +14,15 @@ Two entry points:
   walk is planned once per tiling; every step of it (one or more
   adjacent tiles) is one call into that group's
   :class:`~repro.runtime.kernelcache.GroupKernel` — a native kernel's
-  whole chunk of steps is one call; :class:`ExecOptions` selects what
-  stands behind it (a :class:`KernelTier`: native C, generated fused
-  source, compiled stage kernels, or the interpreter) and whether
-  adjacent tiles reuse halos.
+  whole chunk of steps is one call; a :class:`KernelTier` selects what
+  stands behind it (native C, generated fused source, compiled stage
+  kernels, or the interpreter).  Adjacent tiles always reuse halos where
+  the group's geometry allows.
 
-Every combination of :class:`ExecOptions` and thread count produces
-output digests equal to :func:`execute_reference`'s; the test suite pins
-this for every benchmark pipeline, under fault injection and across the
-serve layer's process boundary.
+Every :class:`KernelTier` at every thread count produces output digests
+equal to :func:`execute_reference`'s; the test suite pins this for every
+benchmark pipeline, under fault injection and across the serve layer's
+process boundary.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -78,7 +77,6 @@ from .kernelcache import (
 
 __all__ = [
     "KernelTier",
-    "ExecOptions",
     "validate_inputs",
     "execute_reference",
     "execute_grouping",
@@ -99,47 +97,24 @@ class KernelTier(enum.IntEnum):
     FUSED = 2      #: one generated fused NumPy kernel per multi-stage group
     NATIVE = 3     #: one C kernel per eligible tiled group, untiled reduction
 
-
-@dataclass(frozen=True)
-class ExecOptions:
-    """How the tiled executor runs a grouping — resolved once per entry
-    point (``repro run``, ``PipelineHost.warm``, a bare
-    :func:`execute_grouping`), plain values from there down.
-
-    Outputs are bit-identical under all eight combinations; the two
-    choices exist for A/B timing and as the serve ladder's lower rungs.
-    """
-
-    #: the highest rung a group's kernel may stand on
-    tier: KernelTier = KernelTier.NATIVE
-    #: carry each stage's computed window across the adjacent tiles of a
-    #: chunk instead of recomputing the halo per tile
-    reuse: bool = True
-
     @classmethod
-    def resolve(
-        cls, kernels: Optional[str] = None, no_reuse: bool = False
-    ) -> "ExecOptions":
-        """Options from the CLI's ``--kernels`` / ``--no-reuse`` flags and
-        the ``REPRO_KERNELS`` / ``REPRO_NO_REUSE`` environment variables:
-        the tier is the flag's, else the variable's (a :class:`KernelTier`
-        name in any case, blanks stripped; ``ValueError`` on anything
-        else), else ``NATIVE``; reuse is off under the flag or a
-        ``1``/``true``/``yes``/``on`` variable.  The only place the
-        executor's environment is read."""
+    def resolve(cls, kernels: Optional[str] = None) -> "KernelTier":
+        """The tier from the CLI's ``--kernels`` flag, else the
+        ``REPRO_KERNELS`` environment variable (a tier name in any case,
+        blanks stripped; ``ValueError`` on anything else), else
+        ``NATIVE``.  The only place the executor's environment is read;
+        resolved once per entry point (``repro run``,
+        ``PipelineHost.warm``, a bare :func:`execute_grouping`), a plain
+        value from there down."""
         if kernels is None:
             kernels = os.environ.get("REPRO_KERNELS", "")
         name = kernels.strip().upper() or "NATIVE"
-        if name not in KernelTier.__members__:
+        if name not in cls.__members__:
             raise ValueError(
                 f"REPRO_KERNELS={kernels!r}: expected one of "
-                + ", ".join(t.name.lower() for t in reversed(KernelTier))
+                + ", ".join(t.name.lower() for t in reversed(cls))
             )
-        knob = os.environ.get("REPRO_NO_REUSE", "").strip().lower()
-        return cls(
-            KernelTier[name],
-            not (no_reuse or knob in ("1", "true", "yes", "on")),
-        )
+        return cls[name]
 
 
 #: Rows of the outermost reduction dimension processed per chunk, bounding
@@ -585,8 +560,8 @@ def _step_tiles(
     under :data:`_STEP_POINT_BUDGET`, taking a step's region as ``k``
     times the expanded region of one interior tile — and never more than
     the ``row_len`` tiles a carry row has.  ``1`` without a carry
-    dimension (``cdim < 0``: halo reuse off, a reduction in the group, a
-    single-tile grid) — tiles are then never merged."""
+    dimension (``cdim < 0``: a reduction in the group, a single-tile
+    grid) — tiles are then never merged."""
     if cdim < 0:
         return 1
     points = 1
@@ -740,7 +715,7 @@ class _Chunk(NamedTuple):
 
 class _WalkPlan:
     """Everything :func:`_execute_group_tiled` derives from a group's
-    geometry for one tiling, thread count, reuse setting and kernel —
+    geometry for one tiling, thread count and kernel —
     derived once (:func:`_walk_plan`) and only read after that: the
     stage plans, the carry dimension, the tile walk and its rows, the
     step length, the carried slots, the chunks, and each chunk's steps
@@ -758,7 +733,6 @@ class _WalkPlan:
         geom: GroupGeometry,
         tile_sizes: Sequence[int],
         kernel: GroupKernel,
-        reuse: bool,
         nthreads: int = 0,
         step_tiles: Optional[int] = None,
     ):
@@ -786,7 +760,7 @@ class _WalkPlan:
         # accumulate across the domain and have no per-tile window to
         # carry; a single-tile grid has no carry dimension.
         cdim = -1
-        if reuse and not any(isinstance(s, Reduction) for s in geom.stages):
+        if not any(isinstance(s, Reduction) for s in geom.stages):
             cdim = reuse_carry_dim(geom, tile_sizes)
         self.cdim = cdim
         self.cstep = tile_sizes[cdim] if cdim >= 0 else 0
@@ -905,20 +879,19 @@ def _walk_plan(
     tile_sizes: Sequence[int],
     nthreads: int,
     kernel: GroupKernel,
-    reuse: bool,
 ) -> _WalkPlan:
     """The group's :class:`_WalkPlan`, memoised on the geometry beside
     its stage plans — geometries are memoised weakly per pipeline, so
     plans die with their pipeline — keyed by everything the plan is
-    derived from: the tiling, the thread count, reuse, and the kernel's
-    slots and step-table builder."""
+    derived from: the tiling, the thread count, and the kernel's slots
+    and step-table builder."""
     key = (
-        "walk", tuple(tile_sizes), nthreads, reuse, kernel.region_names,
+        "walk", tuple(tile_sizes), nthreads, kernel.region_names,
         kernel.liveout_names, kernel.direct_stores, kernel.tabulate,
     )
     plan = geom._stage_plan_cache.get(key)
     if plan is None:
-        plan = _WalkPlan(pipeline, geom, tile_sizes, kernel, reuse, nthreads)
+        plan = _WalkPlan(pipeline, geom, tile_sizes, kernel, nthreads)
         geom._stage_plan_cache[key] = plan
     return plan
 
@@ -1075,7 +1048,6 @@ def _execute_group_tiled(
     buffers: Dict[str, Buffer],
     nthreads: int,
     kernel: GroupKernel,
-    options: ExecOptions,
     group_index: int = 0,
     tile_retries: int = 0,
     executor: Optional[ThreadPoolExecutor] = None,
@@ -1086,8 +1058,8 @@ def _execute_group_tiled(
 
     Everything the walk derives from the geometry — regions, bases,
     seed-or-carry decisions, chunks, a native kernel's step tables — is
-    planned once per ``(tile sizes, nthreads, reuse, kernel)`` and
-    memoised (:func:`_walk_plan`); a warm execution only reads the plan.
+    planned once per ``(tile sizes, nthreads, kernel)`` and memoised
+    (:func:`_walk_plan`); a warm execution only reads the plan.
 
     The unit planned is a **step**: ``k >= 1`` schedule tiles adjacent
     along the carry dimension, executed by *one* kernel step over the
@@ -1098,8 +1070,8 @@ def _execute_group_tiled(
     here a NumPy kernel call pays Python and tens of NumPy dispatches,
     so :func:`_step_tiles` derives ``k`` once per group from its
     geometry and :data:`_STEP_POINT_BUDGET`.  A tile is a step of length
-    one, which is all there is without ``options.reuse``, with a
-    reduction in the group or on a grid without a carry dimension.
+    one, which is all there is with a reduction in the group or on a
+    grid without a carry dimension.
 
     All member stages run over the step's expanded regions,
     intermediates in scratch arrays recycled through a worker-local
@@ -1115,7 +1087,7 @@ def _execute_group_tiled(
     offset into one arena taken from the pool; any other kernel's is one
     ``kernel.fn`` call per step (:func:`_walk_chunk`).
 
-    With ``options.reuse``, each chunk walks its tiles in *runs* of
+    Halo reuse is always on: each chunk walks its tiles in *runs* of
     adjacent tiles along a *carry dimension* and computes every
     materialised stage at run granularity: the run's first step extends
     each stage's expanded region along the carry dimension to the
@@ -1152,9 +1124,7 @@ def _execute_group_tiled(
     succeeded, so a failed group leaves ``buffers`` untouched and a
     caller can fall back cleanly.
     """
-    plan = _walk_plan(
-        pipeline, geom, tile_sizes, nthreads, kernel, options.reuse
-    )
+    plan = _walk_plan(pipeline, geom, tile_sizes, nthreads, kernel)
     out_buffers = {
         s.name: Buffer.for_region(pipeline.domain(s), s.scalar_type.np_dtype)
         for s in geom.liveouts
@@ -1330,7 +1300,7 @@ def _stagewise_kernel(
 
 
 def _numpy_kernel(
-    pipeline: Pipeline, geom, options: ExecOptions
+    pipeline: Pipeline, geom, kernels: KernelTier
 ) -> GroupKernel:
     """The kernel a group runs on below ``NATIVE``: generated fused
     source for a multi-stage group from ``FUSED`` up when the group fuses
@@ -1348,13 +1318,13 @@ def _numpy_kernel(
             lambda buffers: _compute_reduction(pipeline_ref(), geom, buffers),
         )
     kernel = None
-    if options.tier >= KernelTier.FUSED and len(geom.stages) > 1:
+    if kernels >= KernelTier.FUSED and len(geom.stages) > 1:
         kernel = get_group_kernel(pipeline, geom)
     if kernel is None:
         kernel = _stagewise_kernel(
             pipeline, geom,
             stage_kernels(pipeline, geom.stages)
-            if options.tier >= KernelTier.STAGE else {},
+            if kernels >= KernelTier.STAGE else {},
         )
     return kernel
 
@@ -1401,15 +1371,16 @@ def _kernels_agree(
     """Whether two kernels of one group compute the same bytes — the
     self-check a freshly built native kernel ``a`` must pass against its
     NumPy counterpart ``b`` — on seeded producers and 16-point tiles, as
-    the live-outs' bytes: two single steps, one at the grid's low corner
-    (border windows) and one in its middle (interior windows), and one
-    whole chunk, the grid's middle row walked in steps of two tiles, so
-    that carried slots, windows seeded to the run's end and copy-outs
-    from carried windows are compared too.  Each is one planned chunk
-    (:class:`_WalkPlan`): ``a`` runs its step table, ``b`` walks the same
-    planned steps.  Two kernels of one reduction: the same bytes over its
-    whole reduction domain, from producers spread so that targets fall
-    inside and outside the accumulator."""
+    the live-outs' bytes: two one-tile chunks, one at the grid's low
+    corner (border windows) and one in its middle (interior windows),
+    and one whole chunk, the grid's middle row walked in steps of two
+    tiles, so that carried slots, windows seeded to the run's end and
+    copy-outs from carried windows are compared too.  All three are
+    chunks of one :class:`_WalkPlan` — a one-tile run seeds exactly to
+    its own expanded bound — where ``a`` runs its step table and ``b``
+    walks the same planned steps.  Two kernels of one reduction: the
+    same bytes over its whole reduction domain, from producers spread so
+    that targets fall inside and outside the accumulator."""
     if isinstance(geom, Reduction):
         buffers = _seeded_producers(pipeline, [geom], spread=True)
         with suspended():
@@ -1427,17 +1398,16 @@ def _kernels_agree(
         lo + (hi - lo + 1) // 2 // t * t
         for (lo, hi), t in zip(geom.grid_bounds, sizes)
     )
-    single = _WalkPlan(pipeline, geom, sizes, a, False)
-    walk = _WalkPlan(pipeline, geom, sizes, a, True, step_tiles=2)
-    row = walk.row_len or len(walk.tiles)
-    mid = len(walk.tiles) // row // 2 * row
+    plan = _WalkPlan(pipeline, geom, sizes, a, step_tiles=2)
+    row = plan.row_len or len(plan.tiles)
+    mid = len(plan.tiles) // row // 2 * row
     checks = (
-        (single, single.tiles[:1]),
-        (single, [t for t in single.tiles if t[1] == middle]),
-        (walk, walk.tiles[mid:mid + row]),
+        plan.tiles[:1],
+        [t for t in plan.tiles if t[1] == middle],
+        plan.tiles[mid:mid + row],
     )
     with suspended():
-        for plan, tiles in checks:
+        for tiles in checks:
             chunk = plan.chunk(tiles)
             got = []
             for kernel, run in ((a, chunk), (b, chunk._replace(table=None))):
@@ -1459,12 +1429,12 @@ def _kernels_agree(
 def resolve_group_kernels(
     pipeline: Pipeline,
     units: Sequence,
-    options: ExecOptions,
+    kernels: KernelTier,
     schedule_cache: Optional[str] = None,
 ) -> List[GroupKernel]:
     """The kernel each of ``units`` — a :class:`GroupGeometry` per tiled
     group, a :class:`Reduction` per reduction stage that runs untiled —
-    runs on under ``options``, memoised per ``(pipeline, member set,
+    runs on at tier ``kernels``, memoised per ``(pipeline, member set,
     tier)`` so a warm request resolves nothing.
 
     At ``NATIVE`` every unit not resolved yet goes to
@@ -1479,10 +1449,10 @@ def resolve_group_kernels(
     per = _RESOLVED_CACHE.get(pipeline)
     if per is None:
         per = _RESOLVED_CACHE.setdefault(pipeline, {})
-    use_native = options.tier >= KernelTier.NATIVE
+    use_native = kernels >= KernelTier.NATIVE
     keys = [
         (u.name, use_native) if isinstance(u, Reduction)
-        else (frozenset(s.name for s in u.stages), options.tier)
+        else (frozenset(s.name for s in u.stages), kernels)
         for u in units
     ]
     missing = [i for i, k in enumerate(keys) if k not in per]
@@ -1495,22 +1465,22 @@ def resolve_group_kernels(
                 j for j, kernel in list(built.kernels.items())
                 if not _kernels_agree(
                     pipeline, units[missing[j]], kernel,
-                    _numpy_kernel(pipeline, units[missing[j]], options),
+                    _numpy_kernel(pipeline, units[missing[j]], kernels),
                 )
             ])
         for j, kernel in built.kernels.items():
             per[keys[missing[j]]] = kernel
     for i in missing:
         if keys[i] not in per:
-            per[keys[i]] = _numpy_kernel(pipeline, units[i], options)
+            per[keys[i]] = _numpy_kernel(pipeline, units[i], kernels)
     return [per[k] for k in keys]
 
 
 def resolve_group_kernel(
-    pipeline: Pipeline, unit, options: ExecOptions
+    pipeline: Pipeline, unit, kernels: KernelTier
 ) -> GroupKernel:
     """:func:`resolve_group_kernels` on one group or reduction."""
-    return resolve_group_kernels(pipeline, [unit], options)[0]
+    return resolve_group_kernels(pipeline, [unit], kernels)[0]
 
 
 def _tiled_geometry(pipeline: Pipeline, members) -> Optional[GroupGeometry]:
@@ -1533,7 +1503,7 @@ def _reductions_in(pipeline: Pipeline, members) -> List[Reduction]:
 def grouping_kernels(
     pipeline: Pipeline,
     groups: Sequence[Sequence[Function]],
-    options: Optional[ExecOptions] = None,
+    kernels: Optional[KernelTier] = None,
     schedule_cache: Optional[str] = None,
 ) -> List[GroupKernel]:
     """Resolve — compiling whatever it stands on — the kernel of every
@@ -1542,10 +1512,10 @@ def grouping_kernels(
     nothing and the native kernels of the whole grouping share one
     artifact (kept under ``schedule_cache`` when given).  Serve warm-up
     calls this before forking workers, which then inherit every kernel
-    compiled.  ``options`` defaults to :meth:`ExecOptions.resolve`.
+    compiled.  ``kernels`` defaults to :meth:`KernelTier.resolve`.
     Returns those kernels in grouping order."""
-    if options is None:
-        options = ExecOptions.resolve()
+    if kernels is None:
+        kernels = KernelTier.resolve()
     units: List = []
     for members in groups:
         geom = _tiled_geometry(pipeline, members)
@@ -1553,13 +1523,13 @@ def grouping_kernels(
             units.append(geom)
         else:
             units.extend(_reductions_in(pipeline, members))
-    return resolve_group_kernels(pipeline, units, options, schedule_cache)
+    return resolve_group_kernels(pipeline, units, kernels, schedule_cache)
 
 
 def warm_group_kernels(
     pipeline: Pipeline,
     groups: Sequence[Sequence[Function]],
-    options: Optional[ExecOptions] = None,
+    kernels: Optional[KernelTier] = None,
     schedule_cache: Optional[str] = None,
 ) -> Mapping[frozenset, GroupKernel]:
     """:func:`grouping_kernels`, returning only the kernels that run on
@@ -1567,7 +1537,7 @@ def warm_group_kernels(
     return {
         frozenset(kernel.group_names): kernel
         for kernel in grouping_kernels(
-            pipeline, groups, options, schedule_cache
+            pipeline, groups, kernels, schedule_cache
         )
         if kernel.generated
     }
@@ -1600,7 +1570,7 @@ def _execute_one_group(
     tiles: Sequence[int],
     buffers: Dict[str, Buffer],
     nthreads: int,
-    options: ExecOptions,
+    kernels: KernelTier,
     group_index: int = 0,
     tile_retries: int = 0,
     executor: Optional[ThreadPoolExecutor] = None,
@@ -1611,16 +1581,16 @@ def _execute_one_group(
     geom = _tiled_geometry(pipeline, members)
     if geom is None:
         reducers = {}
-        if options.tier >= KernelTier.NATIVE:
+        if kernels >= KernelTier.NATIVE:
             reductions = _reductions_in(pipeline, members)
             reducers = {
                 stage.name: kernel for stage, kernel in zip(
                     reductions,
-                    resolve_group_kernels(pipeline, reductions, options),
+                    resolve_group_kernels(pipeline, reductions, kernels),
                 ) if kernel.native
             }
         _execute_group_untiled(
-            pipeline, members, buffers, options.tier, reducers
+            pipeline, members, buffers, kernels, reducers
         )
         span = TRACE.current() if TRACE.enabled else None
         if span is not None:
@@ -1633,7 +1603,7 @@ def _execute_one_group(
         )
     _execute_group_tiled(
         pipeline, geom, tiles, buffers, nthreads,
-        resolve_group_kernel(pipeline, geom, options), options,
+        resolve_group_kernel(pipeline, geom, kernels),
         group_index=group_index, tile_retries=tile_retries,
         executor=executor, pools=pools,
     )
@@ -1706,7 +1676,7 @@ def execute_grouping(
     inputs: Mapping[str, np.ndarray],
     nthreads: int = 1,
     tile_retries: int = 0,
-    options: Optional[ExecOptions] = None,
+    kernels: Optional[KernelTier] = None,
     executor: Optional[ThreadPoolExecutor] = None,
     pools: Optional[PoolGroup] = None,
 ) -> Dict[str, np.ndarray]:
@@ -1718,11 +1688,10 @@ def execute_grouping(
     leaves reductions unoptimised (Sec. 6.2): a plain serial loop, which
     is what a reduction runs on here too at ``KernelTier.NATIVE``.
 
-    ``options`` (default: :meth:`ExecOptions.resolve` — ``NATIVE`` with
-    reuse unless ``REPRO_KERNELS`` / ``REPRO_NO_REUSE`` say otherwise)
-    selects the kernel each tiled group runs on
-    (:func:`resolve_group_kernel`) and whether adjacent tiles of a chunk
-    reuse halos; outputs are bit-identical under all of them.
+    ``kernels`` (default: :meth:`KernelTier.resolve` — ``NATIVE`` unless
+    ``REPRO_KERNELS`` says otherwise) selects the kernel each tiled group
+    runs on (:func:`resolve_group_kernel`); outputs are bit-identical
+    under every tier.
 
     Multi-threaded groups run their tile chunks on ``executor`` when the
     caller owns a persistent pool (the serve layer does), else on the
@@ -1739,12 +1708,12 @@ def execute_grouping(
     guarded per group — see
     :func:`repro.resilience.guard.execute_guarded`.
     """
-    if options is None:
-        options = ExecOptions.resolve()
+    if kernels is None:
+        kernels = KernelTier.resolve()
 
     def run_group(gi, members, tiles, buffers):
         return {"mode": _execute_one_group(
-            pipeline, members, tiles, buffers, nthreads, options,
+            pipeline, members, tiles, buffers, nthreads, kernels,
             group_index=gi, tile_retries=tile_retries,
             executor=executor, pools=pools,
         )}

@@ -68,7 +68,6 @@ from ..pipelines import BENCHMARKS
 from ..planner import build_benchmark, make_inputs, plan_schedule
 from ..resilience import GuardPolicy, execute_guarded
 from ..runtime import (
-    ExecOptions,
     KernelTier,
     grouping_kernels,
     shared_executor,
@@ -88,10 +87,6 @@ __all__ = [
 
 #: the degradation ladder's tiers, healthiest first
 LADDER = ("compiled", "interpreter", "no-fusion")
-
-#: what every rung below ``compiled`` executes with
-_INTERPRETED = ExecOptions(KernelTier.INTERPRET, reuse=False)
-
 
 @dataclass(frozen=True)
 class HostConfig:
@@ -182,9 +177,9 @@ class PipelineHost:
         self._state_lock = threading.Lock()
         self.pipeline = None
         self.grouping = None
-        #: what the ``compiled`` rung executes with, resolved from the
+        #: the tier the ``compiled`` rung executes at, resolved from the
         #: environment at warm-up
-        self.options = ExecOptions()
+        self.kernels = KernelTier.NATIVE
         #: ``(grouping, GuardPolicy)`` per :data:`LADDER` rung, from warm-up
         self._rungs: tuple = ()
         self.schedule_tier: Optional[str] = None
@@ -216,7 +211,7 @@ class PipelineHost:
                 return self
             t0 = time.perf_counter()
             # first: a malformed REPRO_KERNELS fails before any work
-            self.options = ExecOptions.resolve()
+            self.kernels = KernelTier.resolve()
             with TRACE.span(
                 "serve_warm", pipeline=self.key,
                 backend=self.config.backend,
@@ -235,17 +230,17 @@ class PipelineHost:
                 # Resolve and compile every group's kernel now, so the
                 # first request pays nothing and forked workers inherit
                 # them rather than each paying the exec().
-                kernels = grouping_kernels(
-                    pipe, grouping.groups, self.options,
+                resolved = grouping_kernels(
+                    pipe, grouping.groups, self.kernels,
                     self.config.schedule_cache,
                 )
-                self.native_groups = sum(k.native for k in kernels)
-                self.numpy_groups = len(kernels) - self.native_groups
+                self.native_groups = sum(k.native for k in resolved)
+                self.numpy_groups = len(resolved) - self.native_groups
                 compiled, interpreted = (
                     GuardPolicy(
-                        self.config.tile_retries, degrade=True, options=o
+                        self.config.tile_retries, degrade=True, kernels=tier
                     )
-                    for o in (self.options, _INTERPRETED)
+                    for tier in (self.kernels, KernelTier.INTERPRET)
                 )
                 self._rungs = (
                     (grouping, compiled),
@@ -359,8 +354,7 @@ class PipelineHost:
                 "ladder": list(LADDER),
                 "schedule_tier": self.schedule_tier,
                 "groups": self.grouping.num_groups,
-                "kernels": self.options.tier.name.lower(),
-                "reuse": self.options.reuse,
+                "kernels": self.kernels.name.lower(),
                 "native_groups": self.native_groups,
                 "numpy_groups": self.numpy_groups,
                 "warm_s": round(self.warm_s, 4),

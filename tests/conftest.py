@@ -29,16 +29,13 @@ from repro.dsl import (
 from repro.errors import InjectedFault
 from repro.poly import compute_group_geometry, reuse_carry_dim
 from repro.resilience.faults import FaultInjector
-from repro.runtime import ExecOptions, KernelTier
 
-# The suite runs one rung below native: a bare ``ExecOptions()`` —
+# The suite runs one rung below native: ``KernelTier.resolve()`` —
 # module-level constants included, hence at import and not in a fixture —
-# and ``ExecOptions.resolve()`` both mean the NumPy kernels the existing
-# tests were written against, in this process and in every subprocess a
-# test spawns.  ``native``-marked tests ask for
-# ``ExecOptions(KernelTier.NATIVE)`` or take the ``native_on`` fixture.
+# means the NumPy kernels the existing tests were written against, in this
+# process and in every subprocess a test spawns.  ``native``-marked tests
+# pass ``KernelTier.NATIVE`` or take the ``native_on`` fixture.
 os.environ["REPRO_KERNELS"] = "fused"
-ExecOptions.__init__.__defaults__ = (KernelTier.FUSED, True)
 
 HAVE_GXX = shutil.which("g++") is not None
 needs_gxx = pytest.mark.skipif(not HAVE_GXX, reason="g++ not available")
@@ -104,7 +101,7 @@ def one_compile_per_unit(tmp_path_factory):
 
 @pytest.fixture
 def native_on(monkeypatch):
-    """``ExecOptions.resolve()`` — hosts, the CLI, subprocesses — says
+    """``KernelTier.resolve()`` — hosts, the CLI, subprocesses — says
     native again for this test."""
     monkeypatch.delenv("REPRO_KERNELS")
 
@@ -222,10 +219,8 @@ def unmemoised_walks(monkeypatch):
 
     monkeypatch.setattr(
         executor, "_walk_plan",
-        lambda pipeline, geom, tile_sizes, nthreads, kernel, reuse: (
-            executor._WalkPlan(
-                pipeline, geom, tile_sizes, kernel, reuse, nthreads
-            )
+        lambda pipeline, geom, tile_sizes, nthreads, kernel: (
+            executor._WalkPlan(pipeline, geom, tile_sizes, kernel, nthreads)
         ),
     )
 

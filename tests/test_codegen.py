@@ -19,7 +19,7 @@ from repro.dsl import Condition, Const, Float, Image, Int, Min, Variable
 from repro.fusion import manual_grouping, schedule_pipeline
 from repro.model import XEON_HASWELL
 from repro.pipelines import BENCHMARKS
-from repro.runtime import ExecOptions, KernelTier, execute_reference
+from repro.runtime import KernelTier, execute_reference
 from repro.runtime import nativestore
 from repro.runtime.executor import (
     _tiled_geometry,
@@ -234,7 +234,7 @@ def test_codegen_prints_the_served_unit(abbrev, monkeypatch):
     every tiled group's baked table is the step table that serves it at
     one thread: the executor's own plan, packed by the served kernel."""
     p, g = dp_case(abbrev)
-    native = ExecOptions(KernelTier.NATIVE)
+    native = KernelTier.NATIVE
     units = []
     real_load = nativestore.load
 
@@ -265,5 +265,5 @@ def test_codegen_prints_the_served_unit(abbrev, monkeypatch):
             # CP's tone curve is a pow(): it serves on its NumPy kernel
             assert abbrev == "CP"
             continue
-        (chunk,) = _walk_plan(p, geom, tiles, 1, kernel, True).chunks
+        (chunk,) = _walk_plan(p, geom, tiles, 1, kernel).chunks
         assert np.array_equal(table, chunk.table.rows.reshape(-1))

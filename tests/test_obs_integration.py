@@ -35,7 +35,7 @@ from repro.resilience import (
     inject_faults,
     resilient_schedule,
 )
-from repro.runtime import ExecOptions, KernelTier, execute_grouping
+from repro.runtime import KernelTier, execute_grouping
 
 from conftest import build_blur, random_inputs
 
@@ -164,7 +164,7 @@ class TestRetryClassification:
                 blur_pipeline, grouping,
                 random_inputs(blur_pipeline, rng),
                 nthreads=1, tile_retries=5,
-                options=ExecOptions(KernelTier.STAGE),
+                kernels=KernelTier.STAGE,
             )
         exc = exc_info.value
         assert exc.context["attempts"] == 1

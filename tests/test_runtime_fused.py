@@ -18,7 +18,6 @@ from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.runtime import (
     Buffer,
     BufferPool,
-    ExecOptions,
     KernelFuseWarning,
     KernelTier,
     clear_kernel_cache,
@@ -34,8 +33,8 @@ from repro.runtime.executor import (
     resolve_group_kernel,
 )
 
-NO_FUSE = ExecOptions(KernelTier.STAGE)
-INTERPRETED = ExecOptions(KernelTier.INTERPRET)
+NO_FUSE = KernelTier.STAGE
+INTERPRETED = KernelTier.INTERPRET
 
 from conftest import build_blur, build_updown, random_inputs
 
@@ -51,9 +50,9 @@ def three_way(pipeline, grouping, inputs, nthreads=1):
     """(fused, per-stage, interpreter) outputs of one grouping."""
     fused = execute_grouping(pipeline, grouping, inputs, nthreads=nthreads)
     staged = execute_grouping(pipeline, grouping, inputs,
-                              nthreads=nthreads, options=NO_FUSE)
+                              nthreads=nthreads, kernels=NO_FUSE)
     interp = execute_grouping(pipeline, grouping, inputs,
-                              nthreads=nthreads, options=INTERPRETED)
+                              nthreads=nthreads, kernels=INTERPRETED)
     return fused, staged, interp
 
 
@@ -130,12 +129,12 @@ def test_full_tile_faults_still_bit_identical(abbrev):
     inputs = random_inputs(pipe, np.random.default_rng(12))
     grouping = bench.h_manual(pipe)
     ref = execute_reference(pipe, inputs)
-    for options in (ExecOptions(), NO_FUSE):
+    for kernels in (KernelTier.FUSED, NO_FUSE):
         with inject_faults(seed=9, tile=1.0):
             report = execute_guarded(
                 pipe, grouping, inputs, nthreads=2,
                 policy=GuardPolicy(tile_retries=1, degrade=True,
-                                   options=options),
+                                   kernels=kernels),
             )
         assert not any(o.mode == "tiled" for o in report.outcomes)
         assert_bit_identical(ref, report.outputs)
@@ -147,7 +146,7 @@ def test_retry_after_partial_faults_bit_identical():
     pipe = build_blur(rows=46, cols=62)
     inputs = random_inputs(pipe, np.random.default_rng(13))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    ref = execute_grouping(pipe, g, inputs, options=INTERPRETED)
+    ref = execute_grouping(pipe, g, inputs, kernels=INTERPRETED)
     with inject_faults(seed=21, tile=0.5):
         out = execute_grouping(pipe, g, inputs, tile_retries=4)
     assert_bit_identical(ref, out)
@@ -166,7 +165,7 @@ def test_fuse_failure_degrades_to_per_stage_kernels(monkeypatch):
     pipe = build_blur(rows=46, cols=62)
     inputs = random_inputs(pipe, np.random.default_rng(6))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    ref = execute_grouping(pipe, g, inputs, options=INTERPRETED)
+    ref = execute_grouping(pipe, g, inputs, kernels=INTERPRETED)
 
     def boom(pipeline, geom):
         raise kc_mod.KernelFuseError("synthetic failure", reason="error")
@@ -197,7 +196,7 @@ def test_fuse_failure_degrades_to_per_stage_kernels(monkeypatch):
 
 #: the three sources of a ``GroupKernel``
 SOURCES = {
-    "generated": ExecOptions(),
+    "generated": KernelTier.FUSED,
     "stage-kernels": NO_FUSE,
     "interpreted": INTERPRETED,
 }
@@ -206,11 +205,11 @@ SOURCES = {
 class _Tile:
     """One group's kernel plus what the executor hands it per tile."""
 
-    def __init__(self, pipe, options, tiles):
+    def __init__(self, pipe, kernels, tiles):
         self.pipe = pipe
         self.tiles = tiles
         self.geom = compute_group_geometry(pipe, pipe.stages)
-        self.kernel = resolve_group_kernel(pipe, self.geom, options)
+        self.kernel = resolve_group_kernel(pipe, self.geom, kernels)
         radii = self.geom.expansion_radii()
         self.plans = {
             s.name: _stage_plan(self.geom, s, pipe, radii)
@@ -417,7 +416,7 @@ def test_host_fused_vs_unfused_bit_identical(monkeypatch):
         tier = KernelTier.FUSED if fuse else KernelTier.STAGE
         monkeypatch.setenv("REPRO_KERNELS", tier.name.lower())
         host = PipelineHost("UM", HostConfig(scale=0.05, threads=2)).warm()
-        assert host.options == ExecOptions(tier)
+        assert host.kernels is tier
         if inputs is None:
             inputs = make_inputs(host.pipeline, 123)
         outputs, report, tier = host.execute(inputs)

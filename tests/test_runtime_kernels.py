@@ -38,7 +38,6 @@ from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.runtime import (
     Buffer,
     BufferPool,
-    ExecOptions,
     KernelCompileWarning,
     KernelTier,
     clear_kernel_cache,
@@ -53,17 +52,17 @@ from repro.serve import HostConfig, PipelineHost
 
 from conftest import build_blur, build_updown, build_histogram, random_inputs
 
-COMPILED = ExecOptions()
-INTERPRETED = ExecOptions(KernelTier.INTERPRET)
+COMPILED = KernelTier.FUSED
+INTERPRETED = KernelTier.INTERPRET
 
 
 def _both_modes(pipeline, grouping, inputs, nthreads=1):
     clear_kernel_cache()
     compiled = execute_grouping(
-        pipeline, grouping, inputs, nthreads=nthreads, options=COMPILED
+        pipeline, grouping, inputs, nthreads=nthreads, kernels=COMPILED
     )
     interpreted = execute_grouping(
-        pipeline, grouping, inputs, nthreads=nthreads, options=INTERPRETED
+        pipeline, grouping, inputs, nthreads=nthreads, kernels=INTERPRETED
     )
     return compiled, interpreted
 
@@ -95,7 +94,7 @@ class TestKernelEquivalence:
         inputs = random_inputs(pipe, rng)
         clear_kernel_cache()
         compiled = execute_grouping(
-            pipe, grouping, inputs, options=COMPILED
+            pipe, grouping, inputs, kernels=COMPILED
         )
         ref = execute_reference(pipe, inputs)
         for name in compiled:
@@ -203,7 +202,7 @@ class TestResilienceComposition:
             report = execute_guarded(
                 pipe, g, inputs,
                 policy=GuardPolicy(
-                    tile_retries=1, degrade=True, options=COMPILED
+                    tile_retries=1, degrade=True, kernels=COMPILED
                 ),
             )
         assert report.degraded
@@ -222,7 +221,7 @@ class TestResilienceComposition:
             report = execute_guarded(
                 pipe, g, inputs,
                 policy=GuardPolicy(
-                    tile_retries=0, degrade=True, options=COMPILED
+                    tile_retries=0, degrade=True, kernels=COMPILED
                 ),
             )
         for name in ref:
@@ -236,51 +235,46 @@ class TestResilienceComposition:
         clear_kernel_cache()
         with inject_faults(seed=5, tile=0.3):
             compiled = execute_grouping(
-                pipe, g, inputs, tile_retries=4, options=COMPILED
+                pipe, g, inputs, tile_retries=4, kernels=COMPILED
             )
         with inject_faults(seed=5, tile=0.3):
             interpreted = execute_grouping(
-                pipe, g, inputs, tile_retries=4, options=INTERPRETED
+                pipe, g, inputs, tile_retries=4, kernels=INTERPRETED
             )
         _assert_bit_identical(compiled, interpreted)
 
 
 class TestKnobsAndCache:
-    @pytest.mark.parametrize("reuse", [True, False])
+    @pytest.mark.parametrize("padded", [True, False])
     @pytest.mark.parametrize("var", [True, False])
     @pytest.mark.parametrize("flag", [True, False])
-    def test_exec_options_resolution(self, flag, var, reuse, monkeypatch):
+    def test_exec_options_resolution(self, flag, var, padded, monkeypatch):
         """``--kernels`` (given or not: ``flag``) beats ``REPRO_KERNELS``
         (set or not: ``var``) beats ``NATIVE``, for every pair of tiers
         the two can name — so a flag *can* raise the tier above the
-        variable's — and ``--no-reuse`` / ``REPRO_NO_REUSE`` decide
-        ``reuse`` independently of both.  ``GuardPolicy()`` resolves the
-        same way."""
+        variable's — however both are spelled (``padded``: upper case
+        inside blanks, else plain lower case).  ``GuardPolicy()``
+        resolves the same way."""
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        monkeypatch.delenv("REPRO_NO_REUSE", raising=False)
-        assert ExecOptions.resolve() == ExecOptions(KernelTier.NATIVE, True)
-        # reuse: the flag turns it off whatever the variable says, a
-        # truthy variable does without the flag, a falsy one does nothing
-        spellings = ("", "0", "off") if reuse else ("1", "true", "YES", " on ")
+        assert KernelTier.resolve() is KernelTier.NATIVE
+        assert GuardPolicy().kernels is KernelTier.NATIVE
+
+        def spell(t):
+            return f" {t.name} \n" if padded else t.name.lower()
+
         for by_flag, by_var in itertools.product(
             KernelTier if flag else [None], KernelTier if var else [None]
         ):
-            kernels = None if by_flag is None else by_flag.name.lower()
+            kernels = None if by_flag is None else spell(by_flag)
             if by_var is not None:
-                monkeypatch.setenv("REPRO_KERNELS", by_var.name.lower())
+                monkeypatch.setenv("REPRO_KERNELS", spell(by_var))
             tier = next(
                 t for t in (by_flag, by_var, KernelTier.NATIVE)
                 if t is not None
             )
-            for spelling in spellings:
-                monkeypatch.setenv("REPRO_NO_REUSE", spelling)
-                want = ExecOptions(tier, reuse)
-                assert ExecOptions.resolve(kernels) == want
-                assert ExecOptions.resolve(kernels, True) == ExecOptions(
-                    tier, False
-                )
-                if not flag:
-                    assert GuardPolicy().options == want
+            assert KernelTier.resolve(kernels) is tier
+            if not flag:
+                assert GuardPolicy().kernels is tier
 
     @pytest.mark.parametrize("spelling, tier", [
         ("native", KernelTier.NATIVE), (" FUSED ", KernelTier.FUSED),
@@ -294,7 +288,7 @@ class TestKnobsAndCache:
             monkeypatch.delenv("REPRO_KERNELS", raising=False)
         else:
             monkeypatch.setenv("REPRO_KERNELS", spelling)
-        assert ExecOptions.resolve().tier is tier
+        assert KernelTier.resolve() is tier
 
     @pytest.mark.parametrize(
         "value", ["bogus", "3", "nativ", "fused,stage"],
@@ -316,7 +310,7 @@ class TestKnobsAndCache:
             blur_pipeline, [["blurx", "blury"]], [[3, 32, 32]]
         )
         for entry in (
-            ExecOptions.resolve,
+            KernelTier.resolve,
             GuardPolicy,
             lambda: execute_grouping(
                 blur_pipeline, g, random_inputs(blur_pipeline, rng)
@@ -331,7 +325,7 @@ class TestKnobsAndCache:
         assert exit_info.value.code == message  # stderr, exit status 1
         assert capsys.readouterr().out == ""    # before any work
         # the flag decides alone: the variable is not even read
-        assert ExecOptions.resolve("stage").tier is KernelTier.STAGE
+        assert KernelTier.resolve("stage") is KernelTier.STAGE
 
     def test_serve_refuses_to_boot_on_a_malformed_kernels_variable(self):
         proc = subprocess.run(
@@ -362,8 +356,8 @@ class TestKnobsAndCache:
         self, blur_pipeline, rng, monkeypatch
     ):
         """A bare ``execute_grouping`` and a bare ``execute_guarded``
-        run what the environment resolves to, at every NumPy tier with
-        and without reuse — stage kernels are compiled at ``STAGE`` only
+        run what the environment resolves to, at every NumPy tier —
+        stage kernels are compiled at ``STAGE`` only
         (the fused source calls none, the interpreter needs none) — to
         the reference's bits."""
         g = manual_grouping(
@@ -377,20 +371,15 @@ class TestKnobsAndCache:
             kernelcache, "get_kernel",
             lambda *a: seen.append(a) or real(*a),
         )
-        for tier, reuse in itertools.product(
-            (KernelTier.FUSED, KernelTier.STAGE, KernelTier.INTERPRET),
-            (True, False),
-        ):
+        for tier in (KernelTier.FUSED, KernelTier.STAGE, KernelTier.INTERPRET):
             monkeypatch.setenv("REPRO_KERNELS", tier.name)
-            monkeypatch.setenv("REPRO_NO_REUSE", "0" if reuse else "1")
             clear_kernel_cache()
             del seen[:]
             bare = execute_grouping(blur_pipeline, g, inputs, nthreads=2)
             assert bool(seen) == (tier is KernelTier.STAGE)
             guarded = execute_guarded(blur_pipeline, g, inputs, nthreads=2)
             explicit = execute_grouping(
-                blur_pipeline, g, inputs, nthreads=2,
-                options=ExecOptions(tier, reuse),
+                blur_pipeline, g, inputs, nthreads=2, kernels=tier,
             )
             for out in (bare, guarded.outputs, explicit):
                 _assert_bit_identical(out, ref)
@@ -406,7 +395,8 @@ class TestKnobsAndCache:
         assert k3 is not k1
 
     @pytest.mark.parametrize("options", [
-        COMPILED, ExecOptions(KernelTier.STAGE), INTERPRETED,
+        {"kernels": COMPILED}, {"kernels": KernelTier.STAGE},
+        {"kernels": INTERPRETED},
     ])
     def test_memoised_kernels_do_not_pin_the_pipeline(self, options, rng):
         """Every kernel memo is weakly keyed by the pipeline, and nothing
@@ -414,7 +404,7 @@ class TestKnobsAndCache:
         alive: dropping the pipeline frees it."""
         pipe = build_blur(rows=30, cols=30)
         g = manual_grouping(pipe, [["blurx", "blury"]], [[2, 12, 12]])
-        execute_grouping(pipe, g, random_inputs(pipe, rng), options=options)
+        execute_grouping(pipe, g, random_inputs(pipe, rng), **options)
         alive = weakref.ref(pipe)
         del pipe, g
         gc.collect()
@@ -450,10 +440,10 @@ class TestKnobsAndCache:
             # blury's (also-failing) first compile warns here; expected.
             warnings.simplefilter("ignore", KernelCompileWarning)
             out = execute_grouping(
-                blur_pipeline, g, inputs, options=COMPILED
+                blur_pipeline, g, inputs, kernels=COMPILED
             )
         ref = execute_grouping(
-            blur_pipeline, g, inputs, options=INTERPRETED
+            blur_pipeline, g, inputs, kernels=INTERPRETED
         )
         _assert_bit_identical(out, ref)
         clear_kernel_cache()

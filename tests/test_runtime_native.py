@@ -3,11 +3,11 @@
 Clock-free.  What is pinned:
 
 * **bits** — digests equal ``execute_reference`` on the six benchmarks'
-  DP groupings x threads x halo reuse on/off (grids of one, two and
-  three carry rows: the eight-``ExecOptions`` matrix of
-  ``test_runtime_parallel_walk.py``), through ``PipelineHost`` in-process
-  and a forked worker, on random DAGs x awkward tiles x step lengths,
-  and under ``tile`` fault injection;
+  DP groupings x threads (grids of one, two and three carry rows: the
+  four-``KernelTier`` matrix of ``test_runtime_parallel_walk.py``),
+  through ``PipelineHost`` in-process and a forked worker, on random
+  DAGs x awkward tiles x step lengths x tiers, and under ``tile`` fault
+  injection;
 * **one plan** — a native kernel reports the region slots, inlined
   members and direct stores of the NumPy kernel it stands in for;
 * **the typed printer** — op by op against NumPy, dtype and bytes;
@@ -89,7 +89,6 @@ from repro.poly import compute_group_geometry
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.resilience.faults import FaultInjector
 from repro.runtime import (
-    ExecOptions,
     KernelNativeWarning,
     KernelTier,
     clear_kernel_cache,
@@ -115,8 +114,8 @@ from conftest import (
 
 pytestmark = [pytest.mark.native, needs_gxx]
 
-NATIVE = ExecOptions(KernelTier.NATIVE)
-NUMPY = ExecOptions(KernelTier.FUSED)
+NATIVE = KernelTier.NATIVE
+NUMPY = KernelTier.FUSED
 THREADS = (1, 2, 4)
 REGRESSIONS = os.path.join(os.path.dirname(__file__), "regressions")
 
@@ -156,7 +155,7 @@ def native_warnings(record):
 
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_dp_groupings_match_reference_and_share_the_numpy_plan(abbrev):
-    """Threads {1, 2, 4} x reuse on/off on the DP grouping; every group
+    """Threads {1, 2, 4} on the DP grouping; every group
     but CP's ``pow`` LUT is native, silently; and each native kernel has
     exactly the slots of the NumPy kernel it replaces — one plan."""
     bench, pipe, grouping = dp_grouping(abbrev)
@@ -179,12 +178,9 @@ def test_dp_groupings_match_reference_and_share_the_numpy_plan(abbrev):
         assert kernel.direct_stores == plain.direct_stores
         assert not (kernel.native and kernel.generated)
     for n in THREADS:
-        for reuse in (True, False):
-            out = execute_grouping(
-                pipe, grouping, inputs, nthreads=n,
-                options=ExecOptions(KernelTier.NATIVE, reuse),
-            )
-            assert output_digests(out) == expected, (n, reuse)
+        out = execute_grouping(pipe, grouping, inputs, nthreads=n,
+                               kernels=NATIVE)
+        assert output_digests(out) == expected, n
 
 
 def test_host_in_process_and_forked_worker(native_on, monkeypatch):
@@ -201,12 +197,12 @@ def test_host_in_process_and_forked_worker(native_on, monkeypatch):
             execute_reference(pipe, make_inputs(pipe, seed))
         )
         host = PipelineHost(key, host_config).warm()
-        assert host.options == NATIVE
+        assert host.kernels is NATIVE
         health = host.health()
         assert (health["native_groups"], health["numpy_groups"]) == (
             native, numpy
         )
-        assert (health["kernels"], health["reuse"]) == ("native", True)
+        assert health["kernels"] == "native" and "reuse" not in health
         outputs, _, tier = host.execute(make_inputs(host.pipeline, seed))
         assert tier == "compiled"
         assert output_digests(outputs) == expected[key]
@@ -241,12 +237,12 @@ def test_strided_and_foreign_typed_inputs_are_normalised():
         k: np.asfortranarray(v.astype(np.float64)) for k, v in inputs.items()
     }
     expected = execute_reference(pipe, inputs)
-    out = execute_grouping(pipe, g, odd, options=NATIVE)
+    out = execute_grouping(pipe, g, odd, kernels=NATIVE)
     assert np.array_equal(out["blury"], expected["blury"])
 
 
 # ---------------------------------------------------------------------------
-# fuzz: random DAGs x awkward tiles x step lengths
+# fuzz: random DAGs x awkward tiles x step lengths x tiers
 # ---------------------------------------------------------------------------
 
 
@@ -259,11 +255,12 @@ def test_strided_and_foreign_typed_inputs_are_normalised():
     tile_seed=st.integers(0, 2 ** 16),
     k=st.sampled_from([1, 2, 10 ** 6]),
     nthreads=st.sampled_from(THREADS),
+    kernels=st.sampled_from(KernelTier),
 )
-def test_random_dags_match_reference(seed, tile_seed, k, nthreads):
+def test_random_dags_match_reference(seed, tile_seed, k, nthreads, kernels):
     """Few distinct DAGs (each is one translation unit), many tilings:
     non-power-of-two tiles, tiles larger than the extent, one-tile rows,
-    steps of one tile, two tiles and the whole row."""
+    steps of one tile, two tiles and the whole row — on every tier."""
     pipe = random_pipeline(num_stages=8, seed=seed, size=128)
     grouping = schedule_pipeline(pipe, XEON_HASWELL, strategy="greedy")
     rng = np.random.default_rng(tile_seed)
@@ -279,7 +276,7 @@ def test_random_dags_match_reference(seed, tile_seed, k, nthreads):
     with pytest.MonkeyPatch.context() as mp:
         force_step_tiles(mp, k)
         out = execute_grouping(
-            pipe, grouping, inputs, nthreads=nthreads, options=NATIVE
+            pipe, grouping, inputs, nthreads=nthreads, kernels=kernels
         )
     assert output_digests(out) == expected
 
@@ -406,7 +403,7 @@ def test_reduction_groupings_match_reference(case):
     try:
         for n in THREADS:
             out = execute_grouping(
-                pipe, grouping, inputs, nthreads=n, options=NATIVE
+                pipe, grouping, inputs, nthreads=n, kernels=NATIVE
             )
             assert output_digests(out) == expected, n
         untiled = [
@@ -436,16 +433,16 @@ def test_reduction_refuses_a_buffer_it_cannot_address():
             kernel.fn({"img": Buffer(odd, (0, 0))})
 
 
-@pytest.mark.parametrize("options, numpy_calls", [
+@pytest.mark.parametrize("kernels, numpy_calls", [
     (NATIVE, 0),
-    (ExecOptions.resolve("fused"), 1),
-    (ExecOptions.resolve(), 1),          # the suite's REPRO_KERNELS=fused
-    (ExecOptions(KernelTier.INTERPRET), 1),
-    (ExecOptions(KernelTier.STAGE), 1),
+    (KernelTier.resolve("fused"), 1),
+    (KernelTier.resolve(), 1),          # the suite's REPRO_KERNELS=fused
+    (KernelTier.INTERPRET, 1),
+    (KernelTier.STAGE, 1),
 ], ids=["native", "--kernels=fused", "REPRO_KERNELS=fused", "interpret",
         "stage"])
 def test_reduction_follows_the_groups_predicate(
-    options, numpy_calls, monkeypatch
+    kernels, numpy_calls, monkeypatch
 ):
     """One predicate — the ``NATIVE`` tier — for groups and reductions:
     every tier below runs ``_compute_reduction``, and the digests do not
@@ -461,10 +458,10 @@ def test_reduction_follows_the_groups_predicate(
         return real(*args)
 
     monkeypatch.setattr(executor_mod, "_compute_reduction", counted)
-    grouping_kernels(pipe, grouping.groups, options)    # incl. self-check
+    grouping_kernels(pipe, grouping.groups, kernels)    # incl. self-check
     calls.clear()
     out = execute_grouping(pipe, grouping, inputs, nthreads=2,
-                           options=options)
+                           kernels=kernels)
     assert output_digests(out) == expected
     assert calls == ["grid"] * numpy_calls
 
@@ -518,12 +515,12 @@ def test_tile_faults_on_native_steps_match_reference(rate):
     grouping_kernels(pipe, grouping.groups, NATIVE)
     keys = {}
     try:
-        for name, options in (("numpy", NUMPY), ("native", NATIVE)):
+        for name, kernels in (("numpy", NUMPY), ("native", NATIVE)):
             TRACE.reset(enabled=True)
             recorder = _RecordingInjector()
             with inject_faults(recorder):
                 execute_grouping(pipe, grouping, inputs, nthreads=2,
-                                 options=options)
+                                 kernels=kernels)
             keys[name] = _keys_by_group(recorder.keys)
         groups = [s for s in _walk_spans(TRACE.root) if s.name == "group"]
     finally:
@@ -546,7 +543,7 @@ def test_tile_faults_on_native_steps_match_reference(rate):
             report = execute_guarded(
                 pipe, grouping, inputs, nthreads=n,
                 policy=GuardPolicy(
-                    tile_retries=1, degrade=True, options=NATIVE
+                    tile_retries=1, degrade=True, kernels=NATIVE
                 ),
             )
         assert output_digests(report.outputs) == expected
@@ -574,7 +571,7 @@ def test_mid_run_failure_reseeds_the_native_carry(monkeypatch):
     try:
         with inject_faults(injector):
             out = execute_grouping(
-                pipe, g, inputs, tile_retries=1, options=NATIVE
+                pipe, g, inputs, tile_retries=1, kernels=NATIVE
             )
         assert injector.keys == ["g0t0a0", "g0t0a1"]
         assert METRICS.value("repro_halo_reuse_invalidations_total") == 1
@@ -601,7 +598,7 @@ def test_one_row_cut_across_two_threads():
     METRICS.reset(enabled=True)
     TRACE.reset(enabled=True)
     try:
-        out = execute_grouping(pipe, g, inputs, nthreads=2, options=NATIVE)
+        out = execute_grouping(pipe, g, inputs, nthreads=2, kernels=NATIVE)
         assert METRICS.value("repro_tiles_total") == 12
         # one seed per chunk
         assert METRICS.value("repro_halo_reuse_tiles_total") == 10
@@ -792,7 +789,7 @@ def _assert_degrades(reason, build=_blur_case, cache=None):
             assert all(
                 k.generated for k in kernels if len(k.group_names) > 1
             )
-            out = execute_grouping(pipe, g, inputs, options=NATIVE)
+            out = execute_grouping(pipe, g, inputs, kernels=NATIVE)
             (name,) = out
             assert out[name].tobytes() == expected.tobytes()
     got = native_warnings(record)
@@ -842,7 +839,7 @@ def test_compiler_that_fails_reports_its_stderr(monkeypatch, tmp_path):
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         pipe, g, inputs, expected = _blur_case()
-        out = execute_grouping(pipe, g, inputs, options=NATIVE)
+        out = execute_grouping(pipe, g, inputs, kernels=NATIVE)
     assert np.array_equal(out["blury"], expected)
     (w,) = native_warnings(record)
     assert "fno-such-flag" in str(w.message)
@@ -974,7 +971,7 @@ def test_garbage_artifact_is_rebuilt_once_then_numpy(monkeypatch, tmp_path):
     assert "(load)" in str(w.message)
     assert builds == [so]
     assert not os.path.exists(so)
-    out = execute_grouping(pipe, g, inputs, options=NATIVE)
+    out = execute_grouping(pipe, g, inputs, kernels=NATIVE)
     assert np.array_equal(out["blury"], expected)
 
 
@@ -1014,7 +1011,7 @@ def test_self_check_mismatch_demotes_only_that_group(monkeypatch, tmp_path):
     assert sorted(checked) == sorted([victim, tuple(names[2:])])
     (w,) = native_warnings(record)
     assert "(self-check)" in str(w.message)
-    out = execute_grouping(pipe, g, inputs, options=NATIVE)
+    out = execute_grouping(pipe, g, inputs, kernels=NATIVE)
     assert output_digests(out) == expected
 
     # a later process: the artifact and its verdict are both on disk
@@ -1069,7 +1066,7 @@ def test_self_check_walks_a_carried_chunk(monkeypatch, tmp_path):
     assert not any(k.native for k in kernels)
     (w,) = native_warnings(record)
     assert "(self-check)" in str(w.message)
-    out = execute_grouping(pipe, g, inputs, options=NATIVE)
+    out = execute_grouping(pipe, g, inputs, kernels=NATIVE)
     assert out["blury"].tobytes() == expected.tobytes()
 
 
@@ -1104,7 +1101,7 @@ def test_self_check_mismatch_demotes_only_the_reduction(monkeypatch, tmp_path):
     assert demoted == [("grid",)] and len(checked) == len(kernels) == 4
     (w,) = native_warnings(record)
     assert "(self-check)" in str(w.message)
-    out = execute_grouping(pipe, g, inputs, options=NATIVE)
+    out = execute_grouping(pipe, g, inputs, kernels=NATIVE)
     assert out["filtered"].tobytes() == expected.tobytes()
 
     # a later process: the artifact and its verdict are both on disk
@@ -1246,7 +1243,7 @@ def test_metrics_and_spans_name_the_native_tier(monkeypatch, tmp_path):
             assert METRICS.value(
                 "repro_kernel_native_build_seconds"
             )[0] == 1
-            execute_grouping(pipe, grouping, inputs, options=NATIVE)
+            execute_grouping(pipe, grouping, inputs, kernels=NATIVE)
             # generated NumPy source ran nowhere: CP's one NumPy group is
             # a singleton on the stage-walking adapter
             assert not METRICS.value("repro_kernel_fused_groups_total")

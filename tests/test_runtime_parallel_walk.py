@@ -8,7 +8,7 @@ at least as many rows as workers.  Pinned here without clocks:
   computes does not grow with the number of chunks, and grows by at most
   one tile's worth per extra run when rows have to be cut;
 * **bit identity where the change bites** — six benchmarks x threads x
-  all eight ``ExecOptions`` on grids of one, two and three carry rows,
+  every ``KernelTier`` on grids of one, two and three carry rows,
   against ``execute_reference``; a tile failing in the middle of a run re-seeds
   to that run's end, not the grid row's; the serve host at ``threads=2``
   in-process and across the worker boundary;
@@ -43,7 +43,6 @@ from repro.poly import compute_group_geometry, reuse_carry_dim
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.resilience.faults import FaultSpec
 from repro.runtime import (
-    ExecOptions,
     KernelTier,
     clear_kernel_cache,
     execute_grouping,
@@ -84,7 +83,6 @@ TIERS = {
     KernelTier.STAGE: "no-fuse",
     KernelTier.INTERPRET: "no-compile",
 }
-ALL_OPTIONS = [ExecOptions(t, r) for t in KernelTier for r in (True, False)]
 
 
 def walk_shapes(pipe, grouping):
@@ -143,8 +141,8 @@ class ComputedRegions:
             self.regions.append((stage.name, [tuple(b) for b in bounds]))
             return real_region(pipeline, stage, bounds, *args, **kwargs)
 
-        def resolve(pipeline, geom, options):
-            kernel = real_resolve(pipeline, geom, options)
+        def resolve(pipeline, geom, kernels):
+            kernel = real_resolve(pipeline, geom, kernels)
 
             def fn(regions, *args):
                 self.calls.append(kernel.group_names)
@@ -200,7 +198,7 @@ def test_work_is_conserved_across_thread_counts(abbrev, tier, monkeypatch):
         volumes = {}
         for n in THREADS:
             execute_grouping(
-                pipe, grouping, inputs, nthreads=n, options=ExecOptions(tier),
+                pipe, grouping, inputs, nthreads=n, kernels=tier,
             )
             volumes[n] = work.volume()
         for n in THREADS[1:]:
@@ -297,7 +295,7 @@ def test_carry_dim_rule_matches_region_plans_on_synth_dags(seed):
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_benchmarks_match_reference_on_few_row_grids(abbrev, rows):
-    """All eight ``ExecOptions`` at 1, 2 and 4 threads, on awkward tiles
+    """Every ``KernelTier`` at 1, 2 and 4 threads, on awkward tiles
     whose grids have ``rows`` carry rows — the grids where rows are cut
     (``rows < nthreads``) and where they are not."""
     bench = BENCHMARKS[abbrev]
@@ -306,11 +304,11 @@ def test_benchmarks_match_reference_on_few_row_grids(abbrev, rows):
     grouping = shaped(pipe, bench.h_manual(pipe), rows, step=11)
     expected = output_digests(execute_reference(pipe, inputs))
     for n in THREADS:
-        for options in ALL_OPTIONS:
+        for tier in KernelTier:
             out = execute_grouping(
-                pipe, grouping, inputs, nthreads=n, options=options,
+                pipe, grouping, inputs, nthreads=n, kernels=tier,
             )
-            assert output_digests(out) == expected, (n, options)
+            assert output_digests(out) == expected, (n, tier)
 
 
 @pytest.mark.parametrize("abbrev", ["CP", "HC"])
@@ -380,8 +378,7 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
     try:
         with inject_faults(FailFirstAttempt(armed)):
             out = execute_grouping(
-                pipe, g, inputs, nthreads=2, tile_retries=1,
-                options=ExecOptions(tier),
+                pipe, g, inputs, nthreads=2, tile_retries=1, kernels=tier,
             )
         assert METRICS.value("repro_tile_retries_total") == 1
         assert METRICS.value("repro_halo_reuse_invalidations_total") == 1
@@ -536,37 +533,30 @@ def _traced_groups(pipe, grouping, inputs, **kwargs):
 
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_no_reuse_is_one_kernel_call_per_schedule_tile(abbrev, monkeypatch):
-    """``ExecOptions(reuse=False)`` stays the paper's overlapped
-    execution for A/B: every group's ``step_tiles`` is 1, every chunk has
-    as many steps as tiles and there are exactly as many kernel calls as
-    the grouping has tiles.  Groups on a one-tile grid (no carry
-    dimension) are ``step_tiles == 1`` under reuse too."""
+    """Where geometry leaves nothing to carry — every group on a
+    one-tile grid (no carry dimension) — a walk is the paper's
+    overlapped execution: every group's ``step_tiles`` is 1, its plan
+    does not carry, and there are exactly as many kernel calls as the
+    grouping has tiles."""
     bench = BENCHMARKS[abbrev]
     pipe = bench.build(**bench.small_kwargs)
     inputs = random_inputs(pipe, np.random.default_rng(46))
-    grouping = shaped(pipe, bench.h_manual(pipe), 2)
-    work = ComputedRegions(monkeypatch)
-    for n in THREADS:
-        groups = _traced_groups(
-            pipe, grouping, inputs, nthreads=n,
-            options=ExecOptions(reuse=False),
-        )
-        tiled = [g for g in groups if g["attrs"]["mode"] == "tiled"]
-        assert tiled
-        tiles = 0
-        for span in tiled:
-            assert span["attrs"]["step_tiles"] == 1
-            for chunk in span["children"]:
-                assert chunk["attrs"]["steps"] == chunk["attrs"]["tiles"]
-                tiles += chunk["attrs"]["tiles"]
-        assert work.take_calls() == tiles
+    grouping = bench.h_manual(pipe)
     whole = dataclasses.replace(grouping, tile_sizes=tuple(
         tuple(1 << 20 for _ in ts) for ts in grouping.tile_sizes
     ))
-    for span in _traced_groups(pipe, whole, inputs):
-        if span["attrs"]["mode"] == "tiled":
-            assert span["attrs"]["step_tiles"] == 1
-            assert span["attrs"]["halo_reuse"] is False
+    work = ComputedRegions(monkeypatch)
+    tiled = [
+        span for span in _traced_groups(pipe, whole, inputs)
+        if span["attrs"]["mode"] == "tiled"
+    ]
+    assert tiled
+    for span in tiled:
+        assert span["attrs"]["step_tiles"] == 1
+        assert span["attrs"]["halo_reuse"] is False
+        (chunk,) = span["children"]
+        assert chunk["attrs"]["steps"] == chunk["attrs"]["tiles"] == 1
+    assert work.take_calls() == len(tiled)
 
 
 def _dp_grouping(abbrev, scale=0.1):
@@ -607,9 +597,8 @@ def test_no_kernel_stands_above_the_requested_tier(abbrev, monkeypatch):
     )):
         clear_kernel_cache()
         called.clear()
-        options = ExecOptions(tier)
-        kernels = grouping_kernels(pipe, grouping.groups, options)
-        out = execute_grouping(pipe, grouping, inputs, options=options)
+        kernels = grouping_kernels(pipe, grouping.groups, tier)
+        out = execute_grouping(pipe, grouping, inputs, kernels=tier)
         assert output_digests(out) == expected, tier
         for kernel in kernels:
             assert not (kernel.native and kernel.generated)
@@ -736,17 +725,16 @@ def test_steps_conserve_work_in_fewer_kernel_calls(abbrev, monkeypatch):
     region volume (``k = 1`` — what ran before steps), in as many kernel
     calls as ``repro_tile_steps_total`` says, which is fewer than the
     schedule has tiles; ``repro_tiles_total`` still counts schedule
-    tiles; without reuse kernel calls == tiles."""
+    tiles."""
     _, pipe, grouping = _dp_grouping(abbrev)
     inputs = make_inputs(pipe, 1)
     tiles = _grid_tiles(pipe, grouping)
     work = ComputedRegions(monkeypatch)
 
-    def run(n, options=ExecOptions()):
+    def run(n):
         METRICS.reset(enabled=True)
         try:
-            execute_grouping(pipe, grouping, inputs, nthreads=n,
-                             options=options)
+            execute_grouping(pipe, grouping, inputs, nthreads=n)
             assert METRICS.value("repro_tiles_total") == tiles
             steps = METRICS.value("repro_tile_steps_total")
             reused = METRICS.value("repro_halo_reuse_tiles_total")
@@ -764,7 +752,6 @@ def test_steps_conserve_work_in_fewer_kernel_calls(abbrev, monkeypatch):
         steps, reused, volume = run(n)
         assert steps < tiles
         assert (reused, volume) == per_tile[1:]
-        assert run(n, ExecOptions(reuse=False))[:2] == (tiles, None)
 
 
 @pytest.mark.native
@@ -778,11 +765,11 @@ def test_one_native_call_per_chunk_when_warm(abbrev, monkeypatch):
     _, pipe, grouping = _dp_grouping(abbrev)
     inputs = make_inputs(pipe, 1)
     expected = output_digests(execute_reference(pipe, inputs))
-    options = ExecOptions(KernelTier.NATIVE)
-    kernels = grouping_kernels(pipe, grouping.groups, options)
+    native = KernelTier.NATIVE
+    kernels = grouping_kernels(pipe, grouping.groups, native)
     assert all(k.fn is None for k in kernels if k.tabulate is not None)
     for n in THREADS:
-        execute_grouping(pipe, grouping, inputs, nthreads=n, options=options)
+        execute_grouping(pipe, grouping, inputs, nthreads=n, kernels=native)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm walk re-planned a region")
@@ -800,7 +787,7 @@ def test_one_native_call_per_chunk_when_warm(abbrev, monkeypatch):
         TRACE.reset(enabled=True)
         try:
             out = execute_grouping(
-                pipe, grouping, inputs, nthreads=n, options=options
+                pipe, grouping, inputs, nthreads=n, kernels=native
             )
             groups = _group_spans(TRACE.to_dict()["root"])
         finally:
@@ -824,11 +811,10 @@ def test_walk_plans_die_with_their_pipeline():
 
     def one_shot():
         _, pipe, grouping = _dp_grouping("CP")
-        options = ExecOptions(KernelTier.NATIVE)
-        grouping_kernels(pipe, grouping.groups, options)
+        grouping_kernels(pipe, grouping.groups, KernelTier.NATIVE)
         execute_grouping(
             pipe, grouping, make_inputs(pipe, 1), nthreads=2,
-            options=options,
+            kernels=KernelTier.NATIVE,
         )
         plans = [
             plan
@@ -896,8 +882,8 @@ def test_nonretryable_error_inside_a_step_fails_on_first_attempt(monkeypatch):
     real_resolve = executor_mod.resolve_group_kernel
     calls = []
 
-    def resolve(pipeline, geom, options):
-        kernel = real_resolve(pipeline, geom, options)
+    def resolve(pipeline, geom, kernels):
+        kernel = real_resolve(pipeline, geom, kernels)
 
         def fn(*args):
             calls.append(1)

@@ -25,7 +25,6 @@ from repro.planner import (
 )
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.runtime import (
-    ExecOptions,
     KernelTier,
     execute_reference,
     kernelcache,
@@ -291,10 +290,9 @@ class TestDegradationLadder:
         for (grouping, policy), rung in zip(ran, rungs, strict=True):
             assert grouping is host._rungs[rung][0]
             assert policy is host._rungs[rung][1]
-        interpreted = ExecOptions(KernelTier.INTERPRET, reuse=False)
         for rung, (grouping, policy) in enumerate(host._rungs):
-            assert policy.options == (
-                interpreted if rung else host.options
+            assert policy.kernels is (
+                KernelTier.INTERPRET if rung else host.kernels
             )
             assert (policy.tile_retries, policy.degrade) == (
                 host.config.tile_retries, True
@@ -347,9 +345,8 @@ class TestHostLifecycle:
         assert health["hosts"]["UM"]["requests"] == 1
         assert health["hosts"]["UM"]["pool"]["pools"] >= 1
         # what the process's environment resolved to at warm-up (the
-        # suite's REPRO_KERNELS=fused, reuse on)
+        # suite's REPRO_KERNELS=fused)
         assert health["hosts"]["UM"]["kernels"] == "fused"
-        assert health["hosts"]["UM"]["reuse"] is True
         assert health["hosts"]["UM"]["native_groups"] == 0
         assert health["hosts"]["UM"]["numpy_groups"] > 0
 
