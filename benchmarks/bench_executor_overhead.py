@@ -1,5 +1,4 @@
-"""Per-tile executor overhead: interpreted vs per-stage vs fused vs
-native.
+"""Per-tile executor overhead: interpreted vs per-stage vs native.
 
 The paper's cost model reasons about locality and parallelism, but a
 Python interpreter that re-walks each stage's expression tree per tile
@@ -8,15 +7,15 @@ the compiled-kernel layer in :mod:`repro.runtime.kernelcache`.  This
 benchmark measures that overhead directly: every registered benchmark
 pipeline is executed on its H-manual grouping with tile sizes clamped
 small (so the tile count is high and per-tile dispatch dominates), at
-the four tiers of :data:`MODES` — interpreter, per-stage
-kernels, fused per-group kernels and native (C) group kernels, every one
-on the same carrying walk — on one thread.  Reported per pipeline: total
-wall time, tile count, per-tile microseconds for all four modes, the
-compiled-vs-interpreted, fused-vs-per-stage and native-vs-fused
-speedups, the model-predicted ``overlap_recompute_fraction`` (the
-redundant-work share halo reuse claims), and — since the walk runs
-*steps* of several adjacent tiles per kernel call — ``steps`` and the
-fused and native modes' microseconds per step beside ``tiles``.  The
+the three tiers of :data:`MODES` — interpreter, per-stage kernels and
+native (C) group kernels, every one on the same carrying walk — on one
+thread.  Reported per pipeline: total wall time, tile count, per-tile
+microseconds for all three modes, the compiled-vs-interpreted and
+native-vs-per-stage speedups, the model-predicted
+``overlap_recompute_fraction`` (the redundant-work share halo reuse
+claims), and — since the walk runs *steps* of several adjacent tiles per
+kernel call — each compiled mode's ``steps`` and microseconds per step
+beside ``tiles``.  The
 per-stage compiled path is then re-run at each ``--threads`` count
 (default 1/2/4) to record the chunked tile scheduler's parallel scaling
 and efficiency.
@@ -24,11 +23,11 @@ and efficiency.
 Results land in ``BENCH_executor.json`` (see ``--output``) — the repo's
 executor-performance trajectory, stamped with the machine's
 ``cpu_count`` and the compiler's version.  ``--check`` exits nonzero when
-compiled execution is slower than interpreted, fused is slower than
-per-stage, any output mismatches — the ``native`` mode's digests must
-equal ``fused``'s (no timing floor: without a compiler it runs the
-``fused`` mode's kernels) — or the walk ran more steps than tiles, which
-is how CI smoke-tests the fast path.
+compiled execution is slower than interpreted, any output mismatches —
+the ``native`` mode's digests must equal ``compiled``'s (no timing
+floor: without a compiler it runs the ``compiled`` mode's kernels) — or
+the walk ran more steps than tiles, which is how CI smoke-tests the fast
+path.
 
 Usage::
 
@@ -61,7 +60,6 @@ from repro.runtime import (
     clear_kernel_cache,
     execute_grouping,
     grouping_kernels,
-    warm_group_kernels,
 )
 
 #: Tile sizes are clamped to this per dimension so every pipeline runs
@@ -69,12 +67,11 @@ from repro.runtime import (
 #: dominates and the interpreted/compiled difference is what's measured.
 MAX_TILE = 32
 
-#: The four measured modes, slowest first: the four tiers, each one rung
-#: up from the last.
+#: The three measured modes, slowest first: the three tiers, each one
+#: rung up from the last.
 MODES = {
     "interpreted": KernelTier.INTERPRET,
     "compiled": KernelTier.STAGE,
-    "fused": KernelTier.FUSED,
     "native": KernelTier.NATIVE,
 }
 
@@ -188,21 +185,11 @@ def run(abbrevs: List[str], repeats: int,
         n_tiles = _count_tiles(pipe, grouping)
         inputs = _inputs(pipe)
         clear_kernel_cache()
-        # Groups the fused tier actually covers; a pipeline whose
-        # grouping is all singletons (or nothing fuses) runs the same
-        # code in both compiled modes and its ratio is pure noise.
-        n_fused = len(
-            warm_group_kernels(pipe, grouping.groups, MODES["fused"])
-        )
-
-        (t_interp, out_i), (t_compiled, out_c), (t_fused, out_f) = (
+        # native last: built, or found in the artifact store, by the
+        # warm-up run inside _time_mode
+        (t_interp, out_i), (t_compiled, out_c), (t_native, out_n) = (
             _time_mode(pipe, grouping, inputs, MODES[mode], repeats)
-            for mode in ("interpreted", "compiled", "fused")
-        )
-        # Fourth: the same walk on native kernels (built, or found in the
-        # artifact store, by the warm-up run inside _time_mode).
-        t_native, out_n = _time_mode(
-            pipe, grouping, inputs, MODES["native"], repeats
+            for mode in ("interpreted", "compiled", "native")
         )
         native_groups = sum(
             k.native
@@ -232,13 +219,11 @@ def run(abbrevs: List[str], repeats: int,
                 atol=1e-5, rtol=1e-5,
             )
             for k in out_i
-        ) and all(
-            # the fused tier must be bit-identical to the per-stage tier
-            np.array_equal(out_c[k], out_f[k]) for k in out_c
         )
-        native_matches = output_digests(out_n) == output_digests(out_f)
-        n_steps = _count_steps(
-            pipe, grouping, inputs, MODES["fused"], n_tiles
+        native_matches = output_digests(out_n) == output_digests(out_c)
+        n_steps, native_steps = (
+            _count_steps(pipe, grouping, inputs, MODES[mode], n_tiles)
+            for mode in ("compiled", "native")
         )
         rec = {
             "pipeline": ab,
@@ -246,21 +231,20 @@ def run(abbrevs: List[str], repeats: int,
             "stages": len(pipe.stages),
             "tiles": n_tiles,
             "steps": n_steps,
-            "fused_groups": n_fused,
+            "native_steps": native_steps,
             "native_groups": native_groups,
             "interpreted_s": round(t_interp, 6),
             "compiled_s": round(t_compiled, 6),
-            "fused_s": round(t_fused, 6),
             "native_s": round(t_native, 6),
             "interpreted_us_per_tile": round(t_interp / n_tiles * 1e6, 2),
             "compiled_us_per_tile": round(t_compiled / n_tiles * 1e6, 2),
-            "fused_us_per_tile": round(t_fused / n_tiles * 1e6, 2),
-            "fused_us_per_step": round(t_fused / n_steps * 1e6, 2),
+            "compiled_us_per_step": round(t_compiled / n_steps * 1e6, 2),
             "native_us_per_tile": round(t_native / n_tiles * 1e6, 2),
-            "native_us_per_step": round(t_native / n_steps * 1e6, 2),
+            "native_us_per_step": round(
+                t_native / native_steps * 1e6, 2
+            ),
             "speedup": round(t_interp / t_compiled, 3),
-            "fused_speedup": round(t_compiled / t_fused, 3),
-            "native_speedup": round(t_fused / t_native, 3),
+            "native_speedup": round(t_compiled / t_native, 3),
             "overlap_recompute_fraction": round(
                 _overlap_recompute_fraction(pipe, grouping), 4
             ),
@@ -275,13 +259,11 @@ def run(abbrevs: List[str], repeats: int,
         print(
             f"{ab:>3}  {n_tiles:>5} tiles  "
             f"interp {rec['interpreted_us_per_tile']:>8.1f} us/tile  "
-            f"compiled {rec['compiled_us_per_tile']:>8.1f} us/tile  "
-            f"fused {rec['fused_us_per_tile']:>8.1f} us/tile "
-            f"({n_steps} steps, {rec['fused_us_per_step']:.1f} us/step)  "
+            f"compiled {rec['compiled_us_per_tile']:>8.1f} us/tile "
+            f"({n_steps} steps, {rec['compiled_us_per_step']:.1f} us/step)  "
             f"native {rec['native_us_per_tile']:>8.1f} us/tile "
             f"({native_groups} groups, {rec['native_speedup']:.2f}x)  "
             f"speedup {rec['speedup']:>6.2f}x  "
-            f"fused {rec['fused_speedup']:>5.2f}x  "
             f"ovl {rec['overlap_recompute_fraction']:.3f}  "
             f"{'OK' if matches and native_matches else 'MISMATCH'}  "
             f"[{scaling}]"
@@ -291,7 +273,7 @@ def run(abbrevs: List[str], repeats: int,
 
 def _compiler_version() -> Optional[str]:
     """First line of ``g++ --version``; ``None`` without a compiler (the
-    ``native`` mode then measured the ``fused`` mode's kernels)."""
+    ``native`` mode then measured the ``compiled`` mode's kernels)."""
     cc = shutil.which("g++")
     if cc is None:
         return None
@@ -319,18 +301,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     records = run(args.pipelines, args.repeats, args.threads)
-    fusable = [r for r in records if r["fused_groups"]]
-    fused_geomean = float(np.exp(np.mean(
-        [np.log(max(r["fused_speedup"], 1e-9)) for r in fusable]
-    ))) if fusable else 1.0
     native_geomean = float(np.exp(np.mean(
         [np.log(max(r["native_speedup"], 1e-9)) for r in records]
     ))) if records else 1.0
     payload = {
         "benchmark": "executor_overhead",
-        "description": "interpreted vs per-stage vs fused vs native "
-                       "per-tile (and, for fused and native, per-step) "
-                       "cost (1 thread, every tier carrying halos) plus a "
+        "description": "interpreted vs per-stage vs native per-tile "
+                       "(and, for per-stage and native, per-step) cost "
+                       "(1 thread, every tier carrying halos) plus a "
                        "compiled-path thread-scaling sweep, H-manual "
                        f"grouping with tiles clamped to {MAX_TILE}",
         "max_tile": MAX_TILE,
@@ -338,7 +316,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "threads": args.threads,
         "cpu_count": os.cpu_count(),
         "compiler": _compiler_version(),
-        "fused_speedup_geomean": round(fused_geomean, 3),
         "native_speedup_geomean": round(native_geomean, 3),
         "results": records,
     }
@@ -346,27 +323,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     print(f"wrote {args.output}")
-    print(f"fused-vs-per-stage geomean {fused_geomean:.2f}x "
-          f"({len(fusable)}/{len(records)} pipelines with fused groups)")
-    print(f"native-vs-fused geomean {native_geomean:.2f}x "
+    print(f"native-vs-per-stage geomean {native_geomean:.2f}x "
           f"({payload['compiler']})")
 
     if args.check:
         bad = [
             r["pipeline"] for r in records
             if r["speedup"] < 1.0
-            or (r["fused_groups"] and r["fused_speedup"] < 1.0)
             or not r["outputs_match"]
             or not r["native_digests_match"]
             or r["steps"] > r["tiles"]
         ]
         if bad:
-            print(f"FAIL: compiled slower than interpreted, fused slower "
-                  f"than per-stage, outputs mismatched, or steps > tiles "
-                  f"on {bad}")
+            print(f"FAIL: compiled slower than interpreted, outputs "
+                  f"mismatched, or steps > tiles on {bad}")
             return 1
-        print("PASS: compiled >= interpreted, fused >= per-stage, native "
-              "digests == fused, steps <= tiles on all measured pipelines")
+        print("PASS: compiled >= interpreted, native digests == compiled, "
+              "steps <= tiles on all measured pipelines")
     return 0
 
 

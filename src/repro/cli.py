@@ -51,7 +51,7 @@ from .runtime import (
     KernelTier,
     execute_grouping,
     execute_reference,
-    warm_group_kernels,
+    grouping_kernels,
 )
 
 __all__ = ["main"]
@@ -198,7 +198,7 @@ def cmd_run(args) -> int:
     start = time.perf_counter()
     # All of the grouping's kernels at once: its native groups share one
     # artifact, found under --schedule-cache when that is given.
-    warm_group_kernels(
+    grouping_kernels(
         pipe, grouping.groups, kernels, schedule_cache=args.schedule_cache
     )
     if args.strict:

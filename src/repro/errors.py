@@ -26,10 +26,9 @@ code                      raised when
 ``KERNEL_COMPILE_FAIL``   a stage could not be lowered to a compiled NumPy
                           kernel; surfaced as a *warning* by the runtime
                           (the stage falls back to the interpreter)
-``KERNEL_FUSE_FAIL``      a fusion group could not be compiled into one
-                          fused kernel; surfaced as a *warning* by the
-                          runtime (the group falls back to per-stage
-                          kernels)
+``KERNEL_FUSE_FAIL``      a fusion group has no native plan (every member
+                          would inline away); never surfaced — the group
+                          is ineligible for native and walks its stages
 ``KERNEL_NATIVE_FAIL``    a grouping's native (C) kernels could not be
                           built or loaded — no compiler, a failed build,
                           an unusable artifact directory, a ``.so`` that
@@ -258,11 +257,12 @@ class KernelCompileError(ReproError, RuntimeError):
 
 
 class KernelFuseError(KernelCompileError):
-    """A fusion group could not be compiled into one fused kernel.  Never
-    escapes the runtime: :mod:`repro.runtime.kernelcache` converts it into
-    a ``KernelFuseWarning`` and the group runs on per-stage kernels
-    instead.  ``reason`` is a short stable slug for metrics
-    (``repro_kernel_fuse_fail_total{reason=...}``)."""
+    """A fusion group has no native plan:
+    :func:`repro.runtime.kernelcache.plan_group` raises it (``reason``
+    ``degenerate``) when every member stage would inline away.  Never
+    escapes the runtime: :mod:`repro.runtime.native` counts the group
+    ``ineligible`` and it runs on the stage walk.  ``reason`` is a short
+    stable slug."""
 
     code = "KERNEL_FUSE_FAIL"
 
@@ -276,7 +276,7 @@ class KernelNativeError(KernelCompileError):
     """A grouping's native kernels could not be built, loaded or trusted.
     Never escapes the runtime: :mod:`repro.runtime.native` converts it
     into a ``KernelNativeWarning`` (once per ``reason``) and the groups
-    resolve exactly as they would at ``KernelTier.FUSED``.
+    resolve exactly as they would at ``KernelTier.STAGE``.
     ``reason`` is a short stable slug: ``no-compiler``, ``cache-dir``,
     ``build``, ``load``, ``self-check``, ``emit``."""
 

@@ -76,13 +76,6 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
     "repro_kernel_compile_total": (
         "counter", "Stage-kernel lookups: lowering outcomes and memo "
                    "hits (result=compiled|cached|fallback)"),
-    "repro_kernel_fused_groups_total": (
-        "counter", "Group executions that ran on generated fused NumPy "
-                   "source (one generated kernel per multi-stage group; "
-                   "a native group is not counted here)"),
-    "repro_kernel_fuse_fail_total": (
-        "counter", "Groups whose fused-kernel compilation failed and "
-                   "fell back to per-stage kernels, labelled by reason"),
     "repro_kernel_native_total": (
         "counter", "Tiled groups and untiled reductions offered to the "
                    "native (C) tier at kernel resolution (result=built|"

@@ -18,12 +18,9 @@ from .native import KernelNativeWarning
 from .kernelcache import (
     GroupKernel,
     KernelCompileWarning,
-    KernelFuseWarning,
     StageKernel,
     clear_kernel_cache,
-    compile_group_kernel,
     compile_stage_kernel,
-    get_group_kernel,
     stage_kernels,
 )
 
@@ -43,11 +40,8 @@ __all__ = [
     "StageKernel",
     "GroupKernel",
     "KernelCompileWarning",
-    "KernelFuseWarning",
     "KernelNativeWarning",
     "compile_stage_kernel",
-    "compile_group_kernel",
-    "get_group_kernel",
     "stage_kernels",
     "grouping_kernels",
     "warm_group_kernels",

@@ -15,8 +15,8 @@ Two entry points:
   adjacent tiles) is one call into that group's
   :class:`~repro.runtime.kernelcache.GroupKernel` — a native kernel's
   whole chunk of steps is one call; a :class:`KernelTier` selects what
-  stands behind it (native C, generated fused source, compiled stage
-  kernels, or the interpreter).  Adjacent tiles always reuse halos where
+  stands behind it (native C, compiled stage kernels, or the
+  interpreter).  Adjacent tiles always reuse halos where
   the group's geometry allows.
 
 Every :class:`KernelTier` at every thread count produces output digests
@@ -70,7 +70,6 @@ from .kernelcache import (
     _RESOLVED_CACHE,
     GroupKernel,
     StageKernel,
-    get_group_kernel,
     get_kernel,
     stage_kernels,
 )
@@ -94,8 +93,7 @@ class KernelTier(enum.IntEnum):
 
     INTERPRET = 0  #: the tree-walking interpreter, stage body by stage body
     STAGE = 1      #: compiled NumPy stage kernels, stage body by stage body
-    FUSED = 2      #: one generated fused NumPy kernel per multi-stage group
-    NATIVE = 3     #: one C kernel per eligible tiled group, untiled reduction
+    NATIVE = 2     #: one C kernel per eligible tiled group, untiled reduction
 
     @classmethod
     def resolve(cls, kernels: Optional[str] = None) -> "KernelTier":
@@ -1129,17 +1127,12 @@ def _execute_group_tiled(
         s.name: Buffer.for_region(pipeline.domain(s), s.scalar_type.np_dtype)
         for s in geom.liveouts
     }
-    if kernel.generated and METRICS.enabled:
-        # generated NumPy source only: a native group counts under
-        # repro_kernel_native_total when it is built or loaded
-        METRICS.inc("repro_kernel_fused_groups_total")
-
     # Chunk spans run on worker threads where the thread-local span stack
     # is empty — capture the group span here so they parent correctly.
     parent_span = TRACE.current() if TRACE.enabled else None
     if parent_span is not None:
         parent_span.set(
-            fused=kernel.generated, native=kernel.native,
+            native=kernel.native,
             halo_reuse=plan.reuse, step_tiles=plan.step_tiles,
         )
 
@@ -1294,7 +1287,6 @@ def _stagewise_kernel(
         liveout_names=tuple(s.name for s in geom.liveouts),
         inlined=(),
         direct_stores=(),
-        source="",
         fn=fn,
     )
 
@@ -1302,13 +1294,11 @@ def _stagewise_kernel(
 def _numpy_kernel(
     pipeline: Pipeline, geom, kernels: KernelTier
 ) -> GroupKernel:
-    """The kernel a group runs on below ``NATIVE``: generated fused
-    source for a multi-stage group from ``FUSED`` up when the group fuses
-    (one ``KERNEL_FUSE_FAIL`` warning when it does not), else the
-    stage-walking adapter — over compiled stage kernels from ``STAGE`` up
-    (a stage that fails to compile is interpreted after one
-    ``KERNEL_COMPILE_FAIL`` warning), over the interpreter at
-    ``INTERPRET``.  A reduction's is :func:`_compute_reduction`."""
+    """The kernel a group runs on below ``NATIVE``: the stage-walking
+    adapter — over compiled stage kernels from ``STAGE`` up (a stage that
+    fails to compile is interpreted after one ``KERNEL_COMPILE_FAIL``
+    warning), over the interpreter at ``INTERPRET``.  A reduction's is
+    :func:`_compute_reduction`."""
     if isinstance(geom, Reduction):
         # weakly, like the stage-walking adapter: the memo is keyed by
         # the pipeline
@@ -1317,16 +1307,11 @@ def _numpy_kernel(
             geom.name,
             lambda buffers: _compute_reduction(pipeline_ref(), geom, buffers),
         )
-    kernel = None
-    if kernels >= KernelTier.FUSED and len(geom.stages) > 1:
-        kernel = get_group_kernel(pipeline, geom)
-    if kernel is None:
-        kernel = _stagewise_kernel(
-            pipeline, geom,
-            stage_kernels(pipeline, geom.stages)
-            if kernels >= KernelTier.STAGE else {},
-        )
-    return kernel
+    return _stagewise_kernel(
+        pipeline, geom,
+        stage_kernels(pipeline, geom.stages)
+        if kernels >= KernelTier.STAGE else {},
+    )
 
 
 def _seeded_producers(
@@ -1365,52 +1350,52 @@ def _seeded_producers(
     return buffers
 
 
-def _kernels_agree(
-    pipeline: Pipeline, geom, a: GroupKernel, b: GroupKernel
-) -> bool:
-    """Whether two kernels of one group compute the same bytes — the
-    self-check a freshly built native kernel ``a`` must pass against its
-    NumPy counterpart ``b`` — on seeded producers and 16-point tiles, as
-    the live-outs' bytes: two one-tile chunks, one at the grid's low
-    corner (border windows) and one in its middle (interior windows),
-    and one whole chunk, the grid's middle row walked in steps of two
-    tiles, so that carried slots, windows seeded to the run's end and
-    copy-outs from carried windows are compared too.  All three are
-    chunks of one :class:`_WalkPlan` — a one-tile run seeds exactly to
-    its own expanded bound — where ``a`` runs its step table and ``b``
-    walks the same planned steps.  Two kernels of one reduction: the
-    same bytes over its whole reduction domain, from producers spread so
-    that targets fall inside and outside the accumulator."""
+def _kernels_agree(pipeline: Pipeline, geom, kernel: GroupKernel) -> bool:
+    """Whether a freshly built native ``kernel`` computes the bytes its
+    group's stage walk does — the stage-walking adapter over compiled
+    stage kernels, which shares none of the native plan's inlining or
+    direct-store decisions, so a bug in those cannot agree with itself
+    — on seeded producers and 16-point tiles, as the live-outs' bytes:
+    two one-tile chunks, one at the grid's low corner (border windows)
+    and one in its middle (interior windows), and one whole chunk, the
+    grid's middle row walked in steps of two tiles, so that carried
+    slots, windows seeded to the run's end and copy-outs from carried
+    windows are compared too.  Each kernel walks the same tiles on its
+    own :class:`_WalkPlan` — a one-tile run seeds exactly to its own
+    expanded bound — ``kernel`` by its step table, the stage walk step
+    by step.  A reduction's kernel: the same bytes as the interpreter's
+    walk over its whole reduction domain, from producers spread so that
+    targets fall inside and outside the accumulator."""
+    reference = _numpy_kernel(pipeline, geom, KernelTier.STAGE)
     if isinstance(geom, Reduction):
         buffers = _seeded_producers(pipeline, [geom], spread=True)
         with suspended():
-            got = [kernel.fn(buffers) for kernel in (a, b)]
+            got = [k.fn(buffers) for k in (kernel, reference)]
         return got[0].origin == got[1].origin and (
             got[0].data.tobytes() == got[1].data.tobytes()
         )
-    if (a.region_names, a.inlined, a.direct_stores) != (
-        b.region_names, b.inlined, b.direct_stores
-    ):
-        return False
     buffers = _seeded_producers(pipeline, geom.stages)
     sizes = tuple(min(16, hi - lo + 1) for lo, hi in geom.grid_bounds)
     middle = tuple(
         lo + (hi - lo + 1) // 2 // t * t
         for (lo, hi), t in zip(geom.grid_bounds, sizes)
     )
-    plan = _WalkPlan(pipeline, geom, sizes, a, step_tiles=2)
-    row = plan.row_len or len(plan.tiles)
-    mid = len(plan.tiles) // row // 2 * row
+    walks = [
+        (k, _WalkPlan(pipeline, geom, sizes, k, step_tiles=2))
+        for k in (kernel, reference)
+    ]
+    tiles = walks[0][1].tiles
+    row = walks[0][1].row_len or len(tiles)
+    mid = len(tiles) // row // 2 * row
     checks = (
-        plan.tiles[:1],
-        [t for t in plan.tiles if t[1] == middle],
-        plan.tiles[mid:mid + row],
+        tiles[:1],
+        [t for t in tiles if t[1] == middle],
+        tiles[mid:mid + row],
     )
     with suspended():
-        for tiles in checks:
-            chunk = plan.chunk(tiles)
+        for check in checks:
             got = []
-            for kernel, run in ((a, chunk), (b, chunk._replace(table=None))):
+            for k, plan in walks:
                 outs = {
                     s.name: Buffer.for_region(
                         pipeline.domain(s), s.scalar_type.np_dtype
@@ -1418,7 +1403,8 @@ def _kernels_agree(
                     for s in geom.liveouts
                 }
                 _walk_chunk(
-                    plan, run, kernel, buffers, outs, BufferPool(), _Done()
+                    plan, plan.chunk(check), k, buffers, outs,
+                    BufferPool(), _Done(),
                 )
                 got.append({n: o.data.tobytes() for n, o in outs.items()})
             if got[0] != got[1]:
@@ -1441,10 +1427,9 @@ def resolve_group_kernels(
     :func:`repro.runtime.native.build_group_kernels`
     *together* — one translation unit, one compiler call, or one
     artifact-store hit (the store lives under ``schedule_cache`` when
-    given) — and the NumPy kernel of a group that came back native is
-    never generated.  The first time an artifact is used on a machine
-    each native kernel is compared with its NumPy counterpart on seeded
-    inputs (:func:`_kernels_agree`) and demoted on any differing byte.
+    given).  The first time an artifact is used on a machine each native
+    kernel is compared with its group's stage walk on seeded inputs
+    (:func:`_kernels_agree`) and demoted on any differing byte.
     Whatever is not native resolves as :func:`_numpy_kernel` says."""
     per = _RESOLVED_CACHE.get(pipeline)
     if per is None:
@@ -1463,10 +1448,7 @@ def resolve_group_kernels(
         if built.unverified:
             built.commit([
                 j for j, kernel in list(built.kernels.items())
-                if not _kernels_agree(
-                    pipeline, units[missing[j]], kernel,
-                    _numpy_kernel(pipeline, units[missing[j]], kernels),
-                )
+                if not _kernels_agree(pipeline, units[missing[j]], kernel)
             ])
         for j, kernel in built.kernels.items():
             per[keys[missing[j]]] = kernel
@@ -1532,14 +1514,15 @@ def warm_group_kernels(
     kernels: Optional[KernelTier] = None,
     schedule_cache: Optional[str] = None,
 ) -> Mapping[frozenset, GroupKernel]:
-    """:func:`grouping_kernels`, returning only the kernels that run on
-    generated fused NumPy source, keyed by member-name frozenset."""
+    """:func:`grouping_kernels`, returning only the kernels that run a
+    multi-stage group as one kernel — native C, where it was built —
+    keyed by member-name frozenset."""
     return {
         frozenset(kernel.group_names): kernel
         for kernel in grouping_kernels(
             pipeline, groups, kernels, schedule_cache
         )
-        if kernel.generated
+        if kernel.native and len(kernel.group_names) > 1
     }
 
 

@@ -39,27 +39,21 @@ stage that cannot be compiled is *not* an error: :func:`get_kernel` emits
 a single :class:`KernelCompileWarning` (``KERNEL_COMPILE_FAIL``) and the
 stage is interpreted.
 
-:func:`compile_group_kernel` builds **one fused kernel per multi-stage
-fusion group**: the member stages' bodies are chained inside a single
-generated function, so a tile makes one call instead of one per stage.
-Producer values flow to in-group consumers either by *inlining* (cheap
-producers read few times are substituted into consumer bodies as
-``Cast``-wrapped expressions — Exo's ``inline_assign``; dead
-intermediates disappear entirely, ``delete_buffer``) or through pooled
-scratch arrays sized to the consumer's stencil footprint over the tile
-(``compute_at`` + ``store_at``).  A live-out stage whose expanded tile
-region equals its base tile writes straight into the full output buffer
-(the ``store_at``-root fast path).  A group that cannot be fused emits a
-single :class:`KernelFuseWarning` (``KERNEL_FUSE_FAIL``).
+A multi-stage group's structure — which members materialise, which
+cheap producers are substituted into their consumers (Exo's
+``inline_assign``; dead intermediates disappear, ``delete_buffer``), and
+which live-outs write straight into the full output buffer (the
+``store_at``-root fast path) — is decided once by :func:`plan_group`.
+The result, a :class:`GroupPlan`, is what the native C emitter
+(:mod:`repro.runtime.native`) and ``repro codegen`` print from.
 
 :class:`GroupKernel` is the one protocol the tiled executor calls.  Its
-other source is the executor's adapter, which walks a group's members
+NumPy source is the executor's adapter, which walks a group's members
 through their stage kernels (or the interpreter) behind the same
-signature — singleton groups, groups that failed to fuse, and the
-``STAGE`` / ``INTERPRET`` rungs of :class:`repro.runtime.KernelTier`
-all select it.  Both sources are bit-identical by construction: the fused
-kernel performs exactly the NumPy operations the per-stage kernels
-would, minus the scratch stores/gathers the rewrites eliminate.
+signature — the ``STAGE`` / ``INTERPRET`` rungs of
+:class:`repro.runtime.KernelTier` and every group native does not run.
+Its other source is a native kernel, which stands in for the adapter and
+is checked against it on first use.
 """
 
 from __future__ import annotations
@@ -89,18 +83,16 @@ from ..dsl.pipeline import Pipeline
 from ..errors import KernelCompileError, KernelFuseError
 from ..obs import METRICS
 from ..poly.analysis import PipelineAnalysis
-from .buffers import Buffer
-from .evalexpr import evaluate_expr, make_index_grids
+from .evalexpr import evaluate_expr
 
 __all__ = [
     "KernelCompileWarning",
-    "KernelFuseWarning",
     "StageKernel",
     "GroupKernel",
+    "GroupPlan",
     "compile_stage_kernel",
-    "compile_group_kernel",
     "get_kernel",
-    "get_group_kernel",
+    "plan_group",
     "stage_kernels",
     "clear_kernel_cache",
 ]
@@ -108,10 +100,6 @@ __all__ = [
 
 class KernelCompileWarning(UserWarning):
     """A stage fell back to the interpreter (``KERNEL_COMPILE_FAIL``)."""
-
-
-class KernelFuseWarning(UserWarning):
-    """A group fell back to per-stage kernels (``KERNEL_FUSE_FAIL``)."""
 
 
 @dataclass
@@ -268,101 +256,33 @@ def _affine_index(e: Expr):
 
 
 class _Lowerer:
-    """Emits the body of one stage kernel as Python source lines.
+    """Emits the body of one stage kernel as Python source lines."""
 
-    ``prefix`` namespaces every generated identifier (grids, shape,
-    temporaries, constants), so several lowerers can share one function
-    body — the fused group compiler runs one per member stage.
-    ``buffer_refs`` maps producer names to local variable expressions;
-    accesses to unlisted producers read ``buffers[name]`` as before.
-    ``defn`` overrides the stage body (the group compiler passes the
-    post-``inline_assign`` rewritten body).
-
-    ``region_ref`` names a local holding the stage's inclusive region
-    bounds (the fused compiler passes ``_r{i}``).  With it set, two
-    fused-tier fast paths light up: window starts, extents, and shape
-    come straight off the region tuple — index grids are only
-    materialised when an expression actually needs coordinate *arrays*
-    (a direct variable reference or a clipped-gather fallback) — and
-    affine window reads inline the bounds check and slice instead of
-    calling :meth:`Buffer.read_window` per access.  Values are
-    unchanged; only per-tile Python dispatch is removed.
-    """
-
-    def __init__(
-        self,
-        pipeline: Pipeline,
-        stage: Function,
-        prefix: str = "",
-        indent: str = "    ",
-        buffer_refs: Optional[Mapping[str, str]] = None,
-        defn: Optional[Sequence[object]] = None,
-        region_ref: Optional[str] = None,
-    ):
+    def __init__(self, pipeline: Pipeline, stage: Function):
         self.pipeline = pipeline
         self.stage = stage
-        self.pfx = prefix
-        self.indent = indent
-        self.buffer_refs: Mapping[str, str] = (
-            {} if buffer_refs is None else buffer_refs
-        )
-        self.defn = list(stage.defn) if defn is None else list(defn)
-        self.region_ref = region_ref
         self.lines: List[str] = []
         self.memo: Dict[tuple, str] = {}
         self.consts: Dict[str, object] = {}
         self.count = 0
         self.var_names = {
-            v.name: f"{prefix}_g{d}" for d, v in enumerate(stage.variables)
+            v.name: f"_g{d}" for d, v in enumerate(stage.variables)
         }
         self.var_dims = {
             v.name: d for d, v in enumerate(stage.variables)
         }
-        self.shape_name = f"{prefix}_shape"
 
     def fresh(self, prefix: str = "_t") -> str:
         self.count += 1
-        return f"{self.pfx}{prefix}{self.count}"
+        return f"{prefix}{self.count}"
 
     def emit(self, line: str) -> None:
-        self.lines.append(f"{self.indent}{line}")
+        self.lines.append(f"    {line}")
 
     def const(self, value: object) -> str:
-        name = f"{self.pfx}_c{len(self.consts)}"
+        name = f"_c{len(self.consts)}"
         self.consts[name] = value
         return name
-
-    def _buffer_ref(self, name: str) -> str:
-        ref = self.buffer_refs.get(name)
-        return ref if ref is not None else f"buffers[{name!r}]"
-
-    # -- lazy index grids (region_ref mode) ------------------------------
-    def _grid_line(self, d: int) -> str:
-        """The binding that materialises grid ``d`` from the region."""
-        gv = f"{self.pfx}_g{d}"
-        r = self.region_ref
-        arange = (
-            f"np.arange({r}[{d}][0], {r}[{d}][1] + 1, dtype=np.int64)"
-        )
-        ndim = self.stage.ndim
-        if ndim == 1:
-            return f"{gv} = {arange}"
-        shape = ", ".join(
-            "-1" if i == d else "1" for i in range(ndim)
-        )
-        return f"{gv} = {arange}.reshape({shape})"
-
-    def _grid(self, d: int) -> str:
-        """The grid-``d`` local, materialised on first use when the
-        lowerer runs off a region tuple instead of prebuilt grids."""
-        gv = f"{self.pfx}_g{d}"
-        if self.region_ref is None:
-            return gv
-        key = ("grid", d)
-        if key not in self.memo:
-            self.emit(self._grid_line(d))
-            self.memo[key] = gv
-        return gv
 
     # -- expressions ----------------------------------------------------
     def lower(self, e: Expr) -> str:
@@ -396,7 +316,7 @@ class _Lowerer:
                     f"unbound variable {e.name!r} in stage "
                     f"{self.stage.name!r}"
                 )
-            return self._grid(self.var_dims[e.name])
+            return self.var_names[e.name]
         if isinstance(e, BinOp):
             a, b = self.lower(e.lhs), self.lower(e.rhs)
             t = self.fresh()
@@ -437,7 +357,7 @@ class _Lowerer:
             buf = self.memo.get(bkey)
             if buf is None:
                 buf = self.fresh("_buf")
-                self.emit(f"{buf} = {self._buffer_ref(e.producer.name)}")
+                self.emit(f"{buf} = buffers[{e.producer.name!r}]")
                 self.memo[bkey] = buf
             win = self._lower_window_access(e, buf)
             if win is not None:
@@ -508,15 +428,12 @@ class _Lowerer:
                 gidx.append(str(ent[1]))
                 continue
             _, d, a, c, k = ent
-            sv = f"{self.pfx}_s{d}"
-            gv = f"{self.pfx}_g{d}"
-            ext = f"{self.shape_name}[{d}]"
+            sv = f"_s{d}"
+            gv = f"_g{d}"
+            ext = f"_shape[{d}]"
             skey = ("start", d)
             if skey not in self.memo:
-                if self.region_ref is not None:
-                    self.emit(f"{sv} = {self.region_ref}[{d}][0]")
-                else:
-                    self.emit(f"{sv} = {gv}.item(0)")
+                self.emit(f"{sv} = {gv}.item(0)")
                 self.memo[skey] = sv
             if k == 1:
                 starts.append(term(sv, a, c))
@@ -546,81 +463,6 @@ class _Lowerer:
             and positions == list(range(ndim - len(plan), ndim))
         )
 
-        def window_transforms(t: str, pad: str) -> None:
-            """repeat/reshape fixups applied on the in-bounds view."""
-            for j, k, d, c, b in reversed(repeats):
-                off = self.fresh("_o")
-                sv = f"{self.pfx}_s{d}"
-                self.emit(f"{pad}{off} = {term(sv, 1, c)} - {b} * {k}")
-                pre = ":, " * j
-                self.emit(
-                    f"{pad}{t} = np.repeat({t}, {k}, axis={j})"
-                    f"[{pre}{off}:{off} + {self.shape_name}[{d}]]"
-                )
-            if not pure_suffix:
-                # Re-align window axes (one per producer dim) with the
-                # stage's broadcast layout: length-1 axes at unused stage
-                # dims.  Only 1-axes move, so this never copies.
-                pos_set = set(positions)
-                target = ", ".join(
-                    f"{self.shape_name}[{d}]" if d in pos_set else "1"
-                    for d in range(ndim)
-                )
-                self.emit(f"{pad}{t} = {t}.reshape(({target},))")
-
-        if self.region_ref is not None:
-            # Fused fast path: inline the bounds check and slice —
-            # identical to Buffer.read_window without the per-access
-            # Python call, tuple packing, and per-dim loop.
-            dkey = ("bufdata", buf)
-            bd = self.memo.get(dkey)
-            if bd is None:
-                bd = self.fresh("_bd")
-                self.emit(f"{bd} = {buf}.data")
-                self.emit(f"{bd}_o = {buf}.origin")
-                self.memo[dkey] = bd
-            slices, checks = [], []
-            for j, (start, ext, step) in enumerate(
-                zip(starts, extents, steps)
-            ):
-                rel = self.fresh("_a")
-                self.emit(f"{rel} = ({start}) - {bd}_o[{j}]")
-                if ext == "1":
-                    last = rel
-                else:
-                    last = self.fresh("_z")
-                    if step == "1":
-                        self.emit(f"{last} = {rel} + {ext} - 1")
-                    else:
-                        self.emit(
-                            f"{last} = {rel} + (({ext}) - 1) * {step}"
-                        )
-                sl = f"{rel}:{last} + 1"
-                if step != "1":
-                    sl += f":{step}"
-                slices.append(sl)
-                checks.append(f"{rel} >= 0")
-                checks.append(f"{last} < {bd}.shape[{j}]")
-            t = self.fresh("_w")
-            self.emit(f"if {' and '.join(checks)}:")
-            self.emit(f"    {t} = {bd}[{', '.join(slices)}]")
-            saved = self.indent
-            self.indent += "    "
-            window_transforms(t, "")
-            self.indent = saved
-            self.emit("else:")
-            # Boundary tiles fall back to the clipped gather; the grid
-            # arrays it indexes with are rebuilt locally (unmemoised —
-            # this branch is conditional) unless already bound above.
-            for ent in plan:
-                if ent[0] != "var":
-                    continue
-                d = ent[1]
-                if ("grid", d) not in self.memo:
-                    self.emit(f"    {self._grid_line(d)}")
-            self.emit(f"    {t} = {buf}.gather(({', '.join(gidx)},))")
-            return t
-
         t = self.fresh("_w")
         self.emit(
             f"{t} = {buf}.read_window(({', '.join(starts)},), "
@@ -628,9 +470,27 @@ class _Lowerer:
         )
         self.emit(f"if {t} is None:")
         self.emit(f"    {t} = {buf}.gather(({', '.join(gidx)},))")
-        if repeats or not pure_suffix:
-            self.emit("else:")
-            window_transforms(t, "    ")
+        if not repeats and pure_suffix:
+            return t
+        # repeat/reshape fixups applied on the in-bounds view
+        self.emit("else:")
+        for j, k, d, c, b in reversed(repeats):
+            off = self.fresh("_o")
+            self.emit(f"    {off} = {term(f'_s{d}', 1, c)} - {b} * {k}")
+            pre = ":, " * j
+            self.emit(
+                f"    {t} = np.repeat({t}, {k}, axis={j})"
+                f"[{pre}{off}:{off} + _shape[{d}]]"
+            )
+        if not pure_suffix:
+            # Re-align window axes (one per producer dim) with the
+            # stage's broadcast layout: length-1 axes at unused stage
+            # dims.  Only 1-axes move, so this never copies.
+            pos_set = set(positions)
+            target = ", ".join(
+                f"_shape[{d}]" if d in pos_set else "1" for d in range(ndim)
+            )
+            self.emit(f"    {t} = {t}.reshape(({target},))")
         return t
 
     # -- conditions -----------------------------------------------------
@@ -670,32 +530,6 @@ class _Lowerer:
             return _NP_MATH[root.fn], [self.lower(a) for a in root.args]
         return None
 
-    def emit_prologue(self, grids_src: Optional[str] = None) -> str:
-        """Bind shape (and, without ``region_ref``, the index grids) and
-        register the stage's output dtype constant.  ``grids_src`` is an
-        expression yielding the per-dimension grid tuple; with
-        ``region_ref`` set it is ignored — shape comes off the region
-        and grids materialise lazily on first use.  Returns the dtype
-        constant name."""
-        ndim = self.stage.ndim
-        if self.region_ref is not None:
-            r = self.region_ref
-            shape = ", ".join(
-                f"{r}[{d}][1] - {r}[{d}][0] + 1" for d in range(ndim)
-            )
-        else:
-            for d in range(ndim):
-                self.emit(f"{self.pfx}_g{d} = {grids_src}[{d}]")
-            shape = ", ".join(
-                f"{self.pfx}_g{d}.shape[{d}]" for d in range(ndim)
-            )
-        if ndim == 1:
-            shape += ","
-        self.emit(f"{self.shape_name} = ({shape})")
-        out_dt = self.const(self.stage.scalar_type.np_dtype)
-        self.memo[("dtype", self.stage.scalar_type.name)] = out_dt
-        return out_dt
-
     def lower_body(self):
         """Lower the stage body (minus epilogue): returns
         ``(conds, vals, default, fused_entry)`` where ``fused_entry`` is
@@ -707,7 +541,7 @@ class _Lowerer:
         vals: List[str] = []
         default = "0"
         fused_entry = None
-        entries = self.defn
+        entries = self.stage.defn
         has_case = any(isinstance(x, Case) for x in entries)
         for pos, entry in enumerate(entries):
             if isinstance(entry, Case):
@@ -726,83 +560,61 @@ class _Lowerer:
             default = self.lower(entry)
         return conds, vals, default, fused_entry
 
-    def emit_store(
-        self, body, out_dt: str,
-        view: Optional[str] = None, pooled: bool = False,
-    ) -> bool:
+    def emit_store(self, body, out_dt: str) -> bool:
         """Emit the store epilogue for a lowered ``body`` (the tuple
         :meth:`lower_body` returned): ``np.select`` over ``Case``
-        branches, else the root ufunc writing ``out=`` the destination
+        branches, else the root ufunc writing into the caller's ``out``
         when the operand broadcast fills it (the ufunc refuses an ``out``
         larger than the broadcast — a body like ``x + 1`` in a 2-d
-        stage), else a ``broadcast_to`` of the lowered value.
-
-        The destination is one of: the stage kernel's optional caller
-        ``out`` (default; the epilogue returns the result), ``view``
-        (a local naming a window of the full output buffer, assigned in
-        place), or ``pooled`` scratch acquired from ``pool`` (the result
-        is bound to ``{prefix}_res``).  Returns whether the body stores
+        stage), else a ``broadcast_to`` of the lowered value; the
+        epilogue returns the result.  Returns whether the body stores
         through a ufunc ``out=``.
         """
         conds, vals, default, fused_entry = body
-        shape = self.shape_name
-        res = f"{self.pfx}_res"
 
         def put(value: str, contiguous: bool) -> None:
-            if view is not None:
-                self.emit(f"{view}[...] = {value}")
-            elif pooled:
-                if contiguous:
-                    value = f"np.ascontiguousarray({value})"
-                self.emit(f"{res} = {value}.astype({out_dt}, copy=False)")
-            else:
-                self.emit(f"{res} = {value}")
-                got = f"np.ascontiguousarray({res})" if contiguous else res
-                self.emit(f"return {got}.astype({out_dt}, copy=False)")
+            self.emit(f"_res = {value}")
+            got = "np.ascontiguousarray(_res)" if contiguous else "_res"
+            self.emit(f"return {got}.astype({out_dt}, copy=False)")
 
         if conds:
             clist = ", ".join(
-                f"np.broadcast_to({c}, {shape})" for c in conds
+                f"np.broadcast_to({c}, _shape)" for c in conds
             )
             vlist = ", ".join(
-                f"np.broadcast_to(np.asarray({v}), {shape})" for v in vals
+                f"np.broadcast_to(np.asarray({v}), _shape)" for v in vals
             )
             put(f"np.select([{clist}], [{vlist}], default={default})",
                 False)
             return False
         if fused_entry is None:
-            put(f"np.broadcast_to(np.asarray({default}), {shape})", True)
+            put(f"np.broadcast_to(np.asarray({default}), _shape)", True)
             return False
         fn, args, entry = fused_entry
         operands = ", ".join(f"({a})" for a in args)
-        dest, guard = view, ""
-        if pooled:
-            dest = f"{self.pfx}_sc"
-            self.emit(f"{dest} = pool.acquire({shape}, {out_dt})")
-        elif view is None:
-            dest, guard = "out", "out is not None and "
         self.emit(
-            f"if {guard}np.broadcast({operands}).shape == {dest}.shape:"
+            f"if out is not None and np.broadcast({operands}).shape "
+            f"== out.shape:"
         )
-        self.emit(f"    {fn}({operands}, out={dest}, casting='unsafe')")
-        saved = self.indent
-        if dest == "out":
-            self.emit("    return out")
-        else:
-            if pooled:
-                self.emit(f"    {res} = {dest}")
-            self.emit("else:")
-            self.indent += "    "
-            if pooled:
-                self.emit(f"pool.reclaim({dest})")
+        self.emit(f"    {fn}({operands}, out=out, casting='unsafe')")
+        self.emit("    return out")
         tail = self.lower(entry)
-        put(f"np.broadcast_to(np.asarray({tail}), {shape})", True)
-        self.indent = saved
+        put(f"np.broadcast_to(np.asarray({tail}), _shape)", True)
         return True
 
     def build(self) -> Tuple[str, bool]:
-        """Generate the kernel source; returns ``(source, uses_out)``."""
-        out_dt = self.emit_prologue("grids")
+        """Generate the kernel source; returns ``(source, uses_out)``:
+        bind the index grids and their shape, register the output dtype
+        constant, lower the body, store."""
+        ndim = self.stage.ndim
+        for d in range(ndim):
+            self.emit(f"_g{d} = grids[{d}]")
+        shape = ", ".join(f"_g{d}.shape[{d}]" for d in range(ndim))
+        if ndim == 1:
+            shape += ","
+        self.emit(f"_shape = ({shape})")
+        out_dt = self.const(self.stage.scalar_type.np_dtype)
+        self.memo[("dtype", self.stage.scalar_type.name)] = out_dt
         uses_out = self.emit_store(self.lower_body(), out_dt)
         header = "def _stage_kernel(grids, env, buffers, out=None):"
         source = "\n".join([header] + self.lines) + "\n"
@@ -848,7 +660,7 @@ def compile_stage_kernel(pipeline: Pipeline, stage: Function) -> StageKernel:
 
 
 # ---------------------------------------------------------------------------
-# Fused group kernels
+# Group kernels and their plans
 # ---------------------------------------------------------------------------
 
 #: ``inline_assign`` limits.  A producer read more than once is only
@@ -964,14 +776,12 @@ class GroupKernel:
     ``out_buffers`` and are never carried; ``inlined`` members have no
     region slot.
 
-    There are three sources: :func:`compile_group_kernel` (generated
-    fused ``source``), the executor's stage-walking adapter (empty
-    ``source``, ``region_names`` = every member) and
-    :mod:`repro.runtime.native` (``native``: compiled C, with the slots
-    of whichever of the other two it stands in for).  A native kernel
-    has ``tabulate`` instead of ``fn``: the executor hands it a chunk's
-    planned steps once, and what it returns runs the whole chunk in one
-    call.
+    There are two sources: the executor's stage-walking adapter
+    (``region_names`` = every member) and :mod:`repro.runtime.native`
+    (``native``: compiled C, with the slots of the group's
+    :class:`GroupPlan`).  A native kernel has ``tabulate`` instead of
+    ``fn``: the executor hands it a chunk's planned steps once, and what
+    it returns runs the whole chunk in one call.
 
     A reduction stage runs untiled, whole, and has no tile to hand over:
     its kernel (:meth:`for_reduction`) has no slots and
@@ -986,7 +796,6 @@ class GroupKernel:
     liveout_names: Tuple[str, ...]
     inlined: Tuple[str, ...]
     direct_stores: Tuple[str, ...]
-    source: str
     #: ``None`` on a native group kernel, which runs step tables only
     fn: Optional[Callable]
     native: bool = False
@@ -994,17 +803,12 @@ class GroupKernel:
     #: (:func:`repro.runtime.native._make_tabulate`); ``None`` otherwise
     tabulate: Optional[Callable] = None
 
-    @property
-    def generated(self) -> bool:
-        """Whether tiles run on generated fused NumPy source."""
-        return bool(self.source)
-
     @classmethod
     def for_reduction(
         cls, name: str, fn: Callable, native: bool = False
     ) -> "GroupKernel":
         """The kernel of reduction stage ``name`` (class docstring)."""
-        return cls((name,), (), (), (), (), "", fn, native)
+        return cls((name,), (), (), (), (), fn, native)
 
 
 def body_accesses(defn: Sequence[object]) -> List[Access]:
@@ -1022,10 +826,10 @@ def body_accesses(defn: Sequence[object]) -> List[Access]:
 
 @dataclass(frozen=True)
 class GroupPlan:
-    """The structure of one group's kernel, derived once by
-    :meth:`_GroupLowerer.plan` and shared by every emitter (generated
-    NumPy source, native C), so the executor's carry and step machinery
-    cannot tell which one it drives."""
+    """The structure of one group's native kernel, derived once by
+    :func:`plan_group`: what the C emitter (:mod:`repro.runtime.native`)
+    and ``repro codegen`` print, and the slots the executor's carry and
+    step machinery walk."""
 
     #: materialised members (one region slot each), topological order
     mats: Tuple[Function, ...]
@@ -1047,296 +851,141 @@ class GroupPlan:
         return tuple(s.name for s in self.mats if s.name in self.direct)
 
 
-class _GroupLowerer:
-    """Assembles one fused kernel from a group's member stages.
-
-    The classic schedule rewrites appear here as compile-time decisions:
-    ``compute_at``/``store_at`` (each materialised member computes its
-    expanded tile region into pooled scratch, consumed in place),
-    ``inline_assign`` (cheap producers substituted into consumer bodies),
-    ``delete_buffer`` (members nobody reads are dropped), and a
-    ``store_at``-root fast path (a live-out whose expanded region equals
-    its base tile writes straight into the full output buffer).
-    """
-
-    def __init__(self, pipeline: Pipeline, geom):
-        self.pipeline = pipeline
-        self.geom = geom
-        self.analysis = PipelineAnalysis.of(pipeline)
-
-    def _plan_inlining(self):
-        """Decide which members inline and rewrite every member body.
-
-        Returns ``(effective, inline_expr)``: the post-substitution body
-        per stage name, and the bodies of inlined producers (presence in
-        ``inline_expr`` marks a member as non-materialised).  Inlining a
-        producer is *safe* only when every in-group read of it provably
-        lands inside its domain over the consumer's full domain — a
-        materialised read clamps out-of-domain coordinates to the stored
-        region's edge, which an inlined expression would not reproduce.
-        Constant bodies (no variables or accesses) stay materialised:
-        they would fold to a NumPy *scalar* where the per-stage path
-        yields an *array*, and scalar/array type-promotion parity is not
-        guaranteed on every NumPy version.
-        """
-        geom = self.geom
-        analysis = self.analysis
-        members = geom.stages
-        member_names = {s.name for s in members}
-        liveout_names = {s.name for s in geom.liveouts}
-        uses: Dict[str, int] = {n: 0 for n in member_names}
-        unsafe = set()
-        for consumer in members:
-            for producer, summary in analysis.summaries[consumer]:
-                pname = producer.name
-                if pname not in member_names:
-                    continue
-                uses[pname] += 1
-                bounds = analysis.access_index_bounds(consumer, summary)
-                pdom = analysis.domain.get(producer)
-                if (
-                    bounds is None
-                    or pdom is None
-                    or len(bounds) != len(pdom)
-                    or any(
-                        lo < dlo or hi > dhi
-                        for (lo, hi), (dlo, dhi) in zip(bounds, pdom)
-                    )
-                ):
-                    unsafe.add(pname)
-
-        inline_expr: Dict[str, Expr] = {}
-        inline_stage: Dict[str, Function] = {}
-        effective: Dict[str, List[object]] = {}
-        for stage in members:
-            eff: List[object] = []
-            for entry in stage.defn:
-                if isinstance(entry, Case):
-                    eff.append(Case(
-                        _rewrite_cond(
-                            entry.condition, {}, inline_expr, inline_stage
-                        ),
-                        _rewrite_expr(
-                            entry.expression, {}, inline_expr, inline_stage
-                        ),
-                    ))
-                else:
-                    eff.append(_rewrite_expr(
-                        entry, {}, inline_expr, inline_stage
-                    ))
-            effective[stage.name] = eff
+def _unsafe_to_inline(
+    analysis: PipelineAnalysis, members: Sequence[Function]
+) -> Tuple[Dict[str, int], set]:
+    """In-group read counts per member, and the members that must not
+    inline: some in-group read of them is not provably inside their
+    domain over the consumer's full domain.  A materialised read clamps
+    out-of-domain coordinates to the stored region's edge, which an
+    inlined expression would not reproduce."""
+    member_names = {s.name for s in members}
+    uses: Dict[str, int] = {n: 0 for n in member_names}
+    unsafe = set()
+    for consumer in members:
+        for producer, summary in analysis.summaries[consumer]:
+            pname = producer.name
+            if pname not in member_names:
+                continue
+            uses[pname] += 1
+            bounds = analysis.access_index_bounds(consumer, summary)
+            pdom = analysis.domain.get(producer)
             if (
-                stage.name in liveout_names
-                or stage.name in unsafe
-                or len(eff) != 1
-                or isinstance(eff[0], Case)
-            ):
-                continue
-            body = eff[0]
-            n = uses[stage.name]
-            if n == 0:
-                # delete_buffer: no in-group reader and not a live-out.
-                inline_expr[stage.name] = body
-                inline_stage[stage.name] = stage
-                continue
-            if not any(isinstance(x, (Variable, Access)) for x in walk(body)):
-                continue
-            ops = count_ops(body)
-            if n <= _INLINE_MAX_USES and (
-                ops <= _INLINE_MULTI_USE_OPS
-                or (n == 1 and ops <= _INLINE_SINGLE_USE_OPS)
-            ):
-                inline_expr[stage.name] = body
-                inline_stage[stage.name] = stage
-        return effective, inline_expr
-
-    def plan(self, direct_stores: bool = True) -> GroupPlan:
-        """The group's structure, which every kernel emitted for it
-        shares: what is materialised, in what order, from which bodies,
-        and which live-outs store direct.  ``direct_stores=False`` plans
-        every live-out through scratch plus a base-region copy, the
-        protocol of the stage-walking adapter."""
-        geom = self.geom
-        radii = geom.expansion_radii()
-        liveouts = {s.name for s in geom.liveouts}
-        effective, inline_expr = self._plan_inlining()
-        mats = tuple(s for s in geom.stages if s.name not in inline_expr)
-        if not mats:
-            raise KernelFuseError(
-                "every member stage inlined away", reason="degenerate"
-            )
-        mat_names = {s.name for s in mats}
-        direct = set()
-        deps: Dict[str, Tuple[str, ...]] = {}
-        for stage in mats:
-            name = stage.name
-            rad = radii[stage]
-            # store_at root: expanded region == base tile for every tile
-            if direct_stores and name in liveouts and all(
-                rad[g] == (0, 0) and geom.scale[stage][j] == 1
-                for j, g in enumerate(geom.align[stage])
-            ):
-                direct.add(name)
-            deps[name] = tuple(sorted({
-                access.producer.name
-                for access in body_accesses(effective[name])
-                if access.producer.name in mat_names
-                and access.producer.name != name
-            }))
-        return GroupPlan(
-            mats=mats, effective=effective,
-            inlined=tuple(sorted(inline_expr)),
-            direct=frozenset(direct), deps=deps,
-        )
-
-    def build(self):
-        """Generate the fused kernel source.  Returns
-        ``(source, consts, plan)``."""
-        geom = self.geom
-        pipeline = self.pipeline
-        liveout_pos = {s.name: j for j, s in enumerate(geom.liveouts)}
-        plan = self.plan()
-        mats = plan.mats
-        lines: List[str] = []
-        consts: Dict[str, object] = {}
-        buffer_refs: Dict[str, str] = {}
-        # Pre-declare every member's buffer slot: a consumer whose
-        # producer had an empty (domain-clamped) region raises the same
-        # non-retryable KeyError the per-stage scratch lookup would.
-        for i, stage in enumerate(mats):
-            lines.append(f"    _b{i} = None")
-        lines.append("    if carries is None:")
-        lines.append(f"        carries = (None,) * {len(mats)}")
-        for i, stage in enumerate(mats):
-            rv, bv, cv, pfx = f"_r{i}", f"_b{i}", f"_c{i}", f"_f{i}"
-            name = stage.name
-            direct = name in plan.direct
-            lw = _Lowerer(
-                pipeline, stage, prefix=pfx, indent=" " * 8,
-                buffer_refs=buffer_refs, defn=plan.effective[name],
-                region_ref=rv,
-            )
-            lines.append(f"    {rv} = regions[{i}]")
-            if not direct:
-                # Halo-reuse carry slot: ``(window, origin)``.  A pure
-                # carry arrives as region=None + carry — the row window a
-                # previous adjacent tile computed already covers this
-                # tile's region, so rebind it untouched and skip the
-                # stage body (live-outs still store their base tile,
-                # which always advances).
-                lines.append(f"    {cv} = carries[{i}]")
-                lines.append(f"    if {rv} is None and {cv} is not None:")
-                lines.append(f"        {bv} = Buffer({cv}[0], {cv}[1])")
-            lines.append(f"    if {rv} is not None:")
-            for dep in plan.deps[name]:
-                lw.emit(f"if {buffer_refs[dep]} is None:")
-                lw.emit(f"    raise KeyError({dep!r})")
-            dt = lw.emit_prologue()
-            body = lw.lower_body()
-            if direct:
-                # store_at root: write straight into the full output
-                # buffer (regions of concurrent tiles are disjoint).
-                lw.emit(
-                    f"{bv} = out_buffers[{name!r}].region_buffer({rv})"
+                bounds is None
+                or pdom is None
+                or len(bounds) != len(pdom)
+                or any(
+                    lo < dlo or hi > dhi
+                    for (lo, hi), (dlo, dhi) in zip(bounds, pdom)
                 )
-                dst = f"{pfx}_dst"
-                lw.emit(f"{dst} = {bv}.data")
-                lw.emit_store(body, dt, view=dst)
-            else:
-                lw.emit_store(body, dt, pooled=True)
-                lw.emit(
-                    f"{bv} = Buffer({pfx}_res, tuple(b[0] for b in {rv}))"
-                )
-            lines.extend(lw.lines)
-            if not direct and name in liveout_pos:
-                # The base-region store runs at function level, keyed on
-                # the buffer rather than the region: a pure-carried tile
-                # (region None, window carried) must still publish its
-                # base tile — base regions partition the domain even
-                # when the expanded window did not advance.
-                j = liveout_pos[name]
-                base = f"{pfx}_base"
-                lines.append(f"    if {bv} is not None:")
-                lines.append(f"        {base} = bases[{j}]")
-                lines.append(f"        if {base} is not None:")
-                lines.append(
-                    f"            out_buffers[{name!r}].store_region("
-                    f"{base}, {bv}.read_region({base}))"
-                )
-            consts.update(lw.consts)
-            buffer_refs[name] = bv
-        lines.append(
-            "    return [" + ", ".join(f"_b{i}" for i in range(len(mats)))
-            + "]"
-        )
-        header = (
-            "def _group_kernel(regions, bases, buffers, out_buffers, "
-            "pool, carries=None):"
-        )
-        source = "\n".join([header] + lines) + "\n"
-        return source, consts, plan
+            ):
+                unsafe.add(pname)
+    return uses, unsafe
 
 
-def compile_group_kernel(pipeline: Pipeline, geom) -> GroupKernel:
-    """Lower a whole fusion group to one generated kernel and compile it.
+def _plan_inlining(pipeline: Pipeline, geom):
+    """Decide which members inline and rewrite every member body.
 
-    Raises :class:`repro.errors.KernelFuseError` (``KERNEL_FUSE_FAIL``)
-    for groups the fused compiler does not handle; callers degrade to
-    per-stage kernels.
+    Returns ``(effective, inline_expr)``: the post-substitution body per
+    stage name, and the bodies of inlined producers (presence in
+    ``inline_expr`` marks a member as non-materialised).  Inlining a
+    producer requires it to be safe (:func:`_unsafe_to_inline`).
+    Constant bodies (no variables or accesses) stay materialised.
     """
-    stages = geom.stages
-    names = tuple(s.name for s in stages)
-    if len(stages) < 2:
+    members = geom.stages
+    liveout_names = {s.name for s in geom.liveouts}
+    uses, unsafe = _unsafe_to_inline(PipelineAnalysis.of(pipeline), members)
+
+    inline_expr: Dict[str, Expr] = {}
+    inline_stage: Dict[str, Function] = {}
+    effective: Dict[str, List[object]] = {}
+    for stage in members:
+        eff: List[object] = []
+        for entry in stage.defn:
+            if isinstance(entry, Case):
+                eff.append(Case(
+                    _rewrite_cond(
+                        entry.condition, {}, inline_expr, inline_stage
+                    ),
+                    _rewrite_expr(
+                        entry.expression, {}, inline_expr, inline_stage
+                    ),
+                ))
+            else:
+                eff.append(_rewrite_expr(
+                    entry, {}, inline_expr, inline_stage
+                ))
+        effective[stage.name] = eff
+        if (
+            stage.name in liveout_names
+            or stage.name in unsafe
+            or len(eff) != 1
+            or isinstance(eff[0], Case)
+        ):
+            continue
+        body = eff[0]
+        n = uses[stage.name]
+        if n == 0:
+            # delete_buffer: no in-group reader and not a live-out.
+            inline_expr[stage.name] = body
+            inline_stage[stage.name] = stage
+            continue
+        if not any(isinstance(x, (Variable, Access)) for x in walk(body)):
+            continue
+        ops = count_ops(body)
+        if n <= _INLINE_MAX_USES and (
+            ops <= _INLINE_MULTI_USE_OPS
+            or (n == 1 and ops <= _INLINE_SINGLE_USE_OPS)
+        ):
+            inline_expr[stage.name] = body
+            inline_stage[stage.name] = stage
+    return effective, inline_expr
+
+
+def plan_group(
+    pipeline: Pipeline, geom, direct_stores: bool = True
+) -> GroupPlan:
+    """The structure of ``geom``'s native kernel, in the classic
+    schedule rewrites' terms: ``compute_at``/``store_at`` (each
+    materialised member computes its expanded tile region into scratch,
+    consumed in place), ``inline_assign`` (cheap producers substituted
+    into consumer bodies), ``delete_buffer`` (members nobody reads are
+    dropped), and a ``store_at``-root fast path (a live-out whose
+    expanded region equals its base tile writes straight into the full
+    output buffer).  ``direct_stores=False`` plans every live-out
+    through scratch plus a base-region copy, the protocol of the
+    stage-walking adapter.  Raises :class:`KernelFuseError`
+    (``degenerate``) when every member inlines away."""
+    radii = geom.expansion_radii()
+    liveouts = {s.name for s in geom.liveouts}
+    effective, inline_expr = _plan_inlining(pipeline, geom)
+    mats = tuple(s for s in geom.stages if s.name not in inline_expr)
+    if not mats:
         raise KernelFuseError(
-            "single-stage group gains nothing from fusion",
-            reason="singleton",
+            "every member stage inlined away", reason="degenerate"
         )
-    for s in stages:
-        if isinstance(s, Reduction) or s.is_reduction:
-            raise KernelFuseError(
-                f"reduction stage {s.name!r} cannot be fused",
-                reason="reduction",
-            )
-    lowerer = _GroupLowerer(pipeline, geom)
-    try:
-        source, consts, plan = lowerer.build()
-    except KernelFuseError:
-        raise
-    except KernelCompileError as exc:
-        raise KernelFuseError(
-            f"lowering group {list(names)} failed: {exc}",
-            reason="lowering",
-        ) from exc
-    except Exception as exc:
-        raise KernelFuseError(
-            f"lowering group {list(names)} failed: {exc}", reason="error"
-        ) from exc
-    namespace: Dict[str, object] = {
-        "np": np,
-        "isinstance": isinstance,
-        "tuple": tuple,
-        "KeyError": KeyError,
-        "Buffer": Buffer,
-        "make_index_grids": make_index_grids,
-    }
-    namespace.update(consts)
-    try:
-        code = compile(source, f"<fused:{'+'.join(names)}>", "exec")
-        exec(code, namespace)  # noqa: S102 - generated from a closed AST
-    except Exception as exc:
-        raise KernelFuseError(
-            f"generated source for group {list(names)} failed to "
-            f"compile: {exc}",
-            reason="exec",
-        ) from exc
-    return GroupKernel(
-        group_names=names,
-        region_names=plan.region_names,
-        liveout_names=tuple(s.name for s in geom.liveouts),
-        inlined=plan.inlined,
-        direct_stores=plan.direct_stores,
-        source=source,
-        fn=namespace["_group_kernel"],
+    mat_names = {s.name for s in mats}
+    direct = set()
+    deps: Dict[str, Tuple[str, ...]] = {}
+    for stage in mats:
+        name = stage.name
+        rad = radii[stage]
+        # store_at root: expanded region == base tile for every tile
+        if direct_stores and name in liveouts and all(
+            rad[g] == (0, 0) and geom.scale[stage][j] == 1
+            for j, g in enumerate(geom.align[stage])
+        ):
+            direct.add(name)
+        deps[name] = tuple(sorted({
+            access.producer.name
+            for access in body_accesses(effective[name])
+            if access.producer.name in mat_names
+            and access.producer.name != name
+        }))
+    return GroupPlan(
+        mats=mats, effective=effective,
+        inlined=tuple(sorted(inline_expr)),
+        direct=frozenset(direct), deps=deps,
     )
 
 
@@ -1401,46 +1050,8 @@ def stage_kernels(
     return out
 
 
-_GROUP_CACHE: "weakref.WeakKeyDictionary[Pipeline, Dict[frozenset, Optional[GroupKernel]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def get_group_kernel(pipeline: Pipeline, geom) -> Optional[GroupKernel]:
-    """The memoized fused kernel for a group (keyed by its member set).
-
-    Returns ``None`` (after one :class:`KernelFuseWarning` and a
-    ``repro_kernel_fuse_fail_total{reason}`` increment) for groups that
-    fail to fuse; the executor walks those stage by stage.
-    """
-    per = _GROUP_CACHE.get(pipeline)
-    if per is None:
-        per = _GROUP_CACHE.setdefault(pipeline, {})
-    key = frozenset(s.name for s in geom.stages)
-    entry = per.get(key, _MISS)
-    if entry is not _MISS:
-        return entry  # type: ignore[return-value]
-    try:
-        kernel: Optional[GroupKernel] = compile_group_kernel(pipeline, geom)
-    except Exception as exc:  # noqa: BLE001 - downgraded to a warning
-        reason = getattr(exc, "reason", None) or (
-            "lowering" if isinstance(exc, KernelCompileError) else "error"
-        )
-        warnings.warn(
-            f"[KERNEL_FUSE_FAIL] group {sorted(key)} of pipeline "
-            f"{pipeline.name!r} falls back to per-stage kernels: {exc}",
-            KernelFuseWarning,
-            stacklevel=2,
-        )
-        if METRICS.enabled:
-            METRICS.inc("repro_kernel_fuse_fail_total", reason=reason)
-        kernel = None
-    per[key] = kernel
-    return kernel
-
-
-#: The kernel each tiled group (per ``(member set, compile, fuse,
-#: native)``) and each untiled reduction (per ``(name, native)``) runs on
+#: The kernel each tiled group (per ``(member set, tier)``) and each
+#: untiled reduction (per ``(name, native)``) runs on
 #: — filled by :func:`repro.runtime.executor.resolve_group_kernel`,
 #: kept here so :func:`clear_kernel_cache` drops it with the kernels it
 #: was resolved from.
@@ -1452,5 +1063,4 @@ _RESOLVED_CACHE: "weakref.WeakKeyDictionary[Pipeline, Dict[tuple, GroupKernel]]"
 def clear_kernel_cache() -> None:
     """Drop every memoized kernel (tests and benchmarks)."""
     _CACHE.clear()
-    _GROUP_CACHE.clear()
     _RESOLVED_CACHE.clear()

@@ -3,11 +3,11 @@
 The paper measures generated C++; this is the repo executing on it.  For
 every tiled group of a grouping that qualifies, :func:`build_group_kernels`
 emits one C entry point that executes **one step** — every materialised
-member over its region, live-outs published — from the *same*
-:class:`~repro.runtime.kernelcache.GroupPlan` the generated-NumPy kernel
-is built from (same region slots, same inlined members, same direct
-stores), so the executor's carry, seeding and step machinery cannot tell
-which kernel it drives.  A reduction stage — it runs untiled, whole — gets
+member over its region, live-outs published — from the group's
+:class:`~repro.runtime.kernelcache.GroupPlan` (its region slots, inlined
+members and direct stores), which the executor's carry, seeding and
+step machinery walk the same way they walk the stage-walking adapter's
+slots.  A reduction stage — it runs untiled, whole — gets
 one entry too: the serial loop nest of
 :func:`repro.codegen.cgen._emit_reduction` (``ufunc.at``'s order and
 types), over buffers bound from a descriptor.  All of a grouping's
@@ -23,10 +23,11 @@ operation in the dtype NumPy computes it in.  A group or reduction is
 ``exp``/``log``/``pow`` keep their NumPy kernels — by rule, without a
 warning.  Anything that goes wrong after that (no
 compiler, a failed build, an unusable artifact directory, a library that
-will not load) is one ``KERNEL_NATIVE_FAIL`` warning per cause and the
-NumPy kernels.
+will not load, a kernel that differs from the stage walk on its
+first-use self-check) is one ``KERNEL_NATIVE_FAIL`` warning per cause and
+the NumPy kernels.
 
-**Speed** comes from doing per window what the NumPy lowerer does per
+**Speed** comes from doing per window what a NumPy stage kernel does per
 window: the in-bounds test that there chooses ``read_window`` over
 ``gather`` is evaluated once per stage and step, before the loops.  A
 stage whose affine accesses all stay inside their producers' stored
@@ -88,8 +89,8 @@ from .kernelcache import (
     GroupKernel,
     GroupPlan,
     _affine_index,
-    _GroupLowerer,
     body_accesses,
+    plan_group,
 )
 
 __all__ = ["KernelNativeWarning", "NativeBuild", "build_group_kernels"]
@@ -584,7 +585,7 @@ class NativeBuild:
 
     def commit(self, demoted: Sequence[int]) -> None:
         """Record the self-check's outcome beside the artifact — the
-        kernels in ``demoted`` disagreed with their NumPy counterparts —
+        kernels in ``demoted`` disagreed with the stage walk —
         and drop them, here and on every later load."""
         for i in demoted:
             self.kernels.pop(i, None)
@@ -592,9 +593,8 @@ class NativeBuild:
                 METRICS.inc("repro_kernel_native_total", result="demoted")
         if demoted:
             _warn_once(KernelNativeError(
-                f"{len(demoted)} kernel(s) differed from their NumPy "
-                f"counterparts on the build-time self-check and were "
-                f"demoted",
+                f"{len(demoted)} kernel(s) differed from the stage walk "
+                f"on the build-time self-check and were demoted",
                 reason="self-check",
             ))
         self.unverified = False
@@ -621,9 +621,7 @@ def _native_group(pipeline: Pipeline, geom, symbol: str, libm: bool):
     printed program takes them, serving does not."""
     # a singleton mirrors the stage-walking adapter it replaces: one
     # region slot, published through a base-region copy
-    plan = _GroupLowerer(pipeline, geom).plan(
-        direct_stores=len(geom.stages) > 1
-    )
+    plan = plan_group(pipeline, geom, direct_stores=len(geom.stages) > 1)
     layout = _plan_layout(plan, [s.name for s in geom.liveouts])
     domains = {}
     for s in geom.liveouts:
@@ -639,7 +637,6 @@ def _native_group(pipeline: Pipeline, geom, symbol: str, libm: bool):
             liveout_names=tuple(s.name for s in geom.liveouts),
             inlined=plan.inlined,
             direct_stores=plan.direct_stores,
-            source="",
             fn=None,
             native=True,
             tabulate=_make_tabulate(cfunc, loop, layout, domains),

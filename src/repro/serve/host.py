@@ -4,7 +4,7 @@ A :class:`PipelineHost` holds everything the paper says should be paid
 once and amortized over many executions (Sec. 4–5): the schedule
 (computed through the resilient chain, optionally via the persistent
 :class:`~repro.fusion.schedcache.ScheduleCache`), every group's resolved
-kernel (native C where eligible, else generated NumPy), a shared
+kernel (native C where eligible, else the stage walk), a shared
 :class:`~repro.runtime.buffers.PoolGroup` of warm scratch pools, and a
 pinned persistent executor worker pool.  Requests
 then execute on the warm plan through
@@ -25,7 +25,8 @@ tier  name                  what executes
 ====  ====================  ============================================
 0     ``compiled``          fused schedule, compiled kernels (native C
                             where a group is eligible and built, else
-                            generated NumPy — no rung of its own)
+                            compiled NumPy stage kernels — no rung of
+                            its own)
 1     ``interpreter``       fused schedule, pure interpreter
 2     ``no-fusion``         singleton grouping (the infallible final
                             tier of ``resilience.fallback.TIERS``),
@@ -184,7 +185,7 @@ class PipelineHost:
         self._rungs: tuple = ()
         self.schedule_tier: Optional[str] = None
         #: tiled groups whose ``compiled``-rung kernel is native C / is
-        #: not (generated NumPy source, the stage-walking adapter)
+        #: not (the stage-walking adapter)
         self.native_groups = 0
         self.numpy_groups = 0
         self.pools: Optional[PoolGroup] = None

@@ -32,10 +32,10 @@ from repro.resilience.faults import FaultInjector
 
 # The suite runs one rung below native: ``KernelTier.resolve()`` —
 # module-level constants included, hence at import and not in a fixture —
-# means the NumPy kernels the existing tests were written against, in this
-# process and in every subprocess a test spawns.  ``native``-marked tests
-# pass ``KernelTier.NATIVE`` or take the ``native_on`` fixture.
-os.environ["REPRO_KERNELS"] = "fused"
+# means the NumPy stage walk over compiled stage kernels, in this process
+# and in every subprocess a test spawns.  ``native``-marked tests pass
+# ``KernelTier.NATIVE`` or take the ``native_on`` fixture.
+os.environ["REPRO_KERNELS"] = "stage"
 
 HAVE_GXX = shutil.which("g++") is not None
 needs_gxx = pytest.mark.skipif(not HAVE_GXX, reason="g++ not available")

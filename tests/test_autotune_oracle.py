@@ -202,7 +202,7 @@ def _measured_blur_sweep(served_calls, repeats=2):
 
 
 def test_executor_oracle_times_execute_grouping(served_calls):
-    """Under the suite's ``REPRO_KERNELS=fused``: no compiler needed."""
+    """Under the suite's ``REPRO_KERNELS=stage``: no compiler needed."""
     _measured_blur_sweep(served_calls)
 
 

@@ -1,11 +1,10 @@
-"""Fused-group kernel tests: generated fused source (one kernel per
-group) must be bit-identical to the stage-walking adapter over compiled
-stage kernels and over the interpreter for every benchmark pipeline, at
-awkward extents, and under 100% fault injection; fusion failure must
-degrade to per-stage kernels with exactly one ``KERNEL_FUSE_FAIL``
-warning; and all three kernel sources obey one protocol."""
-
-import warnings
+"""Fusion-group execution on the NumPy group kernel: the stage-walking
+adapter over compiled stage kernels and over the interpreter must be
+bit-identical to the reference for every benchmark pipeline, at awkward
+extents, and under 100% fault injection; both obey the one
+``GroupKernel`` protocol; :func:`plan_group` makes the inlining and
+direct-store decisions native kernels are printed from; and the stage
+kernels' generated source is pinned byte for byte."""
 
 import numpy as np
 import pytest
@@ -18,15 +17,13 @@ from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.runtime import (
     Buffer,
     BufferPool,
-    KernelFuseWarning,
     KernelTier,
     clear_kernel_cache,
     execute_grouping,
     execute_reference,
-    get_group_kernel,
     warm_group_kernels,
 )
-from repro.runtime import kernelcache as kc_mod
+from repro.runtime.kernelcache import get_kernel, plan_group
 from repro.runtime.executor import (
     _region_from_plan,
     _stage_plan,
@@ -36,7 +33,7 @@ from repro.runtime.executor import (
 NO_FUSE = KernelTier.STAGE
 INTERPRETED = KernelTier.INTERPRET
 
-from conftest import build_blur, build_updown, random_inputs
+from conftest import build_blur, build_updown, needs_gxx, random_inputs
 
 
 def assert_bit_identical(ref, out):
@@ -47,19 +44,19 @@ def assert_bit_identical(ref, out):
 
 
 def three_way(pipeline, grouping, inputs, nthreads=1):
-    """(fused, per-stage, interpreter) outputs of one grouping."""
-    fused = execute_grouping(pipeline, grouping, inputs, nthreads=nthreads)
+    """(reference, per-stage, interpreter) outputs of one grouping."""
+    ref = execute_reference(pipeline, inputs)
     staged = execute_grouping(pipeline, grouping, inputs,
                               nthreads=nthreads, kernels=NO_FUSE)
     interp = execute_grouping(pipeline, grouping, inputs,
                               nthreads=nthreads, kernels=INTERPRETED)
-    return fused, staged, interp
+    return ref, staged, interp
 
 
-def group_kernel_for(pipeline, members):
+def group_plan_for(pipeline, members):
     geom = compute_group_geometry(pipeline, members)
     assert geom is not None
-    return get_group_kernel(pipeline, geom)
+    return geom, plan_group(pipeline, geom)
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +66,16 @@ def group_kernel_for(pipeline, members):
 
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_benchmarks_bit_identical(abbrev):
-    """Fused == per-stage == interpreter, exactly, on every registered
-    benchmark at its paper (manual) grouping."""
+    """Per-stage == interpreter == reference, exactly, on every
+    registered benchmark at its paper (manual) grouping."""
     bench = BENCHMARKS[abbrev]
     pipe = bench.build(**bench.small_kwargs)
     rng = np.random.default_rng(11)
     inputs = random_inputs(pipe, rng)
     grouping = bench.h_manual(pipe)
-    fused, staged, interp = three_way(pipe, grouping, inputs, nthreads=2)
-    assert_bit_identical(interp, staged)
-    assert_bit_identical(interp, fused)
+    ref, staged, interp = three_way(pipe, grouping, inputs, nthreads=2)
+    assert_bit_identical(ref, staged)
+    assert_bit_identical(ref, interp)
 
 
 @pytest.mark.parametrize("tiles", [[3, 32, 32], [2, 13, 29], [1, 1, 1],
@@ -89,20 +86,20 @@ def test_blur_awkward_tiles(tiles):
     pipe = build_blur(rows=46, cols=62)
     inputs = random_inputs(pipe, np.random.default_rng(3))
     g = manual_grouping(pipe, [["blurx", "blury"]], [tiles])
-    fused, staged, interp = three_way(pipe, g, inputs)
-    assert_bit_identical(interp, staged)
-    assert_bit_identical(interp, fused)
+    ref, staged, interp = three_way(pipe, g, inputs)
+    assert_bit_identical(ref, staged)
+    assert_bit_identical(ref, interp)
 
 
 @pytest.mark.parametrize("tiles", [[17], [1], [64], [200]])
 def test_updown_awkward_tiles(tiles):
-    """Sampled (scale != 1) chains with inlining at awkward tiles."""
+    """Sampled (scale != 1) chains at awkward tiles."""
     pipe = build_updown(n=120)
     inputs = random_inputs(pipe, np.random.default_rng(4))
     g = manual_grouping(pipe, [["fine", "down", "up"]], [tiles])
-    fused, staged, interp = three_way(pipe, g, inputs)
-    assert_bit_identical(interp, staged)
-    assert_bit_identical(interp, fused)
+    ref, staged, interp = three_way(pipe, g, inputs)
+    assert_bit_identical(ref, staged)
+    assert_bit_identical(ref, interp)
 
 
 def test_parallel_execution_bit_identical():
@@ -121,15 +118,15 @@ def test_parallel_execution_bit_identical():
 
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_full_tile_faults_still_bit_identical(abbrev):
-    """100% tile failure forces the reference fallback in both the fused
-    and the per-stage configuration; output stays identical to the
-    interpreter either way."""
+    """100% tile failure forces the reference fallback in both the
+    per-stage and the interpreted configuration; output stays identical
+    to the reference either way."""
     bench = BENCHMARKS[abbrev]
     pipe = bench.build(**bench.small_kwargs)
     inputs = random_inputs(pipe, np.random.default_rng(12))
     grouping = bench.h_manual(pipe)
     ref = execute_reference(pipe, inputs)
-    for kernels in (KernelTier.FUSED, NO_FUSE):
+    for kernels in (NO_FUSE, INTERPRETED):
         with inject_faults(seed=9, tile=1.0):
             report = execute_guarded(
                 pipe, grouping, inputs, nthreads=2,
@@ -141,8 +138,8 @@ def test_full_tile_faults_still_bit_identical(abbrev):
 
 
 def test_retry_after_partial_faults_bit_identical():
-    """A fused tile that fails retries exactly like a per-stage tile and
-    converges to the same bits."""
+    """A step of a multi-stage group that fails retries and converges
+    to the interpreter's bits."""
     pipe = build_blur(rows=46, cols=62)
     inputs = random_inputs(pipe, np.random.default_rng(13))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
@@ -153,50 +150,12 @@ def test_retry_after_partial_faults_bit_identical():
 
 
 # ---------------------------------------------------------------------------
-# degradation ladder
-# ---------------------------------------------------------------------------
-
-
-def test_fuse_failure_degrades_to_per_stage_kernels(monkeypatch):
-    """A group whose fusion fails runs on per-stage compiled kernels (not
-    the interpreter), warns KERNEL_FUSE_FAIL exactly once, and stays
-    silent on subsequent executions (memoized failure)."""
-    clear_kernel_cache()
-    pipe = build_blur(rows=46, cols=62)
-    inputs = random_inputs(pipe, np.random.default_rng(6))
-    g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    ref = execute_grouping(pipe, g, inputs, kernels=INTERPRETED)
-
-    def boom(pipeline, geom):
-        raise kc_mod.KernelFuseError("synthetic failure", reason="error")
-
-    monkeypatch.setattr(kc_mod, "compile_group_kernel", boom)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = execute_grouping(pipe, g, inputs)
-    fuse_warnings = [w for w in caught
-                     if issubclass(w.category, KernelFuseWarning)]
-    assert len(fuse_warnings) == 1
-    assert "KERNEL_FUSE_FAIL" in str(fuse_warnings[0].message)
-    assert_bit_identical(ref, out)
-
-    # memoized: the second run does not warn again
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out2 = execute_grouping(pipe, g, inputs)
-    assert not [w for w in caught
-                if issubclass(w.category, KernelFuseWarning)]
-    assert_bit_identical(ref, out2)
-    clear_kernel_cache()
-
-
-# ---------------------------------------------------------------------------
 # one kernel protocol
 # ---------------------------------------------------------------------------
 
-#: the three sources of a ``GroupKernel``
+#: the NumPy sources of a ``GroupKernel`` (native kernels run step
+#: tables, not per-step calls: test_runtime_native.py)
 SOURCES = {
-    "generated": KernelTier.FUSED,
     "stage-kernels": NO_FUSE,
     "interpreted": INTERPRETED,
 }
@@ -254,23 +213,19 @@ class _Tile:
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_group_kernel_protocol(source):
-    """Generated fused source, the adapter over stage kernels and the
-    adapter over the interpreter answer one call the same way: returned
-    buffers follow ``region_names``; a pure-carry slot (``regions[i] is
+    """The adapter over stage kernels and the adapter over the
+    interpreter answer one call the same way: returned buffers follow
+    ``region_names`` (every member, none inlined or stored direct); a
+    pure-carry slot (``regions[i] is
     None`` + ``carries[i]``) skips the stage body and re-exposes the
     window; live-outs still publish their base tile; a member whose
     producer's region was empty raises the non-retryable ``KeyError``."""
     clear_kernel_cache()
     tile = _Tile(build_blur(rows=46, cols=62), SOURCES[source], (3, 16, 16))
     kernel = tile.kernel
-    assert kernel.generated == (source == "generated")
     assert kernel.liveout_names == ("blury",)
-    assert set(kernel.region_names) | set(kernel.inlined) == {
-        "blurx", "blury"
-    }
-    if not kernel.generated:
-        assert kernel.region_names == kernel.group_names
-        assert kernel.inlined == kernel.direct_stores == ()
+    assert kernel.region_names == kernel.group_names == ("blurx", "blury")
+    assert kernel.inlined == kernel.direct_stores == ()
     x = kernel.region_names.index("blurx")
     tile_lo = (0, 16, 16)
     regions = tile.bounds(kernel.region_names, tile_lo, True)
@@ -315,7 +270,7 @@ def test_group_kernel_protocol(source):
 
 
 # ---------------------------------------------------------------------------
-# compilation decisions
+# group plans: what native kernels are printed from
 # ---------------------------------------------------------------------------
 
 
@@ -324,67 +279,59 @@ def test_blur_materializes_blurx_and_stores_direct():
     it goes through scratch; blury (radius 0, scale 1 liveout) is written
     straight into the output buffer."""
     pipe = build_blur(rows=46, cols=62)
-    gk = group_kernel_for(pipe, [s for s in pipe.stages])
-    assert gk is not None
-    assert "blurx" not in gk.inlined
-    assert "blurx" in gk.region_names
-    assert gk.liveout_names == ("blury",)
-    assert "blury" in gk.direct_stores
+    geom, plan = group_plan_for(pipe, [s for s in pipe.stages])
+    assert "blurx" not in plan.inlined
+    assert "blurx" in plan.region_names
+    assert [s.name for s in geom.liveouts] == ["blury"]
+    assert "blury" in plan.direct_stores
 
 
 def test_updown_inlines_fine():
     """fine is a 2-op pointwise producer read twice by down: inlined, so
-    the fused kernel never materializes it."""
+    the native kernel never materializes it."""
     pipe = build_updown(n=120)
-    gk = group_kernel_for(pipe, [s for s in pipe.stages])
-    assert gk is not None
-    assert "fine" in gk.inlined
-    assert "fine" not in gk.region_names
+    _, plan = group_plan_for(pipe, [s for s in pipe.stages])
+    assert "fine" in plan.inlined
+    assert "fine" not in plan.region_names
 
 
-#: sha256[:16] over the generated source of every stage kernel, then of
-#: every fused kernel of the DP grouping, per benchmark at scale 0.1 —
-#: recorded before the three store epilogues became one emitter.
+#: sha256[:16] over the generated source of every stage kernel, per
+#: benchmark at scale 0.1 — recorded with the lowerer's fused-group modes
+#: (prefixed names, region-tuple grids, view and pooled stores) still in
+#: place, so the pruned lowerer is pinned to emit every stage kernel
+#: unchanged.
 SOURCE_HASHES = {
-    "BG": "d9e8ec3026471448",
-    "CP": "18bb4b6706280ed7",
-    "HC": "7ff764347b6eda0a",
-    "MI": "cd113c093899368a",
-    "PB": "90d3e7c8f2e3e6fb",
-    "UM": "f4bc653e57dee3ca",
+    "BG": "f74dd07eedf3ab76",
+    "CP": "b572d0e32a058d89",
+    "HC": "8e7196aac0c2104e",
+    "MI": "a0ebee5ab75209ec",
+    "PB": "cd76b029c077a688",
+    "UM": "07d9d2dc4384e632",
 }
 
 
 @pytest.mark.parametrize("abbrev", sorted(SOURCE_HASHES))
 def test_generated_source_is_byte_identical(abbrev):
-    """The store epilogue has one emitter; what it emits for each
-    destination (caller ``out``, output-buffer view, pooled scratch) is
-    byte for byte what the three hand-written copies emitted."""
+    """The stage lowerer emits, byte for byte, what it emitted before it
+    lost every mode only fused NumPy group kernels used."""
     import hashlib
 
-    from repro.model.machine import XEON_HASWELL
-    from repro.planner import build_benchmark, plan_schedule
+    from repro.planner import build_benchmark
     from repro.runtime import stage_kernels
 
-    bench, pipe = build_benchmark(abbrev, 0.1)
-    grouping, _ = plan_schedule(
-        pipe, bench, XEON_HASWELL, "dp", 1_200_000, strict=False
-    )
+    _, pipe = build_benchmark(abbrev, 0.1)
     digest = hashlib.sha256()
     kernels = stage_kernels(pipe)
     for name in sorted(kernels):
         digest.update(kernels[name].source.encode())
-    fused = warm_group_kernels(pipe, grouping.groups)
-    for key in sorted(fused, key=sorted):
-        digest.update(fused[key].source.encode())
     assert digest.hexdigest()[:16] == SOURCE_HASHES[abbrev]
 
 
 def test_generated_source_is_inspectable():
     pipe = build_blur(rows=46, cols=62)
-    gk = group_kernel_for(pipe, [s for s in pipe.stages])
-    assert "def _group_kernel" in gk.source
-    assert "blurx" in gk.source
+    kernel = get_kernel(pipe, pipe.stage_by_name("blury"))
+    assert "def _stage_kernel" in kernel.source
+    assert "blurx" in kernel.source
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +339,26 @@ def test_generated_source_is_inspectable():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.native
+@needs_gxx
 def test_warm_group_kernels_compiles_multistage_groups():
+    """The kernels that run a multi-stage group as one kernel are the
+    native ones; below ``NATIVE`` there are none."""
     pipe = build_blur(rows=46, cols=62)
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    warmed = warm_group_kernels(pipe, g.groups)
+    warmed = warm_group_kernels(pipe, g.groups, KernelTier.NATIVE)
     assert frozenset({"blurx", "blury"}) in {
         frozenset(k) for k in warmed
     }
+    assert all(k.native for k in warmed.values())
     assert warm_group_kernels(pipe, g.groups, NO_FUSE) == {}
     assert warm_group_kernels(pipe, g.groups, INTERPRETED) == {}
 
 
 def test_host_fused_vs_unfused_bit_identical(monkeypatch):
-    """A warm host with fusion on serves the same bits as one warmed
-    under ``REPRO_KERNELS=stage`` (per-stage kernels only)."""
+    """A warm host whose groups run as one (native) kernel each serves
+    the same bits as one warmed under ``REPRO_KERNELS=stage`` (per-stage
+    kernels only)."""
     from repro.planner import make_inputs
     from repro.serve import HostConfig
     from repro.serve.host import PipelineHost
@@ -413,7 +366,7 @@ def test_host_fused_vs_unfused_bit_identical(monkeypatch):
     inputs = None
     outs = {}
     for fuse in (True, False):
-        tier = KernelTier.FUSED if fuse else KernelTier.STAGE
+        tier = KernelTier.NATIVE if fuse else KernelTier.STAGE
         monkeypatch.setenv("REPRO_KERNELS", tier.name.lower())
         host = PipelineHost("UM", HostConfig(scale=0.05, threads=2)).warm()
         assert host.kernels is tier

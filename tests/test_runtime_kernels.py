@@ -52,7 +52,7 @@ from repro.serve import HostConfig, PipelineHost
 
 from conftest import build_blur, build_updown, build_histogram, random_inputs
 
-COMPILED = KernelTier.FUSED
+COMPILED = KernelTier.STAGE
 INTERPRETED = KernelTier.INTERPRET
 
 
@@ -277,7 +277,7 @@ class TestKnobsAndCache:
                 assert GuardPolicy().kernels is tier
 
     @pytest.mark.parametrize("spelling, tier", [
-        ("native", KernelTier.NATIVE), (" FUSED ", KernelTier.FUSED),
+        ("native", KernelTier.NATIVE), (" STAGE ", KernelTier.STAGE),
         ("Stage", KernelTier.STAGE), ("interpret\n", KernelTier.INTERPRET),
         ("", KernelTier.NATIVE), (None, KernelTier.NATIVE),
     ], ids=["lower", "padded-upper", "mixed", "newline", "empty", "unset"])
@@ -291,20 +291,20 @@ class TestKnobsAndCache:
         assert KernelTier.resolve() is tier
 
     @pytest.mark.parametrize(
-        "value", ["bogus", "3", "nativ", "fused,stage"],
-        ids=["word", "number", "prefix", "two-names"],
+        "value", ["bogus", "3", "nativ", "fused,stage", "fused"],
+        ids=["word", "number", "prefix", "two-names", "removed-tier"],
     )
     def test_malformed_kernels_variable_is_rejected(
         self, value, blur_pipeline, rng, monkeypatch, capsys
     ):
         """Anything else is an error naming the variable, the value and
-        the four valid names — from every entry point that resolves, none
+        the three valid names — from every entry point that resolves, none
         of which runs a tier nobody asked for: ``repro run`` prints that
         one line and exits non-zero, a host refuses to warm."""
         monkeypatch.setenv("REPRO_KERNELS", value)
         message = (
-            f"REPRO_KERNELS={value!r}: expected one of native, fused, "
-            f"stage, interpret"
+            f"REPRO_KERNELS={value!r}: expected one of native, stage, "
+            f"interpret"
         )
         g = manual_grouping(
             blur_pipeline, [["blurx", "blury"]], [[3, 32, 32]]
@@ -324,6 +324,11 @@ class TestKnobsAndCache:
             cli_main(["run", "UM", "--scale", "0.05"])
         assert exit_info.value.code == message  # stderr, exit status 1
         assert capsys.readouterr().out == ""    # before any work
+        # nor is it a --kernels choice: an argparse error
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "UM", "--scale", "0.05", "--kernels", value])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
         # the flag decides alone: the variable is not even read
         assert KernelTier.resolve("stage") is KernelTier.STAGE
 
@@ -357,9 +362,8 @@ class TestKnobsAndCache:
     ):
         """A bare ``execute_grouping`` and a bare ``execute_guarded``
         run what the environment resolves to, at every NumPy tier —
-        stage kernels are compiled at ``STAGE`` only
-        (the fused source calls none, the interpreter needs none) — to
-        the reference's bits."""
+        stage kernels are compiled at ``STAGE`` only (the interpreter
+        needs none) — to the reference's bits."""
         g = manual_grouping(
             blur_pipeline, [["blurx", "blury"]], [[3, 32, 32]]
         )
@@ -371,7 +375,7 @@ class TestKnobsAndCache:
             kernelcache, "get_kernel",
             lambda *a: seen.append(a) or real(*a),
         )
-        for tier in (KernelTier.FUSED, KernelTier.STAGE, KernelTier.INTERPRET):
+        for tier in (KernelTier.STAGE, KernelTier.INTERPRET):
             monkeypatch.setenv("REPRO_KERNELS", tier.name)
             clear_kernel_cache()
             del seen[:]
@@ -395,7 +399,7 @@ class TestKnobsAndCache:
         assert k3 is not k1
 
     @pytest.mark.parametrize("options", [
-        {"kernels": COMPILED}, {"kernels": KernelTier.STAGE},
+        {"kernels": KernelTier.NATIVE}, {"kernels": KernelTier.STAGE},
         {"kernels": INTERPRETED},
     ])
     def test_memoised_kernels_do_not_pin_the_pipeline(self, options, rng):

@@ -4,12 +4,14 @@ Clock-free.  What is pinned:
 
 * **bits** — digests equal ``execute_reference`` on the six benchmarks'
   DP groupings x threads (grids of one, two and three carry rows: the
-  four-``KernelTier`` matrix of ``test_runtime_parallel_walk.py``),
+  three-``KernelTier`` matrix of ``test_runtime_parallel_walk.py``),
   through ``PipelineHost`` in-process and a forked worker, on random
   DAGs x awkward tiles x step lengths x tiers, and under ``tile`` fault
   injection;
-* **one plan** — a native kernel reports the region slots, inlined
-  members and direct stores of the NumPy kernel it stands in for;
+* **the self-check** — every native kernel those draw passes its
+  first-use comparison with the stage walk (a false demotion would not
+  show in the digests), and a plan bug C would share with no NumPy
+  kernel — an unsafe inline — is caught by it;
 * **the typed printer** — op by op against NumPy, dtype and bytes;
 * **eligibility** — ``exp``/``log``/``pow`` keep their NumPy kernels
   without a warning, everything else on the benchmarks is native;
@@ -55,6 +57,7 @@ from repro.dsl import (
     Exp,
     Float,
     Floor,
+    Function,
     Image,
     Int,
     Interval,
@@ -97,6 +100,7 @@ from repro.runtime import (
     grouping_kernels,
 )
 from repro.runtime import executor as executor_mod
+from repro.runtime import kernelcache
 from repro.runtime import native as native_mod
 from repro.runtime import nativestore
 from repro.runtime.buffers import Buffer
@@ -115,7 +119,7 @@ from conftest import (
 pytestmark = [pytest.mark.native, needs_gxx]
 
 NATIVE = KernelTier.NATIVE
-NUMPY = KernelTier.FUSED
+NUMPY = KernelTier.STAGE
 THREADS = (1, 2, 4)
 REGRESSIONS = os.path.join(os.path.dirname(__file__), "regressions")
 
@@ -154,10 +158,10 @@ def native_warnings(record):
 
 
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
-def test_dp_groupings_match_reference_and_share_the_numpy_plan(abbrev):
-    """Threads {1, 2, 4} on the DP grouping; every group
-    but CP's ``pow`` LUT is native, silently; and each native kernel has
-    exactly the slots of the NumPy kernel it replaces — one plan."""
+def test_dp_groupings_are_native_and_match_reference(abbrev):
+    """Threads {1, 2, 4} on the DP grouping; every group but CP's
+    ``pow`` LUT is native, silently — each passed its self-check against
+    the stage walk."""
     bench, pipe, grouping = dp_grouping(abbrev)
     inputs = random_inputs(pipe, np.random.default_rng(61))
     expected = output_digests(execute_reference(pipe, inputs))
@@ -167,16 +171,6 @@ def test_dp_groupings_match_reference_and_share_the_numpy_plan(abbrev):
     assert not native_warnings(record)
     numpy_only = [k.group_names for k in kernels if not k.native]
     assert numpy_only == ([("curve",)] if abbrev == "CP" else [])
-    for kernel, plain in zip(
-        kernels, grouping_kernels(pipe, grouping.groups, NUMPY)
-    ):
-        assert not plain.native
-        assert kernel.group_names == plain.group_names
-        assert kernel.region_names == plain.region_names
-        assert kernel.liveout_names == plain.liveout_names
-        assert kernel.inlined == plain.inlined
-        assert kernel.direct_stores == plain.direct_stores
-        assert not (kernel.native and kernel.generated)
     for n in THREADS:
         out = execute_grouping(pipe, grouping, inputs, nthreads=n,
                                kernels=NATIVE)
@@ -221,10 +215,10 @@ def test_host_in_process_and_forked_worker(native_on, monkeypatch):
     finally:
         svc.shutdown(timeout_s=60.0)
 
-    monkeypatch.setenv("REPRO_KERNELS", "fused")
+    monkeypatch.setenv("REPRO_KERNELS", "stage")
     health = PipelineHost("BG", host_config).warm().health()
     assert (health["native_groups"], health["numpy_groups"]) == (0, 4)
-    assert health["kernels"] == "fused"
+    assert health["kernels"] == "stage"
 
 
 def test_strided_and_foreign_typed_inputs_are_normalised():
@@ -260,7 +254,11 @@ def test_strided_and_foreign_typed_inputs_are_normalised():
 def test_random_dags_match_reference(seed, tile_seed, k, nthreads, kernels):
     """Few distinct DAGs (each is one translation unit), many tilings:
     non-power-of-two tiles, tiles larger than the extent, one-tile rows,
-    steps of one tile, two tiles and the whole row — on every tier."""
+    steps of one tile, two tiles and the whole row — on every tier.  A
+    native kernel that fails its self-check still yields the reference's
+    digests, on NumPy, so a false demotion shows only as a warning: at
+    ``NATIVE`` there must be none (the session's fresh artifact store
+    makes every DAG's first use self-check)."""
     pipe = random_pipeline(num_stages=8, seed=seed, size=128)
     grouping = schedule_pipeline(pipe, XEON_HASWELL, strategy="greedy")
     rng = np.random.default_rng(tile_seed)
@@ -273,12 +271,19 @@ def test_random_dags_match_reference(seed, tile_seed, k, nthreads, kernels):
     grouping = dataclasses.replace(grouping, tile_sizes=tuple(tile_sizes))
     inputs = random_inputs(pipe, np.random.default_rng(seed))
     expected = output_digests(execute_reference(pipe, inputs))
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(
+        record=True
+    ) as record:
+        warnings.simplefilter("always")
         force_step_tiles(mp, k)
         out = execute_grouping(
             pipe, grouping, inputs, nthreads=nthreads, kernels=kernels
         )
     assert output_digests(out) == expected
+    if kernels is NATIVE:
+        assert not native_warnings(record), [
+            str(w.message) for w in record
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +440,12 @@ def test_reduction_refuses_a_buffer_it_cannot_address():
 
 @pytest.mark.parametrize("kernels, numpy_calls", [
     (NATIVE, 0),
-    (KernelTier.resolve("fused"), 1),
-    (KernelTier.resolve(), 1),          # the suite's REPRO_KERNELS=fused
+    (KernelTier.resolve("interpret"), 1),
+    (KernelTier.resolve(), 1),          # the suite's REPRO_KERNELS=stage
     (KernelTier.INTERPRET, 1),
     (KernelTier.STAGE, 1),
-], ids=["native", "--kernels=fused", "REPRO_KERNELS=fused", "interpret",
-        "stage"])
+], ids=["native", "--kernels=interpret", "REPRO_KERNELS=stage",
+        "interpret", "stage"])
 def test_reduction_follows_the_groups_predicate(
     kernels, numpy_calls, monkeypatch
 ):
@@ -787,7 +792,8 @@ def _assert_degrades(reason, build=_blur_case, cache=None):
             kernels = grouping_kernels(pipe, g.groups, NATIVE, cache)
             assert not any(k.native for k in kernels)
             assert all(
-                k.generated for k in kernels if len(k.group_names) > 1
+                k.region_names == k.group_names
+                for k in kernels if len(k.group_names) > 1
             )
             out = execute_grouping(pipe, g, inputs, kernels=NATIVE)
             (name,) = out
@@ -991,9 +997,9 @@ def test_self_check_mismatch_demotes_only_that_group(monkeypatch, tmp_path):
     real = executor_mod._kernels_agree
     checked = []
 
-    def disagree_on_victim(pipeline, geom, a, b):
-        checked.append(a.group_names)
-        return a.group_names != victim and real(pipeline, geom, a, b)
+    def disagree_on_victim(pipeline, geom, kernel):
+        checked.append(kernel.group_names)
+        return kernel.group_names != victim and real(pipeline, geom, kernel)
 
     monkeypatch.setattr(executor_mod, "_kernels_agree", disagree_on_victim)
     METRICS.reset(enabled=True)
@@ -1007,7 +1013,7 @@ def test_self_check_mismatch_demotes_only_that_group(monkeypatch, tmp_path):
     finally:
         METRICS.reset(enabled=False)
     assert [k.native for k in kernels] == [False, True]
-    assert kernels[0].generated
+    assert kernels[0].region_names == victim
     assert sorted(checked) == sorted([victim, tuple(names[2:])])
     (w,) = native_warnings(record)
     assert "(self-check)" in str(w.message)
@@ -1079,9 +1085,11 @@ def test_self_check_mismatch_demotes_only_the_reduction(monkeypatch, tmp_path):
     real = executor_mod._kernels_agree
     checked = []
 
-    def disagree_on_grid(pipeline, unit, a, b):
-        checked.append(a.group_names)
-        return a.group_names != ("grid",) and real(pipeline, unit, a, b)
+    def disagree_on_grid(pipeline, unit, kernel):
+        checked.append(kernel.group_names)
+        return kernel.group_names != ("grid",) and real(
+            pipeline, unit, kernel
+        )
 
     monkeypatch.setattr(executor_mod, "_kernels_agree", disagree_on_grid)
     METRICS.reset(enabled=True)
@@ -1114,6 +1122,44 @@ def test_self_check_mismatch_demotes_only_the_reduction(monkeypatch, tmp_path):
     assert [k.group_names for k in again if not k.native] == [("grid",)]
 
 
+def test_self_check_catches_an_unsafe_inline(monkeypatch, tmp_path):
+    """A plan bug only the native kernel carries.  ``c`` reads ``p`` one
+    point past each end of ``p``'s domain, where a materialised read
+    clamps to ``p``'s edge, while ``p``'s input extends further.  With
+    the inlining safety analysis patched to allow it, ``p`` inlines and
+    the C kernel reads the input out there instead.  The self-check runs
+    the stage walk, which inlines nothing, so it demotes the group with
+    one ``KERNEL_NATIVE_FAIL`` (self-check) and the outputs stay the
+    reference's."""
+    x = Variable(Int, "x")
+    n = 64
+    img = Image(Float, "img", [n + 4])
+    p = Function(([x], [Interval(Int, 1, n)]), Float, "p")
+    p.defn = [img(x) * 2.0]
+    c = Function(([x], [Interval(Int, 1, n)]), Float, "c")
+    c.defn = [p(x - 1) + p(x) + p(x + 1)]
+    pipe = Pipeline([c], {}, name="overread")
+    g = manual_grouping(pipe, [["p", "c"]], [[16]])
+    geom = compute_group_geometry(pipe, g.groups[0])
+    assert kernelcache.plan_group(pipe, geom).inlined == ()
+    real = kernelcache._unsafe_to_inline
+    monkeypatch.setattr(
+        kernelcache, "_unsafe_to_inline",
+        lambda analysis, members: (real(analysis, members)[0], set()),
+    )
+    assert kernelcache.plan_group(pipe, geom).inlined == ("p",)
+    inputs = random_inputs(pipe, np.random.default_rng(71))
+    expected = execute_reference(pipe, inputs)["c"]
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        kernels = grouping_kernels(pipe, g.groups, NATIVE, str(tmp_path))
+    assert [k.native for k in kernels] == [False]
+    (w,) = native_warnings(record)
+    assert "(self-check)" in str(w.message)
+    out = execute_grouping(pipe, g, inputs, kernels=NATIVE)
+    assert out["c"].tobytes() == expected.tobytes()
+
+
 def _cli_env(xdg):
     """The suite's environment with native back on, a store of its own
     and ``src`` importable."""
@@ -1141,8 +1187,8 @@ def _digests(stdout):
 def test_cli_flags_and_concurrent_builders(tmp_path):
     """``repro run`` end to end: two processes build the same key at the
     same time and both end with a loadable artifact (no partial file is
-    ever loaded, nothing temporary stays behind); ``--kernels fused`` and
-    ``REPRO_KERNELS=fused`` print the same digests; a third run finds the
+    ever loaded, nothing temporary stays behind); ``--kernels stage`` and
+    ``REPRO_KERNELS=stage`` print the same digests; a third run finds the
     artifact and builds nothing; without ``g++`` the run still exits 0
     with the same digests and exactly one warning; a truncated artifact
     is rebuilt by the next process that finds it."""
@@ -1169,16 +1215,13 @@ def test_cli_flags_and_concurrent_builders(tmp_path):
     text = metrics.read_text()
     assert 'repro_kernel_native_total{result="cached"} 1' in text
     assert 'result="built"' not in text
-    assert "repro_kernel_fused_groups_total" not in text
 
     flag = _run_cli(
-        base + ["--kernels", "fused", "--metrics", str(metrics)], env
+        base + ["--kernels", "stage", "--metrics", str(metrics)], env
     )
     assert flag.returncode == 0 and _digests(flag.stdout) == want
-    text = metrics.read_text()
-    assert "repro_kernel_native_total" not in text
-    assert "repro_kernel_fused_groups_total 1" in text
-    var = _run_cli(base, dict(env, REPRO_KERNELS="fused"))
+    assert "repro_kernel_native_total" not in metrics.read_text()
+    var = _run_cli(base, dict(env, REPRO_KERNELS="stage"))
     assert var.returncode == 0 and _digests(var.stdout) == want
 
     masked = _run_cli(base, dict(env, PATH=str(tmp_path)))
@@ -1244,19 +1287,12 @@ def test_metrics_and_spans_name_the_native_tier(monkeypatch, tmp_path):
                 "repro_kernel_native_build_seconds"
             )[0] == 1
             execute_grouping(pipe, grouping, inputs, kernels=NATIVE)
-            # generated NumPy source ran nowhere: CP's one NumPy group is
-            # a singleton on the stage-walking adapter
-            assert not METRICS.value("repro_kernel_fused_groups_total")
             spans = [
                 s for s in _walk_spans(TRACE.root) if s.name == "group"
             ]
             # a tiled group says whether it ran native, an untiled one
             # how many of its reductions did
             assert sum(int(s.attrs["native"]) for s in spans) == native
-            assert not any(
-                s.attrs["fused"] for s in spans
-                if s.attrs["mode"] == "tiled"
-            )
 
             # another process, same machine: everything is found, not
             # built

@@ -79,7 +79,6 @@ THREADS = (1, 2, 4)
 #: the sources of NumPy group kernels, by the id their parametrized
 #: tests are known by (test names are pinned)
 TIERS = {
-    KernelTier.FUSED: "fused",
     KernelTier.STAGE: "no-fuse",
     KernelTier.INTERPRET: "no-compile",
 }
@@ -126,10 +125,9 @@ def _volume(bounds):
 
 
 class ComputedRegions:
-    """Records every region the executor hands to a stage body — the
-    stage-walking adapter's through ``_compute_function_region``, a
-    generated fused kernel's through its ``regions`` argument (``None``
-    entries are pure carries: nothing computed)."""
+    """Records every region the executor hands to a stage body (through
+    the stage-walking adapter's ``_compute_function_region``) and every
+    group-kernel call."""
 
     def __init__(self, monkeypatch):
         self.regions = []  # appended from worker threads; append is atomic
@@ -146,12 +144,6 @@ class ComputedRegions:
 
             def fn(regions, *args):
                 self.calls.append(kernel.group_names)
-                if kernel.generated:
-                    for name, bounds in zip(kernel.region_names, regions):
-                        if bounds is not None:
-                            self.regions.append(
-                                (name, [tuple(b) for b in bounds])
-                            )
                 return kernel.fn(regions, *args)
 
             return dataclasses.replace(kernel, fn=fn)
@@ -178,9 +170,7 @@ class ComputedRegions:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "tier", [KernelTier.FUSED, KernelTier.STAGE], ids=TIERS.get
-)
+@pytest.mark.parametrize("tier", [KernelTier.STAGE], ids=TIERS.get)
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_work_is_conserved_across_thread_counts(abbrev, tier, monkeypatch):
     """volume(n) <= volume(1) + (runs cut beyond the serial walk's) x
@@ -573,17 +563,15 @@ def test_no_kernel_stands_above_the_requested_tier(abbrev, monkeypatch):
     """The tier is a ceiling.  For every tier, every group and every
     untiled reduction of the DP grouping: a native kernel only at
     ``NATIVE`` (whatever cannot be built runs on a lower stand-in),
-    generated fused source only from ``FUSED`` up, stage kernels only
-    from ``STAGE`` up — and at ``INTERPRET`` nothing is compiled, looked
-    up or built, at resolution or at execution.  Same digests under
-    all four."""
+    stage kernels only from ``STAGE`` up — and at ``INTERPRET`` nothing
+    is compiled, looked up or built, at resolution or at execution.  Same
+    digests under all three."""
     _, pipe, grouping = _dp_grouping(abbrev)
     inputs = make_inputs(pipe, 1)
     expected = output_digests(execute_reference(pipe, inputs))
     called = set()
     for mod, name in (
         (kernelcache, "get_kernel"), (executor_mod, "get_kernel"),
-        (kernelcache, "compile_group_kernel"),
         (native_mod, "build_group_kernels"),
     ):
         def spy(*args, _name=name, _real=getattr(mod, name)):
@@ -593,7 +581,7 @@ def test_no_kernel_stands_above_the_requested_tier(abbrev, monkeypatch):
         monkeypatch.setattr(mod, name, spy)
     allowed = set()
     for tier, unlocks in zip(KernelTier, (
-        None, "get_kernel", "compile_group_kernel", "build_group_kernels",
+        None, "get_kernel", "build_group_kernels",
     )):
         clear_kernel_cache()
         called.clear()
@@ -601,15 +589,11 @@ def test_no_kernel_stands_above_the_requested_tier(abbrev, monkeypatch):
         out = execute_grouping(pipe, grouping, inputs, kernels=tier)
         assert output_digests(out) == expected, tier
         for kernel in kernels:
-            assert not (kernel.native and kernel.generated)
             assert tier >= KernelTier.NATIVE or not kernel.native
-            assert tier >= KernelTier.FUSED or not kernel.generated
         if unlocks:
             allowed.add(unlocks)
             assert unlocks in called, tier
         assert called <= allowed, tier
-        if tier is KernelTier.FUSED:
-            assert any(k.generated for k in kernels)
         if tier is KernelTier.NATIVE and HAVE_GXX:
             assert any(k.native for k in kernels)
 

@@ -1,6 +1,6 @@
 """Inter-tile halo reuse tests: carrying a stage's computed row window
 across adjacent tiles must be bit-identical to the reference interpreter
-on generated fused kernels and on the stage-walking adapter, and survive
+on the stage-walking adapter over compiled stage kernels, and survive
 fault injection without ever consuming poisoned scratch."""
 
 import dataclasses
@@ -45,15 +45,14 @@ def assert_bit_identical(ref, out):
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_benchmarks_bit_identical_reuse(abbrev):
     """The carrying walk == the reference, exactly, on every registered
-    benchmark — on the fused tier and the per-stage tier."""
+    benchmark, on the per-stage tier."""
     bench = BENCHMARKS[abbrev]
     pipe = bench.build(**bench.small_kwargs)
     inputs = random_inputs(pipe, np.random.default_rng(31))
     grouping = clamped(bench, pipe)
     ref = execute_reference(pipe, inputs)
-    for tier in (KernelTier.FUSED, KernelTier.STAGE):
-        out = execute_grouping(pipe, grouping, inputs, kernels=tier)
-        assert_bit_identical(ref, out)
+    out = execute_grouping(pipe, grouping, inputs, kernels=KernelTier.STAGE)
+    assert_bit_identical(ref, out)
 
 
 def test_reuse_engages_and_counts(monkeypatch):

@@ -345,8 +345,8 @@ class TestHostLifecycle:
         assert health["hosts"]["UM"]["requests"] == 1
         assert health["hosts"]["UM"]["pool"]["pools"] >= 1
         # what the process's environment resolved to at warm-up (the
-        # suite's REPRO_KERNELS=fused)
-        assert health["hosts"]["UM"]["kernels"] == "fused"
+        # suite's REPRO_KERNELS=stage)
+        assert health["hosts"]["UM"]["kernels"] == "stage"
         assert health["hosts"]["UM"]["native_groups"] == 0
         assert health["hosts"]["UM"]["numpy_groups"] > 0
 
@@ -416,7 +416,7 @@ class TestWarmPath:
     @pytest.mark.parametrize("key", ["BG", "CP"])
     def test_warm_request_resolves_nothing(self, key, workers, monkeypatch):
         """After warm-up a request compiles nothing, looks no kernel up
-        (``get_kernel`` / ``get_group_kernel`` raise) and reads no
+        (``get_kernel`` / ``stage_kernels`` raise) and reads no
         ``REPRO_*`` variable (``os.environ`` raises) — in process, and in
         a worker forked with the traps armed.  A trap that fired would
         degrade the request or fail it."""
@@ -436,7 +436,7 @@ class TestWarmPath:
 
             monkeypatch.setattr(kernelcache, "get_kernel", trap)
             monkeypatch.setattr(executor_mod, "get_kernel", trap)
-            monkeypatch.setattr(executor_mod, "get_group_kernel", trap)
+            monkeypatch.setattr(executor_mod, "stage_kernels", trap)
             monkeypatch.setattr(os, "environ", _NoReproEnviron(os.environ))
             if workers:
                 svc.start_workers()
