@@ -200,14 +200,66 @@ def _helpers() -> str:
 #: Helper functions emitted once per translation unit.
 RUNTIME_HELPERS = _helpers()
 
-#: The native translation unit's one exported helper, printed after
-#: :data:`RUNTIME_HELPERS`: runs a group's step entry once per row of a
-#: chunk's step table (:mod:`repro.runtime.native`), so a chunk of steps
-#: is one call from Python.
+#: The native translation unit's two exported runners, printed after
+#: :data:`RUNTIME_HELPERS`.  ``repro_run_steps`` runs a group's step
+#: entry once per row of a chunk's step table (:mod:`repro.runtime.native`),
+#: so a chunk of steps is one call from Python.  ``repro_run_program``
+#: runs a request's *program* — consecutive groups of chunks, each chunk
+#: one ``repro_run_steps`` over one op (entry, rows, row count, row words)
+#: — from a control block: ``ctl[0]`` groups, ``ctl[1]`` the address of
+#: the op list, five words per group (chunks, the last group it waits
+#: for or ``-1``, its first op, chunks claimed, chunks done), then two
+#: per op: the ``CLOCK_MONOTONIC`` nanoseconds it started and ended.
+#: Any number of threads may run one control block: each claims chunks
+#: by atomic fetch-add, waits (``pause``, then ``sched_yield``) only
+#: where a group needs every group up to the one it waits for to be done,
+#: and a thread that finds nothing to claim moves on, reading nothing but
+#: the control block.  ``walker`` makes a call return only once every
+#: chunk is done, whoever ran it.
 STEP_LOOP = (
+    "#include <sched.h>\n"
+    "#include <time.h>\n"
     "void repro_run_steps(void (*step)(const int64_t *), "
     "const int64_t *rows, int64_t nrows, int64_t words) {\n"
     "    for (int64_t r = 0; r < nrows; ++r) step(rows + r * words);\n"
+    "}\n"
+    "static int64_t r_now(void) {\n"
+    "    struct timespec t;\n"
+    "    clock_gettime(CLOCK_MONOTONIC, &t);\n"
+    "    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;\n"
+    "}\n"
+    "static void r_wait(const int64_t *group) {\n"
+    "    for (int spin = 0; "
+    "__atomic_load_n(&group[4], __ATOMIC_ACQUIRE) < group[0]; ++spin) {\n"
+    "        if (spin >= 200) { sched_yield(); continue; }\n"
+    "#if defined(__x86_64__) || defined(__i386__)\n"
+    "        __builtin_ia32_pause();\n"
+    "#elif defined(__aarch64__)\n"
+    "        __asm__ __volatile__(\"yield\");\n"
+    "#endif\n"
+    "    }\n"
+    "}\n"
+    "void repro_run_program(int64_t *ctl, int64_t walker) {\n"
+    "    int64_t *const clock = ctl + 2 + 5 * ctl[0];\n"
+    "    for (int64_t g = 0; g < ctl[0]; ++g) {\n"
+    "        int64_t *const G = ctl + 2 + 5 * g;\n"
+    "        if (__atomic_load_n(&G[3], __ATOMIC_RELAXED) >= G[0]) continue;\n"
+    "        for (int64_t d = 0; d <= G[1]; ++d) r_wait(ctl + 2 + 5 * d);\n"
+    "        for (;;) {\n"
+    "            const int64_t o = G[2] + "
+    "__atomic_fetch_add(&G[3], 1, __ATOMIC_RELAXED);\n"
+    "            if (o >= G[2] + G[0]) break;\n"
+    "            const int64_t *op = "
+    "(const int64_t *)(uintptr_t)ctl[1] + 4 * o;\n"
+    "            clock[2 * o] = r_now();\n"
+    "            repro_run_steps((void (*)(const int64_t *))(uintptr_t)op[0], "
+    "(const int64_t *)(uintptr_t)op[1], op[2], op[3]);\n"
+    "            clock[2 * o + 1] = r_now();\n"
+    "            __atomic_fetch_add(&G[4], 1, __ATOMIC_RELEASE);\n"
+    "        }\n"
+    "    }\n"
+    "    if (walker)\n"
+    "        for (int64_t g = 0; g < ctl[0]; ++g) r_wait(ctl + 2 + 5 * g);\n"
     "}\n"
 )
 

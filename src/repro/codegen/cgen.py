@@ -9,19 +9,22 @@ intra-tile loops run back-to-back inside each trapezoid tile.
 executes, not a second rendering of it:
 
 * the native translation unit (:mod:`repro.runtime.native`):
-  ``RUNTIME_HELPERS``, ``repro_run_steps``, one step entry per tiled
-  group and one entry per reduction, printed by the functions that hand
-  the artifact store its units — byte for byte, except that
-  ``exp``/``log``/``pow`` print through libm here (serving keeps a group
-  that uses them on its NumPy kernel),
+  ``RUNTIME_HELPERS``, ``repro_run_steps`` and ``repro_run_program``,
+  one step entry per tiled group and one entry per reduction, printed
+  by the functions that hand the artifact store its units — byte for
+  byte, except that ``exp``/``log``/``pow`` print through libm here
+  (serving keeps a group that uses them on its NumPy kernel),
 * one ``void pipeline_run(...)`` taking the input images and the
-  pipeline outputs as flat row-major arrays: per tiled group one baked
-  step table — the single chunk the executor walks at one thread, what
-  ``repro run`` and ``repro serve`` execute at their
-  default ``--threads 1`` — run by one ``repro_run_steps`` call over a
-  private copy with the buffer pointers filled in; per reduction one
-  descriptor and one call; any other untiled stage as a full-domain
-  loop nest.
+  pipeline outputs as flat row-major arrays and running the grouping
+  as the request program a warm request runs at one thread — ``repro
+  run`` and ``repro serve``'s default ``--threads 1`` — packed by the
+  same :func:`repro.runtime.native.pack_program`: per tiled group one
+  baked step table (its walk's single chunk), per reduction its
+  one-row descriptor, per run of them an op list, a patch list and a
+  control block; the tables are copied into one arena, the pointers
+  patched, and one ``repro_run_program`` call runs them.  A stage of
+  an untiled group that is not a reduction is a full-domain loop nest
+  between programs.
 
 Values are printed by the typed printer (:mod:`repro.codegen.cexpr`):
 every operation in the dtype NumPy computes it in, so — compiled
@@ -55,6 +58,7 @@ from .cexpr import (
     RUNTIME_HELPERS,
     STEP_LOOP,
     literal,
+    ctype_for,
     ctype_of,
 )
 
@@ -193,9 +197,17 @@ def _domain_buffer(
     )
 
 
-def _slot(buf: CBuffer) -> List[str]:
-    """A descriptor's buffer slot for ``buf``: pointer, origin…, shape…"""
-    return [f"(int64_t)(uintptr_t){buf.name}", *buf.origin, *buf.extents]
+def _c_array(name: str, values) -> str:
+    """``values`` as a ``static const int64_t`` array named ``name``."""
+    values = [str(v) for v in values]
+    return (
+        f"static const int64_t {name}[{len(values)}] = {{\n"
+        + "".join(
+            f"    {', '.join(values[i:i + 16])},\n"
+            for i in range(0, len(values), 16)
+        )
+        + "};\n"
+    )
 
 
 def generate_cpp(
@@ -220,8 +232,9 @@ def generate_cpp(
     if grouping.pipeline is not pipeline:
         raise ValueError("grouping was built for a different pipeline")
 
-    # images and pipeline outputs are parameters; every other buffer a
-    # group hands on is allocated at its first use
+    # images and pipeline outputs are parameters; intermediates live in
+    # their program's arena, or — written by a loop nest — in a buffer
+    # of their own
     buffers: Dict[str, CBuffer] = {}
     params: List[str] = []
     for img in pipeline.images:
@@ -235,109 +248,152 @@ def generate_cpp(
         buffers[out.name] = _domain_buffer(pipeline, out, name)
         params.append(f"{ctype_of(out.scalar_type)} *restrict {name}")
 
-    em = _Emitter()
-    em.depth = 1
-    temps: List[str] = []
-
-    def full(stage: Function) -> CBuffer:
-        """``stage``'s full buffer, allocated at its first use."""
-        if stage.name not in buffers:
-            name = f"__full_{stage.name}"
-            ct = ctype_of(stage.scalar_type)
-            em.line(
-                f"{ct} *{name} = calloc({pipeline.domain_size(stage)}, "
-                f"sizeof({ct}));"
-            )
-            temps.append(name)
-            buffers[stage.name] = _domain_buffer(pipeline, stage, name)
-        return buffers[stage.name]
-
     entries: List[str] = []
-    tables: List[str] = []
+    arrays: List[str] = []
+    #: a table's baked array and entry, by the table's id
+    baked: Dict[int, Tuple[str, str]] = {}
     count = {"step": 0, "reduce": 0}
 
-    def entry(kind: str, emit, unit):
+    def entry(kind: str, emit, what):
+        """Print ``what``'s entry; its symbol and kernel."""
         symbol = f"repro_{kind}_{count[kind]}"
         count[kind] += 1
-        source, make = emit(pipeline, unit, symbol, libm=True)
+        source, make = emit(pipeline, what, symbol, libm=True)
         entries.append(source)
-        return symbol, make
+        return symbol, make(None, None)
 
-    printer = ExprPrinter(buffers, pipeline.env, libm=True)
-    for gi, (members, tiles) in enumerate(
-        zip(grouping.groups, grouping.tile_sizes)
-    ):
-        names = "+".join(sorted(s.name for s in members))
-        geom = executor._tiled_geometry(pipeline, members)
-        if geom is None:
-            em.line(f"// group {gi}: {names} (untiled)")
-            for s in pipeline.stages:
-                if s not in members:
-                    continue
-                out = full(s)
-                if isinstance(s, Reduction):
-                    symbol, _ = entry("reduce", native._native_reduction, s)
-                    words = [
-                        w for name in native._reduction_producers(pipeline, s)
-                        for w in _slot(buffers[name])
-                    ]
-                    em.line(
-                        f"{{ const int64_t __d[] = "
-                        f"{{{', '.join(words + _slot(out))}}}; "
-                        f"{symbol}(__d); }}"
-                    )
-                else:
-                    _emit_stage_body(
-                        em, printer, s,
-                        [(str(lo), str(hi)) for lo, hi in pipeline.domain(s)],
-                        out,
-                    )
-            continue
-        symbol, make = entry("step", native._native_group, geom)
-        plan = executor._WalkPlan(pipeline, geom, tiles, make(None, None), 1)
-        (chunk,) = plan.chunks
-        table = chunk.table
+    def bake(table, array: str, symbol: str) -> list:
+        """Bake ``table`` as ``array`` numbered like ``symbol``: one
+        program group of one op."""
         if table.missing is not None:
             # what running the table raises too
             raise KeyError(table.missing)
-        nrows, words = table.rows.shape
-        em.line(
-            f"// group {gi}: {names}, {chunk.ntiles} tiles in {nrows} "
-            f"steps of {symbol}"
-        )
-        for s in geom.liveouts:
-            full(s)
-        baked = f"repro_table_{count['step'] - 1}"
-        values = [str(v) for v in table.rows.reshape(-1).tolist()]
-        tables.append(
-            f"static const int64_t {baked}[{len(values)}] = {{\n"
-            + "".join(
-                f"    {', '.join(values[i:i + 16])},\n"
-                for i in range(0, len(values), 16)
+        name = f"{array}_{symbol.rsplit('_', 1)[1]}"
+        arrays.append(_c_array(name, table.rows.reshape(-1).tolist()))
+        baked[id(table)] = (name, symbol)
+        return [table]
+
+    # the grouping in execution order, as runs: consecutive tiled groups
+    # and reductions — their program groups and labels — make one
+    # program; a stage of any other untiled group is a loop nest
+    runs: List[tuple] = []
+
+    def add(part, label: str) -> None:
+        if runs and not isinstance(runs[-1][0], Function):
+            runs[-1][0].append(part)
+            runs[-1][1].append(label)
+        else:
+            runs.append(([part], [label]))
+
+    for gi, (members, tiles) in enumerate(
+        zip(grouping.groups, grouping.tile_sizes)
+    ):
+        geom = executor._tiled_geometry(pipeline, members)
+        if geom is not None:
+            symbol, kernel = entry("step", native._native_group, geom)
+            (chunk,) = executor._WalkPlan(
+                pipeline, geom, tiles, kernel, 1
+            ).chunks
+            add(
+                bake(chunk.table, "repro_table", symbol),
+                f"group {gi}: " + "+".join(sorted(s.name for s in members)),
             )
-            + "};\n"
-        )
+            continue
+        for s in pipeline.stages:
+            if s not in members:
+                continue
+            label = f"group {gi}: {s.name} (untiled)"
+            if isinstance(s, Reduction):
+                symbol, kernel = entry("reduce", native._native_reduction, s)
+                add(bake(kernel.table, "repro_args", symbol), label)
+            else:
+                runs.append((s, label))
+
+    em = _Emitter()
+    em.depth = 1
+    temps: List[str] = []
+    programs: List[native._Program] = []
+    for parts, _ in runs:
+        if not isinstance(parts, Function):
+            p = len(programs)
+            programs.append(native.pack_program(pipeline, parts))
+            em.line(
+                f"unsigned char *const __arena_{p} = "
+                f"aligned_alloc(64, {programs[p].nbytes});"
+            )
+            temps.append(f"__arena_{p}")
+            for name, start, _, dtype, shape, origin in programs[p].inner:
+                ct = ctype_for(dtype)
+                em.line(
+                    f"{ct} *const __full_{name} = "
+                    f"({ct} *)(__arena_{p} + {start});"
+                )
+                buffers[name] = CBuffer(f"__full_{name}", origin, shape)
+    printer = ExprPrinter(buffers, pipeline.env, libm=True)
+    step = 0
+    for stage, label in runs:
+        if isinstance(stage, Function):
+            em.line(f"// {label}")
+            if stage.name not in buffers:
+                name = f"__full_{stage.name}"
+                ct = ctype_of(stage.scalar_type)
+                em.line(
+                    f"{ct} *{name} = calloc({pipeline.domain_size(stage)}, "
+                    f"sizeof({ct}));"
+                )
+                temps.append(name)
+                buffers[stage.name] = _domain_buffer(pipeline, stage, name)
+            _emit_stage_body(
+                em, printer, stage,
+                [(str(lo), str(hi)) for lo, hi in pipeline.domain(stage)],
+                buffers[stage.name],
+            )
+            continue
+        program = programs[step]
+        nops = len(program.tables)
+        em.line(f"// program {step}: " + "; ".join(label))
         em.open("{")
-        em.line(f"int64_t *__tab = malloc(sizeof {baked});")
-        em.line(f"unsigned char *__arena = malloc({table.arena});")
-        em.line(f"memcpy(__tab, {baked}, sizeof {baked});")
-        em.open(f"for (int64_t __r = 0; __r < {nrows}; ++__r) {{")
-        em.line(f"int64_t *__d = __tab + __r * {words};")
-        ext = [w for name, _ in table.ext for w in _slot(buffers[name])]
-        for col, word in zip(table.ext_cols.tolist(), ext):
-            em.line(f"__d[{col}] = {word};")
-        # every row's pointer words, as offsets into what they point into;
-        # a slot a row leaves unused is never read
-        into = ["__arena"] + [buffers[name].name for name in table.outs]
-        for col, src in sorted(set(zip(
-            (table.flat % words).tolist(), table.src.tolist()
-        ))):
-            em.line(f"__d[{col}] += (int64_t)(uintptr_t){into[src]};")
+        em.line(f"int64_t *const __w = (int64_t *)__arena_{step};")
+        em.line(
+            f"memcpy(__w, repro_ops_{step}, sizeof repro_ops_{step});"
+        )
+        arrays.append(_c_array(
+            f"repro_ops_{step}", program.image[:4 * nops].tolist()
+        ))
+        for k, table in enumerate(program.tables):
+            name, symbol = baked[id(table)]
+            em.line(f"__w[{4 * k}] = (int64_t)(uintptr_t){symbol};")
+            em.line(
+                f"memcpy(__w + {int(program.image[4 * k + 1]) // 8}, "
+                f"{name}, sizeof {name});"
+            )
+        # what the patched words point into: the arena (its image,
+        # each chunk's scratch, each intermediate), then every producer
+        # read from outside, then every pipeline output written
+        ptrs = [f"__arena_{step} + {off}" for off in program.offsets.tolist()]
+        ptrs += [buffers[name].name for name, *_ in program.ext]
+        ptrs += [buffers[name].name for name, *_ in program.outputs]
+        em.line("const int64_t __p[] = {")
+        for ptr in ptrs:
+            em.line(f"    (int64_t)(uintptr_t)({ptr}),")
+        em.line("};")
+        patch = f"repro_patch_{step}"
+        arrays.append(_c_array(patch, np.stack(
+            [program.flat, program.src], axis=1
+        ).reshape(-1).tolist()))
+        em.line(
+            f"for (size_t __i = 0; __i < sizeof {patch} / sizeof *{patch}; "
+            f"__i += 2)"
+        )
+        em.line(f"    __w[{patch}[__i]] += __p[{patch}[__i + 1]];")
+        control = f"repro_control_{step}"
+        arrays.append(_c_array(control, program.ctl.tolist()))
+        em.line(f"int64_t __ctl[sizeof {control} / sizeof *{control}];")
+        em.line(f"memcpy(__ctl, {control}, sizeof __ctl);")
+        em.line("__ctl[1] = (int64_t)(uintptr_t)__w;")
+        em.line("repro_run_program(__ctl, 1);")
         em.close()
-        em.line(f"repro_run_steps({symbol}, __tab, {nrows}, {words});")
-        em.line("free(__arena);")
-        em.line("free(__tab);")
-        em.close()
+        step += 1
     for name in temps:
         em.line(f"free({name});")
 
@@ -346,11 +402,11 @@ def generate_cpp(
         f"the native\n"
         f"// translation unit that serves this grouping, and a "
         f"{function_name} that\n"
-        f"// runs each tiled group's baked step table in one call.\n"
+        f"// runs it as the program a one-thread request runs.\n"
         f"// Compile as C: -O3 -fwrapv -fno-fast-math -ffp-contract=off.\n"
         f"#include <stdlib.h>\n"
         + RUNTIME_HELPERS + STEP_LOOP + "".join(entries) + "\n"
-        + "".join(tables) + "\n"
+        + "".join(arrays) + "\n"
         + f"void {function_name}({', '.join(params)})\n{{\n"
         + em.text() + "}\n"
     )

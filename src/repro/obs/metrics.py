@@ -72,7 +72,8 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
     "repro_execute_seconds": (
         "histogram", "Wall time of one executor invocation"),
     "repro_group_seconds": (
-        "histogram", "Wall time of one fused group's execution"),
+        "histogram", "Wall time of one fused group's execution, by its "
+                     "index in the grouping (group=)"),
     "repro_kernel_compile_total": (
         "counter", "Stage-kernel lookups: lowering outcomes and memo "
                    "hits (result=compiled|cached|fallback)"),

@@ -21,7 +21,10 @@ Instrumented sites
     over a thread's whole share of the group's steps — so there is one
     check per chunk attempt and a retry re-runs the whole chunk; on any
     other kernel it is the step, one kernel call over one or more
-    adjacent tiles.
+    adjacent tiles.  A per-group-walk site: while an injector is active
+    every group walks by itself, and none runs in a request's one-call
+    native program (:func:`repro.runtime.executor._walk_groups`), which
+    has no unit smaller than the call.
 ``"alloc"``
     :meth:`repro.runtime.buffers.Buffer.for_region` — scratch and output
     buffer allocation.

@@ -244,11 +244,15 @@ def execute_guarded(
         outcome.mode = "reference-fallback"
         outcome.error_code = code
 
-    def run_group(gi, members, tiles, buffers):
+    def run_group(gi, members, tiles, buffers, ran=None):
         outcome = GroupOutcome(
             group_index=gi, stages=sorted(s.name for s in members),
-            mode="tiled", tile_sizes=tuple(tiles),
+            mode=ran or "tiled", tile_sizes=tuple(tiles),
         )
+        if ran is not None:
+            # run by a native program: nothing to retry or scan
+            outcomes.append(outcome)
+            return {"mode": ran}
         try:
             run_tiles: Sequence[int] = tiles
             if policy.memory_cap_bytes is not None:
@@ -307,8 +311,13 @@ def execute_guarded(
             attrs["error_code"] = outcome.error_code
         return attrs
 
+    # a program runs every group of a segment at once: the per-group
+    # walk keeps what decides per group — the non-finite scan and the
+    # memory cap
+    per_group = policy.scan_nonfinite or policy.memory_cap_bytes is not None
     outputs = _walk_groups(
         pipeline, grouping, inputs, nthreads,
         "execute_guarded", "guarded", run_group,
+        None if per_group else policy.kernels, executor, pools,
     )
     return ExecutionReport(outputs=outputs, outcomes=outcomes)

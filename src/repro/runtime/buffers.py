@@ -37,14 +37,16 @@ class Buffer:
 
     @classmethod
     def for_region(
-        cls, bounds: Sequence[Tuple[int, int]], dtype
+        cls, bounds: Sequence[Tuple[int, int]], dtype, zeroed: bool = True
     ) -> "Buffer":
-        """Allocate a zeroed buffer covering inclusive ``(lo, hi)`` bounds."""
+        """Allocate a buffer covering inclusive ``(lo, hi)`` bounds —
+        zeroed, unless the caller writes every point (``zeroed=False``)."""
         shape = tuple(hi - lo + 1 for lo, hi in bounds)
         if any(s <= 0 for s in shape):
             raise ValueError(f"empty region {list(bounds)}")
         maybe_fail("alloc", detail=f"region{list(bounds)!r}")
-        return cls(np.zeros(shape, dtype=dtype), tuple(lo for lo, _ in bounds))
+        alloc = np.zeros if zeroed else np.empty
+        return cls(alloc(shape, dtype=dtype), tuple(lo for lo, _ in bounds))
 
     def gather(self, indices: Sequence[np.ndarray]) -> np.ndarray:
         """Read at absolute coordinates (broadcasting index arrays),
@@ -198,6 +200,19 @@ class BufferPool:
         is theirs) it is looked up instead."""
         got = self._address.get(id(arr))
         return arr.ctypes.data if got is None else got
+
+    def take(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """:meth:`acquire`, but not lent: :meth:`release_all` leaves the
+        array alone until :meth:`give` returns it — a request arena,
+        held across the chunk walks that release the same pool."""
+        arr = self.acquire(shape, dtype)
+        del self._lent[id(arr)]
+        return arr
+
+    def give(self, arr: np.ndarray) -> None:
+        """Return an array :meth:`take` handed out to the free list."""
+        self._lent[id(arr)] = arr
+        self.reclaim(arr)
 
     def reclaim(self, arr: np.ndarray) -> None:
         """Return one lent array to the free list immediately (used when a

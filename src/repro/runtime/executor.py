@@ -17,7 +17,9 @@ Two entry points:
   whole chunk of steps is one call; a :class:`KernelTier` selects what
   stands behind it (native C, compiled stage kernels, or the
   interpreter).  Adjacent tiles always reuse halos where
-  the group's geometry allows.
+  the group's geometry allows.  A warm request runs each run of
+  consecutive native groups as one native program — one call per
+  thread (:func:`_walk_groups`).
 
 Every :class:`KernelTier` at every thread count produces output digests
 equal to :func:`execute_reference`'s; the test suite pins this for every
@@ -62,7 +64,7 @@ from ..obs import METRICS, TRACE
 from ..fusion.grouping import Grouping
 from ..poly.alignscale import GroupGeometry, compute_group_geometry
 from ..poly.overlap import reuse_carry_dim
-from ..resilience.faults import maybe_fail, suspended
+from ..resilience.faults import active_injector, maybe_fail, suspended
 from . import native
 from .buffers import Buffer, BufferPool, PoolGroup
 from .evalexpr import evaluate_cases, evaluate_expr, make_index_grids
@@ -1593,6 +1595,193 @@ def _execute_one_group(
     return "tiled"
 
 
+class _Segment(NamedTuple):
+    """Groups ``first`` to ``stop - 1`` of a grouping whose every unit
+    is a native step table, run as one :class:`repro.runtime.native._Program`
+    (:func:`_segments`).  Per group: its mode, its span attributes, what
+    it completes — plan constants, the metrics the per-group walk counts
+    chunk by chunk — its ops in the program, and the ``chunk`` span
+    attributes of each (none for a reduction-only group, which has one
+    op per reduction)."""
+
+    first: int
+    stop: int
+    program: "native._Program"
+    groups: Tuple[Tuple[str, dict, _Done, slice, Tuple[dict, ...]], ...]
+
+
+def _segment_part(
+    pipeline: Pipeline, members, tiles, nthreads: int, kernels: KernelTier
+):
+    """``(program groups, mode, span attributes, done, chunk span
+    attributes)`` of one group in a program, or ``None`` when it walks
+    by itself: a unit that is not native, a stage run on NumPy, a
+    producer region left empty."""
+    geom = _tiled_geometry(pipeline, members)
+    if geom is None:
+        reductions = _reductions_in(pipeline, members)
+        if len(reductions) != len(members):
+            return None
+        tables = [
+            k.table
+            for k in resolve_group_kernels(pipeline, reductions, kernels)
+        ]
+        if None in tables:
+            return None
+        return (
+            [[t] for t in tables], "untiled", {"native": len(tables)},
+            _Done(), (),
+        )
+    if len(tiles) != geom.ndim:
+        return None
+    kernel = resolve_group_kernel(pipeline, geom, kernels)
+    if kernel.tabulate is None:
+        return None
+    plan = _walk_plan(pipeline, geom, tiles, nthreads, kernel)
+    if any(c.table is None or c.table.missing for c in plan.chunks):
+        return None
+    done = _Done()
+    for chunk in plan.chunks:
+        done.add(chunk.steps)
+    return (
+        [[c.table for c in plan.chunks]], "tiled",
+        {"native": True, "halo_reuse": plan.reuse,
+         "step_tiles": plan.step_tiles},
+        done,
+        tuple(
+            {"tiles": c.ntiles, "steps": len(c.steps),
+             "first_tile": c.steps[0].tile_index}
+            for c in plan.chunks
+        ),
+    )
+
+
+def _segments(
+    pipeline: Pipeline, grouping: Grouping, nthreads: int,
+    kernels: KernelTier,
+) -> Dict[int, _Segment]:
+    """The grouping's segments by first group: maximal runs of
+    consecutive groups :func:`_segment_part` admits, each packed into one
+    program over the groups' own walk plans and step tables — planned
+    once per ``(grouping, nthreads, tier)`` and memoised with the
+    pipeline's resolved kernels, which the programs point into."""
+    per = _RESOLVED_CACHE.get(pipeline)
+    if per is None:
+        per = _RESOLVED_CACHE.setdefault(pipeline, {})
+    key = ("program", grouping.groups, grouping.tile_sizes, nthreads, kernels)
+    got = per.get(key)
+    if got is not None:
+        return got
+    grouping_kernels(pipeline, grouping.groups, kernels)
+    parts = [
+        _segment_part(pipeline, members, tiles, nthreads, kernels)
+        for members, tiles in zip(grouping.groups, grouping.tile_sizes)
+    ]
+    got = {}
+    gi = 0
+    while gi < len(parts):
+        if parts[gi] is None:
+            gi += 1
+            continue
+        first, program, groups, ops = gi, [], [], 0
+        while gi < len(parts) and parts[gi] is not None:
+            part, mode, attrs, done, chunks = parts[gi]
+            width = sum(len(p) for p in part)
+            groups.append((mode, attrs, done, slice(ops, ops + width), chunks))
+            program += part
+            ops += width
+            gi += 1
+        got[first] = _Segment(
+            first, gi, native.pack_program(pipeline, program), tuple(groups)
+        )
+    per[key] = got
+    return got
+
+
+def _run_segment(
+    pipeline: Pipeline,
+    grouping: Grouping,
+    seg: _Segment,
+    buffers: Dict[str, Buffer],
+    nthreads: int,
+    executor: Optional[ThreadPoolExecutor],
+    pools: Optional[PoolGroup],
+    run_group: Callable,
+    held: List[Tuple[BufferPool, np.ndarray]],
+) -> bool:
+    """Run ``seg`` as one program and publish what it wrote into
+    ``buffers``; then record each of its groups as the per-group walk
+    does — ``run_group(..., ran=mode)``, a ``group`` span and
+    ``repro_group_seconds`` from the C clocks (the first group's from
+    when the program's setup began, the last group's to when every group
+    was published and recorded, as a walked group's span holds its own
+    Python), a
+    ``chunk`` span per chunk, and the tile counters from plan
+    constants.  The arena, from the walking thread's pool of ``pools``
+    (else a fresh pool), goes to ``held`` with its pool, to be given
+    back when the walk ends.  ``False`` when the program raised:
+    nothing is published or recorded but the error, on the walk's
+    span."""
+    began = time.perf_counter()
+    if nthreads > 1 and executor is None:
+        executor = shared_executor(nthreads)
+    pool = pools.get() if pools is not None else BufferPool()
+    observing = METRICS.enabled
+    reused, allocated = pool.stat_reused, pool.stat_allocated
+    try:
+        produced, clocks, arena = seg.program.run(
+            buffers, pool, executor, nthreads
+        )
+    except Exception as exc:  # noqa: BLE001 - the caller walks the groups
+        if TRACE.enabled:
+            TRACE.current().set(program_error=repr(exc)[:200])
+        return False
+    held.append((pool, arena))
+    buffers.update(produced)
+    if observing:
+        METRICS.inc("repro_pool_acquires_total",
+                    pool.stat_reused - reused, result="reused")
+        METRICS.inc("repro_pool_acquires_total",
+                    pool.stat_allocated - allocated, result="allocated")
+    recorded = [
+        {**attrs, **run_group(
+            gi, grouping.groups[gi], grouping.tile_sizes[gi], buffers, mode
+        )}
+        for gi, (mode, attrs, *_) in enumerate(seg.groups, seg.first)
+    ]
+    published = time.perf_counter()
+    for gi, (_, _, done, ops, chunks), attrs in zip(
+        itertools.count(seg.first), seg.groups, recorded
+    ):
+        members, tiles = grouping.groups[gi], grouping.tile_sizes[gi]
+        start = began if gi == seg.first else min(t for t, _ in clocks[ops])
+        end = max(t for _, t in clocks[ops])
+        if gi == seg.stop - 1:
+            end = max(end, published)
+        if TRACE.enabled:
+            span = TRACE.add_span(
+                "group", start, end, index=gi,
+                stages=sorted(s.name for s in members), tiles=list(tiles),
+                **attrs,
+            )
+            for (t0, t1), chunk in zip(clocks[ops], chunks):
+                TRACE.add_span("chunk", t0, t1, parent=span, **chunk)
+        if observing:
+            METRICS.observe(
+                "repro_group_seconds", end - start,
+                pipeline=pipeline.name, group=str(gi),
+            )
+            METRICS.inc("repro_tiles_total", done.tiles)
+            METRICS.inc("repro_tile_steps_total", done.steps)
+            if done.reused:
+                METRICS.inc("repro_halo_reuse_tiles_total", done.reused)
+            if done.saved:
+                METRICS.inc(
+                    "repro_halo_reuse_saved_points_total", done.saved
+                )
+    return True
+
+
 def _walk_groups(
     pipeline: Pipeline,
     grouping: Grouping,
@@ -1600,10 +1789,10 @@ def _walk_groups(
     nthreads: int,
     entry: str,
     mode: str,
-    run_group: Callable[
-        [int, Sequence[Function], Sequence[int], Dict[str, Buffer]],
-        Mapping[str, object],
-    ],
+    run_group: Callable[..., Mapping[str, object]],
+    kernels: Optional[KernelTier] = None,
+    executor: Optional[ThreadPoolExecutor] = None,
+    pools: Optional[PoolGroup] = None,
 ) -> Dict[str, np.ndarray]:
     """The group walk :func:`execute_grouping` (``entry`` / ``mode`` =
     ``"execute_grouping"`` / ``"strict"``) and
@@ -1614,36 +1803,68 @@ def _walk_groups(
     into ``buffers`` and returns what to record on the group's span —
     and gather the outputs.  ``entry`` names the span around the walk,
     ``mode`` labels ``repro_execute_seconds``.
+
+    With ``kernels`` at ``NATIVE`` and no fault injector active, each
+    segment of the grouping (:func:`_segments`) runs as one native
+    program instead — one GIL-free call per thread, helpers submitted to
+    ``executor``, intermediates in one arena from the walking thread's
+    pool of ``pools`` — and ``run_group(..., ran=mode)`` only records
+    it.  A segment whose program raises runs group by group, as if it
+    had none.  Without ``kernels`` every group walks by itself.
     """
     if grouping.pipeline is not pipeline:
         raise ValueError("grouping was built for a different pipeline")
     if nthreads < 1:
         raise ValueError("nthreads must be positive")
+    segments: Mapping[int, _Segment] = {}
     with TRACE.span("prepare", pipeline=pipeline.name):
         buffers = _input_buffers(pipeline, inputs)
+        if kernels == KernelTier.NATIVE and active_injector() is None:
+            segments = _segments(pipeline, grouping, nthreads, kernels)
+    held: List[Tuple[BufferPool, np.ndarray]] = []
 
     observing = METRICS.enabled
     t_exec = time.perf_counter() if observing else 0.0
-    with TRACE.span(
-        entry, pipeline=pipeline.name, nthreads=nthreads,
-        groups=grouping.num_groups,
-    ):
-        for gi, (members, tiles) in enumerate(
-            zip(grouping.groups, grouping.tile_sizes)
+    try:
+        with TRACE.span(
+            entry, pipeline=pipeline.name, nthreads=nthreads,
+            groups=grouping.num_groups,
         ):
-            t_group = time.perf_counter() if observing else 0.0
-            with TRACE.span(
-                "group", index=gi,
-                stages=sorted(s.name for s in members),
-                tiles=list(tiles),
-            ) as gspan:
-                gspan.set(**run_group(gi, members, tiles, buffers))
+            gi = 0
+            while gi < grouping.num_groups:
+                seg = segments.get(gi)
+                if seg is not None and _run_segment(
+                    pipeline, grouping, seg, buffers, nthreads, executor,
+                    pools, run_group, held,
+                ):
+                    gi = seg.stop
+                    continue
+                for gi in range(gi, seg.stop if seg else gi + 1):
+                    members = grouping.groups[gi]
+                    tiles = grouping.tile_sizes[gi]
+                    t_group = time.perf_counter() if observing else 0.0
+                    with TRACE.span(
+                        "group", index=gi,
+                        stages=sorted(s.name for s in members),
+                        tiles=list(tiles),
+                    ) as gspan:
+                        gspan.set(**run_group(gi, members, tiles, buffers))
+                    if observing:
+                        METRICS.observe(
+                            "repro_group_seconds",
+                            time.perf_counter() - t_group,
+                            pipeline=pipeline.name, group=str(gi),
+                        )
+                gi += 1
+    finally:
+        for pool, arena in held:
+            reclaimed, evicted = pool.stat_reclaimed, pool.stat_evicted
+            pool.give(arena)
             if observing:
-                METRICS.observe(
-                    "repro_group_seconds",
-                    time.perf_counter() - t_group,
-                    pipeline=pipeline.name,
-                )
+                METRICS.inc("repro_pool_reclaims_total",
+                            pool.stat_reclaimed - reclaimed)
+                METRICS.inc("repro_pool_evictions_total",
+                            pool.stat_evicted - evicted)
     if observing:
         METRICS.observe(
             "repro_execute_seconds", time.perf_counter() - t_exec,
@@ -1694,8 +1915,8 @@ def execute_grouping(
     if kernels is None:
         kernels = KernelTier.resolve()
 
-    def run_group(gi, members, tiles, buffers):
-        return {"mode": _execute_one_group(
+    def run_group(gi, members, tiles, buffers, ran=None):
+        return {"mode": ran or _execute_one_group(
             pipeline, members, tiles, buffers, nthreads, kernels,
             group_index=gi, tile_retries=tile_retries,
             executor=executor, pools=pools,
@@ -1703,5 +1924,5 @@ def execute_grouping(
 
     return _walk_groups(
         pipeline, grouping, inputs, nthreads,
-        "execute_grouping", "strict", run_group,
+        "execute_grouping", "strict", run_group, kernels, executor, pools,
     )

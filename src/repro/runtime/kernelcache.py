@@ -802,13 +802,16 @@ class GroupKernel:
     #: a native group kernel's step-table builder
     #: (:func:`repro.runtime.native._make_tabulate`); ``None`` otherwise
     tabulate: Optional[Callable] = None
+    #: a native reduction's one-row step table, which ``fn`` runs and a
+    #: request program runs as a group of one chunk; ``None`` otherwise
+    table: Optional[object] = None
 
     @classmethod
     def for_reduction(
-        cls, name: str, fn: Callable, native: bool = False
+        cls, name: str, fn: Callable, native: bool = False, table=None
     ) -> "GroupKernel":
         """The kernel of reduction stage ``name`` (class docstring)."""
-        return cls((name,), (), (), (), (), fn, native)
+        return cls((name,), (), (), (), (), fn, native, table=table)
 
 
 def body_accesses(defn: Sequence[object]) -> List[Access]:

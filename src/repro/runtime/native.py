@@ -52,7 +52,14 @@ the worker's pool — and makes **one** GIL-releasing ``ctypes`` call to
 the step entry once per row.  A native group kernel has no per-step
 ``fn``: serving and the first-use self-check alike run step tables.  A
 reduction's descriptor is its producers' buffer slots, then its
-accumulator's.
+accumulator's: a step table of one row.
+
+A warm request does not run tables one by one: :func:`pack_program`
+packs the tables of consecutive native groups into one
+:class:`_Program` — op list, tables, intermediates and scratch at fixed
+offsets of one request arena — which every thread runs with one call
+to ``repro_run_program``, claiming chunks in C
+(``docs/runtime.md``, "One call per request").
 """
 
 from __future__ import annotations
@@ -60,12 +67,13 @@ from __future__ import annotations
 import ctypes
 import json
 import os
-import struct
 import tempfile
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -421,29 +429,51 @@ def _producer_words(buffers, ext) -> List[int]:
     return words
 
 
+def _full_region(pipeline: Pipeline, producer) -> Tuple[tuple, tuple]:
+    """``(origin, shape)`` of the full buffer the executor keeps
+    ``producer`` in: a stage's domain, an input image from zero."""
+    if isinstance(producer, Function):
+        dom = pipeline.domain(producer)
+        return (
+            tuple(lo for lo, _ in dom), tuple(hi - lo + 1 for lo, hi in dom)
+        )
+    shape = pipeline.image_shape(producer)
+    return (0,) * len(shape), tuple(shape)
+
+
+class _Runners(NamedTuple):
+    """A loaded unit's two runners (:data:`repro.codegen.cexpr.STEP_LOOP`)."""
+
+    steps: Callable
+    program: Callable
+
+
 class _StepTable:
-    """One chunk of a native group as one C call.
+    """One chunk of a native group — or a whole native reduction, a
+    table of one row — as one C call.
 
     ``rows`` is immutable: one descriptor per planned step (module
     docstring), except that every pointer word holds an arena offset
-    (scratch and carried windows) or nothing (a live-out buffer) and the
-    out-of-kernel producers' slots are empty.
-    :meth:`run` fills those into a private copy — producers into their
-    columns ``ext_cols`` of every row, ``ptrs[src]`` added at the flat
-    positions ``flat`` — and runs the rows."""
+    (scratch and carried windows) or nothing (a live-out buffer or an
+    out-of-kernel producer, whose origin and shape words hold its full
+    buffer's).  :meth:`run` fills those into a private copy — producers'
+    slots into their columns ``ext_cols`` of every row, ``ptrs[src]``
+    added at the flat positions ``flat`` — and runs the rows.  A request
+    program (:class:`_Program`) patches the same words in place."""
 
     __slots__ = (
-        "rows", "ext", "ext_cols", "flat", "src", "outs", "arena",
-        "missing", "step", "loop",
+        "rows", "ext", "ext_cols", "ext_ptrs", "flat", "src", "outs",
+        "arena", "missing", "step", "runners",
     )
 
     def __init__(
-        self, rows, ext, ext_cols, flat, src, outs, arena, missing, step,
-        loop,
+        self, rows, ext, ext_cols, ext_ptrs, flat, src, outs, arena,
+        missing, step, runners,
     ):
         self.rows = rows
-        #: out-of-kernel producers ``(name, dtype)`` and their columns
-        self.ext, self.ext_cols = ext, ext_cols
+        #: out-of-kernel producers ``(name, dtype)``, their slots'
+        #: columns and each slot's pointer column
+        self.ext, self.ext_cols, self.ext_ptrs = ext, ext_cols, ext_ptrs
         #: pointer positions in the flattened rows, and what each points
         #: into: 0 the arena, ``1 + j`` live-out buffer ``outs[j]``
         self.flat, self.src, self.outs = flat, src, outs
@@ -451,8 +481,9 @@ class _StepTable:
         self.arena = arena
         #: the member whose producer's region was empty, if one was
         self.missing = missing
-        #: the step entry's address, and the ctypes loop that runs it
-        self.step, self.loop = step, loop
+        #: the step entry's address (``None`` in a printed program), and
+        #: the unit's runners
+        self.step, self.runners = step, runners
 
     def run(self, buffers, out_buffers, pool) -> None:
         if self.missing is not None:
@@ -470,24 +501,37 @@ class _StepTable:
         for j, name in enumerate(self.outs):
             ptrs[1 + j] = out_buffers[name].data.ctypes.data
         table.reshape(-1)[self.flat] += ptrs[self.src]
-        self.loop(self.step, table.ctypes.data, *table.shape)
+        self.runners.steps(self.step, table.ctypes.data, *table.shape)
 
 
-def _make_tabulate(cfunc, loop, layout: _Layout, domains) -> Callable:
+def _ext_columns(ext_slots) -> Tuple[np.ndarray, np.ndarray]:
+    """The columns of out-of-kernel producer slots ``(nd, word offset)``,
+    and each slot's pointer column."""
+    cols = np.array([
+        c for nd, at in ext_slots for c in range(at, at + 1 + 2 * nd)
+    ], np.intp)
+    return cols, np.array([at for _, at in ext_slots], np.intp)
+
+
+def _make_tabulate(cfunc, runners, layout: _Layout, domains) -> Callable:
     """The ``GroupKernel.tabulate`` of a native group: planned steps
     (:class:`repro.runtime.executor._Step`) to a :class:`_StepTable` run
-    by ``loop`` over ``cfunc``.  ``domains`` holds each live-out's full
-    buffer ``(origin, shape)``.  Packing touches no library: with
-    ``cfunc`` and ``loop`` ``None`` the tables are for printing
-    (:func:`repro.codegen.generate_cpp`), not for running."""
+    by ``runners`` over ``cfunc``.  ``domains`` holds each live-out's and
+    each out-of-kernel producer's full buffer ``(origin, shape)``.
+    Packing touches no library: with ``cfunc`` and ``runners`` ``None``
+    the tables are for printing (:func:`repro.codegen.generate_cpp`), not
+    for running."""
     mats = layout.mats
     copied = [m for m in mats if m.copy_out is not None]
     outs = [m.name for m in mats if m.direct or m.copy_out is not None]
     out_src = {name: 1 + j for j, name in enumerate(outs)}
     ext = [(name, dt) for name, _, dt, _ in layout.ext]
-    ext_cols = np.array([
-        c for _, nd, _, at in layout.ext for c in range(at, at + 1 + 2 * nd)
-    ], np.intp)
+    ext_cols, ext_ptrs = _ext_columns(
+        [(nd, at) for _, nd, _, at in layout.ext]
+    )
+    head = [
+        w for name, *_ in layout.ext for w in (0, *chain(*domains[name]))
+    ]
     empty = {nd: (0,) * (2 + 4 * nd) for nd in {m.ndim for m in mats}}
     step_address = ctypes.cast(cfunc, ctypes.c_void_p).value
 
@@ -513,7 +557,7 @@ def _make_tabulate(cfunc, loop, layout: _Layout, domains) -> Callable:
         held: Dict[int, tuple] = {}
         missing = None
         for r, step in enumerate(steps):
-            words = [0] * len(ext_cols)
+            words = list(head)
 
             def pointer(source: int, value: int) -> None:
                 flat.append(r * layout.words + len(words))
@@ -557,12 +601,223 @@ def _make_tabulate(cfunc, loop, layout: _Layout, domains) -> Callable:
             rows[r] = words
         rows.setflags(write=False)
         return _StepTable(
-            rows, ext, ext_cols, np.array(flat, np.intp),
+            rows, ext, ext_cols, ext_ptrs, np.array(flat, np.intp),
             np.array(src, np.intp), outs, arena, missing, step_address,
-            loop,
+            runners,
         )
 
     return tabulate
+
+
+# ---------------------------------------------------------------------------
+# A request's program
+# ---------------------------------------------------------------------------
+
+
+def _aligned(size: int) -> int:
+    return -(-size // 64) * 64
+
+
+class _Program:
+    """A *segment* of a request — consecutive groups every chunk of which
+    is a :class:`_StepTable` (a native reduction is a group of one) — as
+    one ``repro_run_program`` call per thread
+    (:data:`repro.codegen.cexpr.STEP_LOOP`), packed once by
+    :func:`pack_program`.
+
+    One request arena holds, at fixed 64-byte-aligned offsets: the
+    program ``image`` — the op list (per chunk: entry address, rows,
+    row count, row words) and every chunk's rows as tabulated — then
+    every intermediate full buffer (``inner``: a stage the segment
+    writes that is not a pipeline output), then every chunk's scratch.
+    What a request adds are pointers: ``ptrs[src]`` added at the image's
+    flat positions ``flat``, where ``ptrs`` is the arena base plus
+    ``offsets`` (the base itself, each chunk's scratch, each
+    intermediate), then the address of each producer the segment reads
+    from outside (``ext``), then of each pipeline output it writes
+    (``outputs``).  ``ctl`` is the control block's template — per group its
+    chunk count, wait and first op; counters and per-op clocks zero."""
+
+    __slots__ = (
+        "tables", "image", "flat", "src", "offsets", "ext", "outputs",
+        "inner", "ctl", "nbytes", "width", "runner",
+    )
+
+    def __init__(self, tables, image, flat, src, offsets, ext, outputs,
+                 inner, ctl, nbytes, width, runner):
+        #: every chunk's table, in op order
+        self.tables = tables
+        self.image, self.flat, self.src = image, flat, src
+        self.offsets = offsets
+        #: ``(name, dtype, origin, shape)`` per producer read from outside
+        self.ext = ext
+        #: ``(name, bounds, dtype)`` per pipeline output written
+        self.outputs = outputs
+        #: ``(name, first byte, end byte, dtype, shape, origin)`` per
+        #: intermediate
+        self.inner = inner
+        self.ctl = ctl
+        #: arena bytes, and the most chunks any group has
+        self.nbytes, self.width = nbytes, width
+        #: the ``repro_run_program`` entry (``None`` in a printed program)
+        self.runner = runner
+
+    def call(self, ctl: np.ndarray, walker: int, keep=None) -> None:
+        """One thread's ``repro_run_program`` call.  ``keep`` holds what
+        the request's pointers point into, alive for as long as a helper
+        may still run chunks."""
+        self.runner(ctl.ctypes.data, walker)
+
+    def run(self, buffers, pool, executor, nthreads: int):
+        """Run the segment over ``buffers`` (the producers it reads from
+        outside) on the walking thread and up to ``nthreads - 1`` helpers
+        (no more than its widest group has chunks to share) submitted to
+        ``executor``, none of which anyone waits for: the
+        call returns when every chunk is done, whoever ran it.  Returns
+        the buffers it wrote by stage name — fresh pipeline outputs, and
+        arena views for intermediates — each op's ``(start, end)`` in
+        ``perf_counter`` seconds, and the arena, taken from ``pool`` and
+        owed back to it (:meth:`~repro.runtime.buffers.BufferPool.give`)
+        once nothing reads the views.
+
+        Anything that raises before the call leaves nothing behind; after
+        helpers are submitted the arena is not given back, since one of
+        them may still be writing into it."""
+        raw = pool.take((self.nbytes + 64,), np.uint8)
+        try:
+            start = pool.address(raw)
+            base = _aligned(start)
+            arena = raw[base - start:]
+            words = arena[:self.image.nbytes].view(np.int64)
+            words[:] = self.image
+            at = len(self.offsets)
+            ptrs = np.empty(at + len(self.ext) + len(self.outputs), np.int64)
+            ptrs[:at] = self.offsets + base
+            keep = [raw]
+            for name, dtype, origin, shape in self.ext:
+                buf = buffers[name]
+                arr = buf.data
+                if (arr.dtype != dtype or arr.shape != shape
+                        or tuple(buf.origin) != origin
+                        or not arr.flags.c_contiguous):
+                    raise TypeError(
+                        f"buffer {name!r} is not the C-contiguous {dtype} "
+                        f"{shape} at {origin} the program was packed for"
+                    )
+                ptrs[at] = arr.ctypes.data
+                keep.append(arr)
+                at += 1
+            produced: Dict[str, Buffer] = {}
+            for name, bounds, dtype in self.outputs:
+                buf = produced[name] = Buffer.for_region(
+                    bounds, dtype, zeroed=False
+                )
+                ptrs[at] = buf.data.ctypes.data
+                keep.append(buf.data)
+                at += 1
+            words[self.flat] += ptrs[self.src]
+            ctl = self.ctl.copy()
+            ctl[1] = base
+        except BaseException:
+            pool.give(raw)
+            raise
+        for _ in range(min(nthreads, self.width) - 1):
+            executor.submit(self.call, ctl, 0, keep)
+        self.call(ctl, 1)
+        for name, start, stop, dtype, shape, origin in self.inner:
+            produced[name] = Buffer(
+                arena[start:stop].view(dtype).reshape(shape), origin
+            )
+        clocks = (ctl[2 + 5 * ctl[0]:].reshape(-1, 2) * 1e-9).tolist()
+        return produced, clocks, raw
+
+
+def pack_program(pipeline: Pipeline, parts: Sequence[Sequence[_StepTable]]
+                 ) -> _Program:
+    """The :class:`_Program` running ``parts`` — per group, in order, its
+    chunks' step tables.  A group waits for the last earlier group that
+    writes something it reads, and for every group before that."""
+    tables = [t for part in parts for t in part]
+    outputs = {s.name for s in pipeline.outputs}
+    full = {s.name: s for s in pipeline.stages}
+    full.update({img.name: img for img in pipeline.images})
+    written = list(dict.fromkeys(name for t in tables for name in t.outs))
+
+    nops = len(tables)
+    at = 4 * nops
+    starts = []
+    for t in tables:
+        starts.append(at)
+        at += t.rows.size
+    image = np.empty(at, np.int64)
+    offsets = [0]
+    byte = _aligned(image.nbytes)
+    scratch = []
+    for t in tables:
+        scratch.append(len(offsets))
+        offsets.append(byte)
+        byte += _aligned(t.arena)
+    source: Dict[str, int] = {}
+    inner = []
+    for name in written:
+        if name in outputs:
+            continue
+        stage = full[name]
+        origin, shape = _full_region(pipeline, stage)
+        dtype = stage.scalar_type.np_dtype
+        size = dtype.itemsize * int(np.prod(shape))
+        source[name] = len(offsets)
+        offsets.append(byte)
+        inner.append((name, byte, byte + size, dtype, shape, origin))
+        byte += _aligned(size)
+    ext = []
+    for t in tables:
+        for name, dtype in t.ext:
+            if name not in source and name not in written:
+                source[name] = len(offsets) + len(ext)
+                ext.append((name, dtype, *_full_region(pipeline, full[name])))
+    outs = []
+    for name in written:
+        if name in outputs:
+            source[name] = len(offsets) + len(ext) + len(outs)
+            dom = pipeline.domain(full[name])
+            outs.append((name, dom, full[name].scalar_type.np_dtype))
+
+    flat: List[np.ndarray] = []
+    src: List[np.ndarray] = []
+    for k, (t, start) in enumerate(zip(tables, starts)):
+        nrows, words = t.rows.shape
+        image[4 * k:4 * k + 4] = (t.step or 0, 8 * start, nrows, words)
+        image[start:start + t.rows.size] = t.rows.reshape(-1)
+        lookup = np.array([scratch[k]] + [source[n] for n in t.outs],
+                          np.intp)
+        cols = (np.arange(nrows)[:, None] * words + t.ext_ptrs).reshape(-1)
+        flat += [np.array([4 * k + 1]), start + t.flat, start + cols]
+        src += [
+            np.array([0]), lookup[t.src],
+            np.tile(np.array([source[n] for n, _ in t.ext], np.intp), nrows),
+        ]
+
+    ctl = np.zeros(2 + 5 * len(parts) + 2 * nops, np.int64)
+    ctl[0] = len(parts)
+    first, writes = 0, []
+    for g, part in enumerate(parts):
+        reads = {name for t in part for name, _ in t.ext}
+        wait = max(
+            (q for q, out in enumerate(writes) if out & reads), default=-1
+        )
+        ctl[2 + 5 * g:5 + 5 * g] = (len(part), wait, first)
+        first += len(part)
+        writes.append({name for t in part for name in t.outs})
+    image.setflags(write=False)
+    return _Program(
+        tuple(tables), image,
+        np.concatenate(flat).astype(np.intp),
+        np.concatenate(src).astype(np.intp),
+        np.array(offsets, np.int64), tuple(ext), tuple(outs), tuple(inner),
+        ctl, byte, max(len(part) for part in parts),
+        tables[0].runners.program if tables[0].runners else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +878,15 @@ def _native_group(pipeline: Pipeline, geom, symbol: str, libm: bool):
     # region slot, published through a base-region copy
     plan = plan_group(pipeline, geom, direct_stores=len(geom.stages) > 1)
     layout = _plan_layout(plan, [s.name for s in geom.liveouts])
-    domains = {}
-    for s in geom.liveouts:
-        dom = pipeline.domain(s)
-        domains[s.name] = (
-            tuple(lo for lo, _ in dom), tuple(hi - lo + 1 for lo, hi in dom)
-        )
+    domains = {s.name: _full_region(pipeline, s) for s in geom.liveouts}
+    for stage in plan.mats:
+        for access in body_accesses(plan.effective[stage.name]):
+            domains.setdefault(
+                access.producer.name,
+                _full_region(pipeline, access.producer),
+            )
 
-    def make(cfunc, loop) -> GroupKernel:
+    def make(cfunc, runners) -> GroupKernel:
         return GroupKernel(
             group_names=tuple(s.name for s in geom.stages),
             region_names=plan.region_names,
@@ -639,7 +895,7 @@ def _native_group(pipeline: Pipeline, geom, symbol: str, libm: bool):
             direct_stores=plan.direct_stores,
             fn=None,
             native=True,
-            tabulate=_make_tabulate(cfunc, loop, layout, domains),
+            tabulate=_make_tabulate(cfunc, runners, layout, domains),
         )
 
     return _emit_group(pipeline, plan, layout, symbol, libm), make
@@ -668,12 +924,16 @@ def _native_reduction(
     lines = [f"void {symbol}(const int64_t *restrict D) {{"]
     bufs: Dict[str, CBuffer] = {}
     ext: List[Tuple[str, np.dtype]] = []
+    slots: List[Tuple[int, int]] = []
+    head: List[int] = []
     at = 0
     for name, access in _reduction_producers(pipeline, stage).items():
         nd = len(access.indices)
         dt = access.producer.scalar_type.np_dtype
         bufs[name] = _declare(lines, f"e{len(ext)}", at, nd, dt)
         ext.append((name, dt))
+        slots.append((nd, at))
+        head += (0, *chain(*_full_region(pipeline, access.producer)))
         at += 1 + 2 * nd
     dtype = stage.scalar_type.np_dtype
     out = _declare(lines, "out", at, stage.ndim, dtype, const=False)
@@ -686,19 +946,29 @@ def _native_reduction(
         }, libm=libm),
         pipeline, stage, out,
     )
-    pack = struct.Struct(f"{at + 1 + 2 * stage.ndim}q").pack
     domain = pipeline.domain(stage)
+    # the accumulator's slot: its pointer is live-out 0's
+    rows = np.array(
+        [head + [0, *chain(*_full_region(pipeline, stage))]], np.int64
+    )
+    rows.setflags(write=False)
 
-    def make(cfunc, _loop) -> GroupKernel:
+    def make(cfunc, runners) -> GroupKernel:
+        table = _StepTable(
+            rows, ext, *_ext_columns(slots), np.array([at], np.intp),
+            np.array([1], np.intp), (stage.name,), 0, None,
+            ctypes.cast(cfunc, ctypes.c_void_p).value, runners,
+        )
+
         def fn(buffers):
-            head = _producer_words(buffers, ext)
             # a fresh accumulator; the C side fills it
             acc = Buffer.for_region(domain, dtype)
-            arr = acc.data
-            cfunc(pack(*head, arr.ctypes.data, *acc.origin, *arr.shape))
+            table.run(buffers, {stage.name: acc}, None)
             return acc
 
-        return GroupKernel.for_reduction(stage.name, fn, native=True)
+        return GroupKernel.for_reduction(
+            stage.name, fn, native=True, table=table
+        )
 
     return "\n".join(lines) + "\n" + em.text() + "}\n", make
 
@@ -772,11 +1042,13 @@ def build_group_kernels(
             demoted = set(json.load(fh)["demoted"])
     except (OSError, ValueError, KeyError, TypeError):
         pass
-    loop = lib.repro_run_steps
-    loop.argtypes = [
+    runners = _Runners(lib.repro_run_steps, lib.repro_run_program)
+    runners.steps.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
     ]
-    loop.restype = None
+    runners.program.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    for runner in runners:
+        runner.restype = None
     kernels: Dict[int, GroupKernel] = {}
     symbols: Dict[int, str] = {}
     for i, (symbol, make) in made.items():
@@ -785,10 +1057,7 @@ def build_group_kernels(
             if observing:
                 METRICS.inc("repro_kernel_native_total", result="demoted")
             continue
-        cfunc = getattr(lib, symbol)
-        cfunc.argtypes = [ctypes.c_char_p]
-        cfunc.restype = None
-        kernels[i] = make(cfunc, loop)
+        kernels[i] = make(getattr(lib, symbol), runners)
     return NativeBuild(
         kernels, unverified=demoted is None, _sidecar=sidecar,
         _symbols=symbols,

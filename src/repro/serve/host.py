@@ -99,8 +99,10 @@ class HostConfig:
     machine: Optional[str] = None
     #: image-size fraction of the paper configuration hosts are built at
     scale: float = 0.1
-    #: executor worker threads per request; 1, because two measured
-    #: slower than one on every pipeline (docs/serving.md)
+    #: executor worker threads per request.  On native kernels two
+    #: measured 1.4-1.5x faster than one on CP, PB and BG on a 2-vCPU
+    #: box (docs/serving.md); 1, because a second thread per request
+    #: is taken from concurrent requests (``--workers``) on a loaded box
     threads: int = 1
     tile_retries: int = 1
     strategy: str = "dp"

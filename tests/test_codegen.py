@@ -105,12 +105,14 @@ class TestStructure:
         """The generated blur has the Fig. 3 structure in the form that
         serves: one step entry running both stages over a step's regions,
         the group's tile walk baked into one step table, and
-        ``pipeline_run`` walking it in one call — plain C."""
+        ``pipeline_run`` running it as a program of one op in one
+        call — plain C."""
         g = manual_grouping(blur_pipeline, [["blurx", "blury"]], [[3, 64, 64]])
         code = generate_cpp(blur_pipeline, g)
         assert "/* blurx */" in code and "/* blury */" in code
         assert "static const int64_t repro_table_0[" in code
-        assert code.count("repro_run_steps(repro_step_0, __tab, ") == 1
+        assert code.count("(int64_t)(uintptr_t)repro_step_0;") == 1
+        assert code.count("repro_run_program(__ctl, 1);") == 1
         assert ("void pipeline_run(const float *restrict img, "
                 "float *restrict out_blury)") in code
         for cxx in ("#pragma omp", "std::vector", 'extern "C"'):
@@ -122,9 +124,11 @@ class TestStructure:
             [[3, 32, 32], [3, 32, 32]],
         )
         code = generate_cpp(blur_pipeline, g)
-        assert code.count("repro_run_steps(repro_step_") == 2
-        # blurx is a cross-group intermediate: full local buffer
-        assert "__full_blurx" in code
+        # both groups are ops of one program, run in one call
+        assert code.count("= (int64_t)(uintptr_t)repro_step_") == 2
+        assert code.count("repro_run_program(__ctl, 1);") == 1
+        # blurx is a cross-group intermediate: a full buffer in the arena
+        assert "float *const __full_blurx = (float *)(__arena_0 + " in code
 
     def test_reduction_emitted_serially(self, histogram_pipeline):
         g = manual_grouping(histogram_pipeline, [["hist"], ["norm"]],

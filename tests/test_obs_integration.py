@@ -79,10 +79,12 @@ class TestExecutorMetrics:
             mode="strict",
         )
         assert count == 1 and total > 0
-        gcount, _ = METRICS.value(
-            "repro_group_seconds", pipeline=blur_pipeline.name
-        )
-        assert gcount == grouping.num_groups
+        for gi in range(grouping.num_groups):
+            gcount, _ = METRICS.value(
+                "repro_group_seconds", pipeline=blur_pipeline.name,
+                group=str(gi),
+            )
+            assert gcount == 1
 
     def test_retry_counter_matches_injected_failures(
         self, blur_pipeline, rng

@@ -32,6 +32,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -103,7 +104,7 @@ from repro.runtime import executor as executor_mod
 from repro.runtime import kernelcache
 from repro.runtime import native as native_mod
 from repro.runtime import nativestore
-from repro.runtime.buffers import Buffer
+from repro.runtime.buffers import Buffer, BufferPool, PoolGroup
 from repro.runtime.evalexpr import evaluate_expr
 from repro.serve import HostConfig, PipelineHost, PipelineService, ServeConfig
 
@@ -613,6 +614,70 @@ def test_one_row_cut_across_two_threads():
         METRICS.reset(enabled=False)
         TRACE.reset(enabled=False)
     assert out["blury"].tobytes() == expected["blury"].tobytes()
+
+
+class _PoisonedPool(BufferPool):
+    """A pool whose request arenas come back full of ``0xFF`` bytes."""
+
+    def take(self, shape, dtype):
+        arr = super().take(shape, dtype)
+        arr.view(np.uint8).fill(0xFF)
+        return arr
+
+
+class _PoisonedPools(PoolGroup):
+    def get(self):
+        pool = self._pools.get(threading.get_ident())
+        if pool is None:
+            pool = self._pools[threading.get_ident()] = _PoisonedPool()
+        return pool
+
+
+@pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
+def test_poisoned_arena_carries_nothing_between_requests(
+    abbrev, monkeypatch
+):
+    """Every request arena is ``0xFF`` bytes when a program gets it, and
+    so is every pipeline output it allocates: two consecutive requests
+    with different inputs, at one and two threads, still give the
+    reference's digests — a reused arena carries no state from the last
+    request, nothing is read before it is written, and the uninitialised
+    outputs are written in full."""
+    _, pipe, grouping = dp_grouping(abbrev)
+    grouping_kernels(pipe, grouping.groups, NATIVE)
+    real_for_region = Buffer.for_region.__func__
+
+    def poisoned_for_region(cls, bounds, dtype, zeroed=True):
+        buf = real_for_region(cls, bounds, dtype, zeroed)
+        if not zeroed:
+            buf.data.view(np.uint8).fill(0xFF)
+        return buf
+
+    monkeypatch.setattr(
+        Buffer, "for_region", classmethod(poisoned_for_region)
+    )
+    programs = []
+    real_call = native_mod._Program.call
+
+    def call(self, ctl, walker, keep=None):
+        programs.append(walker)
+        return real_call(self, ctl, walker, keep)
+
+    monkeypatch.setattr(native_mod._Program, "call", call)
+    pools = _PoisonedPools()
+    for n in (1, 2):
+        for seed in (1, 2):
+            inputs = make_inputs(pipe, seed)
+            report = execute_guarded(
+                pipe, grouping, inputs, nthreads=n, pools=pools,
+                policy=GuardPolicy(kernels=NATIVE),
+            )
+            assert output_digests(report.outputs) == output_digests(
+                execute_reference(pipe, inputs)
+            ), (n, seed)
+            assert not report.degraded
+    # every request ran a program on its walking thread
+    assert programs.count(1) == 4
 
 
 # ---------------------------------------------------------------------------

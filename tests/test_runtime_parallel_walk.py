@@ -19,11 +19,13 @@ at least as many rows as workers.  Pinned here without clocks:
   fault site.
 """
 
+import contextlib
 import dataclasses
 import gc
 import itertools
 import math
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -738,14 +740,30 @@ def test_steps_conserve_work_in_fewer_kernel_calls(abbrev, monkeypatch):
         assert (reused, volume) == per_tile[1:]
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Count ``owner.name`` calls (made from worker threads too)."""
+    calls = []   # appended from worker threads; append is atomic
+    real = getattr(owner, name)
+
+    def counted(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.mark.native
 @needs_gxx
 @pytest.mark.parametrize("abbrev", ["BG", "CP", "PB"])
 def test_one_native_call_per_chunk_when_warm(abbrev, monkeypatch):
-    """``serve_large``'s pipelines at 1, 2 and 4 threads: once a walk
-    is planned, a warm execution makes exactly one native call per chunk
-    of a native group (which has no per-step ``fn``) and plans no region
-    (``_region_from_plan``); the digests are the reference's."""
+    """``serve_large``'s pipelines at 1, 2 and 4 threads: once planned, a
+    warm execution runs each segment of native groups as one program —
+    one runner call on the walking thread and one per helper, no
+    per-chunk ``repro_run_steps`` call from Python, no region planned
+    (``_region_from_plan``) — with one ``chunk`` span per chunk of every
+    native group, as the per-group walk has; CP's NumPy ``curve`` runs
+    first, by itself.  The digests are the reference's."""
     _, pipe, grouping = _dp_grouping(abbrev)
     inputs = make_inputs(pipe, 1)
     expected = output_digests(execute_reference(pipe, inputs))
@@ -758,33 +776,182 @@ def test_one_native_call_per_chunk_when_warm(abbrev, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm walk re-planned a region")
 
-    calls = []   # appended from worker threads; append is atomic
-    real_run = native_mod._StepTable.run
-
-    def run(self, *args):
-        calls.append(1)
-        return real_run(self, *args)
-
-    monkeypatch.setattr(native_mod._StepTable, "run", run)
+    steps = _count_calls(monkeypatch, native_mod._StepTable, "run")
+    calls = _count_calls(monkeypatch, native_mod._Program, "call")
     monkeypatch.setattr(executor_mod, "_region_from_plan", forbidden)
     for n in THREADS:
+        segments = executor_mod._segments(pipe, grouping, n, native)
+        # CP's curve (pow) is NumPy: one segment of the other seven
+        assert [
+            (first, seg.stop) for first, seg in segments.items()
+        ] == [(int(abbrev == "CP"), grouping.num_groups)]
         TRACE.reset(enabled=True)
+        helpers = ThreadPoolExecutor(n)
         try:
             out = execute_grouping(
-                pipe, grouping, inputs, nthreads=n, kernels=native
+                pipe, grouping, inputs, nthreads=n, kernels=native,
+                executor=helpers,
             )
+            helpers.shutdown(wait=True)
             groups = _group_spans(TRACE.to_dict()["root"])
         finally:
             TRACE.reset(enabled=False)
         assert output_digests(out) == expected
+        assert not steps
+        assert len(calls) == sum(
+            min(n, seg.program.width) for seg in segments.values()
+        ), (n, len(calls))
+        assert {id(p) for p in calls} == {
+            id(seg.program) for seg in segments.values()
+        }
         chunks = [
             chunk for span in groups
             if span["attrs"]["mode"] == "tiled"
             and span["attrs"]["native"] is True
             for chunk in span["children"] if chunk["name"] == "chunk"
         ]
-        assert chunks and len(calls) == len(chunks), (n, len(calls))
+        assert len(chunks) == sum(
+            len(executor_mod._walk_plan(
+                pipe, compute_group_geometry(pipe, members), tiles, n, k,
+            ).chunks)
+            for members, tiles, k in zip(
+                grouping.groups, grouping.tile_sizes, kernels
+            )
+            if k.native and k.tabulate is not None
+        )
+        if abbrev == "CP":
+            # the curve ran before the segment that reads it
+            assert groups[0]["attrs"]["native"] is False
+            assert groups[0]["start_s"] + groups[0]["duration_s"] <= min(
+                g["start_s"] for g in groups[1:]
+            )
         calls.clear()
+
+
+def _segment_case(abbrev, n):
+    _, pipe, grouping = _dp_grouping(abbrev)
+    inputs = make_inputs(pipe, 1)
+    grouping_kernels(pipe, grouping.groups, KernelTier.NATIVE)
+    return pipe, grouping, inputs, output_digests(
+        execute_reference(pipe, inputs)
+    )
+
+
+@pytest.mark.native
+@needs_gxx
+@pytest.mark.parametrize("abbrev", ["CP", "BG"])
+def test_a_helper_that_never_starts_leaves_the_work_to_the_walker(abbrev):
+    """Helpers are submitted, never waited for: an executor that drops
+    every program helper it is handed leaves the whole program to the
+    walking thread, which completes the request with the reference's
+    digests (CP's NumPy ``curve`` still walks its chunks on the pool)."""
+
+    class Dropping:
+        def __init__(self, n):
+            self.pool = ThreadPoolExecutor(n)
+            self.dropped = 0
+
+        def submit(self, fn, *args):
+            if getattr(fn, "__func__", None) is native_mod._Program.call:
+                self.dropped += 1
+                return None
+            return self.pool.submit(fn, *args)
+
+    pipe, grouping, inputs, expected = _segment_case(abbrev, 2)
+    for n in (2, 4):
+        dropping = Dropping(n)
+        report = execute_guarded(
+            pipe, grouping, inputs, nthreads=n, executor=dropping,
+            policy=GuardPolicy(kernels=KernelTier.NATIVE),
+        )
+        dropping.pool.shutdown()
+        assert output_digests(report.outputs) == expected
+        assert dropping.dropped > 0
+        assert not report.degraded
+
+
+@pytest.mark.native
+@needs_gxx
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_runner_that_raises_falls_back_to_the_per_group_walk(
+    n, monkeypatch
+):
+    """A program whose runner raises publishes nothing: the segment's
+    groups run by themselves — native chunk tables, outcomes ``tiled``
+    — and the digests are the reference's; the error is on the walk's
+    span."""
+    pipe, grouping, inputs, expected = _segment_case("BG", n)
+
+    def broken(self, ctl, walker, keep=None):
+        raise RuntimeError("runner broke")
+
+    monkeypatch.setattr(native_mod._Program, "call", broken)
+    published = []
+    real_run = native_mod._Program.run
+
+    def run(self, buffers, *args):
+        before = set(buffers)
+        try:
+            return real_run(self, buffers, *args)
+        finally:
+            published.append(set(buffers) - before)
+
+    monkeypatch.setattr(native_mod._Program, "run", run)
+    steps = _count_calls(monkeypatch, native_mod._StepTable, "run")
+    TRACE.reset(enabled=True)
+    try:
+        report = execute_guarded(
+            pipe, grouping, inputs, nthreads=n,
+            policy=GuardPolicy(kernels=KernelTier.NATIVE),
+        )
+        (walk,) = [
+            s for s in TRACE.to_dict()["root"]["children"]
+            if s["name"] == "execute_guarded"
+        ]
+    finally:
+        TRACE.reset(enabled=False)
+    assert output_digests(report.outputs) == expected
+    assert published == [set()]
+    assert [o.mode for o in report.outcomes] == [
+        "tiled", "untiled", "tiled", "tiled"
+    ]
+    assert steps
+    assert "runner broke" in walk["attrs"]["program_error"]
+
+
+@pytest.mark.native
+@needs_gxx
+@pytest.mark.parametrize("abbrev", ["BG", "CP", "PB"])
+def test_program_counts_what_the_per_group_walk_counts(abbrev):
+    """The tile, step and halo-reuse counters a program adds from plan
+    constants reach the per-group walk's totals (an empty fault
+    injector forces the walk), and ``repro_group_seconds`` has one
+    observation per group, labelled by its index, on both paths."""
+    pipe, grouping, inputs, _ = _segment_case(abbrev, 2)
+    names = (
+        "repro_tiles_total", "repro_tile_steps_total",
+        "repro_halo_reuse_tiles_total",
+        "repro_halo_reuse_saved_points_total",
+    )
+    totals = []
+    for walk in (False, True):
+        METRICS.reset(enabled=True)
+        try:
+            with inject_faults() if walk else contextlib.nullcontext():
+                execute_grouping(
+                    pipe, grouping, inputs, nthreads=2,
+                    kernels=KernelTier.NATIVE,
+                )
+            totals.append([METRICS.value(name) for name in names])
+            for gi in range(grouping.num_groups):
+                count, _ = METRICS.value(
+                    "repro_group_seconds", pipeline=pipe.name, group=str(gi)
+                )
+                assert count == 1, (walk, gi)
+        finally:
+            METRICS.reset(enabled=False)
+    assert totals[0] == totals[1]
+    assert totals[0][0] > 0
 
 
 @pytest.mark.native
