@@ -11,8 +11,10 @@ supervision contract under test:
   kill, the at-most-once redrive absorbs every in-flight loss, so
   every request must return 200 with digests bit-identical to a
   one-shot ``repro run --digest``;
-* no shared-memory segment owned by the server or any worker pid —
-  including the killed one — survives in ``/dev/shm`` after shutdown;
+* no ``repro-shm-*`` name appears in ``/dev/shm`` while requests are
+  in flight (arrays cross through each worker's unnamed arena), and
+  none owned by the server or any worker pid — including the killed
+  one — survives after shutdown;
 * SIGTERM still drains clean and exits 0.
 
 Usage::
@@ -30,6 +32,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -92,15 +95,28 @@ def worker_pids(base: str) -> List[int]:
             if w.get("state") == "live"]
 
 
-def shm_leftovers(pids: Set[int]) -> List[str]:
+def shm_names() -> Set[str]:
     shm = "/dev/shm"
     if not os.path.isdir(shm):
-        return []
-    return [
-        name for name in os.listdir(shm)
-        if name.startswith("repro-shm-")
-        and any(f"-{pid}-" in name for pid in pids)
-    ]
+        return set()
+    return {name for name in os.listdir(shm)
+            if name.startswith("repro-shm-")}
+
+
+def shm_leftovers(pids: Set[int]) -> List[str]:
+    return sorted(
+        name for name in shm_names()
+        if any(f"-{pid}-" in name for pid in pids)
+    )
+
+
+def sample_shm(before: Set[str], stop: threading.Event,
+               seen: Set[str]) -> None:
+    """Collect every ``repro-shm-*`` name not in ``before`` until
+    ``stop`` is set."""
+    while not stop.is_set():
+        seen.update(shm_names() - before)
+        time.sleep(0.002)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -112,6 +128,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     expected = oneshot_digests()
     print(f"one-shot digests: {sorted(expected.values())}")
+    # names some other process left behind are not this run's
+    shm_before = shm_names()
 
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
@@ -152,7 +170,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         victim = pids[0]
         print(f"server ready at {base}, workers {pids}, victim {victim}")
 
-        # concurrent load; SIGKILL the victim once requests are in flight
+        # concurrent load; SIGKILL the victim once requests are in
+        # flight, sampling /dev/shm all the while
+        named: Set[str] = set()
+        stop_sampling = threading.Event()
+        sampler = threading.Thread(
+            target=sample_shm, args=(shm_before, stop_sampling, named),
+            daemon=True,
+        )
+        sampler.start()
         with ThreadPoolExecutor(max_workers=8) as tp:
             futures = [tp.submit(serve_request, base)
                        for _ in range(args.requests)]
@@ -160,6 +186,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             os.kill(victim, signal.SIGKILL)
             print(f"SIGKILLed worker {victim} mid-load")
             outcomes = [f.result() for f in futures]
+        stop_sampling.set()
+        sampler.join()
+        assert not named, (
+            f"shared-memory names appeared under load: {sorted(named)}"
+        )
+        print("no repro-shm-* name appeared in /dev/shm under load")
 
         failures = [code for kind, code in outcomes if kind == "err"]
         assert not failures, (

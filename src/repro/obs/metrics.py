@@ -168,9 +168,6 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
                  "owned by this process"),
     "repro_serve_shm_segments": (
         "gauge", "Live shared-memory segments owned by this process"),
-    "repro_serve_shm_swept_total": (
-        "counter", "Stale shared-memory segments of dead owners "
-                   "reclaimed by the supervisor's sweep"),
     "repro_serve_breaker_state": (
         "gauge", "Per-pipeline worker-tier circuit breaker "
                  "(0=closed, 1=open, 2=half-open)"),

@@ -7,8 +7,8 @@ with a micro-batching queue, admission control with load shedding, a
 degradation ladder for sustained failure, and graceful drain.  With
 ``workers > 0`` a :class:`WorkerSupervisor` forks the warm service into
 supervised worker processes (heartbeats, timeouts, respawn, bounded
-retry, per-pipeline circuit breaker) that exchange arrays over
-crash-safe shared memory (:mod:`repro.serve.shm`).  :func:`make_server`
+retry, per-pipeline circuit breaker) that exchange arrays through one
+unnamed shared-memory arena per worker (:mod:`repro.serve.shm`).  :func:`make_server`
 wraps it all in a stdlib HTTP API (see ``docs/serving.md``).
 """
 

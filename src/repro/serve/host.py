@@ -426,6 +426,8 @@ class PipelineService:
         self.supervisor = WorkerSupervisor(
             self.hosts,
             workers=self.config.workers,
+            slots=self.config.dispatchers,
+            max_batch_size=self.config.max_batch_size,
             worker_timeout_s=self.config.worker_timeout_s,
             heartbeat_s=self.config.heartbeat_s,
             breaker_threshold=self.config.breaker_threshold,

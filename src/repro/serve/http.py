@@ -21,7 +21,11 @@ third-party web framework, matching the repo's stdlib+numpy constraint:
     sha256 digest (plus the raw data as nested lists when
     ``return_data`` is true) and request metadata (ladder tier,
     batch size, queue wait).  Clients that only need to verify
-    bit-identity against ``repro run --digest`` compare digests.
+    bit-identity against ``repro run --digest`` compare digests.  A
+    body that is not a JSON object, names no pipeline, or carries a
+    ``seed`` that is not a non-negative integer or a ``timeout_s`` that
+    is neither a number nor ``null`` is answered 400 ``BAD_REQUEST``
+    before admission.
 
 Errors map onto HTTP statuses by their stable ``repro.errors`` code:
 
@@ -98,6 +102,29 @@ IDLE_TIMEOUT_S = 120.0
 def _http_status(exc: BaseException) -> Tuple[int, str]:
     code = error_code(exc)
     return _STATUS_BY_CODE.get(code, 500), code
+
+
+def _run_fields(body: Any) -> Tuple[str, int, Optional[float]]:
+    """``(pipeline, seed, timeout_s)`` of a ``POST /run`` body; raises
+    ``ValueError`` naming the first malformed field, before anything is
+    admitted.  ``seed`` must be a non-negative ``int`` (not a bool, not
+    a float); ``timeout_s`` a number or ``null``."""
+    if not isinstance(body, dict):
+        raise ValueError("body must be a JSON object")
+    pipeline = body.get("pipeline")
+    if not isinstance(pipeline, str):
+        raise ValueError("body must name a 'pipeline'")
+    seed = body.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise ValueError(
+            f"'seed' must be a non-negative integer, got {seed!r}")
+    timeout_s = body.get("timeout_s", -1.0)
+    if timeout_s is not None and (
+            isinstance(timeout_s, bool)
+            or not isinstance(timeout_s, (int, float))):
+        raise ValueError(
+            f"'timeout_s' must be a number or null, got {timeout_s!r}")
+    return pipeline, seed, timeout_s
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -223,25 +250,20 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             try:
                 body = json.loads(self.rfile.read(length) or b"{}")
+                pipeline, seed, timeout_s = _run_fields(body)
             except ValueError as exc:
+                # a JSONDecodeError is a ValueError too
                 self._send_json(400, {"error": {
                     "code": "BAD_REQUEST",
-                    "message": f"invalid JSON body: {exc}",
+                    "message": (f"invalid JSON body: {exc}"
+                                if isinstance(exc, json.JSONDecodeError)
+                                else str(exc)),
                 }})
                 return
-            pipeline = body.get("pipeline")
-            if not isinstance(pipeline, str):
-                self._send_json(400, {"error": {
-                    "code": "BAD_REQUEST",
-                    "message": "body must name a 'pipeline'",
-                }})
-                return
-            seed = body.get("seed", 0)
-            timeout_s: Optional[float] = body.get("timeout_s", -1.0)
             return_data = bool(body.get("return_data", False))
             try:
                 result = self.service.run(
-                    pipeline, seed=int(seed), timeout_s=timeout_s,
+                    pipeline, seed=seed, timeout_s=timeout_s,
                 )
             except FutureTimeoutError:
                 # client-side guard fired before the server-side
@@ -267,7 +289,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, {
                 "id": result.request_id,
                 "pipeline": result.pipeline,
-                "seed": int(seed),
+                "seed": seed,
                 "tier": result.tier,
                 "degraded": result.degraded,
                 "batch_size": result.batch_size,

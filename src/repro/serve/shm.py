@@ -1,32 +1,30 @@
-"""Crash-safe shared-memory segments for the worker tier.
+"""Shared memory for the worker tier: the per-worker arena, and the
+named segments kept for the benchmark probe.
 
-Workers and the supervisor exchange image arrays through named
-shared-memory segments instead of pickling them over the control pipe:
-the sender lays the arrays out in one segment (:func:`plan_layout` +
-:func:`write_arrays`), sends only ``(segment name, offsets, shapes,
-dtypes)`` descriptors, and the receiver maps zero-copy NumPy views onto
-the same physical pages (:func:`view_arrays`).
+**The arena.**  Workers and the supervisor exchange image arrays
+through one :class:`Arena` per worker slot: an unnamed ``MAP_SHARED``
+mapping (``mmap.mmap(-1, n)``) the supervisor makes *before* it forks
+the slot's worker, so both processes map the same pages and nothing is
+named anywhere — no file in ``/dev/shm``, nothing to unlink, nothing a
+``kill -9`` can leave behind (an unnamed mapping dies with the last
+process that maps it).  The arena is cut into equal slots, one per
+batch that can be in flight; the sender lays a batch's arrays out in
+its slot (:func:`plan_layout` + :func:`write_arrays`), sends only the
+slot index and ``{key: (offset, shape, dtype)}`` specs over the control
+pipe, and the receiver builds NumPy views on the same pages
+(:func:`view_arrays`).
 
-Implementation note — why not ``multiprocessing.shared_memory``: under
-the fork start method the supervisor and every worker share one
-``resource_tracker`` process, and on Python <= 3.12 *both* creating and
-attaching a ``SharedMemory`` register the name with it (gh-82300).
-Create-in-child / attach-in-parent / unlink-in-parent therefore races
-the tracker's set-based bookkeeping, and crash cleanup of a segment the
-tracker never saw makes it raise in its own process.  Segments here are
-plain ``O_EXCL`` files in ``/dev/shm`` mapped ``MAP_SHARED`` — the same
-tmpfs substrate POSIX shared memory uses — created and unlinked
-directly, so no tracker is involved and the semantics under ``kill -9``
-are exactly the filesystem's.
-
-Crash-safe reclamation: **the segment namespace is the registry**.
-Every name embeds the owning pid (``repro-shm-<pid>-<seq>``), so
-:func:`sweep_stale` can unlink anything whose owner is dead — there is
-no ledger file that a ``kill -9`` could leave stale or truncated.  The
-supervisor sweeps at startup, after every worker death, and at
-shutdown; segments whose ownership moved across the pipe (a worker's
-reply segment adopted by the supervisor) are unlinked eagerly on attach,
-which removes the name from ``/dev/shm`` while both mappings stay valid.
+**Named segments** (:class:`Segment`, :class:`ShmRegistry`,
+:func:`list_segments`, :func:`sweep_stale`) are what the worker tier
+used before the arena: ``O_EXCL`` files in ``/dev/shm`` whose names
+embed the owning pid (``repro-shm-<pid>-<seq>``) so a sweep can reclaim
+a dead owner's.  The serving path no longer creates any.  They stay,
+unchanged, only because the end-to-end benchmark's
+``serve.shm.roundtrip_ms`` probe and its leak checks import them; they
+go when that probe moves onto the arena.  (They are plain files rather
+than ``multiprocessing.shared_memory`` because under fork every process
+shares one ``resource_tracker``, whose bookkeeping races
+create-in-child / unlink-in-parent on Python <= 3.12, gh-82300.)
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ import numpy as np
 from ..obs import METRICS
 
 __all__ = [
+    "Arena",
     "SHM_PREFIX",
     "Segment",
     "ShmRegistry",
@@ -70,6 +69,47 @@ def shm_dir() -> str:
     if os.path.isdir(d) and os.access(d, os.W_OK):
         return d
     return tempfile.gettempdir()
+
+
+class Arena:
+    """One unnamed ``MAP_SHARED`` mapping cut into ``slots`` pieces of
+    ``slot_bytes`` (rounded up to the 64-byte alignment).
+
+    Made in the supervisor before the worker that uses it is forked;
+    the supervisor hands slots out with :meth:`take` / :meth:`free`, and
+    both processes address a slot through :meth:`buf`.  Pages are
+    touched only when a batch writes them: an anonymous mapping costs
+    address space, not memory, until then.
+    """
+
+    def __init__(self, slots: int, slot_bytes: int):
+        self.slots = max(1, int(slots))
+        self.slot_bytes = -(-max(int(slot_bytes), 1) // _ALIGN) * _ALIGN
+        self._view = memoryview(mmap.mmap(
+            -1, self.slots * self.slot_bytes, flags=mmap.MAP_SHARED))
+        self._lock = threading.Lock()
+        # taken from the end: the most recently freed slot, whose pages
+        # are already faulted in, is the next one used
+        self._free = list(range(self.slots - 1, -1, -1))
+
+    def take(self) -> Optional[int]:
+        """A free slot's index, or None when every slot is in use."""
+        with self._lock:
+            return self._free.pop() if self._free else None
+
+    def free(self, slot: int) -> None:
+        with self._lock:
+            self._free.append(slot)
+
+    def free_slots(self) -> int:
+        with self._lock:
+            return len(self._free)
+
+    def buf(self, slot: int) -> memoryview:
+        """The writable bytes of one slot (specs' offsets are relative
+        to its start)."""
+        start = slot * self.slot_bytes
+        return self._view[start:start + self.slot_bytes]
 
 
 class Segment:
@@ -264,44 +304,50 @@ ArraySpec = Tuple[int, Tuple[int, ...], str]
 
 
 def plan_layout(
-    items: Iterable[Tuple[Any, Tuple[int, ...], Any]],
+    items: Iterable[Tuple[Any, Tuple[int, ...], Any]], start: int = 0,
 ) -> Tuple[int, Dict[Any, ArraySpec]]:
-    """Lay arrays out back-to-back, 64-byte aligned; returns
-    ``(total_bytes, {key: (offset, shape, dtype_str)})``.
+    """Lay arrays out back-to-back from ``start``, 64-byte aligned;
+    returns ``(end, {key: (offset, shape, dtype_str)})`` with ``end``
+    rounded up to the alignment, so layouts placed back to back (a
+    batch's requests, a slot's inputs then outputs) stay aligned and
+    their ends add up.
 
     ``items`` yields ``(key, shape, dtype)``; keys are opaque to the
-    layout (the worker protocol uses ``"<request index>/<image name>"``).
+    layout (the worker protocol uses ``"<request id>/<image name>"``).
     The returned specs are plain picklable tuples — they, not the
     arrays, are what crosses the control pipe.
     """
     specs: Dict[Any, ArraySpec] = {}
-    offset = 0
+    offset = start
     for key, shape, dtype in items:
         dt = np.dtype(dtype)
         offset = -(-offset // _ALIGN) * _ALIGN
         shape = tuple(int(s) for s in shape)
         specs[key] = (offset, shape, dt.str)
         offset += int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-    return max(offset, 1), specs
+    return -(-offset // _ALIGN) * _ALIGN, specs
 
 
-def write_arrays(seg: Segment, specs: Mapping[Any, ArraySpec],
+def write_arrays(seg, specs: Mapping[Any, ArraySpec],
                  arrays: Mapping[Any, np.ndarray]) -> None:
-    """Copy each array into its planned slot (the producer's single
-    copy; everything downstream is views)."""
+    """Copy each array into its planned place (the producer's single
+    copy), cast to the planned dtype as ``astype`` would.  ``seg`` is
+    an arena slot's buffer or a :class:`Segment`."""
+    buf = getattr(seg, "buf", seg)
     for key, (offset, shape, dtype) in specs.items():
         view = np.ndarray(shape, dtype=np.dtype(dtype),
-                          buffer=seg.buf, offset=offset)
-        view[...] = arrays[key]
+                          buffer=buf, offset=offset)
+        np.copyto(view, arrays[key], casting="unsafe")
 
 
-def view_arrays(seg: Segment,
+def view_arrays(seg,
                 specs: Mapping[Any, ArraySpec]) -> Dict[Any, np.ndarray]:
-    """Zero-copy views onto a segment's planned slots.  The views keep
-    the mapping alive through NumPy's base-chaining, so the segment's
-    pages live exactly as long as the last array built on them."""
+    """Zero-copy views onto planned places of an arena slot's buffer or
+    a :class:`Segment`.  The views keep the mapping alive through
+    NumPy's base-chaining."""
+    buf = getattr(seg, "buf", seg)
     return {
         key: np.ndarray(shape, dtype=np.dtype(dtype),
-                        buffer=seg.buf, offset=offset)
+                        buffer=buf, offset=offset)
         for key, (offset, shape, dtype) in specs.items()
     }

@@ -2,8 +2,9 @@
 
 :class:`WorkerSupervisor` owns N worker processes forked from the warm
 service (:mod:`repro.serve.workers`) and routes micro-batches to them
-over control pipes, with arrays crossing only through shared memory
-(:mod:`repro.serve.shm`).  The robustness contract:
+over control pipes, with arrays crossing only through each worker's
+shared-memory arena (:class:`repro.serve.shm.Arena`).  The robustness
+contract:
 
 * **Liveness** — every worker heartbeats on its pipe; a monitor thread
   SIGKILLs workers whose heartbeat goes stale or whose current batch
@@ -22,10 +23,12 @@ over control pipes, with arrays crossing only through shared memory
   raises :class:`WorkerTierUnavailable` so the service falls back to
   its in-process single-process tier; after a cooldown one probe batch
   is allowed through (half-open) and a clean result recloses it.
-* **Reclamation** — all shared-memory traffic goes through pid-named
-  segments; the supervisor sweeps stale segments at start, after every
-  worker death, and at shutdown, so ``/dev/shm`` cannot leak even when
-  workers die mid-handoff.
+* **Reclamation** — there is nothing to reclaim outside the process
+  tree: each worker slot's arena is an unnamed mapping made before the
+  slot's first fork and kept across its respawns, so no name ever
+  appears in ``/dev/shm``.  A batch holds one arena slot from submit
+  until its reply is copied out (or its worker is reaped), so a slot is
+  never shared by two batches and no result aliases a later one.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ import numpy as np
 from ..errors import ERROR_CODES, ReproError, ServeWorkerLostError, \
     ServeWorkerTimeoutError
 from ..obs import METRICS
-from .shm import Segment, ShmRegistry, plan_layout, sweep_stale, \
-    view_arrays, write_arrays
+from ..runtime.executor import validate_inputs
+from .shm import Arena, plan_layout, view_arrays, write_arrays
 from .workers import spawn_worker
 
 __all__ = [
@@ -200,13 +203,18 @@ class _BatchRecord:
     batch_id: int
     key: str
     items: List[Dict[str, Any]]
-    in_desc: Optional[Tuple[str, Dict]] = None
-    in_seg: Optional[Segment] = None
+    #: explicit input arrays by ``"<rid>/<image>"`` and their places in
+    #: a slot; written into each slot the batch is submitted to
+    arrays: Dict[str, np.ndarray] = field(default_factory=dict)
+    in_specs: Dict[str, Tuple] = field(default_factory=dict)
     event: threading.Event = field(default_factory=threading.Event)
     outcomes: Optional[List[WorkerOutcome]] = None
     error: Optional[BaseException] = None
     retried: bool = False
     worker_slot: int = -1
+    #: the arena slot the batch holds on ``worker_slot``'s arena (-1:
+    #: none)
+    arena_slot: int = -1
     started_at: float = 0.0
 
 
@@ -238,24 +246,39 @@ class _WorkerHandle:
 
 
 class WorkerSupervisor:
-    """Owns the worker processes and every batch routed to them."""
+    """Owns the worker processes and every batch routed to them.
+
+    ``slots`` is how many batches one worker's arena holds at once —
+    the service's dispatcher count, since each dispatcher has at most
+    one batch in flight — and ``max_batch_size`` how many requests one
+    batch carries; together with the template hosts' image and output
+    sizes they size the arenas at :meth:`start`.
+    """
 
     def __init__(
         self,
         hosts: Dict[str, Any],
         workers: int = 2,
+        slots: int = 1,
+        max_batch_size: int = 8,
         worker_timeout_s: float = 30.0,
         heartbeat_s: float = 1.0,
         breaker_threshold: int = 3,
         breaker_window_s: float = 30.0,
         breaker_cooldown_s: float = 5.0,
-        shm_directory: Optional[str] = None,
     ):
         self.hosts = hosts
         self.nworkers = max(1, int(workers))
+        self.slots = max(1, int(slots))
+        self.max_batch_size = max(1, int(max_batch_size))
         self.worker_timeout_s = worker_timeout_s
         self.heartbeat_s = heartbeat_s
-        self.registry = ShmRegistry(shm_directory)
+        #: one per worker slot, made before its first fork, kept across
+        #: respawns; set by start()
+        self._arenas: List[Arena] = []
+        #: bytes one request's outputs take in a slot, per template key
+        self._out_bytes: Dict[str, int] = {}
+        self.slot_bytes = 0
         self.breaker = CircuitBreaker(
             breaker_threshold, breaker_window_s, breaker_cooldown_s
         )
@@ -282,9 +305,7 @@ class WorkerSupervisor:
         self.template_keys = frozenset(
             k for k, h in self.hosts.items() if h.is_warm
         )
-        swept = sweep_stale(self.registry.directory)
-        if swept and METRICS.enabled:
-            METRICS.inc("repro_serve_shm_swept_total", len(swept))
+        self._size_arenas()
         for slot in range(self.nworkers):
             self._spawn(slot)
         self._monitor = threading.Thread(
@@ -322,14 +343,35 @@ class WorkerSupervisor:
                 records = list(h.in_flight.values())
                 h.in_flight.clear()
             for rec in records:
+                self._release_slot(rec)
                 self._resolve(rec, error=ServeWorkerLostError(
                     "service shut down while the batch was on a worker",
                     pipeline=rec.key,
                 ))
-        self.registry.close()
-        sweep_stale(self.registry.directory)
         self._started = False
         self._gauge_workers()
+
+    def _size_arenas(self) -> None:
+        """One arena per worker slot: ``slots`` pieces, each holding
+        ``max_batch_size`` times the largest per-request input-plus-
+        output bytes over the template hosts."""
+        request_bytes = 0
+        for key in sorted(self.template_keys):
+            pipe = self.hosts[key].pipeline
+            in_bytes, _ = plan_layout(
+                (img.name, pipe.image_shape(img), img.scalar_type.np_dtype)
+                for img in pipe.images
+            )
+            self._out_bytes[key], _ = plan_layout(
+                (out.name, pipe.domain_extents(out),
+                 out.scalar_type.np_dtype)
+                for out in pipe.outputs
+            )
+            request_bytes = max(request_bytes,
+                                in_bytes + self._out_bytes[key])
+        self.slot_bytes = self.max_batch_size * request_bytes
+        self._arenas = [Arena(self.slots, self.slot_bytes)
+                        for _ in range(self.nworkers)]
 
     # -- batch execution ------------------------------------------------
     def available(self, key: str) -> bool:
@@ -346,33 +388,45 @@ class WorkerSupervisor:
         """Route one micro-batch to a worker and block until resolved.
 
         ``requests`` are :class:`repro.serve.batching.ServeRequest`
-        objects sharing one ``(pipeline, scale)`` batch key.  Raises
-        :class:`WorkerTierUnavailable` when the batch must go to the
-        in-process fallback instead.
+        objects sharing one ``(pipeline, scale)`` batch key.  Explicit
+        inputs are validated here, against the warm host: a request
+        that fails gets its ``INPUT_*`` outcome without reaching a
+        worker.  Raises :class:`WorkerTierUnavailable` when the batch
+        must go to the in-process fallback instead — the breaker is
+        open, no worker is live, the batch does not fit a slot, or
+        every slot of the chosen worker is taken.
         """
         if not self._started or self._stop.is_set():
             raise WorkerTierUnavailable("worker tier not running")
+        rejected: List[WorkerOutcome] = []
+        accepted = []
+        pipe = self.hosts[key].pipeline
+        for req in requests:
+            try:
+                if req.inputs is not None:
+                    validate_inputs(pipe, req.inputs)
+            except Exception as exc:
+                rejected.append(WorkerOutcome(rid=req.id, error=exc))
+                continue
+            accepted.append(req)
+        if not accepted:
+            return rejected
         if not self.breaker.allow(key):
             raise WorkerTierUnavailable(
                 f"circuit breaker open for pipeline {key!r}"
             )
         try:
-            rec = self._prepare(key, requests)
-        except BaseException:
-            self.breaker.abort(key)
-            raise
-        try:
+            rec = self._prepare(key, accepted)
             self._submit(rec)
-        except WorkerTierUnavailable:
-            self._release_inputs(rec)
+        except BaseException:
             self.breaker.abort(key)
             raise
         # The monitor resolves hung batches (timeout kill -> worker
         # death -> resolution), so this wait only backstops supervisor
-        # bugs, with slack for one retry hop.
+        # bugs, with slack for one retry hop.  A batch left unresolved
+        # keeps its slot: its worker may still write into it.
         backstop = (self.worker_timeout_s or 30.0) * 2.0 + 30.0
         rec.event.wait(timeout=backstop)
-        self._release_inputs(rec)
         if not rec.event.is_set():
             rec.error = ServeWorkerLostError(
                 "batch never resolved within the supervision backstop",
@@ -381,19 +435,21 @@ class WorkerSupervisor:
         worker_died = rec.error is not None or rec.retried
         self.breaker.note_result(key, ok=not worker_died)
         if rec.error is not None:
-            outcomes = [
+            return rejected + [
                 WorkerOutcome(rid=req.id, error=rec.error,
                               retried=rec.retried)
-                for req in requests
+                for req in accepted
             ]
-            return outcomes
-        return rec.outcomes
+        return rejected + rec.outcomes
 
     def _prepare(self, key: str, requests) -> _BatchRecord:
-        """Build the wire items and (if any request carries explicit
-        arrays) the input arena segment."""
+        """Build the wire items and plan the explicit inputs' places in
+        a slot (written by :meth:`_submit`, into whichever slot the
+        batch lands in)."""
+        pipe = self.hosts[key].pipeline
         items: List[Dict[str, Any]] = []
         arrays: Dict[str, np.ndarray] = {}
+        places = []
         for req in requests:
             item: Dict[str, Any] = {"rid": req.id}
             for hook in ("test_sleep_s", "test_exit"):
@@ -402,44 +458,60 @@ class WorkerSupervisor:
             if req.inputs is None:
                 item["seed"] = int(req.meta.get("seed", 0))
             else:
-                item["images"] = sorted(req.inputs)
-                for name in item["images"]:
-                    arrays[f"{req.id}/{name}"] = np.ascontiguousarray(
-                        req.inputs[name]
-                    )
+                item["images"] = sorted(img.name for img in pipe.images)
+                for img in pipe.images:
+                    place = f"{req.id}/{img.name}"
+                    arrays[place] = req.inputs[img.name]
+                    places.append((place, pipe.image_shape(img),
+                                   img.scalar_type.np_dtype))
             items.append(item)
-        rec = _BatchRecord(
-            batch_id=next(self._batch_ids), key=key, items=items,
-        )
-        if arrays:
-            total, specs = plan_layout(
-                (k, a.shape, a.dtype) for k, a in sorted(arrays.items())
+        in_end, in_specs = plan_layout(places)
+        need = in_end + len(requests) * self._out_bytes[key]
+        if need > self.slot_bytes:
+            raise WorkerTierUnavailable(
+                f"a batch of {len(requests)} needs {need} bytes; an arena "
+                f"slot holds {self.slot_bytes}"
             )
-            seg = self.registry.create(total)
-            write_arrays(seg, specs, arrays)
-            rec.in_seg = seg
-            rec.in_desc = (seg.name, specs)
-        return rec
+        return _BatchRecord(
+            batch_id=next(self._batch_ids), key=key, items=items,
+            arrays=arrays, in_specs=in_specs,
+        )
 
     def _submit(self, rec: _BatchRecord) -> None:
-        """Place a record on the best live worker."""
+        """Place a record on the best live worker: take a free slot of
+        its arena, write the inputs into it, send the slot index."""
         handle = self._pick_worker(rec.key)
         if handle is None:
             raise WorkerTierUnavailable("no live workers")
+        arena = self._arenas[handle.slot]
+        slot = arena.take()
+        if slot is None:
+            raise WorkerTierUnavailable(
+                f"every arena slot of worker {handle.slot} is in use"
+            )
+        write_arrays(arena.buf(slot), rec.in_specs, rec.arrays)
         with handle.lock:
             if not handle.alive:
+                arena.free(slot)
                 raise WorkerTierUnavailable("worker died during submit")
             rec.worker_slot = handle.slot
+            rec.arena_slot = slot
             rec.started_at = time.monotonic()
             handle.in_flight[rec.batch_id] = rec
         try:
             handle.conn.send(
-                ("run", rec.batch_id, rec.key, rec.in_desc, rec.items)
+                ("run", rec.batch_id, rec.key, slot, rec.in_specs,
+                 rec.items)
             )
         except OSError:
             with handle.lock:
-                handle.in_flight.pop(rec.batch_id, None)
-            raise WorkerTierUnavailable("worker pipe broken during submit")
+                ours = handle.in_flight.pop(rec.batch_id, None) is rec
+            if ours:
+                self._release_slot(rec)
+                raise WorkerTierUnavailable(
+                    "worker pipe broken during submit")
+            # else the worker's death already took the record over and
+            # redrove it: the caller waits for that outcome
 
     def _pick_worker(self, key: str) -> Optional[_WorkerHandle]:
         """Least-loaded live worker; ties break on a stable hash of the
@@ -455,10 +527,12 @@ class WorkerSupervisor:
             key=lambda h: (h.load(), (h.slot - anchor) % self.nworkers),
         )
 
-    def _release_inputs(self, rec: _BatchRecord) -> None:
-        if rec.in_seg is not None:
-            self.registry.release(rec.in_seg, unlink=True)
-            rec.in_seg = None
+    def _release_slot(self, rec: _BatchRecord) -> None:
+        """Give the record's arena slot back; called by whoever took the
+        record out of its worker's ``in_flight``."""
+        if rec.arena_slot >= 0:
+            self._arenas[rec.worker_slot].free(rec.arena_slot)
+            rec.arena_slot = -1
 
     def _resolve(self, rec: _BatchRecord, outcomes=None,
                  error=None) -> None:
@@ -471,7 +545,7 @@ class WorkerSupervisor:
     # -- worker lifecycle -----------------------------------------------
     def _spawn(self, slot: int) -> _WorkerHandle:
         proc, conn = spawn_worker(
-            slot, self.hosts, self.heartbeat_s, self.registry.directory
+            slot, self.hosts, self.heartbeat_s, self._arenas[slot]
         )
         handle = _WorkerHandle(slot, proc, conn)
         handle.receiver = threading.Thread(
@@ -497,25 +571,24 @@ class WorkerSupervisor:
                 continue
             if msg[0] != "ok":
                 continue
-            _, batch_id, out_desc, entries = msg
+            _, batch_id, slot, out_specs, entries = msg
             with handle.lock:
                 rec = handle.in_flight.pop(batch_id, None)
                 handle.batches_done += 1
             if rec is None:
-                # resolved elsewhere (e.g. we were told the worker died
-                # but the reply raced in) — adopt-and-unlink the segment
-                # so it cannot leak, then drop the reply
-                self._discard_desc(out_desc)
+                # resolved elsewhere (shutdown took it): drop the reply
                 continue
             try:
-                outcomes = self._adopt_reply(handle, rec, out_desc,
+                outcomes = self._adopt_reply(handle, rec, slot, out_specs,
                                              entries)
             except Exception as exc:
+                self._release_slot(rec)
                 self._resolve(rec, error=ServeWorkerLostError(
                     f"worker reply could not be adopted: {exc}",
                     pipeline=rec.key,
                 ))
                 continue
+            self._release_slot(rec)
             self._resolve(rec, outcomes=outcomes)
             if METRICS.enabled:
                 METRICS.inc("repro_serve_worker_batches_total",
@@ -523,15 +596,16 @@ class WorkerSupervisor:
         self._on_death(handle)
 
     def _adopt_reply(self, handle: _WorkerHandle, rec: _BatchRecord,
-                     out_desc, entries) -> List[WorkerOutcome]:
-        """Attach the worker's reply segment, unlink it eagerly (the
-        mapping stays valid; the name is gone from ``/dev/shm``), and
-        build zero-copy outcome arrays."""
-        views: Dict[str, np.ndarray] = {}
-        if out_desc is not None:
-            seg = Segment.attach(out_desc[0], self.registry.directory)
-            seg.unlink()
-            views = view_arrays(seg, out_desc[1])
+                     slot: int, out_specs, entries) -> List[WorkerOutcome]:
+        """Copy the worker's outputs out of the batch's slot into arrays
+        this process owns — the slot is freed right after, so no result
+        may point into it."""
+        if slot != rec.arena_slot:
+            raise ValueError(
+                f"reply names slot {slot}, the batch holds {rec.arena_slot}"
+            )
+        views = view_arrays(self._arenas[rec.worker_slot].buf(slot),
+                            out_specs)
         outcomes: List[WorkerOutcome] = []
         for entry in entries:
             rid = entry["rid"]
@@ -544,7 +618,7 @@ class WorkerSupervisor:
                 continue
             outcomes.append(WorkerOutcome(
                 rid=rid,
-                outputs={name: views[f"{rid}/{name}"]
+                outputs={name: views[f"{rid}/{name}"].copy()
                          for name in entry["outputs"]},
                 tier=entry["tier"],
                 degraded=entry["degraded"],
@@ -553,19 +627,9 @@ class WorkerSupervisor:
             ))
         return outcomes
 
-    def _discard_desc(self, out_desc) -> None:
-        if out_desc is None:
-            return
-        try:
-            seg = Segment.attach(out_desc[0], self.registry.directory)
-            seg.unlink()
-            seg.close()
-        except OSError:
-            pass
-
     def _on_death(self, handle: _WorkerHandle) -> None:
-        """One worker's pipe closed: reap it, retry or fail its batches,
-        respawn its slot, sweep its segments."""
+        """One worker's pipe closed: reap it, free its batches' slots,
+        respawn its slot, retry or fail its batches."""
         with handle.lock:
             if not handle.alive:
                 return
@@ -573,7 +637,10 @@ class WorkerSupervisor:
             records = list(handle.in_flight.values())
             handle.in_flight.clear()
         reason = handle.kill_reason or "crash"
-        handle.proc.join(timeout=5.0)  # reap before the pid-based sweep
+        # reap first: a slot is freed only once nothing can write to it
+        handle.proc.join(timeout=5.0)
+        for rec in records:
+            self._release_slot(rec)
         try:
             handle.conn.close()
         except OSError:
@@ -591,7 +658,6 @@ class WorkerSupervisor:
         if not self._stop.is_set():
             self._spawn(handle.slot)
             self._gauge_workers()
-        sweep_stale(self.registry.directory)
         for rec in records:
             self._redrive(rec, reason)
 
@@ -697,6 +763,7 @@ class WorkerSupervisor:
         now = time.monotonic()
         with self._lock:
             handles = [(i, h) for i, h in enumerate(self._slots)]
+            arenas = list(self._arenas)
         workers = []
         for slot, h in handles:
             if h is None:
@@ -709,6 +776,7 @@ class WorkerSupervisor:
                 "in_flight": h.load(),
                 "heartbeat_age_s": round(now - h.last_hb, 3),
                 "batches": h.batches_done,
+                "free_slots": arenas[slot].free_slots(),
             })
         return {
             "workers": workers,
@@ -716,5 +784,5 @@ class WorkerSupervisor:
             "retries": self.retries,
             "lost": self.lost,
             "breaker": self.breaker.snapshot(),
-            "shm": self.registry.stats(),
+            "arena": {"slots": self.slots, "slot_bytes": self.slot_bytes},
         }

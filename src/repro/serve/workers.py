@@ -11,30 +11,31 @@ else.
 
 Control protocol (one duplex pipe per worker; arrays never cross it):
 
-========================================  ==============================
-message                                   direction / meaning
-========================================  ==============================
-``("run", batch_id, key, in_desc,         supervisor -> worker: execute
-items)``                                  one micro-batch
-``("stop",)``                             supervisor -> worker: clean
-                                          exit
-``("hb", pid)``                           worker -> supervisor: liveness
-``("ok", batch_id, out_desc, entries)``   worker -> supervisor: batch
-                                          done (per-item results or
-                                          serialized errors)
-========================================  ==============================
+=========================================  =============================
+message                                    direction / meaning
+=========================================  =============================
+``("run", batch_id, key, slot, in_specs,   supervisor -> worker: execute
+items)``                                   one micro-batch whose inputs
+                                           sit in arena slot ``slot``
+``("stop",)``                              supervisor -> worker: clean
+                                           exit
+``("hb", pid)``                            worker -> supervisor:
+                                           liveness
+``("ok", batch_id, slot, out_specs,        worker -> supervisor: batch
+entries)``                                 done; outputs sit in the same
+                                           slot (per-item results or
+                                           serialized errors)
+=========================================  =============================
 
-``in_desc``/``out_desc`` are ``(segment_name, {key: (offset, shape,
-dtype)})`` descriptors into shared memory (:mod:`repro.serve.shm`);
-``None`` when the batch carries no explicit input arrays (seed-addressed
-requests regenerate their inputs in the worker via
+The arena (:class:`repro.serve.shm.Arena`) is mapped by the supervisor
+before the worker is forked, so the worker inherits it; ``in_specs`` /
+``out_specs`` are ``{key: (offset, shape, dtype)}`` places inside the
+slot, the outputs laid out after the inputs.  Seed-addressed requests
+put nothing in the slot: the worker regenerates their inputs via
 :func:`repro.planner.make_inputs` — deterministic, so bit-identity with
-``repro run --seed`` is preserved without shipping a byte).
-
-The reply segment is created by the worker and *disowned* after the
-reply is sent: the supervisor adopts it (attach + eager unlink), and if
-the worker is SIGKILLed before the hand-off completes, the segment's
-pid-bearing name keeps it reclaimable by :func:`repro.serve.shm.sweep_stale`.
+``repro run --seed`` is preserved without shipping a byte.  The slot
+belongs to the worker from the ``run`` until its ``ok``: the supervisor
+copies the outputs out and only then frees it.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from ..errors import error_code
+from ..errors import ServeError, error_code
 from ..obs import METRICS, TRACE
 from ..runtime import reset_shared_executors_after_fork
-from .shm import Segment, ShmRegistry, plan_layout, view_arrays, write_arrays
+from .shm import Arena, plan_layout, view_arrays, write_arrays
 
 __all__ = ["fork_preamble", "worker_main", "spawn_worker"]
 
@@ -74,17 +75,17 @@ def fork_preamble(hosts: Mapping[str, Any]) -> None:
 
 
 def worker_main(conn, hosts: Mapping[str, Any], parent_pid: int,
-                heartbeat_s: float, shm_directory: str) -> None:
+                heartbeat_s: float, arena: Arena) -> None:
     """Child entry point: heartbeat + serve batches until told to stop.
 
     ``hosts`` is the parent's warm ``{benchmark key: PipelineHost}``
     map, inherited through fork.  The loop is deliberately serial — one
     batch at a time per worker; parallelism is the worker count, which
     is what keeps per-(pipeline, scale) batches coalesced on one warm
-    host instead of interleaved across thread pools.
+    host instead of interleaved across thread pools.  ``arena`` is this
+    worker slot's mapping, inherited through fork.
     """
     fork_preamble(hosts)
-    registry = ShmRegistry(shm_directory)
     send_lock = threading.Lock()
 
     def _send(msg: Tuple) -> None:
@@ -117,52 +118,40 @@ def worker_main(conn, hosts: Mapping[str, Any], parent_pid: int,
                 break
             if msg[0] != "run":
                 continue
-            _, batch_id, key, in_desc, items = msg
+            _, batch_id, key, slot, in_specs, items = msg
             try:
-                reply = _run_batch(registry, hosts, key, in_desc, items,
-                                   shm_directory)
+                reply = _run_batch(arena.buf(slot), hosts, key, in_specs,
+                                   items)
             except Exception as exc:
                 # batch-level failure (unknown key, protocol bug):
                 # fail the items, never the worker
-                reply = (None, [
+                reply = ({}, [
                     {"rid": it["rid"],
                      "error": (error_code(exc), str(exc))}
                     for it in items
                 ])
             try:
-                _send(("ok", batch_id) + reply)
+                _send(("ok", batch_id, slot) + reply)
             except OSError:
                 break
     finally:
         stop.set()
-        registry.close()
         try:
             conn.close()
         except OSError:
             pass
 
 
-def _run_batch(registry: ShmRegistry, hosts: Mapping[str, Any], key: str,
-               in_desc, items: List[Dict[str, Any]],
-               shm_directory: str) -> Tuple:
-    """Execute one batch; returns the ``(out_desc, entries)`` tail of the
-    reply.  Failures stay per-item — one bad request never poisons its
-    batchmates."""
+def _run_batch(slot: memoryview, hosts: Mapping[str, Any], key: str,
+               in_specs, items: List[Dict[str, Any]]) -> Tuple:
+    """Execute one batch whose explicit inputs sit in ``slot``; writes
+    the outputs into the same slot, after the inputs, and returns the
+    ``(out_specs, entries)`` tail of the reply.  Failures stay per-item
+    — one bad request never poisons its batchmates."""
     host = hosts[key]
-    in_seg: Optional[Segment] = None
-    in_views: Dict[Any, np.ndarray] = {}
-    if in_desc is not None:
-        try:
-            in_seg = Segment.attach(in_desc[0], shm_directory)
-            in_views = view_arrays(in_seg, in_desc[1])
-        except OSError as exc:
-            entries = [{"rid": it["rid"],
-                        "error": ("SERVE", f"input segment lost: {exc}")}
-                       for it in items]
-            return None, entries
-
+    in_views = view_arrays(slot, in_specs)
     entries: List[Dict[str, Any]] = []
-    results: Dict[int, Dict[str, np.ndarray]] = {}
+    results: Dict[str, np.ndarray] = {}
     for item in items:
         rid = item["rid"]
         sleep_s = item.get("test_sleep_s")
@@ -186,49 +175,41 @@ def _run_batch(registry: ShmRegistry, hosts: Mapping[str, Any], key: str,
                 "error": (error_code(exc), str(exc)),
             })
             continue
-        results[rid] = outputs
+        for name, arr in outputs.items():
+            results[f"{rid}/{name}"] = arr
         entries.append({
             "rid": rid,
             "tier": tier,
             "degraded": report.degraded,
             "outputs": sorted(outputs),
         })
-    if in_seg is not None:
-        in_views.clear()
-        in_seg.close()
-
-    out_desc = None
-    if results:
-        total, specs = plan_layout(
-            (f"{rid}/{name}", arr.shape, arr.dtype)
-            for rid, outs in sorted(results.items())
-            for name, arr in sorted(outs.items())
+    in_end = max((offset + int(np.prod(shape)) * np.dtype(dtype).itemsize
+                  for offset, shape, dtype in in_specs.values()), default=0)
+    end, out_specs = plan_layout(
+        ((k, arr.shape, arr.dtype) for k, arr in sorted(results.items())),
+        start=in_end,
+    )
+    if end > len(slot):
+        raise ServeError(
+            f"batch outputs need {end} bytes, the arena slot has "
+            f"{len(slot)}"
         )
-        seg = registry.create(total)
-        write_arrays(seg, specs, {
-            f"{rid}/{name}": arr
-            for rid, outs in results.items()
-            for name, arr in outs.items()
-        })
-        out_desc = (seg.name, specs)
-        # Disown: the supervisor adopts this segment on receipt.  The
-        # name still carries our pid, so if we die before the adopt
-        # completes the sweep reclaims it.
-        registry.release(seg, unlink=False)
-    return out_desc, entries
+    write_arrays(slot, out_specs, results)
+    return out_specs, entries
 
 
 def spawn_worker(index: int, hosts: Mapping[str, Any],
-                 heartbeat_s: float, shm_directory: str):
-    """Fork one worker from the current (warm) process; returns
-    ``(process, supervisor-side connection)``."""
+                 heartbeat_s: float, arena: Arena):
+    """Fork one worker from the current (warm) process, handing it the
+    slot's ``arena``; returns ``(process, supervisor-side
+    connection)``."""
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=True)
     proc = ctx.Process(
         target=worker_main,
-        args=(child_conn, hosts, os.getpid(), heartbeat_s, shm_directory),
+        args=(child_conn, hosts, os.getpid(), heartbeat_s, arena),
         name=f"repro-serve-worker{index}",
         daemon=True,
     )

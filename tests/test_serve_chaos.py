@@ -1,8 +1,9 @@
 """Chaos tests: SIGKILL workers mid-request and assert the supervision
 contract — respawn from the warm template, at-most-once retry with
 bit-identical output, ``SERVE_WORKER_LOST`` when the retry is also
-lost, ``SERVE_WORKER_TIMEOUT`` for hung workers, breaker fallback, and
-zero leaked shared-memory segments."""
+lost, ``SERVE_WORKER_TIMEOUT`` for hung workers, breaker fallback,
+zero leaked shared-memory segments, and every arena slot free again
+after a kill storm."""
 
 import os
 import signal
@@ -170,7 +171,7 @@ class TestWorkerTimeout:
         finally:
             svc.shutdown(timeout_s=60.0)
 
-    def test_connection_closed_under_recv_counts_as_death(self, tmp_path):
+    def test_connection_closed_under_recv_counts_as_death(self):
         """The timeout kill closes the pipe from the monitor thread; when
         that lands between ``recv``'s closed-check and its read,
         multiprocessing raises TypeError (its handle is None), and the
@@ -185,7 +186,7 @@ class TestWorkerTimeout:
                 raise TypeError(
                     "'NoneType' object cannot be interpreted as an integer")
 
-        sup = WorkerSupervisor({}, workers=1, shm_directory=str(tmp_path))
+        sup = WorkerSupervisor({}, workers=1)
         died = []
         sup._on_death = died.append
         handle = SimpleNamespace(conn=ClosedUnderRecv())
@@ -239,6 +240,12 @@ class TestShmHygiene:
                 except ServeWorkerLostError:
                     pass
                 pids.update(sup.worker_pids())
+            # every lost batch gave its slot back when its worker was
+            # reaped, every redriven one when its reply was copied out
+            assert wait_for(lambda: len(sup.worker_pids()) == 2)
+            slots = sup.health()["arena"]["slots"]
+            assert [w["free_slots"] for w in sup.health()["workers"]] \
+                == [slots, slots]
         finally:
             svc.shutdown(timeout_s=60.0)
 

@@ -137,6 +137,34 @@ class TestRun:
         assert status == 400
         assert body["error"]["code"] == "BAD_REQUEST"
 
+    @pytest.mark.parametrize("body", [
+        {"pipeline": "UM", "seed": "abc"},
+        {"pipeline": "UM", "seed": -1},
+        {"pipeline": "UM", "seed": None},
+        {"pipeline": "UM", "seed": 1.7},
+        {"pipeline": "UM", "seed": True},
+        {"pipeline": "UM", "timeout_s": "x"},
+        {"pipeline": "UM", "timeout_s": False},
+        [1, 2],
+        "UM",
+    ])
+    def test_malformed_run_fields_400_before_admission(self, server,
+                                                       body):
+        service, base = server
+        admitted = service.admission.snapshot()["admitted"]
+        status, reply = post(base + "/run", body)
+        assert status == 400
+        assert reply["error"]["code"] == "BAD_REQUEST"
+        assert service.admission.snapshot()["admitted"] == admitted
+
+    def test_null_timeout_and_integral_seed_are_served(self, server):
+        _, base = server
+        status, body = post(base + "/run", {
+            "pipeline": "UM", "seed": 2, "timeout_s": None,
+        })
+        assert status == 200
+        assert body["seed"] == 2
+
     def test_invalid_json_400(self, server):
         _, base = server
         req = urllib.request.Request(

@@ -1,8 +1,10 @@
 """Worker-tier tests: shared-memory primitives, fork-after-warmup
-execution with bit-identity across the process boundary, shard routing,
-and the circuit breaker's state machine."""
+execution with bit-identity across the process boundary, the per-worker
+arena, shard routing, and the circuit breaker's state machine."""
 
 import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.planner import (
 )
 from repro.resilience import GuardPolicy, execute_guarded
 from repro.serve import HostConfig, PipelineService, ServeConfig
+from repro.serve.batching import ServeRequest
 from repro.serve.shm import (
     SHM_PREFIX,
     Segment,
@@ -32,6 +35,7 @@ from repro.serve.supervisor import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     CircuitBreaker,
+    WorkerTierUnavailable,
 )
 
 SCALE = 0.05
@@ -257,7 +261,172 @@ class TestWorkerExecution:
         assert workers["lost"] == 0
         assert len(workers["workers"]) == 2
         assert all(w["state"] == "live" for w in workers["workers"])
-        assert workers["shm"] == {"segments": 0, "bytes": 0}
+        pipe = worker_service.host("UM").pipeline
+        request_bytes = sum(
+            plan_layout(items)[0] for items in (
+                [(i.name, pipe.image_shape(i), i.scalar_type.np_dtype)
+                 for i in pipe.images],
+                [(o.name, pipe.domain_extents(o), o.scalar_type.np_dtype)
+                 for o in pipe.outputs],
+            )
+        )
+        assert workers["arena"] == {
+            "slots": 2,  # one per dispatcher
+            "slot_bytes": worker_service.config.max_batch_size
+            * request_bytes,
+        }
+        assert all(w["free_slots"] == 2 for w in workers["workers"])
+
+
+# ---------------------------------------------------------------------------
+# the per-worker arena
+# ---------------------------------------------------------------------------
+
+
+def on_both_workers(svc, **kwargs):
+    """Two requests, the second submitted while the first is held in
+    flight, so they run on different workers; returns both results."""
+    sup = svc.supervisor
+    first = svc.submit("UM", _meta={"test_sleep_s": 0.3}, **kwargs)
+    assert wait_until(lambda: sup.busy_pids())
+    second = svc.submit("UM", **kwargs)
+    results = [f.result(timeout=120) for f in (first, second)]
+    assert results[0].worker != results[1].worker
+    return results
+
+
+def wait_until(predicate, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.002)
+    return True
+
+
+def held_request(rid, sleep_s=0.0):
+    meta = {"seed": 5}
+    if sleep_s:
+        meta["test_sleep_s"] = sleep_s
+    return ServeRequest(id=rid, pipeline="UM", batch_key=("UM", SCALE),
+                        inputs=None, meta=meta)
+
+
+class TestArena:
+    def test_no_named_segment_is_ever_made(self, monkeypatch):
+        """With named segments made impossible in the parent and (by
+        fork) in every worker, seed and explicit-input requests on both
+        workers still return the one-shot digests."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the worker tier made a named segment")
+
+        monkeypatch.setattr(Segment, "create", classmethod(refuse))
+        svc = PipelineService(worker_config()).start()
+        try:
+            svc.warm(["UM"])
+            svc.start_workers()
+            expected = oneshot_digests("UM", 5)
+            inputs = make_inputs(svc.host("UM").pipeline, 5)
+            for kwargs in ({"seed": 5}, {"inputs": inputs}):
+                for r in on_both_workers(svc, **kwargs):
+                    assert output_digests(r.outputs) == expected
+        finally:
+            svc.shutdown(timeout_s=60.0)
+
+    def test_results_own_their_arrays(self, worker_service):
+        """Outputs are copied out of the slot before it is freed: a
+        later batch through the same slot leaves them untouched."""
+        first = worker_service.run("UM", seed=5)
+        kept = {n: a.copy() for n, a in first.outputs.items()}
+        assert all(a.flags.owndata for a in first.outputs.values())
+        worker_service.run("UM", seed=6)
+        for name, arr in first.outputs.items():
+            np.testing.assert_array_equal(arr, kept[name])
+        assert output_digests(first.outputs) == oneshot_digests("UM", 5)
+
+    def test_wrong_shape_input_fails_in_the_parent(self, worker_service):
+        from repro.errors import ReproError
+
+        sup = worker_service.supervisor
+        inputs = make_inputs(worker_service.host("UM").pipeline, 0)
+        name = sorted(inputs)[0]
+        inputs[name] = inputs[name][:-8]
+        before = [w["batches"] for w in sup.health()["workers"]]
+        with pytest.raises(ReproError) as excinfo:
+            worker_service.run("UM", inputs=inputs)
+        assert excinfo.value.code.startswith("INPUT")
+        assert [w["batches"] for w in sup.health()["workers"]] == before
+
+    def test_concurrent_batches_never_share_a_slot(self):
+        """More workers than cores, four dispatchers racing for slots
+        and a short switch interval: every explicit-input request gets
+        its own inputs' digests back, and every slot is free after."""
+        svc = PipelineService(
+            worker_config(workers=3, dispatchers=4)).start()
+        interval = sys.getswitchinterval()
+        try:
+            svc.warm(["UM"])
+            host = svc.host("UM")
+            inputs = [make_inputs(host.pipeline, seed) for seed in range(4)]
+            expected = [output_digests(host.execute(i)[0]) for i in inputs]
+            svc.start_workers()
+            sys.setswitchinterval(1e-5)
+            futures = [svc.submit("UM", inputs=inputs[n % 4])
+                       for n in range(48)]
+            for n, fut in enumerate(futures):
+                r = fut.result(timeout=120)
+                assert r.worker is not None
+                assert output_digests(r.outputs) == expected[n % 4]
+            workers = svc.supervisor.health()["workers"]
+            assert [w["free_slots"] for w in workers] == [4, 4, 4]
+        finally:
+            sys.setswitchinterval(interval)
+            svc.shutdown(timeout_s=60.0)
+
+    def test_a_caller_beyond_the_slots_is_turned_away(
+            self, worker_service):
+        """Two workers with two slots each hold four held batches; a
+        fifth direct caller gets WorkerTierUnavailable, never a slot
+        another batch holds, and the four finish bit-identically."""
+        sup = worker_service.supervisor
+        expected = oneshot_digests("UM", 5)
+        results = {}
+
+        def call(rid):
+            results[rid] = sup.execute_batch(
+                "UM", [held_request(rid, sleep_s=0.5)])
+
+        threads = [threading.Thread(target=call, args=(rid,))
+                   for rid in range(1001, 1005)]
+        for t in threads:
+            t.start()
+        assert wait_until(lambda: all(
+            w["free_slots"] == 0 for w in sup.health()["workers"]))
+        with pytest.raises(WorkerTierUnavailable):
+            sup.execute_batch("UM", [held_request(1005)])
+        for t in threads:
+            t.join(timeout=120)
+        assert sorted(results) == [1001, 1002, 1003, 1004]
+        for outcomes in results.values():
+            (outcome,) = outcomes
+            assert outcome.error is None
+            assert output_digests(outcome.outputs) == expected
+        assert all(w["free_slots"] == 2
+                   for w in sup.health()["workers"])
+
+    def test_a_batch_larger_than_a_slot_is_turned_away(
+            self, worker_service):
+        """Seed requests put nothing in the slot; explicit inputs do."""
+        sup = worker_service.supervisor
+        inputs = make_inputs(worker_service.host("UM").pipeline, 5)
+        batch = [held_request(2000 + i)
+                 for i in range(worker_service.config.max_batch_size + 1)]
+        for req in batch:
+            req.inputs = inputs
+        with pytest.raises(WorkerTierUnavailable):
+            sup.execute_batch("UM", batch)
+        assert all(w["free_slots"] == 2
+                   for w in sup.health()["workers"])
 
 
 # ---------------------------------------------------------------------------
