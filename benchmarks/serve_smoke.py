@@ -4,10 +4,11 @@ Boots the server as a subprocess, waits for ``/healthz``, fires
 concurrent HTTP requests against two benchmarks — each client thread
 over one persistent connection — and asserts that every served digest
 is bit-identical to what a one-shot ``repro run --digest`` subprocess
-prints for the same seed and scale, and that the server accepted exactly
-one connection per client.  Finally sends SIGTERM with those connections
-still open and asserts the graceful drain: the server exits 0 and
-reports every admitted request completed.
+prints for the same seed and scale, that the server accepted exactly
+one connection per client, and that no host holds more scratch pools
+than execution slots plus executor threads.  Finally sends SIGTERM with
+those connections still open and asserts the graceful drain: the server
+exits 0 and reports every admitted request completed.
 
 Usage::
 
@@ -146,6 +147,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{len(conns)} keep-alive clients, server accepted "
             f"{accepted and accepted.group(1)} connections")
         print(f"{len(conns)} clients, {len(conns)} connections accepted")
+
+        # scratch pools belong to execution slots and executor threads,
+        # never to the connections' handler threads
+        conns[0].request("GET", "/healthz")
+        health = json.loads(conns[0].getresponse().read())
+        bound = health["config"]["dispatchers"] + health["config"]["threads"]
+        pools = {key: h["pool"]["pools"]
+                 for key, h in health["hosts"].items()}
+        assert all(n <= bound for n in pools.values()), (
+            f"scratch pools per host {pools} exceed {bound} "
+            f"(execution slots + executor threads)")
+        print(f"scratch pools per host {pools}, at most {bound}")
 
         # the connections stay open: the drain must not wait for them
         proc.send_signal(signal.SIGTERM)

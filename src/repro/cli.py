@@ -337,8 +337,8 @@ def cmd_serve(args) -> int:
         max_queue=args.max_queue,
         max_batch_size=args.max_batch,
         default_timeout_s=args.timeout_s,
-        # one dispatcher per worker keeps every worker busy; the
-        # in-process tier keeps its single dispatcher
+        # one execution slot per worker keeps every worker busy; the
+        # in-process tier runs one batch at a time
         dispatchers=max(1, args.workers),
         workers=args.workers,
         worker_timeout_s=args.worker_timeout_s,

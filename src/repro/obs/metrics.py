@@ -126,7 +126,7 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
     "repro_serve_batch_size": (
         "histogram", "Coalesced requests per executed micro-batch"),
     "repro_serve_batches_total": (
-        "counter", "Micro-batches executed by the serve dispatcher"),
+        "counter", "Micro-batches executed by the serve layer"),
     "repro_serve_queue_wait_seconds": (
         "histogram", "Time a request waited in the queue before its "
                      "batch started executing"),

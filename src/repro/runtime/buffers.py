@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..resilience.faults import maybe_fail
 
-__all__ = ["Buffer", "BufferPool", "PoolGroup"]
+__all__ = ["Buffer", "BufferPool", "PoolGroup", "execution_slot"]
 
 
 @dataclass
@@ -129,7 +130,7 @@ class BufferPool:
     arrays over and over; the pool hands each request a previously-released
     array when one is free, so steady-state tile execution performs zero
     allocations.  Pools are *worker-local* — one per tile chunk — so no
-    locking is needed, and arrays never migrate between threads.
+    locking is needed: no two threads ever use one pool at once.
 
     Arrays come back uncleared: compiled kernels (and ``evaluate_cases`` in
     ``out=`` mode) overwrite every element, so zeroing would be wasted work.
@@ -254,36 +255,61 @@ class BufferPool:
             self.stat_evicted += 1
 
 
+#: the calling thread's execution slot (see :func:`execution_slot`), as
+#: a ``("slot", n)`` pool key — never equal to a thread id, the key of
+#: a thread outside any slot
+_BOUND = threading.local()
+
+
+@contextmanager
+def execution_slot(slot: int) -> Iterator[None]:
+    """Bind the calling thread to execution slot ``slot`` while inside:
+    :meth:`PoolGroup.get` then hands it the slot's pool instead of one
+    of its own.  The caller guarantees one thread per slot at a time."""
+    _BOUND.slot = ("slot", slot)
+    try:
+        yield
+    finally:
+        _BOUND.slot = None
+
+
 class PoolGroup:
-    """Thread-keyed :class:`BufferPool`\\ s that persist across executions.
+    """:class:`BufferPool`\\ s that persist across executions, one per
+    *execution slot* and one per other thread.
 
     The executor wants worker-local pools (lock-free, arrays never
-    migrate between threads), and the serve layer wants pools that stay
-    warm across *requests*.  A ``PoolGroup`` reconciles the two: each
-    worker thread gets its own :class:`BufferPool` on first use and keeps
-    it for the group's lifetime, so steady-state requests on a persistent
-    executor run with fully warm scratch.  Every pool carries the group's
-    ``max_free_bytes`` cap.
+    migrate between concurrent walks), and the serve layer wants pools
+    that stay warm across *requests*.  A ``PoolGroup`` reconciles the
+    two: a thread inside :func:`execution_slot` gets that slot's pool —
+    the serve layer runs at most one batch per slot at a time, on
+    whichever thread claimed the slot — and any other thread (an
+    executor worker, a direct caller) gets its own pool on first use.
+    Either keeps its pool for the group's lifetime, so steady-state
+    requests run with fully warm scratch, and the number of pools is
+    bounded by the slots plus the threads that walk chunks, not by how
+    many threads ever submitted a request.  Every pool carries the
+    group's ``max_free_bytes`` cap.
 
-    Only :meth:`get`'s first call per thread takes the lock; after that
-    the lookup is a plain dict read keyed by thread id.
+    Only :meth:`get`'s first call per key takes the lock; after that
+    the lookup is a plain dict read.
     """
 
     def __init__(self, max_free_bytes: Optional[int] = None):
         self.max_free_bytes = max_free_bytes
         self._lock = threading.Lock()
-        self._pools: Dict[int, BufferPool] = {}
+        self._pools: Dict[Hashable, BufferPool] = {}
 
     def get(self) -> BufferPool:
-        """The calling thread's pool (created on first use)."""
-        tid = threading.get_ident()
-        pool = self._pools.get(tid)
+        """The calling thread's execution slot's pool, else the calling
+        thread's own (created on first use)."""
+        key = getattr(_BOUND, "slot", None) or threading.get_ident()
+        pool = self._pools.get(key)
         if pool is None:
             with self._lock:
-                pool = self._pools.get(tid)
+                pool = self._pools.get(key)
                 if pool is None:
                     pool = BufferPool(max_free_bytes=self.max_free_bytes)
-                    self._pools[tid] = pool
+                    self._pools[key] = pool
         return pool
 
     def stats(self) -> Dict[str, int]:
@@ -303,6 +329,6 @@ class PoolGroup:
         return out
 
     def clear(self) -> None:
-        """Drop every thread's pool (shutdown / tests)."""
+        """Drop every pool (shutdown / tests)."""
         with self._lock:
             self._pools.clear()

@@ -2,15 +2,22 @@
 
 Requests targeting the same warm plan — the same ``(pipeline, extents)``
 ``batch_key`` — are coalesced into one *micro-batch* and executed
-back-to-back by the dispatcher, so the per-batch costs (host lookup,
-batch span, one worker round trip) amortize over every member.
+back-to-back on one execution slot, so the per-batch costs (host
+lookup, batch span, one worker round trip) amortize over every member.
 
-Dispatch is work-conserving: a dispatcher never sleeps with a request
-in hand.  A batch is the head of the queue plus whatever same-key
-requests are *already queued*, up to ``max_batch_size`` — members run
-back-to-back, so waiting for batch-mates could only add latency.
-Batches therefore form exactly when they pay: from the backlog that
-accumulates while every dispatcher is busy.
+Dispatch is work-conserving: nobody sleeps with a request in hand.  A
+batch is the head of the queue plus whatever same-key requests are
+*already queued*, up to ``max_batch_size`` — members run back-to-back,
+so waiting for batch-mates could only add latency.  Batches therefore
+form exactly when they pay: from the backlog that accumulates while
+every execution slot is busy.
+
+Two kinds of consumer take batches: a caller waiting for its own
+request takes one without blocking (``next_batch(block=False)``) and
+runs it on its own thread; a dispatcher thread sleeps until something
+is queued (:meth:`MicroBatchQueue.wait_queued`) and serves requests
+nobody runs that way.  Only :meth:`~MicroBatchQueue.submit` with
+``wake=True`` (the default) wakes the dispatchers.
 
 Requests with *different* keys are never reordered relative to each
 other: batch formation removes same-key requests from anywhere in the
@@ -47,7 +54,7 @@ class ServeRequest:
     batch_key: Hashable
     #: input arrays by image name
     inputs: Mapping[str, Any]
-    #: resolved with a ServeResult (or an exception) by the dispatcher
+    #: resolved with a ServeResult (or an exception) by whoever runs it
     future: Future = field(default_factory=Future)
     #: perf_counter timestamp set at admission
     enqueued_at: float = 0.0
@@ -75,23 +82,26 @@ class MicroBatchQueue:
         self._cond = threading.Condition()
 
     # -- producer side --------------------------------------------------
-    def submit(self, request: ServeRequest) -> None:
+    def submit(self, request: ServeRequest, wake: bool = True) -> None:
         """Admit and enqueue, or raise ``SERVE_OVERLOADED`` /
-        ``SERVE_SHUTDOWN`` without enqueueing."""
+        ``SERVE_SHUTDOWN`` without enqueueing.  ``wake=False`` leaves
+        the dispatchers asleep: the caller means to run the request
+        itself, and calls :meth:`wake_all` if it does not."""
         with self._cond:
             self.admission.try_admit(len(self._items), request.pipeline)
             request.enqueued_at = time.perf_counter()
             self._items.append(request)
             if METRICS.enabled:
                 METRICS.set("repro_serve_queue_depth", len(self._items))
-            self._cond.notify_all()
+            if wake:
+                self._cond.notify_all()
 
     def depth(self) -> int:
         with self._cond:
             return len(self._items)
 
     def wake_all(self) -> None:
-        """Wake blocked dispatchers (shutdown)."""
+        """Wake blocked dispatchers."""
         with self._cond:
             self._cond.notify_all()
 
@@ -105,9 +115,19 @@ class MicroBatchQueue:
             return items
 
     # -- consumer side --------------------------------------------------
-    def next_batch(self, poll_s: float = 0.05) -> Optional[List[ServeRequest]]:
-        """The next micro-batch, or ``None`` after ``poll_s`` of empty
-        queue (the dispatcher's shutdown-check cadence).
+    def wait_queued(self, poll_s: float = 0.05) -> bool:
+        """Whether a request is queued, waiting up to ``poll_s`` (the
+        dispatcher's shutdown-check cadence) for one while none is."""
+        with self._cond:
+            if not self._items:
+                self._cond.wait(poll_s)
+            return bool(self._items)
+
+    def next_batch(self, poll_s: float = 0.05,
+                   block: bool = True) -> Optional[List[ServeRequest]]:
+        """The next micro-batch, or ``None`` when the queue is empty —
+        at once with ``block=False``, else after ``poll_s`` of empty
+        queue.
 
         The first queued request seeds the batch and same-``batch_key``
         requests already queued join it (in queue order, from anywhere
@@ -116,7 +136,8 @@ class MicroBatchQueue:
         """
         with self._cond:
             if not self._items:
-                self._cond.wait(poll_s)
+                if block:
+                    self._cond.wait(poll_s)
                 if not self._items:
                     return None
             batch = [self._items.pop(0)]

@@ -73,7 +73,7 @@ from ..runtime import (
     grouping_kernels,
     shared_executor,
 )
-from ..runtime.buffers import PoolGroup
+from ..runtime.buffers import PoolGroup, execution_slot
 from .admission import AdmissionController
 from .batching import MicroBatchQueue, ServeRequest
 
@@ -129,7 +129,8 @@ class ServeConfig:
     max_batch_size: int = 8
     #: default per-request deadline (None: no deadline)
     default_timeout_s: Optional[float] = 30.0
-    #: dispatcher threads executing batches
+    #: execution slots: batches that may run at once, on the threads
+    #: waiting for them or on as many dispatcher threads
     dispatchers: int = 1
     #: worker processes forked after warm-up (0: in-process only)
     workers: int = 0
@@ -371,10 +372,23 @@ class PipelineService:
 
     Lifecycle: :meth:`start` spawns the dispatcher thread(s);
     :meth:`submit` admits requests (shedding under load) and returns a
-    ``Future``; :meth:`drain` stops admission and waits for every
-    admitted request to complete; :meth:`shutdown` drains, stops the
-    dispatchers, and fails anything a timed-out drain left behind with
-    ``SERVE_SHUTDOWN``.
+    ``Future``; :meth:`run` admits one and waits for it; :meth:`drain`
+    stops admission and waits for every admitted request to complete;
+    :meth:`shutdown` drains, stops the dispatchers, and fails anything a
+    timed-out drain left behind with ``SERVE_SHUTDOWN``.
+
+    A batch executes on one of ``config.dispatchers`` **execution
+    slots**, claimed before the batch is taken from the queue and held
+    until the batch finishes, so at most that many batches run at once
+    (the worker arenas' one slot per execution slot relies on it) and
+    each slot's scratch pools
+    (:func:`~repro.runtime.buffers.execution_slot`) serve one batch at a
+    time.  :meth:`run` executes on the thread that waits: while its
+    request is unfinished and a slot is free, the caller runs the head
+    batch itself — no hand-off to a dispatcher and back.  The dispatcher
+    threads, one per slot, serve what nobody waits on that way:
+    :meth:`submit` futures, and the requests of callers that found every
+    slot busy.
     """
 
     def __init__(self, config: Optional[ServeConfig] = None):
@@ -393,6 +407,9 @@ class PipelineService:
         self._started_at: Optional[float] = None
         self._pending = 0
         self._pending_lock = threading.Lock()
+        #: execution slots no batch holds; notified when one is freed
+        self._free_slots = list(range(self.config.dispatchers))
+        self._slot_freed = threading.Condition()
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> "PipelineService":
@@ -491,17 +508,20 @@ class PipelineService:
         seed: Optional[int] = None,
         timeout_s: Optional[float] = -1.0,
         _meta: Optional[Mapping[str, Any]] = None,
+        _wake: bool = True,
     ):
-        """Admit one request; returns its ``Future``.
+        """Admit one request; returns its ``Future``, which a dispatcher
+        thread resolves.
 
         ``inputs`` are the pipeline's image arrays; alternatively a
         ``seed`` generates them deterministically (bit-identical to
         ``repro run --seed``).  ``timeout_s=-1`` means the service
-        default.  Raises ``SERVE_OVERLOADED`` / ``SERVE_SHUTDOWN`` /
-        ``SERVE_UNKNOWN`` instead of enqueueing.
+        default, ``None`` no deadline.  Raises ``SERVE_OVERLOADED`` /
+        ``SERVE_SHUTDOWN`` / ``SERVE_UNKNOWN`` instead of enqueueing.
 
         ``_meta`` is a private extension point (the chaos-test harness
-        plants its deterministic fault hooks through it).
+        plants its deterministic fault hooks through it); ``_wake=False``
+        leaves the dispatchers asleep, for :meth:`run`.
         """
         # a service that was shut down still answers SERVE_SHUTDOWN
         # (admission refuses below), so only "never started" is a bug
@@ -532,7 +552,7 @@ class PipelineService:
         with self._pending_lock:
             self._pending += 1
         try:
-            self.queue.submit(req)
+            self.queue.submit(req, wake=_wake)
         except BaseException:
             with self._pending_lock:
                 self._pending -= 1
@@ -540,31 +560,66 @@ class PipelineService:
         return req.future
 
     def run(self, pipeline: str, **kwargs) -> ServeResult:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        wait_s = kwargs.get("timeout_s")
-        future = self.submit(pipeline, **kwargs)
-        if wait_s in (None, -1.0):
-            wait_s = self.config.default_timeout_s
+        """Admit one request with :meth:`submit`'s arguments and wait for
+        its result, running batches on the calling thread while it can.
+
+        While the request is unfinished and an execution slot is free,
+        the caller claims the slot and runs the head batch — its own
+        request's, or an older one's first.  When it stops with requests
+        still queued it wakes the dispatchers, then waits for its future.
+        """
+        future = self.submit(pipeline, _wake=False, **kwargs)
+        while not future.done() and self._run_next():
+            pass
+        if self.queue.depth():
+            self.queue.wake_all()
+        timeout_s = kwargs.get("timeout_s", -1.0)
+        if timeout_s == -1.0:
+            timeout_s = self.config.default_timeout_s
         # Slack over the server-side deadline so the server-side
         # SERVE_TIMEOUT (not a client-side TimeoutError) wins the race.
         return future.result(
-            timeout=None if wait_s is None else wait_s + 30.0
+            timeout=None if timeout_s is None
+            else min(timeout_s + 30.0, threading.TIMEOUT_MAX)
         )
 
-    # -- dispatcher -----------------------------------------------------
+    # -- execution slots ------------------------------------------------
+    def _run_next(self, wait_s: float = 0.0) -> bool:
+        """Claim an execution slot (waiting up to ``wait_s`` for one),
+        take the head batch and run it on the calling thread; False when
+        every slot stayed busy or nothing was queued.
+
+        The slot comes first, so nobody holds a batch no slot may run;
+        it is freed, and a thread waiting for one woken, when the batch
+        finished."""
+        with self._slot_freed:
+            if not self._free_slots and wait_s:
+                self._slot_freed.wait(wait_s)
+            if not self._free_slots:
+                return False
+            slot = self._free_slots.pop()
+        try:
+            batch = self.queue.next_batch(block=False)
+            if batch is not None:
+                try:
+                    with execution_slot(slot):
+                        self._run_batch(batch)
+                except BaseException as exc:  # pragma: no cover - last resort
+                    for req in batch:
+                        if not req.future.done():
+                            self._finish(req, error=exc)
+        finally:
+            with self._slot_freed:
+                self._free_slots.append(slot)
+                self._slot_freed.notify()
+        return batch is not None
+
     def _dispatch_loop(self) -> None:
         while True:
-            batch = self.queue.next_batch(poll_s=0.05)
-            if batch is None:
-                if self._stop.is_set() and self.queue.depth() == 0:
-                    return
-                continue
-            try:
-                self._run_batch(batch)
-            except BaseException as exc:  # pragma: no cover - last resort
-                for req in batch:
-                    if not req.future.done():
-                        self._finish(req, error=exc)
+            if self.queue.wait_queued(poll_s=0.05):
+                self._run_next(wait_s=0.05)
+            elif self._stop.is_set():
+                return
 
     def _run_batch(self, batch: List[ServeRequest]) -> None:
         key = batch[0].pipeline
@@ -719,6 +774,7 @@ class PipelineService:
             "config": {
                 "max_queue": self.config.max_queue,
                 "max_batch_size": self.config.max_batch_size,
+                "dispatchers": self.config.dispatchers,
                 "threads": self.config.host.threads,
                 "scale": self.config.host.scale,
             },

@@ -23,9 +23,10 @@ third-party web framework, matching the repo's stdlib+numpy constraint:
     batch size, queue wait).  Clients that only need to verify
     bit-identity against ``repro run --digest`` compare digests.  A
     body that is not a JSON object, names no pipeline, or carries a
-    ``seed`` that is not a non-negative integer or a ``timeout_s`` that
-    is neither a number nor ``null`` is answered 400 ``BAD_REQUEST``
-    before admission.
+    ``seed`` that is not a non-negative integer, a ``timeout_s`` that is
+    neither a number of seconds from 0 to ``threading.TIMEOUT_MAX`` nor
+    ``null`` (no deadline), or a ``return_data`` that is not a boolean
+    is answered 400 ``BAD_REQUEST`` before admission.
 
 Errors map onto HTTP statuses by their stable ``repro.errors`` code:
 
@@ -65,6 +66,7 @@ leaves as one buffered, flushed write on a ``TCP_NODELAY`` socket.
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -104,11 +106,14 @@ def _http_status(exc: BaseException) -> Tuple[int, str]:
     return _STATUS_BY_CODE.get(code, 500), code
 
 
-def _run_fields(body: Any) -> Tuple[str, int, Optional[float]]:
-    """``(pipeline, seed, timeout_s)`` of a ``POST /run`` body; raises
-    ``ValueError`` naming the first malformed field, before anything is
-    admitted.  ``seed`` must be a non-negative ``int`` (not a bool, not
-    a float); ``timeout_s`` a number or ``null``."""
+def _run_fields(body: Any) -> Tuple[str, int, Optional[float], bool]:
+    """``(pipeline, seed, timeout_s, return_data)`` of a ``POST /run``
+    body; raises ``ValueError`` naming the first malformed field, before
+    anything is admitted.  ``seed`` must be a non-negative ``int`` (not
+    a bool, not a float); ``timeout_s`` a number of seconds from 0 to
+    ``threading.TIMEOUT_MAX`` (the longest wait a lock takes; not NaN,
+    not infinite) or ``null`` for no deadline; ``return_data`` a JSON
+    boolean."""
     if not isinstance(body, dict):
         raise ValueError("body must be a JSON object")
     pipeline = body.get("pipeline")
@@ -118,13 +123,19 @@ def _run_fields(body: Any) -> Tuple[str, int, Optional[float]]:
     if type(seed) is not int or seed < 0:
         raise ValueError(
             f"'seed' must be a non-negative integer, got {seed!r}")
-    timeout_s = body.get("timeout_s", -1.0)
-    if timeout_s is not None and (
+    timeout_s = body.get("timeout_s", -1.0)  # absent: service default
+    if "timeout_s" in body and timeout_s is not None and (
             isinstance(timeout_s, bool)
-            or not isinstance(timeout_s, (int, float))):
+            or not isinstance(timeout_s, (int, float))
+            or not 0 <= timeout_s <= threading.TIMEOUT_MAX):
         raise ValueError(
-            f"'timeout_s' must be a number or null, got {timeout_s!r}")
-    return pipeline, seed, timeout_s
+            "'timeout_s' must be null or a number of seconds from 0 to "
+            f"{threading.TIMEOUT_MAX:g}, got {timeout_s!r}")
+    return_data = body.get("return_data", False)
+    if type(return_data) is not bool:
+        raise ValueError(
+            f"'return_data' must be true or false, got {return_data!r}")
+    return pipeline, seed, timeout_s, return_data
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -250,7 +261,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             try:
                 body = json.loads(self.rfile.read(length) or b"{}")
-                pipeline, seed, timeout_s = _run_fields(body)
+                pipeline, seed, timeout_s, return_data = _run_fields(body)
             except ValueError as exc:
                 # a JSONDecodeError is a ValueError too
                 self._send_json(400, {"error": {
@@ -260,7 +271,6 @@ class _Handler(BaseHTTPRequestHandler):
                                 else str(exc)),
                 }})
                 return
-            return_data = bool(body.get("return_data", False))
             try:
                 result = self.service.run(
                     pipeline, seed=seed, timeout_s=timeout_s,

@@ -249,10 +249,11 @@ class WorkerSupervisor:
     """Owns the worker processes and every batch routed to them.
 
     ``slots`` is how many batches one worker's arena holds at once —
-    the service's dispatcher count, since each dispatcher has at most
-    one batch in flight — and ``max_batch_size`` how many requests one
-    batch carries; together with the template hosts' image and output
-    sizes they size the arenas at :meth:`start`.
+    the service's execution-slot count (``ServeConfig.dispatchers``),
+    since no more batches than that are ever in flight — and
+    ``max_batch_size`` how many requests one batch carries; together
+    with the template hosts' image and output sizes they size the
+    arenas at :meth:`start`.
     """
 
     def __init__(

@@ -1,4 +1,6 @@
-"""Unit tests for Buffer and expression evaluation."""
+"""Unit tests for Buffer, PoolGroup and expression evaluation."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.dsl import (
     Variable,
 )
 from repro.runtime import Buffer, evaluate_cases, evaluate_expr, make_index_grids
+from repro.runtime.buffers import PoolGroup, execution_slot
 
 
 class TestBuffer:
@@ -48,6 +51,30 @@ class TestBuffer:
         b.store_region([(1, 2), (1, 2)], np.ones((2, 2), dtype=np.float32))
         assert b.read_region([(1, 2), (1, 2)]).sum() == 4
         assert b.data.sum() == 4
+
+
+class TestPoolGroup:
+    def test_a_slot_has_one_pool_whichever_thread_holds_it(self):
+        group = PoolGroup()
+        own = group.get()
+        with execution_slot(0):
+            slot0 = group.get()
+        assert slot0 is not own
+        assert group.get() is own
+        got = {}
+
+        def take(slot):
+            with execution_slot(slot):
+                got.setdefault(slot, []).append(group.get())
+
+        for slot in (0, 1, 0):
+            t = threading.Thread(target=take, args=(slot,))
+            t.start()
+            t.join()
+        # BufferPool is a dataclass: == compares contents, so use `is`
+        assert all(pool is slot0 for pool in got[0])
+        assert got[1][0] is not own and got[1][0] is not slot0
+        assert group.stats()["pools"] == 3
 
 
 class TestIndexGrids:

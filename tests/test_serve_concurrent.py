@@ -2,9 +2,10 @@
 once — with observability enabled, fault injection active, and a shared
 persistent executor plus warm pool group — must stay race-free and
 produce reference-identical outputs.  This is the contract the serve
-layer's dispatcher relies on."""
+layer's execution slots rely on."""
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -162,5 +163,58 @@ class TestConcurrentService:
             snap = svc.admission.snapshot()
             assert snap["completed"] == 32
             assert snap["errors"] == 0
+        finally:
+            svc.shutdown(timeout_s=60.0)
+
+    def test_queue_wait_means_enqueue_to_start_whoever_runs(
+            self, obs_enabled):
+        """Inline ``run()``s, a ``run()`` that found the one slot busy
+        and queued ``submit()``s: ``repro_serve_queue_wait_seconds``
+        counts every request exactly once, and each reply's
+        ``queue_wait_s`` is the same enqueue → start interval — the held
+        requests' covers the hold, the inline ones' does not."""
+        svc = PipelineService(ServeConfig(
+            host=HostConfig(scale=0.05, threads=1),
+        )).start()
+        try:
+            host = svc.host("UM")
+            execute = host.execute
+            started, release = threading.Event(), threading.Event()
+
+            def held(inputs):
+                if not started.is_set():
+                    started.set()
+                    assert release.wait(timeout=60)
+                return execute(inputs)
+
+            inline = [svc.run("UM", seed=0) for _ in range(3)]
+            host.execute = held
+            results = []
+            holder = threading.Thread(
+                target=lambda: results.append(svc.run("UM", seed=0)))
+            holder.start()
+            assert started.wait(timeout=60)
+            waiter = threading.Thread(
+                target=lambda: results.append(svc.run("UM", seed=1)))
+            waiter.start()
+            futures = [svc.submit("UM", seed=2) for _ in range(2)]
+            while svc.queue.depth() < 3:
+                time.sleep(0.001)
+            hold_s = 0.1
+            time.sleep(hold_s)
+            release.set()
+            queued = [f.result(timeout=120) for f in futures]
+            for t in (holder, waiter):
+                t.join(timeout=120)
+            queued += [r for r in results if r.queue_wait_s >= hold_s]
+            first = [r for r in results if r.queue_wait_s < hold_s]
+            assert len(queued) == 3 and len(first) == 1
+            served = inline + first + queued
+            count, total = METRICS.value(
+                "repro_serve_queue_wait_seconds", pipeline="UM")
+            assert count == len(served) == 7
+            assert total == pytest.approx(
+                sum(r.queue_wait_s for r in served), abs=1e-5)
+            assert all(r.queue_wait_s < hold_s for r in inline)
         finally:
             svc.shutdown(timeout_s=60.0)

@@ -133,6 +133,80 @@ class TestBatching:
             svc.shutdown(timeout_s=60.0)
 
 
+class TestThreadModel:
+    def test_idle_service_runs_a_request_on_the_calling_thread(self,
+                                                                service):
+        """``run()`` on an idle service executes on the thread that
+        waits for it — no dispatcher thread touches the request."""
+        host = service.host("UM")
+        ran_on = []
+        execute = host.execute
+
+        def recording(inputs):
+            ran_on.append(threading.current_thread().name)
+            return execute(inputs)
+
+        host.execute = recording
+        expected = oneshot_digests("UM", 4)
+        for _ in range(3):
+            result = service.run("UM", seed=4)
+            assert output_digests(result.outputs) == expected
+        assert ran_on == [threading.current_thread().name] * 3
+        assert not any(n.startswith("repro-serve-dispatch") for n in ran_on)
+
+    def test_batches_in_flight_never_exceed_the_slots(self):
+        """Six concurrent ``run()`` callers and async ``submit()``s on
+        two execution slots: never more than two batches at once, every
+        request served, and the host's pools bounded by the slots plus
+        the executor's threads — not one per caller thread."""
+        svc = PipelineService(small_config(dispatchers=2)).start()
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+        run_batch = svc._run_batch
+
+        def counting(batch):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                time.sleep(0.005)  # widen the overlap window
+                return run_batch(batch)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        svc._run_batch = counting
+        try:
+            host = svc.host("UM")
+            expected = oneshot_digests("UM", 1)
+            barrier = threading.Barrier(6)
+            results, errors = [], []
+
+            def caller():
+                try:
+                    barrier.wait(timeout=60)
+                    for _ in range(4):
+                        results.append(svc.run("UM", seed=1))
+                except BaseException as exc:  # noqa: BLE001 - reported
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=caller) for _ in range(6)]
+            for t in threads:
+                t.start()
+            futures = [svc.submit("UM", seed=1) for _ in range(8)]
+            results += [f.result(timeout=120) for f in futures]
+            for t in threads:
+                t.join(timeout=120)
+            assert errors == []
+            assert len(results) == 6 * 4 + 8
+            assert all(output_digests(r.outputs) == expected
+                       for r in results)
+            assert 1 <= peak[0] <= 2
+            assert host.pools.stats()["pools"] <= 2 + THREADS
+        finally:
+            svc.shutdown(timeout_s=60.0)
+
+
 class TestOverload:
     def test_request_q_plus_1_is_shed(self):
         """With queue bound Q and a blocked executor, requests 1..Q+1
@@ -205,6 +279,29 @@ class TestTimeouts:
             assert svc.admission.snapshot()["timeouts"] == 1
         finally:
             svc.shutdown(timeout_s=60.0)
+
+    def test_null_timeout_is_no_deadline_on_the_waiting_side(self,
+                                                             service):
+        """``run(timeout_s=None)`` waits on its future without a timeout;
+        the default waits the service deadline plus slack."""
+        waits = []
+        submit = service.submit
+
+        def spying(*args, **kwargs):
+            future = submit(*args, **kwargs)
+            result = future.result
+
+            def waiting(timeout=None):
+                waits.append(timeout)
+                return result(timeout)
+
+            future.result = waiting
+            return future
+
+        service.submit = spying
+        service.run("UM", seed=0, timeout_s=None)
+        service.run("UM", seed=0)
+        assert waits == [None, service.config.default_timeout_s + 30.0]
 
 
 class TestDrain:

@@ -147,6 +147,14 @@ class TestRun:
         {"pipeline": "UM", "timeout_s": False},
         [1, 2],
         "UM",
+        {"pipeline": "UM", "timeout_s": float("inf")},
+        {"pipeline": "UM", "timeout_s": 1e308},
+        {"pipeline": "UM", "timeout_s": float("nan")},
+        {"pipeline": "UM", "timeout_s": -5},
+        {"pipeline": "UM", "timeout_s": -1},
+        {"pipeline": "UM", "return_data": "false"},
+        {"pipeline": "UM", "return_data": 0},
+        {"pipeline": "UM", "return_data": None},
     ])
     def test_malformed_run_fields_400_before_admission(self, server,
                                                        body):

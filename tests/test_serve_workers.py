@@ -383,6 +383,60 @@ class TestArena:
             sys.setswitchinterval(interval)
             svc.shutdown(timeout_s=60.0)
 
+    def test_concurrent_run_callers_all_reach_a_worker(self,
+                                                       worker_service):
+        """Four ``run()`` callers at once, on two execution slots over
+        two workers with two arena slots each: never more than two
+        batches at the worker tier, and every request reaches a worker.
+        A batch run without claiming an execution slot could find its
+        worker's arena full and fall back in process, with no error to
+        show for it but ``worker`` unset."""
+        sup = worker_service.supervisor
+        expected = oneshot_digests("UM", 5)
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+        execute_batch = sup.execute_batch
+
+        def counting(key, requests):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                return execute_batch(key, requests)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        sup.execute_batch = counting
+        barrier = threading.Barrier(4)
+        results, errors = [], []
+
+        def caller():
+            try:
+                barrier.wait(timeout=60)
+                for _ in range(4):
+                    results.append(worker_service.run(
+                        "UM", seed=5, _meta={"test_sleep_s": 0.02}))
+            except BaseException as exc:  # noqa: BLE001 - reported
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        # a short switch interval races the callers' worker picks
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(results) == 16
+        assert 1 <= peak[0] <= 2
+        assert all(r.worker is not None for r in results)
+        assert all(output_digests(r.outputs) == expected for r in results)
+
     def test_a_caller_beyond_the_slots_is_turned_away(
             self, worker_service):
         """Two workers with two slots each hold four held batches; a
