@@ -200,12 +200,12 @@ def _helpers() -> str:
 #: Helper functions emitted once per translation unit.
 RUNTIME_HELPERS = _helpers()
 
-#: The native translation unit's two exported runners, printed after
+#: The native translation unit's runners, printed after
 #: :data:`RUNTIME_HELPERS`.  ``repro_run_steps`` runs a group's step
-#: entry once per row of a chunk's step table (:mod:`repro.runtime.native`),
-#: so a chunk of steps is one call from Python.  ``repro_run_program``
-#: runs a request's *program* — consecutive groups of chunks, each chunk
-#: one ``repro_run_steps`` over one op (entry, rows, row count, row words)
+#: entry once per row of a chunk's step table (:mod:`repro.runtime.native`).
+#: ``repro_run_program`` — the one entry Python calls — runs a
+#: *program* — consecutive groups of chunks, each chunk one
+#: ``repro_run_steps`` over one op (entry, rows, row count, row words)
 #: — from a control block: ``ctl[0]`` groups, ``ctl[1]`` the address of
 #: the op list, five words per group (chunks, the last group it waits
 #: for or ``-1``, its first op, chunks claimed, chunks done), then two

@@ -18,8 +18,6 @@ code                      raised when
 ``INPUT_SHAPE``           an input array's shape does not match its image
 ``INPUT_DTYPE``           an input array's dtype cannot feed its image
 ``TILE_FAIL``             a tile of a fused group raised during execution
-``NUMERIC_NAN``           non-finite values detected in a group's output
-``MEMORY_BUDGET``         a scratch allocation would exceed the memory cap
 ``SCHEDULE_FORMAT``       a serialized schedule has an unknown format version
 ``SCHEDULE_STALE``        a serialized schedule does not match the pipeline
                           it is being applied to (digest/name/stage mismatch)
@@ -71,8 +69,6 @@ __all__ = [
     "InputDtypeError",
     "ExecutionError",
     "TileExecutionError",
-    "NumericError",
-    "MemoryBudgetError",
     "ScheduleIOError",
     "ScheduleFormatError",
     "ScheduleStaleError",
@@ -207,19 +203,6 @@ class TileExecutionError(ExecutionError):
     @property
     def cause(self) -> Optional[BaseException]:
         return self.__cause__
-
-
-class NumericError(ExecutionError):
-    """Non-finite values (NaN/Inf) detected in a stage's output."""
-
-    code = "NUMERIC_NAN"
-
-
-class MemoryBudgetError(ExecutionError):
-    """A scratch-buffer allocation would exceed the configured memory cap
-    even at the smallest admissible tile size."""
-
-    code = "MEMORY_BUDGET"
 
 
 # -- serialized schedules ---------------------------------------------------
@@ -399,7 +382,6 @@ NON_RETRYABLE_CODES = frozenset({
     "INPUT_MISSING",
     "INPUT_SHAPE",
     "INPUT_DTYPE",
-    "MEMORY_BUDGET",
     "SCHEDULE",
     "SCHEDULE_FORMAT",
     "SCHEDULE_STALE",
@@ -420,11 +402,10 @@ _NON_RETRYABLE_BUILTINS = (KeyError, IndexError, TypeError)
 def is_retryable(exc: BaseException) -> bool:
     """Whether a failure could plausibly succeed on an identical retry.
 
-    Input/validation errors (``INPUT_*``), memory-budget violations,
-    stale-schedule errors, and deterministic builtin failures
-    (``KeyError`` for a missing buffer, ``IndexError``, ``TypeError``)
-    are non-retryable: the same inputs produce the same failure every
-    time.  Everything else — injected faults, allocation hiccups,
+    Input/validation errors (``INPUT_*``), stale-schedule errors, and
+    deterministic builtin failures (``KeyError`` for a missing buffer,
+    ``IndexError``, ``TypeError``) are non-retryable: the same inputs
+    produce the same failure every time.  Everything else — injected faults, allocation hiccups,
     unclassified runtime errors — is treated as potentially transient.
     """
     if isinstance(exc, ReproError):

@@ -14,17 +14,16 @@ Instrumented sites
     :meth:`repro.model.cost.CostModel.cost` — each *uncached* group
     evaluation (what the DP and incremental tiers run on).
 ``"tile"``
-    each unit attempt of the tiled-group walk of
-    :func:`repro.runtime.executor.execute_grouping`, keyed by group, the
-    unit's first tile, and retry attempt, so bounded retries observe
-    fresh draws.  On a native kernel the unit is the chunk — one C call
-    over a thread's whole share of the group's steps — so there is one
-    check per chunk attempt and a retry re-runs the whole chunk; on any
-    other kernel it is the step, one kernel call over one or more
-    adjacent tiles.  A per-group-walk site: while an injector is active
-    every group walks by itself, and none runs in a request's one-call
-    native program (:func:`repro.runtime.executor._walk_groups`), which
-    has no unit smaller than the call.
+    keyed ``g<group>t<first tile>a<attempt>``, in the two places a tiled
+    group runs (:func:`repro.runtime.executor._walk_groups`).  A native
+    program (:meth:`repro.runtime.native._Program.run`) checks each of
+    its ops — one chunk of a native group, a thread's share of its steps
+    — once, at attempt 0, before any C runs; a fault there makes the
+    program's groups walk one by one on the NumPy kernels.  That
+    per-group walk checks each attempt of each step, one kernel call
+    over one or more adjacent tiles, so bounded retries observe fresh
+    draws.  A chunk's first tile is a step's, so a native chunk's key is
+    also checked by the walk it falls back to.
 ``"alloc"``
     :meth:`repro.runtime.buffers.Buffer.for_region` — scratch and output
     buffer allocation.

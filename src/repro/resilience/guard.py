@@ -7,7 +7,12 @@ system needs:
 * **Upfront input validation** — names, shapes, and dtypes are checked
   against the pipeline's image declarations before any work starts
   (``INPUT_MISSING`` / ``INPUT_SHAPE`` / ``INPUT_DTYPE``).
-* **Per-tile capture with bounded retry** — a tile that raises inside the
+* **A failed native program walks group by group** — a run of native
+  groups executes as one program (:func:`repro.runtime.executor._walk_groups`);
+  when it raises — an injected ``tile`` fault before any C runs, a failed
+  allocation — it publishes nothing, and its groups run one by one on
+  the NumPy stage walk under the two protections below.
+* **Per-step capture with bounded retry** — a step that raises inside the
   thread pool is retried ``tile_retries`` times; persistent failure
   surfaces as ``TILE_FAIL`` with group/tile coordinates and the original
   cause.
@@ -16,15 +21,6 @@ system needs:
   untiled, which is exactly the reference interpreter's semantics; the
   rest of the pipeline continues on the fallback's outputs.  A failed
   tiled group publishes nothing, so the fallback starts from clean state.
-* **Optional non-finite scanning** — each group's freshly computed buffers
-  can be scanned for NaN/Inf; findings trigger the same per-group fallback
-  (or ``NUMERIC_NAN`` in strict mode).  If the reference rerun *also*
-  produces non-finite values the pipeline genuinely computes them, and the
-  outcome records that instead of failing.
-* **Scratch memory cap** — estimated per-tile scratch footprint is checked
-  *before* allocation; oversized tiles are halved along their largest
-  dimension until they fit (``MEMORY_BUDGET`` if even 1-point tiles
-  cannot).
 
 The returned :class:`ExecutionReport` carries the outputs plus a
 per-group audit trail of what actually ran.
@@ -33,26 +29,18 @@ per-group audit trail of what actually ran.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..dsl.pipeline import Pipeline
 from ..obs import METRICS, TRACE
-from ..errors import (
-    MemoryBudgetError,
-    NumericError,
-    ReproError,
-    TileExecutionError,
-    error_code,
-)
+from ..errors import ReproError, TileExecutionError, error_code
 from ..fusion.grouping import Grouping
-from ..poly.alignscale import GroupGeometry, compute_group_geometry
 from ..runtime.executor import (
     KernelTier,
     _execute_group_untiled,
     _execute_one_group,
-    _stage_region,
     _walk_groups,
     validate_inputs,
 )
@@ -64,8 +52,6 @@ __all__ = [
     "ExecutionReport",
     "validate_inputs",
     "execute_guarded",
-    "estimate_tile_scratch_bytes",
-    "fit_tiles_to_memory_cap",
 ]
 
 
@@ -78,11 +64,6 @@ class GuardPolicy:
     #: fall back to reference execution for a failed group instead of
     #: raising (maps to the CLI's ``--degrade`` / ``--strict``)
     degrade: bool = True
-    #: scan each group's outputs for NaN/Inf
-    scan_nonfinite: bool = False
-    #: cap on estimated per-tile scratch bytes (all threads combined);
-    #: tiles shrink to fit before allocation
-    memory_cap_bytes: Optional[int] = None
     #: the highest rung a group's kernel may stand on (default:
     #: ``NATIVE`` unless ``REPRO_KERNELS`` says otherwise)
     kernels: KernelTier = field(default_factory=KernelTier.resolve)
@@ -125,76 +106,6 @@ class ExecutionReport:
         return "\n".join(lines)
 
 
-def estimate_tile_scratch_bytes(
-    pipeline: Pipeline,
-    geom: GroupGeometry,
-    tile_sizes: Sequence[int],
-) -> int:
-    """Estimated bytes of per-tile scratch for one tile of the group: the
-    expanded (overlapped) region of every member stage at its dtype."""
-    radii = geom.expansion_radii()
-    first = tuple(lo for lo, _ in geom.grid_bounds)
-    total = 0
-    for stage in geom.stages:
-        bounds = _stage_region(
-            geom, stage, pipeline, first, tile_sizes, radii, True
-        )
-        if bounds is None:
-            continue
-        volume = 1
-        for lo, hi in bounds:
-            volume *= hi - lo + 1
-        total += volume * stage.scalar_type.np_dtype.itemsize
-    return total
-
-
-def fit_tiles_to_memory_cap(
-    pipeline: Pipeline,
-    geom: GroupGeometry,
-    tile_sizes: Sequence[int],
-    cap_bytes: int,
-    nthreads: int = 1,
-) -> Tuple[int, ...]:
-    """Shrink ``tile_sizes`` (halving the largest dimension first) until
-    ``nthreads`` concurrent tiles of scratch fit under ``cap_bytes``.
-
-    Raises :class:`MemoryBudgetError` if even 1-point tiles exceed the
-    cap — the group cannot be tiled within budget at all.
-    """
-    tiles = list(tile_sizes)
-    while True:
-        est = estimate_tile_scratch_bytes(pipeline, geom, tiles) * nthreads
-        if est <= cap_bytes:
-            return tuple(tiles)
-        candidates = [g for g, t in enumerate(tiles) if t > 1]
-        if not candidates:
-            raise MemoryBudgetError(
-                f"group scratch needs ~{est} bytes even at 1-point tiles, "
-                f"over the {cap_bytes}-byte cap",
-                estimated_bytes=est,
-                cap_bytes=cap_bytes,
-                stages=[s.name for s in geom.stages],
-            )
-        g = max(candidates, key=lambda i: tiles[i])
-        tiles[g] = max(1, tiles[g] // 2)
-
-
-def _nonfinite_stages(
-    members, buffers, pipeline: Pipeline
-) -> List[str]:
-    """Member stages whose (float) buffers contain NaN/Inf."""
-    bad = []
-    for stage in pipeline.stages:
-        if stage not in members:
-            continue
-        buf = buffers.get(stage.name)
-        if buf is None or buf.data.dtype.kind != "f":
-            continue
-        if not np.isfinite(buf.data).all():
-            bad.append(stage.name)
-    return bad
-
-
 def execute_guarded(
     pipeline: Pipeline,
     grouping: Grouping,
@@ -211,8 +122,7 @@ def execute_guarded(
     inputs or a caller contract violation — *execution* failures of any
     group, injected or genuine, are absorbed by re-running that group
     untiled.  In strict mode (``policy.degrade=False``) the structured
-    error of the first failing group propagates (``TILE_FAIL``,
-    ``NUMERIC_NAN``, ``MEMORY_BUDGET``, …).
+    error of the first failing group propagates (``TILE_FAIL``, …).
 
     ``executor`` (a persistent ``ThreadPoolExecutor``) and ``pools`` (a
     :class:`repro.runtime.buffers.PoolGroup` of warm worker-local scratch
@@ -244,34 +154,19 @@ def execute_guarded(
         outcome.mode = "reference-fallback"
         outcome.error_code = code
 
-    def run_group(gi, members, tiles, buffers, ran=None):
+    def run_group(gi, members, tiles, buffers, tier=None, ran=None):
         outcome = GroupOutcome(
             group_index=gi, stages=sorted(s.name for s in members),
             mode=ran or "tiled", tile_sizes=tuple(tiles),
         )
         if ran is not None:
-            # run by a native program: nothing to retry or scan
+            # run by a native program: nothing to retry
             outcomes.append(outcome)
             return {"mode": ran}
         try:
-            run_tiles: Sequence[int] = tiles
-            if policy.memory_cap_bytes is not None:
-                geom = compute_group_geometry(pipeline, members)
-                if geom is not None and len(tiles) == geom.ndim:
-                    run_tiles = fit_tiles_to_memory_cap(
-                        pipeline, geom, tiles,
-                        policy.memory_cap_bytes, nthreads,
-                    )
-                    if tuple(run_tiles) != tuple(tiles):
-                        outcome.note = (
-                            f"tiles shrunk {list(tiles)} -> "
-                            f"{list(run_tiles)} for memory cap"
-                        )
-                        outcome.tile_sizes = tuple(run_tiles)
             outcome.mode = _execute_one_group(
-                pipeline, members, run_tiles, buffers, nthreads,
-                policy.kernels, group_index=gi,
-                tile_retries=policy.tile_retries,
+                pipeline, members, tiles, buffers, nthreads, tier,
+                group_index=gi, tile_retries=policy.tile_retries,
                 executor=executor, pools=pools,
             )
         except Exception as exc:  # noqa: BLE001 - rewrapped below
@@ -285,39 +180,16 @@ def execute_guarded(
                     cause=exc,
                 ) from exc
             fall_back(outcome, members, buffers, error_code(exc))
-            if not outcome.note:
-                outcome.note = str(exc)[:200]
-
-        if policy.scan_nonfinite:
-            bad = _nonfinite_stages(members, buffers, pipeline)
-            if bad and outcome.mode != "reference-fallback":
-                if not policy.degrade:
-                    raise NumericError(
-                        f"non-finite values in stages {bad} of "
-                        f"group {gi}",
-                        group_index=gi,
-                        stages=bad,
-                    )
-                fall_back(outcome, members, buffers, NumericError.code)
-                bad = _nonfinite_stages(members, buffers, pipeline)
-            if bad and outcome.mode == "reference-fallback":
-                outcome.note = (
-                    f"non-finite values in {bad} (also in "
-                    f"reference — genuine pipeline output)"
-                )
+            outcome.note = str(exc)[:200]
         outcomes.append(outcome)
         attrs = {"mode": outcome.mode}
         if outcome.error_code:
             attrs["error_code"] = outcome.error_code
         return attrs
 
-    # a program runs every group of a segment at once: the per-group
-    # walk keeps what decides per group — the non-finite scan and the
-    # memory cap
-    per_group = policy.scan_nonfinite or policy.memory_cap_bytes is not None
     outputs = _walk_groups(
         pipeline, grouping, inputs, nthreads,
-        "execute_guarded", "guarded", run_group,
-        None if per_group else policy.kernels, executor, pools,
+        "execute_guarded", "guarded", run_group, policy.kernels, executor,
+        pools,
     )
     return ExecutionReport(outputs=outputs, outcomes=outcomes)

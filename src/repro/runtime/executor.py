@@ -11,15 +11,14 @@ Two entry points:
   live-outs write their base tile to full buffers, and tiles are
   independent — optionally run on a thread pool, which is exactly what the
   broken inter-tile dependences of overlapped tiling permit.  A group's
-  walk is planned once per tiling; every step of it (one or more
-  adjacent tiles) is one call into that group's
-  :class:`~repro.runtime.kernelcache.GroupKernel` — a native kernel's
-  whole chunk of steps is one call; a :class:`KernelTier` selects what
-  stands behind it (native C, compiled stage kernels, or the
-  interpreter).  Adjacent tiles always reuse halos where
-  the group's geometry allows.  A warm request runs each run of
-  consecutive native groups as one native program — one call per
-  thread (:func:`_walk_groups`).
+  walk is planned once per tiling; a :class:`KernelTier` selects what
+  stands behind its :class:`~repro.runtime.kernelcache.GroupKernel`
+  (native C, compiled stage kernels, or the interpreter).  Adjacent
+  tiles always reuse halos where the group's geometry allows.  Each run
+  of consecutive native groups runs as one native program — one call
+  per thread (:func:`_walk_groups`) — and every other group walks by
+  itself, one kernel call per step (one or more adjacent tiles) of the
+  NumPy kernels.
 
 Every :class:`KernelTier` at every thread count produces output digests
 equal to :func:`execute_reference`'s; the test suite pins this for every
@@ -64,7 +63,7 @@ from ..obs import METRICS, TRACE
 from ..fusion.grouping import Grouping
 from ..poly.alignscale import GroupGeometry, compute_group_geometry
 from ..poly.overlap import reuse_carry_dim
-from ..resilience.faults import active_injector, maybe_fail, suspended
+from ..resilience.faults import maybe_fail, suspended
 from . import native
 from .buffers import Buffer, BufferPool, PoolGroup
 from .evalexpr import evaluate_cases, evaluate_expr, make_index_grids
@@ -705,8 +704,8 @@ class _Step(NamedTuple):
 
 class _Chunk(NamedTuple):
     """One chunk of a walk plan: its planned steps, its schedule tiles
-    and — for a native kernel — the step table that runs it in one
-    call (``GroupKernel.tabulate``)."""
+    and — for a native kernel — the step table a program runs it by
+    (``GroupKernel.tabulate``)."""
 
     steps: Tuple[_Step, ...]
     ntiles: int
@@ -915,14 +914,13 @@ class _Done:
 
 def _retry_or_raise(
     exc: Exception, attempts: int, tile_retries: int, group_index: int,
-    first: _Step, ntiles: int, unit: str,
+    step: _Step,
 ) -> None:
-    """After failed attempt number ``attempts`` of a ``unit`` — a step,
-    or a native chunk — of ``ntiles`` tiles starting at ``first``:
-    return when it may be retried, else raise ``TILE_FAIL``.  A
-    deterministic failure (missing buffer, ``INPUT_*``, memory budget)
-    cannot succeed on an identical retry, so it surfaces at once with
-    the true attempt count instead of burning the budget."""
+    """After failed attempt number ``attempts`` of ``step``: return when
+    it may be retried, else raise ``TILE_FAIL``.  A deterministic
+    failure (missing buffer, ``INPUT_*``) cannot succeed on an identical
+    retry, so it surfaces at once with the true attempt count instead of
+    burning the budget."""
     observing = METRICS.enabled
     retryable = is_retryable(exc)
     if retryable and attempts <= tile_retries:
@@ -934,13 +932,13 @@ def _retry_or_raise(
             METRICS.inc("repro_tile_nonretryable_total")
         METRICS.inc("repro_tile_failures_total", code=error_code(exc))
     raise TileExecutionError(
-        f"tile {first.tile_index} of group {group_index} (a {unit} of "
-        f"{ntiles} tile(s)) failed after {attempts} attempt(s)"
+        f"tile {step.tile_index} of group {group_index} (a step of "
+        f"{step.ntiles} tile(s)) failed after {attempts} attempt(s)"
         f"{'' if retryable else ' (non-retryable)'}: {exc}",
         group_index=group_index,
-        tile_index=first.tile_index,
-        tile_origin=tuple(first.tile_lo),
-        step_tiles=ntiles,
+        tile_index=step.tile_index,
+        tile_origin=tuple(step.tile_lo),
+        step_tiles=step.ntiles,
         cause=exc,
         attempts=attempts,
         retryable=retryable,
@@ -958,42 +956,19 @@ def _walk_chunk(
     group_index: int = 0,
     tile_retries: int = 0,
 ) -> None:
-    """Run one planned chunk on ``kernel``, adding what completed to
-    ``done``; the caller releases ``pool`` afterwards.
+    """Run one planned chunk on ``kernel`` — a NumPy kernel; a native
+    one runs only inside a program — adding what completed to ``done``;
+    the caller releases ``pool`` afterwards.
 
-    A native chunk is one call into its step table, and the unit of
-    retry and of the ``"tile"`` fault site — one check per chunk
-    attempt, keyed by its first tile; a retry re-runs the whole chunk.
-    On any other kernel the unit is the step: one ``kernel.fn`` call per
-    planned step, its carried slots handed the windows earlier seeds
-    left in ``windows``.  A failed step attempt drops every window (it
-    may have poisoned them: reclaimed scratch a window still aliases)
-    and the chunk's rest is planned again from a fresh carry, so the
-    retry — and every step until the chain re-seeds — computes fresh
-    windows."""
+    The unit of retry and of the ``"tile"`` fault site is the step: one
+    ``kernel.fn`` call per planned step, its carried slots handed the
+    windows earlier seeds left in ``windows``.  A failed step attempt
+    drops every window (it may have poisoned them: reclaimed scratch a
+    window still aliases) and the chunk's rest is planned again from a
+    fresh carry, so the retry — and every step until the chain re-seeds
+    — computes fresh windows."""
     observing = METRICS.enabled
     attempts = 0
-    if chunk.table is not None:
-        first = chunk.steps[0]
-        while True:
-            try:
-                maybe_fail(
-                    "tile",
-                    detail=f"g{group_index}t{first.tile_index}a{attempts}",
-                )
-                chunk.table.run(buffers, out_buffers, pool)
-                break
-            except Exception as exc:  # noqa: BLE001 - rewrapped below
-                attempts += 1
-                pool.release_all()
-                if plan.reuse and observing:
-                    METRICS.inc("repro_halo_reuse_invalidations_total")
-                _retry_or_raise(
-                    exc, attempts, tile_retries, group_index, first,
-                    chunk.ntiles, "chunk",
-                )
-        done.add(chunk.steps)
-        return
     steps, at = chunk.steps, 0
     windows: Dict[int, Buffer] = {}
     no_carries = (None,) * len(plan.region_plans)
@@ -1019,10 +994,7 @@ def _walk_chunk(
             windows.clear()
             if plan.reuse and observing:
                 METRICS.inc("repro_halo_reuse_invalidations_total")
-            _retry_or_raise(
-                exc, attempts, tile_retries, group_index, step, step.ntiles,
-                "step",
-            )
+            _retry_or_raise(exc, attempts, tile_retries, group_index, step)
             steps, at = plan.plan_steps(s[:4] for s in steps[at:]), 0
             continue
         if plan.reuse:
@@ -1053,8 +1025,10 @@ def _execute_group_tiled(
     executor: Optional[ThreadPoolExecutor] = None,
     pools: Optional[PoolGroup] = None,
 ) -> None:
-    """Execute one fused group with overlapped tiling, updating
-    ``buffers`` with its live-out arrays.
+    """Execute one fused group with overlapped tiling on a NumPy
+    ``kernel``, updating ``buffers`` with its live-out arrays — the
+    per-group walk.  A native group runs inside a program instead
+    (:func:`_walk_groups`), from the same plan.
 
     Everything the walk derives from the geometry — regions, bases,
     seed-or-carry decisions, chunks, a native kernel's step tables — is
@@ -1082,10 +1056,8 @@ def _execute_group_tiled(
     persistent pool owned by the caller), else on the process-global
     :func:`shared_executor`; scratch pools come from ``pools`` when
     given (worker-local pools that stay warm across calls), else one
-    fresh pool per chunk.  A native kernel's chunk is one GIL-free call
-    over its step table, every scratch or carried window at a fixed
-    offset into one arena taken from the pool; any other kernel's is one
-    ``kernel.fn`` call per step (:func:`_walk_chunk`).
+    fresh pool per chunk.  A chunk is one ``kernel.fn`` call per step
+    (:func:`_walk_chunk`).
 
     Halo reuse is always on: each chunk walks its tiles in *runs* of
     adjacent tiles along a *carry dimension* and computes every
@@ -1113,13 +1085,13 @@ def _execute_group_tiled(
     base region, which is why a step is bounded by a point budget
     instead of running to the run's end.
 
-    The unit of retry and of the ``"tile"`` fault site is the step, and
-    a native kernel's whole chunk (:func:`_walk_chunk`): a unit that
-    raises is retried up to ``tile_retries`` times, then the failure
-    surfaces as a :class:`TileExecutionError` (code ``TILE_FAIL``) naming
-    the group, the unit's first tile and tile count, and the original
-    cause — also from inside the thread-pool path, where a bare exception
-    would otherwise emerge as an opaque traceback out of a future.
+    The unit of retry and of the ``"tile"`` fault site is the step
+    (:func:`_walk_chunk`): a step that raises is retried up to
+    ``tile_retries`` times, then the failure surfaces as a
+    :class:`TileExecutionError` (code ``TILE_FAIL``) naming the group,
+    the step's first tile and tile count, and the original cause — also
+    from inside the thread-pool path, where a bare exception would
+    otherwise emerge as an opaque traceback out of a future.
     Live-outs are published to ``buffers`` only after every chunk
     succeeded, so a failed group leaves ``buffers`` untouched and a
     caller can fall back cleanly.
@@ -1161,8 +1133,8 @@ def _execute_group_tiled(
                     group_index, tile_retries,
                 )
             finally:
-                # Carried windows and a native chunk's arena held the
-                # pool's arrays across steps — hand them all back now.
+                # Carried windows held the pool's arrays across steps —
+                # hand them all back now.
                 pool.release_all()
                 if observing:
                     # Also when a unit failed for good: the steps before
@@ -1357,17 +1329,19 @@ def _kernels_agree(pipeline: Pipeline, geom, kernel: GroupKernel) -> bool:
     group's stage walk does — the stage-walking adapter over compiled
     stage kernels, which shares none of the native plan's inlining or
     direct-store decisions, so a bug in those cannot agree with itself
-    — on seeded producers and 16-point tiles, as the live-outs' bytes:
-    two one-tile chunks, one at the grid's low corner (border windows)
-    and one in its middle (interior windows), and one whole chunk, the
-    grid's middle row walked in steps of two tiles, so that carried
-    slots, windows seeded to the run's end and copy-outs from carried
-    windows are compared too.  Each kernel walks the same tiles on its
-    own :class:`_WalkPlan` — a one-tile run seeds exactly to its own
-    expanded bound — ``kernel`` by its step table, the stage walk step
-    by step.  A reduction's kernel: the same bytes as the interpreter's
-    walk over its whole reduction domain, from producers spread so that
-    targets fall inside and outside the accumulator."""
+    — on seeded producers and 16-point tiles, as the live-outs' bytes
+    over the walked tiles' base regions: two one-tile chunks, one at the
+    grid's low corner (border windows) and one in its middle (interior
+    windows), and one whole chunk, the grid's middle row walked in steps
+    of two tiles, so that carried slots, windows seeded to the run's end
+    and copy-outs from carried windows are compared too.  Each kernel
+    walks the same tiles on its own :class:`_WalkPlan` — a one-tile run
+    seeds exactly to its own expanded bound — ``kernel`` as a one-op
+    program of the chunk's step table (whose outputs are not zeroed:
+    only base regions are compared), the stage walk step by step.  A
+    reduction's kernel: the same bytes as the interpreter's walk over
+    its whole reduction domain, from producers spread so that targets
+    fall inside and outside the accumulator."""
     reference = _numpy_kernel(pipeline, geom, KernelTier.STAGE)
     if isinstance(geom, Reduction):
         buffers = _seeded_producers(pipeline, [geom], spread=True)
@@ -1382,12 +1356,12 @@ def _kernels_agree(pipeline: Pipeline, geom, kernel: GroupKernel) -> bool:
         lo + (hi - lo + 1) // 2 // t * t
         for (lo, hi), t in zip(geom.grid_bounds, sizes)
     )
-    walks = [
-        (k, _WalkPlan(pipeline, geom, sizes, k, step_tiles=2))
+    plan, stage_plan = (
+        _WalkPlan(pipeline, geom, sizes, k, step_tiles=2)
         for k in (kernel, reference)
-    ]
-    tiles = walks[0][1].tiles
-    row = walks[0][1].row_len or len(tiles)
+    )
+    tiles = plan.tiles
+    row = plan.row_len or len(tiles)
     mid = len(tiles) // row // 2 * row
     checks = (
         tiles[:1],
@@ -1396,21 +1370,28 @@ def _kernels_agree(pipeline: Pipeline, geom, kernel: GroupKernel) -> bool:
     )
     with suspended():
         for check in checks:
-            got = []
-            for k, plan in walks:
-                outs = {
-                    s.name: Buffer.for_region(
-                        pipeline.domain(s), s.scalar_type.np_dtype
-                    )
-                    for s in geom.liveouts
-                }
-                _walk_chunk(
-                    plan, plan.chunk(check), k, buffers, outs,
-                    BufferPool(), _Done(),
+            chunk = plan.chunk(check)
+            got, _, _ = native.pack_program(pipeline, [[chunk.table]]).run(
+                buffers, BufferPool(), None, 1
+            )
+            outs = {
+                s.name: Buffer.for_region(
+                    pipeline.domain(s), s.scalar_type.np_dtype
                 )
-                got.append({n: o.data.tobytes() for n, o in outs.items()})
-            if got[0] != got[1]:
-                return False
+                for s in geom.liveouts
+            }
+            _walk_chunk(
+                stage_plan, stage_plan.chunk(check), reference, buffers,
+                outs, BufferPool(), _Done(),
+            )
+            for j, name in enumerate(kernel.liveout_names):
+                for step in chunk.steps:
+                    base = step.bases[j]
+                    if base is not None and (
+                        got[name].read_region(base).tobytes()
+                        != outs[name].read_region(base).tobytes()
+                    ):
+                        return False
     return True
 
 
@@ -1561,8 +1542,11 @@ def _execute_one_group(
     executor: Optional[ThreadPoolExecutor] = None,
     pools: Optional[PoolGroup] = None,
 ) -> str:
-    """Execute a single group of a grouping, returning the mode used:
-    ``"tiled"`` or ``"untiled"``."""
+    """Execute a single group of a grouping by itself, returning the mode
+    used: ``"tiled"`` or ``"untiled"``.  A tiled group walks on NumPy
+    kernels — a native one's stage walk: native groups run only inside a
+    program (:func:`_walk_groups`).  At ``NATIVE`` an untiled group runs
+    its native reductions by their ``fn``, a one-op program each."""
     geom = _tiled_geometry(pipeline, members)
     if geom is None:
         reducers = {}
@@ -1586,9 +1570,11 @@ def _execute_one_group(
             f"group {[s.name for s in members]} needs {geom.ndim} tile "
             f"sizes, got {len(tiles)}"
         )
+    kernel = resolve_group_kernel(pipeline, geom, kernels)
+    if kernel.native:
+        kernel = resolve_group_kernel(pipeline, geom, KernelTier.STAGE)
     _execute_group_tiled(
-        pipeline, geom, tiles, buffers, nthreads,
-        resolve_group_kernel(pipeline, geom, kernels),
+        pipeline, geom, tiles, buffers, nthreads, kernel,
         group_index=group_index, tile_retries=tile_retries,
         executor=executor, pools=pools,
     )
@@ -1615,8 +1601,8 @@ def _segment_part(
 ):
     """``(program groups, mode, span attributes, done, chunk span
     attributes)`` of one group in a program, or ``None`` when it walks
-    by itself: a unit that is not native, a stage run on NumPy, a
-    producer region left empty."""
+    by itself on NumPy kernels: a unit that is not native, a stage run
+    on NumPy, a producer region left empty."""
     geom = _tiled_geometry(pipeline, members)
     if geom is None:
         reductions = _reductions_in(pipeline, members)
@@ -1683,16 +1669,18 @@ def _segments(
         if parts[gi] is None:
             gi += 1
             continue
-        first, program, groups, ops = gi, [], [], 0
+        first, program, numbers, groups, ops = gi, [], [], [], 0
         while gi < len(parts) and parts[gi] is not None:
             part, mode, attrs, done, chunks = parts[gi]
             width = sum(len(p) for p in part)
             groups.append((mode, attrs, done, slice(ops, ops + width), chunks))
             program += part
+            numbers += [gi] * len(part)
             ops += width
             gi += 1
         got[first] = _Segment(
-            first, gi, native.pack_program(pipeline, program), tuple(groups)
+            first, gi, native.pack_program(pipeline, program, numbers),
+            tuple(groups),
         )
     per[key] = got
     return got
@@ -1745,7 +1733,8 @@ def _run_segment(
                     pool.stat_allocated - allocated, result="allocated")
     recorded = [
         {**attrs, **run_group(
-            gi, grouping.groups[gi], grouping.tile_sizes[gi], buffers, mode
+            gi, grouping.groups[gi], grouping.tile_sizes[gi], buffers,
+            ran=mode,
         )}
         for gi, (mode, attrs, *_) in enumerate(seg.groups, seg.first)
     ]
@@ -1790,7 +1779,7 @@ def _walk_groups(
     entry: str,
     mode: str,
     run_group: Callable[..., Mapping[str, object]],
-    kernels: Optional[KernelTier] = None,
+    kernels: KernelTier,
     executor: Optional[ThreadPoolExecutor] = None,
     pools: Optional[PoolGroup] = None,
 ) -> Dict[str, np.ndarray]:
@@ -1798,19 +1787,24 @@ def _walk_groups(
     ``"execute_grouping"`` / ``"strict"``) and
     :func:`repro.resilience.guard.execute_guarded`
     (``"execute_guarded"`` / ``"guarded"``) share: validate the inputs
-    into buffers, call ``run_group(index, members, tiles, buffers)`` for
-    every group in topological order — it publishes the group's stages
-    into ``buffers`` and returns what to record on the group's span —
-    and gather the outputs.  ``entry`` names the span around the walk,
+    into buffers, call ``run_group(index, members, tiles, buffers,
+    tier)`` for every group in topological order — it runs the group at
+    ``tier`` (:func:`_execute_one_group`), publishes its stages into
+    ``buffers`` and returns what to record on the group's span — and
+    gather the outputs.  ``entry`` names the span around the walk,
     ``mode`` labels ``repro_execute_seconds``.
 
-    With ``kernels`` at ``NATIVE`` and no fault injector active, each
-    segment of the grouping (:func:`_segments`) runs as one native
-    program instead — one GIL-free call per thread, helpers submitted to
-    ``executor``, intermediates in one arena from the walking thread's
-    pool of ``pools`` — and ``run_group(..., ran=mode)`` only records
-    it.  A segment whose program raises runs group by group, as if it
-    had none.  Without ``kernels`` every group walks by itself.
+    At ``kernels`` ``NATIVE``, each segment of the grouping
+    (:func:`_segments`) runs as one native program instead — one
+    GIL-free call per thread, helpers submitted to ``executor``,
+    intermediates in one arena from the walking thread's pool of
+    ``pools``, one ``"tile"`` fault-site check per op before any of it —
+    and ``run_group(..., ran=mode)`` only records it.  A segment whose
+    program raises publishes nothing and runs group by group at
+    ``STAGE``, the NumPy stage walk: each step retried there and, under
+    :func:`~repro.resilience.guard.execute_guarded`, each group behind
+    its reference fallback.  The only native code Python calls is a
+    program's.
     """
     if grouping.pipeline is not pipeline:
         raise ValueError("grouping was built for a different pipeline")
@@ -1819,7 +1813,7 @@ def _walk_groups(
     segments: Mapping[int, _Segment] = {}
     with TRACE.span("prepare", pipeline=pipeline.name):
         buffers = _input_buffers(pipeline, inputs)
-        if kernels == KernelTier.NATIVE and active_injector() is None:
+        if kernels == KernelTier.NATIVE:
             segments = _segments(pipeline, grouping, nthreads, kernels)
     held: List[Tuple[BufferPool, np.ndarray]] = []
 
@@ -1839,6 +1833,7 @@ def _walk_groups(
                 ):
                     gi = seg.stop
                     continue
+                tier = KernelTier.STAGE if seg else kernels
                 for gi in range(gi, seg.stop if seg else gi + 1):
                     members = grouping.groups[gi]
                     tiles = grouping.tile_sizes[gi]
@@ -1848,7 +1843,9 @@ def _walk_groups(
                         stages=sorted(s.name for s in members),
                         tiles=list(tiles),
                     ) as gspan:
-                        gspan.set(**run_group(gi, members, tiles, buffers))
+                        gspan.set(
+                            **run_group(gi, members, tiles, buffers, tier)
+                        )
                     if observing:
                         METRICS.observe(
                             "repro_group_seconds",
@@ -1915,9 +1912,9 @@ def execute_grouping(
     if kernels is None:
         kernels = KernelTier.resolve()
 
-    def run_group(gi, members, tiles, buffers, ran=None):
+    def run_group(gi, members, tiles, buffers, tier=None, ran=None):
         return {"mode": ran or _execute_one_group(
-            pipeline, members, tiles, buffers, nthreads, kernels,
+            pipeline, members, tiles, buffers, nthreads, tier,
             group_index=gi, tile_retries=tile_retries,
             executor=executor, pools=pools,
         )}

@@ -780,8 +780,9 @@ class GroupKernel:
     (``region_names`` = every member) and :mod:`repro.runtime.native`
     (``native``: compiled C, with the slots of the group's
     :class:`GroupPlan`).  A native kernel has ``tabulate`` instead of
-    ``fn``: the executor hands it a chunk's planned steps once, and what
-    it returns runs the whole chunk in one call.
+    ``fn``: the executor hands it a chunk's planned steps once, and the
+    step table it returns is one op of a request's native program
+    (:func:`repro.runtime.native.pack_program`).
 
     A reduction stage runs untiled, whole, and has no tile to hand over:
     its kernel (:meth:`for_reduction`) has no slots and
@@ -802,8 +803,9 @@ class GroupKernel:
     #: a native group kernel's step-table builder
     #: (:func:`repro.runtime.native._make_tabulate`); ``None`` otherwise
     tabulate: Optional[Callable] = None
-    #: a native reduction's one-row step table, which ``fn`` runs and a
-    #: request program runs as a group of one chunk; ``None`` otherwise
+    #: a native reduction's one-row step table, which ``fn`` runs as a
+    #: one-op program and a request program as a group of one chunk;
+    #: ``None`` otherwise
     table: Optional[object] = None
 
     @classmethod

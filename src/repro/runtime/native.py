@@ -6,7 +6,7 @@ emits one C entry point that executes **one step** — every materialised
 member over its region, live-outs published — from the group's
 :class:`~repro.runtime.kernelcache.GroupPlan` (its region slots, inlined
 members and direct stores), which the executor's carry, seeding and
-step machinery walk the same way they walk the stage-walking adapter's
+step machinery plan the same way they walk the stage-walking adapter's
 slots.  A reduction stage — it runs untiled, whole — gets
 one entry too: the serial loop nest of
 :func:`repro.codegen.cgen._emit_reduction` (``ufunc.at``'s order and
@@ -43,23 +43,21 @@ region slot and base ``flag, lo, hi, …`` with flag 0 empty / 1 compute /
 2 carried.  The executor plans a group's walk once per tiling
 (:class:`repro.runtime.executor._WalkPlan`) and hands each chunk's
 planned steps to the kernel's ``tabulate``, which packs them into one
-immutable step table: one descriptor row per step, every scratch or
-carried window at a fixed offset into one per-chunk arena.  Running a
-chunk (:class:`_StepTable`) writes only pointer words into a private
-copy — out-of-kernel producers, live-out buffers, the arena taken from
-the worker's pool — and makes **one** GIL-releasing ``ctypes`` call to
-``repro_run_steps`` (:data:`repro.codegen.cexpr.STEP_LOOP`), which runs
-the step entry once per row.  A native group kernel has no per-step
-``fn``: serving and the first-use self-check alike run step tables.  A
-reduction's descriptor is its producers' buffer slots, then its
-accumulator's: a step table of one row.
+immutable step table (:class:`_StepTable`): one descriptor row per
+step, every scratch or carried window at a fixed offset into one
+per-chunk arena.  A reduction's descriptor is its producers' buffer
+slots, then its accumulator's: a step table of one row.
 
-A warm request does not run tables one by one: :func:`pack_program`
-packs the tables of consecutive native groups into one
-:class:`_Program` — op list, tables, intermediates and scratch at fixed
-offsets of one request arena — which every thread runs with one call
-to ``repro_run_program``, claiming chunks in C
-(``docs/runtime.md``, "One call per request").
+Python runs native code one way only: :func:`pack_program` packs step
+tables — the chunks of consecutive native groups of a request, or one
+table — into one :class:`_Program` (op list, tables, intermediates and
+scratch at fixed offsets of one arena), and :meth:`_Program.run` writes
+the request's pointer words into the arena and makes one GIL-releasing
+``repro_run_program`` call per thread, claiming chunks in C; each chunk
+is one ``repro_run_steps`` over its rows
+(:data:`repro.codegen.cexpr.STEP_LOOP`; ``docs/runtime.md``, "One call
+per request").  A native group kernel has no per-step ``fn``; a native
+reduction's ``fn`` and the first-use self-check run one-op programs.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
-    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -91,8 +89,9 @@ from ..dsl.function import Function, Reduction
 from ..dsl.pipeline import Pipeline
 from ..errors import KernelFuseError, KernelNativeError
 from ..obs import METRICS
+from ..resilience.faults import active_injector, maybe_fail
 from . import nativestore
-from .buffers import Buffer
+from .buffers import Buffer, BufferPool
 from .kernelcache import (
     GroupKernel,
     GroupPlan,
@@ -410,25 +409,6 @@ def _emit_group(
 # ---------------------------------------------------------------------------
 
 
-def _producer_words(buffers, ext) -> List[int]:
-    """The descriptor's leading words: one buffer slot per out-of-kernel
-    producer ``(name, dtype)`` in ``ext``."""
-    words: List[int] = []
-    for name, dtype in ext:
-        buf = buffers[name]
-        arr = buf.data
-        if arr.dtype != dtype or not arr.flags.c_contiguous:
-            # never the executor's buffers (inputs are normalised when
-            # they become buffers); refuse, do not reinterpret
-            raise TypeError(
-                f"buffer {name!r} is {arr.dtype}, C-contiguous="
-                f"{arr.flags.c_contiguous}; the native kernel needs "
-                f"C-contiguous {dtype}"
-            )
-        words += (arr.ctypes.data, *buf.origin, *arr.shape)
-    return words
-
-
 def _full_region(pipeline: Pipeline, producer) -> Tuple[tuple, tuple]:
     """``(origin, shape)`` of the full buffer the executor keeps
     ``producer`` in: a stage's domain, an input image from zero."""
@@ -441,39 +421,32 @@ def _full_region(pipeline: Pipeline, producer) -> Tuple[tuple, tuple]:
     return (0,) * len(shape), tuple(shape)
 
 
-class _Runners(NamedTuple):
-    """A loaded unit's two runners (:data:`repro.codegen.cexpr.STEP_LOOP`)."""
-
-    steps: Callable
-    program: Callable
-
-
 class _StepTable:
     """One chunk of a native group — or a whole native reduction, a
-    table of one row — as one C call.
+    table of one row — as one op of a :class:`_Program`.
 
     ``rows`` is immutable: one descriptor per planned step (module
     docstring), except that every pointer word holds an arena offset
     (scratch and carried windows) or nothing (a live-out buffer or an
     out-of-kernel producer, whose origin and shape words hold its full
-    buffer's).  :meth:`run` fills those into a private copy — producers'
-    slots into their columns ``ext_cols`` of every row, ``ptrs[src]``
-    added at the flat positions ``flat`` — and runs the rows.  A request
-    program (:class:`_Program`) patches the same words in place."""
+    buffer's).  :func:`pack_program` copies the rows into a program
+    image, which a request patches with the producers' addresses at
+    ``ext_ptrs`` of every row and ``ptrs[src]`` added at the flat
+    positions ``flat``."""
 
     __slots__ = (
-        "rows", "ext", "ext_cols", "ext_ptrs", "flat", "src", "outs",
-        "arena", "missing", "step", "runners",
+        "rows", "ext", "ext_ptrs", "flat", "src", "outs", "arena",
+        "missing", "first", "step", "runner",
     )
 
     def __init__(
-        self, rows, ext, ext_cols, ext_ptrs, flat, src, outs, arena,
-        missing, step, runners,
+        self, rows, ext, ext_ptrs, flat, src, outs, arena, missing, first,
+        step, runner,
     ):
         self.rows = rows
-        #: out-of-kernel producers ``(name, dtype)``, their slots'
-        #: columns and each slot's pointer column
-        self.ext, self.ext_cols, self.ext_ptrs = ext, ext_cols, ext_ptrs
+        #: out-of-kernel producers ``(name, dtype)`` and each one's
+        #: pointer column
+        self.ext, self.ext_ptrs = ext, ext_ptrs
         #: pointer positions in the flattened rows, and what each points
         #: into: 0 the arena, ``1 + j`` live-out buffer ``outs[j]``
         self.flat, self.src, self.outs = flat, src, outs
@@ -481,54 +454,28 @@ class _StepTable:
         self.arena = arena
         #: the member whose producer's region was empty, if one was
         self.missing = missing
-        #: the step entry's address (``None`` in a printed program), and
-        #: the unit's runners
-        self.step, self.runners = step, runners
-
-    def run(self, buffers, out_buffers, pool) -> None:
-        if self.missing is not None:
-            # a producer's region was empty: the non-retryable error the
-            # NumPy kernels raise
-            raise KeyError(self.missing)
-        table = self.rows.copy()
-        if self.ext:
-            table[:, self.ext_cols] = _producer_words(buffers, self.ext)
-        ptrs = np.empty(1 + len(self.outs), np.int64)
-        ptrs[0] = (
-            pool.address(pool.acquire((self.arena,), np.uint8))
-            if self.arena else 0
-        )
-        for j, name in enumerate(self.outs):
-            ptrs[1 + j] = out_buffers[name].data.ctypes.data
-        table.reshape(-1)[self.flat] += ptrs[self.src]
-        self.runners.steps(self.step, table.ctypes.data, *table.shape)
+        #: the first schedule tile the chunk walks (0 for a reduction):
+        #: the key of its ``"tile"`` fault site
+        self.first = first
+        #: the step entry's address and the unit's ``repro_run_program``
+        #: (both ``None`` in a printed program)
+        self.step, self.runner = step, runner
 
 
-def _ext_columns(ext_slots) -> Tuple[np.ndarray, np.ndarray]:
-    """The columns of out-of-kernel producer slots ``(nd, word offset)``,
-    and each slot's pointer column."""
-    cols = np.array([
-        c for nd, at in ext_slots for c in range(at, at + 1 + 2 * nd)
-    ], np.intp)
-    return cols, np.array([at for _, at in ext_slots], np.intp)
-
-
-def _make_tabulate(cfunc, runners, layout: _Layout, domains) -> Callable:
+def _make_tabulate(cfunc, runner, layout: _Layout, domains) -> Callable:
     """The ``GroupKernel.tabulate`` of a native group: planned steps
-    (:class:`repro.runtime.executor._Step`) to a :class:`_StepTable` run
-    by ``runners`` over ``cfunc``.  ``domains`` holds each live-out's and
-    each out-of-kernel producer's full buffer ``(origin, shape)``.
-    Packing touches no library: with ``cfunc`` and ``runners`` ``None``
-    the tables are for printing (:func:`repro.codegen.generate_cpp`), not
-    for running."""
+    (:class:`repro.runtime.executor._Step`) to a :class:`_StepTable` of
+    ``cfunc``'s rows, for programs run by ``runner``.  ``domains`` holds
+    each live-out's and each out-of-kernel producer's full buffer
+    ``(origin, shape)``.  Packing touches no library: with ``cfunc`` and
+    ``runner`` ``None`` the tables are for printing
+    (:func:`repro.codegen.generate_cpp`), not for running."""
     mats = layout.mats
     copied = [m for m in mats if m.copy_out is not None]
     outs = [m.name for m in mats if m.direct or m.copy_out is not None]
     out_src = {name: 1 + j for j, name in enumerate(outs)}
     ext = [(name, dt) for name, _, dt, _ in layout.ext]
-    ext_cols, ext_ptrs = _ext_columns(
-        [(nd, at) for _, nd, _, at in layout.ext]
-    )
+    ext_ptrs = np.array([at for *_, at in layout.ext], np.intp)
     head = [
         w for name, *_ in layout.ext for w in (0, *chain(*domains[name]))
     ]
@@ -601,9 +548,9 @@ def _make_tabulate(cfunc, runners, layout: _Layout, domains) -> Callable:
             rows[r] = words
         rows.setflags(write=False)
         return _StepTable(
-            rows, ext, ext_cols, ext_ptrs, np.array(flat, np.intp),
-            np.array(src, np.intp), outs, arena, missing, step_address,
-            runners,
+            rows, ext, ext_ptrs, np.array(flat, np.intp),
+            np.array(src, np.intp), outs, arena, missing,
+            steps[0].tile_index, step_address, runner,
         )
 
     return tabulate
@@ -620,10 +567,10 @@ def _aligned(size: int) -> int:
 
 class _Program:
     """A *segment* of a request — consecutive groups every chunk of which
-    is a :class:`_StepTable` (a native reduction is a group of one) — as
-    one ``repro_run_program`` call per thread
+    is a :class:`_StepTable` (a native reduction is a group of one) — or
+    one table by itself, as one ``repro_run_program`` call per thread
     (:data:`repro.codegen.cexpr.STEP_LOOP`), packed once by
-    :func:`pack_program`.
+    :func:`pack_program`.  The only way Python runs native code.
 
     One request arena holds, at fixed 64-byte-aligned offsets: the
     program ``image`` — the op list (per chunk: entry address, rows,
@@ -636,15 +583,18 @@ class _Program:
     intermediate), then the address of each producer the segment reads
     from outside (``ext``), then of each pipeline output it writes
     (``outputs``).  ``ctl`` is the control block's template — per group its
-    chunk count, wait and first op; counters and per-op clocks zero."""
+    chunk count, wait and first op; counters and per-op clocks zero.
+    ``sites`` holds each op's ``"tile"`` fault-site key,
+    ``g<group>t<first tile>a0`` (none in a program packed without group
+    numbers)."""
 
     __slots__ = (
         "tables", "image", "flat", "src", "offsets", "ext", "outputs",
-        "inner", "ctl", "nbytes", "width", "runner",
+        "inner", "ctl", "nbytes", "width", "runner", "sites",
     )
 
     def __init__(self, tables, image, flat, src, offsets, ext, outputs,
-                 inner, ctl, nbytes, width, runner):
+                 inner, ctl, nbytes, width, runner, sites):
         #: every chunk's table, in op order
         self.tables = tables
         self.image, self.flat, self.src = image, flat, src
@@ -661,6 +611,7 @@ class _Program:
         self.nbytes, self.width = nbytes, width
         #: the ``repro_run_program`` entry (``None`` in a printed program)
         self.runner = runner
+        self.sites = sites
 
     def call(self, ctl: np.ndarray, walker: int, keep=None) -> None:
         """One thread's ``repro_run_program`` call.  ``keep`` holds what
@@ -680,9 +631,14 @@ class _Program:
         owed back to it (:meth:`~repro.runtime.buffers.BufferPool.give`)
         once nothing reads the views.
 
-        Anything that raises before the call leaves nothing behind; after
-        helpers are submitted the arena is not given back, since one of
-        them may still be writing into it."""
+        Every op is one ``"tile"`` fault-site check, made before
+        anything is taken: an injected fault runs no C.  Anything that
+        raises before the call leaves nothing behind; after helpers are
+        submitted the arena is not given back, since one of them may
+        still be writing into it."""
+        if active_injector() is not None:
+            for site in self.sites:
+                maybe_fail("tile", detail=site)
         raw = pool.take((self.nbytes + 64,), np.uint8)
         try:
             start = pool.address(raw)
@@ -700,9 +656,13 @@ class _Program:
                 if (arr.dtype != dtype or arr.shape != shape
                         or tuple(buf.origin) != origin
                         or not arr.flags.c_contiguous):
+                    # never the executor's buffers (inputs are normalised
+                    # when they become buffers); refuse, do not reinterpret
                     raise TypeError(
-                        f"buffer {name!r} is not the C-contiguous {dtype} "
-                        f"{shape} at {origin} the program was packed for"
+                        f"buffer {name!r} is {arr.dtype} {arr.shape} at "
+                        f"{tuple(buf.origin)}, C-contiguous="
+                        f"{arr.flags.c_contiguous}; the program needs "
+                        f"C-contiguous {dtype} {shape} at {origin}"
                     )
                 ptrs[at] = arr.ctypes.data
                 keep.append(arr)
@@ -732,12 +692,21 @@ class _Program:
         return produced, clocks, raw
 
 
-def pack_program(pipeline: Pipeline, parts: Sequence[Sequence[_StepTable]]
-                 ) -> _Program:
+def pack_program(
+    pipeline: Pipeline, parts: Sequence[Sequence[_StepTable]],
+    groups: Optional[Sequence[int]] = None,
+) -> _Program:
     """The :class:`_Program` running ``parts`` — per group, in order, its
-    chunks' step tables.  A group waits for the last earlier group that
-    writes something it reads, and for every group before that."""
+    chunks' step tables; ``groups`` numbers each part in its grouping
+    for the ops' ``"tile"`` fault-site keys — a program packed without
+    has none.  A group waits for the last earlier group that writes
+    something it reads, and for every group before that.  A table with a
+    producer region left empty raises ``KeyError``, as the NumPy kernels
+    do."""
     tables = [t for part in parts for t in part]
+    for t in tables:
+        if t.missing is not None:
+            raise KeyError(t.missing)
     outputs = {s.name for s in pipeline.outputs}
     full = {s.name: s for s in pipeline.stages}
     full.update({img.name: img for img in pipeline.images})
@@ -815,8 +784,11 @@ def pack_program(pipeline: Pipeline, parts: Sequence[Sequence[_StepTable]]
         np.concatenate(flat).astype(np.intp),
         np.concatenate(src).astype(np.intp),
         np.array(offsets, np.int64), tuple(ext), tuple(outs), tuple(inner),
-        ctl, byte, max(len(part) for part in parts),
-        tables[0].runners.program if tables[0].runners else None,
+        ctl, byte, max(len(part) for part in parts), tables[0].runner,
+        tuple(
+            f"g{gi}t{t.first}a0" for gi, part in zip(groups or (), parts)
+            for t in part
+        ),
     )
 
 
@@ -886,7 +858,7 @@ def _native_group(pipeline: Pipeline, geom, symbol: str, libm: bool):
                 _full_region(pipeline, access.producer),
             )
 
-    def make(cfunc, runners) -> GroupKernel:
+    def make(cfunc, runner) -> GroupKernel:
         return GroupKernel(
             group_names=tuple(s.name for s in geom.stages),
             region_names=plan.region_names,
@@ -895,7 +867,7 @@ def _native_group(pipeline: Pipeline, geom, symbol: str, libm: bool):
             direct_stores=plan.direct_stores,
             fn=None,
             native=True,
-            tabulate=_make_tabulate(cfunc, runners, layout, domains),
+            tabulate=_make_tabulate(cfunc, runner, layout, domains),
         )
 
     return _emit_group(pipeline, plan, layout, symbol, libm), make
@@ -924,7 +896,7 @@ def _native_reduction(
     lines = [f"void {symbol}(const int64_t *restrict D) {{"]
     bufs: Dict[str, CBuffer] = {}
     ext: List[Tuple[str, np.dtype]] = []
-    slots: List[Tuple[int, int]] = []
+    slots: List[int] = []
     head: List[int] = []
     at = 0
     for name, access in _reduction_producers(pipeline, stage).items():
@@ -932,7 +904,7 @@ def _native_reduction(
         dt = access.producer.scalar_type.np_dtype
         bufs[name] = _declare(lines, f"e{len(ext)}", at, nd, dt)
         ext.append((name, dt))
-        slots.append((nd, at))
+        slots.append(at)
         head += (0, *chain(*_full_region(pipeline, access.producer)))
         at += 1 + 2 * nd
     dtype = stage.scalar_type.np_dtype
@@ -946,25 +918,25 @@ def _native_reduction(
         }, libm=libm),
         pipeline, stage, out,
     )
-    domain = pipeline.domain(stage)
     # the accumulator's slot: its pointer is live-out 0's
     rows = np.array(
         [head + [0, *chain(*_full_region(pipeline, stage))]], np.int64
     )
     rows.setflags(write=False)
 
-    def make(cfunc, runners) -> GroupKernel:
+    def make(cfunc, runner) -> GroupKernel:
         table = _StepTable(
-            rows, ext, *_ext_columns(slots), np.array([at], np.intp),
-            np.array([1], np.intp), (stage.name,), 0, None,
-            ctypes.cast(cfunc, ctypes.c_void_p).value, runners,
+            rows, ext, np.array(slots, np.intp), np.array([at], np.intp),
+            np.array([1], np.intp), (stage.name,), 0, None, 0,
+            ctypes.cast(cfunc, ctypes.c_void_p).value, runner,
         )
+        program = pack_program(pipeline, [[table]])
 
         def fn(buffers):
-            # a fresh accumulator; the C side fills it
-            acc = Buffer.for_region(domain, dtype)
-            table.run(buffers, {stage.name: acc}, None)
-            return acc
+            # the accumulator is the program's — a fresh output, or a
+            # view of an arena nobody else holds; the C side fills it
+            produced, _, _ = program.run(buffers, BufferPool(), None, 1)
+            return produced[stage.name]
 
         return GroupKernel.for_reduction(
             stage.name, fn, native=True, table=table
@@ -1042,13 +1014,9 @@ def build_group_kernels(
             demoted = set(json.load(fh)["demoted"])
     except (OSError, ValueError, KeyError, TypeError):
         pass
-    runners = _Runners(lib.repro_run_steps, lib.repro_run_program)
-    runners.steps.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-    ]
-    runners.program.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-    for runner in runners:
-        runner.restype = None
+    runner = lib.repro_run_program
+    runner.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    runner.restype = None
     kernels: Dict[int, GroupKernel] = {}
     symbols: Dict[int, str] = {}
     for i, (symbol, make) in made.items():
@@ -1057,7 +1025,7 @@ def build_group_kernels(
             if observing:
                 METRICS.inc("repro_kernel_native_total", result="demoted")
             continue
-        kernels[i] = make(getattr(lib, symbol), runners)
+        kernels[i] = make(getattr(lib, symbol), runner)
     return NativeBuild(
         kernels, unverified=demoted is None, _sidecar=sidecar,
         _symbols=symbols,

@@ -74,6 +74,7 @@ from ..runtime import (
     shared_executor,
 )
 from ..runtime.buffers import PoolGroup, execution_slot
+from ..runtime.executor import _segments
 from .admission import AdmissionController
 from .batching import MicroBatchQueue, ServeRequest
 
@@ -231,13 +232,19 @@ class PipelineHost:
                     strict=False,
                     schedule_cache=self.config.schedule_cache,
                 )
-                # Resolve and compile every group's kernel now, so the
-                # first request pays nothing and forked workers inherit
-                # them rather than each paying the exec().
+                # Resolve and compile every group's kernel now, and plan
+                # and pack the native programs a request at this host's
+                # thread count runs, so the first request pays neither
+                # and forked workers inherit them rather than each paying
+                # the exec().
                 resolved = grouping_kernels(
                     pipe, grouping.groups, self.kernels,
                     self.config.schedule_cache,
                 )
+                if self.kernels is KernelTier.NATIVE:
+                    _segments(
+                        pipe, grouping, self.config.threads, self.kernels
+                    )
                 self.native_groups = sum(k.native for k in resolved)
                 self.numpy_groups = len(resolved) - self.native_groups
                 compiled, interpreted = (

@@ -44,7 +44,7 @@ anything else               500
 
 and every error body is ``{"error": {"code": ..., "message": ...}}``.
 Codes not in the table are *deliberately* 500: they describe failures
-inside execution (``TILE_FAIL``, ``NUMERIC_NAN``, ``SCHED_*``, ...)
+inside execution (``TILE_FAIL``, ``SCHED_*``, ...)
 that the client neither caused nor can address — the defining property
 of a server error.  ``tests/test_serve_errors_http.py`` pins the
 classification of every code in the taxonomy.

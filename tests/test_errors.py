@@ -12,9 +12,7 @@ from repro.errors import (
     InputMissingError,
     InputShapeError,
     KernelNativeError,
-    MemoryBudgetError,
     NoValidGroupingError,
-    NumericError,
     ReproError,
     ScheduleFormatError,
     ScheduleStaleError,
@@ -34,8 +32,6 @@ class TestTaxonomy:
             "INPUT_SHAPE": InputShapeError,
             "INPUT_DTYPE": InputDtypeError,
             "TILE_FAIL": TileExecutionError,
-            "NUMERIC_NAN": NumericError,
-            "MEMORY_BUDGET": MemoryBudgetError,
             "SCHEDULE_FORMAT": ScheduleFormatError,
             "SCHEDULE_STALE": ScheduleStaleError,
             "FAULT_INJECTED": InjectedFault,
@@ -98,7 +94,7 @@ class TestTaxonomy:
 
 class TestErrorCode:
     def test_structured(self):
-        assert error_code(NumericError("n")) == "NUMERIC_NAN"
+        assert error_code(InputShapeError("s")) == "INPUT_SHAPE"
 
     def test_unstructured(self):
         assert error_code(ValueError("v")) == "UNSTRUCTURED:ValueError"

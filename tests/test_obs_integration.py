@@ -14,7 +14,6 @@ from repro.errors import (
     InjectedFault,
     InputDtypeError,
     InputMissingError,
-    MemoryBudgetError,
     TileExecutionError,
     is_retryable,
 )
@@ -137,7 +136,6 @@ class TestRetryClassification:
         assert not is_retryable(IndexError())
         assert not is_retryable(TypeError())
         assert not is_retryable(InputDtypeError("bad dtype"))
-        assert not is_retryable(MemoryBudgetError("over cap"))
 
     def test_structured_missing_input_stays_nonretryable(self):
         # InputMissingError subclasses KeyError, but the ReproError code

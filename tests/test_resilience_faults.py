@@ -21,9 +21,10 @@ from repro.resilience import (
     resilient_schedule,
     suspended,
 )
-from repro.runtime import execute_reference
+from repro.runtime import KernelTier, execute_reference
+from repro.runtime import native as native_mod
 
-from conftest import build_blur, random_inputs
+from conftest import build_blur, needs_gxx, random_inputs
 
 
 class TestInjectorMechanics:
@@ -189,20 +190,54 @@ def test_dp_fault_degrades_but_output_correct(bench_io, abbrev):
     assert outputs_match(ref, out)
 
 
-@pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
-def test_tile_fault_degrades_but_output_correct(bench_io, abbrev):
+#: every benchmark on the suite's tier, and two on native kernels, where
+#: a request runs as one program (``-native``)
+_FAULT_CASES = [
+    pytest.param(abbrev, KernelTier.resolve(), id=abbrev)
+    for abbrev in sorted(BENCHMARKS)
+] + [
+    pytest.param(
+        abbrev, KernelTier.NATIVE, id=f"{abbrev}-native",
+        marks=[pytest.mark.native, needs_gxx],
+    )
+    for abbrev in ("BG", "CP")
+]
+
+
+def _programs_run(monkeypatch, kernels):
+    """Count :meth:`_Program.run` entries; returns a check that a
+    ``NATIVE`` case entered it."""
+    runs = []
+    real = native_mod._Program.run
+
+    def run(self, *args):
+        runs.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(native_mod._Program, "run", run)
+    return lambda: bool(runs) == (kernels is KernelTier.NATIVE)
+
+
+@pytest.mark.parametrize("abbrev, kernels", _FAULT_CASES)
+def test_tile_fault_degrades_but_output_correct(
+    bench_io, abbrev, kernels, monkeypatch
+):
     """100% tile failure forces every tiled group onto the reference
-    fallback; output is identical to the reference interpreter."""
+    fallback; output is identical to the reference interpreter.  On
+    native kernels the request's program fails its first op's check and
+    its groups walk on the stage walk, where every step fails too."""
     p, inputs, ref = bench_io[abbrev]
     grouping = resilient_schedule(
         p, XEON_HASWELL,
         ScheduleBudget(dp_max_states=200_000, initial_limit=2, step=2),
     ).grouping
+    entered = _programs_run(monkeypatch, kernels)
     with inject_faults(tile=1.0):
         result = execute_guarded(
             p, grouping, inputs, nthreads=2,
-            policy=GuardPolicy(tile_retries=1, degrade=True),
+            policy=GuardPolicy(tile_retries=1, degrade=True, kernels=kernels),
         )
+    assert entered()
     tiled_outcomes = [o for o in result.outcomes if o.error_code]
     for o in tiled_outcomes:
         assert o.mode == "reference-fallback"
@@ -212,15 +247,22 @@ def test_tile_fault_degrades_but_output_correct(bench_io, abbrev):
     assert outputs_match(ref, result.outputs)
 
 
-@pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
-def test_alloc_fault_degrades_but_output_correct(bench_io, abbrev):
+@pytest.mark.parametrize("abbrev, kernels", _FAULT_CASES)
+def test_alloc_fault_degrades_but_output_correct(
+    bench_io, abbrev, kernels, monkeypatch
+):
     p, inputs, ref = bench_io[abbrev]
     grouping = resilient_schedule(
         p, XEON_HASWELL,
         ScheduleBudget(dp_max_states=200_000, initial_limit=2, step=2),
     ).grouping
+    entered = _programs_run(monkeypatch, kernels)
     with inject_faults(alloc=1.0):
-        result = execute_guarded(p, grouping, inputs, nthreads=2)
+        result = execute_guarded(
+            p, grouping, inputs, nthreads=2,
+            policy=GuardPolicy(kernels=kernels),
+        )
+    assert entered()
     assert outputs_match(ref, result.outputs)
 
 

@@ -1,6 +1,5 @@
 """The hardened executor: input validation, TILE_FAIL propagation out of
-the thread pool, per-group reference fallback, the memory cap, and the
-non-finite scan."""
+the thread pool, and per-group reference fallback."""
 
 import numpy as np
 import pytest
@@ -10,22 +9,13 @@ from repro.errors import (
     InputDtypeError,
     InputMissingError,
     InputShapeError,
-    MemoryBudgetError,
-    NumericError,
     ReproError,
     TileExecutionError,
 )
-from repro.dsl import Float, Function, Image, Int, Interval, Pipeline, \
-    Sqrt, Variable
-from repro.fusion import dp_group, singleton_grouping
+from repro.fusion import dp_group
 from repro.model import XEON_HASWELL
-from repro.poly.alignscale import compute_group_geometry
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
-from repro.resilience.guard import (
-    estimate_tile_scratch_bytes,
-    fit_tiles_to_memory_cap,
-    validate_inputs,
-)
+from repro.resilience.guard import validate_inputs
 from repro.runtime import execute_grouping, execute_reference
 
 from conftest import random_inputs
@@ -143,112 +133,6 @@ class TestTileFailPropagation:
         g = dp_group(other, XEON_HASWELL)
         with pytest.raises(ValueError):
             execute_guarded(blur_pipeline, g, {})
-
-
-class TestMemoryCap:
-    def _geometry(self, pipeline, grouping):
-        for members, tiles in zip(grouping.groups, grouping.tile_sizes):
-            geom = compute_group_geometry(pipeline, members)
-            if geom is not None and len(tiles) == geom.ndim:
-                return members, tiles, geom
-        pytest.skip("no tiled group in this grouping")
-
-    def test_estimate_positive_and_monotonic(self, blur_pipeline):
-        g = dp_group(blur_pipeline, XEON_HASWELL)
-        _, tiles, geom = self._geometry(blur_pipeline, g)
-        small = estimate_tile_scratch_bytes(blur_pipeline, geom, [1] * geom.ndim)
-        big = estimate_tile_scratch_bytes(blur_pipeline, geom, tiles)
-        assert 0 < small <= big
-
-    def test_fit_shrinks_largest_dimension(self, blur_pipeline):
-        g = dp_group(blur_pipeline, XEON_HASWELL)
-        _, tiles, geom = self._geometry(blur_pipeline, g)
-        full = estimate_tile_scratch_bytes(blur_pipeline, geom, tiles)
-        fitted = fit_tiles_to_memory_cap(
-            blur_pipeline, geom, tiles, cap_bytes=full // 2
-        )
-        assert fitted != tuple(tiles)
-        assert estimate_tile_scratch_bytes(
-            blur_pipeline, geom, fitted
-        ) <= full // 2
-
-    def test_impossible_cap_raises_memory_budget(self, blur_pipeline):
-        g = dp_group(blur_pipeline, XEON_HASWELL)
-        _, tiles, geom = self._geometry(blur_pipeline, g)
-        with pytest.raises(MemoryBudgetError) as exc_info:
-            fit_tiles_to_memory_cap(blur_pipeline, geom, tiles, cap_bytes=1)
-        assert exc_info.value.code == "MEMORY_BUDGET"
-        assert exc_info.value.context["cap_bytes"] == 1
-
-    def test_guarded_run_under_cap_still_correct(self, blur_pipeline, rng):
-        g = dp_group(blur_pipeline, XEON_HASWELL)
-        _, tiles, geom = self._geometry(blur_pipeline, g)
-        full = estimate_tile_scratch_bytes(blur_pipeline, geom, tiles)
-        inputs = random_inputs(blur_pipeline, rng)
-        ref = execute_reference(blur_pipeline, inputs)
-        result = execute_guarded(
-            blur_pipeline, g, inputs,
-            policy=GuardPolicy(memory_cap_bytes=full // 2),
-        )
-        shrunk = [o for o in result.outcomes if "shrunk" in o.note]
-        assert shrunk, "the cap must have forced at least one shrink"
-        for k in ref:
-            np.testing.assert_allclose(ref[k], result.outputs[k], rtol=1e-5)
-
-
-def build_nan_pipeline(n=48):
-    """sqrt of a negative intermediate: NaN in every tiled *and* reference
-    execution — a genuine numeric property of the pipeline."""
-    x = Variable(Int, "x")
-    img = Image(Float, "img", [n + 2])
-    shift = Function(([x], [Interval(Int, 0, n + 1)]), Float, "shift")
-    shift.defn = [img(x) - 2.0]
-    root = Function(([x], [Interval(Int, 0, n - 1)]), Float, "root")
-    root.defn = [Sqrt(shift(x) + shift(x + 1))]
-    return Pipeline([root], {}, name="nanpipe")
-
-
-class TestNonfiniteScan:
-    def _setup(self, rng):
-        p = build_nan_pipeline()
-        g = singleton_grouping(p)
-        inputs = random_inputs(p, rng)  # values in [0, 1) -> shift < 0
-        return p, g, inputs
-
-    def test_strict_scan_raises_numeric(self, rng):
-        p, g, inputs = self._setup(rng)
-        with pytest.raises(NumericError) as exc_info:
-            execute_guarded(
-                p, g, inputs,
-                policy=GuardPolicy(scan_nonfinite=True, degrade=False),
-            )
-        assert exc_info.value.code == "NUMERIC_NAN"
-        assert "root" in exc_info.value.context["stages"]
-
-    def test_degrade_scan_records_genuine_nan(self, rng):
-        p, g, inputs = self._setup(rng)
-        result = execute_guarded(
-            p, g, inputs,
-            policy=GuardPolicy(scan_nonfinite=True, degrade=True),
-        )
-        flagged = [o for o in result.outcomes if o.error_code == "NUMERIC_NAN"]
-        assert flagged
-        assert all(o.mode == "reference-fallback" for o in flagged)
-        assert any("genuine" in o.note for o in flagged)
-        # the fallback reproduces the (genuinely NaN) reference output
-        ref = execute_reference(p, inputs)
-        for k in ref:
-            np.testing.assert_array_equal(ref[k], result.outputs[k])
-
-    def test_scan_quiet_on_finite_pipeline(self, blur_pipeline, rng):
-        g = dp_group(blur_pipeline, XEON_HASWELL)
-        inputs = random_inputs(blur_pipeline, rng)
-        result = execute_guarded(
-            blur_pipeline, g, inputs,
-            policy=GuardPolicy(scan_nonfinite=True),
-        )
-        assert not result.degraded
-        assert all(o.error_code is None for o in result.outcomes)
 
 
 class TestReport:

@@ -251,15 +251,21 @@ def test_strided_and_foreign_typed_inputs_are_normalised():
     k=st.sampled_from([1, 2, 10 ** 6]),
     nthreads=st.sampled_from(THREADS),
     kernels=st.sampled_from(KernelTier),
+    fault_rate=st.sampled_from([0.0, 0.3]),
 )
-def test_random_dags_match_reference(seed, tile_seed, k, nthreads, kernels):
+def test_random_dags_match_reference(
+    seed, tile_seed, k, nthreads, kernels, fault_rate
+):
     """Few distinct DAGs (each is one translation unit), many tilings:
     non-power-of-two tiles, tiles larger than the extent, one-tile rows,
-    steps of one tile, two tiles and the whole row — on every tier.  A
-    native kernel that fails its self-check still yields the reference's
-    digests, on NumPy, so a false demotion shows only as a warning: at
-    ``NATIVE`` there must be none (the session's fresh artifact store
-    makes every DAG's first use self-check)."""
+    steps of one tile, two tiles and the whole row — on every tier, and
+    with ``tile`` faults at 0.3 (seeded by the tiling) under
+    ``execute_guarded``: at ``NATIVE`` a program's op fails its check,
+    its segment walks on the stage walk, and what fails there falls back
+    to the reference.  A native kernel that fails its self-check still
+    yields the reference's digests, on NumPy, so a false demotion shows
+    only as a warning: at ``NATIVE`` there must be none (the session's
+    fresh artifact store makes every DAG's first use self-check)."""
     pipe = random_pipeline(num_stages=8, seed=seed, size=128)
     grouping = schedule_pipeline(pipe, XEON_HASWELL, strategy="greedy")
     rng = np.random.default_rng(tile_seed)
@@ -277,9 +283,16 @@ def test_random_dags_match_reference(seed, tile_seed, k, nthreads, kernels):
     ) as record:
         warnings.simplefilter("always")
         force_step_tiles(mp, k)
-        out = execute_grouping(
-            pipe, grouping, inputs, nthreads=nthreads, kernels=kernels
-        )
+        if fault_rate:
+            with inject_faults(seed=tile_seed, tile=fault_rate):
+                out = execute_guarded(
+                    pipe, grouping, inputs, nthreads=nthreads,
+                    policy=GuardPolicy(kernels=kernels),
+                ).outputs
+        else:
+            out = execute_grouping(
+                pipe, grouping, inputs, nthreads=nthreads, kernels=kernels
+            )
     assert output_digests(out) == expected
     if kernels is NATIVE:
         assert not native_warnings(record), [
@@ -510,11 +523,11 @@ def _keys_by_group(keys):
 
 @pytest.mark.parametrize("rate", [1.0, 0.3])
 def test_tile_faults_on_native_steps_match_reference(rate):
-    """A native group's chunk is the unit of retry and of the ``tile``
-    fault site — one check per chunk attempt, keyed by the chunk's first
-    tile, which is a step's — while CP's NumPy ``curve`` group keeps one
-    per step; the guard degrades what fails to the reference's
-    digests."""
+    """A native group's program checks the ``tile`` fault site once per
+    chunk, keyed by the chunk's first tile, which is a step's — while
+    CP's NumPy ``curve`` group keeps one per step; a fault there sends
+    the segment to the stage walk, and the guard degrades what fails
+    there to the reference's digests."""
     _, pipe, grouping = dp_grouping("CP")
     inputs = make_inputs(pipe, 1)
     expected = output_digests(execute_reference(pipe, inputs))
@@ -562,10 +575,12 @@ def test_tile_faults_on_native_steps_match_reference(rate):
 
 
 def test_mid_run_failure_reseeds_the_native_carry(monkeypatch):
-    """A native chunk is retried whole: its failed attempt drops the
-    arena — every carried window — and the retry, keyed ``a1``, re-runs
-    every step from the chunk's first seed.  A step inside the chunk is
-    never a fault key, and the bits do not change."""
+    """A native group runs only inside a program, which checks its one
+    op's key and runs no C when it fails: the group then walks on the
+    stage walk, one key per step attempt, where the same key fails again
+    and is retried (``a1``), and a failure in the middle of a run
+    re-seeds the carry from that step to the run's end.  The program
+    counts nothing it did not run, and the bits do not change."""
     pipe = build_blur(rows=96, cols=94)
     inputs = random_inputs(pipe, np.random.default_rng(64))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
@@ -579,13 +594,19 @@ def test_mid_run_failure_reseeds_the_native_carry(monkeypatch):
             out = execute_grouping(
                 pipe, g, inputs, tile_retries=1, kernels=NATIVE
             )
-        assert injector.keys == ["g0t0a0", "g0t0a1"]
-        assert METRICS.value("repro_halo_reuse_invalidations_total") == 1
-        assert METRICS.value("repro_tile_retries_total") == 1
-        # the failed attempt ran nothing; the retry ran the whole chunk
+        walk = [f"g0t{t}a0" for t in range(0, 36, 2)]
+        walk[1:1] = ["g0t0a1"]
+        walk.insert(walk.index("g0t8a0") + 1, "g0t8a1")
+        # the program's one op, then the stage walk's steps
+        assert injector.keys == ["g0t0a0"] + walk
+        assert METRICS.value("repro_halo_reuse_invalidations_total") == 2
+        assert METRICS.value("repro_tile_retries_total") == 2
+        # the program ran nothing; the walk ran every tile once
         assert METRICS.value("repro_tiles_total") == 36
         assert METRICS.value("repro_tile_steps_total") == 18
-        assert METRICS.value("repro_halo_reuse_tiles_total") == 30
+        # five per row of three 2-tile steps, less one for the re-seed
+        # at tile 8, mid-run
+        assert METRICS.value("repro_halo_reuse_tiles_total") == 29
     finally:
         METRICS.reset(enabled=False)
     assert np.array_equal(out["blury"], expected["blury"])

@@ -333,9 +333,11 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
     run (tiles 2-3, keyed by its first tile) fails once: its retry
     re-seeds ``blurx`` from tile 2 to the end of the *first run*; no
     window of the first chunk reaches into the second chunk's tiles, and
-    the output is still the fault-free one.  On native kernels the unit
-    is the chunk: no step inside one is a fault key, and the second
-    chunk (from tile 6) fails once and is re-run whole."""
+    the output is still the fault-free one.  On native kernels the
+    group's program checks one key per chunk: the second chunk's (from
+    tile 6) fails, the program runs no C, and the group walks on the
+    stage walk exactly as above — where tile 6's step fails once too and
+    its retry seeds the second run as a fault-free walk would."""
     pipe = build_blur(rows=46, cols=94)
     inputs = random_inputs(pipe, np.random.default_rng(45))
     tiles = (3, 4096, 8)
@@ -361,7 +363,9 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
         pytest.skip("g++ not available")
     expected = output_digests(execute_reference(pipe, inputs))
     force_step_tiles(monkeypatch, 2)
+    grouping_kernels(pipe, g.groups, tier)   # incl. a native self-check
     work = ComputedRegions(monkeypatch)
+    programs = _count_calls(monkeypatch, native_mod._Program, "run")
     # "g0t3a0" is armed too: tile 3 is inside a step, not the start of
     # one, so no check is ever keyed by it; tiles 2 and 3 are inside a
     # native chunk.
@@ -372,18 +376,17 @@ def test_mid_run_failure_reseeds_to_the_runs_end(tier, monkeypatch):
             out = execute_grouping(
                 pipe, g, inputs, nthreads=2, tile_retries=1, kernels=tier,
             )
-        assert METRICS.value("repro_tile_retries_total") == 1
-        assert METRICS.value("repro_halo_reuse_invalidations_total") == 1
+        assert METRICS.value("repro_tile_retries_total") == 1 + native
+        assert METRICS.value(
+            "repro_halo_reuse_invalidations_total"
+        ) == 1 + native
         assert METRICS.value("repro_tiles_total") == 12
         assert METRICS.value("repro_tile_steps_total") == 6
     finally:
         METRICS.reset(enabled=False)
     assert output_digests(out) == expected
-    if native:
-        # no step runs through the per-step fn
-        assert work.take_calls() == 0
-        return
-    # six steps; the failed attempt died at the fault site, before its
+    assert len(programs) == native
+    # six steps; each failed attempt died at the fault site, before its
     # kernel call
     assert work.take_calls() == 6
     windows = sorted(
@@ -753,17 +756,31 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _walked_kernels(monkeypatch):
+    """Whether each kernel the per-group walk runs a chunk on
+    (``_walk_chunk``, from worker threads too) is native."""
+    native = []   # appended from worker threads; append is atomic
+    real = executor_mod._walk_chunk
+
+    def walk(plan, chunk, kernel, *args):
+        native.append(kernel.native)
+        return real(plan, chunk, kernel, *args)
+
+    monkeypatch.setattr(executor_mod, "_walk_chunk", walk)
+    return native
+
+
 @pytest.mark.native
 @needs_gxx
 @pytest.mark.parametrize("abbrev", ["BG", "CP", "PB"])
 def test_one_native_call_per_chunk_when_warm(abbrev, monkeypatch):
     """``serve_large``'s pipelines at 1, 2 and 4 threads: once planned, a
     warm execution runs each segment of native groups as one program —
-    one runner call on the walking thread and one per helper, no
-    per-chunk ``repro_run_steps`` call from Python, no region planned
-    (``_region_from_plan``) — with one ``chunk`` span per chunk of every
-    native group, as the per-group walk has; CP's NumPy ``curve`` runs
-    first, by itself.  The digests are the reference's."""
+    one runner call on the walking thread and one per helper, no native
+    chunk walked from Python, no region planned (``_region_from_plan``)
+    — with one ``chunk`` span per chunk of every native group, as the
+    per-group walk has; CP's NumPy ``curve`` runs first, by itself.  The
+    digests are the reference's."""
     _, pipe, grouping = _dp_grouping(abbrev)
     inputs = make_inputs(pipe, 1)
     expected = output_digests(execute_reference(pipe, inputs))
@@ -776,7 +793,7 @@ def test_one_native_call_per_chunk_when_warm(abbrev, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a warm walk re-planned a region")
 
-    steps = _count_calls(monkeypatch, native_mod._StepTable, "run")
+    walked = _walked_kernels(monkeypatch)
     calls = _count_calls(monkeypatch, native_mod._Program, "call")
     monkeypatch.setattr(executor_mod, "_region_from_plan", forbidden)
     for n in THREADS:
@@ -797,7 +814,7 @@ def test_one_native_call_per_chunk_when_warm(abbrev, monkeypatch):
         finally:
             TRACE.reset(enabled=False)
         assert output_digests(out) == expected
-        assert not steps
+        assert not any(walked)
         assert len(calls) == sum(
             min(n, seg.program.width) for seg in segments.values()
         ), (n, len(calls))
@@ -877,9 +894,9 @@ def test_a_runner_that_raises_falls_back_to_the_per_group_walk(
     n, monkeypatch
 ):
     """A program whose runner raises publishes nothing: the segment's
-    groups run by themselves — native chunk tables, outcomes ``tiled``
-    — and the digests are the reference's; the error is on the walk's
-    span."""
+    groups run by themselves on the stage walk — NumPy kernels only,
+    the outcomes a ``STAGE`` run has, none ``reference-fallback`` — and
+    the digests are the reference's; the error is on the walk's span."""
     pipe, grouping, inputs, expected = _segment_case("BG", n)
 
     def broken(self, ctl, walker, keep=None):
@@ -897,7 +914,7 @@ def test_a_runner_that_raises_falls_back_to_the_per_group_walk(
             published.append(set(buffers) - before)
 
     monkeypatch.setattr(native_mod._Program, "run", run)
-    steps = _count_calls(monkeypatch, native_mod._StepTable, "run")
+    walked = _walked_kernels(monkeypatch)
     TRACE.reset(enabled=True)
     try:
         report = execute_guarded(
@@ -912,10 +929,14 @@ def test_a_runner_that_raises_falls_back_to_the_per_group_walk(
         TRACE.reset(enabled=False)
     assert output_digests(report.outputs) == expected
     assert published == [set()]
+    stage = execute_guarded(
+        pipe, grouping, inputs, nthreads=n,
+        policy=GuardPolicy(kernels=KernelTier.STAGE),
+    )
     assert [o.mode for o in report.outcomes] == [
-        "tiled", "untiled", "tiled", "tiled"
-    ]
-    assert steps
+        o.mode for o in stage.outcomes
+    ] == ["tiled", "untiled", "tiled", "tiled"]
+    assert walked and not any(walked)
     assert "runner broke" in walk["attrs"]["program_error"]
 
 
@@ -924,9 +945,11 @@ def test_a_runner_that_raises_falls_back_to_the_per_group_walk(
 @pytest.mark.parametrize("abbrev", ["BG", "CP", "PB"])
 def test_program_counts_what_the_per_group_walk_counts(abbrev):
     """The tile, step and halo-reuse counters a program adds from plan
-    constants reach the per-group walk's totals (an empty fault
-    injector forces the walk), and ``repro_group_seconds`` has one
-    observation per group, labelled by its index, on both paths."""
+    constants are what the per-group walk counts for a plan: the stage
+    walk's counters (``STAGE``) are its groups' planned steps, the
+    program's (``NATIVE``) its groups' — both count every tile once —
+    and ``repro_group_seconds`` has one observation per group, labelled
+    by its index, on both paths."""
     pipe, grouping, inputs, _ = _segment_case(abbrev, 2)
     names = (
         "repro_tiles_total", "repro_tile_steps_total",
@@ -934,24 +957,104 @@ def test_program_counts_what_the_per_group_walk_counts(abbrev):
         "repro_halo_reuse_saved_points_total",
     )
     totals = []
-    for walk in (False, True):
+    for tier in (KernelTier.STAGE, KernelTier.NATIVE):
         METRICS.reset(enabled=True)
         try:
-            with inject_faults() if walk else contextlib.nullcontext():
-                execute_grouping(
-                    pipe, grouping, inputs, nthreads=2,
-                    kernels=KernelTier.NATIVE,
-                )
-            totals.append([METRICS.value(name) for name in names])
+            execute_grouping(
+                pipe, grouping, inputs, nthreads=2, kernels=tier,
+            )
+            counted = [METRICS.value(name) or 0 for name in names]
             for gi in range(grouping.num_groups):
                 count, _ = METRICS.value(
                     "repro_group_seconds", pipeline=pipe.name, group=str(gi)
                 )
-                assert count == 1, (walk, gi)
+                assert count == 1, (tier, gi)
         finally:
             METRICS.reset(enabled=False)
-    assert totals[0] == totals[1]
-    assert totals[0][0] > 0
+        planned = [0] * len(names)
+        for members, tiles in zip(grouping.groups, grouping.tile_sizes):
+            geom = executor_mod._tiled_geometry(pipe, members)
+            if geom is None:
+                continue
+            kernel = executor_mod.resolve_group_kernel(pipe, geom, tier)
+            plan = executor_mod._walk_plan(pipe, geom, tiles, 2, kernel)
+            for chunk in plan.chunks:
+                for step in chunk.steps:
+                    for i, v in enumerate(
+                        (step.ntiles, 1, step.reused, step.saved)
+                    ):
+                        planned[i] += v
+        assert counted == planned, tier
+        totals.append(counted)
+    assert totals[0][0] == totals[1][0] > 0
+
+
+@pytest.mark.native
+@needs_gxx
+@pytest.mark.parametrize("abbrev", ["CP", "BG"])
+def test_faults_run_on_the_path_that_serves(abbrev, monkeypatch):
+    """An armed injector does not switch the program off.  Armed but
+    silent, every segment still runs as one program, checked once per
+    op — the ``tile`` checks are the programs' ops and CP's NumPy
+    ``curve``'s steps.  One op's key failing makes the program run no C
+    and its segment walk group by group on the stage walk, where the key
+    fails once more and is retried: the outcomes a ``STAGE`` run has,
+    none ``reference-fallback``, and the reference's digests."""
+    pipe, grouping, inputs, expected = _segment_case(abbrev, 2)
+    native = KernelTier.NATIVE
+    calls = _count_calls(monkeypatch, native_mod._Program, "call")
+    walked = _walked_kernels(monkeypatch)
+    for n in (1, 2):
+        segments = executor_mod._segments(pipe, grouping, n, native)
+        assert segments
+        numpy_steps = 0   # of the groups no program runs: CP's curve
+        for gi, (members, tiles) in enumerate(
+            zip(grouping.groups, grouping.tile_sizes)
+        ):
+            if any(s.first <= gi < s.stop for s in segments.values()):
+                continue
+            geom = compute_group_geometry(pipe, members)
+            kernel = executor_mod.resolve_group_kernel(pipe, geom, native)
+            plan = executor_mod._walk_plan(pipe, geom, tiles, n, kernel)
+            numpy_steps += sum(len(c.steps) for c in plan.chunks)
+        assert (numpy_steps > 0) == (abbrev == "CP")
+        helpers = ThreadPoolExecutor(n)
+        with inject_faults(
+            seed=5, tile=FaultSpec(rate=1.0, max_failures=0)
+        ) as silent:
+            report = execute_guarded(
+                pipe, grouping, inputs, nthreads=n, executor=helpers,
+                policy=GuardPolicy(kernels=native),
+            )
+        helpers.shutdown(wait=True)   # every helper has called
+        assert output_digests(report.outputs) == expected
+        assert len(calls) == sum(
+            min(n, seg.program.width) for seg in segments.values()
+        ), n
+        ops = sum(len(seg.program.sites) for seg in segments.values())
+        assert silent.counts["tile"].checks == ops + numpy_steps
+        assert silent.counts["tile"].failures == 0
+        calls.clear()
+
+        stage = execute_guarded(
+            pipe, grouping, inputs, nthreads=n,
+            policy=GuardPolicy(kernels=KernelTier.STAGE),
+        )
+        (seg,) = segments.values()
+        site = seg.program.sites[len(seg.program.sites) // 2]
+        walked.clear()
+        with inject_faults(FailFirstAttempt({site})):
+            report = execute_guarded(
+                pipe, grouping, inputs, nthreads=n,
+                policy=GuardPolicy(kernels=native),
+            )
+        assert not calls
+        assert walked and not any(walked)
+        assert [o.mode for o in report.outcomes] == [
+            o.mode for o in stage.outcomes
+        ]
+        assert not report.degraded
+        assert output_digests(report.outputs) == expected
 
 
 @pytest.mark.native

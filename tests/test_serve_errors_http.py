@@ -30,8 +30,6 @@ _DELIBERATE_500 = {
     "SCHED_INVALID",
     "EXEC_FAIL",
     "TILE_FAIL",
-    "NUMERIC_NAN",
-    "MEMORY_BUDGET",
     "SCHEDULE",
     "SCHEDULE_FORMAT",
     "SCHEDULE_STALE",
