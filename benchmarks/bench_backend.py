@@ -1,11 +1,12 @@
-"""Backend smoke benchmark: CPU bit-identity + GPU two-level model.
+"""Cost-model smoke benchmark: CPU bit-identity + GPU two-level model.
 
 Two halves, both runnable on CPU-only CI (no GPU):
 
 1. **CPU bit-identity** — full-DP schedules on the six paper benchmarks
-   through the backend seam must match the frozen seed baseline
-   (``benchmarks/baselines/schedule_seed.json``) decision for decision:
-   the backend refactor must be invisible on the CPU path.
+   through the machine-type dispatch of ``CostModel`` must match the
+   frozen seed baseline (``benchmarks/baselines/schedule_seed.json``)
+   decision for decision: the dispatch must be invisible on the CPU
+   path.
 2. **GPU two-level model** — the same pipelines scheduled for
    :data:`GPU_V100`: per final group, the block/warp tile sizes, the
    chosen mode (``warp``/``block``), and the search statistics.  The
@@ -33,9 +34,8 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.backend import gpu_group_cost
 from repro.fusion import dp_group, inc_grouping
-from repro.model import GPU_V100, XEON_HASWELL
+from repro.model import GPU_V100, XEON_HASWELL, gpu_group_cost
 from repro.model.cost import CostModel
 from repro.model.tilesize import tile_residency_bytes
 from repro.pipelines import BENCHMARKS
@@ -187,8 +187,9 @@ def run(abbrevs: List[str], check: bool, output: str) -> int:
 
     payload = {
         "benchmark": "backend",
-        "description": "CPU bit-identity through the backend seam and "
-                       "GPU two-level tile model outputs",
+        "description": "CPU bit-identity through the cost model's "
+                       "machine-type dispatch and GPU two-level tile "
+                       "model outputs",
         "cpu_cores": os.cpu_count(),
         "baseline": os.path.relpath(BASELINE_PATH, os.path.dirname(HERE)),
         "cpu": cpu_records,

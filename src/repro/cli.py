@@ -30,19 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from .backend import (
-    BACKENDS,
-    backends_json,
-    machine_names,
-    machines_json,
-    resolve_machine,
-)
 from .fusion.serialize import load_grouping, save_grouping
 from .obs import METRICS, TRACE
 from .planner import build_benchmark, make_inputs, output_digests, \
     plan_schedule
 from .profiling import PROFILE
 from .model import Machine
+from .model.machine import MACHINES, get_machine, machines_json
 from .perfmodel import estimate_runtime
 from .pipelines import BENCHMARKS, registry_json
 from .reporting import format_table
@@ -55,18 +49,6 @@ from .runtime import (
 )
 
 __all__ = ["main"]
-
-
-def _machine(args):
-    """``--backend`` / ``--machine`` as a machine description
-    (:func:`repro.backend.resolve_machine`); a refused pair exits with
-    its message."""
-    try:
-        return resolve_machine(
-            getattr(args, "backend", None), getattr(args, "machine", None)
-        )
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(exc.args[0])
 
 
 # The build/schedule logic lives in repro.planner now, shared verbatim
@@ -109,9 +91,6 @@ def cmd_list(args) -> int:
     if getattr(args, "machines", False):
         print(json.dumps(machines_json(), indent=2))
         return 0
-    if getattr(args, "backends", False):
-        print(json.dumps(backends_json(), indent=2))
-        return 0
     if getattr(args, "json", False):
         print(json.dumps(registry_json(), indent=2))
         return 0
@@ -130,7 +109,7 @@ def cmd_list(args) -> int:
 
 def cmd_schedule(args) -> int:
     bench, pipe = _build(args.benchmark, args.scale)
-    machine = _machine(args)
+    machine = get_machine(args.machine)
     _obs_begin(args)
     if args.profile_schedule:
         PROFILE.reset(enabled=True)
@@ -173,7 +152,7 @@ def cmd_run(args) -> int:
     except ValueError as exc:  # a malformed REPRO_KERNELS
         raise SystemExit(str(exc))
     bench, pipe = _build(args.benchmark, args.scale)
-    machine = _machine(args)
+    machine = get_machine(args.machine)
     _obs_begin(args)
     if args.schedule:
         grouping = load_grouping(pipe, args.schedule)
@@ -238,12 +217,13 @@ def cmd_run(args) -> int:
 
 def cmd_estimate(args) -> int:
     bench, pipe = _build(args.benchmark, 1.0)
-    machine = _machine(args)
+    machine = get_machine(args.machine)
     if not isinstance(machine, Machine):
         raise SystemExit(
             "`repro estimate` prices the paper's CPU configurations; "
             "the timing model has no GPU analogue — use `repro schedule "
-            "--backend gpu` for block/warp tile sizes"
+            f"{args.benchmark} --machine {args.machine}` for block/warp "
+            "tile sizes"
         )
     from .fusion import halide_auto_schedule, polymage_autotune
 
@@ -276,7 +256,7 @@ def cmd_graph(args) -> int:
     from .reporting import pipeline_to_dot
 
     bench, pipe = _build(args.benchmark, args.scale)
-    machine = _machine(args)
+    machine = get_machine(args.machine)
     grouping = None
     if args.strategy != "none":
         grouping, _ = _schedule(pipe, bench, machine, args.strategy,
@@ -295,7 +275,7 @@ def cmd_codegen(args) -> int:
     from .codegen import generate_cpp, generate_main
 
     bench, pipe = _build(args.benchmark, args.scale)
-    machine = _machine(args)
+    machine = get_machine(args.machine)
     grouping, _ = _schedule(pipe, bench, machine, args.strategy,
                             args.max_states, prune=args.prune,
                             schedule_cache=args.schedule_cache)
@@ -328,7 +308,6 @@ def cmd_serve(args) -> int:
     METRICS.reset(enabled=True)
     config = ServeConfig(
         host=HostConfig(
-            backend=args.backend,
             machine=args.machine,
             scale=args.scale,
             threads=args.threads,
@@ -403,24 +382,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machine-readable registry: key, params, input "
                         "extents and dtypes, outputs")
     p.add_argument("--machines", action="store_true",
-                   help="machine-readable machine registry: every "
-                        "preset with its backend, capacities, digest")
-    p.add_argument("--backends", action="store_true",
-                   help="machine-readable backend registry: each "
-                        "backend's machine presets and default")
+                   help="machine-readable machine catalogue: every "
+                        "preset with its capacities and digest")
+
+    def machine_flag(p):
+        p.add_argument("--machine", default="xeon", choices=sorted(MACHINES),
+                       help="machine preset whose model schedules: a CPU "
+                            "preset is priced by the paper's cache model, "
+                            "a gpu-* preset by the block/warp model; every "
+                            "schedule runs on the one CPU executor "
+                            "(default: xeon)")
 
     def common(p, with_strategy=True):
         p.add_argument("benchmark", choices=sorted(BENCHMARKS),
                        help="benchmark key (see `list`)")
-        p.add_argument("--machine", default=None,
-                       choices=machine_names(),
-                       help="machine preset (default: the backend's "
-                            "default, xeon without --backend)")
-        p.add_argument("--backend", default=None,
-                       choices=sorted(BACKENDS),
-                       help="backend whose machine model schedules "
-                            "(default: inferred from --machine); every "
-                            "schedule runs on the one CPU executor")
+        machine_flag(p)
         p.add_argument("--max-states", type=int, default=1_200_000)
         p.add_argument("--schedule-budget-s", type=float, default=None,
                        help="wall-clock budget for the DP scheduling "
@@ -511,22 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8177,
                    help="listen port (0 picks a free port)")
-    p.add_argument("--machine", default=None, choices=machine_names(),
-                   help="machine preset (default: the backend's default)")
-    p.add_argument("--backend", default="cpu", choices=sorted(BACKENDS),
-                   help="backend whose machine model hosts schedule "
-                        "with; every schedule runs on the one CPU "
-                        "executor")
+    machine_flag(p)
     p.add_argument("--scale", type=float, default=0.1,
                    help="image-size fraction hosts are built at")
     p.add_argument("--threads", type=int, default=1,
                    help="executor worker threads per request (default "
-                        "1).  Not a speed-up where it was measured (2 "
-                        "vCPUs, warm requests at scale 0.1 on native "
-                        "kernels, 1 -> 2 -> 4 threads: CP 2.7 -> 3.2 -> "
-                        "3.6 ms, PB 3.9 -> 4.2 -> 4.6 ms, BG 1.8 -> 1.9 "
-                        "-> 2.1 ms; table in docs/serving.md); unmeasured "
-                        "on more cores.  Throughput comes from --workers")
+                        "1; measured warm latencies per thread count "
+                        "are tabled in docs/serving.md).  Throughput "
+                        "under concurrent load comes from --workers")
     p.add_argument("--max-queue", type=int, default=64,
                    help="admission bound: requests beyond this queue "
                         "depth are shed with SERVE_OVERLOADED")
@@ -563,8 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="emit a Graphviz DAG of a benchmark")
     p.add_argument("benchmark", choices=sorted(BENCHMARKS))
-    p.add_argument("--machine", default=None, choices=machine_names())
-    p.add_argument("--backend", default=None, choices=sorted(BACKENDS))
+    machine_flag(p)
     p.add_argument("--max-states", type=int, default=1_200_000)
     p.add_argument(
         "--strategy", default="dp",

@@ -91,13 +91,11 @@ def schedule_pipeline(
     grouping without any cost-model evaluation, a stale entry is evicted
     and re-scheduled.
     """
-    from ..backend import backend_name_for
-
     observing = METRICS.enabled
     t0 = time.perf_counter() if observing else 0.0
     with TRACE.span(
         "schedule_pipeline", pipeline=pipeline.name, strategy=strategy,
-        backend=backend_name_for(machine),
+        machine=machine.name,
     ) as span:
         grouping = _schedule_pipeline(
             pipeline, machine, strategy,
@@ -134,8 +132,6 @@ def _schedule_pipeline(
     schedule_cache: Optional[Union[str, ScheduleCache]],
     span,
 ) -> Grouping:
-    from ..backend import backend_name_for
-
     cache: Optional[ScheduleCache] = None
     key = ""
     if schedule_cache is not None and strategy in _CACHEABLE:
@@ -152,7 +148,7 @@ def _schedule_pipeline(
                 tile_size=tile_size, overlap_tolerance=overlap_tolerance,
             ),
         )
-        hit = cache.load(pipeline, key, backend=backend_name_for(machine))
+        hit = cache.load(pipeline, key)
         if hit is not None:
             span.set(cache="hit")
             return hit
@@ -194,5 +190,5 @@ def _schedule_pipeline(
             f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}"
         )
     if cache is not None:
-        cache.store(grouping, key, backend=backend_name_for(machine))
+        cache.store(grouping, key)
     return grouping

@@ -9,12 +9,12 @@ on:
 * the pipeline structure (name, stage count, stage names in topological
   order — the same facts :func:`repro.fusion.serialize.pipeline_digest`
   certifies),
-* the owning **backend** and the full machine identity — backend name,
-  machine name, core count, :func:`repro.backend.machine_digest` over
-  every field of the description (cache sizes / shared-memory and
-  register budgets, ``INNERMOSTTILESIZE``), and the four cost weights
-  of Table 1 — so a CPU schedule is never served to a GPU request or
-  vice versa,
+* the full machine identity — machine name, core count,
+  :func:`repro.model.machine.machine_digest` over the description's
+  type name and every field (cache sizes / shared-memory and register
+  budgets, ``INNERMOSTTILESIZE``), and the four cost weights of
+  Table 1 — so a CPU schedule is never served to a GPU request or vice
+  versa,
 * the strategy and its parameters (group limit, incremental ramp, greedy
   knobs),
 * the concrete **parameter bindings and domain extents**
@@ -56,6 +56,7 @@ from typing import Iterable, List, Optional
 
 from ..dsl.pipeline import Pipeline
 from ..errors import ScheduleFormatError, ScheduleStaleError
+from ..model.machine import machine_digest
 from ..model.weights import CostWeights
 from ..obs import METRICS
 from .grouping import Grouping
@@ -103,12 +104,11 @@ def schedule_cache_key(
 ) -> str:
     """Digest of everything a scheduling decision depends on.
 
-    ``machine`` may be any registered machine description (CPU
-    :class:`~repro.model.machine.Machine` or
-    :class:`~repro.model.machine.GpuMachine`): the key folds in the
-    owning backend's name and :func:`repro.backend.machine_digest` —
-    *every* field of the description — so a schedule computed under one
-    backend's tile hierarchy (or one capacity/weight configuration) can
+    ``machine`` may be a CPU :class:`~repro.model.machine.Machine` or a
+    :class:`~repro.model.machine.GpuMachine`: the key folds in
+    :func:`~repro.model.machine.machine_digest` — the description's type
+    name and *every* field — so a schedule computed under one machine
+    type's tile hierarchy (or one capacity/weight configuration) can
     never be served for another.
 
     ``params`` carries strategy-specific knobs as ``"name=value"``
@@ -116,8 +116,6 @@ def schedule_cache_key(
     part of the key — a cached entry only exists if some run completed
     within its budgets, and the chosen grouping does not depend on them.
     """
-    from ..backend import backend_name_for, machine_digest
-
     w = weights or machine.weights
     h = hashlib.sha256()
     h.update(f"pipeline:{pipeline.name}\0".encode())
@@ -126,7 +124,6 @@ def schedule_cache_key(
         h.update(stage.name.encode())
         h.update(b"\0")
     h.update(f"extents:{extents_digest(pipeline)}\0".encode())
-    h.update(f"backend:{backend_name_for(machine)}\0".encode())
     h.update(f"machine:{machine.name}\0".encode())
     h.update(f"mdigest:{machine_digest(machine)}\0".encode())
     h.update(f"cores:{ncores or machine.num_cores}\0".encode())
@@ -203,17 +200,11 @@ class ScheduleCache:
     def _path(self, pipeline: Pipeline, key: str) -> str:
         return os.path.join(self.directory, f"{pipeline.name}-{key}.json")
 
-    def load(
-        self,
-        pipeline: Pipeline,
-        key: str,
-        backend: Optional[str] = None,
-    ) -> Optional[Grouping]:
+    def load(self, pipeline: Pipeline, key: str) -> Optional[Grouping]:
         """The cached grouping, or ``None`` on a miss.  Stale or corrupt
         entries — including entries whose recorded extent digest no
         longer matches the pipeline's concrete parameter bindings and
-        domain extents, or (when ``backend`` is given) whose recorded
-        backend differs — are evicted and reported as misses."""
+        domain extents — are evicted and reported as misses."""
         path = self._path(pipeline, key)
         try:
             with open(path) as fh:
@@ -231,13 +222,6 @@ class ScheduleCache:
             # trustworthy for this pipeline instance.
             self._evict(path)
             return None
-        if backend is not None and data.get("backend") != backend:
-            # Entry was written for a different backend's tile hierarchy
-            # — or by a pre-backend build that recorded none (the same
-            # migration shape as the extents-digest fix above): its tile
-            # sizes answer a different machine model's question.
-            self._evict(path)
-            return None
         try:
             grouping = grouping_from_dict(pipeline, data)
         except (ScheduleStaleError, ScheduleFormatError, KeyError, ValueError):
@@ -247,14 +231,8 @@ class ScheduleCache:
         self._event("hit")
         return grouping
 
-    def store(
-        self, grouping: Grouping, key: str, backend: Optional[str] = None,
-    ) -> str:
+    def store(self, grouping: Grouping, key: str) -> str:
         """Atomically write ``grouping``; returns the entry path.
-
-        ``backend`` records which backend's tile hierarchy produced the
-        schedule; a backend-aware :meth:`load` evicts entries that
-        recorded a different one (or none).
 
         The temp-file name includes a process-wide unique suffix on top
         of the pid: two threads of one process storing the same key get
@@ -265,8 +243,6 @@ class ScheduleCache:
         tmp = f"{path}.tmp.{os.getpid()}.{next(_TMP_COUNTER)}"
         data = grouping_to_dict(grouping)
         data["extents"] = extents_digest(grouping.pipeline)
-        if backend is not None:
-            data["backend"] = backend
         with open(tmp, "w") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")

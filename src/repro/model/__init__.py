@@ -2,7 +2,7 @@
 
 from .calibrate import CalibrationResult, calibrate_weights
 from .cost import INFINITE_COST, CostModel, GroupCost, cpu_group_cost, \
-    group_cost
+    gpu_group_cost, group_cost
 from .machine import AMD_OPTERON, GPU_A100, GPU_V100, XEON_HASWELL, \
     GpuMachine, HalideParams, Machine
 from .tilesize import compute_tile_sizes, compute_two_level_tile_sizes, \
@@ -16,6 +16,7 @@ __all__ = [
     "GroupCost",
     "group_cost",
     "cpu_group_cost",
+    "gpu_group_cost",
     "INFINITE_COST",
     "Machine",
     "GpuMachine",

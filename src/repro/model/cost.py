@@ -20,6 +20,36 @@ sum times the group's total compute volume, so that summing costs over the
 groups of a grouping — the DP objective of Sec. 3.1 — weighs every group
 by the work it represents.  (See :mod:`repro.model.weights` for why the
 paper's literal formula needs this normalisation.)
+
+The machine description's type picks the function that prices a group
+(:func:`group_cost`): a :class:`~repro.model.machine.Machine` is priced
+by :func:`cpu_group_cost` (Algorithm 2), a
+:class:`~repro.model.machine.GpuMachine` by :func:`gpu_group_cost`, the
+two-level block/warp mapping of the GPU follow-up paper ("Model-Based
+Warp Overlapped Tiling for Image Processing Programs on GPUs"):
+
+* **Block tiles** are staged in shared memory and carry the group's
+  halo at the global-memory level — each block redundantly computes its
+  expanded region, exactly like a CPU tile, priced with the existing
+  :mod:`repro.poly.overlap` machinery.
+* **Warp tiles** partition each block tile; in the default *warp* mode
+  every warp also recomputes its own (much smaller) halo so no
+  intra-block synchronisation is needed between producer and consumer
+  stages — the redundant-computation criterion therefore prices overlap
+  at **both** levels.
+* The paper's L1→L2 crossover reappears one level down: when a warp
+  tile would spend more than half its computation on warp-level halo
+  (deep stencil chains, small register budgets), the model falls back to
+  *block* mode — warps cooperatively stripe the block through shared
+  memory with block-wide synchronisation instead of private halos, so
+  the warp-level overlap term vanishes while the block-level one stays.
+  The mode lands in ``GroupCost.cache_level`` (``"warp"``/``"block"``).
+
+The four criteria and their weights are the same on both: on a GPU,
+locality is global-memory traffic per point at block granularity,
+parallelism is the cleanup-wave idle fraction over
+``num_sms * resident_blocks_per_sm``, redundant computation sums both
+halo levels, and the dimension-mismatch term is geometry-only.
 """
 
 from __future__ import annotations
@@ -27,7 +57,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple,
+)
 
 from ..dsl.function import Function
 from ..dsl.pipeline import Pipeline
@@ -42,11 +74,21 @@ from ..poly.footprint import (
 from ..poly.overlap import overlap_size, overlap_size_chunked, tile_volume
 from ..poly.reuse import dimensional_reuse
 from ..profiling import PROFILE
-from .machine import Machine
-from .tilesize import compute_tile_sizes
+from .machine import GpuMachine, Machine
+from .tilesize import (
+    compute_tile_sizes,
+    compute_two_level_tile_sizes,
+    tile_residency_bytes,
+)
 from .weights import CostWeights
 
-__all__ = ["GroupCost", "CostModel", "group_cost", "cpu_group_cost"]
+__all__ = [
+    "GroupCost",
+    "CostModel",
+    "group_cost",
+    "cpu_group_cost",
+    "gpu_group_cost",
+]
 
 INFINITE_COST = float("inf")
 
@@ -65,7 +107,7 @@ class GroupCost:
     geom: Optional[GroupGeometry]
     cache_level: str = ""
     details: Dict[str, float] = field(default_factory=dict)
-    #: inner-level (warp) tile sizes on hierarchical backends; empty on
+    #: inner-level (warp) tile sizes of the two-level GPU model; empty on
     #: the single-level CPU path
     inner_tile_sizes: Tuple[int, ...] = ()
 
@@ -202,17 +244,9 @@ def group_cost(
     weights: Optional[CostWeights] = None,
     halo_reuse: bool = False,
 ) -> GroupCost:
-    """``COST(H)`` — the backend-dispatching top-level entry.
-
-    ``machine`` selects the backend: a :class:`Machine` routes to the
-    CPU model (:func:`cpu_group_cost`, the paper's Algorithm 2), a
-    :class:`~repro.model.machine.GpuMachine` to the two-level GPU model
-    (:mod:`repro.backend.gpu`).  The import is deferred so the model
-    layer stays importable without the backend package and vice versa.
-    """
-    from ..backend import backend_for_machine
-
-    return backend_for_machine(machine).group_cost(
+    """``COST(H)`` priced by the function of ``machine``'s type (see the
+    module docstring); ``TypeError`` for any other type."""
+    return _priced_by(machine)(
         pipeline, members, machine, ncores=ncores, weights=weights,
         halo_reuse=halo_reuse,
     )
@@ -226,7 +260,7 @@ def cpu_group_cost(
     weights: Optional[CostWeights] = None,
     halo_reuse: bool = False,
 ) -> GroupCost:
-    """``COST(H)`` — Algorithm 2's top-level entry (the CPU backend).
+    """``COST(H)`` — Algorithm 2's top-level entry (the CPU model).
 
     Evaluates the L1 footprint first and falls back to L2 when the L1 tile
     would spend more than half its computation on overlap (the paper's
@@ -260,6 +294,117 @@ def cpu_group_cost(
     )
 
 
+def gpu_group_cost(
+    pipeline,
+    members: Iterable,
+    machine: GpuMachine,
+    ncores: Optional[int] = None,
+    weights=None,
+    halo_reuse: bool = False,
+) -> GroupCost:
+    """``COST(H)`` under the two-level GPU tile hierarchy.
+
+    Returns a :class:`GroupCost` whose ``tile_sizes`` are the block
+    tiles, ``inner_tile_sizes`` the warp tiles, and ``cache_level`` the
+    chosen mode (``"warp"`` or ``"block"``, see the module docstring).
+    ``halo_reuse`` prices chunk-amortised halos at the block level, the
+    same discount the CPU model applies — the warp level never reuses
+    halos (warps own no carried state across block boundaries).
+    """
+    ncores = ncores or machine.num_cores
+    weights = weights or machine.weights
+    geom = compute_group_geometry(pipeline, members)
+    if geom is None:
+        return GroupCost(cost=INFINITE_COST, tile_sizes=(), geom=None)
+
+    dim_reuse = dimensional_reuse(pipeline, geom)
+    block, warp = compute_two_level_tile_sizes(geom, machine, dim_reuse)
+
+    comp_vol = tile_volume(geom, block)
+    n_tiles = _num_tiles(geom, block)
+    block_ovl = (
+        overlap_size_chunked(geom, block)
+        if halo_reuse
+        else overlap_size(geom, block)
+    )
+
+    # Warp-level crossover (the L1->L2 rule one level down): private
+    # warp halos must not dominate warp compute.
+    warp_vol = tile_volume(geom, warp)
+    warp_ovl = overlap_size(geom, warp)
+    level = "warp"
+    if warp_ovl > warp_vol - warp_ovl:
+        level = "block"
+        # Cooperative striping: one innermost-dim strip per warp, no
+        # warp-level halo (block-wide syncs between stages instead).
+        warp = tuple(
+            [1] * (geom.ndim - 1) + [warp[-1]] if geom.ndim > 1 else [warp[-1]]
+        )
+        warp_ovl = 0.0
+
+    warps_per_block = 1
+    for b, w in zip(block, warp):
+        warps_per_block *= -(-b // w)
+    relative_warp_overlap = warp_ovl * warps_per_block / comp_vol
+
+    livein_t = livein_tile_size(pipeline, geom, block)
+    liveout_t = liveout_tile_size(pipeline, geom, block)
+    # Shared-memory spill: the search fits block residency by
+    # construction, but the terminal all-ones tile of a pathological
+    # group can still exceed the budget — charge the round trip.
+    resident = tile_residency_bytes(geom, block)
+    spill = 2.0 * max(0.0, resident - machine.shared_mem_per_block)
+    bytes_per_point = (livein_t + liveout_t + spill) / comp_vol
+
+    relative_overlap = block_ovl / comp_vol + relative_warp_overlap
+    waves = -(-n_tiles // ncores)
+    idle_fraction = (waves * ncores - n_tiles) / n_tiles
+    idle_fraction = min(idle_fraction, float(ncores - 1))
+    dim_diff = _dim_size_deviation(geom)
+
+    total_points = sum(pipeline.domain_size(s) for s in geom.stages)
+    per_point = (
+        weights.w1 * bytes_per_point
+        + weights.w2 * idle_fraction
+        + weights.w3 * relative_overlap
+        + weights.w4 * dim_diff
+    )
+    details = {
+        "bytes_per_point": bytes_per_point,
+        "idle_fraction": idle_fraction,
+        "relative_overlap": relative_overlap,
+        "block_overlap": block_ovl,
+        "warp_overlap": warp_ovl,
+        "warps_per_block": float(warps_per_block),
+        "dim_diff": dim_diff,
+        "n_tiles": float(n_tiles),
+        "comp_vol": comp_vol,
+        "resident": resident,
+        "livein_tile": livein_t,
+        "liveout_tile": liveout_t,
+    }
+    return GroupCost(
+        cost=per_point * total_points,
+        tile_sizes=block,
+        geom=geom,
+        cache_level=level,
+        details=details,
+        inner_tile_sizes=warp,
+    )
+
+
+def _priced_by(machine) -> Callable[..., GroupCost]:
+    """The cost function for ``machine``'s type."""
+    if isinstance(machine, GpuMachine):
+        return gpu_group_cost
+    if isinstance(machine, Machine):
+        return cpu_group_cost
+    raise TypeError(
+        f"no cost model prices machine type {type(machine).__name__!r}; "
+        f"expected Machine or GpuMachine"
+    )
+
+
 class CostModel:
     """Memoising wrapper around :func:`group_cost` for one
     (pipeline, machine) pair — the DP evaluates the same group inside many
@@ -279,11 +424,9 @@ class CostModel:
         weights: Optional[CostWeights] = None,
         halo_reuse: bool = False,
     ):
-        from ..backend import backend_for_machine
-
         self.pipeline = pipeline
         self.machine = machine
-        self.backend = backend_for_machine(machine)
+        self._price = _priced_by(machine)
         self.ncores = ncores or machine.num_cores
         self.weights = weights or machine.weights
         self.halo_reuse = halo_reuse
@@ -308,7 +451,7 @@ class CostModel:
         )
         self.evaluations += 1
         t0 = time.perf_counter() if PROFILE.enabled else 0.0
-        result = self.backend.group_cost(
+        result = self._price(
             self.pipeline, key, self.machine, ncores=self.ncores,
             weights=self.weights, halo_reuse=self.halo_reuse,
         )

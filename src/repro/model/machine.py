@@ -16,11 +16,18 @@ on the Opteron) and the cost weights of Table 1 live here too, as do the
 Halide auto-scheduler parameters the paper configured
 (``VECTOR_WIDTH = 16``, ``PARALLELISM_THRESHOLD = 16``, ``CACHE_SIZE``,
 ``LOAD_COST = 40``).
+
+:data:`MACHINES` is the one catalogue of presets (``--machine``); a
+preset's type alone picks the cost function that prices it
+(:func:`repro.model.cost.group_cost`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import hashlib
+from dataclasses import dataclass
+from typing import Dict, List, Union
 
 from .weights import CostWeights
 
@@ -32,6 +39,10 @@ __all__ = [
     "AMD_OPTERON",
     "GPU_V100",
     "GPU_A100",
+    "MACHINES",
+    "get_machine",
+    "machine_digest",
+    "machines_json",
 ]
 
 
@@ -286,3 +297,66 @@ GPU_A100 = GpuMachine(
     innermost_tile_size=128,
     weights=CostWeights(w1=1.0, w2=0.4, w3=3.0, w4=1.5),
 )
+
+#: every machine preset, keyed by the stable name ``--machine`` accepts
+MACHINES: Dict[str, Union[Machine, GpuMachine]] = {
+    "xeon": XEON_HASWELL,
+    "opteron": AMD_OPTERON,
+    "gpu-v100": GPU_V100,
+    "gpu-a100": GPU_A100,
+}
+
+
+def get_machine(name: str) -> Union[Machine, GpuMachine]:
+    """The preset ``name`` names; ``KeyError`` naming the catalogue."""
+    try:
+        return MACHINES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown machine {name!r}; known: {sorted(MACHINES)}"
+        ) from None
+
+
+def machine_digest(machine: object) -> str:
+    """Stable digest of *every* field of a machine description.
+
+    Folded into the schedule-cache key so a schedule computed for one
+    machine (or under one machine type's tile hierarchy) can never be
+    served for another — the GPU analogue of the extents digest: any
+    capacity or weight change invalidates cached schedules instead of
+    silently reusing tile sizes derived for different budgets.
+    """
+    h = hashlib.sha256()
+    h.update(f"type:{type(machine).__name__}\0".encode())
+    for f in dataclasses.fields(machine):
+        h.update(f"{f.name}={getattr(machine, f.name)!r}\0".encode())
+    return h.hexdigest()[:16]
+
+
+def machines_json() -> List[Dict[str, object]]:
+    """Machine-readable machine catalogue (``repro list --machines``)."""
+    rows: List[Dict[str, object]] = []
+    for key in sorted(MACHINES):
+        m = MACHINES[key]
+        row: Dict[str, object] = {
+            "key": key,
+            "name": m.name,
+            "digest": machine_digest(m),
+        }
+        if isinstance(m, GpuMachine):
+            row.update({
+                "num_sms": m.num_sms,
+                "warp_width": m.warp_width,
+                "shared_mem_per_sm": m.shared_mem_per_sm,
+                "register_file_per_sm": m.register_file_per_sm,
+                "innermost_tile_size": m.innermost_tile_size,
+            })
+        else:
+            row.update({
+                "num_cores": m.num_cores,
+                "l1_cache": m.l1_cache,
+                "l2_cache": m.l2_cache,
+                "innermost_tile_size": m.innermost_tile_size,
+            })
+        rows.append(row)
+    return rows

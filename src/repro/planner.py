@@ -21,7 +21,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .backend import backend_name_for
 from .dsl.pipeline import Pipeline
 from .fusion import (
     Grouping,
@@ -100,7 +99,7 @@ def plan_schedule(pipe, bench, machine: Machine, strategy: str,
                     strategy, group_limit=None, **kwargs
                 ),
             )
-            hit = cache.load(pipe, key, backend=backend_name_for(machine))
+            hit = cache.load(pipe, key)
             if hit is not None:
                 return hit, None
         # dp-incremental requests skip the unbounded tier by zeroing its
@@ -115,8 +114,7 @@ def plan_schedule(pipe, bench, machine: Machine, strategy: str,
         )
         report = resilient_schedule(pipe, machine, budget)
         if cache is not None and report.tier == strategy:
-            cache.store(report.grouping, key,
-                        backend=backend_name_for(machine))
+            cache.store(report.grouping, key)
         return report.grouping, report
     return schedule_pipeline(
         pipe, machine, strategy=strategy, max_states=max_states,

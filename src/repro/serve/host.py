@@ -33,9 +33,9 @@ tier  name                  what executes
                             pure interpreter
 ====  ====================  ============================================
 
-``HostConfig.backend`` chooses the machine model the host *schedules*
-with; a GPU-model schedule executes on the same ladder (see
-``docs/backends.md``).
+``HostConfig.machine`` names the machine preset the host *schedules*
+for; a schedule from the GPU model (a ``gpu-*`` preset) executes on the
+same ladder (see ``docs/costmodel.md``).
 
 :class:`PipelineService` composes hosts with the micro-batching queue
 (:mod:`repro.serve.batching`) and admission control
@@ -53,7 +53,6 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from ..backend import resolve_machine
 from ..errors import (
     ServeShutdownError,
     ServeTimeoutError,
@@ -63,6 +62,7 @@ from ..errors import (
 )
 from .supervisor import WorkerSupervisor, WorkerTierUnavailable
 from ..fusion.grouping import singleton_grouping
+from ..model.machine import get_machine
 from ..obs import METRICS, TRACE
 from ..obs.metrics import BATCH_SIZE_BUCKETS
 from ..pipelines import BENCHMARKS
@@ -94,10 +94,9 @@ LADDER = ("compiled", "interpreter", "no-fusion")
 class HostConfig:
     """Per-host knobs (shared by every host of one service)."""
 
-    #: backend whose machine model schedules
-    backend: str = "cpu"
-    #: machine preset name; None resolves to the backend's default
-    machine: Optional[str] = None
+    #: machine preset (``repro.model.machine.MACHINES``) schedules are
+    #: priced for
+    machine: str = "xeon"
     #: image-size fraction of the paper configuration hosts are built at
     scale: float = 0.1
     #: executor worker threads per request.  On native kernels two
@@ -219,11 +218,9 @@ class PipelineHost:
             self.kernels = KernelTier.resolve()
             with TRACE.span(
                 "serve_warm", pipeline=self.key,
-                backend=self.config.backend,
+                machine=self.config.machine,
             ):
-                machine = resolve_machine(
-                    self.config.backend, self.config.machine
-                )
+                machine = get_machine(self.config.machine)
                 bench, pipe = build_benchmark(self.key, self.config.scale)
                 grouping, report = plan_schedule(
                     pipe, bench, machine, self.config.strategy,
@@ -356,7 +353,7 @@ class PipelineHost:
             out = {
                 "warm": self.is_warm,
                 "tier": self.tier_name,
-                "backend": self.config.backend,
+                "machine": self.config.machine,
                 "requests": self.requests_served,
                 "consecutive_failures": self._consecutive_failures,
             }

@@ -1,12 +1,13 @@
-"""CPU bit-identity through the backend seam.
+"""CPU bit-identity through the machine-type dispatch.
 
-The backend refactor rewired every ``COST(H)`` evaluation through
-:func:`repro.backend.base.Backend.group_cost`.  For the CPU backend that
-seam must be *invisible*: every scheduling decision (grouping, tile
-sizes, cost) on the six paper benchmarks must match the frozen seed
-baseline bit-for-bit.  ``benchmarks/bench_schedule_time.py --check`` is
-the canonical checker; this file pins the same contract inside the test
-suite, strategy by strategy.
+Every ``COST(H)`` evaluation goes through :class:`CostModel`, which picks
+the cost function from the machine description's type.  For a CPU
+machine that dispatch must be *invisible*: every scheduling decision
+(grouping, tile sizes, cost) on the six paper benchmarks must match the
+frozen seed baseline bit-for-bit.
+``benchmarks/bench_schedule_time.py --check`` is the canonical checker;
+this file pins the same contract inside the test suite, strategy by
+strategy.
 """
 
 import json
@@ -14,7 +15,6 @@ import os
 
 import pytest
 
-from repro.backend import backend_for_machine, CPU_BACKEND
 from repro.fusion import dp_group, inc_grouping, polymage_greedy
 from repro.model import XEON_HASWELL
 from repro.model.cost import CostModel
@@ -36,8 +36,7 @@ def _schedule(abbrev, strategy):
     """Exactly the runs the baseline froze (see bench_schedule_time.py)."""
     pipe = BENCHMARKS[abbrev].build()
     machine = XEON_HASWELL
-    assert backend_for_machine(machine) is CPU_BACKEND
-    cm = CostModel(pipe, machine)  # dispatches through the backend seam
+    cm = CostModel(pipe, machine)  # dispatches on the machine's type
     if strategy == "full_dp":
         if abbrev == "PB":
             return inc_grouping(pipe, machine, initial_limit=2, step=2,

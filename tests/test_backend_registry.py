@@ -1,24 +1,9 @@
-"""Backend registry: resolution, digests, and the JSON surfaces."""
+"""The machine table: lookup, type dispatch, digests, the JSON surface."""
 
 import dataclasses
 
 import pytest
 
-from repro.backend import (
-    BACKENDS,
-    CPU_BACKEND,
-    GPU_BACKEND,
-    backend_for_machine,
-    backend_name_for,
-    backends_json,
-    get_backend,
-    get_machine,
-    machine_digest,
-    machine_names,
-    machines_json,
-    resolve_machine,
-)
-from repro.cli import main
 from repro.model import (
     AMD_OPTERON,
     GPU_A100,
@@ -26,65 +11,53 @@ from repro.model import (
     GpuMachine,
     Machine,
     XEON_HASWELL,
+    group_cost,
 )
-from repro.serve import HostConfig, PipelineHost
+from repro.model.machine import (
+    MACHINES,
+    get_machine,
+    machine_digest,
+    machines_json,
+)
+
+from conftest import build_blur
 
 
 class TestRegistry:
-    def test_builtin_backends_are_registered(self):
-        assert set(BACKENDS) >= {"cpu", "gpu"}
-        assert get_backend("cpu") is CPU_BACKEND
-        assert get_backend("gpu") is GPU_BACKEND
-
-    def test_unknown_backend_raises_with_catalogue(self):
-        with pytest.raises(KeyError, match="registered"):
-            get_backend("tpu")
-
     def test_machine_names_cover_both_backends(self):
-        names = machine_names()
-        assert {"xeon", "opteron", "gpu-v100", "gpu-a100"} <= set(names)
-        assert names == sorted(names)
+        # One table holds both families: CPU and GPU presets.
+        assert set(MACHINES) == {"xeon", "opteron", "gpu-v100", "gpu-a100"}
+        assert isinstance(MACHINES["opteron"], Machine)
+        assert isinstance(MACHINES["gpu-a100"], GpuMachine)
 
     def test_get_machine_resolves_across_backends(self):
         assert get_machine("xeon") is XEON_HASWELL
+        assert get_machine("opteron") is AMD_OPTERON
+        assert get_machine("gpu-v100") is GPU_V100
         assert get_machine("gpu-a100") is GPU_A100
-        with pytest.raises(KeyError, match="unknown machine"):
+        with pytest.raises(KeyError, match="unknown machine") as exc:
             get_machine("cray")
-
-
-class TestResolveMachine:
-    def test_either_name_implies_the_other(self):
-        assert resolve_machine() is XEON_HASWELL
-        assert resolve_machine(machine="gpu-a100") is GPU_A100
-        assert resolve_machine("gpu") is GPU_V100
-        assert resolve_machine("cpu", "opteron") is AMD_OPTERON
-        with pytest.raises(KeyError, match="unknown backend"):
-            resolve_machine("tpu")
-        with pytest.raises(KeyError, match="unknown machine"):
-            resolve_machine(machine="cray")
-
-    def test_mismatched_pair_is_refused_alike_by_run_and_host(self):
-        with pytest.raises(ValueError, match="does not belong") as direct:
-            resolve_machine("gpu", "xeon")
-        with pytest.raises(SystemExit) as cli:
-            main(["run", "UM", "--backend", "gpu", "--machine", "xeon"])
-        with pytest.raises(ValueError) as host:
-            PipelineHost(
-                "UM", HostConfig(backend="gpu", machine="xeon")
-            ).warm()
-        assert str(cli.value) == str(host.value) == str(direct.value)
+        assert "gpu-a100" in str(exc.value) and "xeon" in str(exc.value)
 
 
 class TestStructuralResolution:
+    """The machine description's type picks the function that prices a
+    group."""
+
     def test_machine_type_names_its_backend(self):
-        assert backend_for_machine(XEON_HASWELL) is CPU_BACKEND
-        assert backend_for_machine(AMD_OPTERON) is CPU_BACKEND
-        assert backend_for_machine(GPU_V100) is GPU_BACKEND
-        assert backend_name_for(GPU_A100) == "gpu"
+        pipe = build_blur()
+        gpu = group_cost(pipe, pipe.stages, GPU_V100)
+        assert gpu.cache_level in {"warp", "block"}
+        assert gpu.inner_tile_sizes
+        for machine in (XEON_HASWELL, AMD_OPTERON):
+            cpu = group_cost(pipe, pipe.stages, machine)
+            assert cpu.cache_level in {"L1", "L2"}
+            assert cpu.inner_tile_sizes == ()
 
     def test_unowned_type_is_a_type_error(self):
-        with pytest.raises(TypeError, match="no registered backend"):
-            backend_for_machine(object())
+        pipe = build_blur()
+        with pytest.raises(TypeError, match="no cost model"):
+            group_cost(pipe, pipe.stages, object())
 
     def test_gpu_machine_is_not_a_cpu_machine(self):
         # The seam that stops a GpuMachine ever being priced by the CPU
@@ -114,27 +87,26 @@ class TestMachineDigest:
         # Same name on different description types must not collide.
         assert machine_digest(XEON_HASWELL) != machine_digest(GPU_V100)
 
+    def test_digests_are_pinned(self):
+        # The schedule-cache key and the e2e envelope fold these in: a
+        # change here orphans every cached schedule.
+        assert {k: machine_digest(m) for k, m in MACHINES.items()} == {
+            "xeon": "19dd69b00a818a07",
+            "opteron": "33776309a8d3fa39",
+            "gpu-v100": "1742c122dcba5ec0",
+            "gpu-a100": "b3504ff90c3738f1",
+        }
+
 
 class TestJsonSurfaces:
-    def test_backends_json_rows(self):
-        rows = {r["name"]: r for r in backends_json()}
-        assert rows["cpu"] == {
-            "name": "cpu", "machines": ["opteron", "xeon"],
-            "default_machine": "xeon",
-        }
-        assert rows["gpu"] == {
-            "name": "gpu", "machines": ["gpu-a100", "gpu-v100"],
-            "default_machine": "gpu-v100",
-        }
-
     def test_machines_json_rows_carry_capacities_and_digests(self):
         rows = {r["key"]: r for r in machines_json()}
-        assert rows["xeon"]["backend"] == "cpu"
+        assert set(rows) == set(MACHINES)
         assert rows["xeon"]["l1_cache"] == XEON_HASWELL.l1_cache
-        assert rows["gpu-v100"]["backend"] == "gpu"
         assert rows["gpu-v100"]["num_sms"] == GPU_V100.num_sms
         assert rows["gpu-v100"]["warp_width"] == GPU_V100.warp_width
         for row in rows.values():
+            assert "backend" not in row
             assert row["digest"] == machine_digest(get_machine(row["key"]))
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import gpu_group_cost
+from repro.model import gpu_group_cost
 from repro.dsl import Float, Function, Image, Int, Interval, Pipeline, Variable
 from repro.model import GPU_V100, GPU_A100
 from repro.model.tilesize import (

@@ -37,7 +37,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.database import DirectoryBasedExampleDatabase
 
@@ -253,6 +253,11 @@ def test_strided_and_foreign_typed_inputs_are_normalised():
     kernels=st.sampled_from(KernelTier),
     fault_rate=st.sampled_from([0.0, 0.3]),
 )
+# The NATIVE x faults cell (and its fault-free twin) on every run: ten
+# random draws land in it, one draw in six, on only ~84 % of runs.  This
+# tiling checks the ``tile`` site on 46 ops and 17 of them fail.
+@example(seed=0, tile_seed=11, k=2, nthreads=2, kernels=NATIVE, fault_rate=0.0)
+@example(seed=0, tile_seed=11, k=2, nthreads=2, kernels=NATIVE, fault_rate=0.3)
 def test_random_dags_match_reference(
     seed, tile_seed, k, nthreads, kernels, fault_rate
 ):

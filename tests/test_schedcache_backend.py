@@ -1,26 +1,21 @@
-"""Backend-aware schedule-cache keying and pre-fix-entry eviction.
+"""Schedule-cache keying across machine types.
 
-The GPU analogue of the PR-4 extents-digest regression: a cached
-schedule must record which backend's tile hierarchy produced it, and a
-backend-aware load must evict entries that recorded a different one —
-or none at all (entries written by a pre-backend build).
+The GPU analogue of the extents-digest regression: the key folds in
+``machine_digest`` — the description's type name and every field — so
+CPU and GPU machines never share a key, and any capacity change moves
+it.
 """
 
 import dataclasses
-import json
 import os
 
 import pytest
 
-from repro.backend import backend_name_for, machine_digest
-from repro.fusion import ScheduleCache, dp_group, schedule_cache_key
+from repro.fusion import schedule_cache_key
 from repro.model import AMD_OPTERON, GPU_A100, GPU_V100, XEON_HASWELL
+from repro.model.machine import machine_digest
 
 from conftest import build_blur
-
-
-def _entry_path(cache, pipeline, key):
-    return os.path.join(cache.directory, f"{pipeline.name}-{key}.json")
 
 
 class TestKeying:
@@ -51,83 +46,7 @@ class TestKeying:
             schedule_cache_key(pipe, GPU_V100)
 
 
-class TestBackendEviction:
-    def _store(self, tmp_path, backend=None):
-        pipe = build_blur()
-        cache = ScheduleCache(str(tmp_path))
-        grouping = dp_group(pipe, XEON_HASWELL)
-        key = schedule_cache_key(pipe, XEON_HASWELL)
-        cache.store(grouping, key, backend=backend)
-        return pipe, cache, grouping, key
-
-    def test_round_trip_with_backend_recorded(self, tmp_path):
-        pipe, cache, grouping, key = self._store(tmp_path, backend="cpu")
-        hit = cache.load(pipe, key, backend="cpu")
-        assert hit is not None
-        assert hit.group_names() == grouping.group_names()
-        assert cache.hits == 1 and cache.evictions == 0
-
-    def test_pre_backend_entry_is_evicted_and_rewritten(self, tmp_path):
-        # Simulate an entry written before the backend field existed:
-        # store normally, then strip the field on disk.
-        pipe, cache, grouping, key = self._store(tmp_path, backend="cpu")
-        path = _entry_path(cache, pipe, key)
-        with open(path) as fh:
-            data = json.load(fh)
-        assert data["backend"] == "cpu"
-        del data["backend"]
-        with open(path, "w") as fh:
-            json.dump(data, fh)
-        assert cache.load(pipe, key, backend="cpu") is None
-        assert cache.evictions == 1
-        assert not os.path.exists(path)
-        # Rescheduling repopulates the entry with the field present.
-        cache.store(grouping, key, backend=backend_name_for(XEON_HASWELL))
-        with open(path) as fh:
-            assert json.load(fh)["backend"] == "cpu"
-        assert cache.load(pipe, key, backend="cpu") is not None
-
-    def test_other_backends_entry_is_evicted(self, tmp_path):
-        pipe, cache, grouping, key = self._store(tmp_path, backend="gpu")
-        assert cache.load(pipe, key, backend="cpu") is None
-        assert cache.evictions == 1
-        assert not os.path.exists(_entry_path(cache, pipe, key))
-
-    def test_backend_agnostic_load_still_hits(self, tmp_path):
-        # Callers that pass no backend keep the old behaviour.
-        pipe, cache, grouping, key = self._store(tmp_path, backend=None)
-        assert cache.load(pipe, key) is not None
-        assert cache.hits == 1
-
-
 class TestPlannerUsesBackendAwareCache:
-    def test_plan_schedule_survives_pre_backend_entries(self, tmp_path):
-        from repro.planner import build_benchmark, plan_schedule
-
-        bench, pipe = build_benchmark("UM", 0.1)
-        grouping, _ = plan_schedule(
-            pipe, bench, XEON_HASWELL, "dp", 1_500_000,
-            strict=False, schedule_cache=str(tmp_path),
-        )
-        entries = [n for n in os.listdir(str(tmp_path)) if n.endswith(".json")]
-        assert len(entries) == 1
-        path = os.path.join(str(tmp_path), entries[0])
-        with open(path) as fh:
-            data = json.load(fh)
-        assert data["backend"] == "cpu"
-        # Strip the field (pre-fix entry) — the next plan must evict,
-        # reschedule, and land on the same grouping.
-        del data["backend"]
-        with open(path, "w") as fh:
-            json.dump(data, fh)
-        regrouping, _ = plan_schedule(
-            pipe, bench, XEON_HASWELL, "dp", 1_500_000,
-            strict=False, schedule_cache=str(tmp_path),
-        )
-        assert regrouping.group_names() == grouping.group_names()
-        with open(path) as fh:
-            assert json.load(fh)["backend"] == "cpu"
-
     @pytest.mark.parametrize("first_strict", [True, False])
     @pytest.mark.parametrize("key", ["UM", "PB"])
     def test_strict_and_degrade_paths_share_entries(

@@ -451,8 +451,8 @@ class TestHostLifecycle:
 class TestGpuModelHost:
     @pytest.mark.parametrize("workers", [0, 1])
     def test_gpu_schedule_runs_on_the_one_executor(self, workers):
-        """``backend="gpu"`` chooses the model that schedules, nothing
-        else: the ladder is :data:`LADDER`, nothing warns, and the
+        """``machine="gpu-v100"`` chooses the model that schedules,
+        nothing else: the ladder is :data:`LADDER`, nothing warns, and the
         GPU-model schedule's outputs are the reference's bits — in
         process and in a forked worker."""
         seed = 3
@@ -464,13 +464,14 @@ class TestGpuModelHost:
             warnings.simplefilter("error")
             svc = PipelineService(small_config(
                 workers=workers, heartbeat_s=0.2, worker_timeout_s=60.0,
-                host_kwargs={"backend": "gpu"},
+                host_kwargs={"machine": "gpu-v100"},
             )).start()
             try:
                 svc.warm(["UM"])
                 host = svc.hosts["UM"]
                 assert isinstance(host.machine, GpuMachine)
                 assert host.health()["ladder"] == list(LADDER)
+                assert host.health()["machine"] == "gpu-v100"
                 if workers:
                     svc.start_workers()
                 result = svc.submit("UM", seed=seed).result(timeout=120)
