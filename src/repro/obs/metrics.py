@@ -136,12 +136,6 @@ METRIC_HELP: Dict[str, Tuple[str, str]] = {
     "repro_serve_timeouts_total": (
         "counter", "Requests whose deadline expired before execution "
                    "(SERVE_TIMEOUT)"),
-    "repro_serve_tier": (
-        "gauge", "Current degradation-ladder tier of a pipeline host: "
-                 "an index into compiled/interpreter/no-fusion, "
-                 "healthiest rung first"),
-    "repro_serve_tier_changes_total": (
-        "counter", "Degradation-ladder transitions (direction=down|up)"),
     "repro_serve_warm_seconds": (
         "histogram", "Time to warm a pipeline host (build + schedule + "
                      "kernel compile)"),

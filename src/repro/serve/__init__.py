@@ -3,9 +3,8 @@
 The serve layer turns the one-shot executor into a service: per-pipeline
 :class:`PipelineHost`\\ s hold warm schedules, compiled kernels, pinned
 worker pools and scratch buffers; :class:`PipelineService` fronts them
-with a micro-batching queue, admission control with load shedding, a
-degradation ladder for sustained failure, and graceful drain.  With
-``workers > 0`` a :class:`WorkerSupervisor` forks the warm service into
+with a micro-batching queue, admission control with load shedding and
+graceful drain.  With ``workers > 0`` a :class:`WorkerSupervisor` forks the warm service into
 supervised worker processes (heartbeats, timeouts, respawn, bounded
 retry, per-pipeline circuit breaker) that exchange arrays through one
 unnamed shared-memory arena per worker (:mod:`repro.serve.shm`).  :func:`make_server`
@@ -15,7 +14,6 @@ wraps it all in a stdlib HTTP API (see ``docs/serving.md``).
 from .admission import AdmissionController
 from .batching import MicroBatchQueue, ServeRequest
 from .host import (
-    LADDER,
     HostConfig,
     PipelineHost,
     PipelineService,
@@ -35,7 +33,6 @@ __all__ = [
     "AdmissionController",
     "MicroBatchQueue",
     "ServeRequest",
-    "LADDER",
     "HostConfig",
     "PipelineHost",
     "PipelineService",

@@ -12,30 +12,15 @@ then execute on the warm plan through
 a one-shot ``repro run`` takes, which is what keeps served outputs
 bit-identical to CLI runs.
 
-Each host also runs a **degradation ladder** for sustained failure, one
-step below the per-request protections ``execute_guarded`` already
-provides.  A request whose execution degraded (any group fell back to
-reference execution) counts as a soft failure; ``degrade_after``
-consecutive failures drop the host one tier, ``recover_after``
-consecutive clean requests raise it back.  The ladder
-(:data:`LADDER`, the same for every host):
-
-====  ====================  ============================================
-tier  name                  what executes
-====  ====================  ============================================
-0     ``compiled``          fused schedule, compiled kernels (native C
-                            where a group is eligible and built, else
-                            compiled NumPy stage kernels — no rung of
-                            its own)
-1     ``interpreter``       fused schedule, pure interpreter
-2     ``no-fusion``         singleton grouping (the infallible final
-                            tier of ``resilience.fallback.TIERS``),
-                            pure interpreter
-====  ====================  ============================================
+A request whose group fails falls back, for that group only, to the
+untiled reference (``execute_guarded``'s per-group fallback); the reply
+says ``degraded`` and the next request runs the warm plan again.  That
+is the host's only per-request degradation: it never swaps its fused
+schedule or its kernels for slower ones.
 
 ``HostConfig.machine`` names the machine preset the host *schedules*
 for; a schedule from the GPU model (a ``gpu-*`` preset) executes on the
-same ladder (see ``docs/costmodel.md``).
+same executor (see ``docs/costmodel.md``).
 
 :class:`PipelineService` composes hosts with the micro-batching queue
 (:mod:`repro.serve.batching`) and admission control
@@ -58,10 +43,8 @@ from ..errors import (
     ServeTimeoutError,
     ServeUnknownPipelineError,
     ServeWorkerLostError,
-    error_code,
 )
 from .supervisor import WorkerSupervisor, WorkerTierUnavailable
-from ..fusion.grouping import singleton_grouping
 from ..model.machine import get_machine
 from ..obs import METRICS, TRACE
 from ..obs.metrics import BATCH_SIZE_BUCKETS
@@ -84,11 +67,7 @@ __all__ = [
     "ServeResult",
     "PipelineHost",
     "PipelineService",
-    "LADDER",
 ]
-
-#: the degradation ladder's tiers, healthiest first
-LADDER = ("compiled", "interpreter", "no-fusion")
 
 @dataclass(frozen=True)
 class HostConfig:
@@ -110,10 +89,6 @@ class HostConfig:
     schedule_budget_s: Optional[float] = None
     #: persistent schedule-cache directory (None: schedule per warm)
     schedule_cache: Optional[str] = None
-    #: consecutive degraded/failed requests before stepping down a tier
-    degrade_after: int = 3
-    #: consecutive clean requests before stepping back up a tier
-    recover_after: int = 32
     #: per-worker cap on retained scratch bytes (None: unbounded)
     pool_cap_bytes: Optional[int] = 256 * 1024 * 1024
 
@@ -152,8 +127,6 @@ class ServeResult:
     request_id: int
     pipeline: str
     outputs: Dict[str, np.ndarray]
-    #: LADDER tier name the host executed at
-    tier: str
     #: True when execute_guarded fell back for at least one group
     degraded: bool
     #: members coalesced into the request's batch (including it)
@@ -181,31 +154,24 @@ class PipelineHost:
         self._state_lock = threading.Lock()
         self.pipeline = None
         self.grouping = None
-        #: the tier the ``compiled`` rung executes at, resolved from the
+        #: the kernel tier requests execute at, resolved from the
         #: environment at warm-up
         self.kernels = KernelTier.NATIVE
-        #: ``(grouping, GuardPolicy)`` per :data:`LADDER` rung, from warm-up
-        self._rungs: tuple = ()
+        #: the one ``GuardPolicy`` every request runs under, from warm-up
+        self.policy: Optional[GuardPolicy] = None
         self.schedule_tier: Optional[str] = None
-        #: tiled groups whose ``compiled``-rung kernel is native C / is
-        #: not (the stage-walking adapter)
+        #: tiled groups whose kernel is native C / is not (the
+        #: stage-walking adapter)
         self.native_groups = 0
         self.numpy_groups = 0
         self.pools: Optional[PoolGroup] = None
         self.executor = None
         self.warm_s: Optional[float] = None
-        self._tier = 0
-        self._consecutive_failures = 0
-        self._consecutive_successes = 0
         self.requests_served = 0
 
     @property
     def is_warm(self) -> bool:
         return self.pipeline is not None
-
-    @property
-    def tier_name(self) -> str:
-        return LADDER[self._tier]
 
     # -- warm-up --------------------------------------------------------
     def warm(self) -> "PipelineHost":
@@ -244,16 +210,9 @@ class PipelineHost:
                     )
                 self.native_groups = sum(k.native for k in resolved)
                 self.numpy_groups = len(resolved) - self.native_groups
-                compiled, interpreted = (
-                    GuardPolicy(
-                        self.config.tile_retries, degrade=True, kernels=tier
-                    )
-                    for tier in (self.kernels, KernelTier.INTERPRET)
-                )
-                self._rungs = (
-                    (grouping, compiled),
-                    (grouping, interpreted),
-                    (singleton_grouping(pipe), interpreted),
+                self.policy = GuardPolicy(
+                    self.config.tile_retries, degrade=True,
+                    kernels=self.kernels,
                 )
                 self.pools = PoolGroup(self.config.pool_cap_bytes)
                 self.executor = shared_executor(self.config.threads)
@@ -268,8 +227,6 @@ class PipelineHost:
             if METRICS.enabled:
                 METRICS.observe("repro_serve_warm_seconds", self.warm_s,
                                 pipeline=self.key)
-                METRICS.set("repro_serve_tier", self._tier,
-                            pipeline=self.key)
             return self
 
     def reinit_after_fork(self) -> None:
@@ -278,9 +235,7 @@ class PipelineHost:
         Fork copies the warm plan (grouping, compiled kernels, pool
         contents) for free, but inherited locks may be held by parent
         threads that do not exist here, and the inherited executor's
-        threads do not exist at all.  Everything else — including the
-        ladder tier, which each worker then walks independently — is
-        kept.
+        threads do not exist at all.  Everything else is kept.
         """
         self._warm_lock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -290,76 +245,29 @@ class PipelineHost:
 
     # -- execution ------------------------------------------------------
     def execute(self, inputs: Mapping[str, np.ndarray]):
-        """Run one request on the warm plan at the current ladder tier;
-        returns ``(outputs, report, tier_name)``.
-
-        Input-validation errors propagate without moving the ladder (a
-        malformed request says nothing about the host's health); any
-        other exception, and any degraded execution, counts as a
-        failure.
-        """
+        """Run one request on the warm plan; returns its
+        :class:`~repro.resilience.guard.ExecutionReport` (``outputs``, and
+        ``degraded`` when a group fell back to the reference)."""
         if not self.is_warm:
             self.warm()
-        tier = self._tier
-        grouping, policy = self._rungs[tier]
-        try:
-            report = execute_guarded(
-                self.pipeline, grouping, inputs,
-                nthreads=self.config.threads, policy=policy,
-                executor=self.executor, pools=self.pools,
-            )
-        except Exception as exc:
-            if error_code(exc).startswith("INPUT"):
-                raise
-            self._note_outcome(ok=False)
-            raise
-        self._note_outcome(ok=not report.degraded)
-        return report.outputs, report, LADDER[tier]
-
-    def _note_outcome(self, ok: bool) -> None:
-        """Advance the degradation ladder on consecutive outcomes."""
+        report = execute_guarded(
+            self.pipeline, self.grouping, inputs,
+            nthreads=self.config.threads, policy=self.policy,
+            executor=self.executor, pools=self.pools,
+        )
         with self._state_lock:
             self.requests_served += 1
-            if ok:
-                self._consecutive_failures = 0
-                self._consecutive_successes += 1
-                if (self._tier > 0 and self._consecutive_successes
-                        >= self.config.recover_after):
-                    self._move_tier(-1)
-            else:
-                self._consecutive_successes = 0
-                self._consecutive_failures += 1
-                if (self._tier < len(LADDER) - 1
-                        and self._consecutive_failures
-                        >= self.config.degrade_after):
-                    self._move_tier(+1)
-
-    def _move_tier(self, delta: int) -> None:
-        """Caller holds ``_state_lock``."""
-        self._tier += delta
-        self._consecutive_failures = 0
-        self._consecutive_successes = 0
-        if METRICS.enabled:
-            METRICS.inc(
-                "repro_serve_tier_changes_total", pipeline=self.key,
-                direction="down" if delta > 0 else "up",
-            )
-            METRICS.set("repro_serve_tier", self._tier,
-                        pipeline=self.key)
+        return report
 
     # -- introspection --------------------------------------------------
     def health(self) -> Dict[str, Any]:
-        with self._state_lock:
-            out = {
-                "warm": self.is_warm,
-                "tier": self.tier_name,
-                "machine": self.config.machine,
-                "requests": self.requests_served,
-                "consecutive_failures": self._consecutive_failures,
-            }
+        out = {
+            "warm": self.is_warm,
+            "machine": self.config.machine,
+            "requests": self.requests_served,
+        }
         if self.is_warm:
             out.update({
-                "ladder": list(LADDER),
                 "schedule_tier": self.schedule_tier,
                 "groups": self.grouping.num_groups,
                 "kernels": self.kernels.name.lower(),
@@ -689,7 +597,6 @@ class PipelineService:
                     request_id=req.id,
                     pipeline=key,
                     outputs=out.outputs,
-                    tier=out.tier,
                     degraded=out.degraded,
                     batch_size=len(live),
                     queue_wait_s=waits[req.id],
@@ -701,10 +608,7 @@ class PipelineService:
     def _run_batch_in_process(self, key: str, host: PipelineHost,
                               live: List[ServeRequest],
                               observing: bool) -> None:
-        with TRACE.span(
-            "batch", pipeline=key, size=len(live),
-            tier=host.tier_name,
-        ):
+        with TRACE.span("batch", pipeline=key, size=len(live)):
             for req in live:
                 queue_wait = time.perf_counter() - req.enqueued_at
                 if observing:
@@ -720,15 +624,14 @@ class PipelineService:
                             inputs = make_inputs(
                                 host.pipeline, int(req.meta["seed"])
                             )
-                        outputs, report, tier = host.execute(inputs)
+                        report = host.execute(inputs)
                     except Exception as exc:
                         self._finish(req, error=exc)
                         continue
                     result = ServeResult(
                         request_id=req.id,
                         pipeline=key,
-                        outputs=outputs,
-                        tier=tier,
+                        outputs=report.outputs,
                         degraded=report.degraded,
                         batch_size=len(live),
                         queue_wait_s=queue_wait,

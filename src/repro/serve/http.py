@@ -19,7 +19,7 @@ third-party web framework, matching the repo's stdlib+numpy constraint:
     Body ``{"pipeline": "UM", "seed": 0, "timeout_s": 10,
     "return_data": false}``.  Responds with per-output shape, dtype and
     sha256 digest (plus the raw data as nested lists when
-    ``return_data`` is true) and request metadata (ladder tier,
+    ``return_data`` is true) and request metadata (degraded,
     batch size, queue wait).  Clients that only need to verify
     bit-identity against ``repro run --digest`` compare digests.  A
     body that is not a JSON object, names no pipeline, or carries a
@@ -300,7 +300,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "id": result.request_id,
                 "pipeline": result.pipeline,
                 "seed": seed,
-                "tier": result.tier,
                 "degraded": result.degraded,
                 "batch_size": result.batch_size,
                 "queue_wait_s": round(result.queue_wait_s, 6),

@@ -189,7 +189,6 @@ class WorkerOutcome:
 
     rid: int
     outputs: Optional[Dict[str, np.ndarray]] = None
-    tier: str = ""
     degraded: bool = False
     error: Optional[BaseException] = None
     worker: int = -1
@@ -621,7 +620,6 @@ class WorkerSupervisor:
                 rid=rid,
                 outputs={name: views[f"{rid}/{name}"].copy()
                          for name in entry["outputs"]},
-                tier=entry["tier"],
                 degraded=entry["degraded"],
                 worker=handle.pid,
                 retried=rec.retried,

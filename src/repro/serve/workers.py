@@ -168,20 +168,19 @@ def _run_batch(slot: memoryview, hosts: Mapping[str, Any], key: str,
             else:
                 inputs = {name: in_views[f"{rid}/{name}"]
                           for name in item["images"]}
-            outputs, report, tier = host.execute(inputs)
+            report = host.execute(inputs)
         except Exception as exc:
             entries.append({
                 "rid": rid,
                 "error": (error_code(exc), str(exc)),
             })
             continue
-        for name, arr in outputs.items():
+        for name, arr in report.outputs.items():
             results[f"{rid}/{name}"] = arr
         entries.append({
             "rid": rid,
-            "tier": tier,
             "degraded": report.degraded,
-            "outputs": sorted(outputs),
+            "outputs": sorted(report.outputs),
         })
     in_end = max((offset + int(np.prod(shape)) * np.dtype(dtype).itemsize
                   for offset, shape, dtype in in_specs.values()), default=0)

@@ -372,7 +372,7 @@ def test_host_fused_vs_unfused_bit_identical(monkeypatch):
         assert host.kernels is tier
         if inputs is None:
             inputs = make_inputs(host.pipeline, 123)
-        outputs, report, tier = host.execute(inputs)
-        assert tier == "compiled"
-        outs[fuse] = outputs
+        report = host.execute(inputs)
+        assert not report.degraded
+        outs[fuse] = report.outputs
     assert_bit_identical(outs[False], outs[True])

@@ -1207,9 +1207,9 @@ def test_serve_host_two_threads_in_process_and_across_workers():
     host_config = HostConfig(scale=scale, threads=2)
     host = PipelineHost("CP", host_config)
     host.warm()
-    outputs, _, tier = host.execute(make_inputs(host.pipeline, seed))
-    assert tier == "compiled"
-    assert output_digests(outputs) == expected
+    report = host.execute(make_inputs(host.pipeline, seed))
+    assert not report.degraded
+    assert output_digests(report.outputs) == expected
 
     svc = PipelineService(ServeConfig(
         host=host_config, workers=1, heartbeat_s=0.2,

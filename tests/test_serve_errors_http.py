@@ -21,8 +21,8 @@ from repro.serve import HostConfig, PipelineService, ServeConfig, make_server
 from repro.serve.http import _STATUS_BY_CODE
 
 #: codes that deliberately default to 500: server-side scheduling or
-#: execution failures — retrying with the same request may help (the
-#: ladder degrades) but the request itself was well-formed
+#: execution failures — retrying with the same request may help (a
+#: transient fault) but the request itself was well-formed
 _DELIBERATE_500 = {
     "REPRO",
     "SCHED_FAIL",

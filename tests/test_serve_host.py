@@ -1,6 +1,6 @@
 """Integration tests for the serving core: warm hosts, bit-identity with
 one-shot execution, micro-batch coalescing, the deterministic overload
-contract, graceful drain, and the degradation ladder."""
+contract, graceful drain, and per-request degradation."""
 
 import os
 import threading
@@ -30,14 +30,16 @@ from repro.runtime import (
     kernelcache,
 )
 from repro.runtime import executor as executor_mod
+from repro.runtime import native as native_mod
 from repro.serve import host as host_mod
 from repro.serve import (
-    LADDER,
     HostConfig,
     PipelineHost,
     PipelineService,
     ServeConfig,
 )
+
+from conftest import needs_gxx
 
 SCALE = 0.05
 THREADS = 2
@@ -341,80 +343,48 @@ class TestDrain:
         svc.shutdown(timeout_s=60.0)
 
 
-class TestDegradationLadder:
-    def test_sustained_failure_steps_down_and_recovers(self, monkeypatch):
-        """... and every rung executes with the grouping and the one
-        ``GuardPolicy`` the host built for it at warm-up."""
+class TestDegradation:
+    @pytest.mark.native
+    @needs_gxx
+    def test_faulted_requests_fall_back_and_the_next_runs_native(
+        self, native_on, monkeypatch,
+    ):
+        """A host never leaves its warm plan.  Every request under
+        ``tile`` faults on every check is ``degraded`` — the guard reruns
+        each failing group on the reference — and serves a clean run's
+        bits, however many in a row; the next clean request is not
+        degraded and runs the host's native groups again, as the
+        programs it packed at warm-up."""
         ran = []
+        real = native_mod._Program.run
 
-        def recording(pipeline, grouping, inputs, **kwargs):
-            ran.append((grouping, kwargs["policy"]))
-            return execute_guarded(pipeline, grouping, inputs, **kwargs)
+        def recording(program, *args):
+            ran.append(program)
+            return real(program, *args)
 
-        monkeypatch.setattr(host_mod, "execute_guarded", recording)
-        svc = PipelineService(small_config(host_kwargs=dict(
-            degrade_after=2, recover_after=2,
-        ))).start()
+        monkeypatch.setattr(native_mod._Program, "run", recording)
+        svc = PipelineService(small_config()).start()
         try:
             host = svc.host("UM")
-            assert host.tier_name == "compiled"
-            with inject_faults(tile=1.0):
-                for _ in range(2):
-                    r = svc.submit("UM", seed=0).result(timeout=120)
-                    assert r.degraded
-                assert host.tier_name == "interpreter"
-                for _ in range(2):
-                    svc.submit("UM", seed=0).result(timeout=120)
-                assert host.tier_name == "no-fusion"
-                # the floor holds under continued failure
-                svc.submit("UM", seed=0).result(timeout=120)
-                assert host.tier_name == "no-fusion"
-            # clean requests climb back up one tier per recover_after
-            for _ in range(2):
-                r = svc.submit("UM", seed=0).result(timeout=120)
-                assert not r.degraded
-            assert host.tier_name == "interpreter"
-            for _ in range(2):
-                svc.submit("UM", seed=0).result(timeout=120)
-            assert host.tier_name == "compiled"
-        finally:
-            svc.shutdown(timeout_s=60.0)
-        # 2 compiled, 2 interpreter, 3 no-fusion, 2 interpreter
-        rungs = [LADDER.index(name) for name in (
-            ["compiled"] * 2 + ["interpreter"] * 2 + ["no-fusion"] * 3
-            + ["interpreter"] * 2
-        )]
-        for (grouping, policy), rung in zip(ran, rungs, strict=True):
-            assert grouping is host._rungs[rung][0]
-            assert policy is host._rungs[rung][1]
-        for rung, (grouping, policy) in enumerate(host._rungs):
-            assert policy.kernels is (
-                KernelTier.INTERPRET if rung else host.kernels
+            assert host.kernels is KernelTier.NATIVE
+            segments = executor_mod._segments(
+                host.pipeline, host.grouping, THREADS, host.kernels
             )
-            assert (policy.tile_retries, policy.degrade) == (
-                host.config.tile_retries, True
-            )
-            assert (grouping is host.grouping) == (rung < 2)
-        assert host._rungs[2][0].num_groups == len(host.pipeline.stages)
-
-    def test_degraded_tiers_stay_bit_identical(self):
-        """The ladder changes *how* a pipeline executes, never what it
-        computes — tier 2 output matches tier 0 output."""
-        svc = PipelineService(small_config(host_kwargs=dict(
-            degrade_after=1, recover_after=1000,
-        ))).start()
-        try:
-            host = svc.host("UM")
-            baseline = output_digests(
+            assert sum(seg.stop - first for first, seg in segments.items()
+                       ) == host.native_groups > 0
+            clean = output_digests(
                 svc.submit("UM", seed=5).result(timeout=120).outputs
             )
             with inject_faults(tile=1.0):
-                svc.submit("UM", seed=5).result(timeout=120)
-                svc.submit("UM", seed=5).result(timeout=120)
-            assert host.tier_name == "no-fusion"
+                for _ in range(5):
+                    r = svc.submit("UM", seed=5).result(timeout=120)
+                    assert r.degraded
+                    assert output_digests(r.outputs) == clean
+            ran.clear()
             r = svc.submit("UM", seed=5).result(timeout=120)
-            assert r.tier == "no-fusion"
-            assert output_digests(r.outputs) == baseline
+            assert not r.degraded
+            assert output_digests(r.outputs) == clean
+            assert ran == [seg.program for seg in segments.values()]
         finally:
             svc.shutdown(timeout_s=60.0)
 
@@ -438,7 +408,6 @@ class TestHostLifecycle:
         assert health["status"] == "serving"
         assert health["pending"] == 0
         assert health["hosts"]["UM"]["warm"]
-        assert health["hosts"]["UM"]["tier"] == "compiled"
         assert health["hosts"]["UM"]["requests"] == 1
         assert health["hosts"]["UM"]["pool"]["pools"] >= 1
         # what the process's environment resolved to at warm-up (the
@@ -452,9 +421,8 @@ class TestGpuModelHost:
     @pytest.mark.parametrize("workers", [0, 1])
     def test_gpu_schedule_runs_on_the_one_executor(self, workers):
         """``machine="gpu-v100"`` chooses the model that schedules,
-        nothing else: the ladder is :data:`LADDER`, nothing warns, and the
-        GPU-model schedule's outputs are the reference's bits — in
-        process and in a forked worker."""
+        nothing else: nothing warns, and the GPU-model schedule's outputs
+        are the reference's bits — in process and in a forked worker."""
         seed = 3
         _, pipe = build_benchmark("UM", SCALE)
         expected = output_digests(
@@ -470,13 +438,11 @@ class TestGpuModelHost:
                 svc.warm(["UM"])
                 host = svc.hosts["UM"]
                 assert isinstance(host.machine, GpuMachine)
-                assert host.health()["ladder"] == list(LADDER)
                 assert host.health()["machine"] == "gpu-v100"
                 if workers:
                     svc.start_workers()
                 result = svc.submit("UM", seed=seed).result(timeout=120)
                 assert (result.worker is not None) == bool(workers)
-                assert result.tier == "compiled"
                 assert not result.degraded
                 assert output_digests(result.outputs) == expected
             finally:
@@ -541,7 +507,6 @@ class TestWarmPath:
             for _ in range(3):
                 result = svc.submit(key, seed=seed).result(timeout=120)
                 assert (result.worker is not None) == bool(workers)
-                assert result.tier == "compiled"
                 assert not result.degraded
                 assert output_digests(result.outputs) == expected
         finally:

@@ -112,7 +112,6 @@ class TestRun:
         )
         got = {name: o["sha256"] for name, o in body["outputs"].items()}
         assert got == expected
-        assert body["tier"] == "compiled"
         assert body["degraded"] is False
         assert body["batch_size"] >= 1
 

@@ -368,7 +368,7 @@ class TestArena:
             svc.warm(["UM"])
             host = svc.host("UM")
             inputs = [make_inputs(host.pipeline, seed) for seed in range(4)]
-            expected = [output_digests(host.execute(i)[0]) for i in inputs]
+            expected = [output_digests(host.execute(i).outputs) for i in inputs]
             svc.start_workers()
             sys.setswitchinterval(1e-5)
             futures = [svc.submit("UM", inputs=inputs[n % 4])
