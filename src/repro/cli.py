@@ -9,7 +9,7 @@ Commands
     grouping.
 ``run <bench>``
     Schedule and *execute* a benchmark (at a reduced scale by default)
-    with the overlapped-tiling interpreter, verifying against the
+    with the overlapped-tiling executor, verifying against the
     reference.
 ``estimate <bench>``
     Price all four paper configurations with the timing model.
@@ -32,8 +32,8 @@ import numpy as np
 
 from .fusion.serialize import load_grouping, save_grouping
 from .obs import METRICS, TRACE
-from .planner import build_benchmark, make_inputs, output_digests, \
-    plan_schedule
+from .planner import MAX_STATES, build_benchmark, make_inputs, \
+    output_digests, plan_schedule
 from .profiling import PROFILE
 from .model import Machine
 from .model.machine import MACHINES, get_machine, machines_json
@@ -148,7 +148,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        kernels = KernelTier.resolve(args.kernels)
+        kernels = KernelTier.resolve()
     except ValueError as exc:  # a malformed REPRO_KERNELS
         raise SystemExit(str(exc))
     bench, pipe = _build(args.benchmark, args.scale)
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("benchmark", choices=sorted(BENCHMARKS),
                        help="benchmark key (see `list`)")
         machine_flag(p)
-        p.add_argument("--max-states", type=int, default=1_200_000)
+        p.add_argument("--max-states", type=int, default=MAX_STATES)
         p.add_argument("--schedule-budget-s", type=float, default=None,
                        help="wall-clock budget for the DP scheduling "
                             "tiers (degrade mode falls down the chain "
@@ -449,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="image-size fraction of the paper configuration")
     p.add_argument("-o", "--output", help="write the schedule as JSON")
 
-    p = sub.add_parser("run", help="schedule and execute a benchmark")
+    p = sub.add_parser("run", help="schedule and execute a benchmark "
+                                   "(REPRO_KERNELS=stage: no native C)")
     common(p)
     obs_flags(p)
     p.add_argument("--scale", type=float, default=0.1)
@@ -459,12 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--schedule", help="load a saved schedule instead")
     p.add_argument("--verify", action="store_true",
-                   help="compare against the reference interpreter")
-    p.add_argument("--kernels", default=None,
-                   choices=[t.name.lower() for t in reversed(KernelTier)],
-                   help="the highest rung a group's kernel may stand on; "
-                        "what cannot be built runs one rung down (A/B "
-                        "timing; default: REPRO_KERNELS, else native)")
+                   help="compare against the untiled reference")
     p.add_argument("--digest", action="store_true",
                    help="print a 'digest <name> <sha256>' line per output "
                         "(bit-identity checks against the serve layer)")
@@ -532,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="emit a Graphviz DAG of a benchmark")
     p.add_argument("benchmark", choices=sorted(BENCHMARKS))
     machine_flag(p)
-    p.add_argument("--max-states", type=int, default=1_200_000)
+    p.add_argument("--max-states", type=int, default=MAX_STATES)
     p.add_argument(
         "--strategy", default="dp",
         choices=["none", "dp", "dp-incremental", "greedy", "polymage-auto",

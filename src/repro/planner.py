@@ -35,6 +35,7 @@ from .pipelines import get_benchmark
 from .resilience import ScheduleBudget, resilient_schedule
 
 __all__ = [
+    "MAX_STATES",
     "build_benchmark",
     "plan_schedule",
     "make_inputs",
@@ -62,6 +63,11 @@ def build_benchmark(abbrev: str, scale: float):
     kwargs["width"] = max(64, int(w * scale) // 16 * 16)
     kwargs["height"] = max(64, int(h * scale) // 16 * 16)
     return bench, bench.build(**kwargs)
+
+
+#: the DP's state budget when none is given: the CLI's ``--max-states``
+#: default and what a serving host schedules with
+MAX_STATES = 1_200_000
 
 
 def plan_schedule(pipe, bench, machine: Machine, strategy: str,

@@ -1,6 +1,6 @@
 """Hardened execution: validate, retry, degrade — never die mid-pipeline.
 
-:func:`execute_guarded` wraps the overlapped-tiling interpreter
+:func:`execute_guarded` wraps the overlapped-tiling executor
 (:func:`repro.runtime.execute_grouping`) with the protections a serving
 system needs:
 
@@ -18,9 +18,10 @@ system needs:
   cause.
 * **Per-group fallback to reference execution** — in degrade mode a group
   whose tiled execution failed (for any reason) is re-run stage-by-stage
-  untiled, which is exactly the reference interpreter's semantics; the
-  rest of the pipeline continues on the fallback's outputs.  A failed
-  tiled group publishes nothing, so the fallback starts from clean state.
+  untiled through :func:`repro.runtime.execute_reference`'s own loop, with
+  no kernel, native or NumPy; the rest of the pipeline continues on the
+  fallback's outputs.  A failed tiled group publishes nothing, so the
+  fallback starts from clean state.
 
 The returned :class:`ExecutionReport` carries the outputs plus a
 per-group audit trail of what actually ran.
@@ -39,7 +40,7 @@ from ..errors import ReproError, TileExecutionError, error_code
 from ..fusion.grouping import Grouping
 from ..runtime.executor import (
     KernelTier,
-    _execute_group_untiled,
+    _compute_reference,
     _execute_one_group,
     _walk_groups,
     validate_inputs,
@@ -65,7 +66,7 @@ class GuardPolicy:
     #: raising (maps to the CLI's ``--degrade`` / ``--strict``)
     degrade: bool = True
     #: the highest rung a group's kernel may stand on (default:
-    #: ``NATIVE`` unless ``REPRO_KERNELS`` says otherwise)
+    #: ``NATIVE`` unless ``REPRO_KERNELS`` says ``stage``)
     kernels: KernelTier = field(default_factory=KernelTier.resolve)
 
 
@@ -140,17 +141,16 @@ def execute_guarded(
     outcomes: List[GroupOutcome] = []
 
     def fall_back(outcome: GroupOutcome, members, buffers, code: str):
-        """Re-run the group untiled over full domains — the reference
-        interpreter's semantics — with fault injection suspended so the
-        degraded path cannot itself be sabotaged."""
+        """Re-run the group untiled over full domains with no kernel —
+        :func:`repro.runtime.execute_reference`'s loop — with fault
+        injection suspended so the degraded path cannot itself be
+        sabotaged."""
         if observing:
             METRICS.inc("repro_degraded_groups_total", code=code)
         with TRACE.span(
             "reference-fallback", index=outcome.group_index, code=code,
         ), faults.suspended():
-            _execute_group_untiled(
-                pipeline, members, buffers, KernelTier.INTERPRET
-            )
+            _compute_reference(pipeline, members, buffers)
         outcome.mode = "reference-fallback"
         outcome.error_code = code
 

@@ -1,4 +1,4 @@
-"""NumPy interpreter for pipelines: reference and overlapped-tiled modes.
+"""Pipeline execution: the untiled reference and overlapped tiling.
 
 Two entry points:
 
@@ -13,7 +13,7 @@ Two entry points:
   broken inter-tile dependences of overlapped tiling permit.  A group's
   walk is planned once per tiling; a :class:`KernelTier` selects what
   stands behind its :class:`~repro.runtime.kernelcache.GroupKernel`
-  (native C, compiled stage kernels, or the interpreter).  Adjacent
+  (native C or compiled NumPy stage kernels).  Adjacent
   tiles always reuse halos where the group's geometry allows.  Each run
   of consecutive native groups runs as one native program — one call
   per thread (:func:`_walk_groups`) — and every other group walks by
@@ -89,24 +89,21 @@ __all__ = [
 
 
 class KernelTier(enum.IntEnum):
-    """What a group's kernel stands on, lowest rung first.  A rung that
-    cannot be built for a group runs that group on the one below."""
+    """What a group's kernel stands on, lower rung first.  A group whose
+    native kernel cannot be built runs on the stage walk."""
 
-    INTERPRET = 0  #: the tree-walking interpreter, stage body by stage body
-    STAGE = 1      #: compiled NumPy stage kernels, stage body by stage body
-    NATIVE = 2     #: one C kernel per eligible tiled group, untiled reduction
+    STAGE = 1   #: compiled NumPy stage kernels, stage body by stage body
+    NATIVE = 2  #: one C kernel per eligible tiled group, untiled reduction
 
     @classmethod
-    def resolve(cls, kernels: Optional[str] = None) -> "KernelTier":
-        """The tier from the CLI's ``--kernels`` flag, else the
-        ``REPRO_KERNELS`` environment variable (a tier name in any case,
-        blanks stripped; ``ValueError`` on anything else), else
-        ``NATIVE``.  The only place the executor's environment is read;
-        resolved once per entry point (``repro run``,
-        ``PipelineHost.warm``, a bare :func:`execute_grouping`), a plain
-        value from there down."""
-        if kernels is None:
-            kernels = os.environ.get("REPRO_KERNELS", "")
+    def resolve(cls) -> "KernelTier":
+        """The tier the ``REPRO_KERNELS`` environment variable names (a
+        tier name in any case, blanks stripped; ``ValueError`` on
+        anything else), else ``NATIVE``.  The only place the executor's
+        environment is read; resolved once per entry point (``repro
+        run``, ``PipelineHost.warm``, a bare :func:`execute_grouping`), a
+        plain value from there down."""
+        kernels = os.environ.get("REPRO_KERNELS", "")
         name = kernels.strip().upper() or "NATIVE"
         if name not in cls.__members__:
             raise ValueError(
@@ -260,8 +257,8 @@ def _compute_function_region(
     With a compiled ``kernel`` the region is computed by one call into
     generated NumPy code instead of a tree walk; a ``pool`` additionally
     lets kernels that support in-place stores write into a recycled
-    scratch array.  Without a kernel this is the interpreter path,
-    byte-for-byte the pre-compilation behaviour.
+    scratch array.  Without a kernel the stage's expression tree is
+    walked (:mod:`repro.runtime.evalexpr`): the reference semantics.
     """
     grids = make_index_grids(bounds)
     shape = tuple(hi - lo + 1 for lo, hi in bounds)
@@ -360,6 +357,14 @@ def _compute_stage_full(
     )
 
 
+def _compute_reference(pipeline: Pipeline, members, buffers) -> None:
+    """``members`` over their full domains in pipeline order, with no
+    kernel: :func:`execute_reference`'s loop, and the guard's fallback."""
+    for stage in pipeline.stages:
+        if stage in members:
+            buffers[stage.name] = _compute_stage_full(pipeline, stage, buffers)
+
+
 def execute_reference(
     pipeline: Pipeline,
     inputs: Mapping[str, np.ndarray],
@@ -370,8 +375,7 @@ def execute_reference(
     Returns output arrays by stage name (all stages with ``keep_all``).
     """
     buffers = _input_buffers(pipeline, inputs)
-    for stage in pipeline.stages:
-        buffers[stage.name] = _compute_stage_full(pipeline, stage, buffers)
+    _compute_reference(pipeline, frozenset(pipeline.stages), buffers)
     wanted = (
         [s.name for s in pipeline.stages]
         if keep_all
@@ -1216,7 +1220,7 @@ def _stagewise_kernel(
 ) -> GroupKernel:
     """The :class:`GroupKernel` that walks a group's members one stage
     body at a time through :func:`_compute_function_region` — the stage's
-    compiled kernel where ``kernels`` has one, the interpreter where not.
+    compiled kernel where ``kernels`` has one, else its expression tree.
     Every member is a region slot; none is inlined or stored direct."""
     # The kernel is memoised in a cache weakly keyed by the pipeline:
     # holding the pipeline strongly here would keep it alive forever.
@@ -1265,13 +1269,11 @@ def _stagewise_kernel(
     )
 
 
-def _numpy_kernel(
-    pipeline: Pipeline, geom, kernels: KernelTier
-) -> GroupKernel:
-    """The kernel a group runs on below ``NATIVE``: the stage-walking
-    adapter — over compiled stage kernels from ``STAGE`` up (a stage that
-    fails to compile is interpreted after one ``KERNEL_COMPILE_FAIL``
-    warning), over the interpreter at ``INTERPRET``.  A reduction's is
+def _numpy_kernel(pipeline: Pipeline, geom) -> GroupKernel:
+    """The kernel a group runs on when it is not native: the
+    stage-walking adapter over compiled stage kernels (a stage that fails
+    to compile walks its expression tree after one
+    ``KERNEL_COMPILE_FAIL`` warning).  A reduction's is
     :func:`_compute_reduction`."""
     if isinstance(geom, Reduction):
         # weakly, like the stage-walking adapter: the memo is keyed by
@@ -1282,9 +1284,7 @@ def _numpy_kernel(
             lambda buffers: _compute_reduction(pipeline_ref(), geom, buffers),
         )
     return _stagewise_kernel(
-        pipeline, geom,
-        stage_kernels(pipeline, geom.stages)
-        if kernels >= KernelTier.STAGE else {},
+        pipeline, geom, stage_kernels(pipeline, geom.stages)
     )
 
 
@@ -1339,10 +1339,10 @@ def _kernels_agree(pipeline: Pipeline, geom, kernel: GroupKernel) -> bool:
     seeds exactly to its own expanded bound — ``kernel`` as a one-op
     program of the chunk's step table (whose outputs are not zeroed:
     only base regions are compared), the stage walk step by step.  A
-    reduction's kernel: the same bytes as the interpreter's walk over
+    reduction's kernel: the same bytes as :func:`_compute_reduction` over
     its whole reduction domain, from producers spread so that targets
     fall inside and outside the accumulator."""
-    reference = _numpy_kernel(pipeline, geom, KernelTier.STAGE)
+    reference = _numpy_kernel(pipeline, geom)
     if isinstance(geom, Reduction):
         buffers = _seeded_producers(pipeline, [geom], spread=True)
         with suspended():
@@ -1417,7 +1417,7 @@ def resolve_group_kernels(
     per = _RESOLVED_CACHE.get(pipeline)
     if per is None:
         per = _RESOLVED_CACHE.setdefault(pipeline, {})
-    use_native = kernels >= KernelTier.NATIVE
+    use_native = kernels is KernelTier.NATIVE
     keys = [
         (u.name, use_native) if isinstance(u, Reduction)
         else (frozenset(s.name for s in u.stages), kernels)
@@ -1437,7 +1437,7 @@ def resolve_group_kernels(
             per[keys[missing[j]]] = kernel
     for i in missing:
         if keys[i] not in per:
-            per[keys[i]] = _numpy_kernel(pipeline, units[i], kernels)
+            per[keys[i]] = _numpy_kernel(pipeline, units[i])
     return [per[k] for k in keys]
 
 
@@ -1511,19 +1511,19 @@ def warm_group_kernels(
 
 def _execute_group_untiled(
     pipeline: Pipeline, members, buffers: Dict[str, Buffer],
-    tier: KernelTier, reducers: Optional[Mapping[str, GroupKernel]] = None,
+    reducers: Mapping[str, GroupKernel],
 ) -> None:
     """Run ``members`` stage by stage over their full domains, in
     pipeline order: a reduction named in ``reducers`` on that kernel,
-    everything else on compiled stage kernels, or — at ``INTERPRET``
-    with no ``reducers`` — exactly as :func:`execute_reference` would."""
+    every other reduction by :func:`_compute_reduction`, everything else
+    on its compiled stage kernel."""
     for stage in pipeline.stages:
         if stage in members:
-            if reducers and stage.name in reducers:
+            if stage.name in reducers:
                 buffers[stage.name] = reducers[stage.name].fn(buffers)
                 continue
             kernel = None
-            if tier >= KernelTier.STAGE and not isinstance(stage, Reduction):
+            if not isinstance(stage, Reduction):
                 kernel = get_kernel(pipeline, stage)
             buffers[stage.name] = _compute_stage_full(
                 pipeline, stage, buffers, kernel=kernel
@@ -1550,7 +1550,7 @@ def _execute_one_group(
     geom = _tiled_geometry(pipeline, members)
     if geom is None:
         reducers = {}
-        if kernels >= KernelTier.NATIVE:
+        if kernels is KernelTier.NATIVE:
             reductions = _reductions_in(pipeline, members)
             reducers = {
                 stage.name: kernel for stage, kernel in zip(
@@ -1558,9 +1558,7 @@ def _execute_one_group(
                     resolve_group_kernels(pipeline, reductions, kernels),
                 ) if kernel.native
             }
-        _execute_group_untiled(
-            pipeline, members, buffers, kernels, reducers
-        )
+        _execute_group_untiled(pipeline, members, buffers, reducers)
         span = TRACE.current() if TRACE.enabled else None
         if span is not None:
             span.set(native=len(reducers))
@@ -1905,7 +1903,7 @@ def execute_grouping(
     inputs raise ``INPUT_*`` errors up front, and a tile that raises
     surfaces as ``TILE_FAIL`` with its group/tile coordinates after
     ``tile_retries`` bounded retries.  For retry-then-degrade execution
-    and per-group fallback to the reference interpreter — the same walk,
+    and per-group fallback to the reference — the same walk,
     guarded per group — see
     :func:`repro.resilience.guard.execute_guarded`.
     """

@@ -49,8 +49,8 @@ The result, a :class:`GroupPlan`, is what the native C emitter
 
 :class:`GroupKernel` is the one protocol the tiled executor calls.  Its
 NumPy source is the executor's adapter, which walks a group's members
-through their stage kernels (or the interpreter) behind the same
-signature — the ``STAGE`` / ``INTERPRET`` rungs of
+through their stage kernels (a stage that did not compile walks its
+expression tree) behind the same signature — the ``STAGE`` rung of
 :class:`repro.runtime.KernelTier` and every group native does not run.
 Its other source is a native kernel, which stands in for the adapter and
 is checked against it on first use.

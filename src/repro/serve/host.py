@@ -49,7 +49,8 @@ from ..model.machine import get_machine
 from ..obs import METRICS, TRACE
 from ..obs.metrics import BATCH_SIZE_BUCKETS
 from ..pipelines import BENCHMARKS
-from ..planner import build_benchmark, make_inputs, plan_schedule
+from ..planner import MAX_STATES, build_benchmark, make_inputs, \
+    plan_schedule
 from ..resilience import GuardPolicy, execute_guarded
 from ..runtime import (
     KernelTier,
@@ -69,6 +70,13 @@ __all__ = [
     "PipelineService",
 ]
 
+#: bounded retries of a served request's failed tile step before its
+#: group falls back to the reference
+TILE_RETRIES = 1
+#: per-worker cap on the scratch bytes a host's pools retain
+POOL_CAP_BYTES = 256 * 1024 * 1024
+
+
 @dataclass(frozen=True)
 class HostConfig:
     """Per-host knobs (shared by every host of one service)."""
@@ -83,14 +91,8 @@ class HostConfig:
     #: box (docs/serving.md); 1, because a second thread per request
     #: is taken from concurrent requests (``--workers``) on a loaded box
     threads: int = 1
-    tile_retries: int = 1
-    strategy: str = "dp"
-    max_states: int = 1_200_000
-    schedule_budget_s: Optional[float] = None
     #: persistent schedule-cache directory (None: schedule per warm)
     schedule_cache: Optional[str] = None
-    #: per-worker cap on retained scratch bytes (None: unbounded)
-    pool_cap_bytes: Optional[int] = 256 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -113,11 +115,6 @@ class ServeConfig:
     worker_timeout_s: Optional[float] = 30.0
     #: worker heartbeat interval (staleness kills at 3x this)
     heartbeat_s: float = 1.0
-    #: worker deaths per pipeline within the window that trip its breaker
-    breaker_threshold: int = 3
-    breaker_window_s: float = 30.0
-    #: seconds an open breaker waits before allowing a probe batch
-    breaker_cooldown_s: float = 5.0
 
 
 @dataclass
@@ -189,10 +186,7 @@ class PipelineHost:
                 machine = get_machine(self.config.machine)
                 bench, pipe = build_benchmark(self.key, self.config.scale)
                 grouping, report = plan_schedule(
-                    pipe, bench, machine, self.config.strategy,
-                    self.config.max_states,
-                    budget_s=self.config.schedule_budget_s,
-                    strict=False,
+                    pipe, bench, machine, "dp", MAX_STATES, strict=False,
                     schedule_cache=self.config.schedule_cache,
                 )
                 # Resolve and compile every group's kernel now, and plan
@@ -211,15 +205,13 @@ class PipelineHost:
                 self.native_groups = sum(k.native for k in resolved)
                 self.numpy_groups = len(resolved) - self.native_groups
                 self.policy = GuardPolicy(
-                    self.config.tile_retries, degrade=True,
-                    kernels=self.kernels,
+                    TILE_RETRIES, degrade=True, kernels=self.kernels,
                 )
-                self.pools = PoolGroup(self.config.pool_cap_bytes)
+                self.pools = PoolGroup(POOL_CAP_BYTES)
                 self.executor = shared_executor(self.config.threads)
                 self.grouping = grouping
                 self.schedule_tier = (
-                    report.tier if report is not None
-                    else self.config.strategy
+                    report.tier if report is not None else "dp"
                 )
                 self.machine = machine
                 self.pipeline = pipe
@@ -240,7 +232,7 @@ class PipelineHost:
         self._warm_lock = threading.Lock()
         self._state_lock = threading.Lock()
         if self.is_warm:
-            self.pools = PoolGroup(self.config.pool_cap_bytes)
+            self.pools = PoolGroup(POOL_CAP_BYTES)
             self.executor = shared_executor(self.config.threads)
 
     # -- execution ------------------------------------------------------
@@ -359,9 +351,6 @@ class PipelineService:
             max_batch_size=self.config.max_batch_size,
             worker_timeout_s=self.config.worker_timeout_s,
             heartbeat_s=self.config.heartbeat_s,
-            breaker_threshold=self.config.breaker_threshold,
-            breaker_window_s=self.config.breaker_window_s,
-            breaker_cooldown_s=self.config.breaker_cooldown_s,
         ).start()
         return self.supervisor
 

@@ -62,6 +62,10 @@ __all__ = [
 #: breaker states (also the gauge encoding)
 BREAKER_CLOSED, BREAKER_OPEN, BREAKER_HALF_OPEN = 0, 1, 2
 
+#: a supervisor's breaker: worker deaths per pipeline within the window
+#: that open it, and the seconds it stays open before a probe batch
+BREAKER_THRESHOLD, BREAKER_WINDOW_S, BREAKER_COOLDOWN_S = 3, 30.0, 5.0
+
 
 class WorkerTierUnavailable(RuntimeError):
     """The worker tier cannot take this batch right now (breaker open or
@@ -92,8 +96,9 @@ class CircuitBreaker:
     is allowed (half-open), and its outcome recloses or reopens.
     """
 
-    def __init__(self, threshold: int = 3, window_s: float = 30.0,
-                 cooldown_s: float = 5.0):
+    def __init__(self, threshold: int = BREAKER_THRESHOLD,
+                 window_s: float = BREAKER_WINDOW_S,
+                 cooldown_s: float = BREAKER_COOLDOWN_S):
         self.threshold = max(1, threshold)
         self.window_s = window_s
         self.cooldown_s = cooldown_s
@@ -263,9 +268,6 @@ class WorkerSupervisor:
         max_batch_size: int = 8,
         worker_timeout_s: float = 30.0,
         heartbeat_s: float = 1.0,
-        breaker_threshold: int = 3,
-        breaker_window_s: float = 30.0,
-        breaker_cooldown_s: float = 5.0,
     ):
         self.hosts = hosts
         self.nworkers = max(1, int(workers))
@@ -279,9 +281,7 @@ class WorkerSupervisor:
         #: bytes one request's outputs take in a slot, per template key
         self._out_bytes: Dict[str, int] = {}
         self.slot_bytes = 0
-        self.breaker = CircuitBreaker(
-            breaker_threshold, breaker_window_s, breaker_cooldown_s
-        )
+        self.breaker = CircuitBreaker()
         self._slots: List[Optional[_WorkerHandle]] = [None] * self.nworkers
         self._lock = threading.Lock()
         self._batch_ids = itertools.count(1)

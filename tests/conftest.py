@@ -9,6 +9,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.dsl import (
     Case,
@@ -36,6 +37,14 @@ from repro.resilience.faults import FaultInjector
 # and in every subprocess a test spawns.  ``native``-marked tests pass
 # ``KernelTier.NATIVE`` or take the ``native_on`` fixture.
 os.environ["REPRO_KERNELS"] = "stage"
+
+# Tier-1 is deterministic: every ``@given`` test draws the same examples
+# on every run, seeded from the test itself (examples a test's own
+# ``database`` holds, as under ``tests/regressions/``, still replay
+# first).  ``pytest --hypothesis-profile explore`` draws afresh.
+settings.register_profile("deterministic", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("deterministic")
 
 HAVE_GXX = shutil.which("g++") is not None
 needs_gxx = pytest.mark.skipif(not HAVE_GXX, reason="g++ not available")

@@ -1,6 +1,8 @@
 """The hardened executor: input validation, TILE_FAIL propagation out of
 the thread pool, and per-group reference fallback."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,16 @@ from repro.errors import (
 )
 from repro.fusion import dp_group
 from repro.model import XEON_HASWELL
+from repro.pipelines import BENCHMARKS
 from repro.resilience import GuardPolicy, execute_guarded, inject_faults
 from repro.resilience.guard import validate_inputs
-from repro.runtime import execute_grouping, execute_reference
+from repro.runtime import (
+    KernelTier,
+    clear_kernel_cache,
+    execute_grouping,
+    execute_reference,
+    kernelcache,
+)
 
 from conftest import random_inputs
 
@@ -125,6 +134,48 @@ class TestTileFailPropagation:
             assert o.error_code == "TILE_FAIL"
         for k in ref:
             np.testing.assert_array_equal(ref[k], result.outputs[k])
+
+    @pytest.mark.parametrize("abbrev", ["HC", "UM"])
+    def test_fallback_runs_no_compiled_stage_code(self, abbrev, monkeypatch):
+        """The reference fallback walks expression trees, never a stage
+        kernel: with every compiled stage kernel sabotaged to write
+        wrong values, a run whose every group falls back still has the
+        reference's bits."""
+        real = kernelcache.compile_stage_kernel
+
+        def wrong(pipeline, stage):
+            kernel = real(pipeline, stage)
+            return dataclasses.replace(
+                kernel, fn=lambda *args: kernel.fn(*args) + 1
+            )
+
+        monkeypatch.setattr(kernelcache, "compile_stage_kernel", wrong)
+        bench = BENCHMARKS[abbrev]
+        pipe = bench.build(**bench.small_kwargs)
+        grouping = bench.h_manual(pipe)
+        inputs = random_inputs(pipe, np.random.default_rng(7))
+        ref = execute_reference(pipe, inputs)
+        policy = GuardPolicy(kernels=KernelTier.STAGE)
+        clear_kernel_cache()
+        try:
+            # the sabotage bites where stage kernels run
+            clean = execute_guarded(pipe, grouping, inputs, policy=policy)
+            assert not clean.degraded
+            assert any(
+                not np.array_equal(ref[k], clean.outputs[k]) for k in ref
+            )
+            with inject_faults(tile=1.0):
+                report = execute_guarded(
+                    pipe, grouping, inputs, nthreads=2, policy=policy,
+                )
+        finally:
+            clear_kernel_cache()
+        assert report.outcomes and all(
+            o.mode == "reference-fallback" for o in report.outcomes
+        )
+        for k in ref:
+            assert report.outputs[k].dtype == ref[k].dtype
+            np.testing.assert_array_equal(ref[k], report.outputs[k])
 
     def test_wrong_pipeline_grouping_rejected(self, blur_pipeline):
         from conftest import build_blur

@@ -1,10 +1,10 @@
 """Fusion-group execution on the NumPy group kernel: the stage-walking
-adapter over compiled stage kernels and over the interpreter must be
-bit-identical to the reference for every benchmark pipeline, at awkward
-extents, and under 100% fault injection; both obey the one
-``GroupKernel`` protocol; :func:`plan_group` makes the inlining and
-direct-store decisions native kernels are printed from; and the stage
-kernels' generated source is pinned byte for byte."""
+adapter over compiled stage kernels must be bit-identical to the
+reference for every benchmark pipeline, at awkward extents, and under
+100% fault injection; it obeys the one ``GroupKernel`` protocol;
+:func:`plan_group` makes the inlining and direct-store decisions native
+kernels are printed from; and the stage kernels' generated source is
+pinned byte for byte."""
 
 import numpy as np
 import pytest
@@ -31,7 +31,6 @@ from repro.runtime.executor import (
 )
 
 NO_FUSE = KernelTier.STAGE
-INTERPRETED = KernelTier.INTERPRET
 
 from conftest import build_blur, build_updown, needs_gxx, random_inputs
 
@@ -43,14 +42,12 @@ def assert_bit_identical(ref, out):
         np.testing.assert_array_equal(ref[k], out[k], err_msg=k)
 
 
-def three_way(pipeline, grouping, inputs, nthreads=1):
-    """(reference, per-stage, interpreter) outputs of one grouping."""
+def both(pipeline, grouping, inputs, nthreads=1):
+    """(reference, per-stage) outputs of one grouping."""
     ref = execute_reference(pipeline, inputs)
     staged = execute_grouping(pipeline, grouping, inputs,
                               nthreads=nthreads, kernels=NO_FUSE)
-    interp = execute_grouping(pipeline, grouping, inputs,
-                              nthreads=nthreads, kernels=INTERPRETED)
-    return ref, staged, interp
+    return ref, staged
 
 
 def group_plan_for(pipeline, members):
@@ -66,16 +63,14 @@ def group_plan_for(pipeline, members):
 
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_benchmarks_bit_identical(abbrev):
-    """Per-stage == interpreter == reference, exactly, on every
-    registered benchmark at its paper (manual) grouping."""
+    """Per-stage == reference, exactly, on every registered benchmark at
+    its paper (manual) grouping."""
     bench = BENCHMARKS[abbrev]
     pipe = bench.build(**bench.small_kwargs)
     rng = np.random.default_rng(11)
     inputs = random_inputs(pipe, rng)
     grouping = bench.h_manual(pipe)
-    ref, staged, interp = three_way(pipe, grouping, inputs, nthreads=2)
-    assert_bit_identical(ref, staged)
-    assert_bit_identical(ref, interp)
+    assert_bit_identical(*both(pipe, grouping, inputs, nthreads=2))
 
 
 @pytest.mark.parametrize("tiles", [[3, 32, 32], [2, 13, 29], [1, 1, 1],
@@ -86,9 +81,7 @@ def test_blur_awkward_tiles(tiles):
     pipe = build_blur(rows=46, cols=62)
     inputs = random_inputs(pipe, np.random.default_rng(3))
     g = manual_grouping(pipe, [["blurx", "blury"]], [tiles])
-    ref, staged, interp = three_way(pipe, g, inputs)
-    assert_bit_identical(ref, staged)
-    assert_bit_identical(ref, interp)
+    assert_bit_identical(*both(pipe, g, inputs))
 
 
 @pytest.mark.parametrize("tiles", [[17], [1], [64], [200]])
@@ -97,9 +90,7 @@ def test_updown_awkward_tiles(tiles):
     pipe = build_updown(n=120)
     inputs = random_inputs(pipe, np.random.default_rng(4))
     g = manual_grouping(pipe, [["fine", "down", "up"]], [tiles])
-    ref, staged, interp = three_way(pipe, g, inputs)
-    assert_bit_identical(ref, staged)
-    assert_bit_identical(ref, interp)
+    assert_bit_identical(*both(pipe, g, inputs))
 
 
 def test_parallel_execution_bit_identical():
@@ -118,32 +109,30 @@ def test_parallel_execution_bit_identical():
 
 @pytest.mark.parametrize("abbrev", sorted(BENCHMARKS))
 def test_full_tile_faults_still_bit_identical(abbrev):
-    """100% tile failure forces the reference fallback in both the
-    per-stage and the interpreted configuration; output stays identical
-    to the reference either way."""
+    """100% tile failure forces the reference fallback of every tiled
+    group; output stays identical to the reference."""
     bench = BENCHMARKS[abbrev]
     pipe = bench.build(**bench.small_kwargs)
     inputs = random_inputs(pipe, np.random.default_rng(12))
     grouping = bench.h_manual(pipe)
     ref = execute_reference(pipe, inputs)
-    for kernels in (NO_FUSE, INTERPRETED):
-        with inject_faults(seed=9, tile=1.0):
-            report = execute_guarded(
-                pipe, grouping, inputs, nthreads=2,
-                policy=GuardPolicy(tile_retries=1, degrade=True,
-                                   kernels=kernels),
-            )
-        assert not any(o.mode == "tiled" for o in report.outcomes)
-        assert_bit_identical(ref, report.outputs)
+    with inject_faults(seed=9, tile=1.0):
+        report = execute_guarded(
+            pipe, grouping, inputs, nthreads=2,
+            policy=GuardPolicy(tile_retries=1, degrade=True,
+                               kernels=NO_FUSE),
+        )
+    assert not any(o.mode == "tiled" for o in report.outcomes)
+    assert_bit_identical(ref, report.outputs)
 
 
 def test_retry_after_partial_faults_bit_identical():
     """A step of a multi-stage group that fails retries and converges
-    to the interpreter's bits."""
+    to the reference's bits."""
     pipe = build_blur(rows=46, cols=62)
     inputs = random_inputs(pipe, np.random.default_rng(13))
     g = manual_grouping(pipe, [["blurx", "blury"]], [[3, 16, 16]])
-    ref = execute_grouping(pipe, g, inputs, kernels=INTERPRETED)
+    ref = execute_reference(pipe, inputs)
     with inject_faults(seed=21, tile=0.5):
         out = execute_grouping(pipe, g, inputs, tile_retries=4)
     assert_bit_identical(ref, out)
@@ -153,11 +142,10 @@ def test_retry_after_partial_faults_bit_identical():
 # one kernel protocol
 # ---------------------------------------------------------------------------
 
-#: the NumPy sources of a ``GroupKernel`` (native kernels run step
+#: the NumPy source of a ``GroupKernel`` (native kernels run step
 #: tables, not per-step calls: test_runtime_native.py)
 SOURCES = {
     "stage-kernels": NO_FUSE,
-    "interpreted": INTERPRETED,
 }
 
 
@@ -213,13 +201,12 @@ class _Tile:
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_group_kernel_protocol(source):
-    """The adapter over stage kernels and the adapter over the
-    interpreter answer one call the same way: returned buffers follow
-    ``region_names`` (every member, none inlined or stored direct); a
-    pure-carry slot (``regions[i] is
-    None`` + ``carries[i]``) skips the stage body and re-exposes the
-    window; live-outs still publish their base tile; a member whose
-    producer's region was empty raises the non-retryable ``KeyError``."""
+    """The adapter over stage kernels answers one call: returned buffers
+    follow ``region_names`` (every member, none inlined or stored
+    direct); a pure-carry slot (``regions[i] is None`` + ``carries[i]``)
+    skips the stage body and re-exposes the window; live-outs still
+    publish their base tile; a member whose producer's region was empty
+    raises the non-retryable ``KeyError``."""
     clear_kernel_cache()
     tile = _Tile(build_blur(rows=46, cols=62), SOURCES[source], (3, 16, 16))
     kernel = tile.kernel
@@ -352,7 +339,6 @@ def test_warm_group_kernels_compiles_multistage_groups():
     }
     assert all(k.native for k in warmed.values())
     assert warm_group_kernels(pipe, g.groups, NO_FUSE) == {}
-    assert warm_group_kernels(pipe, g.groups, INTERPRETED) == {}
 
 
 def test_host_fused_vs_unfused_bit_identical(monkeypatch):

@@ -478,17 +478,14 @@ def test_reduction_refuses_a_buffer_it_cannot_address():
 
 @pytest.mark.parametrize("kernels, numpy_calls", [
     (NATIVE, 0),
-    (KernelTier.resolve("interpret"), 1),
     (KernelTier.resolve(), 1),          # the suite's REPRO_KERNELS=stage
-    (KernelTier.INTERPRET, 1),
     (KernelTier.STAGE, 1),
-], ids=["native", "--kernels=interpret", "REPRO_KERNELS=stage",
-        "interpret", "stage"])
+], ids=["native", "REPRO_KERNELS=stage", "stage"])
 def test_reduction_follows_the_groups_predicate(
     kernels, numpy_calls, monkeypatch
 ):
     """One predicate — the ``NATIVE`` tier — for groups and reductions:
-    every tier below runs ``_compute_reduction``, and the digests do not
+    the tier below runs ``_compute_reduction``, and the digests do not
     move."""
     _, pipe, grouping = dp_grouping("BG")
     inputs = make_inputs(pipe, 2)
@@ -1297,8 +1294,8 @@ def _digests(stdout):
 def test_cli_flags_and_concurrent_builders(tmp_path):
     """``repro run`` end to end: two processes build the same key at the
     same time and both end with a loadable artifact (no partial file is
-    ever loaded, nothing temporary stays behind); ``--kernels stage`` and
-    ``REPRO_KERNELS=stage`` print the same digests; a third run finds the
+    ever loaded, nothing temporary stays behind); ``REPRO_KERNELS=stage``
+    prints the same digests and builds nothing; a third run finds the
     artifact and builds nothing; without ``g++`` the run still exits 0
     with the same digests and exactly one warning; a truncated artifact
     is rebuilt by the next process that finds it."""
@@ -1326,13 +1323,11 @@ def test_cli_flags_and_concurrent_builders(tmp_path):
     assert 'repro_kernel_native_total{result="cached"} 1' in text
     assert 'result="built"' not in text
 
-    flag = _run_cli(
-        base + ["--kernels", "stage", "--metrics", str(metrics)], env
+    var = _run_cli(
+        base + ["--metrics", str(metrics)], dict(env, REPRO_KERNELS="stage")
     )
-    assert flag.returncode == 0 and _digests(flag.stdout) == want
-    assert "repro_kernel_native_total" not in metrics.read_text()
-    var = _run_cli(base, dict(env, REPRO_KERNELS="stage"))
     assert var.returncode == 0 and _digests(var.stdout) == want
+    assert "repro_kernel_native_total" not in metrics.read_text()
 
     masked = _run_cli(base, dict(env, PATH=str(tmp_path)))
     assert masked.returncode == 0 and _digests(masked.stdout) == want

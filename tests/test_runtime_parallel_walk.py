@@ -78,11 +78,10 @@ from conftest import (
 )
 
 THREADS = (1, 2, 4)
-#: the sources of NumPy group kernels, by the id their parametrized
-#: tests are known by (test names are pinned)
+#: the source of NumPy group kernels, by the id its parametrized tests
+#: are known by (test names are pinned)
 TIERS = {
     KernelTier.STAGE: "no-fuse",
-    KernelTier.INTERPRET: "no-compile",
 }
 
 
@@ -565,12 +564,11 @@ def _dp_grouping(abbrev, scale=0.1):
 @pytest.mark.native
 @pytest.mark.parametrize("abbrev", ["BG", "CP", "HC"])
 def test_no_kernel_stands_above_the_requested_tier(abbrev, monkeypatch):
-    """The tier is a ceiling.  For every tier, every group and every
+    """The tier is a ceiling.  For both tiers, every group and every
     untiled reduction of the DP grouping: a native kernel only at
-    ``NATIVE`` (whatever cannot be built runs on a lower stand-in),
-    stage kernels only from ``STAGE`` up — and at ``INTERPRET`` nothing
-    is compiled, looked up or built, at resolution or at execution.  Same
-    digests under all three."""
+    ``NATIVE`` (whatever cannot be built runs on the stage walk), and at
+    ``STAGE`` stage kernels are looked up but nothing native is built,
+    at resolution or at execution.  Same digests under both."""
     _, pipe, grouping = _dp_grouping(abbrev)
     inputs = make_inputs(pipe, 1)
     expected = output_digests(execute_reference(pipe, inputs))
@@ -586,7 +584,7 @@ def test_no_kernel_stands_above_the_requested_tier(abbrev, monkeypatch):
         monkeypatch.setattr(mod, name, spy)
     allowed = set()
     for tier, unlocks in zip(KernelTier, (
-        None, "get_kernel", "build_group_kernels",
+        "get_kernel", "build_group_kernels",
     )):
         clear_kernel_cache()
         called.clear()
@@ -595,9 +593,8 @@ def test_no_kernel_stands_above_the_requested_tier(abbrev, monkeypatch):
         assert output_digests(out) == expected, tier
         for kernel in kernels:
             assert tier >= KernelTier.NATIVE or not kernel.native
-        if unlocks:
-            allowed.add(unlocks)
-            assert unlocks in called, tier
+        allowed.add(unlocks)
+        assert unlocks in called, tier
         assert called <= allowed, tier
         if tier is KernelTier.NATIVE and HAVE_GXX:
             assert any(k.native for k in kernels)

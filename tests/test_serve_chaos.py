@@ -20,6 +20,7 @@ from repro.errors import (
 from repro.planner import output_digests
 from repro.serve import HostConfig, PipelineService, ServeConfig
 from repro.serve.shm import list_segments
+from repro.serve.supervisor import CircuitBreaker
 
 SCALE = 0.05
 THREADS = 2
@@ -196,10 +197,11 @@ class TestWorkerTimeout:
 
 class TestBreakerFallback:
     def test_repeated_deaths_trip_to_in_process_tier(self):
-        svc = make_service(breaker_threshold=2, breaker_window_s=60.0,
-                           breaker_cooldown_s=3600.0)
+        svc = make_service()
         try:
             sup = svc.supervisor
+            # two deaths trip it, and it stays open for the test
+            sup.breaker = CircuitBreaker(2, 60.0, 3600.0)
             baseline = output_digests(svc.run("UM", seed=2).outputs)
             deaths = 0
             for _ in range(3):  # two kills trip; allow one extra try
